@@ -11,7 +11,7 @@ import numpy as np
 
 from lapkit.operators import Grid1D
 from lapkit.potential import WeightParams, standard_model
-from lapkit.weyl import (FilterSpec, symbol_a0, symbol_b0, weyl_apply,
+from lapkit.weyl import (FilterSpec, filter_symbol, symbol_a0, weyl_apply,
                          weyl_matrix)
 
 grid = Grid1D(20.0, 256)
@@ -36,7 +36,6 @@ print()
 print("=== direction symbol separates outgoing from incoming ===")
 wide = Grid1D(100.0, 1024)
 x = wide.nodes
-b0 = symbol_b0(params)
 f0 = np.sqrt(params.kappa) * (1 + x**2) ** (-params.mu / 4)
 spec = FilterSpec.for_model(model, sigma_cut=0.5, tilde_width=0.8,
                             neighborhood_margin=2.0)
@@ -48,10 +47,13 @@ taper = np.clip((np.abs(x) - 5) / 10, 0, 1) * np.clip((90 - np.abs(x)) / 10, 0, 
 envelope = taper * f0 ** -0.5
 waves = {"outgoing": envelope * np.exp(1j * phase),
          "incoming": envelope * np.exp(-1j * phase)}
-for name, wave in waves.items():
-    kept = weyl_apply(lambda xv, xi: spec.chi_minus(a0(xv, xi))
-                      * spec.chi_tilde_minus(b0(xv, xi)), wide, wave)
-    frac = np.linalg.norm(kept) / np.linalg.norm(wave)
+# chi_-(a0) chi~_-(b0) vanishes outside a frequency band, and both waves
+# share each symbol table as the two columns of one block
+outgoing, band = filter_symbol(spec, params, "outgoing")
+block = np.column_stack(list(waves.values()))
+kept = weyl_apply(outgoing, wide, block, band=band)
+for j, (name, wave) in enumerate(waves.items()):
+    frac = np.linalg.norm(kept[:, j]) / np.linalg.norm(wave)
     print(f"  {name} wave: fraction surviving the 'remove direction +1' "
           f"cutoff: {frac:.3f}")
 print("the cutoff removes the outgoing wave and keeps the incoming one")

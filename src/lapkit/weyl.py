@@ -13,7 +13,14 @@ give exactly Hermitian matrices and c = 1 gives exactly the identity.
 
 The dense matrix is the reference path; ``weyl_apply`` streams the
 same computation in midpoint chunks so a filter can be applied at
-N = 4096 without forming the 256 MB matrix.
+N = 4096 without forming the 256 MB matrix.  It applies one symbol to
+a block of columns at once, so every symbol table is built and
+transformed once for all of them.  A symbol that is constant outside
+a frequency band |xi| <= reach(x) carries that band (``Band``), and is
+evaluated only on the band columns of each chunk; the rest of the
+table is filled with the constant.  The radiation cutoffs have such a
+band: chi_-(a0) vanishes exactly once a0 = xi^2/f(x)^2 reaches the end
+of its fall, which leaves under 2% of the table to evaluate.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from .besov import defect_ladder
 from .errors import DimensionError
 from .operators import DiscreteOperator, Grid1D
 from .potential import PotentialModel, WeightParams, bracket, weight_f
@@ -31,10 +39,12 @@ from .potential import PotentialModel, WeightParams, bracket, weight_f
 __all__ = [
     "smoothstep7",
     "FilterSpec",
+    "Band",
     "symbol_a0",
     "symbol_b0",
     "weyl_matrix",
     "weyl_apply",
+    "filter_symbol",
     "FilterResult",
     "radiation_filter",
     "loglog_slope",
@@ -120,6 +130,11 @@ class FilterSpec:
                    sigma_cut=sigma_cut, fall_width=fall_width,
                    tilde_width=tilde_width)
 
+    @property
+    def kinetic_reach(self) -> float:
+        """The value of t from which chi_minus(t) is exactly 0."""
+        return self.plateau_end + self.fall_width
+
     def chi_minus(self, t):
         t = np.asarray(t, dtype=float)
         return _rise(t, -1.0, 1.0) * _fall(t, self.plateau_end, self.fall_width)
@@ -146,9 +161,15 @@ def _midpoints(grid: Grid1D) -> np.ndarray:
     return -grid.length + (np.arange(2 * grid.size - 1) + 1.0) * h / 2.0
 
 
-def _symbol_rows(symbol, xs, xi):
-    """Evaluate c on a midpoint batch against the full frequency ladder."""
-    return np.asarray(symbol(xs[:, None], xi[None, :]), dtype=complex)
+@dataclass(frozen=True)
+class Band:
+    """Frequency band outside which a symbol is the constant ``outside``.
+
+    The symbol equals ``outside`` exactly wherever |xi| > reach(x).
+    """
+
+    reach: Callable
+    outside: float
 
 
 def _g_rows(symbol, xs, xi):
@@ -156,7 +177,8 @@ def _g_rows(symbol, xs, xi):
 
     With k = k' - N/2 the sum is (-1)^d times an inverse FFT in k'.
     """
-    rows = np.fft.ifft(_symbol_rows(symbol, xs, xi), axis=1)
+    rows = np.fft.ifft(np.asarray(symbol(xs[:, None], xi[None, :]),
+                                  dtype=complex), axis=1)
     n = rows.shape[1]
     rows *= (-1.0) ** np.arange(n)[None, :]
     return rows
@@ -173,29 +195,64 @@ def weyl_matrix(symbol, grid: Grid1D) -> DiscreteOperator:
     return DiscreteOperator(g[s, d], grid, label="Op^w")
 
 
-def weyl_apply(symbol, grid: Grid1D, u, chunk: int = 512) -> np.ndarray:
-    """Matrix-free application of the quantized symbol to a vector.
+def _band_columns(band: Band | None, xs, xi) -> tuple[int, int]:
+    """Columns [lo, hi) of the ladder that hold the band over ``xs``.
 
-    Streams over midpoint (antidiagonal) batches: entries with
-    i + j = s share a row of the FFT table, so each batch costs one
-    block FFT plus one gather per antidiagonal.
+    Two extra columns on each side absorb rounding at the band edge.
+    """
+    if band is None:
+        return 0, len(xi)
+    reach = float(np.max(band.reach(xs)))
+    lo = int(np.searchsorted(xi, -reach, side="left")) - 2
+    hi = int(np.searchsorted(xi, reach, side="right")) + 2
+    return max(lo, 0), min(hi, len(xi))
+
+
+def weyl_apply(symbol, grid: Grid1D, u, chunk: int = 512,
+               band: Band | None = None) -> np.ndarray:
+    """Matrix-free application of the quantized symbol.
+
+    ``u`` is one vector of shape (n,) or a block of shape (n, m); the
+    columns share every symbol table, and each equals its own
+    single-vector apply bit for bit.  Streams over midpoint
+    (antidiagonal) batches: entries with i + j = s share a row of the
+    FFT table, so each batch costs one in-place block FFT plus, per
+    antidiagonal, two strided-slice gathers.  With a ``band`` the
+    symbol is evaluated only on the batch's band columns and the rest
+    of the table holds ``band.outside``; without one the band is the
+    whole frequency ladder.
     """
     u = np.asarray(u, dtype=complex)
     n = grid.size
-    if len(u) != n:
+    if u.ndim not in (1, 2) or u.shape[0] != n:
         raise DimensionError("vector length does not match grid size")
+    cols = u.reshape(n, -1)
+    out = np.zeros_like(cols)
     xi = grid.frequencies
     mids = _midpoints(grid)
-    out = np.zeros(n, dtype=complex)
+    sign = (-1.0) ** np.arange(n)
+    outside = 0.0 if band is None else band.outside
+    table = np.empty((min(chunk, 2 * n - 1), n), dtype=complex)
     for start in range(0, 2 * n - 1, chunk):
-        stop = min(start + chunk, 2 * n - 1)
-        g = _g_rows(symbol, mids[start:stop], xi)
-        for s in range(start, stop):
-            lo = max(0, s - n + 1)
-            hi = min(n - 1, s)
-            i = np.arange(lo, hi + 1)
-            out[i] += g[s - start, (2 * i - s) % n] * u[s - i]
-    return out
+        xs = mids[start:start + chunk]
+        rows = table[:len(xs)]
+        k0, k1 = _band_columns(band, xs, xi)
+        rows[:, :k0] = outside
+        rows[:, k1:] = outside
+        rows[:, k0:k1] = symbol(xs[:, None], xi[None, k0:k1])
+        np.fft.ifft(rows, axis=1, out=rows)
+        rows *= sign
+        for s, row in enumerate(rows, start):
+            # entry (i, s - i) sits at column 2i - s mod n; that index
+            # wraps below i = mid, which splits the antidiagonal into
+            # two stride-2 slices of the row
+            lo, hi = max(0, s - n + 1), min(n - 1, s)
+            mid = max(lo, (s + 1) // 2)
+            out[lo:mid] += (row[2 * lo - s + n:2 * mid - s + n:2, None]
+                            * cols[s - mid + 1:s - lo + 1][::-1])
+            out[mid:hi + 1] += (row[2 * mid - s:2 * hi - s + 1:2, None]
+                                * cols[s - hi:s - mid + 1][::-1])
+    return out.reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -255,25 +312,20 @@ class FilterResult:
         return float(values[k])
 
 
-def radiation_filter(u, spec: FilterSpec, model: PotentialModel,
-                     grid: Grid1D, ladder=None, mode: str = "outgoing",
-                     annulus_eps: float = 0.5,
-                     kappa: float | None = None) -> FilterResult:
-    """Apply a phase-space cutoff and ladder its vanishing defect.
+def filter_symbol(spec: FilterSpec, params: WeightParams,
+                  mode: str = "outgoing") -> tuple[Callable, Band]:
+    """The cutoff symbol of a radiation filter mode, with its band.
 
-    Modes: ``outgoing`` quantizes chi_-(a0) chi~_-(b0), which removes
-    the region around direction value +1 and so must leave something
-    vanishing when u is the outgoing solution; ``high`` quantizes
-    chi_+(a0); ``mirrored`` keeps the +1 region instead and witnesses
-    the asymmetry.  The defect exponent is the model's s0 = 1/2 + mu/4.
+    Modes: ``outgoing`` is chi_-(a0) chi~_-(b0), which removes the
+    region around direction value +1; ``high`` is chi_+(a0);
+    ``mirrored`` keeps the +1 region instead.  Every mode is constant
+    (0, or 1 for ``high``) outside |xi| <= f(x) sqrt(spec.kinetic_reach),
+    because chi_-(a0) is exactly 0 there.
     """
     if mode not in ("outgoing", "high", "mirrored"):
         raise ValueError(f"unknown filter mode {mode!r}")
     if mode == "outgoing" and spec.sigma_cut > 1.0:
         raise ValueError("outgoing filter requires direction cut sigma <= 1")
-    params = WeightParams(lam=0.0,
-                          kappa=model.kappa_low_energy if kappa is None else kappa,
-                          mu=model.mu)
     a0 = symbol_a0(params)
     b0 = symbol_b0(params)
     if mode == "outgoing":
@@ -285,21 +337,48 @@ def radiation_filter(u, spec: FilterSpec, model: PotentialModel,
     else:
         def symbol(x, xi):
             return spec.chi_plus(a0(x, xi))
+    reach = math.sqrt(spec.kinetic_reach)
+    band = Band(lambda x: weight_f(params, x) * reach,
+                outside=1.0 if mode == "high" else 0.0)
+    return symbol, band
 
-    w = weyl_apply(symbol, grid, u)
+
+def radiation_filter(u, spec: FilterSpec, model: PotentialModel,
+                     grid: Grid1D, ladder=None, mode: str = "outgoing",
+                     annulus_eps: float = 0.5,
+                     kappa: float | None = None):
+    """Apply a phase-space cutoff and ladder its vanishing defect.
+
+    The cutoff is ``filter_symbol(spec, params, mode)`` with the
+    model's low-energy weight; an outgoing solution must leave the
+    ``outgoing`` and ``high`` defects vanishing, while ``mirrored``
+    witnesses the asymmetry.  The defect exponent is the model's
+    s0 = 1/2 + mu/4.  ``u`` of shape (n,) gives one FilterResult; a
+    block of shape (n, m) is filtered in one pass and gives a list of
+    m results, one per column.
+    """
+    params = WeightParams(lam=0.0,
+                          kappa=model.kappa_low_energy if kappa is None else kappa,
+                          mu=model.mu)
+    symbol, band = filter_symbol(spec, params, mode)
+    u = np.asarray(u, dtype=complex)
+    w = weyl_apply(symbol, grid, u, band=band)
     if ladder is None:
         ladder = default_radius_ladder(grid)
     ladder = np.asarray(ladder, dtype=float)
-    x = np.abs(grid.nodes)
     s0 = model.s0
-    ball = np.empty(len(ladder))
-    annulus = np.empty(len(ladder))
-    for k, radius in enumerate(ladder):
-        ball[k] = np.linalg.norm(w[x < radius]) / radius**s0
-        sel = (x >= annulus_eps * radius) & (x < radius)
-        annulus[k] = np.linalg.norm(w[sel]) / radius**s0
-    degenerate = bool(np.linalg.norm(w) <= 1e-13 * max(np.linalg.norm(u), 1e-300))
-    return FilterResult(mode=mode, filtered=w, ladder=ladder,
-                        ball_defect=ball, annulus_defect=annulus,
-                        annulus_eps=annulus_eps, exponent=s0,
-                        degenerate=degenerate)
+
+    def result(u_col, w_col):
+        scale = max(np.linalg.norm(u_col), 1e-300)
+        return FilterResult(
+            mode=mode, filtered=w_col, ladder=ladder,
+            ball_defect=defect_ladder(w_col, grid.nodes, ladder, exponent=s0),
+            annulus_defect=defect_ladder(w_col, grid.nodes, ladder, exponent=s0,
+                                         annulus_eps=annulus_eps),
+            annulus_eps=annulus_eps, exponent=s0,
+            degenerate=bool(np.linalg.norm(w_col) <= 1e-13 * scale))
+
+    if w.ndim == 1:
+        return result(u, w)
+    return [result(u[:, j], np.ascontiguousarray(w[:, j]))
+            for j in range(w.shape[1])]

@@ -260,6 +260,8 @@ seed = 5
     by_id = {c.check_id: c for c in rep.checks}
     assert by_id["incoming-conjugation"].passed
     assert by_id["boundary-value-converged"].passed
+    converged = by_id["boundary-value-converged"]
+    assert converged.value <= converged.threshold
     assert by_id["plus-outgoing-slope"].passed
     assert by_id["plus-mirrored-slope"].passed
     assert set(rep.artifacts["vectors"]) == {"u_plus", "u_minus", "source"}

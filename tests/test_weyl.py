@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from lapkit.errors import DimensionError
 from lapkit.operators import Grid1D, gaussian_probe
 from lapkit.potential import WeightParams, standard_model
-from lapkit.weyl import (FilterSpec, default_radius_ladder, loglog_slope,
-                         radiation_filter, smoothstep7, symbol_a0, symbol_b0,
-                         weyl_apply, weyl_matrix)
+from lapkit.weyl import (FilterSpec, default_radius_ladder, filter_symbol,
+                         loglog_slope, radiation_filter, smoothstep7, symbol_a0,
+                         symbol_b0, weyl_apply, weyl_matrix)
 
 GRID = Grid1D(10.0, 128)
 
@@ -66,6 +67,68 @@ def test_apply_matches_dense(rng):
     direct = dense @ u
     streamed = weyl_apply(b0, GRID, u, chunk=37)
     assert np.max(np.abs(direct - streamed)) <= 1e-11 * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("mode", ["outgoing", "high", "mirrored"])
+def test_band_limited_apply_matches_dense(mode, rng):
+    m = standard_model(1.0, 1.0, 1)
+    spec = FilterSpec.for_model(m, neighborhood_margin=2.0, tilde_width=0.8)
+    params = WeightParams(0.0, m.kappa_low_energy, m.mu)
+    symbol, band = filter_symbol(spec, params, mode)
+    u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    direct = weyl_matrix(symbol, GRID).matrix @ u
+    streamed = weyl_apply(symbol, GRID, u, chunk=37, band=band)
+    assert np.max(np.abs(direct - streamed)) <= 1e-12 * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("mode", ["outgoing", "high", "mirrored"])
+def test_block_apply_equals_column_applies(mode, rng):
+    m = standard_model(1.0, 1.0, 1)
+    spec = FilterSpec.for_model(m)
+    params = WeightParams(0.0, m.kappa_low_energy, m.mu)
+    symbol, band = filter_symbol(spec, params, mode)
+    block = rng.standard_normal((128, 2)) + 1j * rng.standard_normal((128, 2))
+    both = weyl_apply(symbol, GRID, block, chunk=37, band=band)
+    assert both.shape == (128, 2)
+    for j in range(2):
+        single = weyl_apply(symbol, GRID, block[:, j].copy(), chunk=37, band=band)
+        assert np.array_equal(both[:, j], single)
+    results = radiation_filter(block, spec, m, GRID, mode=mode)
+    assert len(results) == 2
+    for j, res in enumerate(results):
+        one = radiation_filter(block[:, j].copy(), spec, m, GRID, mode=mode)
+        assert np.array_equal(res.filtered, one.filtered)
+        assert np.array_equal(res.ball_defect, one.ball_defect)
+        assert np.array_equal(res.annulus_defect, one.annulus_defect)
+
+
+def test_apply_rejects_wrong_shape():
+    with pytest.raises(DimensionError):
+        weyl_apply(constant_symbol(1.0), GRID, np.ones(127))
+    with pytest.raises(DimensionError):
+        weyl_apply(constant_symbol(1.0), GRID, np.ones((128, 2, 1)))
+
+
+@pytest.mark.parametrize("length,size,kappa,mu", [
+    (10.0, 128, 1.0, 1.0),
+    (40.0, 256, 0.5, 0.5),
+    (200.0, 512, 2.0, 1.5),
+    (400.0, 1024, 1.0, 1.0),
+])
+def test_band_covers_symbol_support(length, size, kappa, mu):
+    # outside |xi| <= reach(x) the full-table symbol is exactly constant
+    grid = Grid1D(length, size)
+    params = WeightParams(0.0, kappa, mu)
+    spec = FilterSpec.for_model(standard_model(1.0, mu, 1), neighborhood_margin=2.0,
+                                tilde_width=0.8)
+    x = -length + (np.arange(2 * size - 1) + 1.0) * grid.spacing / 2.0
+    xi = grid.frequencies
+    for mode in ("outgoing", "high", "mirrored"):
+        symbol, band = filter_symbol(spec, params, mode)
+        table = symbol(x[:, None], xi[None, :])
+        outside = np.abs(xi)[None, :] > band.reach(x)[:, None]
+        assert np.count_nonzero(outside) > 0.5 * table.size
+        assert np.all(table[outside] == band.outside)
 
 
 def test_quantized_position_is_multiplication(rng):
