@@ -46,8 +46,10 @@ for mode, story in (("outgoing", "remove direction +1 (must vanish)"),
 
 print()
 print("=== uniqueness: the null difference is not outgoing ===")
-u_plus = ShiftedSolver(h_cap, 0.0).solve(v)
-u_minus = np.conj(ShiftedSolver(h_cap, 0.0).solve(np.conj(v)))
+# one factorization gives both: (H_cap - 0)^{-*} v is the incoming value
+solver = ShiftedSolver(h_cap, 0.0)
+u_plus = solver.solve(v)
+u_minus = solver.solve_adjoint(v)
 w = u_plus - u_minus
 interior = np.abs(cap.matrix.diagonal()) == 0.0
 interior[1:] &= interior[:-1].copy()

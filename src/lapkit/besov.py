@@ -39,15 +39,16 @@ __all__ = [
     "shell_decompose",
     "besov_norm",
     "dual_norm",
-    "ball_norm",
     "ball_sup",
     "bstar0_defect",
     "defect_ladder",
+    "loglog_slope",
     "base_equivalence_constants",
     "verify_base_equivalence",
     "verify_scaling",
     "power_map_constant",
     "verify_power_map",
+    "unit_blocks",
     "schur_block_bound",
     "bstar_norm_dense",
     "verify_interpolation",
@@ -85,16 +86,25 @@ class ShellScheme:
             j += 1
         return j
 
-    def shell_indices(self, values: np.ndarray) -> np.ndarray:
+    def shell_indices(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """0-based shell index per value; shell k holds [R_k-1, R_k).
 
         Lower edges are inclusive, so |a| = R_j lands in shell j+1,
         matching the half-open convention of the shell definition.
+        Returns the indices and the radii R_1..R_J.
         """
         absvals = np.abs(np.asarray(values, dtype=float))
         count = self.shell_count(float(absvals.max(initial=0.0)))
         radii = self.radii(count)
         return np.searchsorted(radii, absvals, side="right"), radii
+
+    def shells(self, values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Node indices of every shell, ascending, and the radii R_1..R_J.
+
+        Empty shells are kept, so the k-th index array belongs to radii[k].
+        """
+        idx, radii = self.shell_indices(values)
+        return [np.flatnonzero(idx == k) for k in range(len(radii))], radii
 
 
 @dataclass(frozen=True)
@@ -162,12 +172,6 @@ def _shell_norms(u, vals, scheme):
     sq = np.zeros(len(radii))
     np.add.at(sq, idx, np.abs(u) ** 2)
     return np.sqrt(sq), radii
-
-
-def ball_norm(u, a, radius: float) -> float:
-    """||F(|A| < R) u|| for a single radius."""
-    u, vals = _check_pair(u, a)
-    return float(np.linalg.norm(u[np.abs(vals) < radius]))
 
 
 def ball_sup(u, a) -> float:
@@ -278,6 +282,22 @@ def bstar0_defect(u, a, ladder, exponent: float = 0.5,
     return float(np.max(values[len(values) // 2:]))
 
 
+def loglog_slope(radii, values, floor: float = 0.0) -> float:
+    """Least-squares slope of log(values) against log(radii)."""
+    radii = np.asarray(radii, dtype=float)
+    values = np.maximum(np.asarray(values, dtype=float), floor)
+    keep = values > 0
+    if np.count_nonzero(keep) < 2:
+        return math.nan
+    lx = np.log(radii[keep])
+    ly = np.log(values[keep])
+    lx = lx - lx.mean()
+    denom = float(np.dot(lx, lx))
+    if denom == 0.0:
+        return math.nan
+    return float(np.dot(lx, ly - ly.mean()) / denom)
+
+
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -334,10 +354,8 @@ def sample_vectors(a, scheme: ShellScheme, n_random: int,
            for _ in range(n_random)]
     if not adversarial:
         return out
-    idx, radii = scheme.shell_indices(vals)
     absvals = np.abs(vals)
-    for k in range(len(radii)):
-        nodes = np.flatnonzero(idx == k)
+    for nodes in scheme.shells(vals)[0]:
         if nodes.size == 0:
             continue
         # full-shell random vector
@@ -551,13 +569,17 @@ class BlockBound:
         return 2.0 * self.c1 + self.c2 + self.c3
 
 
-def _unit_blocks(vals):
-    """Group node indices by the half-open integer block floor(a)."""
-    anchors = np.floor(vals).astype(int)
-    blocks = {}
-    for i, n in enumerate(anchors):
-        blocks.setdefault(int(n), []).append(i)
-    return {n: np.asarray(ix) for n, ix in blocks.items()}, anchors
+def unit_blocks(values) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Group node indices by the half-open unit block floor(a) <= a < floor(a) + 1.
+
+    Returns ``(labels, blocks)``: ``blocks`` holds the ascending index
+    arrays of the occupied blocks in ascending anchor order, and
+    ``labels[i]`` is the position in ``blocks`` of node i's block.
+    """
+    anchors = np.floor(np.asarray(values, dtype=float)).astype(int)
+    _, labels = np.unique(anchors, return_inverse=True)
+    order = np.argsort(labels, kind="stable")
+    return labels, np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
 def _spectral_norm(m) -> float:
@@ -583,12 +605,12 @@ def schur_block_bound(T, a1, a2, rng: np.random.Generator | None = None,
     if T.shape != (len(v2), len(v1)):
         raise DimensionError(
             f"matrix shape {T.shape} does not match spectra ({len(v2)}, {len(v1)})")
-    blocks1, anchors1 = _unit_blocks(v1)
-    blocks2, anchors2 = _unit_blocks(v2)
+    labels1, blocks1 = unit_blocks(v1)
+    _, blocks2 = unit_blocks(v2)
     block_sup = 0.0
-    for rows in blocks2.values():
+    for rows in blocks2:
         sub = T[rows]
-        for cols in blocks1.values():
+        for cols in blocks1:
             block_sup = max(block_sup, _spectral_norm(sub[:, cols]))
 
     rng = rng or np.random.default_rng(0)
@@ -611,11 +633,11 @@ def schur_block_bound(T, a1, a2, rng: np.random.Generator | None = None,
         if np.min(np.linalg.eigvalsh(herm)) >= -1e-10 * max(1.0, _spectral_norm(T)):
             result.accretive = True
             c1 = c2 = c3 = 0.0
-            for n, cols in blocks1.items():
+            for g, cols in enumerate(blocks1):
                 c1 = max(c1, _spectral_norm(T[np.ix_(cols, cols)]))
-                below = np.flatnonzero(anchors1 < n)
+                below = np.flatnonzero(labels1 < g)
                 c2 = max(c2, _spectral_norm(T[np.ix_(below, cols)]))
-                atleast = np.flatnonzero(anchors1 >= n)
+                atleast = np.flatnonzero(labels1 >= g)
                 c3 = max(c3, _spectral_norm(T[np.ix_(cols, atleast)]))
             result.c1, result.c2, result.c3 = c1, c2, c3
     return result
@@ -636,18 +658,13 @@ def bstar_norm_dense(T, a1, a2, scheme: ShellScheme | None = None) -> float:
     if T.shape != (len(v2), len(v1)):
         raise DimensionError("matrix shape does not match spectra")
     scheme = scheme or ShellScheme()
-    idx1, radii1 = scheme.shell_indices(v1)
-    idx2, radii2 = scheme.shell_indices(v2)
+    shells1, radii1 = scheme.shells(v1)
+    shells2, radii2 = scheme.shells(v2)
     best = 0.0
-    for j in range(len(radii2)):
-        rows = np.flatnonzero(idx2 == j)
-        if rows.size == 0:
-            continue
-        for k in range(len(radii1)):
-            cols = np.flatnonzero(idx1 == k)
-            if cols.size == 0:
-                continue
-            val = _spectral_norm(T[np.ix_(rows, cols)]) / math.sqrt(radii2[j] * radii1[k])
+    for rows, r2 in zip(shells2, radii2):
+        for cols, r1 in zip(shells1, radii1):
+            # an empty shell gives an empty block of norm 0
+            val = _spectral_norm(T[np.ix_(rows, cols)]) / math.sqrt(r2 * r1)
             best = max(best, val)
     return best
 

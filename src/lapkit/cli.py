@@ -11,7 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from .config import EXPERIMENT_IDS, config_schema_text, load_config
+from .config import EXPERIMENT_IDS, load_config
 from .errors import ConfigError, SolverError
 from .experiments import build_grid, build_model, run_experiment
 from .operators import build_hamiltonian, export_triplets

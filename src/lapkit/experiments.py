@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -20,17 +21,15 @@ import scipy.sparse.linalg as spla
 from . import besov
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .operators import (Grid1D, RadialGrid, build_dilation,
-                        build_hamiltonian, commutator_residual,
-                        gaussian_probe, matched_absorber, refinement_orders)
+from .operators import (Grid1D, RadialGrid, build_hamiltonian, gaussian_probe,
+                        matched_absorber)
 from .potential import (PotentialModel, WeightParams, bracket,
-                        check_condition, coulomb_model, standard_model,
-                        weight_f)
+                        check_condition, coulomb_model, load_v2_table,
+                        standard_model, weight_f)
 from .reports import CheckResult, Report
-from .resolvent import (BesovEstimate, Sector, ShiftedSolver,
-                        besov_bstar_estimate, boundary_value, hoelder_estimate,
-                        weighted_opnorm)
-from .weyl import FilterSpec, loglog_slope, radiation_filter
+from .resolvent import (Sector, ShiftedSolver, besov_bstar_estimate,
+                        boundary_value, weighted_opnorm)
+from .weyl import FilterSpec, default_radius_ladder, radiation_filter
 
 __all__ = ["run_experiment", "run_besov_selftest", "run_check_potential",
            "run_lap_sweep", "run_besov_bound", "run_radiation",
@@ -69,8 +68,6 @@ def build_model(cfg: ExperimentConfig) -> PotentialModel | None:
     else:
         raise ConfigError(f"unknown model family {family!r}")
     if cfg.model.get("v2_table"):
-        from dataclasses import replace
-        from .potential import load_v2_table
         try:
             v2 = load_v2_table(cfg.model["v2_table"])
         except OSError as exc:
@@ -113,14 +110,11 @@ def _report(cfg: ExperimentConfig) -> Report:
 
 def _chain_constant(vals, scheme, s):
     """Sharp per-spectrum constant for the weighted-space embeddings."""
-    idx, radii = scheme.shell_indices(vals)
     total = 0.0
     br = bracket(vals)
-    for k in range(len(radii)):
-        sel = idx == k
-        if not np.any(sel):
-            continue
-        total += radii[k] * float(np.max(br[sel] ** (-2.0 * s)))
+    for nodes, radius in zip(*scheme.shells(vals)):
+        if nodes.size:
+            total += radius * float(np.max(br[nodes] ** (-2.0 * s)))
     return math.sqrt(total)
 
 
@@ -327,14 +321,19 @@ def run_check_potential(cfg: ExperimentConfig) -> Report:
 # lap-sweep and besov-bound
 # ---------------------------------------------------------------------------
 
-def _distance_to_spectrum(h_op, z_values, k: int = 8):
-    """Nearest few eigenvalues around zero via shift-invert."""
+def _distance_to_spectrum(h_op, z_values, report: Report, k: int = 8):
+    """Nearest few eigenvalues around zero via shift-invert.
+
+    An ARPACK failure leaves the distances out and records its message
+    in the report; any other error propagates.
+    """
     n = h_op.matrix.shape[0]
     start = np.ones(n) / math.sqrt(n)    # deterministic Lanczos start
     try:
         vals = spla.eigsh(h_op.matrix.real, k=k, sigma=0.0, v0=start,
                           return_eigenvectors=False)
-    except Exception:
+    except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
+        report.extras["distance_to_spectrum_error"] = str(exc)
         return {}
     return {z: float(np.min(np.abs(vals - z))) for z in z_values}
 
@@ -394,7 +393,7 @@ def run_lap_sweep(cfg: ExperimentConfig,
     h_for_dist = build_hamiltonian(model, grid)
     for arg in rays:
         zs = sector.points(moduli, rays=[arg])
-        dist = _distance_to_spectrum(h_for_dist, zs)
+        dist = _distance_to_spectrum(h_for_dist, zs, report)
         per_quantity: dict[str, list] = {q: [] for q in quantities}
         for z in zs:
             base = _sweep_quantities(model, grid, z, weight_s, rng)
@@ -424,10 +423,10 @@ def run_lap_sweep(cfg: ExperimentConfig,
         for q, triples in per_quantity.items():
             if len(triples) >= 2:
                 mods = [t[0] for t in triples]
-                fits[f"{q}_lower_exponent_ray{arg:.4f}"] = loglog_slope(
+                fits[f"{q}_lower_exponent_ray{arg:.4f}"] = besov.loglog_slope(
                     mods, [t[1] for t in triples])
                 if all(t[2] is not None for t in triples):
-                    fits[f"{q}_upper_exponent_ray{arg:.4f}"] = loglog_slope(
+                    fits[f"{q}_upper_exponent_ray{arg:.4f}"] = besov.loglog_slope(
                         mods, [t[2] for t in triples])
         if dist:
             report.extras.setdefault("distance_to_spectrum", {}).update(
@@ -472,14 +471,6 @@ def run_besov_bound(cfg: ExperimentConfig) -> Report:
 # radiation
 # ---------------------------------------------------------------------------
 
-def _radiation_ladder(grid: Grid1D) -> np.ndarray:
-    top = grid.length / 2.0
-    ladder = [4.0 * 2.0 ** (k / 2.0) for k in
-              range(int(math.floor(2 * math.log2(top / 4.0))) + 1)]
-    ladder += [32.0, top]
-    return np.unique([r for r in ladder if r <= top])
-
-
 def _cap_operator(model, grid, cfg):
     h_op = build_hamiltonian(model, grid)
     eta = cfg.grid["absorber_strength"]
@@ -492,25 +483,6 @@ def _cap_operator(model, grid, cfg):
     return h_op, None
 
 
-def _incoming_direct(h_plain, cap, v, grid, sector, arg, ratio, tol, steps,
-                     weight_s):
-    """Incoming ladder solved on the conjugate side of the sector."""
-    op = h_plain.matrix if cap is None else h_plain.matrix - cap.matrix
-    w = bracket(grid.nodes) ** (-weight_s)
-    u_prev = None
-    diffs = []
-    for k in range(steps):
-        z = sector.lambda0 * ratio**k * cmath.exp(-1j * arg)
-        u = ShiftedSolver(op, z).solve(v)
-        if u_prev is not None:
-            d = float(np.linalg.norm(w * (u - u_prev)))
-            diffs.append(d)
-            if d <= tol * float(np.linalg.norm(w * u)):
-                return u, diffs
-        u_prev = u
-    return u_prev, diffs
-
-
 def run_radiation(cfg: ExperimentConfig) -> Report:
     """Microlocal filters applied to the two zero-energy boundary values.
 
@@ -520,7 +492,9 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     vanishing; the incoming solution swaps the roles.  Vanishing is
     judged by the log-log slope over the top half of the radius ladder
     and by the annulus defect falling below 20% between the reference
-    radius 32 and half the box.
+    radius 32 and half the box.  The incoming value is the conjugate of
+    the outgoing one; an independent ladder along the conjugate ray
+    checks that identity.
     """
     model = build_model(cfg)
     if model is None:
@@ -531,8 +505,7 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     sector = build_sector(cfg)
     rng_seed = cfg.seed
     report = _report(cfg)
-    h_cap, cap = _cap_operator(model, grid, cfg)
-    h_plain = build_hamiltonian(model, grid)
+    h_cap, _ = _cap_operator(model, grid, cfg)
     v = gaussian_probe(grid, center=cfg.experiment["source_center"],
                        width=cfg.experiment["source_width"])
     weight_s = _weight_s(cfg, model)
@@ -544,9 +517,9 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     plus = boundary_value(h_cap, v, grid, sector=sector, ray_arg=arg,
                           ratio=ratio, tol=tol, sign=+1, max_steps=steps,
                           weight_s=weight_s)
-    minus = boundary_value(h_cap, v, grid, sector=sector, ray_arg=arg,
-                           ratio=ratio, tol=tol, sign=-1, max_steps=steps,
-                           weight_s=weight_s)
+    # R(0 - i0) v = conj(R(0 + i0) conj(v)), and the gaussian source is
+    # real, so conj(v) == v and the incoming value needs no solve
+    u_minus = np.conj(plus.u)
     report.extras["ladder_plus"] = plus.diffs
     report.extras["final_z"] = [plus.final_z.real, plus.final_z.imag]
     # the ladder stops on the relative test d <= tol ||w u||
@@ -556,11 +529,12 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
         plus.converged, plus.diffs[-1] / scale if plus.diffs else 0.0, tol,
         description="weighted difference ladder reached tolerance"))
 
-    # independent incoming run through the conjugate sector
-    direct, diffs_in = _incoming_direct(h_plain, cap, v, grid, sector, arg,
-                                        ratio, tol, steps, weight_s)
-    conj_gap = float(np.linalg.norm(direct - minus.u)
-                     / max(np.linalg.norm(direct), 1e-300))
+    # independent incoming run along the conjugate ray
+    incoming = boundary_value(h_cap, v, grid, sector=sector, ray_arg=arg,
+                              ratio=ratio, tol=tol, sign=-1, max_steps=steps,
+                              weight_s=weight_s)
+    conj_gap = float(np.linalg.norm(incoming.u - u_minus)
+                     / max(np.linalg.norm(incoming.u), 1e-300))
     report.add(CheckResult(
         "incoming-conjugation", "incoming-conjugation",
         conj_gap <= 1e-8, conj_gap, 1e-8,
@@ -570,14 +544,12 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
                                 neighborhood_margin=FILTER_MARGIN,
                                 fall_width=FILTER_FALL,
                                 tilde_width=FILTER_TILDE_WIDTH)
-    ladder = _radiation_ladder(grid)
     half_box = grid.length / 2.0
     # both boundary values go through each symbol table together
-    block = np.column_stack((plus.u, minus.u))
+    block = np.column_stack((plus.u, u_minus))
     results = {}
     for mode in ("outgoing", "high", "mirrored"):
-        filtered = radiation_filter(block, spec, model, grid, ladder=ladder,
-                                    mode=mode)
+        filtered = radiation_filter(block, spec, model, grid, mode=mode)
         for label, res in zip(("plus", "minus"), filtered):
             results[(label, mode)] = res
 
@@ -629,10 +601,10 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
         }
         for (label, mode), res in results.items()
     }
-    report.extras["incoming_ladder"] = diffs_in
+    report.extras["incoming_ladder"] = incoming.diffs
     report.extras["seed"] = rng_seed
     report.artifacts["vectors"] = {
-        "u_plus": plus.u, "u_minus": minus.u, "source": v,
+        "u_plus": plus.u, "u_minus": u_minus, "source": v,
     }
     return report
 
@@ -707,7 +679,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
                                 neighborhood_margin=FILTER_MARGIN,
                                 fall_width=FILTER_FALL,
                                 tilde_width=FILTER_TILDE_WIDTH)
-    ladder = _radiation_ladder(grid)
+    ladder = default_radius_ladder(grid)
     filt = radiation_filter(w, spec, model, grid, ladder=ladder,
                             mode="outgoing")
     report.add(CheckResult(
@@ -719,7 +691,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
     plain = besov.defect_ladder(w, grid.nodes, ladder, exponent=model.s0,
                                 annulus_eps=0.5)
     half = len(ladder) // 2
-    plain_slope = loglog_slope(ladder[half:], plain[half:])
+    plain_slope = besov.loglog_slope(ladder[half:], plain[half:])
     report.add(CheckResult(
         "null-ball-norm-growth", "null-vector-growth",
         plain_slope >= SLOPE_FLAT, plain_slope, SLOPE_FLAT, comparison=">=",

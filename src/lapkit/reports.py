@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,11 +119,9 @@ def write_sweep_csv(path, rows: list[dict]) -> None:
 
 def dump_vector(path, u, header: dict) -> None:
     """Little-endian float64 (re, im) pairs plus a JSON sidecar."""
-    u = np.asarray(u, dtype=complex)
+    u = np.asarray(u, dtype="<c16")
     path = str(path)
-    with open(path + ".f64", "wb") as fh:
-        for z in u:
-            fh.write(struct.pack("<dd", float(z.real), float(z.imag)))
+    u.tofile(path + ".f64")
     sidecar = dict(header)
     sidecar["length"] = len(u)
     sidecar["format"] = "little-endian float64 (re, im) pairs"

@@ -22,9 +22,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .besov import ShellScheme
+from .besov import ShellScheme, loglog_slope, unit_blocks
 from .errors import DimensionError, ExtrapolationError, SolverError
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, dilation_eigenbasis
 from .potential import PotentialModel, WeightParams, bracket, weight_f
 
 __all__ = [
@@ -269,12 +269,6 @@ class BesovEstimate:
     details: dict = field(default_factory=dict)
 
 
-def _group_starts(sorted_keys):
-    """Start offsets of each key run in a sorted integer array."""
-    starts = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
-    return starts
-
-
 def besov_bstar_estimate(operator, z: complex, model: PotentialModel, grid,
                          kappa: float = 1.0,
                          rng: np.random.Generator | None = None,
@@ -306,33 +300,25 @@ def besov_bstar_estimate(operator, z: complex, model: PotentialModel, grid,
         return fh * solver.solve_adjoint(fh * w)
 
     # --- exact unit-width block sup (upper bound) -------------------------
-    anchors = np.floor(absx).astype(int)
-    order = np.argsort(anchors, kind="stable")
-    sorted_anchors = anchors[order]
-    starts = _group_starts(sorted_anchors)
-    bounds = np.append(starts, n)
-    row_groups = [order[bounds[i]:bounds[i + 1]] for i in range(len(starts))]
+    labels, blocks = unit_blocks(absx)
     block_sup = 0.0
-    for cols in row_groups:
+    for cols in blocks:
         colmat = np.empty((n, len(cols)), dtype=complex)
         for idx, c in enumerate(cols):
             e = np.zeros(n, dtype=complex)
             e[c] = 1.0
             colmat[:, idx] = apply_t(e)
         # Frobenius norms per row block dominate the spectral norms
-        frob_sq = np.zeros(len(row_groups))
         sq = np.sum(np.abs(colmat) ** 2, axis=1)
-        for m_idx, rows in enumerate(row_groups):
-            frob_sq[m_idx] = np.sum(sq[rows])
+        frob_sq = np.bincount(labels, weights=sq, minlength=len(blocks))
         for m_idx in np.argsort(frob_sq)[::-1]:
             if math.sqrt(frob_sq[m_idx]) <= block_sup:
                 break
-            sub = colmat[row_groups[m_idx]]
+            sub = colmat[blocks[m_idx]]
             block_sup = max(block_sup, float(np.linalg.norm(sub, 2)))
 
     # --- shell-pair power iteration (lower bound) -------------------------
-    shell_idx, radii = scheme.shell_indices(absx)
-    shells = [np.flatnonzero(shell_idx == k) for k in range(len(radii))]
+    shells, radii = scheme.shells(absx)
     lower = 0.0
     best_pair = None
     for j, rows in enumerate(shells):
@@ -421,7 +407,6 @@ def hoelder_estimate(operator, s: float, pairs, grid,
         est = operator_norm_lower(matvec, rmatvec, len(w), rng=rng,
                                   tol=tol, maxiter=maxiter)
         rows.append((z1, z2, dist, est.lower))
-    from .weyl import loglog_slope
     dists = np.array([r[2] for r in rows if r[2] > 0])
     norms = np.array([r[3] for r in rows if r[2] > 0])
     good = norms > 0
@@ -476,35 +461,28 @@ def boundary_value(operator, v, grid, sector: Sector | None = None,
     wobble where |z| crosses the box scale before resuming geometric
     decrease, so non-convergence is declared on the envelope: the
     ladder fails once a difference exceeds ``rise_factor`` times the
-    running minimum.  The -i0 value is obtained by the conjugation
-    symmetry u_-(v) = conj(u_+(conj v)), valid for real potentials.
+    running minimum.  The -i0 value walks the conjugate ray conj(z_k)
+    with the conjugate operator conj(M).  For a real potential that
+    mirrors the +i0 ladder through the real axis, absorbing layer
+    included, so it yields conj(R(0 + i0) conj(v)).
     """
     v = np.asarray(v, dtype=complex)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if sign == -1:
-        plus = boundary_value(operator, np.conj(v), grid, sector=sector,
-                              ray_arg=ray_arg, ratio=ratio, tol=tol, sign=+1,
-                              max_steps=max_steps, weight_s=weight_s,
-                              rise_factor=rise_factor,
-                              require_geometric=require_geometric)
-        return BoundaryValueResult(
-            u=np.conj(plus.u), sign=-1, ray_arg=plus.ray_arg,
-            ratio=plus.ratio, z_values=[np.conj(z) for z in plus.z_values],
-            diffs=plus.diffs, tol=plus.tol, converged=plus.converged)
-
     sector = sector or Sector()
     arg = sector.default_ray() if ray_arg is None else ray_arg
     if not 0.0 < arg < sector.theta:
         raise ValueError("ray argument outside the sector")
+    zs = sector.ray_ladder(arg, ratio, max_steps)
+    if sign == -1:
+        operator = _as_sparse(operator).conj()
+        zs = [z.conjugate() for z in zs]
     w = bracket(grid.nodes) ** (-weight_s)
     if np.linalg.norm(v) == 0.0:
         return BoundaryValueResult(
-            u=np.zeros_like(v), sign=+1, ray_arg=arg, ratio=ratio,
-            z_values=[sector.lambda0 * cmath.exp(1j * arg)], diffs=[],
-            tol=tol, converged=True)
+            u=np.zeros_like(v), sign=sign, ray_arg=arg, ratio=ratio,
+            z_values=zs[:1], diffs=[], tol=tol, converged=True)
 
-    zs = sector.ray_ladder(arg, ratio, max_steps)
     u_prev = None
     diffs: list[float] = []
     used: list[complex] = []
@@ -522,11 +500,11 @@ def boundary_value(operator, v, grid, sector: Sector | None = None,
             running_min = min(running_min, d)
             if d <= tol * scale:
                 return BoundaryValueResult(
-                    u=u, sign=+1, ray_arg=arg, ratio=ratio, z_values=used,
+                    u=u, sign=sign, ray_arg=arg, ratio=ratio, z_values=used,
                     diffs=diffs, tol=tol, converged=True)
         u_prev = u
     return BoundaryValueResult(
-        u=u_prev, sign=+1, ray_arg=arg, ratio=ratio, z_values=used,
+        u=u_prev, sign=sign, ray_arg=arg, ratio=ratio, z_values=used,
         diffs=diffs, tol=tol, converged=False)
 
 
@@ -584,7 +562,6 @@ def quadratic_check(h_op: DiscreteOperator, a_op: DiscreteOperator,
     rng = rng or np.random.default_rng(0)
     x = grid.nodes
     s = (model.s0 + 0.05) if probe_s is None else probe_s
-    from .operators import dilation_eigenbasis
     avals, avecs = dilation_eigenbasis(a_op)
     ainv = 1.0 / np.sqrt(1.0 + avals**2)
 

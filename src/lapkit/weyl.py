@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .besov import defect_ladder
+from .besov import defect_ladder, loglog_slope
 from .errors import DimensionError
 from .operators import DiscreteOperator, Grid1D
 from .potential import PotentialModel, WeightParams, bracket, weight_f
@@ -47,7 +47,6 @@ __all__ = [
     "filter_symbol",
     "FilterResult",
     "radiation_filter",
-    "loglog_slope",
     "default_radius_ladder",
 ]
 
@@ -259,28 +258,17 @@ def weyl_apply(symbol, grid: Grid1D, u, chunk: int = 512,
 # Radiation filters and defect ladders
 # ---------------------------------------------------------------------------
 
-def default_radius_ladder(grid: Grid1D, first: float = 4.0,
-                          ratio: float = 2.0 ** 0.5) -> np.ndarray:
-    """Geometric radius ladder from ``first`` up to the box edge."""
-    top = grid.length
-    count = int(math.floor(math.log(top / first) / math.log(ratio))) + 1
-    return first * ratio ** np.arange(count)
+def default_radius_ladder(grid: Grid1D) -> np.ndarray:
+    """Radii 4 sqrt(2)^k up to half the box, plus 32 and the half box.
 
-
-def loglog_slope(radii, values, floor: float = 0.0) -> float:
-    """Least-squares slope of log(values) against log(radii)."""
-    radii = np.asarray(radii, dtype=float)
-    values = np.maximum(np.asarray(values, dtype=float), floor)
-    keep = values > 0
-    if np.count_nonzero(keep) < 2:
-        return math.nan
-    lx = np.log(radii[keep])
-    ly = np.log(values[keep])
-    lx = lx - lx.mean()
-    denom = float(np.dot(lx, lx))
-    if denom == 0.0:
-        return math.nan
-    return float(np.dot(lx, ly - ly.mean()) / denom)
+    The defect checks read the ladder at 32 and at half the box, so
+    both are rungs.
+    """
+    top = grid.length / 2.0
+    ladder = [4.0 * 2.0 ** (k / 2.0) for k in
+              range(int(math.floor(2 * math.log2(top / 4.0))) + 1)]
+    ladder += [32.0, top]
+    return np.unique([r for r in ladder if r <= top])
 
 
 @dataclass

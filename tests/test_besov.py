@@ -10,7 +10,7 @@ from lapkit.besov import (ShellScheme, WeightSpectrum, ball_sup,
                           base_equivalence_constants, besov_norm,
                           bstar0_defect, bstar_norm_dense, defect_ladder,
                           dual_norm, power_map_constant, sample_vectors,
-                          schur_block_bound, shell_decompose,
+                          schur_block_bound, shell_decompose, unit_blocks,
                           verify_base_equivalence, verify_interpolation,
                           verify_power_map, verify_scaling)
 from lapkit.errors import DataError, DimensionError
@@ -277,6 +277,18 @@ def test_power_map_preconditions():
 # ---------------------------------------------------------------------------
 # unit-width blocks and the dense dual-norm oracle
 # ---------------------------------------------------------------------------
+
+def test_unit_blocks_and_shells_on_signed_values():
+    a = np.array([2.5, -0.5, 0.25, -0.75, 2.0, 9.0, -9.0])
+    labels, blocks = unit_blocks(a)
+    # occupied blocks -9, -1, 0, 2, 9 in anchor order, indices ascending
+    assert [b.tolist() for b in blocks] == [[6], [1, 3], [2], [0, 4], [5]]
+    assert labels.tolist() == [3, 1, 2, 1, 3, 4, 0]
+    shells, radii = ShellScheme(2.0).shells(a)
+    # |a| in [0,1), [1,2), [2,4), [4,8), [8,16); the 2nd and 4th are empty
+    assert radii.tolist() == [1.0, 2.0, 4.0, 8.0, 16.0]
+    assert [s.tolist() for s in shells] == [[1, 2, 3], [], [0, 4], [], [5, 6]]
+
 
 def test_block_bound_identity(rng):
     a = np.linspace(0.0, 12.0, 48)

@@ -1,8 +1,10 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from lapkit.cli import main as cli_main
 from lapkit.config import (ExperimentConfig, config_schema_text, load_config,
@@ -118,6 +120,11 @@ def test_vector_dump_round_trip(tmp_path, rng):
     assert np.array_equal(back, u)
     sidecar = json.loads((tmp_path / "vec.json").read_text())
     assert sidecar["length"] == 32
+    # the bytes are (re, im) pairs of little-endian doubles, special values too
+    odd = np.array([complex(-0.0, math.inf), complex(math.nan, -math.inf), 1.5 - 0.0j])
+    dump_vector(tmp_path / "odd", odd, {})
+    expected = b"".join(struct.pack("<dd", float(z.real), float(z.imag)) for z in odd)
+    assert (tmp_path / "odd.f64").read_bytes() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +161,27 @@ def test_lap_sweep_small_passes():
     rows = rep.extras["csv_rows"]
     assert len(rows) == 9
     assert all(row["stable"] for row in rows)
+
+
+def test_distance_to_spectrum_errors(monkeypatch):
+    def arpack_fails(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(spla, "eigsh", arpack_fails)
+    text = (SMALL_SWEEP.replace("id = lap-sweep", "id = besov-bound")
+            .replace("length = 100.0\nsize = 1024", "length = 25.0\nsize = 256"))
+    cfg = parse_config_text(text)
+    assert cfg.grid["size"] == 256
+    rep = run_experiment(cfg)
+    assert "no convergence" in rep.extras["distance_to_spectrum_error"]
+    assert "distance_to_spectrum" not in rep.extras
+
+    def bad_input(*args, **kwargs):
+        raise ValueError("bad input")
+
+    monkeypatch.setattr(spla, "eigsh", bad_input)
+    with pytest.raises(ValueError, match="bad input"):
+        run_experiment(cfg)
 
 
 def test_lap_sweep_determinism():

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 from conftest import (free_resolvent_gaussian, free_resolvent_kernel,
                       lattice_free_kernel)
-from lapkit.besov import bstar_norm_dense
+from lapkit.besov import bstar_norm_dense, schur_block_bound
 from lapkit.errors import ExtrapolationError, SolverError
 from lapkit.operators import (Grid1D, build_dilation, build_hamiltonian,
                               gaussian_probe, matched_absorber)
@@ -161,6 +161,9 @@ def test_besov_estimate_brackets_dense_norm(rng):
     assert est.lower <= exact * (1 + 1e-6)
     assert exact <= est.upper * (1 + 1e-6)
     assert est.lower >= 0.5 * exact      # the shell-pair probe is tight
+    # the solve-based block sup is the dense unit-block sup
+    blocks = schur_block_bound(dense, np.abs(grid.nodes), np.abs(grid.nodes))
+    assert est.block_sup == pytest.approx(blocks.block_sup, rel=1e-12)
 
 
 def test_besov_estimate_scales_linearly(rng):
@@ -236,7 +239,9 @@ def test_boundary_value_conjugation(rng):
     minus = boundary_value(full, v, grid, tol=1e-4, sign=-1)
     # real source: the incoming value is the conjugate of the outgoing
     assert np.allclose(minus.u, np.conj(plus.u), atol=1e-12 * np.linalg.norm(plus.u))
-    assert minus.z_values[0] == np.conj(plus.z_values[0])
+    # the incoming ladder walks the conjugate ray on its own
+    assert minus.converged
+    assert minus.z_values == [z.conjugate() for z in plus.z_values]
 
 
 def test_boundary_value_ladder_consistent_with_hoelder(rng):
