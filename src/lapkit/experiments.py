@@ -338,27 +338,35 @@ def _distance_to_spectrum(h_op, z_values, report: Report, k: int = 8):
     return {z: float(np.min(np.abs(vals - z))) for z in z_values}
 
 
-def _sweep_quantities(model, grid, z, weight_s, rng, kappa=1.0):
-    h_op = build_hamiltonian(model, grid)
+def _sweep_quantities(h_op, model, grid, z, weight_s, rng, kappa=1.0):
+    """Sweep quantities at one z, from one factorization of h_op - z.
+
+    Besides the (lower, upper) pairs it returns the residual of a probe
+    solve and the count of power runs and of those that stopped at
+    ``maxiter`` without converging.
+    """
+    solver = ShiftedSolver(h_op, z)
     x = grid.nodes
     ones = np.ones(len(x))
     out = {}
-    unw = weighted_opnorm(h_op, z, ones, ones, rng=rng)
+    unw = weighted_opnorm(solver, z, ones, ones, rng=rng)
     out["unweighted"] = (unw.lower, None)
     mu = model.mu if model is not None else 1.0
     fvals = weight_f(WeightParams(lam=abs(z), kappa=kappa, mu=mu), x)
     wgt = bracket(x) ** (-weight_s) * np.sqrt(fvals)
-    wei = weighted_opnorm(h_op, z, wgt, wgt, rng=rng)
+    wei = weighted_opnorm(solver, z, wgt, wgt, rng=rng)
     out["weighted"] = (wei.lower, None)
+    runs, unconverged = 2, (not unw.converged) + (not wei.converged)
     if model is not None:
-        est = besov_bstar_estimate(h_op, z, model, grid, kappa=kappa, rng=rng)
+        est = besov_bstar_estimate(solver, z, model, grid, kappa=kappa, rng=rng)
         out["shell_dual"] = (est.lower, est.upper)
+        runs += est.details["diagonal_pair_runs"]
+        unconverged += est.details["unconverged_pair_runs"]
     else:
-        est = None
         out["shell_dual"] = (math.nan, math.nan)
-    solver = ShiftedSolver(h_op, z)
     probe = gaussian_probe(grid, width=2.0)
     out["_residual"] = solver.residual(solver.solve(probe), probe)
+    out["_power_runs"] = (runs, unconverged)
     return out
 
 
@@ -390,17 +398,24 @@ def run_lap_sweep(cfg: ExperimentConfig,
 
     rows = []
     fits = {}
-    h_for_dist = build_hamiltonian(model, grid)
+    power_runs = np.zeros(2, dtype=int)         # runs, unconverged
+    h_op = build_hamiltonian(model, grid)
+    if cfg.experiment["stability_check"]:
+        wide_grid = grid.widen()
+        h_wide = build_hamiltonian(model, wide_grid)
     for arg in rays:
         zs = sector.points(moduli, rays=[arg])
-        dist = _distance_to_spectrum(h_for_dist, zs, report)
+        dist = _distance_to_spectrum(h_op, zs, report)
         per_quantity: dict[str, list] = {q: [] for q in quantities}
         for z in zs:
-            base = _sweep_quantities(model, grid, z, weight_s, rng)
+            base = _sweep_quantities(h_op, model, grid, z, weight_s, rng)
             residual = base.pop("_residual")
+            power_runs += base.pop("_power_runs")
             if cfg.experiment["stability_check"]:
-                wide = _sweep_quantities(model, grid.widen(), z, weight_s, rng)
+                wide = _sweep_quantities(h_wide, model, wide_grid, z, weight_s,
+                                         rng)
                 wide.pop("_residual")
+                power_runs += wide.pop("_power_runs")
             else:
                 wide = None
             for q in quantities:
@@ -434,6 +449,9 @@ def run_lap_sweep(cfg: ExperimentConfig,
 
     report.extras["fits"] = fits
     report.extras["rows"] = len(rows)
+    report.extras["solver_health"] = {
+        "power_runs": int(power_runs[0]),
+        "unconverged_power_runs": int(power_runs[1])}
     default_arg = rays[0]
     if not control:
         key = f"unweighted_lower_exponent_ray{default_arg:.4f}"
@@ -472,6 +490,7 @@ def run_besov_bound(cfg: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def _cap_operator(model, grid, cfg):
+    """(H + cap, cap, H); cap is None, and H + cap is H, without a layer."""
     h_op = build_hamiltonian(model, grid)
     eta = cfg.grid["absorber_strength"]
     if eta > 0:
@@ -479,8 +498,8 @@ def _cap_operator(model, grid, cfg):
         mu = model.mu if model is not None else cfg.model["mu"]
         cap = matched_absorber(grid, mu=mu, kappa=kappa, strength=eta,
                                width_fraction=cfg.grid["absorber_width_fraction"])
-        return h_op + cap, cap
-    return h_op, None
+        return h_op + cap, cap, h_op
+    return h_op, None, h_op
 
 
 def run_radiation(cfg: ExperimentConfig) -> Report:
@@ -505,7 +524,7 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     sector = build_sector(cfg)
     rng_seed = cfg.seed
     report = _report(cfg)
-    h_cap, _ = _cap_operator(model, grid, cfg)
+    h_cap, _, _ = _cap_operator(model, grid, cfg)
     v = gaussian_probe(grid, center=cfg.experiment["source_center"],
                        width=cfg.experiment["source_width"])
     weight_s = _weight_s(cfg, model)
@@ -632,8 +651,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
     report = _report(cfg)
     if cfg.grid["absorber_strength"] <= 0:
         raise ConfigError("uniqueness needs the absorbing layer enabled")
-    h_cap, cap = _cap_operator(model, grid, cfg)
-    h_plain = build_hamiltonian(model, grid)
+    h_cap, cap, h_plain = _cap_operator(model, grid, cfg)
     v = gaussian_probe(grid, center=cfg.experiment["source_center"],
                        width=cfg.experiment["source_width"])
     if np.linalg.norm(v) == 0.0:

@@ -4,13 +4,16 @@ Reports serialize deterministically: given the same config and seed
 the JSON bytes are identical, so wall-clock runtime is kept out of the
 serialized form (it is carried on the in-memory object and printed by
 the command line instead).  Each check cites exactly one stable
-anchor id naming the inequality or identity it exercises.
+anchor id naming the inequality or identity it exercises.  Reports and
+vector sidecars are strict JSON: a non-finite float is written as the
+string "nan", "inf" or "-inf".
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,12 +85,21 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
+                          allow_nan=False)
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_json())
             fh.write("\n")
+
+
+def _float(x: float):
+    """A float, or "nan", "inf", "-inf" where strict JSON has no number."""
+    x = float(x)
+    if math.isfinite(x):
+        return x
+    return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
 
 
 def _jsonable(value):
@@ -98,13 +110,13 @@ def _jsonable(value):
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
-        return float(value)
+        return _float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
     if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
+        return [_float(value.real), _float(value.imag)]
     return value
 
 
@@ -126,7 +138,8 @@ def dump_vector(path, u, header: dict) -> None:
     sidecar["length"] = len(u)
     sidecar["format"] = "little-endian float64 (re, im) pairs"
     with open(path + ".json", "w") as fh:
-        json.dump(_jsonable(sidecar), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(sidecar), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

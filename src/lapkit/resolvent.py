@@ -10,6 +10,16 @@ Norm estimates come in certified one-sided pairs: power iteration
 yields lower bounds, unit-width spectral block enumeration yields
 upper bounds (twice the block sup), and the two bracket the true
 weighted or shell-space operator norm.
+
+Every Hamiltonian here is complex-symmetric tridiagonal, so its
+resolvent is semiseparable.  ``TridiagonalResolvent`` reads any block
+of columns of R(z) off two pivot sequences and their ratios, with no
+solve and a residual certificate per block.  The shell-space bracket
+uses it for the unit-block upper bound and for the exact norms of the
+off-diagonal shell pairs, which have rank <= 2; only the diagonal
+shell pairs run power iteration on the LU solver.  The LU path stays
+for everything else, including the pentadiagonal commutator-regularized
+operator.
 """
 
 from __future__ import annotations
@@ -30,6 +40,8 @@ from .potential import PotentialModel, WeightParams, bracket, weight_f
 __all__ = [
     "Sector",
     "ShiftedSolver",
+    "TridiagonalResolvent",
+    "ResolventPiece",
     "solve",
     "spectral_free_solve",
     "OpNormEstimate",
@@ -105,12 +117,14 @@ class ShiftedSolver:
     """LU factorization of (M - z) with iterative refinement on solves.
 
     The shifted matrix must be complex symmetric; the transpose trick
-    then gives adjoint solves from the same factorization.
+    then gives adjoint solves from the same factorization.  ``matrix``
+    is M as a sparse matrix.
     """
 
     def __init__(self, operator, z: complex, rtol: float = 1e-10,
                  max_refine: int = 4):
         m = _as_sparse(operator)
+        self.matrix = m
         self.shape = m.shape
         self.z = complex(z)
         self.rtol = rtol
@@ -158,9 +172,170 @@ class ShiftedSolver:
                      / max(np.linalg.norm(v), 1e-300))
 
 
+def _solver_at(operator, z: complex) -> ShiftedSolver:
+    """ShiftedSolver for operator - z; a solver already built at z is reused."""
+    if isinstance(operator, ShiftedSolver):
+        if operator.z != complex(z):
+            raise ValueError(f"solver was factorized at {operator.z}, not {z}")
+        return operator
+    return ShiftedSolver(operator, z)
+
+
 def solve(operator, z: complex, v, rtol: float = 1e-10) -> np.ndarray:
     """u = (H - z)^{-1} v with residual certified below rtol ||v||."""
     return ShiftedSolver(operator, z, rtol=rtol).solve(v)
+
+
+# ---------------------------------------------------------------------------
+# Tridiagonal resolvent kernel
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ResolventPiece:
+    """Columns J = c0..c1 of R = (M - z)^{-1}: R[J, J] and one ratio vector.
+
+    For every c in J, R[i, c] = tail[i] R[c0, c] for rows i < c0 and
+    R[i, c] = tail[i] R[c1, c] for rows i > c1; ``tail`` is 1 on J.
+    """
+
+    c0: int
+    c1: int
+    block: np.ndarray           # R[J, J]
+    tail: np.ndarray            # length n
+
+    def rows(self, idx) -> np.ndarray:
+        """R[idx, J] for any row indices."""
+        idx = np.asarray(idx)
+        out = np.empty((idx.size, self.block.shape[1]), dtype=complex)
+        above = idx < self.c0
+        below = idx > self.c1
+        inside = ~(above | below)
+        out[above] = np.outer(self.tail[idx[above]], self.block[0])
+        out[inside] = self.block[idx[inside] - self.c0]
+        out[below] = np.outer(self.tail[idx[below]], self.block[-1])
+        return out
+
+    def row_norms_sq(self, weight_sq: np.ndarray) -> np.ndarray:
+        """Squared row norms of diag(w) R[:, J] diag(w[J]), w^2 = weight_sq."""
+        c0, c1 = self.c0, self.c1
+        inner = np.abs(self.block) ** 2 @ weight_sq[c0:c1 + 1]
+        sq = self.tail.real**2 + self.tail.imag**2
+        sq[:c0] *= inner[0]
+        sq[c0:c1 + 1] = inner
+        sq[c1 + 1:] *= inner[-1]
+        sq *= weight_sq
+        return sq
+
+
+class TridiagonalResolvent:
+    """Entries of R = (M - z)^{-1} for a complex-symmetric tridiagonal M - z.
+
+    With a = diag(M) - z and off-diagonal b, the top-down pivots
+    d_i = a_i - b_{i-1}^2 / d_{i-1} and the bottom-up pivots
+    e_i = a_i - b_i^2 / e_{i+1} are the two LU factorizations without
+    pivoting; they are stable because Im(M - z) = -Im z is definite for
+    a Hermitian M (Higham, Math. Comp. 67 (1998) 1591).  Column c of R
+    satisfies R[i, c] = up_i R[i+1, c] above the diagonal
+    (up_i = -b_i / d_i) and R[i+1, c] = dn_i R[i, c] below it
+    (dn_i = -b_i / e_{i+1}), so R is semiseparable (Meurant, SIAM J.
+    Matrix Anal. Appl. 13 (1992) 707) and a run of columns is its small
+    diagonal block plus products of ratios anchored at the run's ends,
+    with no solve.  Every piece is certified by its column residuals.
+    """
+
+    def __init__(self, operator, z: complex, rtol: float = 1e-10):
+        m = _as_sparse(operator)
+        n = m.shape[0]
+        if m.shape != (n, n):
+            raise DimensionError("operator must be square")
+        main, upper, lower = m.diagonal(), m.diagonal(1), m.diagonal(-1)
+        if (np.count_nonzero(main) + np.count_nonzero(upper)
+                + np.count_nonzero(lower) != m.count_nonzero()):
+            raise ValueError("operator is not tridiagonal")
+        self.z = complex(z)
+        self.rtol = rtol
+        self.n = n
+        self.a = main.astype(complex) - self.z
+        self.b = upper.astype(complex)
+        scale = max(np.max(np.abs(self.a)), np.max(np.abs(self.b), initial=0.0),
+                    1e-300)
+        if np.max(np.abs(self.b - lower), initial=0.0) > 1e-12 * scale:
+            raise ValueError("operator is not complex symmetric")
+        a, b2 = self.a.tolist(), (self.b**2).tolist()
+        self.d, self.e = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+        d = self.d[0] = a[0]
+        e = self.e[n - 1] = a[n - 1]
+        try:
+            for i in range(1, n):
+                d = self.d[i] = a[i] - b2[i - 1] / d
+                e = self.e[n - 1 - i] = a[n - 1 - i] - b2[n - 1 - i] / e
+        except ZeroDivisionError as exc:
+            raise SolverError(
+                f"zero pivot at z = {self.z}: spectrally degenerate") from exc
+        self.up = -self.b / self.d[:-1]
+        self.dn = -self.b / self.e[1:]
+
+    def piece(self, c0: int, c1: int) -> ResolventPiece:
+        """Columns c0..c1 of R, certified to column residual <= rtol."""
+        w = c1 - c0 + 1
+        # R[J, J] is the inverse of T[J, J] with the Schur terms
+        # b_{c0-1}^2 / d_{c0-1} and b_{c1}^2 / e_{c1+1} taken off its
+        # corners; that block's pivots are d[J] and e[J], so its diagonal
+        # is 1 / (d + e - a) and R[i, c] = up_i R[i+1, c] above it
+        block = np.diag(1.0 / (self.d[c0:c1 + 1] + self.e[c0:c1 + 1]
+                               - self.a[c0:c1 + 1]))
+        for i in range(w - 2, -1, -1):
+            row = self.up[c0 + i] * block[i + 1, i + 1:]
+            block[i, i + 1:] = row
+            block[i + 1:, i] = row
+        tail = np.ones(self.n, dtype=complex)
+        if c0 > 0:
+            np.cumprod(self.up[c0 - 1::-1], out=tail[c0 - 1::-1])
+        np.cumprod(self.dn[c1:], out=tail[c1 + 1:])
+        piece = ResolventPiece(c0, c1, block, tail)
+        self._certify(piece)
+        return piece
+
+    def _certify(self, piece: ResolventPiece) -> None:
+        """Raise SolverError unless ||(M - z) R[:, c] - e_c|| <= rtol.
+
+        Outside J the residual of column c is one vector, the residual
+        of ``tail``, times R[c0, c] (above) or R[c1, c] (below), so the
+        check costs O(n).
+        """
+        a, b = self.a, self.b
+        c0, c1, block, tail = piece.c0, piece.c1, piece.block, piece.tail
+        rho = a * tail
+        rho[1:] += b * tail[:-1]
+        rho[:-1] += b * tail[1:]
+        above, below = rho[:c0], rho[c1 + 1:]
+        inside = a[c0:c1 + 1, None] * block
+        inside[:-1] += b[c0:c1, None] * block[1:]
+        inside[1:] += b[c0:c1, None] * block[:-1]
+        inside.flat[::c1 - c0 + 2] -= 1.0          # minus the identity
+        if c0 > 0:
+            inside[0] += b[c0 - 1] * tail[c0 - 1] * block[0]
+        if c1 < self.n - 1:
+            inside[-1] += b[c1] * tail[c1 + 1] * block[-1]
+        res_sq = (np.sum(np.abs(inside) ** 2, axis=0)
+                  + np.vdot(above, above).real * np.abs(block[0]) ** 2
+                  + np.vdot(below, below).real * np.abs(block[-1]) ** 2)
+        worst = math.sqrt(float(np.max(res_sq)))
+        if not worst <= self.rtol:
+            raise SolverError(
+                f"resolvent columns {c0}..{c1} at z = {self.z} reached "
+                f"residual {worst:.3e} (requested {self.rtol:.1e})")
+
+
+def _runs(idx: np.ndarray) -> list[list[int]]:
+    """[first, last] of each run of consecutive values in ascending idx."""
+    runs: list[list[int]] = []
+    for i in idx.tolist():
+        if runs and i == runs[-1][1] + 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    return runs
 
 
 def spectral_free_solve(grid, z: complex, v) -> np.ndarray:
@@ -242,7 +417,7 @@ def weighted_opnorm(operator, z: complex, left_weight, right_weight,
     wr = np.asarray(right_weight, dtype=float)
     if np.all(wl == 0.0) or np.all(wr == 0.0):
         return OpNormEstimate(lower=0.0)
-    solver = ShiftedSolver(operator, z)
+    solver = _solver_at(operator, z)
 
     def matvec(u):
         return wl * solver.solve(wr * u)
@@ -277,21 +452,50 @@ def besov_bstar_estimate(operator, z: complex, model: PotentialModel, grid,
                          pair_maxiter: int = 40) -> BesovEstimate:
     """Two-sided estimate of the shell-space norm of f^{1/2} R(z) f^{1/2}.
 
-    Upper bound: exact unit-width block sup over |x| blocks, doubled.
-    The block columns are computed by solving against every basis
-    vector of one block at a time; Frobenius norms prune which block
-    pairs need an exact spectral norm.  Lower bound: power iteration
-    on each dyadic shell pair, scaled by R_j^{-1/2} R_k^{-1/2}; the
-    best shell pair is a certified lower bound for the true norm.
+    ``operator`` is H, or a ShiftedSolver already factorized at z; H
+    must be complex-symmetric tridiagonal.  Upper bound: exact
+    unit-width block sup over |x| blocks, doubled.  The columns of each
+    block come from the pivot ratios of ``TridiagonalResolvent`` with no
+    solve; per-row-block Frobenius norms, taken from the ratio tails'
+    vector norms, prune which block pairs need an exact spectral norm.
+    Lower bound: the best shell pair, scaled by R_j^{-1/2} R_k^{-1/2}.
+    Disjoint shells j != k give a block of rank <= 2 whose norm is
+    exact; only the diagonal pairs j == k use power iteration, through
+    the LU solver.  Every term is at most the shell-dual norm, so the
+    best one is a certified lower bound.  ``details`` records whether
+    the term that set ``lower`` converged (exact pairs count as
+    converged), the number of diagonal power runs and how many of them
+    did not converge.
     """
     rng = rng or np.random.default_rng(0)
     scheme = scheme or ShellScheme()
     x = grid.nodes
     absx = np.abs(x)
     params = WeightParams(lam=abs(z), kappa=kappa, mu=model.mu)
-    fh = np.sqrt(weight_f(params, x))          # f^{1/2}
-    solver = ShiftedSolver(operator, z)
+    f = weight_f(params, x)
+    fh = np.sqrt(f)                             # f^{1/2}
+    solver = _solver_at(operator, z)
+    kernel = TridiagonalResolvent(solver.matrix, z, rtol=solver.rtol)
     n = len(x)
+
+    # --- exact unit-width block sup (upper bound) -------------------------
+    labels, blocks = unit_blocks(absx)
+    block_sup = 0.0
+    for cols in blocks:
+        pieces = [kernel.piece(c0, c1) for c0, c1 in _runs(cols)]
+        # Frobenius norms per row block dominate the spectral norms
+        sq = sum(p.row_norms_sq(f) for p in pieces)
+        frob_sq = np.bincount(labels, weights=sq, minlength=len(blocks))
+        for m_idx in np.argsort(frob_sq)[::-1]:
+            if math.sqrt(frob_sq[m_idx]) <= block_sup:
+                break
+            rows = blocks[m_idx]
+            sub = np.hstack([p.rows(rows) * fh[p.c0:p.c1 + 1]
+                             for p in pieces]) * fh[rows, None]
+            block_sup = max(block_sup, float(np.linalg.norm(sub, 2)))
+
+    # --- shell pairs (lower bound) ----------------------------------------
+    shells, radii = scheme.shells(absx)
 
     def apply_t(u):
         return fh * solver.solve(fh * u)
@@ -299,58 +503,82 @@ def besov_bstar_estimate(operator, z: complex, model: PotentialModel, grid,
     def apply_t_adj(w):
         return fh * solver.solve_adjoint(fh * w)
 
-    # --- exact unit-width block sup (upper bound) -------------------------
-    labels, blocks = unit_blocks(absx)
-    block_sup = 0.0
-    for cols in blocks:
-        colmat = np.empty((n, len(cols)), dtype=complex)
-        for idx, c in enumerate(cols):
-            e = np.zeros(n, dtype=complex)
-            e[c] = 1.0
-            colmat[:, idx] = apply_t(e)
-        # Frobenius norms per row block dominate the spectral norms
-        sq = np.sum(np.abs(colmat) ** 2, axis=1)
-        frob_sq = np.bincount(labels, weights=sq, minlength=len(blocks))
-        for m_idx in np.argsort(frob_sq)[::-1]:
-            if math.sqrt(frob_sq[m_idx]) <= block_sup:
-                break
-            sub = colmat[blocks[m_idx]]
-            block_sup = max(block_sup, float(np.linalg.norm(sub, 2)))
-
-    # --- shell-pair power iteration (lower bound) -------------------------
-    shells, radii = scheme.shells(absx)
     lower = 0.0
     best_pair = None
-    for j, rows in enumerate(shells):
-        if rows.size == 0:
+    lower_converged = True
+    diagonal_runs = unconverged = 0
+    # R is complex symmetric, so the pair (k, j) has the norm of (j, k)
+    for k, outer in enumerate(shells):
+        if outer.size == 0:
             continue
-        for k, cols in enumerate(shells):
-            if cols.size == 0:
+        runs = _runs(outer)
+        anchors: dict[int, ResolventPiece] = {}     # shared by all j < k
+        for j in range(k + 1):
+            inner = shells[j]
+            if inner.size == 0:
                 continue
+            if j < k:
+                norm = _separated_pair_norm(kernel, anchors, fh, inner, runs)
+                converged = True
+            else:
+                def matvec(u, idx=inner):
+                    full = np.zeros(n, dtype=complex)
+                    full[idx] = u
+                    return apply_t(full)[idx]
 
-            def matvec(uc, cols=cols, rows=rows):
-                full = np.zeros(n, dtype=complex)
-                full[cols] = uc
-                return apply_t(full)[rows]
+                def rmatvec(w, idx=inner):
+                    full = np.zeros(n, dtype=complex)
+                    full[idx] = w
+                    return apply_t_adj(full)[idx]
 
-            def rmatvec(wr, cols=cols, rows=rows):
-                full = np.zeros(n, dtype=complex)
-                full[rows] = wr
-                return apply_t_adj(full)[cols]
-
-            est = operator_norm_lower(matvec, rmatvec, cols.size, rng=rng,
-                                      tol=pair_tol, maxiter=pair_maxiter)
-            val = est.lower / math.sqrt(radii[j] * radii[k])
+                est = operator_norm_lower(matvec, rmatvec, inner.size, rng=rng,
+                                          tol=pair_tol, maxiter=pair_maxiter)
+                norm, converged = est.lower, est.converged
+                diagonal_runs += 1
+                unconverged += not converged
+            val = norm / math.sqrt(radii[j] * radii[k])
             if val > lower:
                 lower = val
                 best_pair = (j + 1, k + 1)
+                lower_converged = converged
 
     upper = 2.0 * block_sup
     if lower > upper * (1 + 1e-6):
         raise AssertionError("shell-space bracket inverted")
     return BesovEstimate(lower=lower, upper=upper, block_sup=block_sup, z=z,
                          details={"best_shell_pair": best_pair,
-                                  "kappa": kappa})
+                                  "kappa": kappa,
+                                  "lower_converged": lower_converged,
+                                  "diagonal_pair_runs": diagonal_runs,
+                                  "unconverged_pair_runs": unconverged})
+
+
+def _separated_pair_norm(kernel: TridiagonalResolvent, anchors: dict, fh,
+                         rows, runs) -> float:
+    """Exact ||F R[rows, cols] F|| when no column run meets the rows' span.
+
+    ``runs`` lists the [first, last] runs of cols.  Rows from an inner
+    shell and columns from an outer one satisfy the condition, since
+    grid nodes ascend.  For a run wholly before (after) the rows,
+    anchored at its edge a nearest them, R[i, c] = R[i, a] R[a, c] / R[a, a]:
+    the run's block is rank one.  The runs have disjoint supports, so
+    the norm is the spectral norm of the rows x runs matrix of anchor
+    columns scaled by the runs' ratio-vector norms.  ``anchors`` caches
+    the anchor columns by index.
+    """
+    factors = []
+    for c0, c1 in runs:
+        if c0 <= rows[-1] and c1 >= rows[0]:
+            raise ValueError("shell pair is not separated")
+        a = c1 if c1 < rows[0] else c0
+        if a not in anchors:
+            anchors[a] = kernel.piece(a, a)
+        anchor = anchors[a]
+        ratio = (anchor.rows(np.arange(c0, c1 + 1))[:, 0] * fh[c0:c1 + 1]
+                 / anchor.block[0, 0])
+        factors.append(anchor.rows(rows)[:, 0] * fh[rows]
+                       * np.linalg.norm(ratio))
+    return float(np.linalg.norm(np.column_stack(factors), 2))
 
 
 # ---------------------------------------------------------------------------

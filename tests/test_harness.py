@@ -96,6 +96,26 @@ def test_report_serialization_deterministic():
     assert rep.to_json() == text
 
 
+def test_report_is_strict_json(tmp_path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rep = Report(experiment="x", seed=1, config={"tol": math.inf})
+    rep.add(CheckResult("c1", "anchor-1", False, math.nan, -math.inf))
+    rep.extras["values"] = np.array([1.5, math.nan, math.inf, -math.inf])
+    rep.extras["z"] = complex(math.inf, -0.5)
+    data = json.loads(rep.to_json(), parse_constant=reject)
+    assert data["checks"][0]["value"] == "nan"
+    assert data["checks"][0]["threshold"] == "-inf"
+    assert data["config"]["tol"] == "inf"
+    assert data["extras"]["values"] == [1.5, "nan", "inf", "-inf"]
+    assert data["extras"]["z"] == ["inf", -0.5]
+    dump_vector(tmp_path / "vec", np.zeros(2), {"scale": math.nan})
+    sidecar = json.loads((tmp_path / "vec.json").read_text(),
+                         parse_constant=reject)
+    assert sidecar["scale"] == "nan"
+
+
 def test_every_check_carries_one_anchor():
     cfg = parse_config_text("[experiment]\nid = besov-selftest\nsamples = 40\n")
     rep = run_besov_selftest(cfg)
@@ -161,6 +181,11 @@ def test_lap_sweep_small_passes():
     rows = rep.extras["csv_rows"]
     assert len(rows) == 9
     assert all(row["stable"] for row in rows)
+    # two weighted_opnorm runs per z and grid (3 moduli, 2 grids) plus
+    # the diagonal shell pairs; the unconverged ones are counted
+    health = rep.extras["solver_health"]
+    assert health["power_runs"] > 2 * 2 * 3
+    assert 0 <= health["unconverged_power_runs"] <= health["power_runs"]
 
 
 def test_distance_to_spectrum_errors(monkeypatch):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from lapkit.errors import DimensionError
@@ -67,9 +68,11 @@ def test_hydrogen_ground_state_convergence():
     errors = []
     for n in (1024, 2048, 4096):
         g = RadialGrid(60.0, n, dim=3, ell=0)
-        h_op = build_hamiltonian(model, g)
-        val = spla.eigsh(h_op.matrix, k=1, which="SA",
-                         return_eigenvectors=False)[0]
+        m = build_hamiltonian(model, g).matrix
+        # the radial operator is real symmetric tridiagonal
+        val = sla.eigh_tridiagonal(m.diagonal().real, m.diagonal(1).real,
+                                   eigvals_only=True, select="i",
+                                   select_range=(0, 0))[0]
         errors.append(abs(val + 0.25))
     assert errors[-1] < 2e-5
     assert errors[0] > errors[1] > errors[2]

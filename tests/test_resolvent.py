@@ -7,16 +7,19 @@ import scipy.linalg as sla
 
 from conftest import (free_resolvent_gaussian, free_resolvent_kernel,
                       lattice_free_kernel)
-from lapkit.besov import bstar_norm_dense, schur_block_bound
+from lapkit.besov import (ShellScheme, bstar_norm_dense, schur_block_bound,
+                          unit_blocks)
 from lapkit.errors import ExtrapolationError, SolverError
-from lapkit.operators import (Grid1D, build_dilation, build_hamiltonian,
-                              gaussian_probe, matched_absorber)
+from lapkit.operators import (Grid1D, RadialGrid, build_dilation,
+                              build_hamiltonian, gaussian_probe,
+                              matched_absorber)
 from lapkit.potential import WeightParams, standard_model, weight_f
-from lapkit.resolvent import (Sector, ShiftedSolver, besov_bstar_estimate,
-                              boundary_value, hoelder_estimate,
-                              mourre_resolvent, operator_norm_lower,
-                              quadratic_check, solve, spectral_free_solve,
-                              weighted_opnorm)
+from lapkit.resolvent import (Sector, ShiftedSolver, TridiagonalResolvent,
+                              _runs, _separated_pair_norm,
+                              besov_bstar_estimate, boundary_value,
+                              hoelder_estimate, mourre_resolvent,
+                              operator_norm_lower, quadratic_check, solve,
+                              spectral_free_solve, weighted_opnorm)
 
 MODEL = standard_model(1.0, 1.0, 1)
 Z0 = 0.5 + 0.5j
@@ -164,6 +167,90 @@ def test_besov_estimate_brackets_dense_norm(rng):
     # the solve-based block sup is the dense unit-block sup
     blocks = schur_block_bound(dense, np.abs(grid.nodes), np.abs(grid.nodes))
     assert est.block_sup == pytest.approx(blocks.block_sup, rel=1e-12)
+
+
+@pytest.mark.parametrize("model, grid", [
+    (MODEL, Grid1D(20.0, 256)),
+    (standard_model(1.0, 1.0, 3), RadialGrid(20.0, 256, dim=3)),
+])
+def test_kernel_columns_match_dense_inverse(model, grid):
+    # every unit-block column run, built from pivot ratios with no solve,
+    # is the same block of the dense inverse
+    h_op = build_hamiltonian(model, grid)
+    n = grid.size
+    _, blocks = unit_blocks(np.abs(grid.nodes))
+    runs = [run for cols in blocks for run in _runs(cols)]
+    assert any(c0 == 0 for c0, _ in runs) and any(c1 == n - 1 for _, c1 in runs)
+    for z in Sector().points([1e-1, 1e-2, 1e-3, 1e-4]):
+        dense = sla.inv(h_op.toarray() - z * np.eye(n))
+        kernel = TridiagonalResolvent(h_op, z)
+        for c0, c1 in runs:
+            cols = kernel.piece(c0, c1).rows(np.arange(n))
+            ref = dense[:, c0:c1 + 1]
+            assert np.linalg.norm(cols - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_kernel_rejects_pentadiagonal_operator():
+    # the commutator-regularized operator couples next-nearest nodes;
+    # it keeps the LU path, and the kernel refuses it
+    grid = Grid1D(20.0, 128)
+    h_op = build_hamiltonian(MODEL, grid)
+    a_op = build_dilation(grid)
+    solver = mourre_resolvent(h_op, a_op, Z0, 0.1)
+    with pytest.raises(ValueError, match="tridiagonal"):
+        TridiagonalResolvent(solver.matrix, Z0)
+    with pytest.raises(ValueError, match="tridiagonal"):
+        besov_bstar_estimate(solver, Z0, MODEL, grid)
+
+
+def test_kernel_residual_failure_raises():
+    h_op = build_hamiltonian(MODEL, Grid1D(20.0, 128))
+    kernel = TridiagonalResolvent(h_op, Z0, rtol=1e-30)
+    with pytest.raises(SolverError, match="residual"):
+        kernel.piece(60, 70)
+    import scipy.sparse as sp
+    with pytest.raises(SolverError, match="pivot"):
+        TridiagonalResolvent(sp.diags([1.0, 2.0, 3.0]), 2.0)
+
+
+def test_separated_shell_pairs_are_exact():
+    # j != k shell pairs have rank <= 2; the two-column formula gives the
+    # dense shell-to-shell norm, in either orientation
+    grid = Grid1D(20.0, 256)
+    h_op = build_hamiltonian(MODEL, grid)
+    absx = np.abs(grid.nodes)
+    shells, _ = ShellScheme().shells(absx)
+    shells = [s for s in shells if s.size]
+    assert len(shells) >= 4
+    for z in (Z0, Sector().points([1e-3])[0]):
+        fh = np.sqrt(weight_f(WeightParams(abs(z), 1.0, 1.0), grid.nodes))
+        dense = (fh[:, None] * sla.inv(h_op.toarray() - z * np.eye(grid.size))
+                 * fh[None, :])
+        kernel = TridiagonalResolvent(h_op, z)
+        for k, outer in enumerate(shells):
+            anchors = {}
+            for inner in shells[:k]:
+                exact = _separated_pair_norm(kernel, anchors, fh, inner,
+                                             _runs(outer))
+                for rows, cols in ((inner, outer), (outer, inner)):
+                    ref = sla.svdvals(dense[np.ix_(rows, cols)])[0]
+                    assert exact == pytest.approx(ref, rel=1e-10)
+
+
+def test_besov_estimate_shares_a_solver():
+    # a ShiftedSolver factorized at z stands in for the operator
+    grid = Grid1D(20.0, 128)
+    h_op = build_hamiltonian(MODEL, grid)
+    solver = ShiftedSolver(h_op, Z0)
+    shared = besov_bstar_estimate(solver, Z0, MODEL, grid,
+                                  rng=np.random.default_rng(1))
+    own = besov_bstar_estimate(h_op, Z0, MODEL, grid,
+                               rng=np.random.default_rng(1))
+    assert (shared.lower, shared.upper) == (own.lower, own.upper)
+    assert shared.details == own.details
+    assert weighted_opnorm(solver, Z0, np.ones(128), np.ones(128)).lower > 0
+    with pytest.raises(ValueError):
+        besov_bstar_estimate(solver, 0.1j, MODEL, grid)
 
 
 def test_besov_estimate_scales_linearly(rng):
