@@ -79,7 +79,6 @@ class ExperimentConfig:
     sector: dict
     experiment: dict
     output: dict
-    source_path: str | None = None
 
     @property
     def experiment_id(self) -> str:
@@ -158,6 +157,4 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    cfg = parse_config_text(path.read_text())
-    cfg.source_path = str(path)
-    return cfg
+    return parse_config_text(path.read_text())

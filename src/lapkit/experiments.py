@@ -16,7 +16,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import besov
 from .config import ExperimentConfig
@@ -28,7 +27,7 @@ from .potential import (PotentialModel, WeightParams, bracket,
                         standard_model, weight_f)
 from .reports import CheckResult, Report
 from .resolvent import (Sector, ShiftedSolver, besov_bstar_estimate,
-                        boundary_value, weighted_opnorm)
+                        boundary_value, spectral_distance, weighted_opnorm)
 from .weyl import FilterSpec, default_radius_ladder, radiation_filter
 
 __all__ = ["run_experiment", "run_besov_selftest", "run_check_potential",
@@ -321,44 +320,26 @@ def run_check_potential(cfg: ExperimentConfig) -> Report:
 # lap-sweep and besov-bound
 # ---------------------------------------------------------------------------
 
-def _distance_to_spectrum(h_op, z_values, report: Report, k: int = 8):
-    """Nearest few eigenvalues around zero via shift-invert.
-
-    An ARPACK failure leaves the distances out and records its message
-    in the report; any other error propagates.
-    """
-    n = h_op.matrix.shape[0]
-    start = np.ones(n) / math.sqrt(n)    # deterministic Lanczos start
-    try:
-        vals = spla.eigsh(h_op.matrix.real, k=k, sigma=0.0, v0=start,
-                          return_eigenvectors=False)
-    except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
-        report.extras["distance_to_spectrum_error"] = str(exc)
-        return {}
-    return {z: float(np.min(np.abs(vals - z))) for z in z_values}
-
-
-def _sweep_quantities(h_op, model, grid, z, weight_s, rng, kappa=1.0):
+def _sweep_quantities(h_op, model, grid, z, weight_s, rng):
     """Sweep quantities at one z, from one factorization of h_op - z.
 
-    Besides the (lower, upper) pairs it returns the residual of a probe
-    solve and the count of power runs and of those that stopped at
-    ``maxiter`` without converging.
+    The plain norm is exact, 1 / dist(z, spectrum), and the distance is
+    returned too.  Besides the (lower, upper) pairs it returns the
+    residual of a probe solve and the count of power runs and of those
+    that stopped at ``maxiter`` without converging.
     """
     solver = ShiftedSolver(h_op, z)
     x = grid.nodes
-    ones = np.ones(len(x))
-    out = {}
-    unw = weighted_opnorm(solver, z, ones, ones, rng=rng)
-    out["unweighted"] = (unw.lower, None)
+    dist = spectral_distance(h_op, z)
+    out = {"unweighted": (1.0 / dist, None), "_distance": dist}
     mu = model.mu if model is not None else 1.0
-    fvals = weight_f(WeightParams(lam=abs(z), kappa=kappa, mu=mu), x)
+    fvals = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=mu), x)
     wgt = bracket(x) ** (-weight_s) * np.sqrt(fvals)
     wei = weighted_opnorm(solver, z, wgt, wgt, rng=rng)
     out["weighted"] = (wei.lower, None)
-    runs, unconverged = 2, (not unw.converged) + (not wei.converged)
+    runs, unconverged = 1, int(not wei.converged)
     if model is not None:
-        est = besov_bstar_estimate(solver, z, model, grid, kappa=kappa, rng=rng)
+        est = besov_bstar_estimate(solver, z, model, grid, rng=rng)
         out["shell_dual"] = (est.lower, est.upper)
         runs += est.details["diagonal_pair_runs"]
         unconverged += est.details["unconverged_pair_runs"]
@@ -377,9 +358,12 @@ def run_lap_sweep(cfg: ExperimentConfig,
     For a certified model the low-energy theory predicts the weighted
     and shell-dual quantities stay bounded as |z| -> 0 while the plain
     norm grows like 1/dist(z, spectrum); the fitted exponents check
-    that contrast.  Rows failing the box-doubling stability gate are
-    flagged and left out of the fits.  A free control run (family =
-    free) records values without pass thresholds.
+    that contrast.  The plain norm is that reciprocal distance, exact
+    from the spectrum of the self-adjoint H; power iteration remains
+    only for the weighted norm and the diagonal shell pairs.  Rows
+    failing the box-doubling stability gate are flagged and left out
+    of the fits.  A free control run (family = free) records values
+    without pass thresholds.
     """
     model = build_model(cfg)
     grid = build_grid(cfg)
@@ -403,19 +387,18 @@ def run_lap_sweep(cfg: ExperimentConfig,
     if cfg.experiment["stability_check"]:
         wide_grid = grid.widen()
         h_wide = build_hamiltonian(model, wide_grid)
+    distances = report.extras.setdefault("distance_to_spectrum", {})
     for arg in rays:
-        zs = sector.points(moduli, rays=[arg])
-        dist = _distance_to_spectrum(h_op, zs, report)
         per_quantity: dict[str, list] = {q: [] for q in quantities}
-        for z in zs:
+        for z in sector.points(moduli, rays=[arg]):
             base = _sweep_quantities(h_op, model, grid, z, weight_s, rng)
-            residual = base.pop("_residual")
-            power_runs += base.pop("_power_runs")
+            residual = base["_residual"]
+            power_runs += base["_power_runs"]
+            distances[repr(z)] = base["_distance"]
             if cfg.experiment["stability_check"]:
                 wide = _sweep_quantities(h_wide, model, wide_grid, z, weight_s,
                                          rng)
-                wide.pop("_residual")
-                power_runs += wide.pop("_power_runs")
+                power_runs += wide["_power_runs"]
             else:
                 wide = None
             for q in quantities:
@@ -443,9 +426,6 @@ def run_lap_sweep(cfg: ExperimentConfig,
                 if all(t[2] is not None for t in triples):
                     fits[f"{q}_upper_exponent_ray{arg:.4f}"] = besov.loglog_slope(
                         mods, [t[2] for t in triples])
-        if dist:
-            report.extras.setdefault("distance_to_spectrum", {}).update(
-                {repr(z): d for z, d in dist.items()})
 
     report.extras["fits"] = fits
     report.extras["rows"] = len(rows)

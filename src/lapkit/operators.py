@@ -67,12 +67,13 @@ class Grid1D:
         """FFT frequency ladder (pi/L) {-N/2, ..., N/2 - 1}, fftshifted order."""
         return (math.pi / self.length) * np.arange(-self.size // 2, self.size // 2)
 
-    def refine(self, factor: int = 2) -> "Grid1D":
-        return Grid1D(self.length, self.size * factor)
+    def refine(self) -> "Grid1D":
+        """Half the spacing, same box."""
+        return Grid1D(self.length, self.size * 2)
 
-    def widen(self, factor: int = 2) -> "Grid1D":
-        """Same spacing, larger box."""
-        return Grid1D(self.length * factor, self.size * factor)
+    def widen(self) -> "Grid1D":
+        """Same spacing, twice the box."""
+        return Grid1D(self.length * 2, self.size * 2)
 
 
 @dataclass(frozen=True)
@@ -111,9 +112,6 @@ class RadialGrid:
     def centrifugal(self) -> float:
         d, ell = self.dim, self.ell
         return (d - 1) * (d - 3) / 4.0 + ell * (ell + d - 2)
-
-    def refine(self, factor: int = 2) -> "RadialGrid":
-        return RadialGrid(self.length, self.size * factor, self.dim, self.ell)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +178,7 @@ def _laplacian_radial(grid: RadialGrid) -> sp.spmatrix:
     return lap + sp.diags(grid.centrifugal / grid.nodes**2)
 
 
-def build_hamiltonian(model: PotentialModel | None, grid,
-                      include_v2: bool = True) -> DiscreteOperator:
+def build_hamiltonian(model: PotentialModel | None, grid) -> DiscreteOperator:
     """H = -Delta + V with Dirichlet walls; V = 0 when model is None."""
     if isinstance(grid, Grid1D):
         if model is not None and model.dim != 1:
@@ -199,7 +196,7 @@ def build_hamiltonian(model: PotentialModel | None, grid,
         pot = np.zeros(len(coord))
     else:
         pot = model.v1(np.abs(coord))
-        if include_v2 and model.v2 is not None:
+        if model.v2 is not None:
             pot = pot + model.v2(np.abs(coord))
     return DiscreteOperator(lap + sp.diags(pot), grid, label="H")
 
@@ -210,7 +207,7 @@ def absorbing_layer(grid, strength: float = 1.0,
     """Complex absorbing potential -i eta s(x) near the box edge.
 
     The ramp s rises from 0 at the inner edge of the layer to 1 at the
-    wall (degree-7 smoothstep by default, or a linear/quadratic ramp);
+    wall (degree-7 smoothstep by default, or a quadratic ramp);
     returned as a separate labeled term.  ``local_scale`` multiplies
     the profile pointwise.
     """
@@ -225,8 +222,6 @@ def absorbing_layer(grid, strength: float = 1.0,
     t = np.clip(depth, 0.0, 1.0)
     if profile == "smoothstep":
         ramp = smoothstep7(t)
-    elif profile == "linear":
-        ramp = t
     elif profile == "quadratic":
         ramp = t**2
     else:

@@ -128,10 +128,6 @@ class PotentialModel:
             v = v + self.v2(np.abs(np.asarray(x, dtype=float)))
         return v
 
-    def weight(self, lam: float, kappa: float | None = None) -> WeightParams:
-        return WeightParams(lam=lam, kappa=1.0 if kappa is None else kappa,
-                            mu=self.mu)
-
 
 def virial_w(model: PotentialModel, x) -> np.ndarray:
     """W(x) = -2 V1(x) - x . grad V1(x), the virial function."""
@@ -303,14 +299,13 @@ def _local_p(dim):
     return dim / 2.0
 
 
-def check_condition(model: PotentialModel, grid_radii,
-                    fd_slack: float = 1e-6) -> ConditionReport:
+def check_condition(model: PotentialModel, grid_radii) -> ConditionReport:
     """Evaluate all five hypotheses pointwise, with witnesses.
 
     Decay hypotheses bind at large radius, so the sample set extends
     the supplied grid with a log-spaced ladder out to ten times the
     tail radius.  Derivative bounds for |alpha| = 2 use central
-    differences of the analytic gradient with a small slack.
+    differences of the analytic gradient with a relative slack of 1e-6.
     """
     grid_radii = np.asarray(grid_radii, dtype=float)
     if grid_radii.size == 0:
@@ -338,7 +333,7 @@ def check_condition(model: PotentialModel, grid_radii,
     for values, c_alpha, order in budgets:
         if not math.isfinite(c_alpha):
             continue
-        slack = fd_slack if order == 2 else 0.0
+        slack = 1e-6 if order == 2 else 0.0
         # relative margin so the three orders are comparable
         margin = ((1.0 + slack) * c_alpha * br ** (-model.mu - order) - values) / c_alpha
         i = int(np.argmin(margin))

@@ -111,10 +111,11 @@ def _jsonable(value):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
         return _float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
+    # bool is a subclass of int, so it is tested first
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
     if isinstance(value, (complex, np.complexfloating)):
         return [_float(value.real), _float(value.imag)]
     return value

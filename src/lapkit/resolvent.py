@@ -6,10 +6,12 @@ Every factorized operator here is complex symmetric (transpose equals
 itself), so adjoint solves reduce to conjugated forward solves and a
 single LU factorization serves both directions.
 
-Norm estimates come in certified one-sided pairs: power iteration
-yields lower bounds, unit-width spectral block enumeration yields
-upper bounds (twice the block sup), and the two bracket the true
-weighted or shell-space operator norm.
+The plain resolvent norm of a self-adjoint H is exact, 1 / dist(z,
+spectrum), with the distance from ``spectral_distance``.  Weighted
+norms come in certified one-sided pairs: power iteration
+(``weighted_opnorm``) yields lower bounds, unit-width spectral block
+enumeration yields upper bounds (twice the block sup), and the two
+bracket the true weighted or shell-space operator norm.
 
 Every Hamiltonian here is complex-symmetric tridiagonal, so its
 resolvent is semiseparable.  ``TridiagonalResolvent`` reads any block
@@ -17,9 +19,9 @@ of columns of R(z) off two pivot sequences and their ratios, with no
 solve and a residual certificate per block.  The shell-space bracket
 uses it for the unit-block upper bound and for the exact norms of the
 off-diagonal shell pairs, which have rank <= 2; only the diagonal
-shell pairs run power iteration on the LU solver.  The LU path stays
-for everything else, including the pentadiagonal commutator-regularized
-operator.
+shell pairs run power iteration, through ``weighted_opnorm`` on the
+LU solver.  The LU path stays for everything else, including the
+pentadiagonal commutator-regularized operator.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .besov import ShellScheme, loglog_slope, unit_blocks
 from .errors import DimensionError, ExtrapolationError, SolverError
@@ -42,6 +45,7 @@ __all__ = [
     "ShiftedSolver",
     "TridiagonalResolvent",
     "ResolventPiece",
+    "spectral_distance",
     "solve",
     "spectral_free_solve",
     "OpNormEstimate",
@@ -57,6 +61,10 @@ __all__ = [
     "QuadraticReport",
     "quadratic_check",
 ]
+
+
+# relative residual every shifted solve and resolvent piece is certified to
+SOLVE_RTOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +126,15 @@ class ShiftedSolver:
 
     The shifted matrix must be complex symmetric; the transpose trick
     then gives adjoint solves from the same factorization.  ``matrix``
-    is M as a sparse matrix.
+    is M as a sparse matrix.  A solve takes up to four refinement
+    steps to reach a relative residual of SOLVE_RTOL.
     """
 
-    def __init__(self, operator, z: complex, rtol: float = 1e-10,
-                 max_refine: int = 4):
+    def __init__(self, operator, z: complex):
         m = _as_sparse(operator)
         self.matrix = m
         self.shape = m.shape
         self.z = complex(z)
-        self.rtol = rtol
-        self.max_refine = max_refine
         shifted = (m - self.z * sp.identity(m.shape[0], dtype=complex)).tocsc()
         asym = abs(shifted - shifted.T)
         scale = max(abs(shifted).max(), 1e-300)
@@ -150,16 +156,16 @@ class ShiftedSolver:
         vnorm = np.linalg.norm(v)
         if vnorm == 0.0:
             return np.zeros_like(v)
-        for _ in range(self.max_refine):
+        for _ in range(4):
             r = v - self._shifted @ u
-            if np.linalg.norm(r) <= self.rtol * vnorm:
+            if np.linalg.norm(r) <= SOLVE_RTOL * vnorm:
                 return u
             u = u + self._lu.solve(r)
         resid = np.linalg.norm(v - self._shifted @ u) / vnorm
-        if resid > self.rtol:
+        if resid > SOLVE_RTOL:
             raise SolverError(
                 f"solve at z = {self.z} reached residual {resid:.3e} "
-                f"(requested {self.rtol:.1e})")
+                f"(requested {SOLVE_RTOL:.1e})")
         return u
 
     def solve_adjoint(self, w: np.ndarray) -> np.ndarray:
@@ -181,14 +187,54 @@ def _solver_at(operator, z: complex) -> ShiftedSolver:
     return ShiftedSolver(operator, z)
 
 
-def solve(operator, z: complex, v, rtol: float = 1e-10) -> np.ndarray:
-    """u = (H - z)^{-1} v with residual certified below rtol ||v||."""
-    return ShiftedSolver(operator, z, rtol=rtol).solve(v)
+def solve(operator, z: complex, v) -> np.ndarray:
+    """u = (H - z)^{-1} v with residual certified below SOLVE_RTOL ||v||."""
+    return ShiftedSolver(operator, z).solve(v)
 
 
 # ---------------------------------------------------------------------------
-# Tridiagonal resolvent kernel
+# Tridiagonal resolvent kernel and the distance to the spectrum
 # ---------------------------------------------------------------------------
+
+def _tridiagonal(operator) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal), or ValueError unless complex-symmetric tridiagonal."""
+    m = _as_sparse(operator)
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise DimensionError("operator must be square")
+    main, upper, lower = m.diagonal(), m.diagonal(1), m.diagonal(-1)
+    if (np.count_nonzero(main) + np.count_nonzero(upper)
+            + np.count_nonzero(lower) != m.count_nonzero()):
+        raise ValueError("operator is not tridiagonal")
+    scale = max(np.max(np.abs(main)), np.max(np.abs(upper), initial=0.0), 1e-300)
+    if np.max(np.abs(upper - lower), initial=0.0) > 1e-12 * scale:
+        raise ValueError("operator is not complex symmetric")
+    return main, upper
+
+
+def spectral_distance(operator, z: complex) -> float:
+    """dist(z, spectrum of H); its reciprocal is ||(H - z)^{-1}|| (Kato, 1966).
+
+    For real lambda, |lambda - z|^2 = (lambda - Re z)^2 + (Im z)^2, so
+    any window around Re z that holds an eigenvalue holds the nearest
+    one.  Bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)
+    386) lists the eigenvalues in a window of half-width Im z / 16,
+    widened fourfold until it is not empty.  The error is at most the
+    bisection tolerance eps ||H||_1 over Im z, relative: below 1e-9 at
+    desk scale for |z| >= 1e-4.  ValueError unless H is real, symmetric
+    and tridiagonal.
+    """
+    main, off = _tridiagonal(operator)
+    if np.any(np.imag(main)) or np.any(np.imag(off)):
+        raise ValueError("operator is not real")
+    main, off, z = main.real, off.real, complex(z)
+    half = abs(z.imag) / 16.0 or 1.0
+    while True:
+        vals = eigvalsh_tridiagonal(main, off, select="v",
+                                    select_range=(z.real - half, z.real + half))
+        if vals.size:
+            return float(np.min(np.hypot(vals - z.real, z.imag)))
+        half *= 4.0
 
 @dataclass(frozen=True)
 class ResolventPiece:
@@ -243,24 +289,13 @@ class TridiagonalResolvent:
     with no solve.  Every piece is certified by its column residuals.
     """
 
-    def __init__(self, operator, z: complex, rtol: float = 1e-10):
-        m = _as_sparse(operator)
-        n = m.shape[0]
-        if m.shape != (n, n):
-            raise DimensionError("operator must be square")
-        main, upper, lower = m.diagonal(), m.diagonal(1), m.diagonal(-1)
-        if (np.count_nonzero(main) + np.count_nonzero(upper)
-                + np.count_nonzero(lower) != m.count_nonzero()):
-            raise ValueError("operator is not tridiagonal")
+    def __init__(self, operator, z: complex, rtol: float = SOLVE_RTOL):
+        main, upper = _tridiagonal(operator)
         self.z = complex(z)
         self.rtol = rtol
-        self.n = n
+        self.n = n = len(main)
         self.a = main.astype(complex) - self.z
         self.b = upper.astype(complex)
-        scale = max(np.max(np.abs(self.a)), np.max(np.abs(self.b), initial=0.0),
-                    1e-300)
-        if np.max(np.abs(self.b - lower), initial=0.0) > 1e-12 * scale:
-            raise ValueError("operator is not complex symmetric")
         a, b2 = self.a.tolist(), (self.b**2).tolist()
         self.d, self.e = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
         d = self.d[0] = a[0]
@@ -361,34 +396,23 @@ def spectral_free_solve(grid, z: complex, v) -> np.ndarray:
 @dataclass
 class OpNormEstimate:
     lower: float
-    upper: float | None = None
     converged: bool = True
     iterations: int = 0
-
-    def __post_init__(self):
-        if self.upper is not None and self.lower > self.upper * (1 + 1e-9):
-            raise AssertionError("norm bracket inverted")
 
 
 def operator_norm_lower(matvec, rmatvec, dim: int,
                         rng: np.random.Generator | None = None,
-                        tol: float = 1e-8, maxiter: int = 300,
-                        start=None) -> OpNormEstimate:
+                        tol: float = 1e-8, maxiter: int = 300) -> OpNormEstimate:
     """Largest-singular-value lower bound by power iteration on M* M.
 
     Every iterate produces the certified lower bound ||M u|| with
-    ||u|| = 1; the best one is returned, flagged unconverged when the
-    relative gain has not flattened within ``maxiter``.
+    ||u|| = 1, from a random complex Gaussian start; the best one is
+    returned, flagged unconverged when the relative gain has not
+    flattened within ``maxiter``.
     """
     rng = rng or np.random.default_rng(0)
-    if start is not None:
-        u = np.asarray(start, dtype=complex)
-    else:
-        u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    nu = np.linalg.norm(u)
-    if nu == 0:
-        raise ValueError("degenerate start vector")
-    u = u / nu
+    u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    u = u / np.linalg.norm(u)
     best = 0.0
     flat = 0
     for it in range(1, maxiter + 1):
@@ -412,7 +436,10 @@ def operator_norm_lower(matvec, rmatvec, dim: int,
 def weighted_opnorm(operator, z: complex, left_weight, right_weight,
                     rng: np.random.Generator | None = None,
                     tol: float = 1e-8, maxiter: int = 300) -> OpNormEstimate:
-    """Lower bound for || W_l R(z) W_r || with diagonal weights."""
+    """Lower bound for || W_l R(z) W_r || with diagonal weights.
+
+    ``operator`` is H, or a ShiftedSolver already factorized at z.
+    """
     wl = np.asarray(left_weight, dtype=float)
     wr = np.asarray(right_weight, dtype=float)
     if np.all(wl == 0.0) or np.all(wr == 0.0):
@@ -445,12 +472,10 @@ class BesovEstimate:
 
 
 def besov_bstar_estimate(operator, z: complex, model: PotentialModel, grid,
-                         kappa: float = 1.0,
-                         rng: np.random.Generator | None = None,
-                         scheme: ShellScheme | None = None,
-                         pair_tol: float = 1e-4,
-                         pair_maxiter: int = 40) -> BesovEstimate:
+                         rng: np.random.Generator | None = None) -> BesovEstimate:
     """Two-sided estimate of the shell-space norm of f^{1/2} R(z) f^{1/2}.
+
+    f is the local momentum weight at lambda = |z| with K = 1.
 
     ``operator`` is H, or a ShiftedSolver already factorized at z; H
     must be complex-symmetric tridiagonal.  Upper bound: exact
@@ -458,25 +483,24 @@ def besov_bstar_estimate(operator, z: complex, model: PotentialModel, grid,
     block come from the pivot ratios of ``TridiagonalResolvent`` with no
     solve; per-row-block Frobenius norms, taken from the ratio tails'
     vector norms, prune which block pairs need an exact spectral norm.
-    Lower bound: the best shell pair, scaled by R_j^{-1/2} R_k^{-1/2}.
-    Disjoint shells j != k give a block of rank <= 2 whose norm is
-    exact; only the diagonal pairs j == k use power iteration, through
-    the LU solver.  Every term is at most the shell-dual norm, so the
-    best one is a certified lower bound.  ``details`` records whether
+    Lower bound: the best dyadic shell pair, scaled by
+    R_j^{-1/2} R_k^{-1/2}.  Disjoint shells j != k give a block of
+    rank <= 2 whose norm is exact; only the diagonal pairs j == k use
+    power iteration, as ``weighted_opnorm`` with the weight f^{1/2}
+    cut to the shell, on the LU solver.  Every term is at most the
+    shell-dual norm, so the best one is a certified lower bound.
+    ``details`` records whether
     the term that set ``lower`` converged (exact pairs count as
     converged), the number of diagonal power runs and how many of them
     did not converge.
     """
     rng = rng or np.random.default_rng(0)
-    scheme = scheme or ShellScheme()
     x = grid.nodes
     absx = np.abs(x)
-    params = WeightParams(lam=abs(z), kappa=kappa, mu=model.mu)
-    f = weight_f(params, x)
+    f = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=model.mu), x)
     fh = np.sqrt(f)                             # f^{1/2}
     solver = _solver_at(operator, z)
-    kernel = TridiagonalResolvent(solver.matrix, z, rtol=solver.rtol)
-    n = len(x)
+    kernel = TridiagonalResolvent(solver.matrix, z)
 
     # --- exact unit-width block sup (upper bound) -------------------------
     labels, blocks = unit_blocks(absx)
@@ -495,14 +519,7 @@ def besov_bstar_estimate(operator, z: complex, model: PotentialModel, grid,
             block_sup = max(block_sup, float(np.linalg.norm(sub, 2)))
 
     # --- shell pairs (lower bound) ----------------------------------------
-    shells, radii = scheme.shells(absx)
-
-    def apply_t(u):
-        return fh * solver.solve(fh * u)
-
-    def apply_t_adj(w):
-        return fh * solver.solve_adjoint(fh * w)
-
+    shells, radii = ShellScheme().shells(absx)
     lower = 0.0
     best_pair = None
     lower_converged = True
@@ -521,18 +538,11 @@ def besov_bstar_estimate(operator, z: complex, model: PotentialModel, grid,
                 norm = _separated_pair_norm(kernel, anchors, fh, inner, runs)
                 converged = True
             else:
-                def matvec(u, idx=inner):
-                    full = np.zeros(n, dtype=complex)
-                    full[idx] = u
-                    return apply_t(full)[idx]
-
-                def rmatvec(w, idx=inner):
-                    full = np.zeros(n, dtype=complex)
-                    full[idx] = w
-                    return apply_t_adj(full)[idx]
-
-                est = operator_norm_lower(matvec, rmatvec, inner.size, rng=rng,
-                                          tol=pair_tol, maxiter=pair_maxiter)
+                w = np.zeros(len(x))
+                w[inner] = fh[inner]
+                # each term need only be a lower bound: a loose budget
+                est = weighted_opnorm(solver, z, w, w, rng=rng, tol=1e-4,
+                                      maxiter=40)
                 norm, converged = est.lower, est.converged
                 diagonal_runs += 1
                 unconverged += not converged
@@ -547,7 +557,6 @@ def besov_bstar_estimate(operator, z: complex, model: PotentialModel, grid,
         raise AssertionError("shell-space bracket inverted")
     return BesovEstimate(lower=lower, upper=upper, block_sup=block_sup, z=z,
                          details={"best_shell_pair": best_pair,
-                                  "kappa": kappa,
                                   "lower_converged": lower_converged,
                                   "diagonal_pair_runs": diagonal_runs,
                                   "unconverged_pair_runs": unconverged})
@@ -594,16 +603,11 @@ class HoelderReport:
     gamma_used: float
     in_hypothesis: bool
 
-    def quotients(self, gamma: float) -> list[float]:
-        return [d_norm / dist**gamma for (_, _, dist, d_norm) in self.pairs
-                if dist > 0]
-
 
 def hoelder_estimate(operator, s: float, pairs, grid,
                      s0: float | None = None,
                      gamma: float | None = None,
-                     rng: np.random.Generator | None = None,
-                     tol: float = 1e-6, maxiter: int = 120) -> HoelderReport:
+                     rng: np.random.Generator | None = None) -> HoelderReport:
     """Difference norms ||T(z1) - T(z2)|| for T(z) = <x>^{-s} R(z) <x>^{-s}.
 
     Fits the growth exponent of the difference norm against the pair
@@ -633,7 +637,7 @@ def hoelder_estimate(operator, s: float, pairs, grid,
             return w * (s1.solve_adjoint(w * v) - s2.solve_adjoint(w * v))
 
         est = operator_norm_lower(matvec, rmatvec, len(w), rng=rng,
-                                  tol=tol, maxiter=maxiter)
+                                  tol=1e-6, maxiter=120)
         rows.append((z1, z2, dist, est.lower))
     dists = np.array([r[2] for r in rows if r[2] > 0])
     norms = np.array([r[3] for r in rows if r[2] > 0])
@@ -679,8 +683,8 @@ class BoundaryValueResult:
 def boundary_value(operator, v, grid, sector: Sector | None = None,
                    ray_arg: float | None = None, ratio: float = 0.5,
                    tol: float = 1e-4, sign: int = +1, max_steps: int = 24,
-                   weight_s: float = 0.8, rise_factor: float = 2.0,
-                   require_geometric: bool = True) -> BoundaryValueResult:
+                   weight_s: float = 0.8,
+                   rise_factor: float = 2.0) -> BoundaryValueResult:
     """Extrapolate R(0 + i0) v (or the -i0 value) along a sector ray.
 
     Solves at z_k = lambda0 ratio^k e^{i arg} until the successive
@@ -722,7 +726,7 @@ def boundary_value(operator, v, grid, sector: Sector | None = None,
             d = float(np.linalg.norm(w * (u - u_prev)))
             scale = float(np.linalg.norm(w * u))
             diffs.append(d)
-            if require_geometric and d > rise_factor * running_min:
+            if d > rise_factor * running_min:
                 raise ExtrapolationError(
                     "difference ladder stopped decreasing", ladder=diffs)
             running_min = min(running_min, d)
@@ -775,28 +779,25 @@ class QuadraticReport:
 
 def quadratic_check(h_op: DiscreteOperator, a_op: DiscreteOperator,
                     model: PotentialModel, grid, z_values, eps_values,
-                    weight_kappa: float = 1.0,
-                    probe_s: float | None = None,
-                    rng: np.random.Generator | None = None,
-                    tol: float = 1e-4, maxiter: int = 100) -> QuadraticReport:
+                    rng: np.random.Generator | None = None) -> QuadraticReport:
     """Evaluate ||f R_z(eps) T||^2 <= C |eps|^{-1} ||T* R_z(eps) T||.
 
-    Probes: T = f^{1/2} <x>^{-s} (diagonal) and T = f <A>^{-1}, the
-    second applied through the eigendecomposition of the dilation
-    generator.  Reports q = LHS |eps| / RHS per (z, eps, probe) and
+    Probes: T = f^{1/2} <x>^{-s} (diagonal, s = s0 + 0.05, weight
+    constant K = 1) and T = f <A>^{-1}, the second applied through the
+    eigendecomposition of the dilation generator.  Reports q = LHS |eps| / RHS per (z, eps, probe) and
     the sup per probe; the estimate predicts q bounded by a constant
     depending only on the sector opening.
     """
     rng = rng or np.random.default_rng(0)
     x = grid.nodes
-    s = (model.s0 + 0.05) if probe_s is None else probe_s
+    s = model.s0 + 0.05
     avals, avecs = dilation_eigenbasis(a_op)
     ainv = 1.0 / np.sqrt(1.0 + avals**2)
 
     rows = []
     constants: dict[str, float] = {}
     for z in z_values:
-        params = WeightParams(lam=abs(z), kappa=weight_kappa, mu=model.mu)
+        params = WeightParams(lam=abs(z), kappa=1.0, mu=model.mu)
         f = weight_f(params, x)
         diag_probe = np.sqrt(f) * bracket(x) ** (-s)
 
@@ -823,7 +824,7 @@ def quadratic_check(h_op: DiscreteOperator, a_op: DiscreteOperator,
                     return t_adj(solver.solve_adjoint(f * w))
 
                 lhs = operator_norm_lower(lhs_mv, lhs_rmv, len(x), rng=rng,
-                                          tol=tol, maxiter=maxiter).lower
+                                          tol=1e-4, maxiter=100).lower
 
                 def rhs_mv(u, t_fwd=t_fwd, t_adj=t_adj, solver=solver):
                     return t_adj(solver.solve(t_fwd(u)))
@@ -832,7 +833,7 @@ def quadratic_check(h_op: DiscreteOperator, a_op: DiscreteOperator,
                     return t_adj(solver.solve_adjoint(t_fwd(w)))
 
                 rhs = operator_norm_lower(rhs_mv, rhs_rmv, len(x), rng=rng,
-                                          tol=tol, maxiter=maxiter).lower
+                                          tol=1e-4, maxiter=100).lower
                 q = (lhs**2) * abs(eps) / rhs if rhs > 0 else math.inf
                 rows.append({"z": z, "eps": eps, "probe": name,
                              "lhs": lhs, "rhs": rhs, "q": q})

@@ -104,7 +104,6 @@ class FilterSpec:
     sigma_cut: float = 0.5
     fall_width: float = 1.0
     tilde_width: float = 0.25
-    tilde_floor: float = -4.0
 
     def __post_init__(self):
         if self.plateau_end <= 0:
@@ -143,7 +142,8 @@ class FilterSpec:
 
     def chi_tilde_minus(self, t):
         t = np.asarray(t, dtype=float)
-        return _rise(t, self.tilde_floor - 1.0, 1.0) * _fall(
+        # 0 below t = -5, 1 from t = -4 up to the fall
+        return _rise(t, -5.0, 1.0) * _fall(
             t, self.sigma_cut - self.tilde_width, self.tilde_width)
 
     def chi_tilde_mirror(self, t):
@@ -333,8 +333,7 @@ def filter_symbol(spec: FilterSpec, params: WeightParams,
 
 def radiation_filter(u, spec: FilterSpec, model: PotentialModel,
                      grid: Grid1D, ladder=None, mode: str = "outgoing",
-                     annulus_eps: float = 0.5,
-                     kappa: float | None = None):
+                     annulus_eps: float = 0.5):
     """Apply a phase-space cutoff and ladder its vanishing defect.
 
     The cutoff is ``filter_symbol(spec, params, mode)`` with the
@@ -345,9 +344,7 @@ def radiation_filter(u, spec: FilterSpec, model: PotentialModel,
     block of shape (n, m) is filtered in one pass and gives a list of
     m results, one per column.
     """
-    params = WeightParams(lam=0.0,
-                          kappa=model.kappa_low_energy if kappa is None else kappa,
-                          mu=model.mu)
+    params = WeightParams(lam=0.0, kappa=model.kappa_low_energy, mu=model.mu)
     symbol, band = filter_symbol(spec, params, mode)
     u = np.asarray(u, dtype=complex)
     w = weyl_apply(symbol, grid, u, band=band)

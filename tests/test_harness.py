@@ -4,15 +4,16 @@ import struct
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+import scipy.linalg as sla
 
 from lapkit.cli import main as cli_main
 from lapkit.config import (ExperimentConfig, config_schema_text, load_config,
                            parse_config_text)
 from lapkit.errors import ConfigError
-from lapkit.experiments import (run_besov_selftest, run_check_potential,
-                                run_experiment, run_lap_sweep, run_radiation,
-                                run_uniqueness)
+from lapkit.experiments import (build_grid, build_model, run_besov_selftest,
+                                run_check_potential, run_experiment,
+                                run_lap_sweep, run_radiation, run_uniqueness)
+from lapkit.operators import build_hamiltonian
 from lapkit.reports import (CheckResult, Report, dump_vector, load_vector,
                             write_sweep_csv)
 
@@ -116,6 +117,16 @@ def test_report_is_strict_json(tmp_path):
     assert sidecar["scale"] == "nan"
 
 
+def test_report_booleans_are_json_booleans(tmp_path):
+    # bool is a subclass of int; it must not be written as 0 or 1
+    rep = Report(experiment="x", seed=1, config={})
+    rep.extras["flags"] = {"python": True, "numpy": np.bool_(False)}
+    flags = json.loads(rep.to_json())["extras"]["flags"]
+    assert flags["python"] is True and flags["numpy"] is False
+    dump_vector(tmp_path / "vec", np.zeros(2), {"flag": True})
+    assert json.loads((tmp_path / "vec.json").read_text())["flag"] is True
+
+
 def test_every_check_carries_one_anchor():
     cfg = parse_config_text("[experiment]\nid = besov-selftest\nsamples = 40\n")
     rep = run_besov_selftest(cfg)
@@ -181,32 +192,30 @@ def test_lap_sweep_small_passes():
     rows = rep.extras["csv_rows"]
     assert len(rows) == 9
     assert all(row["stable"] for row in rows)
-    # two weighted_opnorm runs per z and grid (3 moduli, 2 grids) plus
+    # one weighted_opnorm run per z and grid (3 moduli, 2 grids) plus
     # the diagonal shell pairs; the unconverged ones are counted
     health = rep.extras["solver_health"]
     assert health["power_runs"] > 2 * 2 * 3
     assert 0 <= health["unconverged_power_runs"] <= health["power_runs"]
 
 
-def test_distance_to_spectrum_errors(monkeypatch):
-    def arpack_fails(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", [], [])
-
-    monkeypatch.setattr(spla, "eigsh", arpack_fails)
-    text = (SMALL_SWEEP.replace("id = lap-sweep", "id = besov-bound")
-            .replace("length = 100.0\nsize = 1024", "length = 25.0\nsize = 256"))
-    cfg = parse_config_text(text)
-    assert cfg.grid["size"] == 256
-    rep = run_experiment(cfg)
-    assert "no convergence" in rep.extras["distance_to_spectrum_error"]
-    assert "distance_to_spectrum" not in rep.extras
-
-    def bad_input(*args, **kwargs):
-        raise ValueError("bad input")
-
-    monkeypatch.setattr(spla, "eigsh", bad_input)
-    with pytest.raises(ValueError, match="bad input"):
-        run_experiment(cfg)
+def test_lap_sweep_plain_norm_is_exact():
+    # the unweighted rows and the recorded distances are 1 / dist(z, spectrum)
+    # of the base grid's H, against a dense eigensolver
+    cfg = parse_config_text(SMALL_SWEEP)
+    rep = run_lap_sweep(cfg)
+    h_op = build_hamiltonian(build_model(cfg), build_grid(cfg))
+    eigs = sla.eigvalsh(h_op.toarray())
+    rows = [r for r in rep.extras["csv_rows"] if r["quantity"] == "unweighted"]
+    assert len(rows) == 3
+    for row in rows:
+        exact = np.min(np.abs(eigs - complex(row["re_z"], row["im_z"])))
+        assert row["lower"] == pytest.approx(1.0 / exact, rel=1e-9)
+    dist = rep.extras["distance_to_spectrum"]
+    assert len(dist) == 3
+    for key, value in dist.items():
+        exact = np.min(np.abs(eigs - complex(key)))
+        assert value == pytest.approx(exact, rel=1e-9)
 
 
 def test_lap_sweep_determinism():

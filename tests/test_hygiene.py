@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used or re-exported."""
+"""Package-wide static checks: every module-level import is used or
+re-exported, and no handler swallows every error."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,25 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+def _broad_handlers(tree: ast.Module) -> list[str]:
+    """Bare ``except:`` and handlers naming Exception or BaseException."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type
+        names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+        if caught is None or any(getattr(n, "id", getattr(n, "attr", None))
+                                 in BROAD for n in names):
+            out.append(f"line {node.lineno}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_broad_exception_handlers(path):
+    assert _broad_handlers(ast.parse(path.read_text())) == []

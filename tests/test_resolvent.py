@@ -10,16 +10,17 @@ from conftest import (free_resolvent_gaussian, free_resolvent_kernel,
 from lapkit.besov import (ShellScheme, bstar_norm_dense, schur_block_bound,
                           unit_blocks)
 from lapkit.errors import ExtrapolationError, SolverError
-from lapkit.operators import (Grid1D, RadialGrid, build_dilation,
-                              build_hamiltonian, gaussian_probe,
-                              matched_absorber)
+from lapkit.operators import (Grid1D, RadialGrid, absorbing_layer,
+                              build_dilation, build_hamiltonian,
+                              gaussian_probe, matched_absorber)
 from lapkit.potential import WeightParams, standard_model, weight_f
 from lapkit.resolvent import (Sector, ShiftedSolver, TridiagonalResolvent,
                               _runs, _separated_pair_norm,
                               besov_bstar_estimate, boundary_value,
                               hoelder_estimate, mourre_resolvent,
                               operator_norm_lower, quadratic_check, solve,
-                              spectral_free_solve, weighted_opnorm)
+                              spectral_distance, spectral_free_solve,
+                              weighted_opnorm)
 
 MODEL = standard_model(1.0, 1.0, 1)
 Z0 = 0.5 + 0.5j
@@ -152,6 +153,29 @@ def test_unweighted_norm_is_inverse_distance(rng):
     est = weighted_opnorm(h_op, Z0, np.ones(128), np.ones(128), rng=rng,
                           tol=1e-12, maxiter=2000)
     assert est.lower == pytest.approx(1.0 / dist, rel=1e-4)
+
+
+@pytest.mark.parametrize("model", [MODEL, None], ids=["standard", "free"])
+@pytest.mark.parametrize("ray", [Sector().default_ray(), 0.01],
+                         ids=["default-ray", "near-real-axis"])
+def test_spectral_distance_matches_dense_spectrum(model, ray):
+    # 1 / dist(z, spectrum) is the plain resolvent norm; bisection on a
+    # window around Re z gives the distance to the dense spectrum's
+    h_op = build_hamiltonian(model, Grid1D(20.0, 256))
+    eigs = sla.eigvalsh(h_op.toarray())
+    for z in Sector().points([1e-1, 1e-2, 1e-3, 1e-4], rays=[ray]):
+        exact = np.min(np.abs(eigs - z))
+        assert spectral_distance(h_op, z) == pytest.approx(exact, rel=1e-9)
+
+
+def test_spectral_distance_rejects_non_real_tridiagonal():
+    grid = Grid1D(20.0, 128)
+    h_op = build_hamiltonian(MODEL, grid)
+    with pytest.raises(ValueError, match="real"):
+        spectral_distance(h_op + absorbing_layer(grid), Z0)
+    solver = mourre_resolvent(h_op, build_dilation(grid), Z0, 0.1)
+    with pytest.raises(ValueError, match="tridiagonal"):
+        spectral_distance(solver.matrix, Z0)
 
 
 def test_besov_estimate_brackets_dense_norm(rng):
