@@ -51,9 +51,9 @@ solver = ShiftedSolver(h_cap, 0.0)
 u_plus = solver.solve(v)
 u_minus = solver.solve_adjoint(v)
 w = u_plus - u_minus
-interior = np.abs(cap.matrix.diagonal()) == 0.0
+interior = np.abs(cap.diagonal()) == 0.0
 interior[1:] &= interior[:-1].copy()
-resid = np.linalg.norm((h_plain.matrix @ w)[interior]) / np.linalg.norm(w)
+resid = np.linalg.norm((h_plain @ w)[interior]) / np.linalg.norm(w)
 print(f"  H w interior residual: {resid:.1e} (solves the homogeneous equation)")
 print(f"  size: |w| / |u_plus| = {np.linalg.norm(w) / np.linalg.norm(u_plus):.3f}")
 res = radiation_filter(w, spec, model, grid, ladder=ladder, mode="outgoing")

@@ -9,8 +9,8 @@ machine-readable reports.
 """
 
 from . import besov, config, experiments, operators, potential, reports, resolvent, weyl
-from .besov import (ShellScheme, WeightSpectrum, besov_norm, bstar0_defect,
-                    dual_norm, shell_decompose)
+from .besov import (ShellScheme, besov_norm, bstar0_defect, dual_norm,
+                    shell_decompose)
 from .errors import (ConfigError, DataError, DimensionError,
                      ExtrapolationError, SolverError)
 from .operators import (Grid1D, RadialGrid, build_dilation, build_hamiltonian,

@@ -1,7 +1,7 @@
 """Finite-dimensional abstract Besov norms for multiplication operators.
 
 A self-adjoint weight operator A is represented by the vector of its
-multiplier values on grid nodes (a ``WeightSpectrum``).  Shell radii
+multiplier values on grid nodes (see ``as_spectrum_values``).  Shell radii
 R_0 = 0, R_j = p**(j-1) split [0, oo) into half-open annuli
 [R_{j-1}, R_j); the Besov norm is the weighted shell sum
 
@@ -31,7 +31,6 @@ from .errors import DataError, DimensionError
 
 __all__ = [
     "ShellScheme",
-    "WeightSpectrum",
     "ShellProfile",
     "LemmaReport",
     "BlockBound",
@@ -107,27 +106,11 @@ class ShellScheme:
         return [np.flatnonzero(idx == k) for k in range(len(radii))], radii
 
 
-@dataclass(frozen=True)
-class WeightSpectrum:
-    """Multiplier values of a self-adjoint weight operator on grid nodes."""
-
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise DataError("weight spectrum contains non-finite entries")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return len(self.values)
-
-
 def as_spectrum_values(a) -> np.ndarray:
-    """Accept a WeightSpectrum or a bare array of multiplier values."""
-    if isinstance(a, WeightSpectrum):
-        return a.values
+    """Multiplier values of a self-adjoint weight operator on grid nodes.
+
+    DataError if any value is non-finite.
+    """
     vals = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise DataError("weight spectrum contains non-finite entries")
@@ -427,13 +410,12 @@ def verify_base_equivalence(samples, a, p: float,
 # Scaling of the weight operator
 # ---------------------------------------------------------------------------
 
-def verify_scaling(samples, a, c: float, enforce_projection: bool = True,
+def verify_scaling(samples, a, c: float,
                    seed: int | None = None) -> LemmaReport:
     """Check ||u||_{B(cA)} <= 8 |c|^{1/2} ||u||_{B(A)}.
 
-    For |c| <= 1 the inequality needs u = F(|cA| >= 1) u; samples are
-    projected onto that range when ``enforce_projection`` is set,
-    otherwise offending samples raise.  The sharper 3 |c|^{1/2} bound
+    For |c| <= 1 the inequality needs u = F(|cA| >= 1) u, so samples
+    are projected onto that range.  The sharper 3 |c|^{1/2} bound
     of the small-|c| branch is checked as well.
     """
     vals = as_spectrum_values(a)
@@ -448,12 +430,7 @@ def verify_scaling(samples, a, c: float, enforce_projection: bool = True,
     for u in samples:
         u = np.asarray(u, dtype=complex)
         if small:
-            keep = np.abs(c * vals) >= 1.0
-            if enforce_projection:
-                u = np.where(keep, u, 0.0)
-            elif np.any(np.abs(u[~keep]) > 0):
-                raise ValueError(
-                    "sample has mass where |cA| < 1 and projection is off")
+            u = np.where(np.abs(c * vals) >= 1.0, u, 0.0)
         nb = besov_norm(u, vals, scheme)
         nbc = besov_norm(u, c * vals, scheme)
         if nb == 0.0:

@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 from .config import EXPERIMENT_IDS, load_config
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, DimensionError, SolverError
 from .experiments import build_grid, build_model, run_experiment
 from .operators import build_hamiltonian, export_triplets
 from .reports import Report, dump_vector, write_sweep_csv
@@ -64,7 +64,7 @@ def main(argv=None) -> int:
             model = build_model(cfg)
             grid = build_grid(cfg)
             h_op = build_hamiltonian(model, grid)
-        except (ConfigError, ValueError) as exc:
+        except (ConfigError, DimensionError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         outdir.mkdir(parents=True, exist_ok=True)

@@ -23,8 +23,8 @@ from .errors import ConfigError
 from .operators import (Grid1D, RadialGrid, build_hamiltonian, gaussian_probe,
                         matched_absorber)
 from .potential import (PotentialModel, WeightParams, bracket,
-                        check_condition, coulomb_model, load_v2_table,
-                        standard_model, weight_f)
+                        check_condition, load_v2_table, model_from_config,
+                        weight_f)
 from .reports import CheckResult, Report
 from .resolvent import (Sector, ShiftedSolver, besov_bstar_estimate,
                         boundary_value, spectral_distance, weighted_opnorm)
@@ -56,39 +56,39 @@ FILTER_TILDE_WIDTH = 0.8
 # ---------------------------------------------------------------------------
 
 def build_model(cfg: ExperimentConfig) -> PotentialModel | None:
-    family = cfg.model["family"]
-    if family == "standard":
-        model = standard_model(cfg.model["gamma"], cfg.model["mu"],
-                               cfg.model["dim"])
-    elif family == "coulomb":
-        model = coulomb_model(cfg.model["gamma"], cfg.model["dim"])
-    elif family == "free":
+    if cfg.model["family"] == "free":
         return None
-    else:
-        raise ConfigError(f"unknown model family {family!r}")
-    if cfg.model.get("v2_table"):
-        try:
-            v2 = load_v2_table(cfg.model["v2_table"])
-        except OSError as exc:
-            raise ConfigError(f"cannot read V2 table: {exc}") from exc
-        model = replace(model, v2=v2,
-                        v2_tail=(cfg.model["v2_delta"], cfg.model["v2_c"],
-                                 cfg.model["v2_r"]))
+    try:
+        model = model_from_config(cfg.model)
+        if cfg.model.get("v2_table"):
+            model = replace(model, v2=load_v2_table(cfg.model["v2_table"]),
+                            v2_tail=(cfg.model["v2_delta"], cfg.model["v2_c"],
+                                     cfg.model["v2_r"]))
+    except OSError as exc:
+        raise ConfigError(f"cannot read V2 table: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad model: {exc}") from exc
     return model
 
 
 def build_grid(cfg: ExperimentConfig):
     kind = cfg.grid["kind"]
-    if kind == "line":
-        return Grid1D(cfg.grid["length"], cfg.grid["size"])
-    if kind == "radial":
-        return RadialGrid(cfg.grid["length"], cfg.grid["size"],
-                          dim=cfg.model["dim"], ell=cfg.grid["ell"])
+    try:
+        if kind == "line":
+            return Grid1D(cfg.grid["length"], cfg.grid["size"])
+        if kind == "radial":
+            return RadialGrid(cfg.grid["length"], cfg.grid["size"],
+                              dim=cfg.model["dim"], ell=cfg.grid["ell"])
+    except ValueError as exc:
+        raise ConfigError(f"bad grid: {exc}") from exc
     raise ConfigError(f"unknown grid kind {kind!r}")
 
 
 def build_sector(cfg: ExperimentConfig) -> Sector:
-    return Sector(theta=cfg.sector["theta"], lambda0=cfg.sector["lambda0"])
+    try:
+        return Sector(theta=cfg.sector["theta"], lambda0=cfg.sector["lambda0"])
+    except ValueError as exc:
+        raise ConfigError(f"bad sector: {exc}") from exc
 
 
 def _weight_s(cfg: ExperimentConfig, model: PotentialModel | None) -> float:
@@ -646,7 +646,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
     u_minus = solver_plus.solve_adjoint(v)
     w = u_plus - u_minus
 
-    cap_diag = np.zeros(len(v)) if cap is None else np.abs(cap.matrix.diagonal())
+    cap_diag = np.zeros(len(v)) if cap is None else np.abs(cap.diagonal())
     untouched = cap_diag == 0.0
     # one stencil row of separation from the layer
     interior = untouched.copy()
@@ -662,7 +662,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
             description="boundary values coincide: possible over-damping"))
         return report
 
-    resid_vec = h_plain.matrix @ w
+    resid_vec = h_plain @ w
     interior_resid = float(np.linalg.norm(resid_vec[interior])) / norm_w
     report.add(CheckResult(
         "interior-null-residual", "uniqueness-null-difference",

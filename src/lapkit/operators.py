@@ -5,13 +5,14 @@ The 1-d line grid carries nodes offset half a cell from the box edges
 nodes away from r = 0 so the centrifugal term is evaluated exactly at
 nodes.  Hamiltonians use the second-order central stencil with
 Dirichlet walls; an optional complex absorbing layer is kept as a
-separately labeled diagonal term so the Hermitian part stays intact.
+separate diagonal term so the Hermitian part stays intact.  Every
+operator is a plain ``scipy.sparse`` CSR matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +23,7 @@ from .potential import PotentialModel, bracket
 __all__ = [
     "Grid1D",
     "RadialGrid",
-    "DiscreteOperator",
+    "hermiticity_residual",
     "build_hamiltonian",
     "absorbing_layer",
     "build_dilation",
@@ -32,8 +33,6 @@ __all__ = [
     "export_triplets",
     "dilation_eigenbasis",
 ]
-
-HERMITIAN_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -118,43 +117,12 @@ class RadialGrid:
 # Operators
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DiscreteOperator:
-    """Sparse matrix with grid metadata and a verified Hermitian flag."""
-
-    matrix: sp.spmatrix
-    grid: Grid1D | RadialGrid
-    label: str = ""
-    hermitian: bool = field(default=False)
-    bandwidth: int = field(default=0)
-
-    def __post_init__(self):
-        m = sp.csr_matrix(self.matrix)
-        self.matrix = m
-        resid = abs(m - m.conj().T)
-        scale = max(abs(m).max(), 1e-300)
-        self.hermitian = bool(resid.max() <= HERMITIAN_TOL * scale if resid.nnz else True)
-        rows, cols = m.nonzero()
-        self.bandwidth = int(np.max(np.abs(rows - cols))) if rows.size else 0
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def hermiticity_residual(self) -> float:
-        m = self.matrix
-        resid = abs(m - m.conj().T)
-        scale = max(abs(m).max(), 1e-300)
-        return float(resid.max() / scale) if resid.nnz else 0.0
-
-    def __add__(self, other: "DiscreteOperator") -> "DiscreteOperator":
-        if self.shape != other.shape:
-            raise DimensionError("operator shapes differ")
-        return DiscreteOperator(self.matrix + other.matrix, self.grid,
-                                label=f"{self.label}+{other.label}")
+def hermiticity_residual(m) -> float:
+    """max |M - M^*| / max |M| for a sparse or dense matrix; 0 when exact."""
+    m = sp.csr_matrix(m)
+    resid = abs(m - m.conj().T)
+    scale = max(abs(m).max(), 1e-300)
+    return float(resid.max() / scale) if resid.nnz else 0.0
 
 
 def _laplacian_1d(grid: Grid1D) -> sp.spmatrix:
@@ -178,7 +146,7 @@ def _laplacian_radial(grid: RadialGrid) -> sp.spmatrix:
     return lap + sp.diags(grid.centrifugal / grid.nodes**2)
 
 
-def build_hamiltonian(model: PotentialModel | None, grid) -> DiscreteOperator:
+def build_hamiltonian(model: PotentialModel | None, grid) -> sp.csr_matrix:
     """H = -Delta + V with Dirichlet walls; V = 0 when model is None."""
     if isinstance(grid, Grid1D):
         if model is not None and model.dim != 1:
@@ -198,12 +166,12 @@ def build_hamiltonian(model: PotentialModel | None, grid) -> DiscreteOperator:
         pot = model.v1(np.abs(coord))
         if model.v2 is not None:
             pot = pot + model.v2(np.abs(coord))
-    return DiscreteOperator(lap + sp.diags(pot), grid, label="H")
+    return sp.csr_matrix(lap + sp.diags(pot))
 
 
 def absorbing_layer(grid, strength: float = 1.0,
                     width_fraction: float = 0.125,
-                    local_scale=None, profile: str = "smoothstep") -> DiscreteOperator:
+                    local_scale=None, profile: str = "smoothstep") -> sp.csr_matrix:
     """Complex absorbing potential -i eta s(x) near the box edge.
 
     The ramp s rises from 0 at the inner edge of the layer to 1 at the
@@ -228,13 +196,12 @@ def absorbing_layer(grid, strength: float = 1.0,
         raise ValueError(f"unknown absorber profile {profile!r}")
     if local_scale is not None:
         ramp = ramp * np.asarray(local_scale, dtype=float)
-    return DiscreteOperator(sp.diags(-1j * strength * ramp), grid,
-                            label="absorber")
+    return sp.csr_matrix(sp.diags(-1j * strength * ramp))
 
 
 def matched_absorber(grid, mu: float, kappa: float = 1.0,
                      strength: float = 3.0,
-                     width_fraction: float = 0.375) -> DiscreteOperator:
+                     width_fraction: float = 0.375) -> sp.csr_matrix:
     """Absorbing layer impedance-matched to zero-energy waves.
 
     Slow waves with local momentum f_0 = (K <x>^-mu)^{1/2} reflect off
@@ -250,7 +217,7 @@ def matched_absorber(grid, mu: float, kappa: float = 1.0,
                            local_scale=scale, profile="quadratic")
 
 
-def build_dilation(grid) -> DiscreteOperator:
+def build_dilation(grid) -> sp.csr_matrix:
     """Generator of dilations (x.p + p.x)/2 with centered-difference p.
 
     Symmetrizing the two orderings makes the matrix exactly Hermitian:
@@ -259,8 +226,7 @@ def build_dilation(grid) -> DiscreteOperator:
     x = grid.nodes
     h = grid.spacing
     upper = -1j * (x[:-1] + x[1:]) / (4.0 * h)
-    mat = sp.diags([upper, upper.conj()], [1, -1])
-    return DiscreteOperator(mat, grid, label="A")
+    return sp.csr_matrix(sp.diags([upper, upper.conj()], [1, -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +248,7 @@ def _probe_interior(grid, probe, edge_fraction=0.1, tol=1e-8):
     return total > 0 and np.linalg.norm(probe[edge]) <= tol * total
 
 
-def commutator_residual(h_op: DiscreteOperator, a_op: DiscreteOperator,
+def commutator_residual(hm: sp.csr_matrix, am: sp.csr_matrix,
                         model: PotentialModel | None, grid,
                         probes=None) -> float:
     """Residual of the virial identity i[H, A] = 2H + W on smooth probes.
@@ -305,7 +271,6 @@ def commutator_residual(h_op: DiscreteOperator, a_op: DiscreteOperator,
     else:
         from .potential import virial_w
         w_diag = virial_w(model, x)
-    hm, am = h_op.matrix, a_op.matrix
     worst = 0.0
     for phi in probes:
         nrm = np.linalg.norm(phi)
@@ -329,7 +294,7 @@ def refinement_orders(values) -> list[float]:
 # Helpers for estimates in the dilation-generator eigenbasis
 # ---------------------------------------------------------------------------
 
-def dilation_eigenbasis(a_op: DiscreteOperator):
+def dilation_eigenbasis(m: sp.csr_matrix):
     """Eigendecomposition of the tridiagonal dilation generator.
 
     The matrix has purely imaginary off-diagonals, so a diagonal phase
@@ -338,7 +303,6 @@ def dilation_eigenbasis(a_op: DiscreteOperator):
     block machinery can then treat A as a multiplication operator.
     """
     from scipy.linalg import eigh_tridiagonal
-    m = a_op.matrix.tocsr()
     n = m.shape[0]
     diag = m.diagonal().real
     upper = np.asarray(m.diagonal(1)).ravel()
@@ -359,10 +323,10 @@ def dilation_eigenbasis(a_op: DiscreteOperator):
 # Export
 # ---------------------------------------------------------------------------
 
-def export_triplets(op: DiscreteOperator, path) -> None:
-    """Write the sparse matrix as text lines 'row col re im'."""
-    coo = op.matrix.tocoo()
+def export_triplets(h, path) -> None:
+    """Write the Hamiltonian as text lines 'row col re im' under a shape header."""
+    coo = h.tocoo()
     with open(path, "w") as fh:
-        fh.write(f"# {op.label} shape {coo.shape[0]} {coo.shape[1]}\n")
+        fh.write(f"# H shape {coo.shape[0]} {coo.shape[1]}\n")
         for r, c, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")

@@ -37,7 +37,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .besov import ShellScheme, loglog_slope, unit_blocks
 from .errors import DimensionError, ExtrapolationError, SolverError
-from .operators import DiscreteOperator, dilation_eigenbasis
+from .operators import dilation_eigenbasis
 from .potential import PotentialModel, WeightParams, bracket, weight_f
 
 __all__ = [
@@ -115,12 +115,6 @@ class Sector:
 # Shifted solves
 # ---------------------------------------------------------------------------
 
-def _as_sparse(op):
-    if isinstance(op, DiscreteOperator):
-        return op.matrix
-    return sp.csr_matrix(op)
-
-
 class ShiftedSolver:
     """LU factorization of (M - z) with iterative refinement on solves.
 
@@ -131,7 +125,7 @@ class ShiftedSolver:
     """
 
     def __init__(self, operator, z: complex):
-        m = _as_sparse(operator)
+        m = sp.csr_matrix(operator)
         self.matrix = m
         self.shape = m.shape
         self.z = complex(z)
@@ -198,7 +192,7 @@ def solve(operator, z: complex, v) -> np.ndarray:
 
 def _tridiagonal(operator) -> tuple[np.ndarray, np.ndarray]:
     """(diagonal, off-diagonal), or ValueError unless complex-symmetric tridiagonal."""
-    m = _as_sparse(operator)
+    m = sp.csr_matrix(operator)
     n = m.shape[0]
     if m.shape != (n, n):
         raise DimensionError("operator must be square")
@@ -707,7 +701,7 @@ def boundary_value(operator, v, grid, sector: Sector | None = None,
         raise ValueError("ray argument outside the sector")
     zs = sector.ray_ladder(arg, ratio, max_steps)
     if sign == -1:
-        operator = _as_sparse(operator).conj()
+        operator = operator.conj()
         zs = [z.conjugate() for z in zs]
     w = bracket(grid.nodes) ** (-weight_s)
     if np.linalg.norm(v) == 0.0:
@@ -744,7 +738,7 @@ def boundary_value(operator, v, grid, sector: Sector | None = None,
 # Commutator-regularized resolvent and the quadratic estimate
 # ---------------------------------------------------------------------------
 
-def mourre_resolvent(h_op: DiscreteOperator, a_op: DiscreteOperator,
+def mourre_resolvent(hm: sp.csr_matrix, am: sp.csr_matrix,
                      z: complex, eps: float) -> ShiftedSolver:
     """Factorize H - i eps i[H, A] - z, defined for eps Im z > 0.
 
@@ -754,7 +748,6 @@ def mourre_resolvent(h_op: DiscreteOperator, a_op: DiscreteOperator,
     """
     if eps * z.imag <= 0:
         raise ValueError("regularization requires eps Im z > 0")
-    hm, am = h_op.matrix, a_op.matrix
     comm = 1j * (hm @ am - am @ hm)
     reg = hm - 1j * eps * comm
     return ShiftedSolver(reg, z)
@@ -777,7 +770,7 @@ class QuadraticReport:
         return max(values) / min(values) if values else math.inf
 
 
-def quadratic_check(h_op: DiscreteOperator, a_op: DiscreteOperator,
+def quadratic_check(h_op: sp.csr_matrix, a_op: sp.csr_matrix,
                     model: PotentialModel, grid, z_values, eps_values,
                     rng: np.random.Generator | None = None) -> QuadraticReport:
     """Evaluate ||f R_z(eps) T||^2 <= C |eps|^{-1} ||T* R_z(eps) T||.

@@ -33,7 +33,7 @@ import numpy as np
 
 from .besov import defect_ladder, loglog_slope
 from .errors import DimensionError
-from .operators import DiscreteOperator, Grid1D
+from .operators import Grid1D
 from .potential import PotentialModel, WeightParams, bracket, weight_f
 
 __all__ = [
@@ -183,7 +183,7 @@ def _g_rows(symbol, xs, xi):
     return rows
 
 
-def weyl_matrix(symbol, grid: Grid1D) -> DiscreteOperator:
+def weyl_matrix(symbol, grid: Grid1D) -> np.ndarray:
     """Dense quantization; reference path, quadratic memory."""
     n = grid.size
     xi = grid.frequencies
@@ -191,7 +191,7 @@ def weyl_matrix(symbol, grid: Grid1D) -> DiscreteOperator:
     i = np.arange(n)
     s = i[:, None] + i[None, :]
     d = (i[:, None] - i[None, :]) % n
-    return DiscreteOperator(g[s, d], grid, label="Op^w")
+    return g[s, d]
 
 
 def _band_columns(band: Band | None, xs, xi) -> tuple[int, int]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapkit import besov
-from lapkit.besov import (ShellScheme, WeightSpectrum, ball_sup,
+from lapkit.besov import (ShellScheme, as_spectrum_values, ball_sup,
                           base_equivalence_constants, besov_norm,
                           bstar0_defect, bstar_norm_dense, defect_ladder,
                           dual_norm, power_map_constant, sample_vectors,
@@ -73,7 +73,7 @@ def test_errors():
     with pytest.raises(DataError):
         shell_decompose(np.array([1.0, np.nan]), np.array([0.0, 1.0]), SCHEME)
     with pytest.raises(DataError):
-        WeightSpectrum(np.array([np.inf]))
+        as_spectrum_values([np.inf])
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,12 +225,6 @@ def test_scaling_small_c_sharp(rng):
     rep = verify_scaling(samples, SPECTRUM, 1.0 / 3.0, seed=0)
     assert rep.passed
     assert rep.details["worst_sharp_ratio"] <= 1.0
-
-
-def test_scaling_projection_contract(rng):
-    u = np.ones(64, dtype=complex)
-    with pytest.raises(ValueError):
-        verify_scaling([u], SPECTRUM, 0.01, enforce_projection=False)
 
 
 # ---------------------------------------------------------------------------

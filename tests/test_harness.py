@@ -368,6 +368,21 @@ def test_cli_missing_config(tmp_path):
     assert cli_main(["lap-sweep", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "family", "coulomb"),      # the Coulomb model needs dim >= 3
+    ("model", "mu", "2.5"),
+    ("grid", "size", "100"),             # not a power of two on the line
+    ("sector", "theta", "4"),
+], ids=["coulomb-dim1", "mu", "line-size", "theta"])
+def test_cli_out_of_range_value_exits_two(tmp_path, capsys, section, key, value):
+    # a value the schema parses but a constructor rejects is a config error
+    path = tmp_path / "range.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n"
+                    f"[output]\ndirectory = {tmp_path}/out\n")
+    assert cli_main(["lap-sweep", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_failing_check_exit_one(tmp_path):
     # without the absorbing layer the box reflection contaminates the
     # boundary value and the direction filters detect it
@@ -435,3 +450,7 @@ v2_table = {tmp_path}/absent.txt
 id = check-potential
 """)
         run_check_potential(bad)
+    # a table that is not two columns is a config error too
+    np.savetxt(table, np.ones((4, 3)))
+    with pytest.raises(ConfigError, match="two-column"):
+        run_check_potential(cfg)

@@ -53,3 +53,35 @@ def _broad_handlers(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_broad_exception_handlers(path):
     assert _broad_handlers(ast.parse(path.read_text())) == []
+
+
+# Ceiling on settable values: defaulted function parameters (keyword-only
+# included, nested functions too) plus defaulted dataclass fields.  Each
+# default is a knob a caller may turn; the ceiling may only fall.
+SETTABLE_CEILING = 109
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _settable_values(tree: ast.Module) -> int:
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         for s in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    total = sum(_settable_values(ast.parse(p.read_text()))
+                for p in PACKAGE.glob("*.py"))
+    assert total <= SETTABLE_CEILING

@@ -178,12 +178,11 @@ def test_spectral_distance_rejects_non_real_tridiagonal():
         spectral_distance(solver.matrix, Z0)
 
 
-def test_besov_estimate_brackets_dense_norm(rng):
-    grid = Grid1D(20.0, 128)
+def _check_bracket(grid, z, rng):
     h_op = build_hamiltonian(MODEL, grid)
-    est = besov_bstar_estimate(h_op, Z0, MODEL, grid, rng=rng)
-    fh = np.sqrt(weight_f(WeightParams(abs(Z0), 1.0, 1.0), grid.nodes))
-    dense = np.diag(fh) @ sla.inv(h_op.toarray() - Z0 * np.eye(128)) @ np.diag(fh)
+    est = besov_bstar_estimate(h_op, z, MODEL, grid, rng=rng)
+    fh = np.sqrt(weight_f(WeightParams(abs(z), 1.0, 1.0), grid.nodes))
+    dense = fh[:, None] * sla.inv(h_op.toarray() - z * np.eye(grid.size)) * fh
     exact = bstar_norm_dense(dense, np.abs(grid.nodes), np.abs(grid.nodes))
     assert est.lower <= exact * (1 + 1e-6)
     assert exact <= est.upper * (1 + 1e-6)
@@ -191,6 +190,15 @@ def test_besov_estimate_brackets_dense_norm(rng):
     # the solve-based block sup is the dense unit-block sup
     blocks = schur_block_bound(dense, np.abs(grid.nodes), np.abs(grid.nodes))
     assert est.block_sup == pytest.approx(blocks.block_sup, rel=1e-12)
+
+
+def test_besov_estimate_brackets_dense_norm(rng):
+    _check_bracket(Grid1D(20.0, 128), Z0, rng)
+
+
+def test_besov_estimate_brackets_dense_norm_at_desk_spacing(rng):
+    # the desk grids' spacing h = 0.1953, at a low energy on the default ray
+    _check_bracket(Grid1D(100.0, 1024), Sector().points([1e-3])[0], rng)
 
 
 @pytest.mark.parametrize("model, grid", [
