@@ -57,6 +57,9 @@ FILTER_TILDE_WIDTH = 0.8
 
 def build_model(cfg: ExperimentConfig) -> PotentialModel | None:
     if cfg.model["family"] == "free":
+        if cfg.model.get("v2_table"):
+            raise ConfigError("the free family has no potential to add "
+                              "a v2_table to")
         return None
     try:
         model = model_from_config(cfg.model)

@@ -11,16 +11,25 @@ midpoint index s = i + j and on d = (i - j) mod N only, so one batched
 inverse FFT over the midpoint grid produces every entry.  Real symbols
 give exactly Hermitian matrices and c = 1 gives exactly the identity.
 
-The dense matrix is the reference path; ``weyl_apply`` streams the
-same computation in midpoint chunks so a filter can be applied at
-N = 4096 without forming the 256 MB matrix.  It applies one symbol to
-a block of columns at once, so every symbol table is built and
-transformed once for all of them.  A symbol that is constant outside
-a frequency band |xi| <= reach(x) carries that band (``Band``), and is
-evaluated only on the band columns of each chunk; the rest of the
-table is filled with the constant.  The radiation cutoffs have such a
-band: chi_-(a0) vanishes exactly once a0 = xi^2/f(x)^2 reaches the end
-of its fall, which leaves under 2% of the table to evaluate.
+The dense matrix is the reference path.  ``weyl_apply`` slices the
+same sum by frequency instead: with omega = exp(2 pi i / N),
+
+    (M u)_i = (1/N) sum_k omega^{2ki} sum_t c(m_{i+t}, xi_k) omega^{-k(i+t)} u_t,
+
+and for each k the inner sum is a correlation of one symbol column
+with u.  A zero-padded FFT of length 2N computes it without wraparound
+(i + t <= 2N - 2), and at that length both modulations are whole-bin
+shifts, so every frequency accumulates into one spectrum per column of
+u and one inverse FFT ends the apply.  Frequencies are transformed
+``K_BATCH`` at a time, so an apply holds O(K_BATCH N + m N) numbers
+for an (N, m) block, never the O(N^2) table.  A symbol that is
+constant outside a frequency band |xi| <= reach(x) carries that band
+(``Band``): the constant applies exactly as itself times u, because
+Op(1) = I, and only the remainder c - constant is transformed, each
+midpoint row evaluated on its own band columns only.  The radiation
+cutoffs have such a band: chi_-(a0) vanishes exactly once
+a0 = xi^2/f(x)^2 reaches the end of its fall, which leaves under 2% of
+the phase-space grid to evaluate.
 """
 
 from __future__ import annotations
@@ -194,64 +203,68 @@ def weyl_matrix(symbol, grid: Grid1D) -> np.ndarray:
     return g[s, d]
 
 
-def _band_columns(band: Band | None, xs, xi) -> tuple[int, int]:
-    """Columns [lo, hi) of the ladder that hold the band over ``xs``.
+def _band_rows(band: Band | None, mids, xi) -> tuple[np.ndarray, np.ndarray]:
+    """Per midpoint row s, the ladder columns [k0[s], k1[s]) of the band.
 
     Two extra columns on each side absorb rounding at the band edge.
     """
+    n = len(xi)
     if band is None:
-        return 0, len(xi)
-    reach = float(np.max(band.reach(xs)))
-    lo = int(np.searchsorted(xi, -reach, side="left")) - 2
-    hi = int(np.searchsorted(xi, reach, side="right")) + 2
-    return max(lo, 0), min(hi, len(xi))
+        return np.zeros(len(mids), dtype=int), np.full(len(mids), n)
+    reach = np.broadcast_to(band.reach(mids), mids.shape)
+    k0 = np.searchsorted(xi, -reach, side="left") - 2
+    k1 = np.searchsorted(xi, reach, side="right") + 2
+    return np.maximum(k0, 0), np.minimum(k1, n)
 
 
-def weyl_apply(symbol, grid: Grid1D, u, chunk: int = 512,
-               band: Band | None = None) -> np.ndarray:
-    """Matrix-free application of the quantized symbol.
+# band frequencies transformed together; with the batch's symbol points
+# this (K_BATCH, 2N) table bounds the memory of an apply
+K_BATCH = 8
+
+
+def weyl_apply(symbol, grid: Grid1D, u, band: Band | None = None) -> np.ndarray:
+    """Matrix-free application of the quantized symbol, sliced by frequency.
 
     ``u`` is one vector of shape (n,) or a block of shape (n, m); the
-    columns share every symbol table, and each equals its own
-    single-vector apply bit for bit.  Streams over midpoint
-    (antidiagonal) batches: entries with i + j = s share a row of the
-    FFT table, so each batch costs one in-place block FFT plus, per
-    antidiagonal, two strided-slice gathers.  With a ``band`` the
-    symbol is evaluated only on the batch's band columns and the rest
-    of the table holds ``band.outside``; without one the band is the
-    whole frequency ladder.
+    columns share every symbol evaluation and transform, and each
+    equals its own single-vector apply bit for bit.  Band frequency
+    xi_k transforms its column (c - outside) omega^{ks} at length 2N;
+    times the spectrum of u shifted by 4k bins, that is the k-th
+    correlation with the output modulation omega^{2ki} applied.
+    ``outside * u`` adds the constant exactly.  Without a ``band``
+    every frequency is evaluated on every row and the constant is 0.
     """
     u = np.asarray(u, dtype=complex)
     n = grid.size
     if u.ndim not in (1, 2) or u.shape[0] != n:
         raise DimensionError("vector length does not match grid size")
-    cols = u.reshape(n, -1)
-    out = np.zeros_like(cols)
+    rows = u.reshape(n, -1).T          # each column of u as one row
+    p = 2 * n
     xi = grid.frequencies
     mids = _midpoints(grid)
-    sign = (-1.0) ** np.arange(n)
     outside = 0.0 if band is None else band.outside
-    table = np.empty((min(chunk, 2 * n - 1), n), dtype=complex)
-    for start in range(0, 2 * n - 1, chunk):
-        xs = mids[start:start + chunk]
-        rows = table[:len(xs)]
-        k0, k1 = _band_columns(band, xs, xi)
-        rows[:, :k0] = outside
-        rows[:, k1:] = outside
-        rows[:, k0:k1] = symbol(xs[:, None], xi[None, k0:k1])
-        np.fft.ifft(rows, axis=1, out=rows)
-        rows *= sign
-        for s, row in enumerate(rows, start):
-            # entry (i, s - i) sits at column 2i - s mod n; that index
-            # wraps below i = mid, which splits the antidiagonal into
-            # two stride-2 slices of the row
-            lo, hi = max(0, s - n + 1), min(n - 1, s)
-            mid = max(lo, (s + 1) // 2)
-            out[lo:mid] += (row[2 * lo - s + n:2 * mid - s + n:2, None]
-                            * cols[s - mid + 1:s - lo + 1][::-1])
-            out[mid:hi + 1] += (row[2 * mid - s:2 * hi - s + 1:2, None]
-                                * cols[s - hi:s - mid + 1][::-1])
-    return out.reshape(u.shape)
+    k0, k1 = _band_rows(band, mids, xi)
+    # v[f] = sum_t u[t] e^{2 pi i f t / p}, stored twice so that a
+    # shift by whole bins is a slice
+    v = np.fft.ifft(rows, n=p, norm="forward")
+    v = np.concatenate((v, v), axis=1)
+    spectrum = np.zeros((len(rows), p), dtype=complex)
+    phase = np.exp(2j * np.pi * np.arange(n) / n)
+    table = np.empty((K_BATCH, p), dtype=complex)
+    for first in range(k0.min(), k1.max(), K_BATCH):
+        cols = np.arange(first, min(first + K_BATCH, k1.max()))
+        b, s = np.nonzero((k0 <= cols[:, None]) & (cols[:, None] < k1))
+        k = cols[b] - n // 2
+        batch = table[:len(cols)]
+        batch[:] = 0.0
+        batch[b, s] = ((symbol(mids[s], xi[cols[b]]) - outside)
+                       * phase[k * s % n])
+        np.fft.fft(batch, axis=1, out=batch)
+        for row, col in zip(batch, cols):
+            shift = -4 * (col - n // 2) % p
+            spectrum += row * v[:, shift:shift + p]
+    out = outside * rows + np.fft.ifft(spectrum, axis=1)[:, :n] / n
+    return np.ascontiguousarray(out.T).reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,17 @@ def test_cli_out_of_range_value_exits_two(tmp_path, capsys, section, key, value)
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_free_model_with_v2_table_exits_two(tmp_path, capsys):
+    # the free family has no potential, so a V2 table must not be dropped
+    table = tmp_path / "v2.txt"
+    np.savetxt(table, [[0.0, -0.1], [3.0, 0.0]])
+    path = tmp_path / "free.cfg"
+    path.write_text(f"[model]\nfamily = free\nv2_table = {table}\n"
+                    f"[output]\ndirectory = {tmp_path}/out\n")
+    assert cli_main(["lap-sweep", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_failing_check_exit_one(tmp_path):
     # without the absorbing layer the box reflection contaminates the
     # boundary value and the direction filters detect it

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from lapkit.errors import DimensionError
+from lapkit.experiments import FILTER_FALL, FILTER_MARGIN, FILTER_TILDE_WIDTH
 from lapkit.operators import Grid1D, gaussian_probe, hermiticity_residual
 from lapkit.potential import WeightParams, standard_model
-from lapkit.weyl import (FilterSpec, default_radius_ladder, filter_symbol,
+from lapkit.weyl import (Band, FilterSpec, default_radius_ladder, filter_symbol,
                          loglog_slope, radiation_filter, smoothstep7, symbol_a0,
                          symbol_b0, weyl_apply, weyl_matrix)
 
@@ -65,7 +66,7 @@ def test_apply_matches_dense(rng):
     dense = weyl_matrix(b0, GRID)
     u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     direct = dense @ u
-    streamed = weyl_apply(b0, GRID, u, chunk=37)
+    streamed = weyl_apply(b0, GRID, u)
     assert np.max(np.abs(direct - streamed)) <= 1e-11 * np.linalg.norm(u)
 
 
@@ -77,7 +78,7 @@ def test_band_limited_apply_matches_dense(mode, rng):
     symbol, band = filter_symbol(spec, params, mode)
     u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     direct = weyl_matrix(symbol, GRID) @ u
-    streamed = weyl_apply(symbol, GRID, u, chunk=37, band=band)
+    streamed = weyl_apply(symbol, GRID, u, band=band)
     assert np.max(np.abs(direct - streamed)) <= 1e-12 * np.linalg.norm(u)
 
 
@@ -88,10 +89,10 @@ def test_block_apply_equals_column_applies(mode, rng):
     params = WeightParams(0.0, m.kappa_low_energy, m.mu)
     symbol, band = filter_symbol(spec, params, mode)
     block = rng.standard_normal((128, 2)) + 1j * rng.standard_normal((128, 2))
-    both = weyl_apply(symbol, GRID, block, chunk=37, band=band)
+    both = weyl_apply(symbol, GRID, block, band=band)
     assert both.shape == (128, 2)
     for j in range(2):
-        single = weyl_apply(symbol, GRID, block[:, j].copy(), chunk=37, band=band)
+        single = weyl_apply(symbol, GRID, block[:, j].copy(), band=band)
         assert np.array_equal(both[:, j], single)
     results = radiation_filter(block, spec, m, GRID, mode=mode)
     assert len(results) == 2
@@ -100,6 +101,63 @@ def test_block_apply_equals_column_applies(mode, rng):
         assert np.array_equal(res.filtered, one.filtered)
         assert np.array_equal(res.ball_defect, one.ball_defect)
         assert np.array_equal(res.annulus_defect, one.annulus_defect)
+
+
+DESK_GRID = Grid1D(100.0, 1024)     # the desk spacing on a quarter box
+
+
+def desk_filters():
+    m = standard_model(1.0, 1.0, 1)
+    spec = FilterSpec.for_model(m, neighborhood_margin=FILTER_MARGIN,
+                                fall_width=FILTER_FALL,
+                                tilde_width=FILTER_TILDE_WIDTH)
+    return spec, WeightParams(0.0, m.kappa_low_energy, m.mu)
+
+
+@pytest.mark.parametrize("mode", ["outgoing", "high", "mirrored"])
+def test_apply_matches_dense_at_desk_spacing(mode, rng):
+    spec, params = desk_filters()
+    symbol, band = filter_symbol(spec, params, mode)
+    block = rng.standard_normal((1024, 2)) + 1j * rng.standard_normal((1024, 2))
+    direct = weyl_matrix(symbol, DESK_GRID) @ block
+    applied = weyl_apply(symbol, DESK_GRID, block, band=band)
+    for j in range(2):
+        assert (np.max(np.abs(direct[:, j] - applied[:, j]))
+                <= 1e-12 * np.linalg.norm(block[:, j]))
+
+
+def test_apply_band_at_the_box_edges(rng):
+    # the band widens towards the box edges, so high frequencies live
+    # only on the first and last midpoint rows (s < N/2 and s >= 3N/2)
+    # and the symbol is a nonzero constant everywhere else
+    grid = Grid1D(10.0, 128)
+    top = grid.frequencies[-1]
+
+    def reach(x):
+        return top * np.clip(2.0 * np.abs(x) / grid.length - 0.5, 0.0, 1.0)
+
+    def symbol(x, xi):
+        r = reach(x)
+        return 0.5 + np.where(np.abs(xi) <= r, np.cos(xi * x) * (r - np.abs(xi)), 0.0)
+
+    band = Band(reach, outside=0.5)
+    block = rng.standard_normal((128, 2)) + 1j * rng.standard_normal((128, 2))
+    direct = weyl_matrix(symbol, grid) @ block
+    applied = weyl_apply(symbol, grid, block, band=band)
+    assert np.max(np.abs(direct - applied)) <= 1e-12 * np.linalg.norm(block)
+    assert np.array_equal(applied[:, 1],
+                          weyl_apply(symbol, grid, block[:, 1].copy(), band=band))
+
+
+def test_high_is_identity_minus_low(rng):
+    spec, params = desk_filters()
+    a0 = symbol_a0(params)
+    high, band = filter_symbol(spec, params, "high")
+    u = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    low = weyl_apply(lambda x, xi: spec.chi_minus(a0(x, xi)), DESK_GRID, u,
+                     band=Band(band.reach, outside=0.0))
+    applied = weyl_apply(high, DESK_GRID, u, band=band)
+    assert np.max(np.abs(applied - (u - low))) <= 1e-12 * np.linalg.norm(u)
 
 
 def test_apply_rejects_wrong_shape():
