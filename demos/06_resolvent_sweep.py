@@ -36,7 +36,7 @@ for mod in (1e-1, 1e-2, 1e-3):
     f = weight_f(WeightParams(mod, 1.0, 1.0), x)
     wgt = bracket(x) ** (-0.8) * np.sqrt(f)
     weighted = weighted_opnorm(h_op, z, wgt, wgt, rng=rng).lower
-    est = besov_bstar_estimate(h_op, z, model, grid, rng=rng)
+    est = besov_bstar_estimate(h_op, z, model, grid)
     print(f"  {mod:7.0e}  {plain:11.2f}  {weighted:11.4f}   "
           f"[{est.lower:.4f}, {est.upper:.4f}]")
 print("plain norm grows ~ 1/|z|; the framed quantities barely move")

@@ -328,8 +328,9 @@ def _sweep_quantities(h_op, model, grid, z, weight_s, rng):
 
     The plain norm is exact, 1 / dist(z, spectrum), and the distance is
     returned too.  Besides the (lower, upper) pairs it returns the
-    residual of a probe solve and the count of power runs and of those
-    that stopped at ``maxiter`` without converging.
+    residual of a probe solve, the quantities whose iteration did not
+    converge (the weighted power run, or a diagonal shell pair's
+    Lanczos run) and the Lanczos steps.
     """
     solver = ShiftedSolver(h_op, z)
     x = grid.nodes
@@ -340,17 +341,21 @@ def _sweep_quantities(h_op, model, grid, z, weight_s, rng):
     wgt = bracket(x) ** (-weight_s) * np.sqrt(fvals)
     wei = weighted_opnorm(solver, z, wgt, wgt, rng=rng)
     out["weighted"] = (wei.lower, None)
-    runs, unconverged = 1, int(not wei.converged)
+    health = {"unconverged_power_runs": int(not wei.converged),
+              "lanczos_steps": 0, "unconverged_shell_pairs": 0}
     if model is not None:
-        est = besov_bstar_estimate(solver, z, model, grid, rng=rng)
+        est = besov_bstar_estimate(solver, z, model, grid)
         out["shell_dual"] = (est.lower, est.upper)
-        runs += est.details["diagonal_pair_runs"]
-        unconverged += est.details["unconverged_pair_runs"]
+        for key in ("lanczos_steps", "unconverged_shell_pairs"):
+            health[key] = est.details[key]
     else:
         out["shell_dual"] = (math.nan, math.nan)
     probe = gaussian_probe(grid, width=2.0)
     out["_residual"] = solver.residual(solver.solve(probe), probe)
-    out["_power_runs"] = (runs, unconverged)
+    out["_health"] = health
+    out["_unconverged"] = {q for q, key in (("weighted", "unconverged_power_runs"),
+                                            ("shell_dual", "unconverged_shell_pairs"))
+                           if health[key]}
     return out
 
 
@@ -363,9 +368,12 @@ def run_lap_sweep(cfg: ExperimentConfig,
     norm grows like 1/dist(z, spectrum); the fitted exponents check
     that contrast.  The plain norm is that reciprocal distance, exact
     from the spectrum of the self-adjoint H; power iteration remains
-    only for the weighted norm and the diagonal shell pairs.  Rows
-    failing the box-doubling stability gate are flagged and left out
-    of the fits.  A free control run (family = free) records values
+    only for the weighted norm, and the shell-space bracket runs
+    Lanczos on its diagonal shell pairs.  Rows failing the box-doubling
+    stability gate, or whose power or Lanczos iteration (on either
+    grid) did not converge, are flagged and left out of the fits;
+    ``solver_health`` counts the runs, the Lanczos steps and the
+    flagged rows.  A free control run (family = free) records values
     without pass thresholds.
     """
     model = build_model(cfg)
@@ -385,7 +393,9 @@ def run_lap_sweep(cfg: ExperimentConfig,
 
     rows = []
     fits = {}
-    power_runs = np.zeros(2, dtype=int)         # runs, unconverged
+    health = dict.fromkeys(("power_runs", "unconverged_power_runs",
+                            "lanczos_steps", "unconverged_shell_pairs",
+                            "unconverged_rows"), 0)
     h_op = build_hamiltonian(model, grid)
     if cfg.experiment["stability_check"]:
         wide_grid = grid.widen()
@@ -396,18 +406,24 @@ def run_lap_sweep(cfg: ExperimentConfig,
         for z in sector.points(moduli, rays=[arg]):
             base = _sweep_quantities(h_op, model, grid, z, weight_s, rng)
             residual = base["_residual"]
-            power_runs += base["_power_runs"]
             distances[repr(z)] = base["_distance"]
             if cfg.experiment["stability_check"]:
                 wide = _sweep_quantities(h_wide, model, wide_grid, z, weight_s,
                                          rng)
-                power_runs += wide["_power_runs"]
             else:
                 wide = None
+            parts = [base] if wide is None else [base, wide]
+            for part in parts:
+                health["power_runs"] += 1
+                for key, value in part["_health"].items():
+                    health[key] += value
+            unconverged = set().union(*(part["_unconverged"] for part in parts))
             for q in quantities:
                 lo, up = base[q]
-                stable = True
-                if wide is not None:
+                # an unconverged iteration flags its row like the gate does
+                stable = q not in unconverged
+                health["unconverged_rows"] += not stable
+                if wide is not None and stable:
                     wlo = wide[q][0]
                     stable = abs(wlo - lo) <= STABILITY_RTOL * max(abs(lo), 1e-300)
                     if up is not None and wide[q][1] is not None:
@@ -432,9 +448,7 @@ def run_lap_sweep(cfg: ExperimentConfig,
 
     report.extras["fits"] = fits
     report.extras["rows"] = len(rows)
-    report.extras["solver_health"] = {
-        "power_runs": int(power_runs[0]),
-        "unconverged_power_runs": int(power_runs[1])}
+    report.extras["solver_health"] = health
     default_arg = rays[0]
     if not control:
         key = f"unweighted_lower_exponent_ray{default_arg:.4f}"

@@ -8,20 +8,24 @@ single LU factorization serves both directions.
 
 The plain resolvent norm of a self-adjoint H is exact, 1 / dist(z,
 spectrum), with the distance from ``spectral_distance``.  Weighted
-norms come in certified one-sided pairs: power iteration
-(``weighted_opnorm``) yields lower bounds, unit-width spectral block
-enumeration yields upper bounds (twice the block sup), and the two
-bracket the true weighted or shell-space operator norm.
+norms take power iteration (``weighted_opnorm``), which yields
+certified lower bounds.
 
 Every Hamiltonian here is complex-symmetric tridiagonal, so its
-resolvent is semiseparable.  ``TridiagonalResolvent`` reads any block
-of columns of R(z) off two pivot sequences and their ratios, with no
-solve and a residual certificate per block.  The shell-space bracket
-uses it for the unit-block upper bound and for the exact norms of the
-off-diagonal shell pairs, which have rank <= 2; only the diagonal
-shell pairs run power iteration, through ``weighted_opnorm`` on the
-LU solver.  The LU path stays for everything else, including the
-pentadiagonal commutator-regularized operator.
+resolvent is semiseparable.  ``TridiagonalResolvent`` holds per-z
+generators from the two pivot sequences: log-domain prefix sums of
+the pivot ratios and the diagonal 1 / (d + e - a).  Any entry is one
+exponential, and one O(n) pass certifies the residual of every
+column.  The shell-space bracket takes every entry from them.  Blocks
+and shells are levels of |x|, so two different ones are separated
+and their weighted block has rank <= 2, with a closed-form norm from
+segment sums; the unit-block sup (upper bound) and the off-diagonal
+shell pairs are exact.  A diagonal shell pair inverts to a
+tridiagonal Schur complement, and Lanczos on it finds the pair's
+norm; the Ritz vector is re-evaluated through a certified LU solve,
+so the lower bound is the shell-dual norm to the Lanczos tolerance
+and never exceeds it.  The LU path stays for everything else,
+including the pentadiagonal commutator-regularized operator.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg.lapack import zgtsv
 
 from .besov import ShellScheme, loglog_slope, unit_blocks
 from .errors import DimensionError, ExtrapolationError, SolverError
@@ -44,7 +49,6 @@ __all__ = [
     "Sector",
     "ShiftedSolver",
     "TridiagonalResolvent",
-    "ResolventPiece",
     "spectral_distance",
     "solve",
     "spectral_free_solve",
@@ -63,8 +67,16 @@ __all__ = [
 ]
 
 
-# relative residual every shifted solve and resolvent piece is certified to
+# relative residual every shifted solve and resolvent column is certified to
 SOLVE_RTOL = 1e-10
+# a diagonal shell pair's Lanczos run stops once its top Ritz residual is
+# at most LANCZOS_RTOL times the Ritz value, or after LANCZOS_STEPS steps
+LANCZOS_RTOL = 1e-10
+LANCZOS_STEPS = 128
+# groups per vectorized batch of block pairs and diagonal blocks in the
+# shell-space bracket; it bounds their temporaries (a bench sweep peaked
+# about 4 MB higher with 64 than with 16)
+BATCH = 16
 
 
 # ---------------------------------------------------------------------------
@@ -230,43 +242,6 @@ def spectral_distance(operator, z: complex) -> float:
             return float(np.min(np.hypot(vals - z.real, z.imag)))
         half *= 4.0
 
-@dataclass(frozen=True)
-class ResolventPiece:
-    """Columns J = c0..c1 of R = (M - z)^{-1}: R[J, J] and one ratio vector.
-
-    For every c in J, R[i, c] = tail[i] R[c0, c] for rows i < c0 and
-    R[i, c] = tail[i] R[c1, c] for rows i > c1; ``tail`` is 1 on J.
-    """
-
-    c0: int
-    c1: int
-    block: np.ndarray           # R[J, J]
-    tail: np.ndarray            # length n
-
-    def rows(self, idx) -> np.ndarray:
-        """R[idx, J] for any row indices."""
-        idx = np.asarray(idx)
-        out = np.empty((idx.size, self.block.shape[1]), dtype=complex)
-        above = idx < self.c0
-        below = idx > self.c1
-        inside = ~(above | below)
-        out[above] = np.outer(self.tail[idx[above]], self.block[0])
-        out[inside] = self.block[idx[inside] - self.c0]
-        out[below] = np.outer(self.tail[idx[below]], self.block[-1])
-        return out
-
-    def row_norms_sq(self, weight_sq: np.ndarray) -> np.ndarray:
-        """Squared row norms of diag(w) R[:, J] diag(w[J]), w^2 = weight_sq."""
-        c0, c1 = self.c0, self.c1
-        inner = np.abs(self.block) ** 2 @ weight_sq[c0:c1 + 1]
-        sq = self.tail.real**2 + self.tail.imag**2
-        sq[:c0] *= inner[0]
-        sq[c0:c1 + 1] = inner
-        sq[c1 + 1:] *= inner[-1]
-        sq *= weight_sq
-        return sq
-
-
 class TridiagonalResolvent:
     """Entries of R = (M - z)^{-1} for a complex-symmetric tridiagonal M - z.
 
@@ -277,10 +252,25 @@ class TridiagonalResolvent:
     a Hermitian M (Higham, Math. Comp. 67 (1998) 1591).  Column c of R
     satisfies R[i, c] = up_i R[i+1, c] above the diagonal
     (up_i = -b_i / d_i) and R[i+1, c] = dn_i R[i, c] below it
-    (dn_i = -b_i / e_{i+1}), so R is semiseparable (Meurant, SIAM J.
-    Matrix Anal. Appl. 13 (1992) 707) and a run of columns is its small
-    diagonal block plus products of ratios anchored at the run's ends,
-    with no solve.  Every piece is certified by its column residuals.
+    (dn_i = -b_i / e_{i+1}), and R[c, c] = g_c = 1 / (d_c + e_c - a_c).
+    So R is semiseparable (Meurant, SIAM J. Matrix Anal. Appl. 13
+    (1992) 707): with the prefix sums U and D of log up and log dn,
+
+        R[i, c] = exp(U_c - U_i) g_c  (i <= c),
+        R[i, c] = exp(D_i - D_c) g_c  (i >= c),
+
+    and any entry costs O(1) with no solve.  The prefix sums are kept
+    compensated, so an entry carries a relative rounding error of
+    about u (|log R[i, c] / g_c| + 4), not u times the grid length.
+
+    Construction certifies every column in one O(n) pass.  Outside
+    the diagonal, row i of (M - z) R[:, c] - e_c is R[i, c] q_i, where
+    the local residual q_i = a_i + b_{i-1} up_{i-1} + b_i / up_i above
+    the diagonal (the mirror with dn below) does not depend on c, so
+    the residual norms of all columns are two accumulated log-sums.
+    Each |q_i| carries a rounding allowance of 4u times the sum of its
+    terms' moduli.  SolverError unless every column's residual is at
+    most ``rtol``.
     """
 
     def __init__(self, operator, z: complex, rtol: float = SOLVE_RTOL):
@@ -301,70 +291,80 @@ class TridiagonalResolvent:
         except ZeroDivisionError as exc:
             raise SolverError(
                 f"zero pivot at z = {self.z}: spectrally degenerate") from exc
+        if not np.all(self.b):
+            raise ValueError("operator decouples: zero off-diagonal entry")
         self.up = -self.b / self.d[:-1]
         self.dn = -self.b / self.e[1:]
+        self.g = 1.0 / (self.d + self.e - self.a)
+        self._log_up = _prefix_sums(np.log(self.up))
+        self._log_dn = _prefix_sums(np.log(self.dn))
+        self._certify()
 
-    def piece(self, c0: int, c1: int) -> ResolventPiece:
-        """Columns c0..c1 of R, certified to column residual <= rtol."""
-        w = c1 - c0 + 1
-        # R[J, J] is the inverse of T[J, J] with the Schur terms
-        # b_{c0-1}^2 / d_{c0-1} and b_{c1}^2 / e_{c1+1} taken off its
-        # corners; that block's pivots are d[J] and e[J], so its diagonal
-        # is 1 / (d + e - a) and R[i, c] = up_i R[i+1, c] above it
-        block = np.diag(1.0 / (self.d[c0:c1 + 1] + self.e[c0:c1 + 1]
-                               - self.a[c0:c1 + 1]))
-        for i in range(w - 2, -1, -1):
-            row = self.up[c0 + i] * block[i + 1, i + 1:]
-            block[i, i + 1:] = row
-            block[i + 1:, i] = row
-        tail = np.ones(self.n, dtype=complex)
-        if c0 > 0:
-            np.cumprod(self.up[c0 - 1::-1], out=tail[c0 - 1::-1])
-        np.cumprod(self.dn[c1:], out=tail[c1 + 1:])
-        piece = ResolventPiece(c0, c1, block, tail)
-        self._certify(piece)
-        return piece
+    def log_up(self, i, c):
+        """log of up_i ... up_{c-1}, so R[i, c] = exp(log_up(i, c)) g_c for i <= c."""
+        return _span(self._log_up, i, c)
 
-    def _certify(self, piece: ResolventPiece) -> None:
-        """Raise SolverError unless ||(M - z) R[:, c] - e_c|| <= rtol.
+    def log_dn(self, c, i):
+        """log of dn_c ... dn_{i-1}, so R[i, c] = exp(log_dn(c, i)) g_c for i >= c."""
+        return _span(self._log_dn, c, i)
 
-        Outside J the residual of column c is one vector, the residual
-        of ``tail``, times R[c0, c] (above) or R[c1, c] (below), so the
-        check costs O(n).
-        """
-        a, b = self.a, self.b
-        c0, c1, block, tail = piece.c0, piece.c1, piece.block, piece.tail
-        rho = a * tail
-        rho[1:] += b * tail[:-1]
-        rho[:-1] += b * tail[1:]
-        above, below = rho[:c0], rho[c1 + 1:]
-        inside = a[c0:c1 + 1, None] * block
-        inside[:-1] += b[c0:c1, None] * block[1:]
-        inside[1:] += b[c0:c1, None] * block[:-1]
-        inside.flat[::c1 - c0 + 2] -= 1.0          # minus the identity
-        if c0 > 0:
-            inside[0] += b[c0 - 1] * tail[c0 - 1] * block[0]
-        if c1 < self.n - 1:
-            inside[-1] += b[c1] * tail[c1 + 1] * block[-1]
-        res_sq = (np.sum(np.abs(inside) ** 2, axis=0)
-                  + np.vdot(above, above).real * np.abs(block[0]) ** 2
-                  + np.vdot(below, below).real * np.abs(block[-1]) ** 2)
+    def entries(self, rows, cols) -> np.ndarray:
+        """R[rows, cols] for index arrays that broadcast against each other."""
+        log = np.where(rows <= cols, self.log_up(rows, cols),
+                       self.log_dn(cols, rows))
+        return np.exp(log) * self.g[cols]
+
+    def _certify(self) -> None:
+        """Raise SolverError unless ||(M - z) R[:, c] - e_c|| <= rtol for every c."""
+        a, b, up, dn, g = self.a, self.b, self.up, self.dn, self.g
+        n, u = self.n, np.finfo(float).eps / 2
+        zero = np.zeros(1, dtype=complex)
+        # the terms of row i's residual divided by R[i, c], for columns c
+        # right of i (above) and left of i (below), and the diagonal row's
+        above = (a[:-1], np.concatenate((zero, b[:-1] * up[:-1])), b / up)
+        below = (a[1:], b / dn, np.concatenate((b[1:] * dn[1:], zero)))
+        diag = (g * a, g * np.concatenate((zero, b * up)),
+                g * np.concatenate((b * dn, zero)), -np.ones(n))
+
+        def bound(terms):
+            return np.abs(sum(terms)) + 4 * u * sum(np.abs(t) for t in terms)
+
+        res_sq = bound(diag) ** 2
+        if n > 1:
+            # rows above column c: sum_{i<c} |up_i...up_{c-1}|^2 bound_i^2
+            re_u, re_d = self._log_up[0].real, self._log_dn[0].real
+            acc = np.logaddexp.accumulate(2 * np.log(bound(above)) - 2 * re_u[:-1])
+            rows_sq = np.zeros(n)
+            rows_sq[1:] = np.exp(2 * re_u[1:] + acc)
+            # rows below: sum_{i>c} |dn_c...dn_{i-1}|^2 bound_i^2
+            acc = np.logaddexp.accumulate((2 * np.log(bound(below))
+                                           + 2 * re_d[1:])[::-1])[::-1]
+            rows_sq[:-1] += np.exp(acc - 2 * re_d[:-1])
+            res_sq += np.abs(g) ** 2 * rows_sq
         worst = math.sqrt(float(np.max(res_sq)))
         if not worst <= self.rtol:
             raise SolverError(
-                f"resolvent columns {c0}..{c1} at z = {self.z} reached "
-                f"residual {worst:.3e} (requested {self.rtol:.1e})")
+                f"resolvent columns at z = {self.z} reached residual "
+                f"{worst:.3e} (requested {self.rtol:.1e})")
 
 
-def _runs(idx: np.ndarray) -> list[list[int]]:
-    """[first, last] of each run of consecutive values in ascending idx."""
-    runs: list[list[int]] = []
-    for i in idx.tolist():
-        if runs and i == runs[-1][1] + 1:
-            runs[-1][1] = i
-        else:
-            runs.append([i, i])
-    return runs
+def _span(sums, j, k):
+    """s_k - s_j for prefix sums held as a pair (hi, lo)."""
+    hi, lo = sums
+    return (hi[k] - hi[j]) + (lo[k] - lo[j])
+
+
+def _prefix_sums(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums s_i = t_0 + ... + t_{i-1} as an unevaluated pair hi + lo.
+
+    Each running sum's rounding error is recovered exactly (Knuth's
+    TwoSum, componentwise for complex values) and accumulated in lo,
+    so a difference s_j - s_i is exact to about u |s_j - s_i|.
+    """
+    hi = np.concatenate(([0.0], np.cumsum(t)))
+    step = hi[1:] - hi[:-1]
+    err = (hi[:-1] - (hi[1:] - step)) + (t - step)
+    return hi, np.concatenate(([0.0], np.cumsum(err)))
 
 
 def spectral_free_solve(grid, z: complex, v) -> np.ndarray:
@@ -465,86 +465,70 @@ class BesovEstimate:
     details: dict = field(default_factory=dict)
 
 
-def besov_bstar_estimate(operator, z: complex, model: PotentialModel, grid,
-                         rng: np.random.Generator | None = None) -> BesovEstimate:
+def besov_bstar_estimate(operator, z: complex, model: PotentialModel,
+                         grid) -> BesovEstimate:
     """Two-sided estimate of the shell-space norm of f^{1/2} R(z) f^{1/2}.
 
     f is the local momentum weight at lambda = |z| with K = 1.
 
     ``operator`` is H, or a ShiftedSolver already factorized at z; H
-    must be complex-symmetric tridiagonal.  Upper bound: exact
-    unit-width block sup over |x| blocks, doubled.  The columns of each
-    block come from the pivot ratios of ``TridiagonalResolvent`` with no
-    solve; per-row-block Frobenius norms, taken from the ratio tails'
-    vector norms, prune which block pairs need an exact spectral norm.
+    must be complex-symmetric tridiagonal.  Every resolvent entry is
+    read off the certified generators of ``TridiagonalResolvent``.
+
+    Upper bound: the exact unit-width block sup over |x| blocks,
+    doubled.  Two different blocks are separated (the outer block's
+    nodes lie wholly before or after the inner block's), so their
+    weighted block has rank <= 2 and its norm is a closed-form 2 x 2
+    eigenvalue of segment sums (``_separated_pair_norms``); only the
+    diagonal blocks are built, about 10 x 10 at desk spacing.
+
     Lower bound: the best dyadic shell pair, scaled by
-    R_j^{-1/2} R_k^{-1/2}.  Disjoint shells j != k give a block of
-    rank <= 2 whose norm is exact; only the diagonal pairs j == k use
-    power iteration, as ``weighted_opnorm`` with the weight f^{1/2}
-    cut to the shell, on the LU solver.  Every term is at most the
-    shell-dual norm, so the best one is a certified lower bound.
-    ``details`` records whether
-    the term that set ``lower`` converged (exact pairs count as
-    converged), the number of diagonal power runs and how many of them
-    did not converge.
+    R_j^{-1/2} R_k^{-1/2}; the best pair is the shell-dual norm
+    itself.  Pairs j != k have rank <= 2 and take the same path as the
+    blocks.  A diagonal pair is ||F_S R[S, S] F_S||, where R[S, S] is
+    the inverse of a tridiagonal Schur complement (``_shell_inverse``);
+    Lanczos on its A* A finds the top singular value in O(|S|) per
+    step, and the Ritz vector is re-evaluated through one certified
+    solve with H - z, so the value is a lower bound whether or not
+    Lanczos converged.  ``details`` records the best pair, whether the
+    term that set ``lower`` converged (separated pairs are exact), the
+    Lanczos steps and the diagonal pairs that did not converge.
     """
-    rng = rng or np.random.default_rng(0)
     x = grid.nodes
     absx = np.abs(x)
     f = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=model.mu), x)
-    fh = np.sqrt(f)                             # f^{1/2}
+    fh = np.sqrt(f)
     solver = _solver_at(operator, z)
     kernel = TridiagonalResolvent(solver.matrix, z)
+    center = int(np.argmin(absx))
 
     # --- exact unit-width block sup (upper bound) -------------------------
     labels, blocks = unit_blocks(absx)
-    block_sup = 0.0
-    for cols in blocks:
-        pieces = [kernel.piece(c0, c1) for c0, c1 in _runs(cols)]
-        # Frobenius norms per row block dominate the spectral norms
-        sq = sum(p.row_norms_sq(f) for p in pieces)
-        frob_sq = np.bincount(labels, weights=sq, minlength=len(blocks))
-        for m_idx in np.argsort(frob_sq)[::-1]:
-            if math.sqrt(frob_sq[m_idx]) <= block_sup:
-                break
-            rows = blocks[m_idx]
-            sub = np.hstack([p.rows(rows) * fh[p.c0:p.c1 + 1]
-                             for p in pieces]) * fh[rows, None]
-            block_sup = max(block_sup, float(np.linalg.norm(sub, 2)))
+    block_sup = max(
+        float(np.max(_diagonal_block_norms(kernel, fh, blocks))),
+        float(np.max(_separated_pair_norms(kernel, f, labels, len(blocks),
+                                           center), initial=0.0)))
 
     # --- shell pairs (lower bound) ----------------------------------------
-    shells, radii = ShellScheme().shells(absx)
-    lower = 0.0
-    best_pair = None
-    lower_converged = True
-    diagonal_runs = unconverged = 0
-    # R is complex symmetric, so the pair (k, j) has the norm of (j, k)
-    for k, outer in enumerate(shells):
-        if outer.size == 0:
+    shell_of, radii = ShellScheme().shell_indices(absx)
+    inner, outer = np.triu_indices(len(radii), 1)
+    pairs = (_separated_pair_norms(kernel, f, shell_of, len(radii), center)
+             / np.sqrt(radii[inner] * radii[outer]))
+    lower, best_pair, lower_converged = 0.0, None, True
+    if pairs.size:
+        best = int(np.argmax(pairs))
+        lower, best_pair = float(pairs[best]), (int(inner[best]) + 1,
+                                               int(outer[best]) + 1)
+    steps = unconverged = 0
+    for j, radius in enumerate(radii):
+        idx = np.flatnonzero(shell_of == j)
+        if idx.size == 0:
             continue
-        runs = _runs(outer)
-        anchors: dict[int, ResolventPiece] = {}     # shared by all j < k
-        for j in range(k + 1):
-            inner = shells[j]
-            if inner.size == 0:
-                continue
-            if j < k:
-                norm = _separated_pair_norm(kernel, anchors, fh, inner, runs)
-                converged = True
-            else:
-                w = np.zeros(len(x))
-                w[inner] = fh[inner]
-                # each term need only be a lower bound: a loose budget
-                est = weighted_opnorm(solver, z, w, w, rng=rng, tol=1e-4,
-                                      maxiter=40)
-                norm, converged = est.lower, est.converged
-                diagonal_runs += 1
-                unconverged += not converged
-            val = norm / math.sqrt(radii[j] * radii[k])
-            if val > lower:
-                lower = val
-                best_pair = (j + 1, k + 1)
-                lower_converged = converged
+        norm, used, converged = _diagonal_shell_norm(kernel, solver, fh, idx)
+        steps += used
+        unconverged += not converged
+        if norm / radius > lower:
+            lower, best_pair, lower_converged = norm / radius, (j + 1, j + 1), converged
 
     upper = 2.0 * block_sup
     if lower > upper * (1 + 1e-6):
@@ -552,36 +536,185 @@ def besov_bstar_estimate(operator, z: complex, model: PotentialModel, grid,
     return BesovEstimate(lower=lower, upper=upper, block_sup=block_sup, z=z,
                          details={"best_shell_pair": best_pair,
                                   "lower_converged": lower_converged,
-                                  "diagonal_pair_runs": diagonal_runs,
-                                  "unconverged_pair_runs": unconverged})
+                                  "lanczos_steps": steps,
+                                  "unconverged_shell_pairs": unconverged})
 
 
-def _separated_pair_norm(kernel: TridiagonalResolvent, anchors: dict, fh,
-                         rows, runs) -> float:
-    """Exact ||F R[rows, cols] F|| when no column run meets the rows' span.
+def _separated_pair_norms(kernel: TridiagonalResolvent, f, labels, count: int,
+                          center: int) -> np.ndarray:
+    """||F R[G_p, G_q] F|| for all p < q, F = diag(f)^{1/2}, in triu_indices order.
 
-    ``runs`` lists the [first, last] runs of cols.  Rows from an inner
-    shell and columns from an outer one satisfy the condition, since
-    grid nodes ascend.  For a run wholly before (after) the rows,
-    anchored at its edge a nearest them, R[i, c] = R[i, a] R[a, c] / R[a, a]:
-    the run's block is rank one.  The runs have disjoint supports, so
-    the norm is the spectral norm of the rows x runs matrix of anchor
-    columns scaled by the runs' ratio-vector norms.  ``anchors`` caches
-    the anchor columns by index.
+    Group p holds the nodes labelled p, and ``center`` is a node of
+    least |x|; the groups are levels of |x| (unit blocks or shells),
+    so for p < q every node of G_q lies before G_p's first node a
+    (when it precedes ``center``) or after its last node b.  A column
+    c before a has R[i, c] = alpha_i beta_c with alpha_i = dn_a ...
+    dn_{i-1} and beta_c = R[a, c], and a column after b has
+    R[i, c] = gamma_i delta_c with gamma_i = up_i ... up_{b-1} and
+    delta_c = R[b, c].  The block is alpha beta^T +
+    gamma delta^T with beta and delta on disjoint columns, so its
+    squared norm is the top eigenvalue of [[S_aa B, S_ag (B D)^{1/2}],
+    [conj, S_gg D]], with the row sums S = sum f conj(.) (.) over G_p
+    and B, D = sum f |beta|^2, sum f |delta|^2 over G_q's two sides.
+    Each column sum is its side's own sum, anchored at the side's end
+    nearest the center, times the squared ratio product across the
+    separation.  O(n + count^2), in batches of BATCH rows.
     """
-    factors = []
-    for c0, c1 in runs:
-        if c0 <= rows[-1] and c1 >= rows[0]:
-            raise ValueError("shell pair is not separated")
-        a = c1 if c1 < rows[0] else c0
-        if a not in anchors:
-            anchors[a] = kernel.piece(a, a)
-        anchor = anchors[a]
-        ratio = (anchor.rows(np.arange(c0, c1 + 1))[:, 0] * fh[c0:c1 + 1]
-                 / anchor.block[0, 0])
-        factors.append(anchor.rows(rows)[:, 0] * fh[rows]
-                       * np.linalg.norm(ratio))
-    return float(np.linalg.norm(np.column_stack(factors), 2))
+    n = kernel.n
+    nodes = np.arange(n)
+    first = np.full(count, n - 1)
+    last = np.zeros(count, dtype=int)
+    np.minimum.at(first, labels, nodes)
+    np.maximum.at(last, labels, nodes)
+    alpha = np.exp(kernel.log_dn(first[labels], nodes))
+    gamma = np.exp(kernel.log_up(nodes, last[labels]))
+
+    def group_sum(idx, weights):
+        return np.bincount(labels[idx], weights=weights, minlength=count)
+
+    s_aa = group_sum(nodes, f * np.abs(alpha) ** 2)
+    s_gg = group_sum(nodes, f * np.abs(gamma) ** 2)
+    cross = f * np.conj(alpha) * gamma
+    s_ag = np.abs(group_sum(nodes, cross.real) + 1j * group_sum(nodes, cross.imag))
+
+    # each outer side anchored at its node nearest the center
+    left, right = nodes[:center], nodes[center:]
+    end = np.zeros(count, dtype=int)
+    start = np.full(count, n - 1)
+    np.maximum.at(end, labels[left], left)
+    np.minimum.at(start, labels[right], right)
+    beta = np.exp(kernel.log_dn(left, end[labels[left]])) * kernel.g[left]
+    delta = np.exp(kernel.log_up(start[labels[right]], right)) * kernel.g[right]
+    side_b = group_sum(left, f[left] * np.abs(beta) ** 2)
+    side_d = group_sum(right, f[right] * np.abs(delta) ** 2)
+
+    real_up = tuple(part.real for part in kernel._log_up)
+    real_dn = tuple(part.real for part in kernel._log_dn)
+    out = []
+    for top in range(0, count, BATCH):
+        p, q = np.nonzero(np.arange(top, min(top + BATCH, count))[:, None]
+                          < np.arange(count))
+        p += top
+        # an empty group or side has a zero sum, and its anchors are not read
+        live = s_aa[p] > 0
+        big_b = side_b[q] * np.exp(np.where(
+            live & (side_b[q] > 0), 2 * _span(real_dn, end[q], first[p]), -np.inf))
+        big_d = side_d[q] * np.exp(np.where(
+            live & (side_d[q] > 0), 2 * _span(real_up, last[p], start[q]), -np.inf))
+        pp, rr = s_aa[p] * big_b, s_gg[p] * big_d
+        out.append(np.sqrt((pp + rr) / 2 + np.hypot((pp - rr) / 2,
+                                                    s_ag[p] * np.sqrt(big_b * big_d))))
+    return np.concatenate(out)
+
+
+def _diagonal_block_norms(kernel: TridiagonalResolvent, fh, blocks) -> np.ndarray:
+    """||F R[B, B] F|| for every block, from zero-padded batches of blocks."""
+    norms = []
+    for top in range(0, len(blocks), BATCH):
+        batch = blocks[top:top + BATCH]
+        sizes = np.array([len(block) for block in batch])
+        filled = np.arange(sizes.max()) < sizes[:, None]
+        idx = np.repeat([[block[0]] for block in batch], filled.shape[1], axis=1)
+        idx[filled] = np.concatenate(batch)
+        w = np.where(filled, fh[idx], 0.0)
+        sub = (kernel.entries(idx[:, :, None], idx[:, None, :])
+               * w[:, :, None] * w[:, None, :])
+        norms.append(np.linalg.norm(sub, 2, axis=(1, 2)))
+    return np.concatenate(norms)
+
+
+def _shell_inverse(kernel: TridiagonalResolvent, idx) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of R[S, S]^{-1}, tridiagonal in S order.
+
+    R[S, S]^{-1} is the Schur complement of M - z onto S: M[S, S] minus
+    the coupling through each stretch of nodes outside S.  The stretch
+    before S (after S) touches only S's first (last) node, and its
+    term b^2 / d (b^2 / e) is a global pivot.  A gap between two runs
+    of S couples the last node before it to the first node after it,
+    which are neighbours in S order; its 2 x 2 term takes the corner
+    entries of the gap block's inverse from one tridiagonal solve.
+    """
+    a, b, n = kernel.a, kernel.b, kernel.n
+    diag = a[idx]
+    off = np.zeros(len(idx) - 1, dtype=complex)
+    adjacent = np.diff(idx) == 1
+    off[adjacent] = b[idx[:-1][adjacent]]
+    if idx[0] > 0:
+        diag[0] -= b[idx[0] - 1] ** 2 / kernel.d[idx[0] - 1]
+    if idx[-1] < n - 1:
+        diag[-1] -= b[idx[-1]] ** 2 / kernel.e[idx[-1] + 1]
+    for t in np.flatnonzero(~adjacent):
+        g0, g1 = idx[t] + 1, idx[t + 1] - 1            # the gap g0..g1
+        corners = np.zeros((g1 - g0 + 1, 2), dtype=complex)
+        corners[0, 0] = corners[-1, 1] = 1.0
+        inv = _gtsv(b[g0:g1], a[g0:g1 + 1], corners)
+        left, right = b[idx[t]], b[g1]
+        diag[t] -= left**2 * inv[0, 0]
+        diag[t + 1] -= right**2 * inv[-1, 1]
+        off[t] = -left * right * inv[0, 1]
+    return diag, off
+
+
+def _gtsv(off, diag, rhs) -> np.ndarray:
+    """Solve T x = rhs for the complex-symmetric tridiagonal T (LAPACK zgtsv)."""
+    if len(diag) == 1:                  # the wrapper rejects empty off-diagonals
+        return rhs / diag[0]
+    *_, x, info = zgtsv(off, diag, off, rhs)
+    if info:
+        raise SolverError(f"singular tridiagonal block (zgtsv info {info})")
+    return x
+
+
+def _diagonal_shell_norm(kernel: TridiagonalResolvent, solver: ShiftedSolver,
+                         fh, idx) -> tuple[float, int, bool]:
+    """(lower bound for ||F_S R[S, S] F_S||, Lanczos steps, converged).
+
+    Lanczos with full reorthogonalization on A* A, A = F_S K^{-1} F_S
+    with K = R[S, S]^{-1} from ``_shell_inverse`` (Golub & Kahan, SIAM
+    J. Numer. Anal. B 2 (1965) 205), from a fixed Gaussian start, two
+    O(|S|) tridiagonal solves per step.  It stops when the top Ritz
+    pair's residual is at most LANCZOS_RTOL times its value, or after
+    LANCZOS_STEPS steps (unconverged).  The returned value is ||A y||
+    for the unit Ritz vector y, evaluated by a certified solve with
+    H - z itself; it is also flagged unconverged when it differs from
+    the Ritz value by more than sqrt(LANCZOS_RTOL) relative.
+    """
+    m = len(idx)
+    w = fh[idx]
+    diag, off = _shell_inverse(kernel, idx)
+
+    def gram(v):
+        # K is complex symmetric, so K^{-*} y = conj(K^{-1} conj(y))
+        u = w * _gtsv(off, diag, (w * v)[:, None])[:, 0]
+        return w * np.conj(_gtsv(off, diag, np.conj(w * u)[:, None])[:, 0])
+
+    start = np.array([1.0, 1j]) @ np.random.default_rng(0).standard_normal((2, m))
+    basis = [start / np.linalg.norm(start)]
+    alpha: list[float] = []
+    beta: list[float] = []
+    for step in range(1, min(m, LANCZOS_STEPS) + 1):
+        v = gram(basis[-1])
+        alpha.append(float(np.vdot(basis[-1], v).real))
+        # modified Gram-Schmidt against the whole basis, as level-1 products:
+        # a matrix product here goes to multithreaded BLAS, whose first calls
+        # in a process took 0.2-0.5 s each on a 2-core host
+        for q in basis:
+            v -= np.vdot(q, v) * q
+        theta, vecs = eigh_tridiagonal(np.array(alpha), np.array(beta))
+        top = vecs[:, -1]
+        size = float(np.linalg.norm(v))
+        converged = size * abs(top[-1]) <= LANCZOS_RTOL * theta[-1] or step == m
+        if converged or step == LANCZOS_STEPS:
+            break
+        beta.append(size)
+        basis.append(v / size)
+    ritz = sum(c * q for c, q in zip(top, basis))
+    probe = np.zeros(kernel.n, dtype=complex)
+    probe[idx] = w * ritz
+    value = float(np.linalg.norm(w * solver.solve(probe)[idx]) / np.linalg.norm(ritz))
+    # a Schur complement off from H - z would show as a disagreement
+    agrees = abs(value - math.sqrt(theta[-1])) <= math.sqrt(LANCZOS_RTOL) * value
+    return value, step, bool(converged and agrees)
 
 
 # ---------------------------------------------------------------------------

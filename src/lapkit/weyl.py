@@ -327,17 +327,24 @@ def filter_symbol(spec: FilterSpec, params: WeightParams,
         raise ValueError(f"unknown filter mode {mode!r}")
     if mode == "outgoing" and spec.sigma_cut > 1.0:
         raise ValueError("outgoing filter requires direction cut sigma <= 1")
-    a0 = symbol_a0(params)
-    b0 = symbol_b0(params)
-    if mode == "outgoing":
-        def symbol(x, xi):
-            return spec.chi_minus(a0(x, xi)) * spec.chi_tilde_minus(b0(x, xi))
-    elif mode == "mirrored":
-        def symbol(x, xi):
-            return spec.chi_minus(a0(x, xi)) * spec.chi_tilde_mirror(b0(x, xi))
-    else:
+    if mode == "high":
+        a0 = symbol_a0(params)
+
         def symbol(x, xi):
             return spec.chi_plus(a0(x, xi))
+    else:
+        direction = (spec.chi_tilde_minus if mode == "outgoing"
+                     else spec.chi_tilde_mirror)
+
+        def symbol(x, xi):
+            # symbol_a0 and symbol_b0 with the weight evaluated once; f is
+            # dropped before chi_minus runs, so no more arrays are alive
+            # at once than when each symbol evaluated its own weight
+            f = weight_f(params, x)
+            turn = direction((xi / f) * (x / bracket(x)))
+            kinetic = xi**2 / f**2
+            del f
+            return spec.chi_minus(kinetic) * turn
     reach = math.sqrt(spec.kinetic_reach)
     band = Band(lambda x: weight_f(params, x) * reach,
                 outside=1.0 if mode == "high" else 0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from lapkit import besov
 from lapkit.cli import main as cli_main
 from lapkit.config import (ExperimentConfig, config_schema_text, load_config,
                            parse_config_text)
@@ -192,11 +193,46 @@ def test_lap_sweep_small_passes():
     rows = rep.extras["csv_rows"]
     assert len(rows) == 9
     assert all(row["stable"] for row in rows)
-    # one weighted_opnorm run per z and grid (3 moduli, 2 grids) plus
-    # the diagonal shell pairs; the unconverged ones are counted
+    # one weighted_opnorm run per z and grid (3 moduli, 2 grids); the
+    # diagonal shell pairs run Lanczos, and every iteration converged
     health = rep.extras["solver_health"]
-    assert health["power_runs"] > 2 * 2 * 3
-    assert 0 <= health["unconverged_power_runs"] <= health["power_runs"]
+    assert health["power_runs"] == 3 * 2
+    assert health["unconverged_power_runs"] == 0
+    assert health["lanczos_steps"] >= 3 * 2 * 6
+    assert health["unconverged_shell_pairs"] == 0
+    assert health["unconverged_rows"] == 0
+
+
+def test_lap_sweep_unconverged_row_leaves_the_fits(monkeypatch):
+    # a weighted power run that stops unconverged flags its row like the
+    # stability gate does; the fit uses the remaining rows
+    import lapkit.experiments as experiments
+
+    real = experiments.weighted_opnorm
+    target = 3e-2
+
+    def flaky(operator, z, *args, **kwargs):
+        est = real(operator, z, *args, **kwargs)
+        if abs(abs(z) - target) < 1e-12:
+            est.converged = False
+        return est
+
+    monkeypatch.setattr(experiments, "weighted_opnorm", flaky)
+    rep = run_lap_sweep(parse_config_text(SMALL_SWEEP))
+    rows = [r for r in rep.extras["csv_rows"] if r["quantity"] == "weighted"]
+    flagged = [r for r in rows if not r["stable"]]
+    assert [r["abs_z"] for r in flagged] == pytest.approx([target])
+    kept = [r for r in rows if r["stable"]]
+    assert len(kept) == 2
+    key = next(k for k in rep.extras["fits"] if k.startswith("weighted_lower"))
+    assert rep.extras["fits"][key] == pytest.approx(besov.loglog_slope(
+        [r["abs_z"] for r in kept], [r["lower"] for r in kept]), rel=1e-12)
+    health = rep.extras["solver_health"]
+    # both grids' runs at that z are unconverged; one row is flagged
+    assert health["unconverged_power_runs"] == 2
+    assert health["unconverged_rows"] == 1
+    others = [r for r in rep.extras["csv_rows"] if r["quantity"] != "weighted"]
+    assert all(r["stable"] for r in others)
 
 
 def test_lap_sweep_plain_norm_is_exact():

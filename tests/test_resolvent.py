@@ -14,9 +14,10 @@ from lapkit.operators import (Grid1D, RadialGrid, absorbing_layer,
                               build_dilation, build_hamiltonian,
                               gaussian_probe, matched_absorber)
 from lapkit.potential import WeightParams, standard_model, weight_f
-from lapkit.resolvent import (Sector, ShiftedSolver, TridiagonalResolvent,
-                              _runs, _separated_pair_norm,
-                              besov_bstar_estimate, boundary_value,
+from lapkit.resolvent import (LANCZOS_STEPS, Sector, ShiftedSolver,
+                              TridiagonalResolvent, _diagonal_shell_norm,
+                              _separated_pair_norms, besov_bstar_estimate,
+                              boundary_value,
                               hoelder_estimate, mourre_resolvent,
                               operator_norm_lower, quadratic_check, solve,
                               spectral_distance, spectral_free_solve,
@@ -178,9 +179,9 @@ def test_spectral_distance_rejects_non_real_tridiagonal():
         spectral_distance(solver.matrix, Z0)
 
 
-def _check_bracket(grid, z, rng):
+def _check_bracket(grid, z):
     h_op = build_hamiltonian(MODEL, grid)
-    est = besov_bstar_estimate(h_op, z, MODEL, grid, rng=rng)
+    est = besov_bstar_estimate(h_op, z, MODEL, grid)
     fh = np.sqrt(weight_f(WeightParams(abs(z), 1.0, 1.0), grid.nodes))
     dense = fh[:, None] * sla.inv(h_op.toarray() - z * np.eye(grid.size)) * fh
     exact = bstar_norm_dense(dense, np.abs(grid.nodes), np.abs(grid.nodes))
@@ -192,13 +193,13 @@ def _check_bracket(grid, z, rng):
     assert est.block_sup == pytest.approx(blocks.block_sup, rel=1e-12)
 
 
-def test_besov_estimate_brackets_dense_norm(rng):
-    _check_bracket(Grid1D(20.0, 128), Z0, rng)
+def test_besov_estimate_brackets_dense_norm():
+    _check_bracket(Grid1D(20.0, 128), Z0)
 
 
-def test_besov_estimate_brackets_dense_norm_at_desk_spacing(rng):
+def test_besov_estimate_brackets_dense_norm_at_desk_spacing():
     # the desk grids' spacing h = 0.1953, at a low energy on the default ray
-    _check_bracket(Grid1D(100.0, 1024), Sector().points([1e-3])[0], rng)
+    _check_bracket(Grid1D(100.0, 1024), Sector().points([1e-3])[0])
 
 
 @pytest.mark.parametrize("model, grid", [
@@ -206,20 +207,16 @@ def test_besov_estimate_brackets_dense_norm_at_desk_spacing(rng):
     (standard_model(1.0, 1.0, 3), RadialGrid(20.0, 256, dim=3)),
 ])
 def test_kernel_columns_match_dense_inverse(model, grid):
-    # every unit-block column run, built from pivot ratios with no solve,
-    # is the same block of the dense inverse
+    # every column, read off the log-domain generators with no solve,
+    # is the same column of the dense inverse
     h_op = build_hamiltonian(model, grid)
     n = grid.size
-    _, blocks = unit_blocks(np.abs(grid.nodes))
-    runs = [run for cols in blocks for run in _runs(cols)]
-    assert any(c0 == 0 for c0, _ in runs) and any(c1 == n - 1 for _, c1 in runs)
+    every = np.arange(n)
     for z in Sector().points([1e-1, 1e-2, 1e-3, 1e-4]):
         dense = sla.inv(h_op.toarray() - z * np.eye(n))
-        kernel = TridiagonalResolvent(h_op, z)
-        for c0, c1 in runs:
-            cols = kernel.piece(c0, c1).rows(np.arange(n))
-            ref = dense[:, c0:c1 + 1]
-            assert np.linalg.norm(cols - ref) <= 1e-12 * np.linalg.norm(ref)
+        cols = TridiagonalResolvent(h_op, z).entries(every[:, None], every)
+        err = np.linalg.norm(cols - dense, axis=0)
+        assert np.all(err <= 1e-12 * np.linalg.norm(dense, axis=0))
 
 
 def test_kernel_rejects_pentadiagonal_operator():
@@ -236,37 +233,90 @@ def test_kernel_rejects_pentadiagonal_operator():
 
 
 def test_kernel_residual_failure_raises():
+    # the one-pass column certificate carries a rounding allowance, so
+    # no column passes an impossible tolerance
     h_op = build_hamiltonian(MODEL, Grid1D(20.0, 128))
-    kernel = TridiagonalResolvent(h_op, Z0, rtol=1e-30)
     with pytest.raises(SolverError, match="residual"):
-        kernel.piece(60, 70)
+        TridiagonalResolvent(h_op, Z0, rtol=1e-30)
     import scipy.sparse as sp
     with pytest.raises(SolverError, match="pivot"):
         TridiagonalResolvent(sp.diags([1.0, 2.0, 3.0]), 2.0)
 
 
+def _dense_weighted_resolvent(h_op, grid, z):
+    fh = np.sqrt(weight_f(WeightParams(abs(z), 1.0, 1.0), grid.nodes))
+    dense = fh[:, None] * sla.inv(h_op.toarray() - z * np.eye(grid.size)) * fh
+    return fh, dense
+
+
 def test_separated_shell_pairs_are_exact():
-    # j != k shell pairs have rank <= 2; the two-column formula gives the
-    # dense shell-to-shell norm, in either orientation
+    # j != k shell pairs and different unit-block pairs have rank <= 2;
+    # the 2 x 2 closed form gives the dense norm, in either orientation
     grid = Grid1D(20.0, 256)
     h_op = build_hamiltonian(MODEL, grid)
     absx = np.abs(grid.nodes)
-    shells, _ = ShellScheme().shells(absx)
-    shells = [s for s in shells if s.size]
-    assert len(shells) >= 4
+    center = int(np.argmin(absx))
+    shell_of, radii = ShellScheme().shell_indices(absx)
+    block_of, blocks = unit_blocks(absx)
+    assert np.count_nonzero(np.bincount(shell_of)) >= 4
     for z in (Z0, Sector().points([1e-3])[0]):
-        fh = np.sqrt(weight_f(WeightParams(abs(z), 1.0, 1.0), grid.nodes))
-        dense = (fh[:, None] * sla.inv(h_op.toarray() - z * np.eye(grid.size))
-                 * fh[None, :])
+        fh, dense = _dense_weighted_resolvent(h_op, grid, z)
         kernel = TridiagonalResolvent(h_op, z)
-        for k, outer in enumerate(shells):
-            anchors = {}
-            for inner in shells[:k]:
-                exact = _separated_pair_norm(kernel, anchors, fh, inner,
-                                             _runs(outer))
-                for rows, cols in ((inner, outer), (outer, inner)):
-                    ref = sla.svdvals(dense[np.ix_(rows, cols)])[0]
-                    assert exact == pytest.approx(ref, rel=1e-10)
+        for labels, count in ((shell_of, len(radii)), (block_of, len(blocks))):
+            norms = _separated_pair_norms(kernel, fh**2, labels, count, center)
+            groups = [np.flatnonzero(labels == p) for p in range(count)]
+            for norm, p, q in zip(norms, *np.triu_indices(count, 1)):
+                for rows, cols in ((groups[p], groups[q]), (groups[q], groups[p])):
+                    ref = (sla.svdvals(dense[np.ix_(rows, cols)])[0]
+                           if rows.size and cols.size else 0.0)
+                    assert norm == pytest.approx(ref, rel=1e-10)
+
+
+def test_diagonal_shell_pairs_match_dense_svd():
+    # Lanczos on the tridiagonal Schur complement, re-evaluated through
+    # a certified solve, gives each shell's own block norm
+    grid = Grid1D(100.0, 1024)
+    h_op = build_hamiltonian(MODEL, grid)
+    shell_of, radii = ShellScheme().shell_indices(np.abs(grid.nodes))
+    for z in Sector().points([1e-1, 1e-2, 1e-3, 1e-4]):
+        fh, dense = _dense_weighted_resolvent(h_op, grid, z)
+        kernel = TridiagonalResolvent(h_op, z)
+        solver = ShiftedSolver(h_op, z)
+        for j in range(len(radii)):
+            idx = np.flatnonzero(shell_of == j)
+            if idx.size == 0:
+                continue
+            norm, steps, converged = _diagonal_shell_norm(kernel, solver, fh, idx)
+            assert converged and 1 <= steps <= LANCZOS_STEPS
+            ref = sla.svdvals(dense[np.ix_(idx, idx)])[0]
+            assert norm == pytest.approx(ref, rel=1e-10)
+
+
+def test_besov_lower_is_the_shell_dual_norm():
+    # every shell pair is exact, so the lower end is the shell-dual norm
+    grid = Grid1D(100.0, 1024)
+    h_op = build_hamiltonian(MODEL, grid)
+    absx = np.abs(grid.nodes)
+    for z in Sector().points([1e-1, 1e-3]):
+        _, dense = _dense_weighted_resolvent(h_op, grid, z)
+        est = besov_bstar_estimate(h_op, z, MODEL, grid)
+        exact = bstar_norm_dense(dense, absx, absx)
+        assert est.lower == pytest.approx(exact, rel=1e-9)
+        assert est.details["lower_converged"]
+        assert est.details["unconverged_shell_pairs"] == 0
+
+
+def test_besov_estimate_runs_no_power_iteration(monkeypatch):
+    import lapkit.resolvent as resolvent
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("power iteration inside the shell-space bracket")
+
+    monkeypatch.setattr(resolvent, "operator_norm_lower", refuse)
+    monkeypatch.setattr(resolvent, "weighted_opnorm", refuse)
+    grid = Grid1D(20.0, 128)
+    est = besov_bstar_estimate(build_hamiltonian(MODEL, grid), Z0, MODEL, grid)
+    assert 0 < est.lower <= est.upper
 
 
 def test_besov_estimate_shares_a_solver():
@@ -274,10 +324,8 @@ def test_besov_estimate_shares_a_solver():
     grid = Grid1D(20.0, 128)
     h_op = build_hamiltonian(MODEL, grid)
     solver = ShiftedSolver(h_op, Z0)
-    shared = besov_bstar_estimate(solver, Z0, MODEL, grid,
-                                  rng=np.random.default_rng(1))
-    own = besov_bstar_estimate(h_op, Z0, MODEL, grid,
-                               rng=np.random.default_rng(1))
+    shared = besov_bstar_estimate(solver, Z0, MODEL, grid)
+    own = besov_bstar_estimate(h_op, Z0, MODEL, grid)
     assert (shared.lower, shared.upper) == (own.lower, own.upper)
     assert shared.details == own.details
     assert weighted_opnorm(solver, Z0, np.ones(128), np.ones(128)).lower > 0
