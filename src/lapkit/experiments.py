@@ -328,9 +328,9 @@ def _sweep_quantities(h_op, model, grid, z, weight_s, rng):
 
     The plain norm is exact, 1 / dist(z, spectrum), and the distance is
     returned too.  Besides the (lower, upper) pairs it returns the
-    residual of a probe solve, the quantities whose iteration did not
-    converge (the weighted power run, or a diagonal shell pair's
-    Lanczos run) and the Lanczos steps.
+    residual of a probe solve, the quantities whose Lanczos run did not
+    converge (the weighted norm's, or a diagonal shell pair's) and the
+    shell pairs' Lanczos steps.
     """
     solver = ShiftedSolver(h_op, z)
     x = grid.nodes
@@ -341,7 +341,7 @@ def _sweep_quantities(h_op, model, grid, z, weight_s, rng):
     wgt = bracket(x) ** (-weight_s) * np.sqrt(fvals)
     wei = weighted_opnorm(solver, z, wgt, wgt, rng=rng)
     out["weighted"] = (wei.lower, None)
-    health = {"unconverged_power_runs": int(not wei.converged),
+    health = {"unconverged_weighted_runs": int(not wei.converged),
               "lanczos_steps": 0, "unconverged_shell_pairs": 0}
     if model is not None:
         est = besov_bstar_estimate(solver, z, model, grid)
@@ -353,7 +353,7 @@ def _sweep_quantities(h_op, model, grid, z, weight_s, rng):
     probe = gaussian_probe(grid, width=2.0)
     out["_residual"] = solver.residual(solver.solve(probe), probe)
     out["_health"] = health
-    out["_unconverged"] = {q for q, key in (("weighted", "unconverged_power_runs"),
+    out["_unconverged"] = {q for q, key in (("weighted", "unconverged_weighted_runs"),
                                             ("shell_dual", "unconverged_shell_pairs"))
                            if health[key]}
     return out
@@ -367,14 +367,13 @@ def run_lap_sweep(cfg: ExperimentConfig,
     and shell-dual quantities stay bounded as |z| -> 0 while the plain
     norm grows like 1/dist(z, spectrum); the fitted exponents check
     that contrast.  The plain norm is that reciprocal distance, exact
-    from the spectrum of the self-adjoint H; power iteration remains
-    only for the weighted norm, and the shell-space bracket runs
-    Lanczos on its diagonal shell pairs.  Rows failing the box-doubling
-    stability gate, or whose power or Lanczos iteration (on either
-    grid) did not converge, are flagged and left out of the fits;
-    ``solver_health`` counts the runs, the Lanczos steps and the
-    flagged rows.  A free control run (family = free) records values
-    without pass thresholds.
+    from the spectrum of the self-adjoint H; the weighted norm and the
+    shell-space bracket's diagonal shell pairs are Lanczos runs.  Rows
+    failing the box-doubling stability gate, or whose Lanczos run (on
+    either grid) did not converge, are flagged and left out of the
+    fits; ``solver_health`` counts the weighted runs, the shell pairs'
+    Lanczos steps, the unconverged runs and the flagged rows.  A free
+    control run (family = free) records values without pass thresholds.
     """
     model = build_model(cfg)
     grid = build_grid(cfg)
@@ -393,7 +392,7 @@ def run_lap_sweep(cfg: ExperimentConfig,
 
     rows = []
     fits = {}
-    health = dict.fromkeys(("power_runs", "unconverged_power_runs",
+    health = dict.fromkeys(("weighted_runs", "unconverged_weighted_runs",
                             "lanczos_steps", "unconverged_shell_pairs",
                             "unconverged_rows"), 0)
     h_op = build_hamiltonian(model, grid)
@@ -414,7 +413,7 @@ def run_lap_sweep(cfg: ExperimentConfig,
                 wide = None
             parts = [base] if wide is None else [base, wide]
             for part in parts:
-                health["power_runs"] += 1
+                health["weighted_runs"] += 1
                 for key, value in part["_health"].items():
                     health[key] += value
             unconverged = set().union(*(part["_unconverged"] for part in parts))

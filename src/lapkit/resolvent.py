@@ -7,9 +7,11 @@ itself), so adjoint solves reduce to conjugated forward solves and a
 single LU factorization serves both directions.
 
 The plain resolvent norm of a self-adjoint H is exact, 1 / dist(z,
-spectrum), with the distance from ``spectral_distance``.  Weighted
-norms take power iteration (``weighted_opnorm``), which yields
-certified lower bounds.
+spectrum), with the distance from ``spectral_distance``.  Every other
+operator norm is one Lanczos run on A* A (``_lanczos``) whose Ritz
+vector is re-evaluated through A, so the value is a certified lower
+bound: the weighted norms (``weighted_opnorm``), the Hoelder difference
+norms, the quadratic estimate and the diagonal shell pairs.
 
 Every Hamiltonian here is complex-symmetric tridiagonal, so its
 resolvent is semiseparable.  ``TridiagonalResolvent`` holds per-z
@@ -21,11 +23,10 @@ and shells are levels of |x|, so two different ones are separated
 and their weighted block has rank <= 2, with a closed-form norm from
 segment sums; the unit-block sup (upper bound) and the off-diagonal
 shell pairs are exact.  A diagonal shell pair inverts to a
-tridiagonal Schur complement, and Lanczos on it finds the pair's
-norm; the Ritz vector is re-evaluated through a certified LU solve,
-so the lower bound is the shell-dual norm to the Lanczos tolerance
-and never exceeds it.  The LU path stays for everything else,
-including the pentadiagonal commutator-regularized operator.
+tridiagonal Schur complement, on which Lanczos runs, so the lower
+bound is the shell-dual norm to the Lanczos tolerance.  The LU path
+stays for everything else, including the pentadiagonal
+commutator-regularized operator.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ __all__ = [
 
 # relative residual every shifted solve and resolvent column is certified to
 SOLVE_RTOL = 1e-10
-# a diagonal shell pair's Lanczos run stops once its top Ritz residual is
-# at most LANCZOS_RTOL times the Ritz value, or after LANCZOS_STEPS steps
+# every operator-norm Lanczos run stops once its top Ritz residual is at
+# most LANCZOS_RTOL times the Ritz value, or after LANCZOS_STEPS steps
 LANCZOS_RTOL = 1e-10
 LANCZOS_STEPS = 128
 # groups per vectorized batch of block pairs and diagonal blocks in the
@@ -390,46 +391,69 @@ def spectral_free_solve(grid, z: complex, v) -> np.ndarray:
 @dataclass
 class OpNormEstimate:
     lower: float
-    converged: bool = True
-    iterations: int = 0
+    converged: bool
+    iterations: int
+
+
+def _lanczos(gram, start, norm_of) -> tuple[float, int, bool]:
+    """(norm_of(y), steps, converged) for the top Ritz vector y of ``gram``.
+
+    ``gram`` applies A* A for the operator A whose norm is sought, and
+    ``norm_of(y)`` evaluates ||A y|| for a unit vector y.  Lanczos with
+    full reorthogonalization (Golub & Kahan, SIAM J. Numer. Anal. B 2
+    (1965) 205) runs from ``start`` until the top Ritz pair's residual
+    is at most LANCZOS_RTOL times its value, until the Krylov space is
+    exhausted, or for LANCZOS_STEPS steps (unconverged).  The returned
+    value is ||A y||, a lower bound whether or not Lanczos converged;
+    it is also flagged unconverged when it differs from the square root
+    of the Ritz value by more than sqrt(LANCZOS_RTOL) relative.
+    """
+    m = len(start)
+    basis = [start / np.linalg.norm(start)]
+    alpha: list[float] = []
+    beta: list[float] = []
+    for step in range(1, min(m, LANCZOS_STEPS) + 1):
+        v = gram(basis[-1])
+        alpha.append(float(np.vdot(basis[-1], v).real))
+        # modified Gram-Schmidt against the whole basis, as level-1 products:
+        # a matrix product here goes to multithreaded BLAS, whose first calls
+        # in a process took 0.2-0.5 s each on a 2-core host
+        for q in basis:
+            v -= np.vdot(q, v) * q
+        theta, vecs = eigh_tridiagonal(np.array(alpha), np.array(beta))
+        top = vecs[:, -1]
+        size = float(np.linalg.norm(v))
+        converged = size * abs(top[-1]) <= LANCZOS_RTOL * theta[-1] or step == m
+        if converged or step == LANCZOS_STEPS:
+            break
+        beta.append(size)
+        basis.append(v / size)
+    ritz = sum(c * q for c, q in zip(top, basis))
+    value = float(norm_of(ritz / np.linalg.norm(ritz)))
+    # an evaluation of A off from the Gram product shows as a disagreement
+    sigma = math.sqrt(max(theta[-1], 0.0))
+    agrees = abs(value - sigma) <= math.sqrt(LANCZOS_RTOL) * value
+    return value, step, bool(converged and agrees)
 
 
 def operator_norm_lower(matvec, rmatvec, dim: int,
-                        rng: np.random.Generator | None = None,
-                        tol: float = 1e-8, maxiter: int = 300) -> OpNormEstimate:
-    """Largest-singular-value lower bound by power iteration on M* M.
+                        rng: np.random.Generator | None = None) -> OpNormEstimate:
+    """Largest-singular-value lower bound ||M y|| by Lanczos on M* M.
 
-    Every iterate produces the certified lower bound ||M u|| with
-    ||u|| = 1, from a random complex Gaussian start; the best one is
-    returned, flagged unconverged when the relative gain has not
-    flattened within ``maxiter``.
+    ``_lanczos`` runs from a complex Gaussian start drawn from ``rng``
+    and re-evaluates its unit Ritz vector y through ``matvec``, so the
+    value is certified from below; ``iterations`` counts the Lanczos
+    steps, each one ``matvec`` and one ``rmatvec``.
     """
     rng = rng or np.random.default_rng(0)
-    u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    u = u / np.linalg.norm(u)
-    best = 0.0
-    flat = 0
-    for it in range(1, maxiter + 1):
-        w = matvec(u)
-        sigma = np.linalg.norm(w)
-        if sigma <= 1e-300:
-            return OpNormEstimate(lower=0.0, converged=True, iterations=it)
-        gain = (sigma - best) / sigma
-        best = max(best, float(sigma))
-        u = rmatvec(w)
-        u = u / np.linalg.norm(u)
-        if gain < tol:
-            flat += 1
-            if flat >= 2:
-                return OpNormEstimate(lower=best, converged=True, iterations=it)
-        else:
-            flat = 0
-    return OpNormEstimate(lower=best, converged=False, iterations=maxiter)
+    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    lower, steps, converged = _lanczos(
+        lambda u: rmatvec(matvec(u)), start, lambda y: np.linalg.norm(matvec(y)))
+    return OpNormEstimate(lower=lower, converged=converged, iterations=steps)
 
 
 def weighted_opnorm(operator, z: complex, left_weight, right_weight,
-                    rng: np.random.Generator | None = None,
-                    tol: float = 1e-8, maxiter: int = 300) -> OpNormEstimate:
+                    rng: np.random.Generator | None = None) -> OpNormEstimate:
     """Lower bound for || W_l R(z) W_r || with diagonal weights.
 
     ``operator`` is H, or a ShiftedSolver already factorized at z.
@@ -437,7 +461,7 @@ def weighted_opnorm(operator, z: complex, left_weight, right_weight,
     wl = np.asarray(left_weight, dtype=float)
     wr = np.asarray(right_weight, dtype=float)
     if np.all(wl == 0.0) or np.all(wr == 0.0):
-        return OpNormEstimate(lower=0.0)
+        return OpNormEstimate(lower=0.0, converged=True, iterations=0)
     solver = _solver_at(operator, z)
 
     def matvec(u):
@@ -446,8 +470,7 @@ def weighted_opnorm(operator, z: complex, left_weight, right_weight,
     def rmatvec(w):
         return wr * solver.solve_adjoint(wl * w)
 
-    return operator_norm_lower(matvec, rmatvec, len(wl), rng=rng,
-                               tol=tol, maxiter=maxiter)
+    return operator_norm_lower(matvec, rmatvec, len(wl), rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -669,15 +692,11 @@ def _diagonal_shell_norm(kernel: TridiagonalResolvent, solver: ShiftedSolver,
                          fh, idx) -> tuple[float, int, bool]:
     """(lower bound for ||F_S R[S, S] F_S||, Lanczos steps, converged).
 
-    Lanczos with full reorthogonalization on A* A, A = F_S K^{-1} F_S
-    with K = R[S, S]^{-1} from ``_shell_inverse`` (Golub & Kahan, SIAM
-    J. Numer. Anal. B 2 (1965) 205), from a fixed Gaussian start, two
-    O(|S|) tridiagonal solves per step.  It stops when the top Ritz
-    pair's residual is at most LANCZOS_RTOL times its value, or after
-    LANCZOS_STEPS steps (unconverged).  The returned value is ||A y||
-    for the unit Ritz vector y, evaluated by a certified solve with
-    H - z itself; it is also flagged unconverged when it differs from
-    the Ritz value by more than sqrt(LANCZOS_RTOL) relative.
+    ``_lanczos`` on A* A, A = F_S K^{-1} F_S with K = R[S, S]^{-1} from
+    ``_shell_inverse``, from a fixed Gaussian start, two O(|S|)
+    tridiagonal solves per step.  The Ritz vector is re-evaluated by a
+    certified solve with H - z itself, so a Schur complement off from
+    H - z would show as a disagreement.
     """
     m = len(idx)
     w = fh[idx]
@@ -688,33 +707,13 @@ def _diagonal_shell_norm(kernel: TridiagonalResolvent, solver: ShiftedSolver,
         u = w * _gtsv(off, diag, (w * v)[:, None])[:, 0]
         return w * np.conj(_gtsv(off, diag, np.conj(w * u)[:, None])[:, 0])
 
+    def norm_of(y):
+        probe = np.zeros(kernel.n, dtype=complex)
+        probe[idx] = w * y
+        return np.linalg.norm(w * solver.solve(probe)[idx])
+
     start = np.array([1.0, 1j]) @ np.random.default_rng(0).standard_normal((2, m))
-    basis = [start / np.linalg.norm(start)]
-    alpha: list[float] = []
-    beta: list[float] = []
-    for step in range(1, min(m, LANCZOS_STEPS) + 1):
-        v = gram(basis[-1])
-        alpha.append(float(np.vdot(basis[-1], v).real))
-        # modified Gram-Schmidt against the whole basis, as level-1 products:
-        # a matrix product here goes to multithreaded BLAS, whose first calls
-        # in a process took 0.2-0.5 s each on a 2-core host
-        for q in basis:
-            v -= np.vdot(q, v) * q
-        theta, vecs = eigh_tridiagonal(np.array(alpha), np.array(beta))
-        top = vecs[:, -1]
-        size = float(np.linalg.norm(v))
-        converged = size * abs(top[-1]) <= LANCZOS_RTOL * theta[-1] or step == m
-        if converged or step == LANCZOS_STEPS:
-            break
-        beta.append(size)
-        basis.append(v / size)
-    ritz = sum(c * q for c, q in zip(top, basis))
-    probe = np.zeros(kernel.n, dtype=complex)
-    probe[idx] = w * ritz
-    value = float(np.linalg.norm(w * solver.solve(probe)[idx]) / np.linalg.norm(ritz))
-    # a Schur complement off from H - z would show as a disagreement
-    agrees = abs(value - math.sqrt(theta[-1])) <= math.sqrt(LANCZOS_RTOL) * value
-    return value, step, bool(converged and agrees)
+    return _lanczos(gram, start, norm_of)
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +728,7 @@ class HoelderReport:
     sup_quotient: float         # at the exponent used
     gamma_used: float
     in_hypothesis: bool
+    unconverged: int            # pairs left out of the fit
 
 
 def hoelder_estimate(operator, s: float, pairs, grid,
@@ -741,7 +741,9 @@ def hoelder_estimate(operator, s: float, pairs, grid,
     distance and reports the sup quotient at that exponent (or at a
     caller-supplied one, so runs on different grids stay comparable).
     Pairs with s <= s0 are still evaluated but flagged out of
-    hypothesis.
+    hypothesis.  A pair whose Lanczos run did not converge is left out
+    of the fit and counted in ``unconverged``; its value is still a
+    certified lower bound, so it stays in the sup quotient.
     """
     pairs = list(pairs)
     if len(pairs) < 3:
@@ -749,6 +751,7 @@ def hoelder_estimate(operator, s: float, pairs, grid,
     rng = rng or np.random.default_rng(0)
     w = bracket(grid.nodes) ** (-s)
     rows = []
+    converged = []
     for z1, z2 in pairs:
         dist = abs(z1 - z2)
         if dist == 0.0:
@@ -763,12 +766,13 @@ def hoelder_estimate(operator, s: float, pairs, grid,
         def rmatvec(v):
             return w * (s1.solve_adjoint(w * v) - s2.solve_adjoint(w * v))
 
-        est = operator_norm_lower(matvec, rmatvec, len(w), rng=rng,
-                                  tol=1e-6, maxiter=120)
+        est = operator_norm_lower(matvec, rmatvec, len(w), rng=rng)
         rows.append((z1, z2, dist, est.lower))
+        converged.append(est.converged)
     dists = np.array([r[2] for r in rows if r[2] > 0])
     norms = np.array([r[3] for r in rows if r[2] > 0])
-    good = norms > 0
+    converged = np.array(converged, dtype=bool)
+    good = (norms > 0) & converged
     if np.count_nonzero(good) >= 2:
         fitted_gamma = loglog_slope(dists[good], norms[good])
     else:
@@ -784,7 +788,8 @@ def hoelder_estimate(operator, s: float, pairs, grid,
     return HoelderReport(
         s=s, pairs=rows, fitted_gamma=fitted_gamma,
         sup_quotient=float(quot), gamma_used=used,
-        in_hypothesis=(s0 is None or s > s0))
+        in_hypothesis=(s0 is None or s > s0),
+        unconverged=int(np.count_nonzero(~converged)))
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +893,7 @@ def mourre_resolvent(hm: sp.csr_matrix, am: sp.csr_matrix,
 
 @dataclass
 class QuadraticReport:
-    rows: list                  # dicts with z, eps, probe, lhs, rhs, q
+    rows: list                  # dicts with z, eps, probe, lhs, rhs, q, converged
     constants: dict             # probe -> sup of q over the grid
 
     def stability(self, probe: str) -> float:
@@ -912,7 +917,8 @@ def quadratic_check(h_op: sp.csr_matrix, a_op: sp.csr_matrix,
     constant K = 1) and T = f <A>^{-1}, the second applied through the
     eigendecomposition of the dilation generator.  Reports q = LHS |eps| / RHS per (z, eps, probe) and
     the sup per probe; the estimate predicts q bounded by a constant
-    depending only on the sector opening.
+    depending only on the sector opening.  A row's ``converged`` is
+    true when the Lanczos runs of both its LHS and its RHS converged.
     """
     rng = rng or np.random.default_rng(0)
     x = grid.nodes
@@ -943,25 +949,17 @@ def quadratic_check(h_op: sp.csr_matrix, a_op: sp.csr_matrix,
         for eps in eps_values:
             solver = mourre_resolvent(h_op, a_op, z, eps)
             for name, (t_fwd, t_adj) in probes.items():
-                def lhs_mv(u, t_fwd=t_fwd, solver=solver):
-                    return f * solver.solve(t_fwd(u))
-
-                def lhs_rmv(w, t_adj=t_adj, solver=solver):
-                    return t_adj(solver.solve_adjoint(f * w))
-
-                lhs = operator_norm_lower(lhs_mv, lhs_rmv, len(x), rng=rng,
-                                          tol=1e-4, maxiter=100).lower
-
-                def rhs_mv(u, t_fwd=t_fwd, t_adj=t_adj, solver=solver):
-                    return t_adj(solver.solve(t_fwd(u)))
-
-                def rhs_rmv(w, t_fwd=t_fwd, t_adj=t_adj, solver=solver):
-                    return t_adj(solver.solve_adjoint(t_fwd(w)))
-
-                rhs = operator_norm_lower(rhs_mv, rhs_rmv, len(x), rng=rng,
-                                          tol=1e-4, maxiter=100).lower
-                q = (lhs**2) * abs(eps) / rhs if rhs > 0 else math.inf
+                # each run finishes inside this iteration, so the closures
+                # see this iteration's solver and probe
+                lhs = operator_norm_lower(
+                    lambda u: f * solver.solve(t_fwd(u)),
+                    lambda w: t_adj(solver.solve_adjoint(f * w)), len(x), rng=rng)
+                rhs = operator_norm_lower(
+                    lambda u: t_adj(solver.solve(t_fwd(u))),
+                    lambda w: t_adj(solver.solve_adjoint(t_fwd(w))), len(x), rng=rng)
+                q = (lhs.lower**2) * abs(eps) / rhs.lower if rhs.lower > 0 else math.inf
                 rows.append({"z": z, "eps": eps, "probe": name,
-                             "lhs": lhs, "rhs": rhs, "q": q})
+                             "lhs": lhs.lower, "rhs": rhs.lower, "q": q,
+                             "converged": lhs.converged and rhs.converged})
                 constants[name] = max(constants.get(name, 0.0), q)
     return QuadraticReport(rows=rows, constants=constants)

@@ -196,15 +196,15 @@ def test_lap_sweep_small_passes():
     # one weighted_opnorm run per z and grid (3 moduli, 2 grids); the
     # diagonal shell pairs run Lanczos, and every iteration converged
     health = rep.extras["solver_health"]
-    assert health["power_runs"] == 3 * 2
-    assert health["unconverged_power_runs"] == 0
+    assert health["weighted_runs"] == 3 * 2
+    assert health["unconverged_weighted_runs"] == 0
     assert health["lanczos_steps"] >= 3 * 2 * 6
     assert health["unconverged_shell_pairs"] == 0
     assert health["unconverged_rows"] == 0
 
 
 def test_lap_sweep_unconverged_row_leaves_the_fits(monkeypatch):
-    # a weighted power run that stops unconverged flags its row like the
+    # a weighted Lanczos run that stops unconverged flags its row like the
     # stability gate does; the fit uses the remaining rows
     import lapkit.experiments as experiments
 
@@ -229,7 +229,7 @@ def test_lap_sweep_unconverged_row_leaves_the_fits(monkeypatch):
         [r["abs_z"] for r in kept], [r["lower"] for r in kept]), rel=1e-12)
     health = rep.extras["solver_health"]
     # both grids' runs at that z are unconverged; one row is flagged
-    assert health["unconverged_power_runs"] == 2
+    assert health["unconverged_weighted_runs"] == 2
     assert health["unconverged_rows"] == 1
     others = [r for r in rep.extras["csv_rows"] if r["quantity"] != "weighted"]
     assert all(r["stable"] for r in others)

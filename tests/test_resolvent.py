@@ -7,13 +7,13 @@ import scipy.linalg as sla
 
 from conftest import (free_resolvent_gaussian, free_resolvent_kernel,
                       lattice_free_kernel)
-from lapkit.besov import (ShellScheme, bstar_norm_dense, schur_block_bound,
-                          unit_blocks)
+from lapkit.besov import (ShellScheme, bstar_norm_dense, loglog_slope,
+                          schur_block_bound, unit_blocks)
 from lapkit.errors import ExtrapolationError, SolverError
 from lapkit.operators import (Grid1D, RadialGrid, absorbing_layer,
                               build_dilation, build_hamiltonian,
                               gaussian_probe, matched_absorber)
-from lapkit.potential import WeightParams, standard_model, weight_f
+from lapkit.potential import WeightParams, bracket, standard_model, weight_f
 from lapkit.resolvent import (LANCZOS_STEPS, Sector, ShiftedSolver,
                               TridiagonalResolvent, _diagonal_shell_norm,
                               _separated_pair_norms, besov_bstar_estimate,
@@ -135,9 +135,67 @@ def test_power_iteration_against_dense_svd(rng):
     wl = np.exp(-np.abs(grid.nodes) / 8.0)
     dense = np.diag(wl) @ sla.inv(h_op.toarray() - Z0 * np.eye(256)) @ np.diag(wl)
     top = sla.svdvals(dense)[0]
-    est = weighted_opnorm(h_op, Z0, wl, wl, rng=rng, tol=1e-10, maxiter=500)
-    assert est.lower == pytest.approx(top, rel=1e-6)
+    est = weighted_opnorm(h_op, Z0, wl, wl, rng=rng)
+    assert est.lower == pytest.approx(top, rel=1e-9)
     assert est.lower <= top * (1 + 1e-9)
+
+
+def _norm_case(shape):
+    """(matvec, rmatvec, dense) for the operator shapes the callers build."""
+    grid = Grid1D(20.0, 256)
+    h_op = build_hamiltonian(MODEL, grid)
+    x = grid.nodes
+    z = 0.1 * cmath.exp(3j * math.pi / 8)
+    w = bracket(x) ** (-(MODEL.s0 + 0.05))
+
+    def inverse(op, z):
+        return sla.inv(op.toarray() - z * np.eye(len(x)))
+
+    if shape == "weighted":
+        w = w * np.sqrt(weight_f(WeightParams(abs(z), 1.0, MODEL.mu), x))
+        solver = ShiftedSolver(h_op, z)
+        return (lambda u: w * solver.solve(w * u),
+                lambda v: w * solver.solve_adjoint(w * v),
+                w[:, None] * inverse(h_op, z) * w)
+    if shape == "difference":
+        z2 = 0.7 * z
+        s1, s2 = ShiftedSolver(h_op, z), ShiftedSolver(h_op, z2)
+        return (lambda u: w * (s1.solve(w * u) - s2.solve(w * u)),
+                lambda v: w * (s1.solve_adjoint(w * v) - s2.solve_adjoint(w * v)),
+                w[:, None] * (inverse(h_op, z) - inverse(h_op, z2)) * w)
+    f = weight_f(WeightParams(abs(z), 1.0, MODEL.mu), x)
+    t = np.sqrt(f) * w
+    solver = mourre_resolvent(h_op, build_dilation(grid), z, 0.16)
+    return (lambda u: f * solver.solve(t * u),
+            lambda v: t * solver.solve_adjoint(f * v),
+            f[:, None] * inverse(solver.matrix, z) * t)
+
+
+@pytest.mark.parametrize("shape", ["weighted", "difference", "mourre"])
+def test_operator_norm_matches_dense_svd(shape):
+    # W R W, W (R(z1) - R(z2)) W and f R_eps T, as the sweep, the Hoelder
+    # probe and the quadratic estimate build them
+    matvec, rmatvec, dense = _norm_case(shape)
+    top = sla.svdvals(dense)[0]
+    est = operator_norm_lower(matvec, rmatvec, dense.shape[0])
+    assert est.lower == pytest.approx(top, rel=1e-9)
+    assert est.lower <= top * (1 + 1e-9)
+    assert est.converged
+
+
+def test_operator_norm_on_small_matrices():
+    # diag(1, 1, 0.2)^2 has two distinct eigenvalues, so every Krylov
+    # space is at most two-dimensional and Lanczos breaks down after two
+    # steps with the exact top
+    mat = np.diag([1.0, 1.0, 0.2])
+    est = operator_norm_lower(lambda u: mat @ u, lambda w: mat.T @ w, 3)
+    assert est.lower == pytest.approx(1.0, abs=1e-12)
+    assert est.converged
+    assert est.iterations == 2
+    zero = np.zeros((3, 3))
+    est = operator_norm_lower(lambda u: zero @ u, lambda w: zero @ w, 3)
+    assert est.lower == 0.0
+    assert est.converged
 
 
 def test_zero_weights_trivial():
@@ -151,9 +209,8 @@ def test_unweighted_norm_is_inverse_distance(rng):
     h_op = build_hamiltonian(MODEL, grid)
     eigs = sla.eigvalsh(h_op.toarray())
     dist = np.min(np.abs(eigs - Z0))
-    est = weighted_opnorm(h_op, Z0, np.ones(128), np.ones(128), rng=rng,
-                          tol=1e-12, maxiter=2000)
-    assert est.lower == pytest.approx(1.0 / dist, rel=1e-4)
+    est = weighted_opnorm(h_op, Z0, np.ones(128), np.ones(128), rng=rng)
+    assert est.lower == pytest.approx(1.0 / dist, rel=1e-9)
 
 
 @pytest.mark.parametrize("model", [MODEL, None], ids=["standard", "free"])
@@ -371,6 +428,37 @@ def test_hoelder_quotients_bounded_along_ray(rng):
     assert rep.sup_quotient > 0
 
 
+def test_hoelder_unconverged_pair_leaves_the_fit(monkeypatch):
+    # an unconverged pair is counted and left out of the slope fit; its
+    # value is still a lower bound and stays in the sup quotient
+    import lapkit.resolvent as resolvent
+
+    real = resolvent.operator_norm_lower
+    calls = []
+
+    def flaky(*args, **kwargs):
+        est = real(*args, **kwargs)
+        calls.append(est)
+        if len(calls) == 2:
+            est.converged = False
+        return est
+
+    monkeypatch.setattr(resolvent, "operator_norm_lower", flaky)
+    grid = Grid1D(20.0, 128)
+    h_op = build_hamiltonian(MODEL, grid)
+    ray = 3 * math.pi / 8
+    zs = [0.7**k * cmath.exp(1j * ray) for k in range(5)]
+    rep = hoelder_estimate(h_op, MODEL.s0 + 0.05,
+                           [(zs[i], zs[i + 1]) for i in range(4)], grid,
+                           s0=MODEL.s0)
+    assert rep.unconverged == 1
+    kept = [row for i, row in enumerate(rep.pairs) if i != 1]
+    assert rep.fitted_gamma == pytest.approx(loglog_slope(
+        [row[2] for row in kept], [row[3] for row in kept]), rel=1e-12)
+    dropped = rep.pairs[1]
+    assert rep.sup_quotient >= dropped[3] / dropped[2] ** rep.gamma_used
+
+
 def test_hoelder_out_of_hypothesis_flag(rng):
     grid = Grid1D(20.0, 128)
     h_op = build_hamiltonian(MODEL, grid)
@@ -482,14 +570,17 @@ def test_quadratic_estimate_stability(rng):
     for probe, value in rep.constants.items():
         assert math.isfinite(value)
         assert rep.stability(probe) <= 2.0
+    assert all(row["converged"] for row in rep.rows)
 
 
-def test_opnorm_nonconvergence_flag(rng):
-    # two equal singular values never let the gain flatten estimates
-    # converge within one iteration, so a tiny budget trips the flag
-    mat = np.diag([1.0, 1.0, 0.2])
-    est = operator_norm_lower(lambda u: mat @ u, lambda w: mat.T @ w, 3,
-                              rng=rng, tol=1e-14, maxiter=3)
+def test_opnorm_nonconvergence_flag(rng, monkeypatch):
+    # one Lanczos step cannot resolve three distinct singular values, so
+    # a one-step budget trips the flag; the value is still a lower bound
+    import lapkit.resolvent as resolvent
+
+    monkeypatch.setattr(resolvent, "LANCZOS_STEPS", 1)
+    mat = np.diag([1.0, 0.5, 0.2])
+    est = operator_norm_lower(lambda u: mat @ u, lambda w: mat.T @ w, 3, rng=rng)
     assert est.lower <= 1.0 + 1e-12
     assert not est.converged
 
