@@ -924,6 +924,7 @@ def quadratic_check(h_op: sp.csr_matrix, a_op: sp.csr_matrix,
     x = grid.nodes
     s = model.s0 + 0.05
     avals, avecs = dilation_eigenbasis(a_op)
+    avecs_h = avecs.conj().T
     ainv = 1.0 / np.sqrt(1.0 + avals**2)
 
     rows = []
@@ -937,10 +938,10 @@ def quadratic_check(h_op: sp.csr_matrix, a_op: sp.csr_matrix,
             return diag_probe * u
 
         def t_dil(u):
-            return f * (avecs @ (ainv * (avecs.conj().T @ u)))
+            return f * (avecs @ (ainv * (avecs_h @ u)))
 
         def t_dil_adj(u):
-            return avecs @ (ainv * (avecs.conj().T @ (f * u)))
+            return avecs @ (ainv * (avecs_h @ (f * u)))
 
         probes = {
             "f12_bracket": (t_diag, t_diag),

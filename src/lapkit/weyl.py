@@ -63,7 +63,7 @@ __all__ = [
 def smoothstep7(t):
     """Degree-7 polynomial step: 0 at t<=0, 1 at t>=1, C^3 joins."""
     t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    return t**4 * (35.0 - 84.0 * t + 70.0 * t**2 - 20.0 * t**3)
+    return t**4 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
 
 
 def _fall(t, start, width):

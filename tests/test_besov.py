@@ -116,6 +116,116 @@ def test_ball_sup_on_ladder_agrees(rng):
 
 
 # ---------------------------------------------------------------------------
+# banks: one call per bank of rows equals one 1-d call per row
+# ---------------------------------------------------------------------------
+
+BANK_SPECTRA = {
+    # +-x pairs tie in |a|, so runs of equal moduli end at every other node
+    "signed": np.linspace(-30.0, 30.0, 97),
+    # shells 3, 5, 6, 8 and 9 are empty
+    "empty-shells": np.array([0.5, 0.25, 5.0, 6.0, 40.0, 300.0, 0.0, 5.0, -1.0]),
+    # eleven shells: the shell sums run past numpy's 8-way unrolled blocks
+    "wide": 1.0 + np.linspace(-30.0, 30.0, 65) ** 2,
+}
+
+
+@pytest.mark.parametrize("rows", [1, 24])
+@pytest.mark.parametrize("name", sorted(BANK_SPECTRA))
+def test_bank_call_equals_row_calls(name, rows):
+    a = BANK_SPECTRA[name]
+    gen = np.random.default_rng(rows)
+    bank = sample_vectors(a, SCHEME, 16, gen)
+    bank[2] = 0.0
+    bank = bank[:rows]
+    ladder = [0.5, 1.0, 5.0, 6.0, 300.0, 1e4]
+    prof = shell_decompose(bank, a, SCHEME, ladder)
+    singles = [shell_decompose(u, a, SCHEME, ladder) for u in bank]
+    assert np.array_equal(prof.shell_norms, np.array([p.shell_norms for p in singles]))
+    assert np.array_equal(prof.ball_norms, np.array([p.ball_norms for p in singles]))
+    for key in ("total_norm", "besov", "dual", "ball_sup"):
+        assert np.array_equal(getattr(prof, key),
+                              np.array([getattr(p, key) for p in singles])), key
+        assert all(isinstance(getattr(p, key), float) for p in singles)
+    for scheme in (SCHEME, ShellScheme(1.5)):
+        assert np.array_equal(besov_norm(bank, a, scheme),
+                              np.array([besov_norm(u, a, scheme) for u in bank]))
+        assert np.array_equal(dual_norm(bank, a, scheme),
+                              np.array([dual_norm(u, a, scheme) for u in bank]))
+    assert np.array_equal(ball_sup(bank, a), np.array([ball_sup(u, a) for u in bank]))
+    assert np.array_equal(defect_ladder(bank, a, ladder, annulus_eps=0.5),
+                          np.array([defect_ladder(u, a, ladder, annulus_eps=0.5)
+                                    for u in bank]))
+    assert np.array_equal(bstar0_defect(bank, a, ladder),
+                          np.array([bstar0_defect(u, a, ladder) for u in bank]))
+
+
+def test_ball_sup_with_tied_moduli(rng):
+    # the sup is approached as R -> v+ over the distinct moduli v, where
+    # the ball takes in every node with |a| <= v, ties included
+    a = BANK_SPECTRA["signed"]
+    bank = rng.standard_normal((6, len(a))) + 1j * rng.standard_normal((6, len(a)))
+    for u, got in zip(bank, ball_sup(bank, a)):
+        expected = max(np.linalg.norm(u[np.abs(a) <= v]) / math.sqrt(max(v, 1.0))
+                       for v in np.unique(np.abs(a)))
+        assert got == pytest.approx(expected, rel=1e-14)
+
+
+def test_sample_bank_shape(rng):
+    bank = sample_vectors(BANK_SPECTRA["empty-shells"], SCHEME, 5, rng)
+    # five random rows, then three probes for each of the 5 occupied shells
+    assert bank.shape == (5 + 3 * 5, 9) and bank.dtype == complex
+
+
+@pytest.mark.parametrize("row", range(4))
+def test_bank_errors(rng, row):
+    bank = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+    bank[row, 7] = np.nan
+    for fn in (besov_norm, dual_norm, ball_sup, shell_decompose):
+        with pytest.raises(DataError):
+            fn(bank, SPECTRUM)
+    for shape in ((4, 63), (2, 2, 64)):
+        with pytest.raises(DimensionError):
+            besov_norm(np.ones(shape), SPECTRUM)
+
+
+def _inflate_moved_norms(monkeypatch, base, boost):
+    """Scale by ``boost`` the per-row Besov norms a lemma takes against a
+    spectrum other than ``base`` or a ladder other than the dyadic one,
+    so the lemma fails on the boosted rows."""
+    def inflated(u, a, scheme):
+        out = besov_norm(u, a, scheme)
+        moved = not np.array_equal(a, base) or scheme.base != 2.0
+        return out * boost if moved else out
+
+    monkeypatch.setattr(besov, "besov_norm", inflated)
+
+
+def _serialized(u):
+    return [[float(z.real), float(z.imag)] for z in u]
+
+
+def test_witness_rules(monkeypatch, rng):
+    bank = sample_vectors(SPECTRUM, SCHEME, 10, rng)
+    bank[7] = -bank[5]
+    boost = np.ones(len(bank))
+    boost[[3, 5, 7]] = [1e3, 1e6, 1e6]
+    _inflate_moved_norms(monkeypatch, SPECTRUM, boost)
+    # base change: the first of the rows attaining the strict maximum
+    rep = verify_base_equivalence(bank, SPECTRUM, 4.0)
+    assert not rep.passed and rep.witness == _serialized(bank[5])
+    # scaling: the first row over the bound, not the worst one
+    rep = verify_scaling(bank, SPECTRUM, 4.0)
+    assert not rep.passed and rep.witness == _serialized(bank[3])
+    a = np.sqrt(1.0 + SPECTRUM**2)
+    bank = sample_vectors(a, SCHEME, 10, rng)
+    boost = np.ones(len(bank))
+    boost[[3, 5]] = [1e3, 1e6]
+    _inflate_moved_norms(monkeypatch, a, boost)
+    rep = verify_power_map(bank, a, 1.0)
+    assert not rep.passed and rep.witness == _serialized(bank[3])
+
+
+# ---------------------------------------------------------------------------
 # vanishing defect
 # ---------------------------------------------------------------------------
 

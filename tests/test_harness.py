@@ -14,7 +14,8 @@ from lapkit.errors import ConfigError
 from lapkit.experiments import (build_grid, build_model, run_besov_selftest,
                                 run_check_potential, run_experiment,
                                 run_lap_sweep, run_radiation, run_uniqueness)
-from lapkit.operators import build_hamiltonian
+from lapkit.operators import Grid1D, build_hamiltonian
+from lapkit.potential import bracket
 from lapkit.reports import (CheckResult, Report, dump_vector, load_vector,
                             write_sweep_csv)
 
@@ -133,6 +134,40 @@ def test_every_check_carries_one_anchor():
     rep = run_besov_selftest(cfg)
     for check in rep.checks:
         assert isinstance(check.anchor, str) and check.anchor
+
+
+def test_selftest_fault_injection():
+    cfg = parse_config_text("[experiment]\nid = besov-selftest\nsamples = 40\n")
+    rep = run_besov_selftest(cfg, overrides={"duality_constant": 0.5,
+                                              "scaling_constant": 1.0,
+                                              "block_factor": 0.5})
+    assert {c.check_id for c in rep.checks if not c.passed} == {
+        "duality-sandwich", "weight-scaling-c4", "weight-scaling-c0.333333",
+        "unit-block-sandwich"}
+    # the banks are the experiment's first draws; redo each rule row by row
+    rng = np.random.default_rng(cfg.seed)
+    scheme = besov.ShellScheme(2.0)
+    nodes = Grid1D(30.0, 256).nodes
+    spectra = (np.abs(nodes), nodes, bracket(nodes))
+    banks = [besov.sample_vectors(vals, scheme, 40, rng) for vals in spectra]
+    worst_hi, witness = 0.0, None
+    for vals, bank in zip(spectra, banks):
+        for u in bank:
+            prof = besov.shell_decompose(u, vals, scheme)
+            if prof.dual > 0 and prof.ball_sup / (0.5 * prof.dual) > worst_hi:
+                worst_hi, witness = prof.ball_sup / (0.5 * prof.dual), u
+    assert rep.extras["duality_witness"] == [[z.real, z.imag] for z in witness]
+    # a scaling witness is the first row over 8 |c|^{1/2}; none is here
+    for c in (1.0, 4.0, 1.0 / 3.0):
+        first_over = None
+        for u in banks[0]:
+            if abs(c) <= 1.0:
+                u = np.where(np.abs(c * spectra[0]) >= 1.0, u, 0.0)
+            nb = besov.besov_norm(u, spectra[0], scheme)
+            if nb > 0 and besov.besov_norm(u, c * spectra[0], scheme) > 8.0 * math.sqrt(c) * nb:
+                first_over = [[float(z.real), float(z.imag)] for z in u]
+                break
+        assert rep.extras.get(f"scaling_witness_c{c:g}") == first_over
 
 
 def test_sweep_csv_schema(tmp_path):

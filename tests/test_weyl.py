@@ -220,6 +220,12 @@ def test_smoothstep_profile():
     assert np.all(np.diff(smoothstep7(t)) >= 0)
 
 
+def test_smoothstep_horner_matches_expanded_form():
+    t = np.linspace(0.0, 1.0, 100_001)
+    expanded = t**4 * (35.0 - 84.0 * t + 70.0 * t**2 - 20.0 * t**3)
+    assert np.max(np.abs(smoothstep7(t) - expanded)) <= 1e-13
+
+
 def test_cutoff_supports():
     spec = FilterSpec(plateau_end=2.0, sigma_cut=0.5, tilde_width=0.25)
     t = np.linspace(-3, 5, 400)
