@@ -588,7 +588,10 @@ def schur_block_bound(T, a1, a2,
     for rows in blocks2:
         sub = T[rows]
         for cols in blocks1:
-            block_sup = max(block_sup, _spectral_norm(sub[:, cols]))
+            block = sub[:, cols]
+            # a block with no nonzero entry has norm exactly 0: skip its SVD
+            if block.any():
+                block_sup = max(block_sup, _spectral_norm(block))
 
     rng = rng or np.random.default_rng(0)
     scheme = ShellScheme(2.0)

@@ -14,7 +14,6 @@ from pathlib import Path
 from .config import EXPERIMENT_IDS, load_config
 from .errors import ConfigError, DimensionError, SolverError
 from .experiments import build_grid, build_model, run_experiment
-from .operators import build_hamiltonian, export_triplets
 from .reports import Report, dump_vector, write_sweep_csv
 
 SUBCOMMANDS = EXPERIMENT_IDS + ("export-operator",)
@@ -60,6 +59,7 @@ def main(argv=None) -> int:
     outdir = Path(cfg.output["directory"])
 
     if args.command == "export-operator":
+        from .operators import build_hamiltonian, export_triplets
         try:
             model = build_model(cfg)
             grid = build_grid(cfg)

@@ -12,23 +12,25 @@ can be gated on stability under doubling the box at fixed spacing.
 from __future__ import annotations
 
 import cmath
+import importlib
 import math
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import besov
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .operators import (Grid1D, RadialGrid, build_hamiltonian, gaussian_probe,
-                        matched_absorber)
+from .grids import Grid1D, RadialGrid
 from .potential import (PotentialModel, WeightParams, bracket,
                         check_condition, load_v2_table, model_from_config,
                         weight_f)
 from .reports import CheckResult, Report
-from .resolvent import (Sector, ShiftedSolver, besov_bstar_estimate,
-                        boundary_value, spectral_distance, weighted_opnorm)
 from .weyl import FilterSpec, default_radius_ladder, radiation_filter
+
+if TYPE_CHECKING:
+    from .resolvent import Sector
 
 __all__ = ["run_experiment", "run_besov_selftest", "run_check_potential",
            "run_lap_sweep", "run_besov_bound", "run_radiation",
@@ -49,6 +51,23 @@ STABILITY_RTOL = 0.05
 FILTER_MARGIN = 2.0
 FILTER_FALL = 1.0
 FILTER_TILDE_WIDTH = 0.8
+
+# The runners import the sparse operators and solvers (and with them
+# scipy) inside their bodies, so the numpy-only experiments never load
+# them.  The names this module once imported from there still resolve
+# as its attributes, looked up in their defining module on each access.
+_DEFERRED = {
+    "operators": ("build_hamiltonian", "gaussian_probe", "matched_absorber"),
+    "resolvent": ("Sector", "ShiftedSolver", "besov_bstar_estimate",
+                  "boundary_value", "spectral_distance", "weighted_opnorm"),
+}
+
+
+def __getattr__(name):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +107,7 @@ def build_grid(cfg: ExperimentConfig):
 
 
 def build_sector(cfg: ExperimentConfig) -> Sector:
+    from .resolvent import Sector
     try:
         return Sector(theta=cfg.sector["theta"], lambda0=cfg.sector["lambda0"])
     except ValueError as exc:
@@ -326,6 +346,9 @@ def _sweep_quantities(h_op, model, grid, z, weight_s, rng):
     converge (the weighted norm's, or a diagonal shell pair's) and the
     shell pairs' Lanczos steps.
     """
+    from .operators import gaussian_probe
+    from .resolvent import (ShiftedSolver, besov_bstar_estimate,
+                            spectral_distance, weighted_opnorm)
     solver = ShiftedSolver(h_op, z)
     x = grid.nodes
     dist = spectral_distance(h_op, z)
@@ -369,6 +392,7 @@ def run_lap_sweep(cfg: ExperimentConfig,
     Lanczos steps, the unconverged runs and the flagged rows.  A free
     control run (family = free) records values without pass thresholds.
     """
+    from .operators import build_hamiltonian
     model = build_model(cfg)
     grid = build_grid(cfg)
     if not isinstance(grid, Grid1D):
@@ -481,6 +505,7 @@ def run_besov_bound(cfg: ExperimentConfig) -> Report:
 
 def _cap_operator(model, grid, cfg):
     """(H + cap, cap, H); cap is None, and H + cap is H, without a layer."""
+    from .operators import build_hamiltonian, matched_absorber
     h_op = build_hamiltonian(model, grid)
     eta = cfg.grid["absorber_strength"]
     if eta > 0:
@@ -505,6 +530,8 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     the outgoing one; an independent ladder along the conjugate ray
     checks that identity.
     """
+    from .operators import gaussian_probe
+    from .resolvent import boundary_value
     model = build_model(cfg)
     if model is None:
         raise ConfigError("radiation requires a certified potential")
@@ -632,6 +659,8 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
     at solver level; a vanishing difference is reported inconclusive
     (over-damping), not as success.
     """
+    from .operators import gaussian_probe
+    from .resolvent import ShiftedSolver
     model = build_model(cfg)
     if model is None:
         raise ConfigError("uniqueness requires a certified potential")

@@ -42,7 +42,7 @@ import numpy as np
 
 from .besov import defect_ladder, loglog_slope
 from .errors import DimensionError
-from .operators import Grid1D
+from .grids import Grid1D
 from .potential import PotentialModel, WeightParams, bracket, weight_f
 
 __all__ = [
