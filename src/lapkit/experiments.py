@@ -327,7 +327,7 @@ def run_check_potential(cfg: ExperimentConfig) -> Report:
     for res in cond.results:
         report.add(CheckResult(
             f"hypothesis-{res.index}", f"condition-hypothesis-{res.index}",
-            res.passed, res.margin, 0.0, comparison=">=",
+            res.passed, res.margin, res.threshold, comparison=">=",
             description=res.description))
     report.extras["witnesses"] = {str(r.index): r.witness for r in cond.results}
     return report

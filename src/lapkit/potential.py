@@ -244,9 +244,13 @@ def coulomb_model(gamma: float, dim: int = 3) -> PotentialModel:
 class HypothesisResult:
     index: int
     description: str
-    passed: bool
     margin: float           # smallest slack observed; negative = violation
+    threshold: float        # rounding allowance: passed iff margin >= threshold
     witness: float | None   # radius where the margin is attained
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin >= self.threshold)
 
     def to_dict(self):
         return {
@@ -254,6 +258,7 @@ class HypothesisResult:
             "description": self.description,
             "passed": self.passed,
             "margin": self.margin,
+            "threshold": self.threshold,
             "witness": self.witness,
         }
 
@@ -319,8 +324,8 @@ def check_condition(model: PotentialModel, grid_radii) -> ConditionReport:
     margin1 = -model.v1(r) - model.eps1 * br ** (-model.mu)
     i1 = int(np.argmin(margin1))
     results.append(HypothesisResult(
-        1, "V1 <= -eps1 <x>^-mu", bool(margin1[i1] >= -1e-12 * model.eps1),
-        float(margin1[i1]), float(r[i1])))
+        1, "V1 <= -eps1 <x>^-mu", float(margin1[i1]), -1e-12 * model.eps1,
+        float(r[i1])))
 
     # (2) symbol bounds |d^a V1| <= C_a <x>^{-mu-|a|}, |a| <= 2
     worst2 = math.inf
@@ -341,45 +346,39 @@ def check_condition(model: PotentialModel, grid_radii) -> ConditionReport:
             worst2 = float(margin[i])
             wit2 = float(r[i])
     results.append(HypothesisResult(
-        2, "|d^a V1| <= C_a <x>^-mu-|a|", bool(worst2 >= -1e-10),
-        worst2, wit2))
+        2, "|d^a V1| <= C_a <x>^-mu-|a|", worst2, -1e-10, wit2))
 
     # (3) virial: W >= -eps1_tilde V1 pointwise
     margin3 = virial_w(model, r) + model.eps1_tilde * model.v1(r)
     i3 = int(np.argmin(margin3))
     results.append(HypothesisResult(
         3, "-|x|^-2 x.grad(|x|^2 V1) >= -eps1_tilde V1",
-        bool(margin3[i3] >= -1e-12 * max(model.eps1, 1.0)),
-        float(margin3[i3]), float(r[i3])))
+        float(margin3[i3]), -1e-12 * max(model.eps1, 1.0), float(r[i3])))
 
-    # (4) tail: |V2| <= C |x|^{-2 s0 - delta} for |x| > R
+    # (4) tail: |V2| <= C |x|^{-2 s0 - delta} for |x| > R, and (5) local
+    # integrability of V2 on the bounded region; both hold without a V2
     if model.v2 is None:
-        results.append(HypothesisResult(4, "|V2| tail bound", True, math.inf, None))
-    else:
-        outside = r[r > tail_r]
-        if outside.size == 0:
-            outside = np.geomspace(tail_r * 1.01, tail_r * 10.0, 32)
-        margin4 = tail_c * outside ** (-2.0 * model.s0 - delta) - np.abs(model.v2(outside))
-        i4 = int(np.argmin(margin4))
-        results.append(HypothesisResult(
-            4, "|V2| <= C |x|^-2s0-delta beyond R",
-            bool(margin4[i4] >= -1e-12 * max(tail_c, 1.0)),
-            float(margin4[i4]), float(outside[i4])))
+        results += [HypothesisResult(4, "|V2| tail bound", math.inf, 0.0, None),
+                    HypothesisResult(5, "V2 local integrability", math.inf, 0.0, None)]
+        return ConditionReport(model=model.name, results=results)
+    outside = r[r > tail_r]
+    if outside.size == 0:
+        outside = np.geomspace(tail_r * 1.01, tail_r * 10.0, 32)
+    margin4 = tail_c * outside ** (-2.0 * model.s0 - delta) - np.abs(model.v2(outside))
+    i4 = int(np.argmin(margin4))
+    results.append(HypothesisResult(
+        4, "|V2| <= C |x|^-2s0-delta beyond R", float(margin4[i4]),
+        -1e-12 * max(tail_c, 1.0), float(outside[i4])))
 
-    # (5) local integrability of V2 on the bounded region
-    if model.v2 is None:
-        results.append(HypothesisResult(5, "V2 local integrability", True,
-                                        math.inf, None))
-    else:
-        p = _local_p(model.dim)
-        inner = np.linspace(0.0, max(tail_r, 1.0), 4097)[1:]
-        h = inner[1] - inner[0]
-        dens = np.abs(model.v2(inner - h / 2.0)) ** p * (inner - h / 2.0) ** (model.dim - 1)
-        lp = float(np.sum(dens) * h) ** (1.0 / p)
-        results.append(HypothesisResult(
-            5, f"V2 in L^{p:g} on the bounded region", bool(math.isfinite(lp)),
-            lp, None))
-
+    p = _local_p(model.dim)
+    inner = np.linspace(0.0, max(tail_r, 1.0), 4097)[1:]
+    h = inner[1] - inner[0]
+    dens = np.abs(model.v2(inner - h / 2.0)) ** p * (inner - h / 2.0) ** (model.dim - 1)
+    lp = float(np.sum(dens) * h) ** (1.0 / p)
+    # the margin is the norm itself when it is finite, a violation if not
+    results.append(HypothesisResult(
+        5, f"V2 in L^{p:g} on the bounded region",
+        lp if math.isfinite(lp) else -math.inf, 0.0, None))
     return ConditionReport(model=model.name, results=results)
 
 

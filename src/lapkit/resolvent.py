@@ -2,9 +2,12 @@
 
 Energies live in the open sector arg z in (0, theta), |z| <= lambda_0;
 zero-energy quantities are reached only by extrapolation along rays.
-Every factorized operator here is complex symmetric (transpose equals
-itself), so adjoint solves reduce to conjugated forward solves and a
-single LU factorization serves both directions.
+Every factorized operator here is a complex-symmetric band matrix
+(transpose equals itself): H and H + cap are tridiagonal and the
+commutator-regularized operator is pentadiagonal.  One band LU with
+partial pivoting (``_band_lu``: LAPACK zgbtrf once, zgbtrs per solve)
+serves every solve, and adjoint solves are conjugated forward solves
+with the same factors.
 
 The plain resolvent norm of a self-adjoint H is exact, 1 / dist(z,
 spectrum), with the distance from ``spectral_distance``.  Every other
@@ -23,10 +26,8 @@ and shells are levels of |x|, so two different ones are separated
 and their weighted block has rank <= 2, with a closed-form norm from
 segment sums; the unit-block sup (upper bound) and the off-diagonal
 shell pairs are exact.  A diagonal shell pair inverts to a
-tridiagonal Schur complement, on which Lanczos runs, so the lower
-bound is the shell-dual norm to the Lanczos tolerance.  The LU path
-stays for everything else, including the pentadiagonal
-commutator-regularized operator.
+tridiagonal Schur complement, factored once, on which Lanczos runs,
+so the lower bound is the shell-dual norm to the Lanczos tolerance.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-from scipy.linalg.lapack import zgtsv
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .besov import ShellScheme, loglog_slope, unit_blocks
 from .errors import DimensionError, ExtrapolationError, SolverError
@@ -128,52 +128,74 @@ class Sector:
 # Shifted solves
 # ---------------------------------------------------------------------------
 
-class ShiftedSolver:
-    """LU factorization of (M - z) with iterative refinement on solves.
+def _bands(operator) -> list[np.ndarray]:
+    """Diagonals 0, 1, ..., k of a band matrix of bandwidth k >= 1.
 
-    The shifted matrix must be complex symmetric; the transpose trick
-    then gives adjoint solves from the same factorization.  ``matrix``
-    is M as a sparse matrix.  A solve takes up to four refinement
-    steps to reach a relative residual of SOLVE_RTOL.
+    ValueError unless it is complex symmetric: diagonal -j is diagonal +j.
+    """
+    m = sp.csr_matrix(operator)
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise DimensionError("operator must be square")
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    k = int(np.max(np.abs(m.indices - rows)[m.data != 0], initial=1))
+    bands = [m.diagonal(j) for j in range(k + 1)]
+    scale = max(np.max(np.abs(np.concatenate(bands))), 1e-300)
+    if any(np.max(np.abs(m.diagonal(-j) - bands[j]), initial=0.0) > 1e-12 * scale
+           for j in range(1, k + 1)):
+        raise ValueError("operator is not complex symmetric")
+    return bands
+
+
+def _band_lu(bands):
+    """Solver b -> A^{-1} b for the complex-symmetric A with diagonals +-j = bands[j].
+
+    A is factored once, by Gaussian elimination with partial pivoting in
+    LAPACK band storage (zgbtrf; LAPACK Users' Guide, 3rd ed., 1999,
+    section 2.4.3); each solve, of a vector or of columns, is one
+    zgbtrs.  SolverError on a zero pivot.
+    """
+    k, n = len(bands) - 1, len(bands[0])
+    ab = np.zeros((3 * k + 1, n), dtype=complex)
+    for j, band in enumerate(bands):
+        ab[2 * k - j, j:] = ab[2 * k + j, :n - j] = band
+    lu, piv, info = zgbtrf(ab, k, k, overwrite_ab=1)
+    if info:
+        raise SolverError(f"zero pivot {info} of {n}: spectrally degenerate")
+    return lambda rhs: zgbtrs(lu, k, k, rhs, piv)[0]
+
+
+class ShiftedSolver:
+    """Band LU factorization of (M - z) with iterative refinement on solves.
+
+    M - z must be a complex-symmetric band matrix; its bandwidth is read
+    off M (1 for a Hamiltonian, 2 for the Mourre operator) and
+    ``_band_lu`` factors it once.  Being symmetric, it gives adjoint
+    solves from the same factors by conjugation.  ``matrix`` is M as a
+    sparse matrix.  A solve takes up to four refinement steps to reach
+    a relative residual of SOLVE_RTOL, the residual being M u - z u.
     """
 
     def __init__(self, operator, z: complex):
-        m = sp.csr_matrix(operator)
-        self.matrix = m
-        self.shape = m.shape
-        self.z = complex(z)
-        shifted = (m - self.z * sp.identity(m.shape[0], dtype=complex)).tocsc()
-        asym = abs(shifted - shifted.T)
-        scale = max(abs(shifted).max(), 1e-300)
-        if asym.nnz and asym.max() > 1e-12 * scale:
-            raise ValueError("shifted operator is not complex symmetric")
-        self._shifted = shifted.tocsr()
-        try:
-            self._lu = spla.splu(shifted)
-        except RuntimeError as exc:
-            raise SolverError(
-                f"factorization failed at z = {self.z}: spectrally degenerate "
-                f"({exc})") from exc
+        self.matrix = sp.csr_matrix(operator)
+        self.shape, self.z = self.matrix.shape, complex(z)
+        main, *upper = _bands(self.matrix)
+        self._lu = _band_lu([main - self.z, *upper])
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.shape[0],):
             raise DimensionError("right-hand side length mismatch")
-        u = self._lu.solve(v)
+        u = self._lu(v)
         vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            return np.zeros_like(v)
-        for _ in range(4):
-            r = v - self._shifted @ u
+        for _ in range(5):
+            r = v + self.z * u - self.matrix @ u
             if np.linalg.norm(r) <= SOLVE_RTOL * vnorm:
                 return u
-            u = u + self._lu.solve(r)
-        resid = np.linalg.norm(v - self._shifted @ u) / vnorm
-        if resid > SOLVE_RTOL:
-            raise SolverError(
-                f"solve at z = {self.z} reached residual {resid:.3e} "
-                f"(requested {SOLVE_RTOL:.1e})")
-        return u
+            u = u + self._lu(r)
+        raise SolverError(
+            f"solve at z = {self.z} reached residual "
+            f"{np.linalg.norm(r) / vnorm:.3e} (requested {SOLVE_RTOL:.1e})")
 
     def solve_adjoint(self, w: np.ndarray) -> np.ndarray:
         """(M - z)^{-*} w via conjugation, valid for symmetric M - z."""
@@ -181,7 +203,7 @@ class ShiftedSolver:
 
     def residual(self, u, v) -> float:
         v = np.asarray(v, dtype=complex)
-        return float(np.linalg.norm(v - self._shifted @ u)
+        return float(np.linalg.norm(v + self.z * u - self.matrix @ u)
                      / max(np.linalg.norm(v), 1e-300))
 
 
@@ -203,22 +225,6 @@ def solve(operator, z: complex, v) -> np.ndarray:
 # Tridiagonal resolvent kernel and the distance to the spectrum
 # ---------------------------------------------------------------------------
 
-def _tridiagonal(operator) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, off-diagonal), or ValueError unless complex-symmetric tridiagonal."""
-    m = sp.csr_matrix(operator)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise DimensionError("operator must be square")
-    main, upper, lower = m.diagonal(), m.diagonal(1), m.diagonal(-1)
-    if (np.count_nonzero(main) + np.count_nonzero(upper)
-            + np.count_nonzero(lower) != m.count_nonzero()):
-        raise ValueError("operator is not tridiagonal")
-    scale = max(np.max(np.abs(main)), np.max(np.abs(upper), initial=0.0), 1e-300)
-    if np.max(np.abs(upper - lower), initial=0.0) > 1e-12 * scale:
-        raise ValueError("operator is not complex symmetric")
-    return main, upper
-
-
 def spectral_distance(operator, z: complex) -> float:
     """dist(z, spectrum of H); its reciprocal is ||(H - z)^{-1}|| (Kato, 1966).
 
@@ -231,7 +237,9 @@ def spectral_distance(operator, z: complex) -> float:
     desk scale for |z| >= 1e-4.  ValueError unless H is real, symmetric
     and tridiagonal.
     """
-    main, off = _tridiagonal(operator)
+    main, off, *wider = _bands(operator)
+    if wider:
+        raise ValueError("operator is not tridiagonal")
     if np.any(np.imag(main)) or np.any(np.imag(off)):
         raise ValueError("operator is not real")
     main, off, z = main.real, off.real, complex(z)
@@ -275,7 +283,9 @@ class TridiagonalResolvent:
     """
 
     def __init__(self, operator, z: complex, rtol: float = SOLVE_RTOL):
-        main, upper = _tridiagonal(operator)
+        main, upper, *wider = _bands(operator)
+        if wider:
+            raise ValueError("operator is not tridiagonal")
         self.z = complex(z)
         self.rtol = rtol
         self.n = n = len(main)
@@ -655,7 +665,7 @@ def _shell_inverse(kernel: TridiagonalResolvent, idx) -> tuple[np.ndarray, np.nd
     term b^2 / d (b^2 / e) is a global pivot.  A gap between two runs
     of S couples the last node before it to the first node after it,
     which are neighbours in S order; its 2 x 2 term takes the corner
-    entries of the gap block's inverse from one tridiagonal solve.
+    entries of the gap block's inverse from one band LU.
     """
     a, b, n = kernel.a, kernel.b, kernel.n
     diag = a[idx]
@@ -670,7 +680,7 @@ def _shell_inverse(kernel: TridiagonalResolvent, idx) -> tuple[np.ndarray, np.nd
         g0, g1 = idx[t] + 1, idx[t + 1] - 1            # the gap g0..g1
         corners = np.zeros((g1 - g0 + 1, 2), dtype=complex)
         corners[0, 0] = corners[-1, 1] = 1.0
-        inv = _gtsv(b[g0:g1], a[g0:g1 + 1], corners)
+        inv = _band_lu([a[g0:g1 + 1], b[g0:g1]])(corners)
         left, right = b[idx[t]], b[g1]
         diag[t] -= left**2 * inv[0, 0]
         diag[t + 1] -= right**2 * inv[-1, 1]
@@ -678,34 +688,24 @@ def _shell_inverse(kernel: TridiagonalResolvent, idx) -> tuple[np.ndarray, np.nd
     return diag, off
 
 
-def _gtsv(off, diag, rhs) -> np.ndarray:
-    """Solve T x = rhs for the complex-symmetric tridiagonal T (LAPACK zgtsv)."""
-    if len(diag) == 1:                  # the wrapper rejects empty off-diagonals
-        return rhs / diag[0]
-    *_, x, info = zgtsv(off, diag, off, rhs)
-    if info:
-        raise SolverError(f"singular tridiagonal block (zgtsv info {info})")
-    return x
-
-
 def _diagonal_shell_norm(kernel: TridiagonalResolvent, solver: ShiftedSolver,
                          fh, idx) -> tuple[float, int, bool]:
     """(lower bound for ||F_S R[S, S] F_S||, Lanczos steps, converged).
 
     ``_lanczos`` on A* A, A = F_S K^{-1} F_S with K = R[S, S]^{-1} from
-    ``_shell_inverse``, from a fixed Gaussian start, two O(|S|)
-    tridiagonal solves per step.  The Ritz vector is re-evaluated by a
-    certified solve with H - z itself, so a Schur complement off from
-    H - z would show as a disagreement.
+    ``_shell_inverse``, from a fixed Gaussian start.  K is factored
+    once, and each step makes two O(|S|) solves with its factors.  The
+    Ritz vector is re-evaluated by a certified solve with H - z itself,
+    so a Schur complement off from H - z would show as a disagreement.
     """
     m = len(idx)
     w = fh[idx]
-    diag, off = _shell_inverse(kernel, idx)
+    k_inv = _band_lu(list(_shell_inverse(kernel, idx)))
 
     def gram(v):
         # K is complex symmetric, so K^{-*} y = conj(K^{-1} conj(y))
-        u = w * _gtsv(off, diag, (w * v)[:, None])[:, 0]
-        return w * np.conj(_gtsv(off, diag, np.conj(w * u)[:, None])[:, 0])
+        u = w * k_inv(w * v)
+        return w * np.conj(k_inv(np.conj(w * u)))
 
     def norm_of(y):
         probe = np.zeros(kernel.n, dtype=complex)

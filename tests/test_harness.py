@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +218,30 @@ id = check-potential
     assert rep.passed
     assert [c.check_id for c in rep.checks] == [
         f"hypothesis-{k}" for k in range(1, 6)]
+
+
+@pytest.mark.parametrize("family", ["coulomb", "standard", "sign-flipped"])
+def test_check_potential_rows_meet_their_thresholds(family, monkeypatch):
+    # each row's verdict is its own stated comparison, value >= threshold;
+    # the Coulomb demo's virial margin is a rounding-sized negative number
+    demos = Path(__file__).resolve().parent.parent / "demos" / "configs"
+    cfg = load_config(demos / "coulomb_check.cfg")
+    if family != "coulomb":
+        cfg = parse_config_text(SMALL_SWEEP.replace("lap-sweep", "check-potential"))
+    if family == "sign-flipped":
+        from lapkit import experiments
+        from lapkit.potential import PotentialModel, standard_model
+
+        good = standard_model(1.0, 1.0, 1)
+        bad = PotentialModel(
+            name="standard", mu=1.0, eps1=1.0, eps1_tilde=1.0,
+            v1=lambda r: -good.v1(r), grad_v1=lambda r: -good.grad_v1(r), dim=1)
+        monkeypatch.setattr(experiments, "build_model", lambda cfg: bad)
+    rep = run_check_potential(cfg)
+    assert rep.passed == (family != "sign-flipped")
+    for check in rep.checks:
+        assert check.comparison == ">="
+        assert check.passed == (check.value >= check.threshold), check
 
 
 def test_lap_sweep_small_passes():

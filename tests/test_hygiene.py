@@ -98,12 +98,52 @@ def test_settable_values_do_not_grow():
 
 # Ceiling on the package's source lines (all of src/lapkit, blank lines
 # and comments included); like SETTABLE_CEILING it may only fall.
-LINE_CEILING = 4092
+LINE_CEILING = 4091
 
 
 def test_source_lines_do_not_grow():
     total = sum(len(p.read_text().splitlines()) for p in PACKAGE.glob("*.py"))
     assert total <= LINE_CEILING
+
+
+# One LU back end: every solve goes through the band LU in resolvent.py,
+# so no module imports a second solver path.
+FORBIDDEN_MODULES = ("scipy.sparse.linalg",)
+FORBIDDEN_NAMES = {"zgtsv", "splu", "spsolve"}
+
+
+def _second_solver_imports(tree: ast.Module) -> list[str]:
+    """Imports (at any depth) of scipy.sparse.linalg or of a second LU routine."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+            names = []
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if (any(m == f or m.startswith(f + ".") for m in modules
+                for f in FORBIDDEN_MODULES) or FORBIDDEN_NAMES & set(names)):
+            out.append(f"line {node.lineno}")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_one_lu_back_end(path):
+    assert _second_solver_imports(ast.parse(path.read_text())) == []
+
+
+def test_second_solver_imports_are_caught():
+    for source in ("import scipy.sparse.linalg as spla",
+                   "from scipy.sparse import linalg",
+                   "from scipy.sparse.linalg import splu",
+                   "def f():\n    from scipy.linalg.lapack import zgtsv"):
+        assert len(_second_solver_imports(ast.parse(source))) == 1
+    assert _second_solver_imports(ast.parse(
+        "import scipy.sparse as sp\nfrom scipy.linalg.lapack import zgbtrf")) == []
 
 
 NUMPY_ONLY_RUN = """

@@ -14,9 +14,10 @@ from lapkit.operators import (Grid1D, RadialGrid, absorbing_layer,
                               build_dilation, build_hamiltonian,
                               gaussian_probe, matched_absorber)
 from lapkit.potential import WeightParams, bracket, standard_model, weight_f
-from lapkit.resolvent import (LANCZOS_STEPS, Sector, ShiftedSolver,
-                              TridiagonalResolvent, _diagonal_shell_norm,
-                              _separated_pair_norms, besov_bstar_estimate,
+from lapkit.resolvent import (LANCZOS_STEPS, SOLVE_RTOL, Sector,
+                              ShiftedSolver, TridiagonalResolvent,
+                              _diagonal_shell_norm, _separated_pair_norms,
+                              _shell_inverse, besov_bstar_estimate,
                               boundary_value,
                               hoelder_estimate, mourre_resolvent,
                               operator_norm_lower, quadratic_check, solve,
@@ -84,6 +85,56 @@ def test_singular_shift_reported():
     import scipy.sparse as sp
     with pytest.raises(SolverError):
         ShiftedSolver(sp.diags([1.0, 2.0, 3.0]), 2.0)
+
+
+def _check_against_dense(solver, rng):
+    """solve and solve_adjoint against inv(M - z), residuals within SOLVE_RTOL."""
+    n = solver.shape[0]
+    dense = sla.inv(solver.matrix.toarray() - solver.z * np.eye(n))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    u = solver.solve(v)
+    assert np.linalg.norm(u - dense @ v) <= 1e-12 * np.linalg.norm(dense @ v)
+    assert solver.residual(u, v) <= SOLVE_RTOL
+    w = solver.solve_adjoint(v)
+    ref = dense.conj().T @ v
+    assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_banded_solver_at_smallest_sizes(n, rng):
+    import scipy.sparse as sp
+    off = rng.standard_normal(n - 1)
+    h_op = sp.diags([off, rng.standard_normal(n), off], [-1, 0, 1], format="csr")
+    _check_against_dense(ShiftedSolver(h_op, Z0), rng)
+
+
+def test_banded_solver_on_pentadiagonal_mourre_operator(rng):
+    grid = Grid1D(20.0, 128)
+    solver = mourre_resolvent(build_hamiltonian(MODEL, grid), build_dilation(grid),
+                              Z0, 0.1)
+    offsets = np.unique(np.subtract(*solver.matrix.nonzero()))
+    assert offsets.tolist() == [-2, -1, 0, 1, 2]
+    _check_against_dense(solver, rng)
+
+
+def test_shifted_solver_rejects_non_symmetric_operator():
+    import scipy.sparse as sp
+    op = sp.diags([[1.0, 1.0], [2.0, 3.0, 4.0], [1.0, 5.0]], [-1, 0, 1])
+    with pytest.raises(ValueError, match="complex symmetric"):
+        ShiftedSolver(op, Z0)
+
+
+@pytest.mark.parametrize("idx", [[5], [3, 4, 6, 7], [0, 2], [13, 15]])
+def test_shell_inverse_of_one_node_shell_and_gap(idx):
+    # R[S, S]^{-1} for a shell of one node and for gaps of one node,
+    # at either end of the grid too
+    h_op = build_hamiltonian(MODEL, Grid1D(20.0, 16))
+    idx = np.array(idx)
+    diag, off = _shell_inverse(TridiagonalResolvent(h_op, Z0), idx)
+    schur = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    dense = sla.inv(h_op.toarray() - Z0 * np.eye(16))
+    ref = sla.inv(dense[np.ix_(idx, idx)])
+    assert np.linalg.norm(schur - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_spectral_free_solve_matches_continuum_kernel():
@@ -278,7 +329,8 @@ def test_kernel_columns_match_dense_inverse(model, grid):
 
 def test_kernel_rejects_pentadiagonal_operator():
     # the commutator-regularized operator couples next-nearest nodes;
-    # it keeps the LU path, and the kernel refuses it
+    # the shifted solver factors it as a band of width 2, and the
+    # kernel refuses it
     grid = Grid1D(20.0, 128)
     h_op = build_hamiltonian(MODEL, grid)
     a_op = build_dilation(grid)
@@ -347,6 +399,39 @@ def test_diagonal_shell_pairs_match_dense_svd():
             assert converged and 1 <= steps <= LANCZOS_STEPS
             ref = sla.svdvals(dense[np.ix_(idx, idx)])[0]
             assert norm == pytest.approx(ref, rel=1e-10)
+
+
+def test_diagonal_shell_norm_factors_once_per_shell(monkeypatch):
+    # one band LU for K_S plus one per gap of the shell, however many
+    # Lanczos steps the run takes
+    import lapkit.resolvent as resolvent
+
+    grid = Grid1D(100.0, 1024)
+    h_op = build_hamiltonian(MODEL, grid)
+    z = Sector().points([1e-3])[0]
+    fh = np.sqrt(weight_f(WeightParams(abs(z), 1.0, 1.0), grid.nodes))
+    kernel = TridiagonalResolvent(h_op, z)
+    solver = ShiftedSolver(h_op, z)
+    calls = []
+
+    def counted(bands):
+        calls.append(len(bands[0]))
+        return band_lu(bands)
+
+    band_lu = resolvent._band_lu
+    monkeypatch.setattr(resolvent, "_band_lu", counted)
+    shell_of, radii = ShellScheme().shell_indices(np.abs(grid.nodes))
+    most = 0
+    for j in range(len(radii)):
+        idx = np.flatnonzero(shell_of == j)
+        if idx.size == 0:
+            continue
+        calls.clear()
+        _, steps, _ = _diagonal_shell_norm(kernel, solver, fh, idx)
+        most = max(most, steps)
+        assert len(calls) == 1 + np.count_nonzero(np.diff(idx) != 1)
+        assert calls[-1] == idx.size
+    assert most > 2
 
 
 def test_besov_lower_is_the_shell_dual_norm():
