@@ -15,11 +15,11 @@ import math
 
 import numpy as np
 
-from lapkit.operators import Grid1D, build_hamiltonian
+from lapkit.config import parse_config_text
+from lapkit.operators import Grid1D, build_hamiltonian, matched_absorber
 from lapkit.potential import WeightParams, bracket, standard_model, weight_f
 from lapkit.resolvent import (besov_bstar_estimate, boundary_value,
                               spectral_distance, weighted_opnorm)
-from lapkit.operators import matched_absorber
 
 model = standard_model(1.0, 1.0, 1)
 grid = Grid1D(100.0, 1024)
@@ -43,7 +43,10 @@ print("plain norm grows ~ 1/|z|; the framed quantities barely move")
 
 print()
 print("=== extrapolating the boundary value at zero energy ===")
-cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy)
+layer = parse_config_text("").grid      # the configured absorbing layer
+cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy,
+                       strength=layer["absorber_strength"],
+                       width_fraction=layer["absorber_width_fraction"])
 v = np.exp(-x**2 / 8.0).astype(complex)
 res = boundary_value(h_op + cap, v, grid, tol=1e-4, max_steps=24)
 print(f"  converged: {res.converged} after {len(res.z_values)} rungs, "

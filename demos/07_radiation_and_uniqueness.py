@@ -11,6 +11,7 @@ suite runs the desk-scale box where the far-field ratios bind.
 
 import numpy as np
 
+from lapkit.config import parse_config_text
 from lapkit.operators import Grid1D, build_hamiltonian, gaussian_probe, matched_absorber
 from lapkit.potential import standard_model
 from lapkit.resolvent import ShiftedSolver, boundary_value
@@ -19,7 +20,10 @@ from lapkit.weyl import FilterSpec, radiation_filter
 model = standard_model(1.0, 1.0, 1)
 grid = Grid1D(200.0, 2048)
 h_plain = build_hamiltonian(model, grid)
-cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy)
+layer = parse_config_text("").grid      # the configured absorbing layer
+cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy,
+                       strength=layer["absorber_strength"],
+                       width_fraction=layer["absorber_width_fraction"])
 h_cap = h_plain + cap
 v = gaussian_probe(grid, width=2.0)
 
@@ -29,8 +33,7 @@ minus = boundary_value(h_cap, v, grid, tol=1e-4, max_steps=24, sign=-1)
 print(f"  outgoing converged: {plus.converged}; incoming is its conjugate "
       f"for the real source: {np.allclose(minus.u, np.conj(plus.u))}")
 
-spec = FilterSpec.for_model(model, sigma_cut=0.5, neighborhood_margin=2.0,
-                            tilde_width=0.8)
+spec = FilterSpec.for_model(model, sigma_cut=0.5)
 ladder = np.array([4.0, 8.0, 16.0, 32.0, 64.0, 100.0])
 
 print()

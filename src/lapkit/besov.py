@@ -45,6 +45,7 @@ __all__ = [
     "bstar0_defect",
     "defect_ladder",
     "loglog_slope",
+    "tail_slope",
     "base_equivalence_constants",
     "verify_base_equivalence",
     "verify_scaling",
@@ -287,10 +288,11 @@ def bstar0_defect(u, a, ladder, exponent: float = 0.5,
     return float(tail) if np.ndim(tail) == 0 else tail
 
 
-def loglog_slope(radii, values, floor: float = 0.0) -> float:
-    """Least-squares slope of log(values) against log(radii)."""
+def loglog_slope(radii, values) -> float:
+    """Least-squares slope of log(values) against log(radii), over the
+    positive values; nan when fewer than two are positive."""
     radii = np.asarray(radii, dtype=float)
-    values = np.maximum(np.asarray(values, dtype=float), floor)
+    values = np.asarray(values, dtype=float)
     keep = values > 0
     if np.count_nonzero(keep) < 2:
         return math.nan
@@ -301,6 +303,13 @@ def loglog_slope(radii, values, floor: float = 0.0) -> float:
     if denom == 0.0:
         return math.nan
     return float(np.dot(lx, ly - ly.mean()) / denom)
+
+
+def tail_slope(ladder, values) -> float:
+    """``loglog_slope`` over the top half of a radius ladder, the finite
+    stand-in for a limit as the radius goes to infinity."""
+    half = len(ladder) // 2
+    return loglog_slope(ladder[half:], values[half:])
 
 
 # ---------------------------------------------------------------------------

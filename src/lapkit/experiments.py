@@ -27,7 +27,8 @@ from .potential import (PotentialModel, WeightParams, bracket,
                         check_condition, load_v2_table, model_from_config,
                         weight_f)
 from .reports import CheckResult, Report
-from .weyl import FilterSpec, default_radius_ladder, radiation_filter
+from .weyl import (ANNULUS_EPS, FilterSpec, default_radius_ladder,
+                   radiation_filter)
 
 if TYPE_CHECKING:
     from .resolvent import Sector
@@ -43,14 +44,6 @@ SLOPE_DECREASING = -0.2
 SLOPE_FLAT = -0.05
 
 STABILITY_RTOL = 0.05
-
-# calibrated quantization parameters for the radiation filters: the
-# kinetic cutoff plateau margin above C_0', its ramp width, and the
-# direction cutoff ramp width (all in symbol units); ramps much
-# narrower than the local frequency resolution leak on coarse grids
-FILTER_MARGIN = 2.0
-FILTER_FALL = 1.0
-FILTER_TILDE_WIDTH = 0.8
 
 # The runners import the sparse operators and solvers (and with them
 # scipy) inside their bodies, so the numpy-only experiments never load
@@ -503,18 +496,29 @@ def run_besov_bound(cfg: ExperimentConfig) -> Report:
 # radiation
 # ---------------------------------------------------------------------------
 
-def _cap_operator(model, grid, cfg):
-    """(H + cap, cap, H); cap is None, and H + cap is H, without a layer."""
-    from .operators import build_hamiltonian, matched_absorber
+def _line_problem(cfg: ExperimentConfig, name: str):
+    """(model, grid, H, cap, source) of a zero-energy runner.
+
+    The runner ``name`` needs a certified potential on the line grid;
+    ``cap`` is the matched absorbing layer, None when the configured
+    strength is 0, and the source is the configured Gaussian.
+    """
+    from .operators import build_hamiltonian, gaussian_probe, matched_absorber
+    model = build_model(cfg)
+    if model is None:
+        raise ConfigError(f"{name} requires a certified potential")
+    grid = build_grid(cfg)
+    if not isinstance(grid, Grid1D):
+        raise ConfigError(f"{name} runs on the 1-d line grid")
     h_op = build_hamiltonian(model, grid)
-    eta = cfg.grid["absorber_strength"]
-    if eta > 0:
-        kappa = model.kappa_low_energy if model is not None else 1.0
-        mu = model.mu if model is not None else cfg.model["mu"]
-        cap = matched_absorber(grid, mu=mu, kappa=kappa, strength=eta,
+    cap = None
+    if cfg.grid["absorber_strength"] > 0:
+        cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy,
+                               strength=cfg.grid["absorber_strength"],
                                width_fraction=cfg.grid["absorber_width_fraction"])
-        return h_op + cap, cap, h_op
-    return h_op, None, h_op
+    source = gaussian_probe(grid, center=cfg.experiment["source_center"],
+                            width=cfg.experiment["source_width"])
+    return model, grid, h_op, cap, source
 
 
 def run_radiation(cfg: ExperimentConfig) -> Report:
@@ -530,20 +534,12 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     the outgoing one; an independent ladder along the conjugate ray
     checks that identity.
     """
-    from .operators import gaussian_probe
     from .resolvent import boundary_value
-    model = build_model(cfg)
-    if model is None:
-        raise ConfigError("radiation requires a certified potential")
-    grid = build_grid(cfg)
-    if not isinstance(grid, Grid1D):
-        raise ConfigError("radiation runs on the 1-d line grid")
+    model, grid, h_op, cap, v = _line_problem(cfg, "radiation")
+    h_cap = h_op if cap is None else h_op + cap
     sector = build_sector(cfg)
     rng_seed = cfg.seed
     report = _report(cfg)
-    h_cap, _, _ = _cap_operator(model, grid, cfg)
-    v = gaussian_probe(grid, center=cfg.experiment["source_center"],
-                       width=cfg.experiment["source_width"])
     weight_s = _weight_s(cfg, model)
     arg = (cfg.sector["rays"] or [sector.default_ray()])[0]
     ratio = cfg.sector["ratio"]
@@ -576,10 +572,7 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
         conj_gap <= 1e-8, conj_gap, 1e-8,
         description="conjugated outgoing run equals the direct incoming run"))
 
-    spec = FilterSpec.for_model(model, sigma_cut=cfg.experiment["sigma_cut"],
-                                neighborhood_margin=FILTER_MARGIN,
-                                fall_width=FILTER_FALL,
-                                tilde_width=FILTER_TILDE_WIDTH)
+    spec = FilterSpec.for_model(model, cfg.experiment["sigma_cut"])
     half_box = grid.length / 2.0
     # both boundary values go through each symbol table together
     block = np.column_stack((plus.u, u_minus))
@@ -619,8 +612,8 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     for check_id, key in (("plus-outgoing-far-ratio", ("plus", "outgoing")),
                           ("plus-high-far-ratio", ("plus", "high"))):
         res = results[key]
-        near = res.defect_at(32.0, annulus=True)
-        far = res.defect_at(half_box, annulus=True)
+        near = res.defect_at(32.0)
+        far = res.defect_at(half_box)
         ratio_far = far / max(near, 1e-300)
         report.add(CheckResult(
             check_id, "outgoing-filter-vanishing",
@@ -659,20 +652,12 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
     at solver level; a vanishing difference is reported inconclusive
     (over-damping), not as success.
     """
-    from .operators import gaussian_probe
     from .resolvent import ShiftedSolver
-    model = build_model(cfg)
-    if model is None:
-        raise ConfigError("uniqueness requires a certified potential")
-    grid = build_grid(cfg)
-    if not isinstance(grid, Grid1D):
-        raise ConfigError("uniqueness runs on the 1-d line grid")
-    report = _report(cfg)
-    if cfg.grid["absorber_strength"] <= 0:
+    model, grid, h_plain, cap, v = _line_problem(cfg, "uniqueness")
+    if cap is None:
         raise ConfigError("uniqueness needs the absorbing layer enabled")
-    h_cap, cap, h_plain = _cap_operator(model, grid, cfg)
-    v = gaussian_probe(grid, center=cfg.experiment["source_center"],
-                       width=cfg.experiment["source_width"])
+    h_cap = h_plain + cap
+    report = _report(cfg)
     if np.linalg.norm(v) == 0.0:
         report.extras["trivial"] = True
         report.add(CheckResult("trivial-source", "uniqueness-null-difference",
@@ -685,8 +670,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
     u_minus = solver_plus.solve_adjoint(v)
     w = u_plus - u_minus
 
-    cap_diag = np.zeros(len(v)) if cap is None else np.abs(cap.diagonal())
-    untouched = cap_diag == 0.0
+    untouched = np.abs(cap.diagonal()) == 0.0
     # one stencil row of separation from the layer
     interior = untouched.copy()
     interior[1:] &= untouched[:-1]
@@ -712,10 +696,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
         norm_w >= 0.1 * norm_plus, norm_w / norm_plus, 0.1, comparison=">=",
         description="the two boundary values genuinely differ"))
 
-    spec = FilterSpec.for_model(model, sigma_cut=cfg.experiment["sigma_cut"],
-                                neighborhood_margin=FILTER_MARGIN,
-                                fall_width=FILTER_FALL,
-                                tilde_width=FILTER_TILDE_WIDTH)
+    spec = FilterSpec.for_model(model, cfg.experiment["sigma_cut"])
     ladder = default_radius_ladder(grid)
     filt = radiation_filter(w, spec, model, grid, ladder=ladder,
                             mode="outgoing")
@@ -726,9 +707,8 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
         description="null difference fails the outgoing condition"))
 
     plain = besov.defect_ladder(w, grid.nodes, ladder, exponent=model.s0,
-                                annulus_eps=0.5)
-    half = len(ladder) // 2
-    plain_slope = besov.loglog_slope(ladder[half:], plain[half:])
+                                annulus_eps=ANNULUS_EPS)
+    plain_slope = besov.tail_slope(ladder, plain)
     report.add(CheckResult(
         "null-ball-norm-growth", "null-vector-growth",
         plain_slope >= SLOPE_FLAT, plain_slope, SLOPE_FLAT, comparison=">=",

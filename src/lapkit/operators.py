@@ -1,10 +1,11 @@
 """Discretized operators on the line and the half-line.
 
 Hamiltonians on the grids of ``lapkit.grids`` use the second-order
-central stencil with Dirichlet walls; an optional complex absorbing
-layer is kept as a separate diagonal term so the Hermitian part stays
-intact.  Every
-operator is a plain ``scipy.sparse`` CSR matrix.
+central stencil with Dirichlet walls.  The one complex absorbing layer,
+``matched_absorber``, is impedance-matched to zero-energy waves and
+kept as a separate diagonal term so the Hermitian part stays intact;
+its strength and width come from the configuration.  Every operator is
+a plain ``scipy.sparse`` CSR matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ __all__ = [
     "RadialGrid",
     "hermiticity_residual",
     "build_hamiltonian",
-    "absorbing_layer",
+    "matched_absorber",
     "build_dilation",
     "commutator_residual",
     "refinement_orders",
@@ -89,52 +90,25 @@ def build_hamiltonian(model: PotentialModel | None, grid) -> sp.csr_matrix:
     return sp.csr_matrix(lap + sp.diags(pot))
 
 
-def absorbing_layer(grid, strength: float = 1.0,
-                    width_fraction: float = 0.125,
-                    local_scale=None, profile: str = "smoothstep") -> sp.csr_matrix:
-    """Complex absorbing potential -i eta s(x) near the box edge.
-
-    The ramp s rises from 0 at the inner edge of the layer to 1 at the
-    wall (degree-7 smoothstep by default, or a quadratic ramp);
-    returned as a separate labeled term.  ``local_scale`` multiplies
-    the profile pointwise.
-    """
-    from .weyl import smoothstep7
-    x = grid.nodes
-    outer = grid.length
-    width = width_fraction * outer
-    if isinstance(grid, Grid1D):
-        depth = (np.abs(x) - (outer - width)) / width
-    else:
-        depth = (x - (outer - width)) / width
-    t = np.clip(depth, 0.0, 1.0)
-    if profile == "smoothstep":
-        ramp = smoothstep7(t)
-    elif profile == "quadratic":
-        ramp = t**2
-    else:
-        raise ValueError(f"unknown absorber profile {profile!r}")
-    if local_scale is not None:
-        ramp = ramp * np.asarray(local_scale, dtype=float)
-    return sp.csr_matrix(sp.diags(-1j * strength * ramp))
-
-
-def matched_absorber(grid, mu: float, kappa: float = 1.0,
-                     strength: float = 3.0,
-                     width_fraction: float = 0.375) -> sp.csr_matrix:
-    """Absorbing layer impedance-matched to zero-energy waves.
+def matched_absorber(grid, mu: float, kappa: float, strength: float,
+                     width_fraction: float) -> sp.csr_matrix:
+    """Complex absorbing potential impedance-matched to zero-energy waves.
 
     Slow waves with local momentum f_0 = (K <x>^-mu)^{1/2} reflect off
     a constant-amplitude layer (it is either an overdamped wall or too
-    weak to absorb), so the amplitude here tracks the local kinetic
-    scale f_0^2 under a quadratic ramp; measured round-trip reflection
-    stays near the percent level at desk-scale boxes.
+    weak to absorb), so the amplitude -i eta t^2 K <x>^-mu tracks the
+    local kinetic scale f_0^2 under a quadratic ramp in the depth t,
+    which rises from 0 at the inner edge of the layer to 1 at the wall;
+    measured round-trip reflection stays near the percent level at
+    desk-scale boxes.  Returned as a separate labeled term.
     """
     x = grid.nodes
     scale = kappa * bracket(x) ** (-mu)
-    return absorbing_layer(grid, strength=strength,
-                           width_fraction=width_fraction,
-                           local_scale=scale, profile="quadratic")
+    outer = grid.length
+    width = width_fraction * outer
+    t = np.clip((np.abs(x) - (outer - width)) / width, 0.0, 1.0)
+    ramp = t**2 * scale
+    return sp.csr_matrix(sp.diags(-1j * strength * ramp))
 
 
 def build_dilation(grid) -> sp.csr_matrix:
@@ -158,14 +132,11 @@ def gaussian_probe(grid, center: float = 0.0, width: float = 1.0) -> np.ndarray:
     return np.exp(-((x - center) ** 2) / (2.0 * width**2)).astype(complex)
 
 
-def _probe_interior(grid, probe, edge_fraction=0.1, tol=1e-8):
-    x = grid.nodes
-    if isinstance(grid, Grid1D):
-        edge = np.abs(x) > (1.0 - edge_fraction) * grid.length
-    else:
-        edge = x > (1.0 - edge_fraction) * grid.length
+def _probe_interior(grid, probe):
+    """True when the probe has no mass in the outer tenth of the box."""
+    edge = np.abs(grid.nodes) > 0.9 * grid.length
     total = np.linalg.norm(probe)
-    return total > 0 and np.linalg.norm(probe[edge]) <= tol * total
+    return total > 0 and np.linalg.norm(probe[edge]) <= 1e-8 * total
 
 
 def commutator_residual(hm: sp.csr_matrix, am: sp.csr_matrix,

@@ -117,10 +117,9 @@ class PotentialModel:
     def c0(self) -> float:
         return self.symbol_constants.get(0, self.eps1)
 
-    def c0_prime(self, kappa: float | None = None) -> float:
+    def c0_prime(self) -> float:
         """max(C_0 / K, 1), the plateau scale of the low-frequency cutoff."""
-        k = self.kappa_low_energy if kappa is None else kappa
-        return max(self.c0 / k, 1.0)
+        return max(self.c0 / self.kappa_low_energy, 1.0)
 
     def total(self, x) -> np.ndarray:
         v = self.v1(np.abs(np.asarray(x, dtype=float)))
@@ -280,11 +279,12 @@ class ConditionReport:
         }
 
 
-def _fd_second(model, r, h=1e-4):
+def _fd_second(model, r):
     """Second radial derivative of V1 by central differences of grad_v1.
 
     V1 is radial, so the gradient extends oddly through the origin.
     """
+    h = 1e-4
     rm = r - h
     gm = np.sign(rm) * model.grad_v1(np.abs(rm))
     return (model.grad_v1(r + h) - gm) / (2.0 * h)

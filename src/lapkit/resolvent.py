@@ -796,6 +796,11 @@ def hoelder_estimate(operator, s: float, pairs, grid,
 # Boundary values along a ray
 # ---------------------------------------------------------------------------
 
+# a ladder whose difference exceeds this multiple of its running minimum
+# has stopped decreasing
+RISE_FACTOR = 2.0
+
+
 @dataclass
 class BoundaryValueResult:
     u: np.ndarray
@@ -815,8 +820,7 @@ class BoundaryValueResult:
 def boundary_value(operator, v, grid, sector: Sector | None = None,
                    ray_arg: float | None = None, ratio: float = 0.5,
                    tol: float = 1e-4, sign: int = +1, max_steps: int = 24,
-                   weight_s: float = 0.8,
-                   rise_factor: float = 2.0) -> BoundaryValueResult:
+                   weight_s: float = 0.8) -> BoundaryValueResult:
     """Extrapolate R(0 + i0) v (or the -i0 value) along a sector ray.
 
     Solves at z_k = lambda0 ratio^k e^{i arg} until the successive
@@ -824,7 +828,7 @@ def boundary_value(operator, v, grid, sector: Sector | None = None,
     tol * ||u||_{-s}.  On a finite box the ladder shows a transient
     wobble where |z| crosses the box scale before resuming geometric
     decrease, so non-convergence is declared on the envelope: the
-    ladder fails once a difference exceeds ``rise_factor`` times the
+    ladder fails once a difference exceeds ``RISE_FACTOR`` times the
     running minimum.  The -i0 value walks the conjugate ray conj(z_k)
     with the conjugate operator conj(M).  For a real potential that
     mirrors the +i0 ladder through the real axis, absorbing layer
@@ -858,7 +862,7 @@ def boundary_value(operator, v, grid, sector: Sector | None = None,
             d = float(np.linalg.norm(w * (u - u_prev)))
             scale = float(np.linalg.norm(w * u))
             diffs.append(d)
-            if d > rise_factor * running_min:
+            if d > RISE_FACTOR * running_min:
                 raise ExtrapolationError(
                     "difference ladder stopped decreasing", ladder=diffs)
             running_min = min(running_min, d)

@@ -40,13 +40,17 @@ from typing import Callable
 
 import numpy as np
 
-from .besov import defect_ladder, loglog_slope
+from .besov import defect_ladder, tail_slope
 from .errors import DimensionError
 from .grids import Grid1D
 from .potential import PotentialModel, WeightParams, bracket, weight_f
 
 __all__ = [
     "smoothstep7",
+    "PLATEAU_MARGIN",
+    "FALL_WIDTH",
+    "TILDE_WIDTH",
+    "ANNULUS_EPS",
     "FilterSpec",
     "Band",
     "symbol_a0",
@@ -98,21 +102,34 @@ def symbol_b0(params: WeightParams) -> Callable:
 # Cutoff profiles
 # ---------------------------------------------------------------------------
 
+# calibrated cutoff shape, in symbol units: the kinetic plateau's margin
+# above C_0', its fall width, and the direction cutoff's fall width;
+# ramps much narrower than the local frequency resolution leak on
+# coarse grids
+PLATEAU_MARGIN = 2.0
+FALL_WIDTH = 1.0
+TILDE_WIDTH = 0.8
+
+# inner radius of the defect annuli as a fraction of the outer radius
+ANNULUS_EPS = 0.5
+
+
 @dataclass(frozen=True)
 class FilterSpec:
     """Smooth cutoffs selecting the low-frequency outgoing region.
 
-    chi_minus equals 1 on [0, plateau_end], falls to 0 over one unit,
-    and rises from -1, so its support is [-1, plateau_end + 1] and it
-    is nonincreasing for t > 0.  chi_tilde is supported in
-    (-inf, sigma_cut), realized with a compact plateau wide enough to
-    cover every direction value the kinetic cutoff lets through.
+    chi_minus equals 1 on [0, plateau_end], falls to 0 over
+    ``fall_width``, and rises from -1, so its support is
+    [-1, plateau_end + fall_width] and it is nonincreasing for t > 0.
+    chi_tilde is supported in (-inf, sigma_cut), realized with a
+    compact plateau wide enough to cover every direction value the
+    kinetic cutoff lets through.
     """
 
     plateau_end: float
-    sigma_cut: float = 0.5
-    fall_width: float = 1.0
-    tilde_width: float = 0.25
+    sigma_cut: float
+    fall_width: float = FALL_WIDTH
+    tilde_width: float = TILDE_WIDTH
 
     def __post_init__(self):
         if self.plateau_end <= 0:
@@ -121,21 +138,15 @@ class FilterSpec:
             raise ValueError("ramp widths must be positive")
 
     @classmethod
-    def for_model(cls, model: PotentialModel, sigma_cut: float = 0.5,
-                  neighborhood_margin: float = 1.0,
-                  fall_width: float = 1.0,
-                  tilde_width: float = 0.25) -> "FilterSpec":
-        """Plateau from the model's cutoff scale C_0' = max(C_0/K, 1).
+    def for_model(cls, model: PotentialModel, sigma_cut: float) -> "FilterSpec":
+        """The calibrated cutoffs on the model's scale C_0' = max(C_0/K, 1).
 
-        The plateau extends to C_0' + margin; any margin > 0 keeps the
-        cutoff equal to 1 on a neighborhood of [0, C_0'], which is all
-        the phase-space localization statements require.  Wider ramps
-        quantize with less leakage on coarse frequency ladders.
+        The plateau extends to C_0' + PLATEAU_MARGIN; any margin > 0
+        keeps the cutoff equal to 1 on a neighborhood of [0, C_0'],
+        which is all the phase-space localization statements require.
         """
-        c0p = model.c0_prime()
-        return cls(plateau_end=c0p + neighborhood_margin,
-                   sigma_cut=sigma_cut, fall_width=fall_width,
-                   tilde_width=tilde_width)
+        return cls(plateau_end=model.c0_prime() + PLATEAU_MARGIN,
+                   sigma_cut=sigma_cut)
 
     @property
     def kinetic_reach(self) -> float:
@@ -253,7 +264,10 @@ def weyl_apply(symbol, grid: Grid1D, u, band: Band | None = None) -> np.ndarray:
     table = np.empty((K_BATCH, p), dtype=complex)
     for first in range(k0.min(), k1.max(), K_BATCH):
         cols = np.arange(first, min(first + K_BATCH, k1.max()))
-        b, s = np.nonzero((k0 <= cols[:, None]) & (cols[:, None] < k1))
+        # only the rows whose band meets the batch enter the 2-D mask
+        hit = np.flatnonzero((k0 <= cols[-1]) & (k1 > cols[0]))
+        b, s = np.nonzero((k0[hit] <= cols[:, None]) & (cols[:, None] < k1[hit]))
+        s = hit[s]
         k = cols[b] - n // 2
         batch = table[:len(cols)]
         batch[:] = 0.0
@@ -292,25 +306,22 @@ class FilterResult:
     filtered: np.ndarray
     ladder: np.ndarray
     ball_defect: np.ndarray      # R^{-s0} ||F(|x| < R) w||
-    annulus_defect: np.ndarray   # R^{-s0} ||F(eps R <= |x| < R) w||
-    annulus_eps: float
+    annulus_defect: np.ndarray   # R^{-s0} ||F(ANNULUS_EPS R <= |x| < R) w||
     exponent: float
     degenerate: bool
 
     @property
     def ball_slope(self) -> float:
-        half = len(self.ladder) // 2
-        return loglog_slope(self.ladder[half:], self.ball_defect[half:])
+        return tail_slope(self.ladder, self.ball_defect)
 
     @property
     def annulus_slope(self) -> float:
-        half = len(self.ladder) // 2
-        return loglog_slope(self.ladder[half:], self.annulus_defect[half:])
+        return tail_slope(self.ladder, self.annulus_defect)
 
-    def defect_at(self, radius: float, annulus: bool = False) -> float:
-        values = self.annulus_defect if annulus else self.ball_defect
+    def defect_at(self, radius: float) -> float:
+        """The annulus defect at the ladder rung nearest ``radius``."""
         k = int(np.argmin(np.abs(self.ladder - radius)))
-        return float(values[k])
+        return float(self.annulus_defect[k])
 
 
 def filter_symbol(spec: FilterSpec, params: WeightParams,
@@ -352,8 +363,7 @@ def filter_symbol(spec: FilterSpec, params: WeightParams,
 
 
 def radiation_filter(u, spec: FilterSpec, model: PotentialModel,
-                     grid: Grid1D, ladder=None, mode: str = "outgoing",
-                     annulus_eps: float = 0.5):
+                     grid: Grid1D, ladder=None, mode: str = "outgoing"):
     """Apply a phase-space cutoff and ladder its vanishing defect.
 
     The cutoff is ``filter_symbol(spec, params, mode)`` with the
@@ -379,8 +389,8 @@ def radiation_filter(u, spec: FilterSpec, model: PotentialModel,
             mode=mode, filtered=w_col, ladder=ladder,
             ball_defect=defect_ladder(w_col, grid.nodes, ladder, exponent=s0),
             annulus_defect=defect_ladder(w_col, grid.nodes, ladder, exponent=s0,
-                                         annulus_eps=annulus_eps),
-            annulus_eps=annulus_eps, exponent=s0,
+                                         annulus_eps=ANNULUS_EPS),
+            exponent=s0,
             degenerate=bool(np.linalg.norm(w_col) <= 1e-13 * scale))
 
     if w.ndim == 1:

@@ -19,6 +19,7 @@ from lapkit.operators import Grid1D, build_hamiltonian
 from lapkit.potential import bracket
 from lapkit.reports import (CheckResult, Report, dump_vector, load_vector,
                             write_sweep_csv)
+from lapkit.weyl import FilterSpec
 
 SMALL_SWEEP = """
 [model]
@@ -388,6 +389,54 @@ id = uniqueness
 """)
     with pytest.raises(ConfigError):
         run_uniqueness(cfg)
+
+
+ZERO_ENERGY_RUNNERS = pytest.mark.parametrize(
+    "runner", [run_radiation, run_uniqueness], ids=["radiation", "uniqueness"])
+
+
+@ZERO_ENERGY_RUNNERS
+@pytest.mark.parametrize("section,message", [
+    ("[model]\nfamily = free", "requires a certified potential"),
+    ("[grid]\nkind = radial\nsize = 64", "runs on the 1-d line grid"),
+], ids=["free", "radial"])
+def test_zero_energy_runners_need_a_potential_on_the_line(runner, section,
+                                                          message):
+    name = runner.__name__.removeprefix("run_")
+    cfg = parse_config_text(f"{section}\n\n[experiment]\nid = {name}\n")
+    with pytest.raises(ConfigError, match=f"^{name} {message}$"):
+        runner(cfg)
+
+
+@ZERO_ENERGY_RUNNERS
+def test_zero_energy_runners_filter_with_the_calibrated_spec(runner, monkeypatch):
+    import lapkit.experiments as experiments
+
+    real_filter = experiments.radiation_filter
+    specs = []
+
+    def recording_filter(u, spec, *args, **kwargs):
+        specs.append(spec)
+        return real_filter(u, spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "radiation_filter", recording_filter)
+    name = runner.__name__.removeprefix("run_")
+    cfg = parse_config_text(f"""
+[model]
+family = standard
+
+[grid]
+length = 100.0
+size = 1024
+
+[experiment]
+id = {name}
+sigma_cut = 0.4
+""")
+    runner(cfg)
+    expected = FilterSpec.for_model(build_model(cfg), 0.4)
+    assert len(specs) == (3 if name == "radiation" else 1)
+    assert all(spec == expected for spec in specs)
 
 
 def test_radiation_small_structure():

@@ -6,12 +6,11 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from lapkit.errors import DimensionError
-from lapkit.operators import (Grid1D, RadialGrid, absorbing_layer,
-                              build_dilation, build_hamiltonian,
-                              commutator_residual, dilation_eigenbasis,
-                              export_triplets, gaussian_probe,
-                              hermiticity_residual, matched_absorber,
-                              refinement_orders)
+from lapkit.operators import (Grid1D, RadialGrid, build_dilation,
+                              build_hamiltonian, commutator_residual,
+                              dilation_eigenbasis, export_triplets,
+                              gaussian_probe, hermiticity_residual,
+                              matched_absorber, refinement_orders)
 from lapkit.potential import coulomb_model, standard_model
 
 
@@ -96,17 +95,24 @@ def test_dimension_mismatch():
                           RadialGrid(10.0, 32, dim=3))
 
 
-def test_absorbing_layer_shape():
-    g = Grid1D(40.0, 256)
-    cap = absorbing_layer(g, strength=2.0, width_fraction=0.25)
+@pytest.mark.parametrize("grid", [Grid1D(40.0, 256), RadialGrid(40.0, 128)],
+                         ids=["line", "radial"])
+def test_matched_absorber_shape(grid):
+    # -i eta t^2 K <x>^-mu: purely absorbing, zero inside the layer, and
+    # -i eta K <x>^-mu at the wall, where the depth t reaches 1
+    cap = matched_absorber(grid, mu=1.0, kappa=2.0, strength=1.5,
+                           width_fraction=0.25)
     d = cap.diagonal()
+    r = np.abs(grid.nodes)
     assert np.all(d.real == 0.0)
     assert np.all(d.imag <= 0.0)
-    inner = np.abs(g.nodes) < 30.0 - g.spacing
-    assert np.all(d.imag[inner] == 0.0)
-    assert d.imag[0] == pytest.approx(-2.0, rel=1e-4)
-    with pytest.raises(ValueError):
-        absorbing_layer(g, profile="bogus")
+    assert np.all(d.imag[r <= 30.0] == 0.0)
+    assert np.all(d.imag[r > 30.0] < 0.0)
+    edge = np.argmax(r)
+    # the outermost node sits half a cell inside the wall
+    depth = 1.0 - grid.spacing / 2.0 / 10.0
+    wall = -1.5 * 2.0 / math.sqrt(1 + r[edge] ** 2)
+    assert d[edge] == pytest.approx(1j * depth**2 * wall, rel=1e-12)
 
 
 def test_matched_absorber_scales_with_local_energy():

@@ -9,10 +9,11 @@ from conftest import (free_resolvent_gaussian, free_resolvent_kernel,
                       lattice_free_kernel)
 from lapkit.besov import (ShellScheme, bstar_norm_dense, loglog_slope,
                           schur_block_bound, unit_blocks)
+from lapkit.config import parse_config_text
 from lapkit.errors import ExtrapolationError, SolverError
-from lapkit.operators import (Grid1D, RadialGrid, absorbing_layer,
-                              build_dilation, build_hamiltonian,
-                              gaussian_probe, matched_absorber)
+from lapkit.operators import (Grid1D, RadialGrid, build_dilation,
+                              build_hamiltonian, gaussian_probe,
+                              matched_absorber)
 from lapkit.potential import WeightParams, bracket, standard_model, weight_f
 from lapkit.resolvent import (LANCZOS_STEPS, SOLVE_RTOL, Sector,
                               ShiftedSolver, TridiagonalResolvent,
@@ -26,6 +27,14 @@ from lapkit.resolvent import (LANCZOS_STEPS, SOLVE_RTOL, Sector,
 
 MODEL = standard_model(1.0, 1.0, 1)
 Z0 = 0.5 + 0.5j
+# the absorbing layer's strength and width as a config leaves them
+LAYER = parse_config_text("").grid
+
+
+def configured_absorber(grid):
+    return matched_absorber(grid, mu=1.0, kappa=1.0,
+                            strength=LAYER["absorber_strength"],
+                            width_fraction=LAYER["absorber_width_fraction"])
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +290,7 @@ def test_spectral_distance_rejects_non_real_tridiagonal():
     grid = Grid1D(20.0, 128)
     h_op = build_hamiltonian(MODEL, grid)
     with pytest.raises(ValueError, match="real"):
-        spectral_distance(h_op + absorbing_layer(grid), Z0)
+        spectral_distance(h_op + configured_absorber(grid), Z0)
     solver = mourre_resolvent(h_op, build_dilation(grid), Z0, 0.1)
     with pytest.raises(ValueError, match="tridiagonal"):
         spectral_distance(solver.matrix, Z0)
@@ -572,7 +581,7 @@ def test_boundary_value_zero_source():
 def test_boundary_value_conjugation(rng):
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
-    cap = matched_absorber(grid, mu=1.0, kappa=1.0)
+    cap = configured_absorber(grid)
     full = h_op + cap
     v = gaussian_probe(grid, width=2.0)
     plus = boundary_value(full, v, grid, tol=1e-4)
@@ -588,7 +597,7 @@ def test_boundary_value_ladder_consistent_with_hoelder(rng):
     # the operator-norm growth exponent bounds the per-step vector decay
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
-    cap = matched_absorber(grid, mu=1.0, kappa=1.0)
+    cap = configured_absorber(grid)
     full = h_op + cap
     v = gaussian_probe(grid, width=2.0)
     res = boundary_value(full, v, grid, tol=1e-5, max_steps=24)
@@ -604,15 +613,15 @@ def test_boundary_value_ladder_consistent_with_hoelder(rng):
     assert geo_mean <= bound * (1 + 1e-9)
 
 
-def test_boundary_value_nongeometric_error():
+def test_boundary_value_nongeometric_error(monkeypatch):
     # an unabsorbed box rises when |z| crosses the box scale; a tight
     # rise envelope must report it with the ladder attached
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
     v = gaussian_probe(grid, width=2.0)
+    monkeypatch.setattr("lapkit.resolvent.RISE_FACTOR", 1.2)
     with pytest.raises(ExtrapolationError) as info:
-        boundary_value(h_op, v, grid, tol=1e-12, max_steps=24,
-                       rise_factor=1.2)
+        boundary_value(h_op, v, grid, tol=1e-12, max_steps=24)
     assert len(info.value.ladder) >= 2
 
 

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from lapkit.besov import loglog_slope
 from lapkit.errors import DimensionError
-from lapkit.experiments import FILTER_FALL, FILTER_MARGIN, FILTER_TILDE_WIDTH
 from lapkit.operators import Grid1D, gaussian_probe, hermiticity_residual
 from lapkit.potential import WeightParams, standard_model
 from lapkit.weyl import (Band, FilterSpec, default_radius_ladder, filter_symbol,
-                         loglog_slope, radiation_filter, smoothstep7, symbol_a0,
-                         symbol_b0, weyl_apply, weyl_matrix)
+                         radiation_filter, smoothstep7, symbol_a0, symbol_b0,
+                         weyl_apply, weyl_matrix)
 
 GRID = Grid1D(10.0, 128)
 
@@ -52,7 +52,7 @@ def test_linearity():
 
 def test_partition_of_unity():
     m = standard_model(1.0, 1.0, 1)
-    spec = FilterSpec.for_model(m)
+    spec = FilterSpec.for_model(m, 0.5)
     params = WeightParams(0.0, m.kappa_low_energy, m.mu)
     a0 = symbol_a0(params)
     low = weyl_matrix(lambda x, xi: spec.chi_minus(a0(x, xi)), GRID)
@@ -73,7 +73,7 @@ def test_apply_matches_dense(rng):
 @pytest.mark.parametrize("mode", ["outgoing", "high", "mirrored"])
 def test_band_limited_apply_matches_dense(mode, rng):
     m = standard_model(1.0, 1.0, 1)
-    spec = FilterSpec.for_model(m, neighborhood_margin=2.0, tilde_width=0.8)
+    spec = FilterSpec.for_model(m, 0.5)
     params = WeightParams(0.0, m.kappa_low_energy, m.mu)
     symbol, band = filter_symbol(spec, params, mode)
     u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
@@ -85,7 +85,7 @@ def test_band_limited_apply_matches_dense(mode, rng):
 @pytest.mark.parametrize("mode", ["outgoing", "high", "mirrored"])
 def test_block_apply_equals_column_applies(mode, rng):
     m = standard_model(1.0, 1.0, 1)
-    spec = FilterSpec.for_model(m)
+    spec = FilterSpec.for_model(m, 0.5)
     params = WeightParams(0.0, m.kappa_low_energy, m.mu)
     symbol, band = filter_symbol(spec, params, mode)
     block = rng.standard_normal((128, 2)) + 1j * rng.standard_normal((128, 2))
@@ -108,9 +108,7 @@ DESK_GRID = Grid1D(100.0, 1024)     # the desk spacing on a quarter box
 
 def desk_filters():
     m = standard_model(1.0, 1.0, 1)
-    spec = FilterSpec.for_model(m, neighborhood_margin=FILTER_MARGIN,
-                                fall_width=FILTER_FALL,
-                                tilde_width=FILTER_TILDE_WIDTH)
+    spec = FilterSpec.for_model(m, 0.5)
     return spec, WeightParams(0.0, m.kappa_low_energy, m.mu)
 
 
@@ -177,8 +175,7 @@ def test_band_covers_symbol_support(length, size, kappa, mu):
     # outside |xi| <= reach(x) the full-table symbol is exactly constant
     grid = Grid1D(length, size)
     params = WeightParams(0.0, kappa, mu)
-    spec = FilterSpec.for_model(standard_model(1.0, mu, 1), neighborhood_margin=2.0,
-                                tilde_width=0.8)
+    spec = FilterSpec.for_model(standard_model(1.0, mu, 1), 0.5)
     x = -length + (np.arange(2 * size - 1) + 1.0) * grid.spacing / 2.0
     xi = grid.frequencies
     for mode in ("outgoing", "high", "mirrored"):
@@ -246,12 +243,20 @@ def test_cutoff_supports():
 
 def test_filter_spec_validation():
     with pytest.raises(ValueError):
-        FilterSpec(plateau_end=0.0)
+        FilterSpec(plateau_end=0.0, sigma_cut=0.5)
     with pytest.raises(ValueError):
-        FilterSpec(plateau_end=1.0, tilde_width=0.0)
-    m = standard_model(1.0, 1.0, 1)
-    spec = FilterSpec.for_model(m)
-    assert spec.plateau_end == pytest.approx(m.c0_prime() + 1.0)
+        FilterSpec(plateau_end=1.0, sigma_cut=0.5, tilde_width=0.0)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 1.5])
+def test_filter_spec_for_model_is_the_calibrated_shape(mu):
+    # plateau C_0' + 2, kinetic fall 1, direction fall 0.8: the one
+    # calibration every radiation filter uses
+    m = standard_model(1.0, mu, 1)
+    spec = FilterSpec.for_model(m, 0.3)
+    assert spec == FilterSpec(plateau_end=m.c0_prime() + 2.0, sigma_cut=0.3,
+                              fall_width=1.0, tilde_width=0.8)
+    assert spec.kinetic_reach == pytest.approx(m.c0_prime() + 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +282,7 @@ def test_compact_support_defect_decays():
     m = standard_model(1.0, 1.0, 1)
     g = Grid1D(40.0, 512)
     u = gaussian_probe(g, width=1.5)
-    spec = FilterSpec.for_model(m)
+    spec = FilterSpec.for_model(m, 0.5)
     res = radiation_filter(u, spec, m, g, mode="outgoing")
     # smooth compactly supported input: ladder decays past the support
     assert res.ball_slope <= -0.2
@@ -288,7 +293,7 @@ def test_compact_support_defect_decays():
 def test_outgoing_sigma_contract():
     m = standard_model(1.0, 1.0, 1)
     g = Grid1D(40.0, 256)
-    spec = FilterSpec.for_model(m, sigma_cut=1.5)
+    spec = FilterSpec.for_model(m, 1.5)
     with pytest.raises(ValueError):
         radiation_filter(gaussian_probe(g), spec, m, g, mode="outgoing")
     with pytest.raises(ValueError):
