@@ -43,12 +43,15 @@ print("plain norm grows ~ 1/|z|; the framed quantities barely move")
 
 print()
 print("=== extrapolating the boundary value at zero energy ===")
-layer = parse_config_text("").grid      # the configured absorbing layer
+defaults = parse_config_text("")        # the configured layer and ladder
+layer = defaults.grid
 cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy,
                        strength=layer["absorber_strength"],
                        width_fraction=layer["absorber_width_fraction"])
 v = np.exp(-x**2 / 8.0).astype(complex)
-res = boundary_value(h_op + cap, v, grid, tol=1e-4, max_steps=24)
+res = boundary_value(h_op + cap, v, grid, ratio=defaults.sector["ratio"],
+                     tol=defaults.experiment["tolerance"],
+                     max_steps=defaults.sector["steps"], weight_s=model.s0 + 0.05)
 print(f"  converged: {res.converged} after {len(res.z_values)} rungs, "
       f"final |z| = {abs(res.final_z):.1e}")
 print("  difference ladder:",

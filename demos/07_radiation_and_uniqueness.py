@@ -20,7 +20,8 @@ from lapkit.weyl import FilterSpec, radiation_filter
 model = standard_model(1.0, 1.0, 1)
 grid = Grid1D(200.0, 2048)
 h_plain = build_hamiltonian(model, grid)
-layer = parse_config_text("").grid      # the configured absorbing layer
+defaults = parse_config_text("")        # the configured layer and ladder
+layer = defaults.grid
 cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy,
                        strength=layer["absorber_strength"],
                        width_fraction=layer["absorber_width_fraction"])
@@ -28,8 +29,11 @@ h_cap = h_plain + cap
 v = gaussian_probe(grid, width=2.0)
 
 print("=== the two boundary values ===")
-plus = boundary_value(h_cap, v, grid, tol=1e-4, max_steps=24)
-minus = boundary_value(h_cap, v, grid, tol=1e-4, max_steps=24, sign=-1)
+ladder_settings = dict(ratio=defaults.sector["ratio"],
+                       tol=defaults.experiment["tolerance"],
+                       max_steps=defaults.sector["steps"], weight_s=model.s0 + 0.05)
+plus = boundary_value(h_cap, v, grid, **ladder_settings)
+minus = boundary_value(h_cap, v, grid, **ladder_settings, sign=-1)
 print(f"  outgoing converged: {plus.converged}; incoming is its conjugate "
       f"for the real source: {np.allclose(minus.u, np.conj(plus.u))}")
 

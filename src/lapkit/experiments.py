@@ -574,40 +574,37 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
 
     spec = FilterSpec.for_model(model, cfg.experiment["sigma_cut"])
     half_box = grid.length / 2.0
-    # both boundary values go through each symbol table together
-    block = np.column_stack((plus.u, u_minus))
-    results = {}
-    for mode in ("outgoing", "high", "mirrored"):
-        filtered = radiation_filter(block, spec, model, grid, mode=mode)
-        for label, res in zip(("plus", "minus"), filtered):
-            results[(label, mode)] = res
+    # Op(mirrored) is conj(Op(outgoing)) entrywise (b0 is odd in xi, a0
+    # even) and Op(high) is real, while u_minus = conj(u_plus): half the
+    # filtered values are conjugates of the others, with the same ladders
+    plus_out, minus_out = radiation_filter(np.column_stack((plus.u, u_minus)),
+                                           spec, model, grid, mode="outgoing")
+    plus_high = radiation_filter(plus.u, spec, model, grid, mode="high")
 
-    def slope_check(check_id, result, threshold, decreasing):
-        slope = result.annulus_slope
-        ok = slope <= threshold if decreasing else slope >= threshold
-        report.add(CheckResult(
-            check_id,
-            "outgoing-filter-vanishing" if decreasing else "mirrored-filter-asymmetry",
-            bool(ok), slope, threshold,
-            comparison="<=" if decreasing else ">=",
-            description=("defect ladder decreasing" if decreasing
-                         else "defect ladder non-decreasing")))
-        return slope
+    def conjugate(res, mode):
+        return replace(res, mode=mode, filtered=np.conj(res.filtered))
 
-    # outgoing solution: outgoing and high filters vanish, mirror does not
-    slope_check("plus-outgoing-slope", results[("plus", "outgoing")],
-                SLOPE_DECREASING, True)
-    slope_check("plus-high-slope", results[("plus", "high")],
-                SLOPE_DECREASING, True)
-    slope_check("plus-mirrored-slope", results[("plus", "mirrored")],
-                SLOPE_FLAT, False)
-    # incoming solution: roles of the direction filters swap
-    slope_check("minus-mirrored-slope", results[("minus", "mirrored")],
-                SLOPE_DECREASING, True)
-    slope_check("minus-high-slope", results[("minus", "high")],
-                SLOPE_DECREASING, True)
-    slope_check("minus-outgoing-slope", results[("minus", "outgoing")],
-                SLOPE_FLAT, False)
+    results = {("plus", "outgoing"): plus_out, ("minus", "outgoing"): minus_out,
+               ("plus", "high"): plus_high,
+               ("minus", "high"): conjugate(plus_high, "high"),
+               ("plus", "mirrored"): conjugate(minus_out, "mirrored"),
+               ("minus", "mirrored"): conjugate(plus_out, "mirrored")}
+
+    # the outgoing solution's outgoing and high defects vanish and its
+    # mirrored one does not; the incoming solution swaps the directions
+    for label, gone, kept in (("plus", "outgoing", "mirrored"),
+                              ("minus", "mirrored", "outgoing")):
+        for mode in (gone, "high", kept):
+            decreasing = mode != kept
+            threshold = SLOPE_DECREASING if decreasing else SLOPE_FLAT
+            slope = results[(label, mode)].annulus_slope
+            report.add(CheckResult(
+                f"{label}-{mode}-slope",
+                "outgoing-filter-vanishing" if decreasing else "mirrored-filter-asymmetry",
+                bool(slope <= threshold if decreasing else slope >= threshold),
+                slope, threshold, comparison="<=" if decreasing else ">=",
+                description=("defect ladder decreasing" if decreasing
+                             else "defect ladder non-decreasing")))
 
     for check_id, key in (("plus-outgoing-far-ratio", ("plus", "outgoing")),
                           ("plus-high-far-ratio", ("plus", "high"))):

@@ -817,10 +817,10 @@ class BoundaryValueResult:
         return self.z_values[-1]
 
 
-def boundary_value(operator, v, grid, sector: Sector | None = None,
-                   ray_arg: float | None = None, ratio: float = 0.5,
-                   tol: float = 1e-4, sign: int = +1, max_steps: int = 24,
-                   weight_s: float = 0.8) -> BoundaryValueResult:
+def boundary_value(operator, v, grid, *, ratio: float, tol: float,
+                   max_steps: int, weight_s: float, sector: Sector | None = None,
+                   ray_arg: float | None = None,
+                   sign: int = +1) -> BoundaryValueResult:
     """Extrapolate R(0 + i0) v (or the -i0 value) along a sector ray.
 
     Solves at z_k = lambda0 ratio^k e^{i arg} until the successive
@@ -832,7 +832,8 @@ def boundary_value(operator, v, grid, sector: Sector | None = None,
     running minimum.  The -i0 value walks the conjugate ray conj(z_k)
     with the conjugate operator conj(M).  For a real potential that
     mirrors the +i0 ladder through the real axis, absorbing layer
-    included, so it yields conj(R(0 + i0) conj(v)).
+    included, so it yields conj(R(0 + i0) conj(v)).  The ladder settings
+    have no defaults here: the config schema decides them.
     """
     v = np.asarray(v, dtype=complex)
     if sign not in (+1, -1):

@@ -18,18 +18,14 @@ same sum by frequency instead: with omega = exp(2 pi i / N),
 
 and for each k the inner sum is a correlation of one symbol column
 with u.  A zero-padded FFT of length 2N computes it without wraparound
-(i + t <= 2N - 2), and at that length both modulations are whole-bin
-shifts, so every frequency accumulates into one spectrum per column of
-u and one inverse FFT ends the apply.  Frequencies are transformed
-``K_BATCH`` at a time, so an apply holds O(K_BATCH N + m N) numbers
-for an (N, m) block, never the O(N^2) table.  A symbol that is
-constant outside a frequency band |xi| <= reach(x) carries that band
-(``Band``): the constant applies exactly as itself times u, because
-Op(1) = I, and only the remainder c - constant is transformed, each
-midpoint row evaluated on its own band columns only.  The radiation
-cutoffs have such a band: chi_-(a0) vanishes exactly once
-a0 = xi^2/f(x)^2 reaches the end of its fall, which leaves under 2% of
-the phase-space grid to evaluate.
+(i + t <= 2N - 2), and at that length every modulation is a whole-bin
+shift, so all frequencies, in two fixed halves on two threads, add into
+one spectrum per column of u; one inverse FFT ends the apply.  A symbol
+constant outside a band |xi| <= reach(x) carries that band (``Band``):
+the constant applies exactly as itself times u, because Op(1) = I, and
+c - constant is evaluated only on the hull of midpoint rows whose bands
+meet each batch of frequencies.  The radiation cutoffs have such a
+band: chi_-(a0) vanishes exactly once a0 = xi^2/f(x)^2 ends its fall.
 """
 
 from __future__ import annotations
@@ -229,22 +225,25 @@ def _band_rows(band: Band | None, mids, xi) -> tuple[np.ndarray, np.ndarray]:
 
 
 # band frequencies transformed together; with the batch's symbol points
-# this (K_BATCH, 2N) table bounds the memory of an apply
+# one (K_BATCH, 2N) table per thread bounds the memory of an apply
 K_BATCH = 8
 
 
 def weyl_apply(symbol, grid: Grid1D, u, band: Band | None = None) -> np.ndarray:
     """Matrix-free application of the quantized symbol, sliced by frequency.
 
-    ``u`` is one vector of shape (n,) or a block of shape (n, m); the
-    columns share every symbol evaluation and transform, and each
-    equals its own single-vector apply bit for bit.  Band frequency
-    xi_k transforms its column (c - outside) omega^{ks} at length 2N;
-    times the spectrum of u shifted by 4k bins, that is the k-th
-    correlation with the output modulation omega^{2ki} applied.
-    ``outside * u`` adds the constant exactly.  Without a ``band``
-    every frequency is evaluated on every row and the constant is 0.
+    ``u`` is one vector of shape (n,) or a block of shape (n, m); each
+    column equals its own single-vector apply bit for bit.  Each batch
+    of band frequencies evaluates c - outside on the hull of rows its
+    bands meet (the ``Band`` contract makes hull points off a row's
+    band exactly 0), and the modulation omega^{ks} is a 2k-bin shift
+    taken in the slice of a doubled accumulator.  ``outside * u`` adds
+    the constant exactly.  A worker thread sums the batches below a
+    fixed middle boundary, this thread the rest; the two sums add in
+    that order, so the output depends on neither cores nor scheduling.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     u = np.asarray(u, dtype=complex)
     n = grid.size
     if u.ndim not in (1, 2) or u.shape[0] != n:
@@ -257,26 +256,33 @@ def weyl_apply(symbol, grid: Grid1D, u, band: Band | None = None) -> np.ndarray:
     k0, k1 = _band_rows(band, mids, xi)
     # v[f] = sum_t u[t] e^{2 pi i f t / p}, stored twice so that a
     # shift by whole bins is a slice
-    v = np.fft.ifft(rows, n=p, norm="forward")
-    v = np.concatenate((v, v), axis=1)
-    spectrum = np.zeros((len(rows), p), dtype=complex)
-    phase = np.exp(2j * np.pi * np.arange(n) / n)
-    table = np.empty((K_BATCH, p), dtype=complex)
-    for first in range(k0.min(), k1.max(), K_BATCH):
-        cols = np.arange(first, min(first + K_BATCH, k1.max()))
-        # only the rows whose band meets the batch enter the 2-D mask
-        hit = np.flatnonzero((k0 <= cols[-1]) & (k1 > cols[0]))
-        b, s = np.nonzero((k0[hit] <= cols[:, None]) & (cols[:, None] < k1[hit]))
-        s = hit[s]
-        k = cols[b] - n // 2
-        batch = table[:len(cols)]
-        batch[:] = 0.0
-        batch[b, s] = ((symbol(mids[s], xi[cols[b]]) - outside)
-                       * phase[k * s % n])
-        np.fft.fft(batch, axis=1, out=batch)
-        for row, col in zip(batch, cols):
-            shift = -4 * (col - n // 2) % p
-            spectrum += row * v[:, shift:shift + p]
+    v = np.tile(np.fft.ifft(rows, n=p, norm="forward"), 2)
+
+    def accumulate(start, stop):
+        acc = np.zeros((len(rows), 2 * p), dtype=complex)
+        table = np.empty((K_BATCH, p), dtype=complex)
+        for first in range(start, stop, K_BATCH):
+            cols = np.arange(first, min(first + K_BATCH, stop))
+            # every row's band holds xi = 0, so some row meets each batch
+            hit = np.flatnonzero((k0 <= cols[-1]) & (k1 > cols[0]))
+            r0, r1 = hit[0], hit[-1] + 1
+            batch = table[:len(cols)]
+            batch[:] = 0.0
+            batch[:, r0:r1] = (symbol(mids[r0:r1, None], xi[cols][None, :])
+                               - outside).T
+            np.fft.fft(batch, axis=1, out=batch)
+            for row, col in zip(batch, cols):
+                shift = 2 * (col - n // 2) % p
+                acc[:, shift:shift + p] += row * v[:, p - shift:2 * p - shift]
+        return acc
+
+    start, stop = k0.min(), k1.max()
+    middle = start + (stop - start) // (2 * K_BATCH) * K_BATCH
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        low = pool.submit(accumulate, start, middle)
+        high = accumulate(middle, stop)
+        acc = low.result() + high
+    spectrum = acc[:, :p] + acc[:, p:]
     out = outside * rows + np.fft.ifft(spectrum, axis=1)[:, :n] / n
     return np.ascontiguousarray(out.T).reshape(u.shape)
 
@@ -348,14 +354,10 @@ def filter_symbol(spec: FilterSpec, params: WeightParams,
                      else spec.chi_tilde_mirror)
 
         def symbol(x, xi):
-            # symbol_a0 and symbol_b0 with the weight evaluated once; f is
-            # dropped before chi_minus runs, so no more arrays are alive
-            # at once than when each symbol evaluated its own weight
+            # symbol_a0 and symbol_b0 with the weight evaluated once
             f = weight_f(params, x)
             turn = direction((xi / f) * (x / bracket(x)))
-            kinetic = xi**2 / f**2
-            del f
-            return spec.chi_minus(kinetic) * turn
+            return spec.chi_minus(xi**2 / f**2) * turn
     reach = math.sqrt(spec.kinetic_reach)
     band = Band(lambda x: weight_f(params, x) * reach,
                 outside=1.0 if mode == "high" else 0.0)

@@ -19,7 +19,7 @@ from lapkit.operators import Grid1D, build_hamiltonian
 from lapkit.potential import bracket
 from lapkit.reports import (CheckResult, Report, dump_vector, load_vector,
                             write_sweep_csv)
-from lapkit.weyl import FilterSpec
+from lapkit.weyl import FilterSpec, radiation_filter
 
 SMALL_SWEEP = """
 [model]
@@ -435,15 +435,12 @@ sigma_cut = 0.4
 """)
     runner(cfg)
     expected = FilterSpec.for_model(build_model(cfg), 0.4)
-    assert len(specs) == (3 if name == "radiation" else 1)
+    assert len(specs) == (2 if name == "radiation" else 1)
     assert all(spec == expected for spec in specs)
 
 
-def test_radiation_small_structure():
-    # structure check at reduced scale: all role checks are present
-    # and the conjugation identity holds tightly; the far-field ratio
-    # thresholds are calibrated for the full desk box and are left to
-    # the acceptance suite
+@pytest.fixture(scope="module")
+def small_radiation():
     cfg = parse_config_text("""
 [model]
 family = standard
@@ -456,7 +453,15 @@ size = 2048
 id = radiation
 seed = 5
 """)
-    rep = run_radiation(cfg)
+    return cfg, run_radiation(cfg)
+
+
+def test_radiation_small_structure(small_radiation):
+    # structure check at reduced scale: all role checks are present
+    # and the conjugation identity holds tightly; the far-field ratio
+    # thresholds are calibrated for the full desk box and are left to
+    # the acceptance suite
+    _, rep = small_radiation
     ids = [c.check_id for c in rep.checks]
     for expected in ("boundary-value-converged", "incoming-conjugation",
                      "plus-outgoing-slope", "plus-high-slope",
@@ -472,6 +477,25 @@ seed = 5
     assert by_id["plus-outgoing-slope"].passed
     assert by_id["plus-mirrored-slope"].passed
     assert set(rep.artifacts["vectors"]) == {"u_plus", "u_minus", "source"}
+
+
+def test_radiation_conjugate_ladders_match_direct_filters(small_radiation):
+    # the runner filters both values with the outgoing cutoff and u_plus
+    # alone with the high one; the other three ladders are taken by
+    # conjugation and must match the filters applied directly
+    cfg, rep = small_radiation
+    model, grid = build_model(cfg), build_grid(cfg)
+    spec = FilterSpec.for_model(model, cfg.experiment["sigma_cut"])
+    vectors = rep.artifacts["vectors"]
+    for label, mode in (("plus", "mirrored"), ("minus", "mirrored"),
+                        ("minus", "high")):
+        direct = radiation_filter(vectors[f"u_{label}"], spec, model, grid,
+                                  mode=mode)
+        derived = rep.extras["defect_ladders"][f"{label}_{mode}"]
+        assert derived["ladder"] == direct.ladder.tolist()
+        for key, values in (("ball", direct.ball_defect),
+                            ("annulus", direct.annulus_defect)):
+            assert np.allclose(derived[key], values, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

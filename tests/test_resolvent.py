@@ -28,7 +28,12 @@ from lapkit.resolvent import (LANCZOS_STEPS, SOLVE_RTOL, Sector,
 MODEL = standard_model(1.0, 1.0, 1)
 Z0 = 0.5 + 0.5j
 # the absorbing layer's strength and width as a config leaves them
-LAYER = parse_config_text("").grid
+DEFAULTS = parse_config_text("")
+LAYER = DEFAULTS.grid
+# the boundary-value ladder as a config leaves it (weight s0 + 0.05)
+LADDER = {"ratio": DEFAULTS.sector["ratio"],
+          "tol": DEFAULTS.experiment["tolerance"],
+          "max_steps": DEFAULTS.sector["steps"], "weight_s": MODEL.s0 + 0.05}
 
 
 def configured_absorber(grid):
@@ -572,7 +577,7 @@ def test_hoelder_out_of_hypothesis_flag(rng):
 def test_boundary_value_zero_source():
     grid = Grid1D(20.0, 128)
     h_op = build_hamiltonian(MODEL, grid)
-    res = boundary_value(h_op, np.zeros(128), grid)
+    res = boundary_value(h_op, np.zeros(128), grid, **LADDER)
     assert res.converged
     assert np.all(res.u == 0.0)
     assert len(res.z_values) == 1
@@ -584,8 +589,8 @@ def test_boundary_value_conjugation(rng):
     cap = configured_absorber(grid)
     full = h_op + cap
     v = gaussian_probe(grid, width=2.0)
-    plus = boundary_value(full, v, grid, tol=1e-4)
-    minus = boundary_value(full, v, grid, tol=1e-4, sign=-1)
+    plus = boundary_value(full, v, grid, **LADDER)
+    minus = boundary_value(full, v, grid, **LADDER, sign=-1)
     # real source: the incoming value is the conjugate of the outgoing
     assert np.allclose(minus.u, np.conj(plus.u), atol=1e-12 * np.linalg.norm(plus.u))
     # the incoming ladder walks the conjugate ray on its own
@@ -600,7 +605,7 @@ def test_boundary_value_ladder_consistent_with_hoelder(rng):
     cap = configured_absorber(grid)
     full = h_op + cap
     v = gaussian_probe(grid, width=2.0)
-    res = boundary_value(full, v, grid, tol=1e-5, max_steps=24)
+    res = boundary_value(full, v, grid, **{**LADDER, "tol": 1e-5})
     assert res.converged
     dr = np.array(res.diffs)
     geo_mean = (dr[-1] / dr[0]) ** (1.0 / (len(dr) - 1))
@@ -621,7 +626,7 @@ def test_boundary_value_nongeometric_error(monkeypatch):
     v = gaussian_probe(grid, width=2.0)
     monkeypatch.setattr("lapkit.resolvent.RISE_FACTOR", 1.2)
     with pytest.raises(ExtrapolationError) as info:
-        boundary_value(h_op, v, grid, tol=1e-12, max_steps=24)
+        boundary_value(h_op, v, grid, **{**LADDER, "tol": 1e-12})
     assert len(info.value.ladder) >= 2
 
 

@@ -124,6 +124,39 @@ def test_apply_matches_dense_at_desk_spacing(mode, rng):
                 <= 1e-12 * np.linalg.norm(block[:, j]))
 
 
+def test_mirrored_is_the_conjugate_of_outgoing(rng):
+    # b0 is odd in xi and a0 even, so Op(mirrored) = conj(Op(outgoing))
+    # entrywise; the band never reaches the unpaired frequency -N/2
+    spec, params = desk_filters()
+    outgoing, out_band = filter_symbol(spec, params, "outgoing")
+    mirrored, mir_band = filter_symbol(spec, params, "mirrored")
+    block = rng.standard_normal((1024, 2)) + 1j * rng.standard_normal((1024, 2))
+    direct = weyl_apply(mirrored, DESK_GRID, block, band=mir_band)
+    derived = np.conj(weyl_apply(outgoing, DESK_GRID, np.conj(block), band=out_band))
+    assert np.max(np.abs(direct - derived)) <= 1e-12 * np.linalg.norm(block)
+
+
+def test_high_is_a_real_operator(rng):
+    # the high symbol is real and even in xi, so Op(high) is real
+    spec, params = desk_filters()
+    high, band = filter_symbol(spec, params, "high")
+    block = rng.standard_normal((1024, 2)) + 1j * rng.standard_normal((1024, 2))
+    of_conj = weyl_apply(high, DESK_GRID, np.conj(block), band=band)
+    conj_of = np.conj(weyl_apply(high, DESK_GRID, block, band=band))
+    assert np.max(np.abs(of_conj - conj_of)) <= 1e-12 * np.linalg.norm(block)
+
+
+@pytest.mark.parametrize("mode", ["outgoing", "high"])
+def test_apply_is_deterministic(mode, rng):
+    # the two threaded halves split at a fixed batch and add in a fixed
+    # order, so repeated applies agree bit for bit
+    spec, params = desk_filters()
+    symbol, band = filter_symbol(spec, params, mode)
+    block = rng.standard_normal((1024, 2)) + 1j * rng.standard_normal((1024, 2))
+    first = weyl_apply(symbol, DESK_GRID, block, band=band)
+    assert np.array_equal(first, weyl_apply(symbol, DESK_GRID, block, band=band))
+
+
 def test_apply_band_at_the_box_edges(rng):
     # the band widens towards the box edges, so high frequencies live
     # only on the first and last midpoint rows (s < N/2 and s >= 3N/2)
