@@ -336,7 +336,7 @@ def _sweep_quantities(h_op, model, grid, z, weight_s, rng):
     The plain norm is exact, 1 / dist(z, spectrum), and the distance is
     returned too.  Besides the (lower, upper) pairs it returns the
     residual of a probe solve, the quantities whose Lanczos run did not
-    converge (the weighted norm's, or a diagonal shell pair's) and the
+    converge (the weighted norm's, or the diagonal shell pairs') and the
     shell pairs' Lanczos steps.
     """
     from .operators import gaussian_probe

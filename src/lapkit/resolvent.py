@@ -14,7 +14,7 @@ spectrum), with the distance from ``spectral_distance``.  Every other
 operator norm is one Lanczos run on A* A (``_lanczos``) whose Ritz
 vector is re-evaluated through A, so the value is a certified lower
 bound: the weighted norms (``weighted_opnorm``), the Hoelder difference
-norms, the quadratic estimate and the diagonal shell pairs.
+norms, the quadratic estimate and the best diagonal shell pair.
 
 Every Hamiltonian here is complex-symmetric tridiagonal, so its
 resolvent is semiseparable.  ``TridiagonalResolvent`` holds per-z
@@ -25,9 +25,9 @@ column.  The shell-space bracket takes every entry from them.  Blocks
 and shells are levels of |x|, so two different ones are separated
 and their weighted block has rank <= 2, with a closed-form norm from
 segment sums; the unit-block sup (upper bound) and the off-diagonal
-shell pairs are exact.  A diagonal shell pair inverts to a
-tridiagonal Schur complement, factored once, on which Lanczos runs,
-so the lower bound is the shell-dual norm to the Lanczos tolerance.
+shell pairs are exact.  The diagonal pairs invert to tridiagonal Schur
+complements, and one Lanczos run per z on their direct sum finds the
+best, so the lower bound is the shell-dual norm to the Lanczos tolerance.
 """
 
 from __future__ import annotations
@@ -518,18 +518,15 @@ def besov_bstar_estimate(operator, z: complex, model: PotentialModel,
     Lower bound: the best dyadic shell pair, scaled by
     R_j^{-1/2} R_k^{-1/2}; the best pair is the shell-dual norm
     itself.  Pairs j != k have rank <= 2 and take the same path as the
-    blocks.  A diagonal pair is ||F_S R[S, S] F_S||, where R[S, S] is
-    the inverse of a tridiagonal Schur complement (``_shell_inverse``);
-    Lanczos on its A* A finds the top singular value in O(|S|) per
-    step, and the Ritz vector is re-evaluated through one certified
-    solve with H - z, so the value is a lower bound whether or not
-    Lanczos converged.  ``details`` records the best pair, whether the
-    term that set ``lower`` converged (separated pairs are exact), the
-    Lanczos steps and the diagonal pairs that did not converge.
+    blocks.  The diagonal pairs ||F_S R[S, S] F_S|| invert to tridiagonal
+    Schur complements, and one Lanczos run on their direct sum
+    (``_diagonal_shell_pairs``) finds the best, a lower bound whether or
+    not it converged.  ``details`` records the best pair, whether the term
+    that set ``lower`` converged (separated pairs are exact), the run's
+    Lanczos steps, and 1 in ``unconverged_shell_pairs`` if it did not.
     """
-    x = grid.nodes
-    absx = np.abs(x)
-    f = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=model.mu), x)
+    absx = np.abs(grid.nodes)
+    f = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=model.mu), grid.nodes)
     fh = np.sqrt(f)
     solver = _solver_at(operator, z)
     kernel = TridiagonalResolvent(solver.matrix, z)
@@ -547,21 +544,13 @@ def besov_bstar_estimate(operator, z: complex, model: PotentialModel,
     inner, outer = np.triu_indices(len(radii), 1)
     pairs = (_separated_pair_norms(kernel, f, shell_of, len(radii), center)
              / np.sqrt(radii[inner] * radii[outer]))
-    lower, best_pair, lower_converged = 0.0, None, True
-    if pairs.size:
+    lower, shell, steps, converged = _diagonal_shell_pairs(kernel, solver, fh,
+                                                           shell_of, radii)
+    best_pair, lower_converged = (shell + 1, shell + 1), converged
+    if pairs.size and np.max(pairs) >= lower:
         best = int(np.argmax(pairs))
-        lower, best_pair = float(pairs[best]), (int(inner[best]) + 1,
-                                               int(outer[best]) + 1)
-    steps = unconverged = 0
-    for j, radius in enumerate(radii):
-        idx = np.flatnonzero(shell_of == j)
-        if idx.size == 0:
-            continue
-        norm, used, converged = _diagonal_shell_norm(kernel, solver, fh, idx)
-        steps += used
-        unconverged += not converged
-        if norm / radius > lower:
-            lower, best_pair, lower_converged = norm / radius, (j + 1, j + 1), converged
+        lower, lower_converged = float(pairs[best]), True
+        best_pair = (int(inner[best]) + 1, int(outer[best]) + 1)
 
     upper = 2.0 * block_sup
     if lower > upper * (1 + 1e-6):
@@ -570,7 +559,7 @@ def besov_bstar_estimate(operator, z: complex, model: PotentialModel,
                          details={"best_shell_pair": best_pair,
                                   "lower_converged": lower_converged,
                                   "lanczos_steps": steps,
-                                  "unconverged_shell_pairs": unconverged})
+                                  "unconverged_shell_pairs": int(not converged)})
 
 
 def _separated_pair_norms(kernel: TridiagonalResolvent, f, labels, count: int,
@@ -641,7 +630,7 @@ def _separated_pair_norms(kernel: TridiagonalResolvent, f, labels, count: int,
 
 
 def _diagonal_block_norms(kernel: TridiagonalResolvent, fh, blocks) -> np.ndarray:
-    """||F R[B, B] F|| for every block, from zero-padded batches of blocks."""
+    """||F R[B, B] F|| per block, from each zero-padded block's top Gram eigenvalue."""
     norms = []
     for top in range(0, len(blocks), BATCH):
         batch = blocks[top:top + BATCH]
@@ -652,7 +641,7 @@ def _diagonal_block_norms(kernel: TridiagonalResolvent, fh, blocks) -> np.ndarra
         w = np.where(filled, fh[idx], 0.0)
         sub = (kernel.entries(idx[:, :, None], idx[:, None, :])
                * w[:, :, None] * w[:, None, :])
-        norms.append(np.linalg.norm(sub, 2, axis=(1, 2)))
+        norms.append(np.sqrt(np.linalg.eigvalsh(sub.mT.conj() @ sub)[:, -1]))
     return np.concatenate(norms)
 
 
@@ -688,19 +677,25 @@ def _shell_inverse(kernel: TridiagonalResolvent, idx) -> tuple[np.ndarray, np.nd
     return diag, off
 
 
-def _diagonal_shell_norm(kernel: TridiagonalResolvent, solver: ShiftedSolver,
-                         fh, idx) -> tuple[float, int, bool]:
-    """(lower bound for ||F_S R[S, S] F_S||, Lanczos steps, converged).
+def _diagonal_shell_pairs(kernel: TridiagonalResolvent, solver: ShiftedSolver,
+                          fh, labels, radii) -> tuple[float, int, int, bool]:
+    """(lower bound for max_j ||A_j|| / R_j, that shell j, Lanczos steps, converged).
 
-    ``_lanczos`` on A* A, A = F_S K^{-1} F_S with K = R[S, S]^{-1} from
-    ``_shell_inverse``, from a fixed Gaussian start.  K is factored
-    once, and each step makes two O(|S|) solves with its factors.  The
-    Ritz vector is re-evaluated by a certified solve with H - z itself,
-    so a Schur complement off from H - z would show as a disagreement.
+    A_j = F_j R[S_j, S_j] F_j on the nodes S_j labelled j.  The max is the norm
+    of the direct sum of the A_j / R_j: one band LU of the ``_shell_inverse``
+    tridiagonals set on one diagonal, one ``_lanczos`` run with two O(n)
+    solves per step, and ||A y|| re-evaluated by a certified solve per shell.
     """
-    m = len(idx)
-    w = fh[idx]
-    k_inv = _band_lu(list(_shell_inverse(kernel, idx)))
+    live = np.unique(labels)
+    shells = [np.flatnonzero(labels == j) for j in live]
+    ends = np.cumsum([idx.size for idx in shells])[:-1]
+    weights = [fh[idx] / math.sqrt(radii[j]) for j, idx in zip(live, shells)]
+    w = np.concatenate(weights)
+    diag, off = zip(*(_shell_inverse(kernel, idx) for idx in shells))
+    # the blocks are not coupled: a zero off-diagonal entry at each joint
+    k_inv = _band_lu([np.concatenate(diag),
+                      np.concatenate([np.append(o, 0.0) for o in off])[:-1]])
+    terms = np.zeros(len(shells))
 
     def gram(v):
         # K is complex symmetric, so K^{-*} y = conj(K^{-1} conj(y))
@@ -708,12 +703,16 @@ def _diagonal_shell_norm(kernel: TridiagonalResolvent, solver: ShiftedSolver,
         return w * np.conj(k_inv(np.conj(w * u)))
 
     def norm_of(y):
-        probe = np.zeros(kernel.n, dtype=complex)
-        probe[idx] = w * y
-        return np.linalg.norm(w * solver.solve(probe)[idx])
+        for t, (idx, wj, yj) in enumerate(zip(shells, weights, np.split(y, ends))):
+            probe = np.zeros(kernel.n, dtype=complex)
+            probe[idx] = wj * yj
+            terms[t] = np.linalg.norm(wj * solver.solve(probe)[idx]) ** 2
+        return math.sqrt(float(np.sum(terms)))
 
-    start = np.array([1.0, 1j]) @ np.random.default_rng(0).standard_normal((2, m))
-    return _lanczos(gram, start, norm_of)
+    # two real draws, not [1, 1j] @ draws: that product runs threaded BLAS
+    re, im = np.random.default_rng(0).standard_normal((2, len(w)))
+    value, steps, converged = _lanczos(gram, re + 1j * im, norm_of)
+    return value, int(live[np.argmax(terms)]), steps, converged
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from lapkit.operators import (Grid1D, RadialGrid, build_dilation,
 from lapkit.potential import WeightParams, bracket, standard_model, weight_f
 from lapkit.resolvent import (LANCZOS_STEPS, SOLVE_RTOL, Sector,
                               ShiftedSolver, TridiagonalResolvent,
-                              _diagonal_shell_norm, _separated_pair_norms,
+                              _diagonal_shell_pairs, _separated_pair_norms,
                               _shell_inverse, besov_bstar_estimate,
                               boundary_value,
                               hoelder_estimate, mourre_resolvent,
@@ -396,28 +396,30 @@ def test_separated_shell_pairs_are_exact():
 
 
 def test_diagonal_shell_pairs_match_dense_svd():
-    # Lanczos on the tridiagonal Schur complement, re-evaluated through
-    # a certified solve, gives each shell's own block norm
+    # one Lanczos run on the direct sum of the tridiagonal Schur
+    # complements, re-evaluated through certified solves, gives the best
+    # shell's own block norm over its radius, and that shell
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
     shell_of, radii = ShellScheme().shell_indices(np.abs(grid.nodes))
     for z in Sector().points([1e-1, 1e-2, 1e-3, 1e-4]):
         fh, dense = _dense_weighted_resolvent(h_op, grid, z)
         kernel = TridiagonalResolvent(h_op, z)
-        solver = ShiftedSolver(h_op, z)
-        for j in range(len(radii)):
+        norm, shell, steps, converged = _diagonal_shell_pairs(
+            kernel, ShiftedSolver(h_op, z), fh, shell_of, radii)
+        assert converged and 1 <= steps <= LANCZOS_STEPS
+        refs = []
+        for j, radius in enumerate(radii):
             idx = np.flatnonzero(shell_of == j)
-            if idx.size == 0:
-                continue
-            norm, steps, converged = _diagonal_shell_norm(kernel, solver, fh, idx)
-            assert converged and 1 <= steps <= LANCZOS_STEPS
-            ref = sla.svdvals(dense[np.ix_(idx, idx)])[0]
-            assert norm == pytest.approx(ref, rel=1e-10)
+            refs.append(sla.svdvals(dense[np.ix_(idx, idx)])[0] / radius
+                        if idx.size else 0.0)
+        assert norm == pytest.approx(max(refs), rel=1e-10)
+        assert shell == int(np.argmax(refs))
 
 
-def test_diagonal_shell_norm_factors_once_per_shell(monkeypatch):
-    # one band LU for K_S plus one per gap of the shell, however many
-    # Lanczos steps the run takes
+def test_diagonal_shell_pairs_factor_once(monkeypatch):
+    # one band LU of the whole block-diagonal K plus one per gap of a
+    # shell, however many Lanczos steps the run takes
     import lapkit.resolvent as resolvent
 
     grid = Grid1D(100.0, 1024)
@@ -435,17 +437,51 @@ def test_diagonal_shell_norm_factors_once_per_shell(monkeypatch):
     band_lu = resolvent._band_lu
     monkeypatch.setattr(resolvent, "_band_lu", counted)
     shell_of, radii = ShellScheme().shell_indices(np.abs(grid.nodes))
-    most = 0
-    for j in range(len(radii)):
-        idx = np.flatnonzero(shell_of == j)
-        if idx.size == 0:
-            continue
-        calls.clear()
-        _, steps, _ = _diagonal_shell_norm(kernel, solver, fh, idx)
-        most = max(most, steps)
-        assert len(calls) == 1 + np.count_nonzero(np.diff(idx) != 1)
-        assert calls[-1] == idx.size
-    assert most > 2
+    _, _, steps, _ = _diagonal_shell_pairs(kernel, solver, fh, shell_of, radii)
+    gaps = sum(np.count_nonzero(np.diff(np.flatnonzero(shell_of == j)) != 1)
+               for j in range(len(radii)))
+    assert steps > 2
+    assert len(calls) == 1 + gaps
+    assert calls[-1] == grid.size
+
+
+def test_diagonal_shell_pairs_with_tied_shells():
+    # an even potential on the symmetric box: the two half-lines as
+    # shells of one radius have mirror-image blocks, so the direct sum
+    # has a doubled top singular value; the run still converges, to the
+    # common norm
+    grid = Grid1D(20.0, 256)
+    h_op = build_hamiltonian(MODEL, grid)
+    halves = (grid.nodes > 0).astype(int)
+    radii = np.array([4.0, 4.0])
+    fh, dense = _dense_weighted_resolvent(h_op, grid, Z0)
+    refs = [sla.svdvals(dense[np.ix_(idx, idx)])[0]
+            for idx in (np.flatnonzero(halves == 0), np.flatnonzero(halves == 1))]
+    assert refs[0] == pytest.approx(refs[1], rel=1e-12)
+    norm, shell, _, converged = _diagonal_shell_pairs(
+        TridiagonalResolvent(h_op, Z0), ShiftedSolver(h_op, Z0), fh, halves, radii)
+    assert converged
+    assert norm == pytest.approx(refs[0] / 4.0, rel=1e-10)
+    assert shell in (0, 1)
+
+
+def test_besov_estimate_runs_one_lanczos(monkeypatch):
+    # every diagonal shell pair at one z comes from a single run
+    import lapkit.resolvent as resolvent
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lanczos(*args)
+
+    lanczos = resolvent._lanczos
+    monkeypatch.setattr(resolvent, "_lanczos", counted)
+    grid = Grid1D(100.0, 1024)
+    h_op = build_hamiltonian(MODEL, grid)
+    est = besov_bstar_estimate(h_op, Sector().points([1e-3])[0], MODEL, grid)
+    assert len(calls) == 1
+    assert est.details["lanczos_steps"] > 2
 
 
 def test_besov_lower_is_the_shell_dual_norm():
