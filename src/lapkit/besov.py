@@ -25,7 +25,7 @@ spectrum once per call; a 1-d vector is a bank of one row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -330,18 +330,11 @@ class LemmaReport:
     witness: list | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "lemma": self.lemma,
-            "constant": self.constant,
-            "worst_ratio": self.worst_ratio,
-            "samples": self.samples,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
-        if self.details:
-            out["details"] = self.details
-        if self.witness is not None:
-            out["witness"] = self.witness
+        out = asdict(self)
+        if not self.details:
+            del out["details"]
+        if self.witness is None:
+            del out["witness"]
         return out
 
 

@@ -89,13 +89,7 @@ class ExperimentConfig:
         return self.experiment["seed"]
 
     def resolved_dict(self) -> dict:
-        return {
-            "model": dict(self.model),
-            "grid": dict(self.grid),
-            "sector": dict(self.sector),
-            "experiment": dict(self.experiment),
-            "output": dict(self.output),
-        }
+        return {section: dict(getattr(self, section)) for section in SCHEMA}
 
 
 def config_schema_text() -> str:
@@ -135,13 +129,7 @@ def _resolve(parser: configparser.ConfigParser) -> ExperimentConfig:
             f"unknown experiment id {exp_id!r}; valid: {', '.join(EXPERIMENT_IDS)}")
     if not resolved["sector"]["moduli"]:
         raise ConfigError("sector grid is empty: no moduli given")
-    return ExperimentConfig(
-        model=resolved["model"],
-        grid=resolved["grid"],
-        sector=resolved["sector"],
-        experiment=resolved["experiment"],
-        output=resolved["output"],
-    )
+    return ExperimentConfig(**resolved)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

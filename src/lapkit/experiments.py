@@ -12,10 +12,8 @@ can be gated on stability under doubling the box at fixed spacing.
 from __future__ import annotations
 
 import cmath
-import importlib
 import math
 from dataclasses import replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,15 +21,15 @@ from . import besov
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .grids import Grid1D, RadialGrid
+from .operators import build_hamiltonian, gaussian_probe, matched_absorber
 from .potential import (PotentialModel, WeightParams, bracket,
                         check_condition, load_v2_table, model_from_config,
                         weight_f)
 from .reports import CheckResult, Report
+from .resolvent import (Sector, ShiftedSolver, besov_bstar_estimate,
+                        boundary_value, spectral_distance, weighted_opnorm)
 from .weyl import (ANNULUS_EPS, FilterSpec, default_radius_ladder,
                    radiation_filter)
-
-if TYPE_CHECKING:
-    from .resolvent import Sector
 
 __all__ = ["run_experiment", "run_besov_selftest", "run_check_potential",
            "run_lap_sweep", "run_besov_bound", "run_radiation",
@@ -44,23 +42,6 @@ SLOPE_DECREASING = -0.2
 SLOPE_FLAT = -0.05
 
 STABILITY_RTOL = 0.05
-
-# The runners import the sparse operators and solvers (and with them
-# scipy) inside their bodies, so the numpy-only experiments never load
-# them.  The names this module once imported from there still resolve
-# as its attributes, looked up in their defining module on each access.
-_DEFERRED = {
-    "operators": ("build_hamiltonian", "gaussian_probe", "matched_absorber"),
-    "resolvent": ("Sector", "ShiftedSolver", "besov_bstar_estimate",
-                  "boundary_value", "spectral_distance", "weighted_opnorm"),
-}
-
-
-def __getattr__(name):
-    for module, names in _DEFERRED.items():
-        if name in names:
-            return getattr(importlib.import_module(f".{module}", __package__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +81,6 @@ def build_grid(cfg: ExperimentConfig):
 
 
 def build_sector(cfg: ExperimentConfig) -> Sector:
-    from .resolvent import Sector
     try:
         return Sector(theta=cfg.sector["theta"], lambda0=cfg.sector["lambda0"])
     except ValueError as exc:
@@ -330,29 +310,29 @@ def run_check_potential(cfg: ExperimentConfig) -> Report:
 # lap-sweep and besov-bound
 # ---------------------------------------------------------------------------
 
-def _sweep_quantities(h_op, model, grid, z, weight_s, rng):
+def _sweep_quantities(h_op, model, grid, z, weight_s, rng, weighted):
     """Sweep quantities at one z, from one factorization of h_op - z.
 
     The plain norm is exact, 1 / dist(z, spectrum), and the distance is
-    returned too.  Besides the (lower, upper) pairs it returns the
+    returned too; the weighted norm's Lanczos run is made only when
+    ``weighted``.  Besides the (lower, upper) pairs it returns the
     residual of a probe solve, the quantities whose Lanczos run did not
     converge (the weighted norm's, or the diagonal shell pairs') and the
-    shell pairs' Lanczos steps.
+    Lanczos counts.
     """
-    from .operators import gaussian_probe
-    from .resolvent import (ShiftedSolver, besov_bstar_estimate,
-                            spectral_distance, weighted_opnorm)
     solver = ShiftedSolver(h_op, z)
     x = grid.nodes
     dist = spectral_distance(h_op, z)
     out = {"unweighted": (1.0 / dist, None), "_distance": dist}
-    mu = model.mu if model is not None else 1.0
-    fvals = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=mu), x)
-    wgt = bracket(x) ** (-weight_s) * np.sqrt(fvals)
-    wei = weighted_opnorm(solver, z, wgt, wgt, rng=rng)
-    out["weighted"] = (wei.lower, None)
-    health = {"unconverged_weighted_runs": int(not wei.converged),
+    health = {"weighted_runs": int(weighted), "unconverged_weighted_runs": 0,
               "lanczos_steps": 0, "unconverged_shell_pairs": 0}
+    if weighted:
+        mu = model.mu if model is not None else 1.0
+        fvals = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=mu), x)
+        wgt = bracket(x) ** (-weight_s) * np.sqrt(fvals)
+        wei = weighted_opnorm(solver, z, wgt, wgt, rng=rng)
+        out["weighted"] = (wei.lower, None)
+        health["unconverged_weighted_runs"] = int(not wei.converged)
     if model is not None:
         est = besov_bstar_estimate(solver, z, model, grid)
         out["shell_dual"] = (est.lower, est.upper)
@@ -385,7 +365,6 @@ def run_lap_sweep(cfg: ExperimentConfig,
     Lanczos steps, the unconverged runs and the flagged rows.  A free
     control run (family = free) records values without pass thresholds.
     """
-    from .operators import build_hamiltonian
     model = build_model(cfg)
     grid = build_grid(cfg)
     if not isinstance(grid, Grid1D):
@@ -414,17 +393,17 @@ def run_lap_sweep(cfg: ExperimentConfig,
     for arg in rays:
         per_quantity: dict[str, list] = {q: [] for q in quantities}
         for z in sector.points(moduli, rays=[arg]):
-            base = _sweep_quantities(h_op, model, grid, z, weight_s, rng)
+            base = _sweep_quantities(h_op, model, grid, z, weight_s, rng,
+                                     "weighted" in quantities)
             residual = base["_residual"]
             distances[repr(z)] = base["_distance"]
             if cfg.experiment["stability_check"]:
                 wide = _sweep_quantities(h_wide, model, wide_grid, z, weight_s,
-                                         rng)
+                                         rng, "weighted" in quantities)
             else:
                 wide = None
             parts = [base] if wide is None else [base, wide]
             for part in parts:
-                health["weighted_runs"] += 1
                 for key, value in part["_health"].items():
                     health[key] += value
             unconverged = set().union(*(part["_unconverged"] for part in parts))
@@ -503,7 +482,6 @@ def _line_problem(cfg: ExperimentConfig, name: str):
     ``cap`` is the matched absorbing layer, None when the configured
     strength is 0, and the source is the configured Gaussian.
     """
-    from .operators import build_hamiltonian, gaussian_probe, matched_absorber
     model = build_model(cfg)
     if model is None:
         raise ConfigError(f"{name} requires a certified potential")
@@ -534,7 +512,6 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     the outgoing one; an independent ladder along the conjugate ray
     checks that identity.
     """
-    from .resolvent import boundary_value
     model, grid, h_op, cap, v = _line_problem(cfg, "radiation")
     h_cap = h_op if cap is None else h_op + cap
     sector = build_sector(cfg)
@@ -649,7 +626,6 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
     at solver level; a vanishing difference is reported inconclusive
     (over-damping), not as success.
     """
-    from .resolvent import ShiftedSolver
     model, grid, h_plain, cap, v = _line_problem(cfg, "uniqueness")
     if cap is None:
         raise ConfigError("uniqueness needs the absorbing layer enabled")

@@ -3,8 +3,7 @@
 The 1-d line grid carries nodes offset half a cell from the box edges
 (FFT-compatible, node count a power of two); the radial grid offsets
 nodes away from r = 0 so the centrifugal term is evaluated exactly at
-nodes.  Only numpy is needed here, so the shell-space and potential
-checks can build grids without loading the sparse operator stack.
+nodes.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ central stencil with Dirichlet walls.  The one complex absorbing layer,
 ``matched_absorber``, is impedance-matched to zero-energy waves and
 kept as a separate diagonal term so the Hermitian part stays intact;
 its strength and width come from the configuration.  Every operator is
-a plain ``scipy.sparse`` CSR matrix.
+a ``BandMatrix``: its diagonals as numpy arrays.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
+from ._lapack import dstevd
 from .errors import DimensionError
 from .grids import Grid1D, RadialGrid
-from .potential import PotentialModel, bracket
+from .potential import PotentialModel, bracket, virial_w
 
 __all__ = [
+    "BandMatrix",
     "Grid1D",
     "RadialGrid",
     "hermiticity_residual",
@@ -38,60 +39,99 @@ __all__ = [
 # Operators
 # ---------------------------------------------------------------------------
 
+class BandMatrix:
+    """Square band matrix held as its diagonals -k, ..., k (diagonal j has
+    n - |j| entries).  A product with a vector sums each row from zero in
+    ascending column order, as a sorted CSR row does."""
+
+    def __init__(self, diags):
+        self.diags = [np.asarray(d) for d in diags]
+        self.k = len(self.diags) // 2
+        self.shape = (self.diags[self.k].size,) * 2
+
+    def diagonal(self, j: int = 0) -> np.ndarray:
+        if abs(j) > self.k:
+            return np.zeros(self.shape[0] - abs(j))
+        return self.diags[j + self.k].copy()
+
+    def conj(self) -> BandMatrix:
+        return BandMatrix([np.conj(d) for d in self.diags])
+
+    def __add__(self, other: BandMatrix) -> BandMatrix:
+        k = max(self.k, other.k)
+        return BandMatrix([self.diagonal(j) + other.diagonal(j) for j in range(-k, k + 1)])
+
+    def __sub__(self, other: BandMatrix) -> BandMatrix:
+        return self + -1.0 * other
+
+    def __rmul__(self, scalar) -> BandMatrix:
+        return BandMatrix([scalar * d for d in self.diags])
+
+    def __matmul__(self, other):
+        n = self.shape[0]
+        if isinstance(other, BandMatrix):
+            # a column of M B meets k rows either side of its diagonal, so one
+            # probe, the sum of every w-th unit vector, recovers w columns whole
+            k = self.k + other.k
+            w = 2 * k + 1
+            probes = (np.arange(n) % w == np.arange(w)[:, None]).astype(float)
+            cols = np.array([self @ (other @ probe) for probe in probes])
+            return BandMatrix(cols[(rows + m) % w, rows] for m in range(-k, k + 1)
+                              for rows in [np.arange(max(-m, 0), n - max(m, 0))])
+        out = np.zeros(n, dtype=np.result_type(*self.diags, other))
+        for j, d in enumerate(self.diags, -self.k):
+            out[max(-j, 0):n - max(j, 0)] += _product(d, other[max(j, 0):n - max(-j, 0)])
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return sum(np.diag(d, j) for j, d in enumerate(self.diags, -self.k))
+
+
+def _product(a, b) -> np.ndarray:
+    """a * b, a complex product formed from four real ones as a compiled
+    sparse kernel forms it; numpy's vector loop may fuse them (FMA)."""
+    if not (np.iscomplexobj(a) and np.iscomplexobj(b)):
+        return a * b
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def hermiticity_residual(m) -> float:
-    """max |M - M^*| / max |M| for a sparse or dense matrix; 0 when exact."""
-    m = sp.csr_matrix(m)
-    resid = abs(m - m.conj().T)
-    scale = max(abs(m).max(), 1e-300)
-    return float(resid.max() / scale) if resid.nnz else 0.0
+    """max |M - M^*| / max |M| for a band or dense matrix; 0 when exact."""
+    m = m.toarray() if isinstance(m, BandMatrix) else np.asarray(m)
+    scale = max(float(np.max(np.abs(m))), 1e-300)
+    return float(np.max(np.abs(m - m.conj().T))) / scale
 
 
-def _laplacian_1d(grid: Grid1D) -> sp.spmatrix:
-    n, h = grid.size, grid.spacing
-    main = np.full(n, 2.0 / h**2)
-    # mirror closure: ghost value -u_edge puts the Dirichlet wall at
-    # +-L exactly (half a cell beyond the outermost node), keeping the
-    # eigenvalue error second order
-    main[0] = main[-1] = 3.0 / h**2
-    off = np.full(n - 1, -1.0 / h**2)
-    return sp.diags([off, main, off], [-1, 0, 1])
-
-
-def _laplacian_radial(grid: RadialGrid) -> sp.spmatrix:
-    n, h = grid.size, grid.spacing
-    main = np.full(n, 2.0 / h**2)
-    # mirror closure at the r = 0 wall: ghost value -u_0 enforces u(0) = 0
-    main[0] = 3.0 / h**2
-    off = np.full(n - 1, -1.0 / h**2)
-    lap = sp.diags([off, main, off], [-1, 0, 1])
-    return lap + sp.diags(grid.centrifugal / grid.nodes**2)
-
-
-def build_hamiltonian(model: PotentialModel | None, grid) -> sp.csr_matrix:
+def build_hamiltonian(model: PotentialModel | None, grid) -> BandMatrix:
     """H = -Delta + V with Dirichlet walls; V = 0 when model is None."""
     if isinstance(grid, Grid1D):
         if model is not None and model.dim != 1:
             raise DimensionError("line grid needs a 1-d model")
-        lap = _laplacian_1d(grid)
-        coord = grid.nodes
     elif isinstance(grid, RadialGrid):
         if model is not None and model.dim != grid.dim:
             raise DimensionError("model dimension does not match radial grid")
-        lap = _laplacian_radial(grid)
-        coord = grid.nodes
     else:
         raise TypeError("unsupported grid type")
-    if model is None:
-        pot = np.zeros(len(coord))
+    h = grid.spacing
+    main = np.full(grid.size, 2.0 / h**2)
+    # mirror closure: ghost value -u_edge puts the Dirichlet wall at
+    # +-L exactly (half a cell beyond the outermost node), keeping the
+    # eigenvalue error second order; at r = 0 it enforces u(0) = 0
+    main[0] = 3.0 / h**2
+    if isinstance(grid, Grid1D):
+        main[-1] = 3.0 / h**2
     else:
-        pot = model.v1(np.abs(coord))
-        if model.v2 is not None:
-            pot = pot + model.v2(np.abs(coord))
-    return sp.csr_matrix(lap + sp.diags(pot))
+        main = main + grid.centrifugal / grid.nodes**2
+    off = np.full(grid.size - 1, -1.0 / h**2)
+    pot = np.zeros(grid.size) if model is None else model.total(grid.nodes)
+    return BandMatrix([off, main + pot, off])
 
 
 def matched_absorber(grid, mu: float, kappa: float, strength: float,
-                     width_fraction: float) -> sp.csr_matrix:
+                     width_fraction: float) -> BandMatrix:
     """Complex absorbing potential impedance-matched to zero-energy waves.
 
     Slow waves with local momentum f_0 = (K <x>^-mu)^{1/2} reflect off
@@ -108,19 +148,18 @@ def matched_absorber(grid, mu: float, kappa: float, strength: float,
     width = width_fraction * outer
     t = np.clip((np.abs(x) - (outer - width)) / width, 0.0, 1.0)
     ramp = t**2 * scale
-    return sp.csr_matrix(sp.diags(-1j * strength * ramp))
+    return BandMatrix([-1j * strength * ramp])
 
 
-def build_dilation(grid) -> sp.csr_matrix:
+def build_dilation(grid) -> BandMatrix:
     """Generator of dilations (x.p + p.x)/2 with centered-difference p.
 
     Symmetrizing the two orderings makes the matrix exactly Hermitian:
     the entry coupling nodes i and i+1 is -i (x_i + x_{i+1}) / (4h).
     """
-    x = grid.nodes
-    h = grid.spacing
+    x, h = grid.nodes, grid.spacing
     upper = -1j * (x[:-1] + x[1:]) / (4.0 * h)
-    return sp.csr_matrix(sp.diags([upper, upper.conj()], [1, -1]))
+    return BandMatrix([upper.conj(), np.zeros(len(x), dtype=complex), upper])
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +178,7 @@ def _probe_interior(grid, probe):
     return total > 0 and np.linalg.norm(probe[edge]) <= 1e-8 * total
 
 
-def commutator_residual(hm: sp.csr_matrix, am: sp.csr_matrix,
+def commutator_residual(hm: BandMatrix, am: BandMatrix,
                         model: PotentialModel | None, grid,
                         probes=None) -> float:
     """Residual of the virial identity i[H, A] = 2H + W on smooth probes.
@@ -157,11 +196,7 @@ def commutator_residual(hm: sp.csr_matrix, am: sp.csr_matrix,
                   for c in (0.0 if isinstance(grid, Grid1D) else grid.length / 4,)
                   for w in (1.0, 2.0)]
         probes.append(gaussian_probe(grid, center=grid.length / 8, width=1.5))
-    if model is None:
-        w_diag = np.zeros(len(x))
-    else:
-        from .potential import virial_w
-        w_diag = virial_w(model, x)
+    w_diag = np.zeros(len(x)) if model is None else virial_w(model, x)
     worst = 0.0
     for phi in probes:
         nrm = np.linalg.norm(phi)
@@ -185,7 +220,7 @@ def refinement_orders(values) -> list[float]:
 # Helpers for estimates in the dilation-generator eigenbasis
 # ---------------------------------------------------------------------------
 
-def dilation_eigenbasis(m: sp.csr_matrix):
+def dilation_eigenbasis(m: BandMatrix):
     """Eigendecomposition of the tridiagonal dilation generator.
 
     The matrix has purely imaginary off-diagonals, so a diagonal phase
@@ -193,31 +228,27 @@ def dilation_eigenbasis(m: sp.csr_matrix):
     (eigenvalues, eigenvectors) in the original basis.  Shell and
     block machinery can then treat A as a multiplication operator.
     """
-    from scipy.linalg import eigh_tridiagonal
-    n = m.shape[0]
-    diag = m.diagonal().real
-    upper = np.asarray(m.diagonal(1)).ravel()
-    # diagonal phase similarity turns the imaginary off-diagonal real
-    phases = np.ones(n, dtype=complex)
+    upper = m.diagonal(1)
     mags = np.abs(upper)
-    for k in range(n - 1):
-        if mags[k] == 0:
-            phases[k + 1] = phases[k]
-        else:
-            phases[k + 1] = phases[k] * (mags[k] / upper[k])
-    vals, vecs = eigh_tridiagonal(diag, mags)
-    vecs = phases[:, None] * vecs
-    return vals, vecs
+    # diagonal phase similarity turns the imaginary off-diagonal real
+    turn = np.divide(mags, upper, out=np.ones(len(upper), dtype=complex),
+                     where=mags != 0)
+    phases = np.concatenate(([1.0 + 0j], np.cumprod(turn)))
+    vals, vecs = dstevd(m.diagonal().real, mags)
+    return vals, phases[:, None] * vecs
 
 
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
 
-def export_triplets(h, path) -> None:
-    """Write the Hamiltonian as text lines 'row col re im' under a shape header."""
-    coo = h.tocoo()
+def export_triplets(h: BandMatrix, path) -> None:
+    """Write the Hamiltonian's nonzero entries, row by row, as text lines
+    'row col re im' under a shape header."""
+    n = h.shape[0]
+    entries = sorted((r, r + j, v) for j, d in enumerate(h.diags, -h.k)
+                     for r, v in zip(range(max(-j, 0), n), d) if v != 0)
     with open(path, "w") as fh:
-        fh.write(f"# H shape {coo.shape[0]} {coo.shape[1]}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
+        fh.write(f"# H shape {n} {n}\n")
+        for r, c, v in entries:
             fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")

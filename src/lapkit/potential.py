@@ -19,7 +19,7 @@ function W = -2 V1 - x . grad V1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -252,14 +252,8 @@ class HypothesisResult:
         return bool(self.margin >= self.threshold)
 
     def to_dict(self):
-        return {
-            "hypothesis": self.index,
-            "description": self.description,
-            "passed": self.passed,
-            "margin": self.margin,
-            "threshold": self.threshold,
-            "witness": self.witness,
-        }
+        out = asdict(self)
+        return {"hypothesis": out.pop("index"), "passed": self.passed, **out}
 
 
 @dataclass
@@ -272,11 +266,8 @@ class ConditionReport:
         return all(r.passed for r in self.results)
 
     def to_dict(self):
-        return {
-            "model": self.model,
-            "passed": self.passed,
-            "hypotheses": [r.to_dict() for r in self.results],
-        }
+        return {"model": self.model, "passed": self.passed,
+                "hypotheses": [r.to_dict() for r in self.results]}
 
 
 def _fd_second(model, r):
@@ -297,11 +288,7 @@ def _sample_radii(grid_radii, tail_R):
 
 
 def _local_p(dim):
-    if dim <= 3:
-        return 2.0
-    if dim == 4:
-        return 3.0
-    return dim / 2.0
+    return 2.0 if dim <= 3 else (3.0 if dim == 4 else dim / 2.0)
 
 
 def check_condition(model: PotentialModel, grid_radii) -> ConditionReport:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,15 +44,8 @@ class CheckResult:
     description: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "anchor": self.anchor,
-            "passed": bool(self.passed),
-            "value": _jsonable(self.value),
-            "threshold": _jsonable(self.threshold),
-            "comparison": self.comparison,
-            "description": self.description,
-        }
+        return {**asdict(self), "passed": bool(self.passed),
+                "value": _jsonable(self.value), "threshold": _jsonable(self.threshold)}
 
 
 @dataclass

@@ -2,48 +2,32 @@
 
 Energies live in the open sector arg z in (0, theta), |z| <= lambda_0;
 zero-energy quantities are reached only by extrapolation along rays.
-Every factorized operator here is a complex-symmetric band matrix
-(transpose equals itself): H and H + cap are tridiagonal and the
-commutator-regularized operator is pentadiagonal.  One band LU with
-partial pivoting (``_band_lu``: LAPACK zgbtrf once, zgbtrs per solve)
-serves every solve, and adjoint solves are conjugated forward solves
-with the same factors.
+Every factorized operator is a complex-symmetric ``BandMatrix``: H and
+H + cap are tridiagonal, the commutator-regularized operator is
+pentadiagonal.  One band LU with partial pivoting (``_band_lu``: zgbtrf
+once, zgbtrs per solve, from numpy's own OpenBLAS through ``_lapack``)
+serves every solve; adjoint solves conjugate forward ones.
 
 The plain resolvent norm of a self-adjoint H is exact, 1 / dist(z,
-spectrum), with the distance from ``spectral_distance``.  Every other
-operator norm is one Lanczos run on A* A (``_lanczos``) whose Ritz
-vector is re-evaluated through A, so the value is a certified lower
-bound: the weighted norms (``weighted_opnorm``), the Hoelder difference
-norms, the quadratic estimate and the best diagonal shell pair.
-
-Every Hamiltonian here is complex-symmetric tridiagonal, so its
-resolvent is semiseparable.  ``TridiagonalResolvent`` holds per-z
-generators from the two pivot sequences: log-domain prefix sums of
-the pivot ratios and the diagonal 1 / (d + e - a).  Any entry is one
-exponential, and one O(n) pass certifies the residual of every
-column.  The shell-space bracket takes every entry from them.  Blocks
-and shells are levels of |x|, so two different ones are separated
-and their weighted block has rank <= 2, with a closed-form norm from
-segment sums; the unit-block sup (upper bound) and the off-diagonal
-shell pairs are exact.  The diagonal pairs invert to tridiagonal Schur
-complements, and one Lanczos run per z on their direct sum finds the
-best, so the lower bound is the shell-dual norm to the Lanczos tolerance.
+spectrum) (``spectral_distance``).  Every other operator norm is one
+Lanczos run on A* A (``_lanczos``) whose Ritz vector is re-evaluated
+through A, a certified lower bound.  ``TridiagonalResolvent`` reads
+any entry of a tridiagonal resolvent off two pivot sequences, and the
+shell-space bracket (``besov_bstar_estimate``) takes every entry there.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 
+from ._lapack import COL_MAJOR, call, dstebz, dstevd
 from .besov import ShellScheme, loglog_slope, unit_blocks
 from .errors import DimensionError, ExtrapolationError, SolverError
-from .operators import dilation_eigenbasis
+from .operators import BandMatrix, dilation_eigenbasis
 from .potential import PotentialModel, WeightParams, bracket, weight_f
 
 __all__ = [
@@ -128,20 +112,15 @@ class Sector:
 # Shifted solves
 # ---------------------------------------------------------------------------
 
-def _bands(operator) -> list[np.ndarray]:
-    """Diagonals 0, 1, ..., k of a band matrix of bandwidth k >= 1.
+def _bands(operator: BandMatrix) -> list[np.ndarray]:
+    """Diagonals 0, 1, ..., k of a band of bandwidth k, at least 1.
 
     ValueError unless it is complex symmetric: diagonal -j is diagonal +j.
     """
-    m = sp.csr_matrix(operator)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise DimensionError("operator must be square")
-    rows = np.repeat(np.arange(n), np.diff(m.indptr))
-    k = int(np.max(np.abs(m.indices - rows)[m.data != 0], initial=1))
-    bands = [m.diagonal(j) for j in range(k + 1)]
+    k = max(operator.k, 1)
+    bands = [operator.diagonal(j) for j in range(k + 1)]
     scale = max(np.max(np.abs(np.concatenate(bands))), 1e-300)
-    if any(np.max(np.abs(m.diagonal(-j) - bands[j]), initial=0.0) > 1e-12 * scale
+    if any(np.max(np.abs(operator.diagonal(-j) - bands[j]), initial=0.0) > 1e-12 * scale
            for j in range(1, k + 1)):
         raise ValueError("operator is not complex symmetric")
     return bands
@@ -156,13 +135,21 @@ def _band_lu(bands):
     zgbtrs.  SolverError on a zero pivot.
     """
     k, n = len(bands) - 1, len(bands[0])
-    ab = np.zeros((3 * k + 1, n), dtype=complex)
+    ab = np.zeros((3 * k + 1, n), dtype=complex, order="F")
     for j, band in enumerate(bands):
         ab[2 * k - j, j:] = ab[2 * k + j, :n - j] = band
-    lu, piv, info = zgbtrf(ab, k, k, overwrite_ab=1)
+    piv = np.empty(n, dtype=np.int64)
+    info = call("zgbtrf_work", COL_MAJOR, n, n, k, k, ab, 3 * k + 1, piv)
     if info:
         raise SolverError(f"zero pivot {info} of {n}: spectrally degenerate")
-    return lambda rhs: zgbtrs(lu, k, k, rhs, piv)[0]
+
+    def solve(rhs):
+        b = np.array(rhs, dtype=complex, order="F")
+        call("zgbtrs_work", COL_MAJOR, b"N", n, k, k, b.size // n, ab, 3 * k + 1,
+             piv, b, n)
+        return b
+
+    return solve
 
 
 class ShiftedSolver:
@@ -171,14 +158,13 @@ class ShiftedSolver:
     M - z must be a complex-symmetric band matrix; its bandwidth is read
     off M (1 for a Hamiltonian, 2 for the Mourre operator) and
     ``_band_lu`` factors it once.  Being symmetric, it gives adjoint
-    solves from the same factors by conjugation.  ``matrix`` is M as a
-    sparse matrix.  A solve takes up to four refinement steps to reach
+    solves from the same factors by conjugation.  ``matrix`` is the
+    BandMatrix M.  A solve takes up to four refinement steps to reach
     a relative residual of SOLVE_RTOL, the residual being M u - z u.
     """
 
-    def __init__(self, operator, z: complex):
-        self.matrix = sp.csr_matrix(operator)
-        self.shape, self.z = self.matrix.shape, complex(z)
+    def __init__(self, operator: BandMatrix, z: complex):
+        self.matrix, self.shape, self.z = operator, operator.shape, complex(z)
         main, *upper = _bands(self.matrix)
         self._lu = _band_lu([main - self.z, *upper])
 
@@ -245,8 +231,7 @@ def spectral_distance(operator, z: complex) -> float:
     main, off, z = main.real, off.real, complex(z)
     half = abs(z.imag) / 16.0 or 1.0
     while True:
-        vals = eigvalsh_tridiagonal(main, off, select="v",
-                                    select_range=(z.real - half, z.real + half))
+        vals = dstebz(main, off, z.real - half, z.real + half)
         if vals.size:
             return float(np.min(np.hypot(vals - z.real, z.imag)))
         half *= 4.0
@@ -430,7 +415,7 @@ def _lanczos(gram, start, norm_of) -> tuple[float, int, bool]:
         # in a process took 0.2-0.5 s each on a 2-core host
         for q in basis:
             v -= np.vdot(q, v) * q
-        theta, vecs = eigh_tridiagonal(np.array(alpha), np.array(beta))
+        theta, vecs = dstevd(alpha, beta)
         top = vecs[:, -1]
         size = float(np.linalg.norm(v))
         converged = size * abs(top[-1]) <= LANCZOS_RTOL * theta[-1] or step == m
@@ -495,7 +480,7 @@ class BesovEstimate:
     upper: float
     block_sup: float
     z: complex
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
 def besov_bstar_estimate(operator, z: complex, model: PotentialModel,
@@ -880,7 +865,7 @@ def boundary_value(operator, v, grid, *, ratio: float, tol: float,
 # Commutator-regularized resolvent and the quadratic estimate
 # ---------------------------------------------------------------------------
 
-def mourre_resolvent(hm: sp.csr_matrix, am: sp.csr_matrix,
+def mourre_resolvent(hm: BandMatrix, am: BandMatrix,
                      z: complex, eps: float) -> ShiftedSolver:
     """Factorize H - i eps i[H, A] - z, defined for eps Im z > 0.
 
@@ -912,7 +897,7 @@ class QuadraticReport:
         return max(values) / min(values) if values else math.inf
 
 
-def quadratic_check(h_op: sp.csr_matrix, a_op: sp.csr_matrix,
+def quadratic_check(h_op: BandMatrix, a_op: BandMatrix,
                     model: PotentialModel, grid, z_values, eps_values,
                     rng: np.random.Generator | None = None) -> QuadraticReport:
     """Evaluate ||f R_z(eps) T||^2 <= C |eps|^{-1} ||T* R_z(eps) T||.

@@ -266,11 +266,10 @@ def test_lap_sweep_small_passes():
 
 def test_lap_sweep_unconverged_row_leaves_the_fits(monkeypatch):
     # a weighted Lanczos run that stops unconverged flags its row like the
-    # stability gate does; the fit uses the remaining rows (the runner
-    # looks the name up in lapkit.resolvent on each call)
-    import lapkit.resolvent as resolvent
+    # stability gate does; the fit uses the remaining rows
+    import lapkit.experiments as experiments
 
-    real = resolvent.weighted_opnorm
+    real = experiments.weighted_opnorm
     target = 3e-2
 
     def flaky(operator, z, *args, **kwargs):
@@ -279,7 +278,7 @@ def test_lap_sweep_unconverged_row_leaves_the_fits(monkeypatch):
             est.converged = False
         return est
 
-    monkeypatch.setattr(resolvent, "weighted_opnorm", flaky)
+    monkeypatch.setattr(experiments, "weighted_opnorm", flaky)
     rep = run_lap_sweep(parse_config_text(SMALL_SWEEP))
     rows = [r for r in rep.extras["csv_rows"] if r["quantity"] == "weighted"]
     flagged = [r for r in rows if not r["stable"]]
@@ -358,18 +357,18 @@ source_width = 2.0
 """)
     cfg.experiment["source_width"] = 2.0
 
-    import lapkit.operators as ops
+    import lapkit.experiments as experiments
 
-    real_probe = ops.gaussian_probe
+    real_probe = experiments.gaussian_probe
 
     def zero_probe(grid, center=0.0, width=1.0):
         return np.zeros(grid.size, dtype=complex)
 
-    ops.gaussian_probe = zero_probe
+    experiments.gaussian_probe = zero_probe
     try:
         rep = run_uniqueness(cfg)
     finally:
-        ops.gaussian_probe = real_probe
+        experiments.gaussian_probe = real_probe
     assert rep.extras.get("trivial")
     assert rep.passed
 

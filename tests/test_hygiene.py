@@ -1,8 +1,7 @@
 """Package-wide checks: every module-level import is used or
 re-exported, no handler swallows every error, settable values and
-source lines do not grow, the numpy-only commands load no scipy, and
-the package exports the same names as before its scipy side loaded
-lazily."""
+source lines do not grow, no module imports scipy and no command
+loads it, and the package exports its fixed set of names."""
 
 import ast
 import importlib
@@ -98,7 +97,7 @@ def test_settable_values_do_not_grow():
 
 # Ceiling on the package's source lines (all of src/lapkit, blank lines
 # and comments included); like SETTABLE_CEILING it may only fall.
-LINE_CEILING = 4065
+LINE_CEILING = 4064
 
 
 def test_source_lines_do_not_grow():
@@ -106,14 +105,15 @@ def test_source_lines_do_not_grow():
     assert total <= LINE_CEILING
 
 
-# One LU back end: every solve goes through the band LU in resolvent.py,
-# so no module imports a second solver path.
-FORBIDDEN_MODULES = ("scipy.sparse.linalg",)
+# One LU back end and no scipy at run time: every solve goes through the
+# band LU in resolvent.py, and LAPACK comes from numpy's own OpenBLAS
+# through lapkit._lapack, so no module imports scipy or a second solver.
+FORBIDDEN_MODULES = ("scipy.sparse.linalg", "scipy")
 FORBIDDEN_NAMES = {"zgtsv", "splu", "spsolve"}
 
 
 def _second_solver_imports(tree: ast.Module) -> list[str]:
-    """Imports (at any depth) of scipy.sparse.linalg or of a second LU routine."""
+    """Imports (at any depth) of scipy or of a second LU routine."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -140,41 +140,58 @@ def test_second_solver_imports_are_caught():
     for source in ("import scipy.sparse.linalg as spla",
                    "from scipy.sparse import linalg",
                    "from scipy.sparse.linalg import splu",
-                   "def f():\n    from scipy.linalg.lapack import zgtsv"):
+                   "def f():\n    from scipy.linalg.lapack import zgtsv",
+                   "import scipy",
+                   "import scipy.sparse as sp",
+                   "def f():\n    from scipy.linalg.lapack import zgbtrf",
+                   "from scipy import linalg"):
         assert len(_second_solver_imports(ast.parse(source))) == 1
     assert _second_solver_imports(ast.parse(
-        "import scipy.sparse as sp\nfrom scipy.linalg.lapack import zgbtrf")) == []
+        "import numpy as np\nfrom ._lapack import call\nimport scipyish")) == []
 
 
-NUMPY_ONLY_RUN = """
+# a small sweep config: the import check needs the code paths, not desk scale
+SMALL_SWEEP = """
+[grid]
+length = 100.0
+size = 1024
+
+[sector]
+moduli = 1e-1, 3e-2
+"""
+
+EVERY_COMMAND_RUN = """
 import json, sys
-import lapkit
-loaded = sorted(m for m in sys.modules if m.startswith("lapkit."))
 from lapkit.cli import main
+sweep = sys.argv[2]
 codes = [main([command, "--config", config, "--output", sys.argv[1]])
          for command, config in (
              ("besov-selftest", "demos/configs/selftest.cfg"),
-             ("check-potential", "demos/configs/coulomb_check.cfg"))]
+             ("check-potential", "demos/configs/coulomb_check.cfg"),
+             ("lap-sweep", sweep), ("besov-bound", sweep),
+             ("radiation", "demos/configs/radiation.cfg"),
+             ("uniqueness", "demos/configs/radiation.cfg"),
+             ("export-operator", sweep))]
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"loaded": loaded, "codes": codes, "scipy": scipy}))
+print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
 def test_numpy_only_commands_load_no_scipy(tmp_path):
-    # a fresh interpreter: this process has scipy loaded already
+    # every command, in a fresh interpreter: this process has scipy loaded
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(SMALL_SWEEP)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", EVERY_COMMAND_RUN,
+                           str(tmp_path / "out"), str(sweep)],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert not {"lapkit.experiments", "lapkit.operators",
-                "lapkit.resolvent"} & set(result["loaded"])
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0] * 7
     assert result["scipy"] == []
 
 
-# Names lapkit/__init__.py bound when it imported everything eagerly,
-# by the module each was imported from.
+# Names lapkit/__init__.py binds, by the module each is imported from.
 PACKAGE_API = {
     "besov": ["ShellScheme", "besov_norm", "bstar0_defect", "dual_norm",
               "shell_decompose"],

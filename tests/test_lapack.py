@@ -1,0 +1,91 @@
+"""The LAPACK bindings against scipy as the oracle: same inputs, same bits."""
+
+import _ctypes
+import os
+
+import numpy as np
+import pytest
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg.lapack import zgbtrf, zgbtrs
+
+from lapkit import _lapack
+from lapkit.errors import SolverError
+from lapkit.resolvent import _band_lu
+
+
+def _complex_bands(rng, n, k):
+    """Diagonals 0..k of a random complex-symmetric band matrix, diagonally heavy."""
+    bands = [rng.standard_normal(n - j) + 1j * rng.standard_normal(n - j)
+             for j in range(k + 1)]
+    bands[0] += 4.0 * (k + 1)
+    return bands
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("columns", [None, 2], ids=["vector", "two-columns"])
+def test_band_lu_matches_scipy_zgbtrf_zgbtrs(k, columns, rng):
+    n = 257
+    bands = _complex_bands(rng, n, k)
+    ab = np.zeros((3 * k + 1, n), dtype=complex)
+    for j, band in enumerate(bands):
+        ab[2 * k - j, j:] = ab[2 * k + j, :n - j] = band
+    lu, piv, info = zgbtrf(ab, k, k)
+    assert info == 0
+    shape = (n,) if columns is None else (n, columns)
+    rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    expected, info = zgbtrs(lu, k, k, rhs, piv)
+    assert info == 0
+    got = _band_lu(bands)(rhs)
+    assert got.shape == expected.shape
+    assert got.tobytes() == np.asfortranarray(expected).tobytes()
+
+
+def test_band_lu_zero_pivot_raises():
+    # diagonal 1, 0, 3 with no coupling: the second pivot is exactly zero
+    with pytest.raises(SolverError, match="zero pivot 2 of 3"):
+        _band_lu([np.array([1.0, 0.0, 3.0], dtype=complex), np.zeros(2)])
+
+
+@pytest.mark.parametrize("k", [1, 5, 15, 128])
+def test_dstevd_matches_scipy_eigh_tridiagonal(k, rng):
+    d, e = rng.standard_normal(k), rng.standard_normal(k - 1)
+    w_ref, v_ref = eigh_tridiagonal(d, e)
+    w, v = _lapack.dstevd(d, e)
+    assert w.tobytes() == w_ref.tobytes()
+    assert v.tobytes() == np.asfortranarray(v_ref).tobytes()
+    assert v.flags.f_contiguous and v_ref.flags.f_contiguous
+
+
+@pytest.mark.parametrize("window", [(-0.1, 0.1), (0.3, 0.31), (7.0, 8.0)])
+def test_dstebz_window_matches_scipy(window, rng):
+    d, e = rng.standard_normal(2048), rng.standard_normal(2047)
+    expected = eigvalsh_tridiagonal(d, e, select="v", select_range=window)
+    got = _lapack.dstebz(d, e, *window)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_tridiagonal_bindings_reject_a_short_off_diagonal():
+    # LAPACK reads n - 1 off-diagonal entries whatever it is given
+    with pytest.raises(ValueError):
+        _lapack.dstevd(np.ones(4), np.ones(2))
+    with pytest.raises(ValueError):
+        _lapack.dstebz(np.ones(4), np.ones(2), -1.0, 1.0)
+
+
+def test_call_rejects_a_strided_array():
+    d = np.ones(8)[::2]
+    with pytest.raises(ValueError, match="contiguous"):
+        _lapack.call("dstevd", _lapack.COL_MAJOR, b"N", 4, d, np.ones(3), np.ones(1), 1)
+
+
+def test_missing_library_raises_import_error(tmp_path):
+    with pytest.raises(ImportError, match="scipy_LAPACKE_zgbtrf_work64_") as err:
+        _lapack._load(tmp_path)
+    assert str(tmp_path / "libscipy_openblas64_*.so") in str(err.value)
+
+
+def test_library_without_the_symbols_raises_import_error(tmp_path):
+    # a loadable shared library under the searched name, but not OpenBLAS
+    os.symlink(_ctypes.__file__, tmp_path / "libscipy_openblas64_stand-in.so")
+    with pytest.raises(ImportError, match="scipy_LAPACKE_dstebz64_"):
+        _lapack._load(tmp_path)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from lapkit.errors import DimensionError
-from lapkit.operators import (Grid1D, RadialGrid, build_dilation,
+from lapkit.operators import (BandMatrix, Grid1D, RadialGrid, build_dilation,
                               build_hamiltonian, commutator_residual,
                               dilation_eigenbasis, export_triplets,
                               gaussian_probe, hermiticity_residual,
@@ -55,7 +56,7 @@ def test_box_ground_state_convergence():
     errors = []
     for n in (128, 256, 512):
         h_op = build_hamiltonian(None, Grid1D(10.0, n))
-        val = spla.eigsh(h_op, k=1, which="SA",
+        val = spla.eigsh(h_op.toarray(), k=1, which="SA",
                          return_eigenvectors=False)[0]
         errors.append(abs(val - exact))
     orders = refinement_orders(errors)
@@ -82,8 +83,35 @@ def test_hermiticity():
     m = standard_model(1.0, 1.0, 1)
     h_op = build_hamiltonian(m, Grid1D(20.0, 128))
     assert hermiticity_residual(h_op) <= 1e-12
-    rows, cols = h_op.nonzero()
+    rows, cols = np.nonzero(h_op.toarray())
     assert np.max(np.abs(rows - cols)) == 1
+
+
+def test_band_matrix_keeps_the_bits_of_sparse_products(rng):
+    # scipy.sparse is the oracle: a CSR row with sorted columns sums its
+    # terms from zero in ascending order, and so does a BandMatrix
+    g = Grid1D(20.0, 128)
+    h_cap = build_hamiltonian(standard_model(1.0, 1.0, 1), g) + matched_absorber(
+        g, mu=1.0, kappa=1.0, strength=1.0, width_fraction=0.25)
+    a_op = build_dilation(g)
+    comm = h_cap @ a_op - a_op @ h_cap
+    v = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    for band in (h_cap, a_op, comm, 0.5j * h_cap.conj()):
+        assert (band @ v).tobytes() == (sp.csr_matrix(band.toarray()) @ v).tobytes()
+    sparse = sp.csr_matrix(h_cap.toarray()) @ sp.csr_matrix(a_op.toarray())
+    assert np.array_equal((h_cap @ a_op).toarray(), sparse.toarray())
+    assert comm.k == 2 and comm.shape == (128, 128)
+    assert np.array_equal(comm.toarray(), (h_cap @ a_op).toarray() - (a_op @ h_cap).toarray())
+    assert np.array_equal(comm.diagonal(-2), np.diagonal(comm.toarray(), -2))
+    assert np.array_equal(h_cap.diagonal(2), np.zeros(126))
+
+
+def test_band_matrix_smallest_sizes():
+    one = BandMatrix([[2.0 + 1j]])
+    assert one.shape == (1, 1) and one.k == 0
+    assert (one @ np.array([3.0])).tolist() == [6.0 + 3j]
+    tri = BandMatrix([[1.0], [2.0, 3.0], [4.0]])
+    assert np.array_equal((tri @ tri).toarray(), tri.toarray() @ tri.toarray())
 
 
 def test_dimension_mismatch():
