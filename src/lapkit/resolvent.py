@@ -1,7 +1,8 @@
 """Complex shifted solves and resolvent-norm estimators over a sector.
 
-Energies live in the open sector arg z in (0, theta), |z| <= lambda_0;
-zero-energy quantities are reached only by extrapolation along rays.
+Sweep energies live in the open sector arg z in (0, theta), |z| <= lambda_0.
+``radiation`` reaches zero energy along a ray ladder (``boundary_value``);
+``uniqueness`` solves H + cap at z = 0 directly with a ``ShiftedSolver``.
 Every factorized operator is a complex-symmetric ``BandMatrix``: H and
 H + cap are tridiagonal, the commutator-regularized operator is
 pentadiagonal.  One band LU with partial pivoting (``_band_lu``: zgbtrf

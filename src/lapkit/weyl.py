@@ -12,20 +12,19 @@ inverse FFT over the midpoint grid produces every entry.  Real symbols
 give exactly Hermitian matrices and c = 1 gives exactly the identity.
 
 The dense matrix is the reference path.  ``weyl_apply`` slices the
-same sum by frequency instead: with omega = exp(2 pi i / N),
+same sum by frequency: with omega = exp(2 pi i / N),
 
     (M u)_i = (1/N) sum_k omega^{2ki} sum_t c(m_{i+t}, xi_k) omega^{-k(i+t)} u_t,
 
-and for each k the inner sum is a correlation of one symbol column
-with u.  A zero-padded FFT of length 2N computes it without wraparound
-(i + t <= 2N - 2), and at that length every modulation is a whole-bin
-shift, so all frequencies, in two fixed halves on two threads, add into
-one spectrum per column of u; one inverse FFT ends the apply.  A symbol
-constant outside a band |xi| <= reach(x) carries that band (``Band``):
-the constant applies exactly as itself times u, because Op(1) = I, and
-c - constant is evaluated only on the hull of midpoint rows whose bands
-meet each batch of frequencies.  The radiation cutoffs have such a
-band: chi_-(a0) vanishes exactly once a0 = xi^2/f(x)^2 ends its fall.
+and each inner sum correlates one symbol column with u, which a
+zero-padded real FFT of length 2N computes without wraparound; at that
+length every modulation is a whole-bin shift.  Op(1) = I applies a
+symbol's constant outside its ``Band`` exactly, and the radiation
+cutoffs' band (chi_-(a0) vanishes once a0 = xi^2/f^2 ends its fall)
+leaves c - constant on a few midpoint rows per frequency.  The cutoffs
+are real and point-symmetric and the grid reversal P negates nodes,
+midpoints and frequencies exactly, so Op(c) = constant I + A + P A P,
+A over the band's xi >= 0 half.
 """
 
 from __future__ import annotations
@@ -70,10 +69,6 @@ def smoothstep7(t):
 def _fall(t, start, width):
     """1 below start, 0 above start + width, smooth in between."""
     return 1.0 - smoothstep7((np.asarray(t, dtype=float) - start) / width)
-
-
-def _rise(t, start, width):
-    return smoothstep7((np.asarray(t, dtype=float) - start) / width)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +147,7 @@ class FilterSpec:
 
     def chi_minus(self, t):
         t = np.asarray(t, dtype=float)
-        return _rise(t, -1.0, 1.0) * _fall(t, self.plateau_end, self.fall_width)
+        return smoothstep7(t + 1.0) * _fall(t, self.plateau_end, self.fall_width)
 
     def chi_plus(self, t):
         return 1.0 - self.chi_minus(t)
@@ -160,7 +155,7 @@ class FilterSpec:
     def chi_tilde_minus(self, t):
         t = np.asarray(t, dtype=float)
         # 0 below t = -5, 1 from t = -4 up to the fall
-        return _rise(t, -5.0, 1.0) * _fall(
+        return smoothstep7(t + 5.0) * _fall(
             t, self.sigma_cut - self.tilde_width, self.tilde_width)
 
     def chi_tilde_mirror(self, t):
@@ -181,34 +176,26 @@ def _midpoints(grid: Grid1D) -> np.ndarray:
 class Band:
     """Frequency band outside which a symbol is the constant ``outside``.
 
-    The symbol equals ``outside`` exactly wherever |xi| > reach(x).
+    The symbol equals ``outside`` exactly wherever |xi| > reach(x), and
+    ``weyl_apply`` needs it real and point-symmetric, c(-x, -xi) = c(x, xi).
     """
 
     reach: Callable
     outside: float
 
 
-def _g_rows(symbol, xs, xi):
-    """Rows G[s, d] = (1/N) sum_k c(m_s, xi_k) e^{2 pi i k d / N}.
-
-    With k = k' - N/2 the sum is (-1)^d times an inverse FFT in k'.
-    """
-    rows = np.fft.ifft(np.asarray(symbol(xs[:, None], xi[None, :]),
-                                  dtype=complex), axis=1)
-    n = rows.shape[1]
-    rows *= (-1.0) ** np.arange(n)[None, :]
-    return rows
-
-
 def weyl_matrix(symbol, grid: Grid1D) -> np.ndarray:
-    """Dense quantization; reference path, quadratic memory."""
+    """Dense quantization; reference path, quadratic memory.
+
+    Row s of G[s, d] = (1/N) sum_k c(m_s, xi_k) e^{2 pi i k d / N} is,
+    with k = k' - N/2, (-1)^d times an inverse FFT in k'.
+    """
     n = grid.size
-    xi = grid.frequencies
-    g = _g_rows(symbol, _midpoints(grid), xi)
+    g = np.fft.ifft(np.asarray(symbol(_midpoints(grid)[:, None],
+                                      grid.frequencies[None, :]), dtype=complex), axis=1)
+    g *= (-1.0) ** np.arange(n)[None, :]
     i = np.arange(n)
-    s = i[:, None] + i[None, :]
-    d = (i[:, None] - i[None, :]) % n
-    return g[s, d]
+    return g[i[:, None] + i[None, :], (i[:, None] - i[None, :]) % n]
 
 
 def _band_rows(band: Band | None, mids, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -225,8 +212,8 @@ def _band_rows(band: Band | None, mids, xi) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(k0, 0), np.minimum(k1, n)
 
 
-# band frequencies transformed together; with the batch's symbol points
-# one (K_BATCH, 2N) table per thread bounds the memory of an apply
+# band frequencies transformed together; the batch's symbol points, one
+# real (K_BATCH, 2N) table and its half spectra per thread bound the memory
 K_BATCH = 8
 
 
@@ -234,14 +221,15 @@ def weyl_apply(symbol, grid: Grid1D, u, band: Band | None = None) -> np.ndarray:
     """Matrix-free application of the quantized symbol, sliced by frequency.
 
     ``u`` is one vector of shape (n,) or a block of shape (n, m); each
-    column equals its own single-vector apply bit for bit.  Each batch
-    of band frequencies evaluates c - outside on the hull of rows its
-    bands meet (the ``Band`` contract makes hull points off a row's
-    band exactly 0), and the modulation omega^{ks} is a 2k-bin shift
-    taken in the slice of a doubled accumulator.  ``outside * u`` adds
-    the constant exactly.  A worker thread sums the batches below a
-    fixed middle boundary, this thread the rest; the two sums add in
-    that order, so the output depends on neither cores nor scheduling.
+    column equals its own single-vector apply bit for bit.  A complex
+    symbol, or xi = +-dxi columns not mirror images bit for bit on their
+    hull rows, raise ValueError.  A acts on [u, P u] with its xi = 0
+    column halved; the unpaired -N/2, if the band reaches it, on u alone.
+    Each batch fills a real table on its rows' hull; ``rfft`` and
+    conjugation give each row's spectrum.  A worker thread takes every
+    other batch up from xi = 0, this thread the rest down from the band
+    edge, so the widest hulls never coincide; the worker's sum plus this
+    thread's, in that order, is independent of cores and scheduling.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -250,41 +238,52 @@ def weyl_apply(symbol, grid: Grid1D, u, band: Band | None = None) -> np.ndarray:
     if u.ndim not in (1, 2) or u.shape[0] != n:
         raise DimensionError("vector length does not match grid size")
     rows = u.reshape(n, -1).T          # each column of u as one row
-    p = 2 * n
-    xi = grid.frequencies
-    mids = _midpoints(grid)
+    m, p, zero = len(rows), 2 * n, n // 2   # zero: the column of xi = 0
+    xi, mids = grid.frequencies, _midpoints(grid)
     outside = 0.0 if band is None else band.outside
     k0, k1 = _band_rows(band, mids, xi)
-    # v[f] = sum_t u[t] e^{2 pi i f t / p}, stored twice so that a
-    # shift by whole bins is a slice
-    v = np.tile(np.fft.ifft(rows, n=p, norm="forward"), 2)
+    # v[f] = sum_t w[t] e^{2 pi i f t / p} for the rows w of [u, P u],
+    # stored twice so that a shift by whole bins is a slice
+    v = np.tile(np.fft.ifft(np.vstack((rows, rows[:, ::-1])), n=p, norm="forward"), 2)
+    stop = k1.max()
+    batches = np.split(np.arange(zero, stop), range(K_BATCH, stop - zero, K_BATCH))
+    if k0.min() == 0:                    # the unpaired -N/2
+        batches.append(np.array([0]))
 
-    def accumulate(start, stop):
-        acc = np.zeros((len(rows), 2 * p), dtype=complex)
-        table = np.empty((K_BATCH, p), dtype=complex)
-        for first in range(start, stop, K_BATCH):
-            cols = np.arange(first, min(first + K_BATCH, stop))
+    def accumulate(batches):
+        acc = np.zeros((2 * m, 2 * p), dtype=complex)
+        table, halves = np.empty((K_BATCH, p)), np.empty((K_BATCH, n + 1), dtype=complex)
+        row = np.empty(p, dtype=complex)
+        for cols in batches:
             # every row's band holds xi = 0, so some row meets each batch
             hit = np.flatnonzero((k0 <= cols[-1]) & (k1 > cols[0]))
             r0, r1 = hit[0], hit[-1] + 1
+            values = symbol(mids[r0:r1, None], xi[cols][None, :])
+            if np.iscomplexobj(values):
+                raise ValueError("weyl_apply needs a real symbol")
             batch = table[:len(cols)]
             batch[:] = 0.0
-            batch[:, r0:r1] = (symbol(mids[r0:r1, None], xi[cols][None, :])
-                               - outside).T
-            np.fft.fft(batch, axis=1, out=batch)
-            for row, col in zip(batch, cols):
-                shift = 2 * (col - n // 2) % p
-                acc[:, shift:shift + p] += row * v[:, p - shift:2 * p - shift]
+            batch[:, r0:r1] = (values - outside).T
+            if cols[0] == zero:
+                mirror = symbol(-mids[r0:r1, None], -xi[cols[1:2]][None, :])
+                if not np.array_equal(batch[1:2, r0:r1], (mirror - outside).T):
+                    raise ValueError("weyl_apply needs a point-symmetric symbol")
+                batch[0] *= 0.5            # A and P A P share xi = 0
+            np.fft.rfft(batch, axis=1, out=halves[:len(cols)])
+            for spectrum, col in zip(halves, cols):
+                row[:n + 1] = spectrum     # the other half by conjugation
+                np.conjugate(spectrum[n - 1:0:-1], out=row[n + 1:])
+                shift = 2 * (col - zero) % p
+                w = m if col == 0 else 2 * m      # -N/2 has no mirror
+                acc[:w, shift:shift + p] += row * v[:w, p - shift:2 * p - shift]
         return acc
 
-    start, stop = k0.min(), k1.max()
-    middle = start + (stop - start) // (2 * K_BATCH) * K_BATCH
     with ThreadPoolExecutor(max_workers=1) as pool:
-        low = pool.submit(accumulate, start, middle)
-        high = accumulate(middle, stop)
-        acc = low.result() + high
-    spectrum = acc[:, :p] + acc[:, p:]
-    out = outside * rows + np.fft.ifft(spectrum, axis=1)[:, :n] / n
+        up = pool.submit(accumulate, batches[::2])
+        down = accumulate(batches[1::2][::-1])
+        acc = up.result() + down
+    res = np.fft.ifft(acc[:, :p] + acc[:, p:], axis=1)[:, :n] / n
+    out = res[:m] + res[m:, ::-1] + outside * rows
     return np.ascontiguousarray(out.T).reshape(u.shape)
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from lapkit.weyl import (Band, FilterSpec, default_radius_ladder, filter_symbol,
                          weyl_apply, weyl_matrix)
 
 GRID = Grid1D(10.0, 128)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def constant_symbol(value):
@@ -148,8 +153,8 @@ def test_high_is_a_real_operator(rng):
 
 @pytest.mark.parametrize("mode", ["outgoing", "high"])
 def test_apply_is_deterministic(mode, rng):
-    # the two threaded halves split at a fixed batch and add in a fixed
-    # order, so repeated applies agree bit for bit
+    # the two threads take fixed alternate batches and their sums add in
+    # a fixed order, so repeated applies agree bit for bit
     spec, params = desk_filters()
     symbol, band = filter_symbol(spec, params, mode)
     block = rng.standard_normal((1024, 2)) + 1j * rng.standard_normal((1024, 2))
@@ -198,12 +203,15 @@ def test_apply_rejects_wrong_shape():
         weyl_apply(constant_symbol(1.0), GRID, np.ones((128, 2, 1)))
 
 
-@pytest.mark.parametrize("length,size,kappa,mu", [
+FILTER_GRIDS = [
     (10.0, 128, 1.0, 1.0),
     (40.0, 256, 0.5, 0.5),
     (200.0, 512, 2.0, 1.5),
     (400.0, 1024, 1.0, 1.0),
-])
+]
+
+
+@pytest.mark.parametrize("length,size,kappa,mu", FILTER_GRIDS)
 def test_band_covers_symbol_support(length, size, kappa, mu):
     # outside |xi| <= reach(x) the full-table symbol is exactly constant
     grid = Grid1D(length, size)
@@ -217,6 +225,88 @@ def test_band_covers_symbol_support(length, size, kappa, mu):
         outside = np.abs(xi)[None, :] > band.reach(x)[:, None]
         assert np.count_nonzero(outside) > 0.5 * table.size
         assert np.all(table[outside] == band.outside)
+
+
+@pytest.mark.parametrize("length,size,kappa,mu",
+                         FILTER_GRIDS + [(400.0, 4096, 1.0, 1.0)])
+def test_filter_tables_are_real_and_point_symmetric(length, size, kappa, mu):
+    # weyl_apply's contract: the grid reversal negates midpoints and
+    # frequencies exactly, and the table over every column but the
+    # unpaired -N/2 is real and equal to its point reflection bit for bit
+    grid = Grid1D(length, size)
+    x = -length + (np.arange(2 * size - 1) + 1.0) * grid.spacing / 2.0
+    xi = grid.frequencies[1:]
+    assert np.array_equal(x[::-1], -x)
+    assert np.array_equal(xi[::-1], -xi)
+    params = WeightParams(0.0, kappa, mu)
+    spec = FilterSpec.for_model(standard_model(1.0, mu, 1), 0.5)
+    for mode in ("outgoing", "high", "mirrored"):
+        symbol, _ = filter_symbol(spec, params, mode)
+        for top in range(0, size, 128):
+            # rows [top, bottom) of the upper half against their mirrors
+            bottom = min(top + 128, size)
+            upper = symbol(x[top:bottom, None], xi[None, :])
+            lower = symbol(x[2 * size - 1 - bottom:2 * size - 1 - top, None],
+                           xi[None, :])
+            assert upper.dtype == lower.dtype == np.float64
+            assert np.array_equal(upper, lower[::-1, ::-1])
+
+
+def test_apply_refuses_a_complex_symbol(rng):
+    # point-symmetric, but a real table would drop its imaginary part
+    u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    with pytest.raises(ValueError, match="real symbol"):
+        weyl_apply(lambda x, xi: np.exp(1j * xi * x), GRID, u)
+
+
+@pytest.mark.parametrize("asymmetry", ["tilted in x", "odd in xi"])
+def test_apply_refuses_a_symbol_that_is_not_point_symmetric(asymmetry, rng):
+    spec, params = desk_filters()
+    outgoing, band = filter_symbol(spec, params, "outgoing")
+
+    def symbol(x, xi):
+        # still exactly 0 outside the outgoing band
+        factor = 1.0 + 0.25 * np.tanh(x) if asymmetry == "tilted in x" else xi
+        return outgoing(x, xi) * factor
+
+    u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    with pytest.raises(ValueError, match="point"):
+        weyl_apply(symbol, GRID, u, band=band)
+
+
+# the three filter modes at the desk spacing, as the bytes of their output
+THREE_MODES = """
+import numpy as np
+from lapkit.operators import Grid1D
+from lapkit.potential import WeightParams, standard_model
+from lapkit.weyl import FilterSpec, filter_symbol, weyl_apply
+model = standard_model(1.0, 1.0, 1)
+spec = FilterSpec.for_model(model, 0.5)
+params = WeightParams(0.0, model.kappa_low_energy, model.mu)
+grid = Grid1D(100.0, 1024)
+block = np.random.default_rng(7).standard_normal((1024, 4)).view(complex)
+applied = b"".join(
+    weyl_apply(symbol, grid, block, band=band).tobytes()
+    for symbol, band in (filter_symbol(spec, params, mode)
+                         for mode in ("outgoing", "high", "mirrored")))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="CPU affinity is not available")
+def test_apply_is_the_same_bit_for_bit_on_one_core():
+    # a fresh interpreter pinned to one core runs the worker thread and
+    # the calling thread on it in turn; the output bytes must not change
+    here = {}
+    exec(THREE_MODES, here)
+    pinned = ("import os, sys\n"
+              "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+              + THREE_MODES + "sys.stdout.buffer.write(applied)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", pinned], cwd=ROOT, env=env,
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == here["applied"]
 
 
 def test_quantized_position_is_multiplication(rng):
