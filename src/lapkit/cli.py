@@ -38,10 +38,8 @@ def _parser() -> argparse.ArgumentParser:
 def _print_checks(report: Report) -> None:
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
-        detail = ""
-        if check.value is not None and check.threshold is not None:
-            detail = f"  {check.value:.6g} {check.comparison} {check.threshold:.6g}"
-        print(f"[{status}] {check.check_id}{detail}")
+        print(f"[{status}] {check.check_id}  "
+              f"{check.value:.6g} {check.comparison} {check.threshold:.6g}")
     if report.inconclusive:
         print("[NOTE] report marked inconclusive")
 

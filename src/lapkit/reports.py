@@ -33,18 +33,30 @@ SWEEP_COLUMNS = ["re_z", "im_z", "abs_z", "arg_z", "quantity",
 
 @dataclass
 class CheckResult:
-    """One verified statement: measured value against its threshold."""
+    """One verified statement: measured value against its threshold.
+
+    The one verdict rule: a check passes iff ``value comparison
+    threshold`` holds, so a NaN value never passes.  A threshold
+    includes whatever rounding allowance the check grants.
+    """
 
     check_id: str
     anchor: str                  # stable id of the inequality checked
-    passed: bool
-    value: float | None = None
-    threshold: float | None = None
-    comparison: str = "<="
-    description: str = ""
+    value: float
+    threshold: float
+    comparison: str              # "<=" or ">="
+    description: str
+
+    @property
+    def passed(self) -> bool:
+        if self.comparison == "<=":
+            return bool(self.value <= self.threshold)
+        if self.comparison == ">=":
+            return bool(self.value >= self.threshold)
+        raise ValueError(f"unknown comparison {self.comparison!r}")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": bool(self.passed),
+        return {**asdict(self), "passed": self.passed,
                 "value": _jsonable(self.value), "threshold": _jsonable(self.threshold)}
 
 

@@ -789,12 +789,8 @@ RISE_FACTOR = 2.0
 @dataclass
 class BoundaryValueResult:
     u: np.ndarray
-    sign: int
-    ray_arg: float
-    ratio: float
     z_values: list[complex]
     diffs: list[float]          # successive weighted differences
-    tol: float
     converged: bool
 
     @property
@@ -833,9 +829,8 @@ def boundary_value(operator, v, grid, *, ratio: float, tol: float,
         zs = [z.conjugate() for z in zs]
     w = bracket(grid.nodes) ** (-weight_s)
     if np.linalg.norm(v) == 0.0:
-        return BoundaryValueResult(
-            u=np.zeros_like(v), sign=sign, ray_arg=arg, ratio=ratio,
-            z_values=zs[:1], diffs=[], tol=tol, converged=True)
+        return BoundaryValueResult(u=np.zeros_like(v), z_values=zs[:1], diffs=[],
+                                   converged=True)
 
     u_prev = None
     diffs: list[float] = []
@@ -853,13 +848,11 @@ def boundary_value(operator, v, grid, *, ratio: float, tol: float,
                     "difference ladder stopped decreasing", ladder=diffs)
             running_min = min(running_min, d)
             if d <= tol * scale:
-                return BoundaryValueResult(
-                    u=u, sign=sign, ray_arg=arg, ratio=ratio, z_values=used,
-                    diffs=diffs, tol=tol, converged=True)
+                return BoundaryValueResult(u=u, z_values=used, diffs=diffs,
+                                           converged=True)
         u_prev = u
-    return BoundaryValueResult(
-        u=u_prev, sign=sign, ray_arg=arg, ratio=ratio, z_values=used,
-        diffs=diffs, tol=tol, converged=False)
+    return BoundaryValueResult(u=u_prev, z_values=used, diffs=diffs,
+                               converged=False)
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,6 @@ def default_radius_ladder(grid: Grid1D) -> np.ndarray:
 class FilterResult:
     """Defect ladders of a phase-space-filtered vector."""
 
-    mode: str
     filtered: np.ndarray
     ladder: np.ndarray
     ball_defect: np.ndarray      # R^{-s0} ||F(|x| < R) w||
@@ -388,7 +387,7 @@ def radiation_filter(u, spec: FilterSpec, model: PotentialModel,
     def result(u_col, w_col):
         scale = max(np.linalg.norm(u_col), 1e-300)
         return FilterResult(
-            mode=mode, filtered=w_col, ladder=ladder,
+            filtered=w_col, ladder=ladder,
             ball_defect=defect_ladder(w_col, grid.nodes, ladder, exponent=s0),
             annulus_defect=defect_ladder(w_col, grid.nodes, ladder, exponent=s0,
                                          annulus_eps=ANNULUS_EPS),

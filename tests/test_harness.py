@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from lapkit.experiments import (build_grid, build_model, run_besov_selftest,
                                 run_lap_sweep, run_radiation, run_uniqueness)
 from lapkit.operators import Grid1D, build_hamiltonian
 from lapkit.potential import bracket
+from lapkit.resolvent import ShiftedSolver
 from lapkit.reports import (CheckResult, Report, dump_vector, load_vector,
                             write_sweep_csv)
 from lapkit.weyl import FilterSpec, radiation_filter
@@ -90,7 +92,7 @@ def test_schema_text_covers_all_sections():
 
 def test_report_serialization_deterministic():
     rep = Report(experiment="x", seed=1, config={"a": 1})
-    rep.add(CheckResult("c1", "anchor-1", True, 0.5, 1.0))
+    rep.add(CheckResult("c1", "anchor-1", 0.5, 1.0, "<=", ""))
     rep.runtime_seconds = 123.0
     text = rep.to_json()
     assert "runtime" not in text
@@ -106,7 +108,7 @@ def test_report_is_strict_json(tmp_path):
         raise ValueError(f"non-standard JSON constant {name}")
 
     rep = Report(experiment="x", seed=1, config={"tol": math.inf})
-    rep.add(CheckResult("c1", "anchor-1", False, math.nan, -math.inf))
+    rep.add(CheckResult("c1", "anchor-1", math.nan, -math.inf, "<=", ""))
     rep.extras["values"] = np.array([1.5, math.nan, math.inf, -math.inf])
     rep.extras["z"] = complex(math.inf, -0.5)
     data = json.loads(rep.to_json(), parse_constant=reject)
@@ -170,6 +172,50 @@ def test_selftest_fault_injection():
                 first_over = [[float(z.real), float(z.imag)] for z in u]
                 break
         assert rep.extras.get(f"scaling_witness_c{c:g}") == first_over
+
+
+SMALL_SELFTEST = "[experiment]\nid = besov-selftest\nsamples = 40\n"
+
+
+def test_weight_scaling_reports_the_sharp_ratio(monkeypatch):
+    # for |c| <= 1 the sharp 3|c|^1/2 ratio decides the check, so it is the
+    # value reported, not the 8|c|^1/2 one
+    real = besov.verify_scaling
+
+    def sharp_fails(samples, a, c, seed=None):
+        if c != 1.0:
+            return real(samples, a, c, seed=seed)
+        return besov.LemmaReport(
+            lemma="weight-scaling", constant=8.0, worst_ratio=0.1,
+            samples=len(samples), seed=seed, passed=False,
+            details={"c": c, "bound": 8.0, "sharp_bound": 3.0,
+                     "worst_sharp_ratio": 1.5})
+
+    monkeypatch.setattr(besov, "verify_scaling", sharp_fails)
+    rep = run_besov_selftest(parse_config_text(SMALL_SELFTEST))
+    failed = [c for c in rep.checks if not c.passed]
+    assert [c.check_id for c in failed] == ["weight-scaling-c1"]
+    assert failed[0].value == 1.5
+    assert failed[0].value > failed[0].threshold
+
+
+def test_unit_block_sandwich_reports_its_lower_side(monkeypatch):
+    # a probe pairing above the exact norm breaks the sandwich from below,
+    # and the reported value shows it
+    real = besov.schur_block_bound
+
+    def high_probe(T, a1, a2, rng=None):
+        bb = real(T, a1, a2, rng=rng)
+        return replace(bb, probe_lower=2.0 * bb.upper)
+
+    monkeypatch.setattr(besov, "schur_block_bound", high_probe)
+    rep = run_besov_selftest(parse_config_text(SMALL_SELFTEST))
+    check = next(c for c in rep.checks if c.check_id == "unit-block-sandwich")
+    assert not check.passed
+    unit = rep.extras["unit_block"]
+    assert check.value == unit["probe_lower"] / unit["exact"]
+    assert check.value > check.threshold
+    assert [c.check_id for c in rep.checks if not c.passed] == ["unit-block-sandwich"]
 
 
 def test_sweep_csv_schema(tmp_path):
@@ -332,7 +378,14 @@ def test_free_control_run_documents_contrast():
     assert any(k.startswith("unweighted") for k in fits)
 
 
-def test_besov_bound_subset():
+def test_besov_bound_subset(monkeypatch):
+    # the shell-dual quantity alone: no spectral distance is computed
+    import lapkit.experiments as experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("besov-bound computed a spectral distance")
+
+    monkeypatch.setattr(experiments, "spectral_distance", refuse)
     cfg = parse_config_text(SMALL_SWEEP.replace("id = lap-sweep",
                                                 "id = besov-bound"))
     rep = run_experiment(cfg)
@@ -340,6 +393,7 @@ def test_besov_bound_subset():
     assert ids == {"shell-dual-lower-boundedness", "shell-dual-upper-boundedness"}
     quantities = {row["quantity"] for row in rep.extras["csv_rows"]}
     assert quantities == {"shell_dual"}
+    assert rep.extras["distance_to_spectrum"] == {}
 
 
 def test_uniqueness_trivial_source():
@@ -373,6 +427,18 @@ source_width = 2.0
     assert rep.passed
 
 
+def test_uniqueness_over_damping_fails_on_its_value(monkeypatch):
+    # boundary values that coincide leave w = 0: the report is
+    # inconclusive and the magnitude check fails on its own value
+    monkeypatch.setattr(ShiftedSolver, "solve_adjoint", ShiftedSolver.solve)
+    rep = run_uniqueness(parse_config_text(SMALL_UNIQUENESS))
+    assert rep.inconclusive
+    assert [c.check_id for c in rep.checks] == ["null-difference-magnitude"]
+    check = rep.checks[0]
+    assert check.value == 0.0 and check.comparison == ">="
+    assert not check.passed and not rep.passed
+
+
 def test_uniqueness_needs_absorber():
     cfg = parse_config_text("""
 [model]
@@ -388,6 +454,19 @@ id = uniqueness
 """)
     with pytest.raises(ConfigError):
         run_uniqueness(cfg)
+
+
+SMALL_UNIQUENESS = """
+[model]
+family = standard
+
+[grid]
+length = 100.0
+size = 1024
+
+[experiment]
+id = uniqueness
+"""
 
 
 ZERO_ENERGY_RUNNERS = pytest.mark.parametrize(
@@ -478,6 +557,21 @@ def test_radiation_small_structure(small_radiation):
     assert set(rep.artifacts["vectors"]) == {"u_plus", "u_minus", "source"}
 
 
+@pytest.mark.parametrize("steps", [1, 3])
+def test_radiation_unconverged_ladder_fails_on_its_value(steps):
+    # three rungs cannot reach the tolerance: the ladder returns its last
+    # iterate unconverged, and the check reads the last difference; one
+    # rung measures no difference at all and reads inf
+    cfg = parse_config_text(SMALL_UNIQUENESS.replace("uniqueness", "radiation")
+                            + f"\n[sector]\nsteps = {steps}\n")
+    rep = run_radiation(cfg)
+    check = next(c for c in rep.checks if c.check_id == "boundary-value-converged")
+    assert len(rep.extras["ladder_plus"]) == steps - 1
+    assert check.threshold == cfg.experiment["tolerance"]
+    assert check.value > check.threshold
+    assert not check.passed and not rep.passed
+
+
 def test_radiation_conjugate_ladders_match_direct_filters(small_radiation):
     # the runner filters both values with the outgoing cutoff and u_plus
     # alone with the high one; the other three ladders are taken by
@@ -495,6 +589,42 @@ def test_radiation_conjugate_ladders_match_direct_filters(small_radiation):
         for key, values in (("ball", direct.ball_defect),
                             ("annulus", direct.annulus_defect)):
             assert np.allclose(derived[key], values, rtol=1e-12, atol=0.0)
+
+
+def _meets(value, comparison, threshold) -> bool:
+    """``value comparison threshold`` on serialized numbers ("nan", "inf")."""
+    value, threshold = float(value), float(threshold)
+    return value <= threshold if comparison == "<=" else value >= threshold
+
+
+SMALL_CONFIGS = {
+    "besov-selftest": SMALL_SELFTEST,
+    "check-potential": SMALL_SWEEP.replace("lap-sweep", "check-potential"),
+    "lap-sweep": SMALL_SWEEP,
+    "besov-bound": SMALL_SWEEP.replace("lap-sweep", "besov-bound"),
+    "radiation": SMALL_UNIQUENESS.replace("uniqueness", "radiation"),
+    "uniqueness": SMALL_UNIQUENESS,
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL_CONFIGS) + ["rounding-allowance"])
+def test_serialized_verdicts_are_value_against_threshold(experiment, monkeypatch):
+    # the one verdict rule, read back from the report as written; in the
+    # last case the base-change ratios exceed 1 by less than the rounding
+    # allowance, so they pass and the threshold written beside them admits them
+    allowance = experiment == "rounding-allowance"
+    if allowance:
+        experiment, real = "besov-selftest", besov.verify_base_equivalence
+        monkeypatch.setattr(besov, "verify_base_equivalence", lambda *args, **kwargs:
+                            replace(real(*args, **kwargs), worst_ratio=1.0 + 5e-13))
+    data = json.loads(run_experiment(parse_config_text(SMALL_CONFIGS[experiment])).to_json())
+    assert data["checks"]
+    for check in data["checks"]:
+        assert check["comparison"] in ("<=", ">=")
+        assert check["passed"] == _meets(check["value"], check["comparison"],
+                                         check["threshold"]), check
+    assert data["passed"] == all(c["passed"] for c in data["checks"])
+    assert data["passed"] or not allowance
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,37 @@ def test_first_resolvent_identity(rng):
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(lhs)
 
 
+def test_solve_refines_a_perturbed_first_solve(rng):
+    # one refinement step recovers from a first solve that is off by 1e-6
+    h_op = build_hamiltonian(MODEL, Grid1D(50.0, 512))
+    v = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    solver = ShiftedSolver(h_op, Z0)
+    exact = solver.solve(v)
+    lu, calls = solver._lu, []
+
+    def first_off(rhs):
+        calls.append(rhs)
+        return lu(rhs) * (1.0 + 1e-6) if len(calls) == 1 else lu(rhs)
+
+    solver._lu = first_off
+    u = solver.solve(v)
+    assert len(calls) >= 2
+    assert solver.residual(u, v) <= SOLVE_RTOL
+    assert np.linalg.norm(u - exact) <= 1e-9 * np.linalg.norm(exact)
+
+
+def test_solve_raises_when_refinement_cannot_converge(rng):
+    # every solve doubled: the refinement iterates oscillate and never
+    # reach the residual target
+    h_op = build_hamiltonian(MODEL, Grid1D(50.0, 512))
+    v = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    solver = ShiftedSolver(h_op, Z0)
+    lu = solver._lu
+    solver._lu = lambda rhs: 2.0 * lu(rhs)
+    with pytest.raises(SolverError, match="reached residual"):
+        solver.solve(v)
+
+
 def test_singular_shift_reported():
     with pytest.raises(SolverError):
         ShiftedSolver(BandMatrix([[1.0, 2.0, 3.0]]), 2.0)
@@ -613,6 +644,20 @@ def test_boundary_value_zero_source():
     assert res.converged
     assert np.all(res.u == 0.0)
     assert len(res.z_values) == 1
+
+
+def test_boundary_value_unconverged_returns_its_last_iterate():
+    # three rungs do not reach the tolerance: the last solve is returned
+    # with the ladder of its two differences
+    grid = Grid1D(100.0, 1024)
+    full = build_hamiltonian(MODEL, grid) + configured_absorber(grid)
+    v = gaussian_probe(grid, width=2.0)
+    res = boundary_value(full, v, grid, **{**LADDER, "max_steps": 3})
+    assert not res.converged
+    assert len(res.z_values) == 3 and len(res.diffs) == 2
+    assert np.array_equal(res.u, ShiftedSolver(full, res.z_values[-1]).solve(v))
+    w = bracket(grid.nodes) ** (-LADDER["weight_s"])
+    assert res.diffs[-1] > LADDER["tol"] * np.linalg.norm(w * res.u)
 
 
 def test_boundary_value_conjugation(rng):
