@@ -8,6 +8,11 @@ with certified norm brackets, and batch experiments with
 machine-readable reports.
 """
 
+import os
+
+# set before numpy loads OpenBLAS: no lapkit BLAS call is big enough to split
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import (besov, config, errors, experiments, grids, operators, potential,
                reports, resolvent, weyl)
 from .besov import (ShellScheme, besov_norm, bstar0_defect, dual_norm,

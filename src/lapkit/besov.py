@@ -173,9 +173,9 @@ def _shell_norms(mass, vals, scheme):
     """(m, J) shell norms from the masses |u|^2, each shell summed in node
     order; C order, so a row sums like a lone vector (F order does not)."""
     idx, radii = scheme.shell_indices(vals)
-    sq = np.zeros((len(radii), len(mass)))
-    np.add.at(sq, idx, mass.T)
-    return np.ascontiguousarray(np.sqrt(sq).T), radii
+    keys = idx + len(radii) * np.arange(len(mass))[:, None]
+    sq = np.bincount(keys.ravel(), mass.ravel(), len(radii) * len(mass))
+    return np.sqrt(sq).reshape(len(mass), len(radii)), radii
 
 
 def _ball_mass(mass, vals):

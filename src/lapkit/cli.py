@@ -36,10 +36,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _print_checks(report: Report) -> None:
+    # 13 digits: a ratio shows its distance from 1 at the 1e-12 allowance
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {check.check_id}  "
-              f"{check.value:.6g} {check.comparison} {check.threshold:.6g}")
+              f"{check.value:.13g} {check.comparison} {check.threshold:.13g}")
     if report.inconclusive:
         print("[NOTE] report marked inconclusive")
 
@@ -71,9 +72,8 @@ def main(argv=None) -> int:
         print(f"wrote {path}")
         return 0
 
-    if cfg.experiment_id != args.command:
-        # the subcommand wins over the config's experiment id
-        cfg.experiment["id"] = args.command
+    # the subcommand wins over the config's experiment id
+    cfg.experiment["id"] = args.command
 
     start = time.perf_counter()
     try:

@@ -129,6 +129,8 @@ def _resolve(parser: configparser.ConfigParser) -> ExperimentConfig:
             f"unknown experiment id {exp_id!r}; valid: {', '.join(EXPERIMENT_IDS)}")
     if not resolved["sector"]["moduli"]:
         raise ConfigError("sector grid is empty: no moduli given")
+    if not resolved["sector"]["steps"] >= 1:
+        raise ConfigError("sector.steps must be at least 1")
     return ExperimentConfig(**resolved)
 
 

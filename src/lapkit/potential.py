@@ -281,12 +281,6 @@ def _fd_second(model, r):
     return (model.grad_v1(r + h) - gm) / (2.0 * h)
 
 
-def _sample_radii(grid_radii, tail_R):
-    """Grid radii plus a log ladder out to 10x the tail radius."""
-    extra = np.geomspace(max(tail_R, 0.1) * 0.5, max(tail_R, 0.1) * 10.0, 48)
-    return np.unique(np.concatenate([np.abs(grid_radii), extra, [0.0]]))
-
-
 def _local_p(dim):
     return 2.0 if dim <= 3 else (3.0 if dim == 4 else dim / 2.0)
 
@@ -303,7 +297,9 @@ def check_condition(model: PotentialModel, grid_radii) -> ConditionReport:
     if grid_radii.size == 0:
         raise ValueError("sample grid is empty")
     delta, tail_c, tail_r = model.v2_tail
-    r = _sample_radii(grid_radii, tail_r)
+    reach = max(tail_r, 0.1)
+    extra = np.geomspace(reach * 0.5, reach * 10.0, 48)
+    r = np.array(sorted({*np.abs(grid_radii).tolist(), *extra.tolist(), 0.0}))
     br = bracket(r)
     results = []
 

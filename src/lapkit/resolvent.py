@@ -412,8 +412,8 @@ def _lanczos(gram, start, norm_of) -> tuple[float, int, bool]:
         v = gram(basis[-1])
         alpha.append(float(np.vdot(basis[-1], v).real))
         # modified Gram-Schmidt against the whole basis, as level-1 products:
-        # a matrix product here goes to multithreaded BLAS, whose first calls
-        # in a process took 0.2-0.5 s each on a 2-core host
+        # their rounding is pinned, and a matrix product would go to threaded
+        # BLAS in a process that loaded numpy before lapkit
         for q in basis:
             v -= np.vdot(q, v) * q
         theta, vecs = dstevd(alpha, beta)
@@ -672,7 +672,7 @@ def _diagonal_shell_pairs(kernel: TridiagonalResolvent, solver: ShiftedSolver,
     tridiagonals set on one diagonal, one ``_lanczos`` run with two O(n)
     solves per step, and ||A y|| re-evaluated by a certified solve per shell.
     """
-    live = np.unique(labels)
+    live = np.flatnonzero(np.bincount(labels))
     shells = [np.flatnonzero(labels == j) for j in live]
     ends = np.cumsum([idx.size for idx in shells])[:-1]
     weights = [fh[idx] / math.sqrt(radii[j]) for j, idx in zip(live, shells)]
@@ -695,7 +695,8 @@ def _diagonal_shell_pairs(kernel: TridiagonalResolvent, solver: ShiftedSolver,
             terms[t] = np.linalg.norm(wj * solver.solve(probe)[idx]) ** 2
         return math.sqrt(float(np.sum(terms)))
 
-    # two real draws, not [1, 1j] @ draws: that product runs threaded BLAS
+    # two real draws, not [1, 1j] @ draws: the sum's rounding is pinned, and
+    # that product runs threaded BLAS when numpy was loaded before lapkit
     re, im = np.random.default_rng(0).standard_normal((2, len(w)))
     value, steps, converged = _lanczos(gram, re + 1j * im, norm_of)
     return value, int(live[np.argmax(terms)]), steps, converged

@@ -78,8 +78,7 @@ def _fall(t, start, width):
 def symbol_a0(params: WeightParams) -> Callable:
     """a(x, xi) = xi^2 / f(x)^2, the scaled kinetic symbol."""
     def fn(x, xi):
-        f2 = weight_f(params, x) ** 2
-        return xi**2 / f2
+        return xi**2 / weight_f(params, x) ** 2
     return fn
 
 
@@ -300,8 +299,7 @@ def default_radius_ladder(grid: Grid1D) -> np.ndarray:
     top = grid.length / 2.0
     ladder = [4.0 * 2.0 ** (k / 2.0) for k in
               range(int(math.floor(2 * math.log2(top / 4.0))) + 1)]
-    ladder += [32.0, top]
-    return np.unique([r for r in ladder if r <= top])
+    return np.array(sorted({r for r in ladder + [32.0, top] if r <= top}))
 
 
 @dataclass
@@ -379,9 +377,7 @@ def radiation_filter(u, spec: FilterSpec, model: PotentialModel,
     symbol, band = filter_symbol(spec, params, mode)
     u = np.asarray(u, dtype=complex)
     w = weyl_apply(symbol, grid, u, band=band)
-    if ladder is None:
-        ladder = default_radius_ladder(grid)
-    ladder = np.asarray(ladder, dtype=float)
+    ladder = default_radius_ladder(grid) if ladder is None else np.asarray(ladder, dtype=float)
     s0 = model.s0
 
     def result(u_col, w_col):

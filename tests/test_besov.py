@@ -141,6 +141,11 @@ def test_bank_call_equals_row_calls(name, rows):
     prof = shell_decompose(bank, a, SCHEME, ladder)
     singles = [shell_decompose(u, a, SCHEME, ladder) for u in bank]
     assert np.array_equal(prof.shell_norms, np.array([p.shell_norms for p in singles]))
+    # the loop reference: every shell summed in node order
+    sq = np.zeros_like(prof.shell_norms)
+    for k, j in enumerate(SCHEME.shell_indices(a)[0]):
+        sq[:, j] += np.abs(bank[:, k]) ** 2
+    assert np.array_equal(prof.shell_norms, np.sqrt(sq))
     assert np.array_equal(prof.ball_norms, np.array([p.ball_norms for p in singles]))
     for key in ("total_norm", "besov", "dual", "ball_sup"):
         assert np.array_equal(getattr(prof, key),

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 from lapkit import besov
+from lapkit.cli import _print_checks
 from lapkit.cli import main as cli_main
 from lapkit.config import (ExperimentConfig, config_schema_text, load_config,
                            parse_config_text)
@@ -690,6 +691,24 @@ def test_cli_free_model_with_v2_table_exits_two(tmp_path, capsys):
                     f"[output]\ndirectory = {tmp_path}/out\n")
     assert cli_main(["lap-sweep", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_zero_ladder_steps_exits_two(tmp_path, capsys):
+    # an empty boundary-value ladder has no value: a config error, not a crash
+    path = tmp_path / "steps.cfg"
+    path.write_text(f"[sector]\nsteps = 0\n[output]\ndirectory = {tmp_path}/out\n")
+    assert cli_main(["radiation", "--config", str(path)]) == 2
+    assert "steps" in capsys.readouterr().err
+
+
+def test_printed_check_shows_a_failure_at_its_allowance(capsys):
+    report = Report(experiment="besov-selftest", seed=0, config={})
+    report.add(CheckResult("duality-sandwich", "duality-sandwich", 1 + 1e-10,
+                           1 + 1e-12, "<=", "ratio at most 1 plus rounding"))
+    _print_checks(report)
+    status, _, value, comparison, threshold = capsys.readouterr().out.split()
+    assert (status, comparison) == ("[FAIL]", "<=")
+    assert float(value) > float(threshold)
 
 
 def test_cli_failing_check_exit_one(tmp_path):

@@ -1,7 +1,9 @@
 """Package-wide checks: every module-level import is used or
 re-exported, no handler swallows every error, settable values and
 source lines do not grow, no module imports scipy and no command
-loads it, and the package exports its fixed set of names."""
+loads it or numpy.ma, OpenBLAS starts with one thread unless the
+caller chose otherwise, and the package exports its fixed set of
+names."""
 
 import ast
 import importlib
@@ -173,15 +175,21 @@ codes = [main([command, "--config", config, "--output", sys.argv[1]])
              ("uniqueness", "demos/configs/radiation.cfg"),
              ("export-operator", sweep))]
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy}))
+print(json.dumps({"codes": codes, "scipy": scipy, "numpy.ma": "numpy.ma" in sys.modules}))
 """
+
+
+def _fresh_env(**extra) -> dict:
+    """This environment without OPENBLAS_NUM_THREADS, plus ``extra``."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return dict(env, PYTHONPATH=str(ROOT / "src"), **extra)
 
 
 def test_numpy_only_commands_load_no_scipy(tmp_path):
     # every command, in a fresh interpreter: this process has scipy loaded
     sweep = tmp_path / "sweep.cfg"
     sweep.write_text(SMALL_SWEEP)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = _fresh_env()
     proc = subprocess.run([sys.executable, "-c", EVERY_COMMAND_RUN,
                            str(tmp_path / "out"), str(sweep)],
                           cwd=ROOT, env=env, capture_output=True, text=True)
@@ -189,6 +197,48 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * 7
     assert result["scipy"] == []
+    # np.unique without return_inverse imports numpy.ma (numpy 2.4)
+    assert result["numpy.ma"] is False
+
+
+BLAS_THREADS_RUN = """
+import ctypes, json, os
+import lapkit
+from lapkit import _lapack
+lib = ctypes.CDLL(str(sorted(_lapack.LIBRARY_DIR.glob("libscipy_openblas64_*.so"))[0]))
+lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+print(json.dumps({"env": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": lib.scipy_openblas_get_num_threads64_()}))
+"""
+
+
+@pytest.mark.parametrize("caller", [None, "2"], ids=["unset", "caller-set"])
+def test_openblas_thread_policy(caller):
+    # importing lapkit first starts OpenBLAS with one thread; a caller's
+    # setting wins (OpenBLAS caps it at the core count)
+    env = _fresh_env(**({} if caller is None else {"OPENBLAS_NUM_THREADS": caller}))
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN], cwd=ROOT,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["env"] == (caller or "1")
+    assert result["threads"] == min(int(result["env"]), os.cpu_count())
+
+
+def test_selftest_report_independent_of_blas_threads(tmp_path):
+    # the same relative output directory, so the reports can match byte for byte
+    reports = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "lapkit", "besov-selftest", "--config",
+             str(ROOT / "demos" / "configs" / "selftest.cfg"), "--output", "out"],
+            cwd=cwd, env=_fresh_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        reports.append((cwd / "out" / "besov-selftest_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 # Names lapkit/__init__.py binds, by the module each is imported from.
