@@ -24,7 +24,9 @@ cutoffs' band (chi_-(a0) vanishes once a0 = xi^2/f^2 ends its fall)
 leaves c - constant on a few midpoint rows per frequency.  The cutoffs
 are real and point-symmetric and the grid reversal P negates nodes,
 midpoints and frequencies exactly, so Op(c) = constant I + A + P A P,
-A over the band's xi >= 0 half.
+A over the band's xi >= 0 half.  One thread and one accumulator sum the
+frequency batches, and the cutoffs evaluate their polynomial only on
+its ramps.
 """
 
 from __future__ import annotations
@@ -61,9 +63,15 @@ __all__ = [
 
 def smoothstep7(t):
     """Degree-7 polynomial step: 0 at t<=0, 1 at t>=1, C^3 joins."""
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    # (t * t) ** 2, not t**4: numpy's pow loop is many times slower than a multiply
-    return (t * t) ** 2 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
+    t = np.array(t, dtype=float)       # a copy, 0-d for a scalar
+    np.clip(t, 0.0, 1.0, out=t)
+    t += 0.0                           # clip keeps -0.0; the polynomial gives +0.0
+    # poly(0) = +0 and poly(1) = 1 exactly, so only the ramp needs it
+    ramp = (t > 0.0) & (t < 1.0)
+    r = t[ramp]
+    # (r * r) ** 2, not r**4: numpy's pow loop is many times slower than a multiply
+    t[ramp] = (r * r) ** 2 * (35.0 + r * (-84.0 + r * (70.0 - 20.0 * r)))
+    return t[()]                       # a scalar for a scalar argument
 
 
 def _fall(t, start, width):
@@ -212,7 +220,7 @@ def _band_rows(band: Band | None, mids, xi) -> tuple[np.ndarray, np.ndarray]:
 
 
 # band frequencies transformed together; the batch's symbol points, one
-# real (K_BATCH, 2N) table and its half spectra per thread bound the memory
+# real (K_BATCH, 2N) table and its half spectra bound the memory
 K_BATCH = 8
 
 
@@ -224,14 +232,10 @@ def weyl_apply(symbol, grid: Grid1D, u, band: Band | None = None) -> np.ndarray:
     symbol, or xi = +-dxi columns not mirror images bit for bit on their
     hull rows, raise ValueError.  A acts on [u, P u] with its xi = 0
     column halved; the unpaired -N/2, if the band reaches it, on u alone.
-    Each batch fills a real table on its rows' hull; ``rfft`` and
-    conjugation give each row's spectrum.  A worker thread takes every
-    other batch up from xi = 0, this thread the rest down from the band
-    edge, so the widest hulls never coincide; the worker's sum plus this
-    thread's, in that order, is independent of cores and scheduling.
+    Each batch writes its rows' hull into one zeroed real table; ``rfft``
+    and conjugation give each row's spectrum, and one accumulator sums
+    the batches in ascending frequency, the -N/2 batch last.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     u = np.asarray(u, dtype=complex)
     n = grid.size
     if u.ndim not in (1, 2) or u.shape[0] != n:
@@ -248,39 +252,31 @@ def weyl_apply(symbol, grid: Grid1D, u, band: Band | None = None) -> np.ndarray:
     batches = np.split(np.arange(zero, stop), range(K_BATCH, stop - zero, K_BATCH))
     if k0.min() == 0:                    # the unpaired -N/2
         batches.append(np.array([0]))
-
-    def accumulate(batches):
-        acc = np.zeros((2 * m, 2 * p), dtype=complex)
-        table, halves = np.empty((K_BATCH, p)), np.empty((K_BATCH, n + 1), dtype=complex)
-        row = np.empty(p, dtype=complex)
-        for cols in batches:
-            # every row's band holds xi = 0, so some row meets each batch
-            hit = np.flatnonzero((k0 <= cols[-1]) & (k1 > cols[0]))
-            r0, r1 = hit[0], hit[-1] + 1
-            values = symbol(mids[r0:r1, None], xi[cols][None, :])
-            if np.iscomplexobj(values):
-                raise ValueError("weyl_apply needs a real symbol")
-            batch = table[:len(cols)]
-            batch[:] = 0.0
-            batch[:, r0:r1] = (values - outside).T
-            if cols[0] == zero:
-                mirror = symbol(-mids[r0:r1, None], -xi[cols[1:2]][None, :])
-                if not np.array_equal(batch[1:2, r0:r1], (mirror - outside).T):
-                    raise ValueError("weyl_apply needs a point-symmetric symbol")
-                batch[0] *= 0.5            # A and P A P share xi = 0
-            np.fft.rfft(batch, axis=1, out=halves[:len(cols)])
-            for spectrum, col in zip(halves, cols):
-                row[:n + 1] = spectrum     # the other half by conjugation
-                np.conjugate(spectrum[n - 1:0:-1], out=row[n + 1:])
-                shift = 2 * (col - zero) % p
-                w = m if col == 0 else 2 * m      # -N/2 has no mirror
-                acc[:w, shift:shift + p] += row * v[:w, p - shift:2 * p - shift]
-        return acc
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        up = pool.submit(accumulate, batches[::2])
-        down = accumulate(batches[1::2][::-1])
-        acc = up.result() + down
+    acc = np.zeros((2 * m, 2 * p), dtype=complex)
+    table, halves = np.zeros((K_BATCH, p)), np.empty((K_BATCH, n + 1), dtype=complex)
+    row = np.empty(p, dtype=complex)
+    for cols in batches:
+        # every row's band holds xi = 0, so some row meets each batch
+        hit = np.flatnonzero((k0 <= cols[-1]) & (k1 > cols[0]))
+        r0, r1 = hit[0], hit[-1] + 1
+        values = symbol(mids[None, r0:r1], xi[cols][:, None])
+        if np.iscomplexobj(values):
+            raise ValueError("weyl_apply needs a real symbol")
+        batch = table[:len(cols)]
+        np.subtract(values, outside, out=batch[:, r0:r1])
+        if cols[0] == zero:
+            mirror = symbol(-mids[None, r0:r1], -xi[cols[1:2]][:, None])
+            if not np.array_equal(batch[1:2, r0:r1], mirror - outside):
+                raise ValueError("weyl_apply needs a point-symmetric symbol")
+            batch[0, r0:r1] *= 0.5        # A and P A P share xi = 0
+        np.fft.rfft(batch, axis=1, out=halves[:len(cols)])
+        batch[:, r0:r1] = 0.0            # the table is zero off the hull again
+        for spectrum, col in zip(halves, cols):
+            row[:n + 1] = spectrum       # the other half by conjugation
+            np.conjugate(spectrum[n - 1:0:-1], out=row[n + 1:])
+            shift = 2 * (col - zero) % p
+            w = m if col == 0 else 2 * m  # -N/2 has no mirror
+            acc[:w, shift:shift + p] += row * v[:w, p - shift:2 * p - shift]
     res = np.fft.ifft(acc[:, :p] + acc[:, p:], axis=1)[:, :n] / n
     out = res[:m] + res[m:, ::-1] + outside * rows
     return np.ascontiguousarray(out.T).reshape(u.shape)

@@ -1,9 +1,9 @@
 """Package-wide checks: every module-level import is used or
 re-exported, no handler swallows every error, settable values and
 source lines do not grow, no module imports scipy and no command
-loads it or numpy.ma, OpenBLAS starts with one thread unless the
-caller chose otherwise, and the package exports its fixed set of
-names."""
+loads it or numpy.ma, no module starts threads or processes of its
+own, OpenBLAS starts with one thread unless the caller chose
+otherwise, and the package exports its fixed set of names."""
 
 import ast
 import importlib
@@ -99,7 +99,7 @@ def test_settable_values_do_not_grow():
 
 # Ceiling on the package's source lines (all of src/lapkit, blank lines
 # and comments included); like SETTABLE_CEILING it may only fall.
-LINE_CEILING = 4043
+LINE_CEILING = 4039
 
 
 def test_source_lines_do_not_grow():
@@ -114,23 +114,25 @@ FORBIDDEN_MODULES = ("scipy.sparse.linalg", "scipy")
 FORBIDDEN_NAMES = {"zgtsv", "splu", "spsolve"}
 
 
-def _second_solver_imports(tree: ast.Module) -> list[str]:
-    """Imports (at any depth) of scipy or of a second LU routine."""
-    out = []
+def _imports(tree: ast.Module):
+    """(line, modules, names) of every import statement, at any depth."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-            names = []
+            yield node.lineno, [alias.name for alias in node.names], []
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
-            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
-            names = [alias.name for alias in node.names]
-        else:
-            continue
-        if (any(m == f or m.startswith(f + ".") for m in modules
-                for f in FORBIDDEN_MODULES) or FORBIDDEN_NAMES & set(names)):
-            out.append(f"line {node.lineno}")
-    return out
+            yield (node.lineno, [base] + [f"{base}.{alias.name}" for alias in node.names],
+                   [alias.name for alias in node.names])
+
+
+def _within(modules: list[str], packages) -> bool:
+    return any(m == f or m.startswith(f + ".") for m in modules for f in packages)
+
+
+def _second_solver_imports(tree: ast.Module) -> list[str]:
+    """Imports of scipy or of a second LU routine."""
+    return [f"line {line}" for line, modules, names in _imports(tree)
+            if _within(modules, FORBIDDEN_MODULES) or FORBIDDEN_NAMES & set(names)]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -150,6 +152,34 @@ def test_second_solver_imports_are_caught():
         assert len(_second_solver_imports(ast.parse(source))) == 1
     assert _second_solver_imports(ast.parse(
         "import numpy as np\nfrom ._lapack import call\nimport scipyish")) == []
+
+
+# lapkit starts no threads or processes of its own: together with the
+# OpenBLAS policy below, every run is one thread of lapkit code
+CONCURRENCY_MODULES = ("threading", "concurrent.futures", "multiprocessing")
+
+
+def _concurrency_imports(tree: ast.Module) -> list[str]:
+    """Imports of a thread or process module."""
+    return [f"line {line}" for line, modules, _ in _imports(tree)
+            if _within(modules, CONCURRENCY_MODULES)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_threads_of_its_own(path):
+    assert _concurrency_imports(ast.parse(path.read_text())) == []
+
+
+def test_concurrency_imports_are_caught():
+    for source in ("import threading",
+                   "def f():\n    from concurrent.futures import ThreadPoolExecutor",
+                   "import concurrent.futures as cf",
+                   "from concurrent import futures",
+                   "import multiprocessing.pool",
+                   "from multiprocessing import Pool"):
+        assert len(_concurrency_imports(ast.parse(source))) == 1
+    assert _concurrency_imports(ast.parse(
+        "import numpy as np\nimport threadingish\nfrom concurrent_x import y")) == []
 
 
 # a small sweep config: the import check needs the code paths, not desk scale

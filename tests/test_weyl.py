@@ -153,8 +153,8 @@ def test_high_is_a_real_operator(rng):
 
 @pytest.mark.parametrize("mode", ["outgoing", "high"])
 def test_apply_is_deterministic(mode, rng):
-    # the two threads take fixed alternate batches and their sums add in
-    # a fixed order, so repeated applies agree bit for bit
+    # one accumulator sums the batches in a fixed order, so repeated
+    # applies agree bit for bit
     spec, params = desk_filters()
     symbol, band = filter_symbol(spec, params, mode)
     block = rng.standard_normal((1024, 2)) + 1j * rng.standard_normal((1024, 2))
@@ -295,8 +295,8 @@ applied = b"".join(
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="CPU affinity is not available")
 def test_apply_is_the_same_bit_for_bit_on_one_core():
-    # a fresh interpreter pinned to one core runs the worker thread and
-    # the calling thread on it in turn; the output bytes must not change
+    # a fresh interpreter pinned to one core must give the same output
+    # bytes: nothing in the apply may depend on the core count
     here = {}
     exec(THREE_MODES, here)
     pinned = ("import os, sys\n"
@@ -344,6 +344,27 @@ def test_smoothstep_horner_matches_expanded_form():
     t = np.linspace(0.0, 1.0, 100_001)
     expanded = t**4 * (35.0 - 84.0 * t + 70.0 * t**2 - 20.0 * t**3)
     assert np.max(np.abs(smoothstep7(t) - expanded)) <= 1e-13
+
+
+def _full_smoothstep7(t):
+    # the polynomial on every clipped point, as smoothstep7 once computed it
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    return (t * t) ** 2 * (35.0 + t * (-84.0 + t * (70.0 - 20.0 * t)))
+
+
+def test_smoothstep_is_the_full_polynomial_byte_for_byte(rng):
+    # the polynomial runs only on the ramp; off it the clipped value is
+    # exact, -0.0 included (the polynomial turns it into +0.0)
+    edges = np.array([-np.inf, -2.0, -1.0, -0.0, 0.0, 5e-324, 0.1, 0.25, 0.5,
+                      0.75, 0.9, 1.0 - 1e-16, 1.0, 3.0, np.inf, np.nan])
+    grid = rng.uniform(-0.5, 1.5, (37, 53))
+    for t in (edges, grid):
+        assert smoothstep7(t).tobytes() == _full_smoothstep7(t).tobytes()
+    for t in edges:
+        value = smoothstep7(float(t))
+        assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
+        assert np.asarray(value).tobytes() == np.asarray(_full_smoothstep7(t)).tobytes()
+    assert not np.signbit(smoothstep7(-0.0))
 
 
 def test_cutoff_supports():
