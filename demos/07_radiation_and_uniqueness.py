@@ -2,8 +2,9 @@
 
 The outgoing boundary value carries its phase-space mass at direction
 value +1.  Filtering that region away leaves a vanishing remainder
-(decaying defect ladder); keeping it leaves a flat ladder.  The
-difference of the two boundary values solves the homogeneous equation
+(decaying defect ladder); keeping it leaves a flat ladder.  Both
+boundary values come from one capped solve at z = 0, which a ray ladder
+toward zero energy approaches.  The difference of the two boundary values solves the homogeneous equation
 in the interior yet fails the outgoing condition, which is the
 numerical content of uniqueness.  Reduced scale here; the acceptance
 suite runs the desk-scale box where the far-field ratios bind.
@@ -13,7 +14,7 @@ import numpy as np
 
 from lapkit.config import parse_config_text
 from lapkit.operators import Grid1D, build_hamiltonian, gaussian_probe, matched_absorber
-from lapkit.potential import standard_model
+from lapkit.potential import bracket, standard_model
 from lapkit.resolvent import ShiftedSolver, boundary_value
 from lapkit.weyl import FilterSpec, radiation_filter
 
@@ -29,13 +30,22 @@ h_cap = h_plain + cap
 v = gaussian_probe(grid, width=2.0)
 
 print("=== the two boundary values ===")
-ladder_settings = dict(ratio=defaults.sector["ratio"],
-                       tol=defaults.experiment["tolerance"],
-                       max_steps=defaults.sector["steps"], weight_s=model.s0 + 0.05)
-plus = boundary_value(h_cap, v, grid, **ladder_settings)
-minus = boundary_value(h_cap, v, grid, **ladder_settings, sign=-1)
-print(f"  outgoing converged: {plus.converged}; incoming is its conjugate "
-      f"for the real source: {np.allclose(minus.u, np.conj(plus.u))}")
+# one factorization of the capped operator at z = 0 gives both:
+# (H_cap - 0)^{-1} v is the outgoing value, (H_cap - 0)^{-*} v the incoming
+solver = ShiftedSolver(h_cap, 0.0)
+u_plus = solver.solve(v)
+u_minus = solver.solve_adjoint(v)
+print(f"  incoming is the conjugate of outgoing for the real source: "
+      f"{np.allclose(u_minus, np.conj(u_plus))}")
+# a ray ladder toward 0 is evidence: its last iterate approaches the solve
+s = model.s0 + 0.05
+plus = boundary_value(h_cap, v, grid, ratio=defaults.sector["ratio"],
+                      tol=defaults.experiment["tolerance"],
+                      max_steps=defaults.sector["steps"], weight_s=s)
+weight = bracket(grid.nodes) ** (-s)
+gap = np.linalg.norm(weight * (plus.u - u_plus)) / np.linalg.norm(weight * u_plus)
+print(f"  ray ladder converged: {plus.converged} after {len(plus.z_values)} "
+      f"rungs, weighted distance from the solve {gap:.1e}")
 
 spec = FilterSpec.for_model(model, sigma_cut=0.5)
 ladder = np.array([4.0, 8.0, 16.0, 32.0, 64.0, 100.0])
@@ -45,7 +55,7 @@ print("=== filter defect ladders for the outgoing value ===")
 for mode, story in (("outgoing", "remove direction +1 (must vanish)"),
                     ("high", "keep only high frequencies (must vanish)"),
                     ("mirrored", "keep direction +1 (must persist)")):
-    res = radiation_filter(plus.u, spec, model, grid, ladder=ladder, mode=mode)
+    res = radiation_filter(u_plus, spec, model, grid, ladder=ladder, mode=mode)
     print(f"  {mode:9s} {story}")
     print("     annulus defect:",
           " ".join(f"{d:.2e}" for d in res.annulus_defect),
@@ -53,10 +63,6 @@ for mode, story in (("outgoing", "remove direction +1 (must vanish)"),
 
 print()
 print("=== uniqueness: the null difference is not outgoing ===")
-# one factorization gives both: (H_cap - 0)^{-*} v is the incoming value
-solver = ShiftedSolver(h_cap, 0.0)
-u_plus = solver.solve(v)
-u_minus = solver.solve_adjoint(v)
 w = u_plus - u_minus
 interior = np.abs(cap.diagonal()) == 0.0
 interior[1:] &= interior[:-1].copy()

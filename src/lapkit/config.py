@@ -51,13 +51,13 @@ SCHEMA = {
         "lambda0": (float, 1.0, "modulus bound"),
         "rays": (_floats, None, "ray arguments; default theta/2"),
         "ratio": (float, 0.5, "geometric ladder ratio"),
-        "steps": (int, 24, "maximum extrapolation steps"),
+        "steps": (int, 24, "maximum ray-ladder steps"),
         "moduli": (_floats, [1e-1, 1e-2, 1e-3, 1e-4], "sweep |z| values"),
     },
     "experiment": {
         "id": (str, "lap-sweep", "one of: " + ", ".join(EXPERIMENT_IDS)),
         "seed": (int, 0, "RNG seed recorded in reports"),
-        "tolerance": (float, 1e-4, "extrapolation tolerance"),
+        "tolerance": (float, 1e-4, "ray-ladder tolerance"),
         "samples": (int, 200, "random samples per inequality"),
         "stability_check": (lambda s: s.lower() in ("1", "true", "yes"),
                             True, "gate quantities on box doubling"),

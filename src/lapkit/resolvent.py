@@ -1,8 +1,9 @@
 """Complex shifted solves and resolvent-norm estimators over a sector.
 
 Sweep energies live in the open sector arg z in (0, theta), |z| <= lambda_0.
-``radiation`` reaches zero energy along a ray ladder (``boundary_value``);
-``uniqueness`` solves H + cap at z = 0 directly with a ``ShiftedSolver``.
+Both zero-energy boundary values are the capped solve (H + cap) u = v at
+z = 0 with one ``ShiftedSolver``; the ray ladder toward 0
+(``boundary_value``) is evidence for the limiting absorption principle.
 Every factorized operator is a complex-symmetric ``BandMatrix``: H and
 H + cap are tridiagonal, the commutator-regularized operator is
 pentadiagonal.  One band LU with partial pivoting (``_band_lu``: zgbtrf
@@ -801,9 +802,8 @@ class BoundaryValueResult:
 
 def boundary_value(operator, v, grid, *, ratio: float, tol: float,
                    max_steps: int, weight_s: float, sector: Sector | None = None,
-                   ray_arg: float | None = None,
-                   sign: int = +1) -> BoundaryValueResult:
-    """Extrapolate R(0 + i0) v (or the -i0 value) along a sector ray.
+                   ray_arg: float | None = None) -> BoundaryValueResult:
+    """Approach R(0 + i0) v along a sector ray: evidence, not the definition.
 
     Solves at z_k = lambda0 ratio^k e^{i arg} until the successive
     weighted differences ||u_{k+1} - u_k||_{-s} drop below
@@ -811,23 +811,18 @@ def boundary_value(operator, v, grid, *, ratio: float, tol: float,
     wobble where |z| crosses the box scale before resuming geometric
     decrease, so non-convergence is declared on the envelope: the
     ladder fails once a difference exceeds ``RISE_FACTOR`` times the
-    running minimum.  The -i0 value walks the conjugate ray conj(z_k)
-    with the conjugate operator conj(M).  For a real potential that
-    mirrors the +i0 ladder through the real axis, absorbing layer
-    included, so it yields conj(R(0 + i0) conj(v)).  The ladder settings
-    have no defaults here: the config schema decides them.
+    running minimum.  Both zero-energy runners filter the capped solve
+    at z = 0; ``radiation`` keeps this ladder as evidence for the
+    limiting absorption principle and measures its last iterate's
+    distance from that solve.  The ladder settings have no defaults
+    here: the config schema decides them.
     """
     v = np.asarray(v, dtype=complex)
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
     sector = sector or Sector()
     arg = sector.default_ray() if ray_arg is None else ray_arg
     if not 0.0 < arg < sector.theta:
         raise ValueError("ray argument outside the sector")
     zs = sector.ray_ladder(arg, ratio, max_steps)
-    if sign == -1:
-        operator = operator.conj()
-        zs = [z.conjugate() for z in zs]
     w = bracket(grid.nodes) ** (-weight_s)
     if np.linalg.norm(v) == 0.0:
         return BoundaryValueResult(u=np.zeros_like(v), z_values=zs[:1], diffs=[],

@@ -240,7 +240,7 @@ def test_criterion_6_radiation(radiation_report):
              f"{slope_high.value:.2f} <= {SLOPE_DECREASING}, mirrored "
              f"{slope_mirror.value:.3f} >= {SLOPE_FLAT}, far-field ratios "
              f"{ratio_out.value:.3f}/{ratio_high.value:.3f} <= 0.2, roles "
-             f"swap for the incoming value, conjugation gap "
+             f"swap for the incoming value, incoming residual "
              f"{conj.value:.1e} <= 1e-8")
 
 

@@ -537,7 +537,7 @@ seed = 5
 
 def test_radiation_small_structure(small_radiation):
     # structure check at reduced scale: all role checks are present
-    # and the conjugation identity holds tightly; the far-field ratio
+    # and the incoming value solves its equation; the far-field ratio
     # thresholds are calibrated for the full desk box and are left to
     # the acceptance suite
     _, rep = small_radiation
@@ -560,9 +560,9 @@ def test_radiation_small_structure(small_radiation):
 
 @pytest.mark.parametrize("steps", [1, 3])
 def test_radiation_unconverged_ladder_fails_on_its_value(steps):
-    # three rungs cannot reach the tolerance: the ladder returns its last
-    # iterate unconverged, and the check reads the last difference; one
-    # rung measures no difference at all and reads inf
+    # one or three rungs cannot reach the tolerance: the ladder returns
+    # its last iterate unconverged, and the check reads that iterate's
+    # distance from the capped solve (one rung: its first solve)
     cfg = parse_config_text(SMALL_UNIQUENESS.replace("uniqueness", "radiation")
                             + f"\n[sector]\nsteps = {steps}\n")
     rep = run_radiation(cfg)
@@ -570,6 +570,39 @@ def test_radiation_unconverged_ladder_fails_on_its_value(steps):
     assert len(rep.extras["ladder_plus"]) == steps - 1
     assert check.threshold == cfg.experiment["tolerance"]
     assert check.value > check.threshold
+    assert not check.passed and not rep.passed
+
+
+def test_zero_energy_runners_share_one_boundary_value(tmp_path):
+    # both runners filter the capped solve at z = 0, and the radiation
+    # ladder is measured against it from its last iterate, at final_z
+    import lapkit.experiments as experiments
+
+    rad_cfg = parse_config_text(SMALL_UNIQUENESS.replace("uniqueness", "radiation"))
+    rad = run_radiation(rad_cfg)
+    uni = run_uniqueness(parse_config_text(SMALL_UNIQUENESS))
+    for name in ("u_plus", "u_minus"):
+        dump_vector(tmp_path / f"rad_{name}", rad.artifacts["vectors"][name], {})
+        dump_vector(tmp_path / f"uni_{name}", uni.artifacts["vectors"][name], {})
+        assert ((tmp_path / f"rad_{name}.f64").read_bytes()
+                == (tmp_path / f"uni_{name}.f64").read_bytes())
+    model, grid, h_op, cap, v = experiments._line_problem(rad_cfg, "radiation")
+    last = ShiftedSolver(h_op + cap, complex(*rad.extras["final_z"])).solve(v)
+    u_plus = load_vector(tmp_path / "rad_u_plus")
+    w = bracket(grid.nodes) ** (-experiments._weight_s(rad_cfg, model))
+    check = next(c for c in rad.checks if c.check_id == "boundary-value-converged")
+    assert check.passed
+    assert check.value == np.linalg.norm(w * (last - u_plus)) / np.linalg.norm(w * u_plus)
+
+
+def test_incoming_conjugation_fails_on_the_outgoing_value(monkeypatch):
+    # the outgoing value in place of the incoming one leaves the
+    # conjugate equation unsolved by the layer's share of the residual
+    monkeypatch.setattr(ShiftedSolver, "solve_adjoint", ShiftedSolver.solve)
+    rep = run_radiation(parse_config_text(
+        SMALL_UNIQUENESS.replace("uniqueness", "radiation")))
+    check = next(c for c in rep.checks if c.check_id == "incoming-conjugation")
+    assert check.value > 1e-2 and check.threshold == 1e-8
     assert not check.passed and not rep.passed
 
 

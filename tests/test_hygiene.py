@@ -68,7 +68,7 @@ def test_no_broad_exception_handlers(path):
 # Ceiling on settable values: defaulted function parameters (keyword-only
 # included, nested functions too) plus defaulted dataclass fields.  Each
 # default is a knob a caller may turn; the ceiling may only fall.
-SETTABLE_CEILING = 63
+SETTABLE_CEILING = 62
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -99,7 +99,7 @@ def test_settable_values_do_not_grow():
 
 # Ceiling on the package's source lines (all of src/lapkit, blank lines
 # and comments included); like SETTABLE_CEILING it may only fall.
-LINE_CEILING = 4039
+LINE_CEILING = 4029
 
 
 def test_source_lines_do_not_grow():
