@@ -17,10 +17,10 @@ radii = np.linspace(0.0, 80.0, 400)
 
 print("=== hypothesis report for the standard family ===")
 model = standard_model(gamma=1.0, mu=1.0, dim=1)
-report = check_condition(model, radii)
-for res in report.results:
-    print(f"  ({res.index}) {res.description:42s} "
-          f"{'pass' if res.passed else 'FAIL'}  margin {res.margin:.3e}")
+checks, _ = check_condition(model, radii)
+for check in checks:
+    print(f"  {check.check_id} {check.description:42s} "
+          f"{'pass' if check.passed else 'FAIL'}  margin {check.value:.3e}")
 print(f"certified: eps1 = {model.eps1}, eps1~ = {model.eps1_tilde}, "
       f"s0 = {model.s0}, K = {model.kappa_low_energy}")
 
@@ -32,7 +32,8 @@ print("  r      V1          V2          V1+V2      -1/r")
 for r in rs:
     v1, v2 = cm.v1(np.array([r]))[0], cm.v2(np.array([r]))[0]
     print(f"  {r:5.2f} {v1:10.5f} {v2:11.5f} {v1 + v2:10.5f} {-1 / r:10.5f}")
-print("hypotheses:", "all pass" if check_condition(cm, radii).passed else "FAIL")
+cm_checks, _ = check_condition(cm, radii)
+print("hypotheses:", "all pass" if all(c.passed for c in cm_checks) else "FAIL")
 
 print()
 print("=== virial function and its lower bound ===")

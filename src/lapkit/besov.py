@@ -15,8 +15,11 @@ where F_j restricts u to the nodes whose weight modulus falls in
 shell j.  All operations here are exact up to floating point: the
 shells partition the index set, so no quadrature or truncation error
 enters.  Alongside the norms this module carries numerical checks of
-the base-change, scaling, power-map, interpolation, and block-bound
-inequalities that the norms satisfy, each with its explicit constant.
+the base-change, scaling and power-map inequalities that the norms
+satisfy: each returns a ``reports.CheckResult`` against its explicit
+constant, with a witness row when one breaks it.  The interpolation
+probe, whose constant is not explicit, returns its bare ratio, and the
+block bound brackets an operator norm.
 
 The norms take a bank, an (m, n) array of sample rows, and bin the
 spectrum once per call; a 1-d vector is a bank of one row.
@@ -25,17 +28,17 @@ spectrum once per call; a 1-d vector is a bank of one row.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, DimensionError
+from .reports import CheckResult
 
 __all__ = [
     "ShellScheme",
     "ShellProfile",
-    "LemmaReport",
     "BlockBound",
     "as_spectrum_values",
     "shell_decompose",
@@ -313,30 +316,8 @@ def tail_slope(ladder, values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Ratios and witnesses
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LemmaReport:
-    """Outcome of one inequality check over a sample bank."""
-
-    lemma: str
-    constant: float
-    worst_ratio: float
-    samples: int
-    seed: int | None
-    passed: bool
-    details: dict = field(default_factory=dict)
-    witness: list | None = None
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        if not self.details:
-            del out["details"]
-        if self.witness is None:
-            del out["witness"]
-        return out
-
 
 def _serialize_witness(u):
     return [[float(z.real), float(z.imag)] for z in np.asarray(u, dtype=complex)]
@@ -399,9 +380,12 @@ def base_equivalence_constants(p: float) -> tuple[float, float]:
     return c_to, c_from
 
 
-def verify_base_equivalence(samples, a, p: float,
-                            seed: int | None = None) -> LemmaReport:
-    """Check both directions of the base-p equivalence on every sample."""
+def verify_base_equivalence(samples, a, p: float) -> tuple[CheckResult, list | None]:
+    """Check both directions of the base-p equivalence on every sample.
+
+    The witness is the first row attaining the worst ratio, when that
+    ratio exceeds 1.
+    """
     c_to, c_from = base_equivalence_constants(p)
     bank = np.atleast_2d(np.asarray(samples, dtype=complex))
     nb = besov_norm(bank, a, ShellScheme(2.0))
@@ -410,66 +394,42 @@ def verify_base_equivalence(samples, a, p: float,
     live = nb > 0.0
     ratio = np.maximum(_masked_ratio(npnorm, c_to * nb, live),
                        _masked_ratio(nb, c_from * npnorm, live))
-    # the first row attaining the strict maximum is the witness
     k = int(np.argmax(ratio))
     worst = float(ratio[k])
-    return LemmaReport(
-        lemma="base-equivalence",
-        constant=max(c_to, c_from),
-        worst_ratio=worst,
-        samples=len(bank),
-        seed=seed,
-        passed=worst <= 1.0 + 1e-12,
-        details={"base": p, "constant_to_p": c_to, "constant_from_p": c_from,
-                 "worst_to_p": float(npnorm[k] / nb[k]) if worst else 0.0,
-                 "worst_from_p": float(nb[k] / npnorm[k]) if worst else 0.0},
-        witness=_serialize_witness(bank[k]) if worst > 1.0 else None,
-    )
+    check = CheckResult(f"base-equivalence-p{p:g}", "base-equivalence", worst,
+                        1 + 1e-12, "<=", f"both base-{p:g} constants hold")
+    return check, _serialize_witness(bank[k]) if worst > 1.0 else None
 
 
 # ---------------------------------------------------------------------------
 # Scaling of the weight operator
 # ---------------------------------------------------------------------------
 
-def verify_scaling(samples, a, c: float,
-                   seed: int | None = None) -> LemmaReport:
+def verify_scaling(samples, a, c: float) -> tuple[CheckResult, list | None]:
     """Check ||u||_{B(cA)} <= 8 |c|^{1/2} ||u||_{B(A)}.
 
     For |c| <= 1 the inequality needs u = F(|cA| >= 1) u, so samples
-    are projected onto that range.  The sharper 3 |c|^{1/2} bound
-    of the small-|c| branch is checked as well.
+    are projected onto that range, and the sharper 3 |c|^{1/2} bound
+    of that branch is checked as well: the value is the worse of the
+    two ratios.  The witness is the first row over the 8 |c|^{1/2} bound.
     """
     vals = as_spectrum_values(a)
     scheme = ShellScheme(2.0)
-    bound8 = 8.0 * math.sqrt(abs(c))
-    bound3 = 3.0 * math.sqrt(abs(c))
     small = abs(c) <= 1.0
     bank = np.atleast_2d(np.asarray(samples, dtype=complex))
     if small:
         bank = np.where(np.abs(c * vals) >= 1.0, bank, 0.0)
     nb = besov_norm(bank, vals, scheme)
     nbc = besov_norm(bank, c * vals, scheme)
-    ratio = _masked_ratio(nbc, bound8 * nb, nb != 0.0)
+    ratio = _masked_ratio(nbc, 8.0 * math.sqrt(abs(c)) * nb, nb != 0.0)
     worst = float(np.max(ratio, initial=0.0))
-    worst_sharp = 0.0
     if small:
-        worst_sharp = float(np.max(_masked_ratio(nbc, bound3 * nb, nb != 0.0),
-                                   initial=0.0))
-    passed = worst <= 1.0 + 1e-12 and (not small or worst_sharp <= 1.0 + 1e-12)
-    details = {"c": c, "bound": bound8}
-    if small:
-        details["sharp_bound"] = bound3
-        details["worst_sharp_ratio"] = worst_sharp
-    return LemmaReport(
-        lemma="weight-scaling",
-        constant=bound8,
-        worst_ratio=worst,
-        samples=len(bank),
-        seed=seed,
-        passed=passed,
-        details=details,
-        witness=_first_over(ratio, bank),
-    )
+        sharp = _masked_ratio(nbc, 3.0 * math.sqrt(abs(c)) * nb, nb != 0.0)
+        worst = max(worst, float(np.max(sharp, initial=0.0)))
+    check = CheckResult(f"weight-scaling-c{c:g}", "weight-scaling", worst,
+                        1 + 1e-12, "<=",
+                        "scaled-norm bound 8|c|^1/2 (and 3|c|^1/2 for |c| <= 1)")
+    return check, _first_over(ratio, bank)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +449,11 @@ def power_map_constant(s: float) -> float:
     return 2.0 ** (max(s / 2.0, 0.0) / (1.0 + s)) * c_to
 
 
-def verify_power_map(samples, a, s: float, seed: int | None = None) -> LemmaReport:
-    """Check both directions of the power-map norm bounds on spectra >= 1."""
+def verify_power_map(samples, a, s: float) -> tuple[CheckResult, list | None]:
+    """Check both directions of the power-map norm bounds on spectra >= 1.
+
+    The witness is the first row over either direction's constant.
+    """
     vals = as_spectrum_values(a)
     if np.any(vals < 1.0):
         raise ValueError("power map requires a spectrum bounded below by 1")
@@ -508,20 +471,10 @@ def verify_power_map(samples, a, s: float, seed: int | None = None) -> LemmaRepo
     nbp = besov_norm(bank, powered, scheme)
     inv = _masked_ratio(besov_norm(vals ** (s / 2.0) * bank, vals, scheme),
                         c_inv * nbp, nbp > 0.0)
-    worst_fwd = float(np.max(fwd, initial=0.0))
-    worst_inv = float(np.max(inv, initial=0.0))
-    worst = max(worst_fwd, worst_inv)
-    return LemmaReport(
-        lemma="power-map",
-        constant=c_fwd,
-        worst_ratio=worst,
-        samples=len(bank),
-        seed=seed,
-        passed=worst <= 1.0 + 1e-12,
-        details={"s": s, "constant_forward": c_fwd, "constant_inverse": c_inv,
-                 "worst_forward": worst_fwd, "worst_inverse": worst_inv},
-        witness=_first_over(np.maximum(fwd, inv), bank),
-    )
+    worst = max(float(np.max(fwd, initial=0.0)), float(np.max(inv, initial=0.0)))
+    check = CheckResult(f"power-map-s{s:g}", "power-map", worst, 1 + 1e-12, "<=",
+                        "both power-map direction constants hold")
+    return check, _first_over(np.maximum(fwd, inv), bank)
 
 
 # ---------------------------------------------------------------------------
@@ -653,11 +606,10 @@ def bstar_norm_dense(T, a1, a2, scheme: ShellScheme | None = None) -> float:
 
 
 def verify_interpolation(T, a1, a2, s: float,
-                         rng: np.random.Generator | None = None,
-                         seed: int | None = None) -> LemmaReport:
+                         rng: np.random.Generator | None = None) -> float:
     """Probe the interpolation bound ||T||_{B->B} <= C (||T|| + ||T||_{s}).
 
-    The constant C(s) is not explicit, so the report only records the
+    The constant C(s) is not explicit, so this only returns the
     observed ratio of a probe-based B -> B norm estimate (64 random
     probes plus the shell-boundary ones) against the
     sum of the plain and weighted operator norms; blow-up is detected
@@ -683,15 +635,4 @@ def verify_interpolation(T, a1, a2, s: float,
     images = (T @ probes[:, :, None])[:, :, 0]
     numer = float(np.max(_masked_ratio(besov_norm(images, v2, scheme), bu, bu != 0.0),
                          initial=0.0))
-    count = int(np.count_nonzero(bu))
-    ratio = numer / denom if denom > 0 else math.inf
-    return LemmaReport(
-        lemma="interpolation",
-        constant=math.nan,
-        worst_ratio=ratio,
-        samples=count,
-        seed=seed,
-        passed=math.isfinite(ratio),
-        details={"s": s, "plain_norm": hnorm, "weighted_norm": wnorm,
-                 "besov_probe_norm": numer},
-    )
+    return numer / denom if denom > 0 else math.inf

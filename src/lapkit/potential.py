@@ -10,25 +10,25 @@ remainder with an integrable tail.  The five runtime hypotheses are:
   (4) |V2| <= C |x|^{-2 s0 - delta} for |x| > R, with s0 = 1/2 + mu/4,
   (5) local p-integrability of V2, p depending on dimension.
 
-``check_condition`` evaluates all five on a sample grid and reports a
-worst-case witness per hypothesis.  The module also carries the local
-momentum weight f_lambda = (lambda + K <x>^{-mu})^{1/2} and the virial
-function W = -2 V1 - x . grad V1.
+``check_condition`` evaluates all five on a sample grid and returns one
+check per hypothesis with its worst-case witness radius.  The module
+also carries the local momentum weight f_lambda = (lambda + K
+<x>^{-mu})^{1/2} and the virial function W = -2 V1 - x . grad V1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .reports import CheckResult
+
 __all__ = [
     "PotentialModel",
     "WeightParams",
-    "ConditionReport",
-    "HypothesisResult",
     "weight_f",
     "virial_w",
     "check_condition",
@@ -239,37 +239,6 @@ def coulomb_model(gamma: float, dim: int = 3) -> PotentialModel:
 # Hypothesis checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HypothesisResult:
-    index: int
-    description: str
-    margin: float           # smallest slack observed; negative = violation
-    threshold: float        # rounding allowance: passed iff margin >= threshold
-    witness: float | None   # radius where the margin is attained
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.margin >= self.threshold)
-
-    def to_dict(self):
-        out = asdict(self)
-        return {"hypothesis": out.pop("index"), "passed": self.passed, **out}
-
-
-@dataclass
-class ConditionReport:
-    model: str
-    results: list[HypothesisResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def to_dict(self):
-        return {"model": self.model, "passed": self.passed,
-                "hypotheses": [r.to_dict() for r in self.results]}
-
-
 def _fd_second(model, r):
     """Second radial derivative of V1 by central differences of grad_v1.
 
@@ -285,13 +254,17 @@ def _local_p(dim):
     return 2.0 if dim <= 3 else (3.0 if dim == 4 else dim / 2.0)
 
 
-def check_condition(model: PotentialModel, grid_radii) -> ConditionReport:
-    """Evaluate all five hypotheses pointwise, with witnesses.
+def check_condition(model: PotentialModel,
+                    grid_radii) -> tuple[list[CheckResult], list[float | None]]:
+    """Evaluate all five hypotheses pointwise: one check per hypothesis,
+    its value the smallest slack observed (negative is a violation), and
+    beside the checks the radius where each slack is attained.
 
     Decay hypotheses bind at large radius, so the sample set extends
     the supplied grid with a log-spaced ladder out to ten times the
     tail radius.  Derivative bounds for |alpha| = 2 use central
     differences of the analytic gradient with a relative slack of 1e-6.
+    Each threshold is the hypothesis' rounding allowance.
     """
     grid_radii = np.asarray(grid_radii, dtype=float)
     if grid_radii.size == 0:
@@ -301,14 +274,13 @@ def check_condition(model: PotentialModel, grid_radii) -> ConditionReport:
     extra = np.geomspace(reach * 0.5, reach * 10.0, 48)
     r = np.array(sorted({*np.abs(grid_radii).tolist(), *extra.tolist(), 0.0}))
     br = bracket(r)
-    results = []
+    rows = []       # (description, margin, threshold, witness) per hypothesis
 
     # (1) attraction: V1 <= -eps1 <x>^{-mu}
     margin1 = -model.v1(r) - model.eps1 * br ** (-model.mu)
     i1 = int(np.argmin(margin1))
-    results.append(HypothesisResult(
-        1, "V1 <= -eps1 <x>^-mu", float(margin1[i1]), -1e-12 * model.eps1,
-        float(r[i1])))
+    rows.append(("V1 <= -eps1 <x>^-mu", float(margin1[i1]), -1e-12 * model.eps1,
+                 float(r[i1])))
 
     # (2) symbol bounds |d^a V1| <= C_a <x>^{-mu-|a|}, |a| <= 2
     worst2 = math.inf
@@ -328,41 +300,40 @@ def check_condition(model: PotentialModel, grid_radii) -> ConditionReport:
         if margin[i] < worst2:
             worst2 = float(margin[i])
             wit2 = float(r[i])
-    results.append(HypothesisResult(
-        2, "|d^a V1| <= C_a <x>^-mu-|a|", worst2, -1e-10, wit2))
+    rows.append(("|d^a V1| <= C_a <x>^-mu-|a|", worst2, -1e-10, wit2))
 
     # (3) virial: W >= -eps1_tilde V1 pointwise
     margin3 = virial_w(model, r) + model.eps1_tilde * model.v1(r)
     i3 = int(np.argmin(margin3))
-    results.append(HypothesisResult(
-        3, "-|x|^-2 x.grad(|x|^2 V1) >= -eps1_tilde V1",
-        float(margin3[i3]), -1e-12 * max(model.eps1, 1.0), float(r[i3])))
+    rows.append(("-|x|^-2 x.grad(|x|^2 V1) >= -eps1_tilde V1",
+                 float(margin3[i3]), -1e-12 * max(model.eps1, 1.0), float(r[i3])))
 
     # (4) tail: |V2| <= C |x|^{-2 s0 - delta} for |x| > R, and (5) local
     # integrability of V2 on the bounded region; both hold without a V2
     if model.v2 is None:
-        results += [HypothesisResult(4, "|V2| tail bound", math.inf, 0.0, None),
-                    HypothesisResult(5, "V2 local integrability", math.inf, 0.0, None)]
-        return ConditionReport(model=model.name, results=results)
-    outside = r[r > tail_r]
-    if outside.size == 0:
-        outside = np.geomspace(tail_r * 1.01, tail_r * 10.0, 32)
-    margin4 = tail_c * outside ** (-2.0 * model.s0 - delta) - np.abs(model.v2(outside))
-    i4 = int(np.argmin(margin4))
-    results.append(HypothesisResult(
-        4, "|V2| <= C |x|^-2s0-delta beyond R", float(margin4[i4]),
-        -1e-12 * max(tail_c, 1.0), float(outside[i4])))
+        rows += [("|V2| tail bound", math.inf, 0.0, None),
+                 ("V2 local integrability", math.inf, 0.0, None)]
+    else:
+        outside = r[r > tail_r]
+        if outside.size == 0:
+            outside = np.geomspace(tail_r * 1.01, tail_r * 10.0, 32)
+        margin4 = tail_c * outside ** (-2.0 * model.s0 - delta) - np.abs(model.v2(outside))
+        i4 = int(np.argmin(margin4))
+        rows.append(("|V2| <= C |x|^-2s0-delta beyond R", float(margin4[i4]),
+                     -1e-12 * max(tail_c, 1.0), float(outside[i4])))
 
-    p = _local_p(model.dim)
-    inner = np.linspace(0.0, max(tail_r, 1.0), 4097)[1:]
-    h = inner[1] - inner[0]
-    dens = np.abs(model.v2(inner - h / 2.0)) ** p * (inner - h / 2.0) ** (model.dim - 1)
-    lp = float(np.sum(dens) * h) ** (1.0 / p)
-    # the margin is the norm itself when it is finite, a violation if not
-    results.append(HypothesisResult(
-        5, f"V2 in L^{p:g} on the bounded region",
-        lp if math.isfinite(lp) else -math.inf, 0.0, None))
-    return ConditionReport(model=model.name, results=results)
+        p = _local_p(model.dim)
+        inner = np.linspace(0.0, max(tail_r, 1.0), 4097)[1:]
+        h = inner[1] - inner[0]
+        dens = np.abs(model.v2(inner - h / 2.0)) ** p * (inner - h / 2.0) ** (model.dim - 1)
+        lp = float(np.sum(dens) * h) ** (1.0 / p)
+        # the margin is the norm itself when it is finite, a violation if not
+        rows.append((f"V2 in L^{p:g} on the bounded region",
+                     lp if math.isfinite(lp) else -math.inf, 0.0, None))
+    checks = [CheckResult(f"hypothesis-{k}", f"condition-hypothesis-{k}", margin,
+                          threshold, ">=", description)
+              for k, (description, margin, threshold, _) in enumerate(rows, 1)]
+    return checks, [row[3] for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -216,18 +216,18 @@ def test_witness_rules(monkeypatch, rng):
     boost[[3, 5, 7]] = [1e3, 1e6, 1e6]
     _inflate_moved_norms(monkeypatch, SPECTRUM, boost)
     # base change: the first of the rows attaining the strict maximum
-    rep = verify_base_equivalence(bank, SPECTRUM, 4.0)
-    assert not rep.passed and rep.witness == _serialized(bank[5])
+    check, witness = verify_base_equivalence(bank, SPECTRUM, 4.0)
+    assert not check.passed and witness == _serialized(bank[5])
     # scaling: the first row over the bound, not the worst one
-    rep = verify_scaling(bank, SPECTRUM, 4.0)
-    assert not rep.passed and rep.witness == _serialized(bank[3])
+    check, witness = verify_scaling(bank, SPECTRUM, 4.0)
+    assert not check.passed and witness == _serialized(bank[3])
     a = np.sqrt(1.0 + SPECTRUM**2)
     bank = sample_vectors(a, SCHEME, 10, rng)
     boost = np.ones(len(bank))
     boost[[3, 5]] = [1e3, 1e6]
     _inflate_moved_norms(monkeypatch, a, boost)
-    rep = verify_power_map(bank, a, 1.0)
-    assert not rep.passed and rep.witness == _serialized(bank[3])
+    check, witness = verify_power_map(bank, a, 1.0)
+    assert not check.passed and witness == _serialized(bank[3])
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +277,22 @@ def test_defect_annulus_variant():
 
 def test_base_p2_is_identity(rng):
     samples = sample_vectors(SPECTRUM, SCHEME, 10, rng)
-    rep = verify_base_equivalence(samples, SPECTRUM, 2.0, seed=0)
-    assert rep.passed
-    # identical schemes: raw ratios are exactly one
-    assert rep.details["worst_to_p"] == pytest.approx(1.0, rel=1e-12)
+    check, witness = verify_base_equivalence(samples, SPECTRUM, 2.0)
+    assert check.passed and witness is None
+    # identical schemes: raw ratios are exactly one, so the value is 1 / C
+    c_to, c_from = base_equivalence_constants(2.0)
+    assert c_to == c_from
+    assert check.value * c_to == pytest.approx(1.0, rel=1e-12)
 
 
 def test_base_p4_constants(rng):
     c_to, c_from = base_equivalence_constants(4.0)
     assert c_from == pytest.approx(1.0 + 4.0 * math.sqrt(2.0))
     samples = sample_vectors(SPECTRUM, SCHEME, 200, rng)
-    rep = verify_base_equivalence(samples, SPECTRUM, 4.0, seed=0)
-    assert rep.passed
-    assert rep.samples >= 200
+    assert len(samples) >= 200
+    check, _ = verify_base_equivalence(samples, SPECTRUM, 4.0)
+    assert check.passed
+    assert (check.check_id, check.anchor) == ("base-equivalence-p4", "base-equivalence")
 
 
 def test_base_adversarial_boundaries(rng):
@@ -302,8 +305,8 @@ def test_base_adversarial_boundaries(rng):
         e[i] = 1.0
         samples.append(e)
     for p in (3.0, 4.0, 1.5):
-        rep = verify_base_equivalence(samples, a, p, seed=0)
-        assert rep.passed, rep.to_dict()
+        check, _ = verify_base_equivalence(samples, a, p)
+        assert check.passed, check
 
 
 def test_base_invalid():
@@ -317,10 +320,11 @@ def test_base_invalid():
 
 def test_scaling_identity(rng):
     samples = sample_vectors(SPECTRUM, SCHEME, 20, rng)
-    rep = verify_scaling(samples, SPECTRUM, 1.0, seed=0)
-    assert rep.passed
-    # c = 1 leaves the norm unchanged: ratio is 1/8 of the allowance
-    assert rep.worst_ratio <= 1.0 / 8.0 + 1e-12
+    check, _ = verify_scaling(samples, SPECTRUM, 1.0)
+    assert check.passed
+    # c = 1 leaves the norm unchanged: the ratio is 1/8 of the 8|c|^1/2
+    # allowance and 1/3 of the sharp one, which is the value reported
+    assert check.value == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_scaling_c4_single_shell():
@@ -330,16 +334,17 @@ def test_scaling_c4_single_shell():
     u = np.array([1.0 + 0j])
     assert besov_norm(u, a) == pytest.approx(2.0)
     assert besov_norm(u, 4.0 * a) == pytest.approx(4.0)
-    rep = verify_scaling([u], a, 4.0, seed=0)
-    assert rep.passed
-    assert rep.worst_ratio == pytest.approx(2.0 / 16.0)
+    check, witness = verify_scaling([u], a, 4.0)
+    assert check.passed and witness is None
+    assert check.value == pytest.approx(2.0 / 16.0)
 
 
 def test_scaling_small_c_sharp(rng):
     samples = sample_vectors(SPECTRUM, SCHEME, 200, rng)
-    rep = verify_scaling(samples, SPECTRUM, 1.0 / 3.0, seed=0)
-    assert rep.passed
-    assert rep.details["worst_sharp_ratio"] <= 1.0
+    check, _ = verify_scaling(samples, SPECTRUM, 1.0 / 3.0)
+    # for |c| <= 1 the value is the sharp 3|c|^1/2 ratio
+    assert check.passed
+    assert check.value <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -349,24 +354,24 @@ def test_scaling_small_c_sharp(rng):
 def test_power_map_identity(rng):
     a = np.sqrt(1.0 + SPECTRUM**2)
     samples = sample_vectors(a, SCHEME, 20, rng)
-    rep = verify_power_map(samples, a, 0.0, seed=0)
-    assert rep.passed
+    check, witness = verify_power_map(samples, a, 0.0)
+    assert check.passed and witness is None
 
 
 def test_power_map_s1_and_inverse(rng):
     a = np.sqrt(1.0 + np.linspace(-20, 20, 100) ** 2)
     samples = sample_vectors(a, SCHEME, 100, rng)
-    rep = verify_power_map(samples, a, 1.0, seed=0)
-    assert rep.passed
-    assert rep.details["worst_forward"] <= 1.0
-    assert rep.details["worst_inverse"] <= 1.0
+    check, _ = verify_power_map(samples, a, 1.0)
+    # the value is the worse of the forward and inverse ratios
+    assert check.passed
+    assert check.value <= 1.0
 
 
 def test_power_map_negative_exponent(rng):
     a = np.sqrt(1.0 + SPECTRUM**2)
     samples = sample_vectors(a, SCHEME, 100, rng)
-    rep = verify_power_map(samples, a, -0.5, seed=0)
-    assert rep.passed
+    check, _ = verify_power_map(samples, a, -0.5)
+    assert check.passed
 
 
 def test_power_map_constant_value():
@@ -476,17 +481,17 @@ def test_block_dimension_error():
 
 def test_interpolation_identity(rng):
     a = np.linspace(0.0, 12.0, 64)
-    rep = verify_interpolation(np.eye(64), a, a, s=1.0, rng=rng)
-    assert rep.passed
-    assert rep.worst_ratio <= 0.5 + 1e-9   # denominator counts the norm twice
+    ratio = verify_interpolation(np.eye(64), a, a, s=1.0, rng=rng)
+    assert math.isfinite(ratio)
+    assert ratio <= 0.5 + 1e-9   # denominator counts the norm twice
 
 
 def test_interpolation_multiplier_bounded(rng):
     a = np.linspace(0.0, 12.0, 64)
     g = np.cos(a) + 0.2
-    rep = verify_interpolation(np.diag(g), a, a, s=0.9, rng=rng)
+    ratio = verify_interpolation(np.diag(g), a, a, s=0.9, rng=rng)
     # multiplication operators commute with the shells: ratio <= 1
-    assert rep.worst_ratio <= 1.0 + 1e-9
+    assert ratio <= 1.0 + 1e-9
 
 
 def test_interpolation_refinement_stable(rng):
@@ -494,8 +499,7 @@ def test_interpolation_refinement_stable(rng):
     for n in (64, 128, 256):
         a = np.abs(np.linspace(-16.0, 16.0, n))
         phases = np.exp(2j * np.pi * rng.random(n))
-        rep = verify_interpolation(np.diag(phases), a, a, s=1.0, rng=rng)
-        ratios.append(rep.worst_ratio)
+        ratios.append(verify_interpolation(np.diag(phases), a, a, s=1.0, rng=rng))
     assert max(ratios) <= 2.0 * min(ratios)
 
 

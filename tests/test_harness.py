@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from lapkit import besov
+from lapkit import besov, experiments
 from lapkit.cli import _print_checks
 from lapkit.cli import main as cli_main
 from lapkit.config import (ExperimentConfig, config_schema_text, load_config,
@@ -141,11 +141,36 @@ def test_every_check_carries_one_anchor():
         assert isinstance(check.anchor, str) and check.anchor
 
 
-def test_selftest_fault_injection():
-    cfg = parse_config_text("[experiment]\nid = besov-selftest\nsamples = 40\n")
-    rep = run_besov_selftest(cfg, overrides={"duality_constant": 0.5,
-                                              "scaling_constant": 1.0,
-                                              "block_factor": 0.5})
+SMALL_SELFTEST = "[experiment]\nid = besov-selftest\nsamples = 40\n"
+SELFTEST_ABS_X = np.abs(Grid1D(30.0, 256).nodes)
+
+
+def _patch_result(monkeypatch, module, name, change):
+    """Pass every result of ``module.name`` through ``change(result, args)``."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: change(real(*args, **kwargs), args))
+
+
+def _boost_norms_on(spectra, factor):
+    """A ``besov_norm`` change: norms on any of ``spectra`` times ``factor``."""
+    def change(norms, args):
+        return norms * factor if any(np.array_equal(args[1], a) for a in spectra) else norms
+    return change
+
+
+def test_selftest_fault_injection(monkeypatch):
+    # a ball sup 4x too large, norms on the scaled weights 8x too large and
+    # a block upper bound 4x too small each break their own checks
+    cfg = parse_config_text(SMALL_SELFTEST)
+    with monkeypatch.context() as m:
+        _patch_result(m, besov, "shell_decompose",
+                      lambda prof, args: replace(prof, ball_sup=4.0 * prof.ball_sup))
+        _patch_result(m, besov, "besov_norm", _boost_norms_on(
+            [c * SELFTEST_ABS_X for c in (4.0, 1.0 / 3.0)], 8.0))
+        _patch_result(m, besov, "schur_block_bound",
+                      lambda bb, args: replace(bb, upper=bb.upper / 4.0))
+        rep = run_besov_selftest(cfg)
     assert {c.check_id for c in rep.checks if not c.passed} == {
         "duality-sandwich", "weight-scaling-c4", "weight-scaling-c0.333333",
         "unit-block-sandwich"}
@@ -162,42 +187,108 @@ def test_selftest_fault_injection():
             if prof.dual > 0 and prof.ball_sup / (0.5 * prof.dual) > worst_hi:
                 worst_hi, witness = prof.ball_sup / (0.5 * prof.dual), u
     assert rep.extras["duality_witness"] == [[z.real, z.imag] for z in witness]
-    # a scaling witness is the first row over 8 |c|^{1/2}; none is here
-    for c in (1.0, 4.0, 1.0 / 3.0):
+    # a scaling witness is the first row over 8 |c|^{1/2}; c = 1 has none
+    for c, boost in ((1.0, 1.0), (4.0, 8.0), (1.0 / 3.0, 8.0)):
         first_over = None
         for u in banks[0]:
             if abs(c) <= 1.0:
                 u = np.where(np.abs(c * spectra[0]) >= 1.0, u, 0.0)
             nb = besov.besov_norm(u, spectra[0], scheme)
-            if nb > 0 and besov.besov_norm(u, c * spectra[0], scheme) > 8.0 * math.sqrt(c) * nb:
+            nbc = boost * besov.besov_norm(u, c * spectra[0], scheme)
+            if nb > 0 and nbc > 8.0 * math.sqrt(c) * nb:
                 first_over = [[float(z.real), float(z.imag)] for z in u]
                 break
         assert rep.extras.get(f"scaling_witness_c{c:g}") == first_over
-
-
-SMALL_SELFTEST = "[experiment]\nid = besov-selftest\nsamples = 40\n"
+    assert "scaling_witness_c4" in rep.extras
 
 
 def test_weight_scaling_reports_the_sharp_ratio(monkeypatch):
     # for |c| <= 1 the sharp 3|c|^1/2 ratio decides the check, so it is the
-    # value reported, not the 8|c|^1/2 one
-    real = besov.verify_scaling
-
-    def sharp_fails(samples, a, c, seed=None):
-        if c != 1.0:
-            return real(samples, a, c, seed=seed)
-        return besov.LemmaReport(
-            lemma="weight-scaling", constant=8.0, worst_ratio=0.1,
-            samples=len(samples), seed=seed, passed=False,
-            details={"c": c, "bound": 8.0, "sharp_bound": 3.0,
-                     "worst_sharp_ratio": 1.5})
-
-    monkeypatch.setattr(besov, "verify_scaling", sharp_fails)
-    rep = run_besov_selftest(parse_config_text(SMALL_SELFTEST))
+    # value reported: raised to 1.5 it fails, while the 8|c|^1/2 ratio,
+    # 3/8 of it, has no row over its bound and so records no witness
+    cfg = parse_config_text(SMALL_SELFTEST)
+    check_id = "weight-scaling-c0.333333"
+    sharp = next(c for c in run_besov_selftest(cfg).checks if c.check_id == check_id)
+    _patch_result(monkeypatch, besov, "besov_norm", _boost_norms_on(
+        [(1.0 / 3.0) * SELFTEST_ABS_X], 1.5 / sharp.value))
+    rep = run_besov_selftest(cfg)
     failed = [c for c in rep.checks if not c.passed]
-    assert [c.check_id for c in failed] == ["weight-scaling-c1"]
-    assert failed[0].value == 1.5
+    assert [c.check_id for c in failed] == [check_id]
+    assert failed[0].value == pytest.approx(1.5, rel=1e-12)
     assert failed[0].value > failed[0].threshold
+    assert f"scaling_witness_c{1.0 / 3.0:g}" not in rep.extras
+
+
+def test_failing_base_equivalence_records_its_witness(monkeypatch):
+    # base-4 norms 1000x too large break the p = 4 check alone; its witness
+    # is the first row attaining the worst ratio
+    cfg = parse_config_text(SMALL_SELFTEST)
+    with monkeypatch.context() as m:
+        _patch_result(m, besov, "besov_norm", lambda norms, args:
+                      1e3 * norms if args[2].base == 4.0 else norms)
+        rep = run_besov_selftest(cfg)
+    assert [c.check_id for c in rep.checks if not c.passed] == ["base-equivalence-p4"]
+    bank = besov.sample_vectors(SELFTEST_ABS_X, besov.ShellScheme(2.0), 40,
+                                np.random.default_rng(cfg.seed))
+    c_to, c_from = besov.base_equivalence_constants(4.0)
+    worst, witness = 0.0, None
+    for u in bank:
+        nb = besov.besov_norm(u, SELFTEST_ABS_X, besov.ShellScheme(2.0))
+        n4 = 1e3 * besov.besov_norm(u, SELFTEST_ABS_X, besov.ShellScheme(4.0))
+        ratio = max(n4 / (c_to * nb), nb / (c_from * n4)) if nb > 0 else 0.0
+        if ratio > worst:
+            worst, witness = ratio, u
+    assert rep.extras["base_equivalence_witness_p4"] == [[z.real, z.imag] for z in witness]
+    assert [k for k in rep.extras if k.startswith("base_equivalence")] == [
+        "base_equivalence_witness_p4"]
+
+
+def _scale_profile(field, factor):
+    """A ``shell_decompose`` change: the profile's ``field`` times ``factor``."""
+    return lambda prof, args: replace(prof, **{field: getattr(prof, field) * factor})
+
+
+def _scale_block_constants(bb, args):
+    if not bb.accretive:
+        return bb
+    return replace(bb, c1=bb.c1 / 10.0, c2=bb.c2 / 10.0, c3=bb.c3 / 10.0)
+
+
+# the selftest checks no test above breaks: (module, name, change of the
+# result, the check ids that must then fail and no others)
+SELFTEST_FAULTS = {
+    # shell norms 1e-9 too large: their squares no longer sum to |u|^2
+    "shell-partition-exactness": (
+        besov, "shell_decompose", _scale_profile("shell_norms", 1 + 1e-9),
+        {"shell-partition-exactness"}),
+    # the profile's Besov norms 1e-9 too large against freshly scaled ones
+    "norm-homogeneity": (
+        besov, "shell_decompose", _scale_profile("besov", 1 + 1e-9),
+        {"norm-homogeneity"}),
+    # the sharp per-spectrum embedding constant halved
+    "embedding-chain": (
+        experiments, "_chain_constant", lambda c_s, args: c_s / 2.0,
+        {"embedding-chain"}),
+    # every power-map constant a hundred times too small
+    "power-map": (
+        besov, "power_map_constant", lambda c, args: c / 100.0,
+        {"power-map-s0", "power-map-s1", "power-map-s-0.5"}),
+    # the three one-sided block constants ten times too small
+    "accretive-blocks": (
+        besov, "schur_block_bound", _scale_block_constants, {"accretive-blocks"}),
+    # an interpolation ratio growing with the grid size, 4x over the refinements
+    "interpolation-stability": (
+        besov, "verify_interpolation", lambda ratio, args: ratio * len(args[1]) / 64.0,
+        {"interpolation-stability"}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SELFTEST_FAULTS))
+def test_each_selftest_check_fails_alone(fault, monkeypatch):
+    module, name, change, expected = SELFTEST_FAULTS[fault]
+    _patch_result(monkeypatch, module, name, change)
+    rep = run_besov_selftest(parse_config_text(SMALL_SELFTEST))
+    assert {c.check_id for c in rep.checks if not c.passed} == expected
 
 
 def test_unit_block_sandwich_reports_its_lower_side(monkeypatch):
@@ -277,7 +368,6 @@ def test_check_potential_rows_meet_their_thresholds(family, monkeypatch):
     if family != "coulomb":
         cfg = parse_config_text(SMALL_SWEEP.replace("lap-sweep", "check-potential"))
     if family == "sign-flipped":
-        from lapkit import experiments
         from lapkit.potential import PotentialModel, standard_model
 
         good = standard_model(1.0, 1.0, 1)
@@ -314,7 +404,6 @@ def test_lap_sweep_small_passes():
 def test_lap_sweep_unconverged_row_leaves_the_fits(monkeypatch):
     # a weighted Lanczos run that stops unconverged flags its row like the
     # stability gate does; the fit uses the remaining rows
-    import lapkit.experiments as experiments
 
     real = experiments.weighted_opnorm
     target = 3e-2
@@ -381,7 +470,6 @@ def test_free_control_run_documents_contrast():
 
 def test_besov_bound_subset(monkeypatch):
     # the shell-dual quantity alone: no spectral distance is computed
-    import lapkit.experiments as experiments
 
     def refuse(*args, **kwargs):
         raise AssertionError("besov-bound computed a spectral distance")
@@ -412,7 +500,6 @@ source_width = 2.0
 """)
     cfg.experiment["source_width"] = 2.0
 
-    import lapkit.experiments as experiments
 
     real_probe = experiments.gaussian_probe
 
@@ -489,7 +576,6 @@ def test_zero_energy_runners_need_a_potential_on_the_line(runner, section,
 
 @ZERO_ENERGY_RUNNERS
 def test_zero_energy_runners_filter_with_the_calibrated_spec(runner, monkeypatch):
-    import lapkit.experiments as experiments
 
     real_filter = experiments.radiation_filter
     specs = []
@@ -576,7 +662,6 @@ def test_radiation_unconverged_ladder_fails_on_its_value(steps):
 def test_zero_energy_runners_share_one_boundary_value(tmp_path):
     # both runners filter the capped solve at z = 0, and the radiation
     # ladder is measured against it from its last iterate, at final_z
-    import lapkit.experiments as experiments
 
     rad_cfg = parse_config_text(SMALL_UNIQUENESS.replace("uniqueness", "radiation"))
     rad = run_radiation(rad_cfg)
@@ -597,13 +682,17 @@ def test_zero_energy_runners_share_one_boundary_value(tmp_path):
 
 def test_incoming_conjugation_fails_on_the_outgoing_value(monkeypatch):
     # the outgoing value in place of the incoming one leaves the
-    # conjugate equation unsolved by the layer's share of the residual
+    # conjugate equation unsolved by the layer's share of the residual;
+    # every defect ladder comes from u_plus, so no other value moves
+    cfg = parse_config_text(SMALL_UNIQUENESS.replace("uniqueness", "radiation"))
+    sound = {c.check_id: c.value for c in run_radiation(cfg).checks}
     monkeypatch.setattr(ShiftedSolver, "solve_adjoint", ShiftedSolver.solve)
-    rep = run_radiation(parse_config_text(
-        SMALL_UNIQUENESS.replace("uniqueness", "radiation")))
+    rep = run_radiation(cfg)
     check = next(c for c in rep.checks if c.check_id == "incoming-conjugation")
     assert check.value > 1e-2 and check.threshold == 1e-8
     assert not check.passed and not rep.passed
+    moved = [c.check_id for c in rep.checks if c.value != sound[c.check_id]]
+    assert moved == ["incoming-conjugation"]
 
 
 def test_radiation_conjugate_ladders_match_direct_filters(small_radiation):
@@ -648,9 +737,9 @@ def test_serialized_verdicts_are_value_against_threshold(experiment, monkeypatch
     # allowance, so they pass and the threshold written beside them admits them
     allowance = experiment == "rounding-allowance"
     if allowance:
-        experiment, real = "besov-selftest", besov.verify_base_equivalence
-        monkeypatch.setattr(besov, "verify_base_equivalence", lambda *args, **kwargs:
-                            replace(real(*args, **kwargs), worst_ratio=1.0 + 5e-13))
+        experiment = "besov-selftest"
+        _patch_result(monkeypatch, besov, "verify_base_equivalence", lambda result, args:
+                      (replace(result[0], value=1.0 + 5e-13), result[1]))
     data = json.loads(run_experiment(parse_config_text(SMALL_CONFIGS[experiment])).to_json())
     assert data["checks"]
     for check in data["checks"]:

@@ -96,9 +96,10 @@ def test_virial_scales_linearly():
 # ---------------------------------------------------------------------------
 
 def test_standard_model_passes():
-    rep = check_condition(standard_model(1.0, 1.0, 1), RADII)
-    assert rep.passed
-    assert [r.index for r in rep.results] == [1, 2, 3, 4, 5]
+    checks, witnesses = check_condition(standard_model(1.0, 1.0, 1), RADII)
+    assert all(c.passed for c in checks)
+    assert [c.check_id for c in checks] == [f"hypothesis-{k}" for k in range(1, 6)]
+    assert len(witnesses) == 5
 
 
 def test_sign_flip_fails_hypothesis_one():
@@ -106,15 +107,14 @@ def test_sign_flip_fails_hypothesis_one():
     bad = PotentialModel(
         name="standard", mu=1.0, eps1=1.0, eps1_tilde=1.0,
         v1=lambda r: -m.v1(r), grad_v1=lambda r: -m.grad_v1(r), dim=1)
-    rep = check_condition(bad, RADII)
-    first = rep.results[0]
-    assert not first.passed
-    assert first.witness == pytest.approx(0.0)
+    checks, witnesses = check_condition(bad, RADII)
+    assert not checks[0].passed
+    assert witnesses[0] == pytest.approx(0.0)
 
 
 def test_coulomb_model_passes_all():
-    rep = check_condition(coulomb_model(1.0, 3), RADII)
-    assert rep.passed, rep.to_dict()
+    checks, _ = check_condition(coulomb_model(1.0, 3), RADII)
+    assert all(c.passed for c in checks), checks
     # the split is exact: V1 + V2 = -gamma/|x| everywhere sampled
     cm = coulomb_model(2.0, 3)
     rs = np.linspace(0.05, 30.0, 500)
@@ -140,11 +140,11 @@ def test_smoothed_coulomb_split_passes():
         v1=base.v1, grad_v1=base.grad_v1, dim=3, v2=v2,
         v2_tail=(0.4, gamma, 1.0),
         symbol_constants=base.symbol_constants)
-    rep = check_condition(model, RADII)
-    assert rep.passed, rep.to_dict()
+    checks, _ = check_condition(model, RADII)
+    assert all(c.passed for c in checks), checks
     # hypothesis 4 is vacuous beyond R = 1 and 5 is a finite L^2 norm
-    assert rep.results[3].margin > 0
-    assert math.isfinite(rep.results[4].margin)
+    assert checks[3].value > 0
+    assert math.isfinite(checks[4].value)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
@@ -155,8 +155,8 @@ def test_standard_family_grid(gamma, mu, dim):
     assert m.eps1 == gamma
     assert m.eps1_tilde == pytest.approx(2.0 - mu)
     assert m.s0 == pytest.approx(0.5 + mu / 4.0)
-    rep = check_condition(m, RADII)
-    assert rep.passed
+    checks, _ = check_condition(m, RADII)
+    assert all(c.passed for c in checks)
     xs = np.linspace(0.0, 60.0, 200)
     floor = gamma * (2.0 - mu) * (1 + xs**2) ** (-mu / 2)
     assert np.all(virial_w(m, xs) >= floor - 1e-12)
