@@ -201,21 +201,18 @@ def run_besov_selftest(cfg: ExperimentConfig) -> Report:
                            worst_chain, 1 + 1e-12, "<=",
                            "weighted/shell space embeddings with explicit constants"))
 
-    # base-change equivalence and weight scaling; a failure records its witness
-    for p in (4.0, 3.0, 1.5):
-        check, witness = besov.verify_base_equivalence(banks["abs_x"], spectra["abs_x"], p)
-        report.add(check)
-        if not check.passed and witness is not None:
-            report.extras[f"base_equivalence_witness_p{p:g}"] = witness
-    for c in (1.0, 4.0, 1.0 / 3.0):
-        check, witness = besov.verify_scaling(banks["abs_x"], spectra["abs_x"], c)
-        report.add(check)
-        if not check.passed and witness is not None:
-            report.extras[f"scaling_witness_c{c:g}"] = witness
-
-    # power map on a spectrum bounded below by 1
-    for s in (0.0, 1.0, -0.5):
-        report.add(besov.verify_power_map(banks["bracket_x"], spectra["bracket_x"], s)[0])
+    # base-change equivalence, weight scaling and the power map (on a
+    # spectrum bounded below by 1); a failure records its witness
+    for verify, bank, key, args in (
+            (besov.verify_base_equivalence, "abs_x", "base_equivalence_witness_p",
+             (4.0, 3.0, 1.5)),
+            (besov.verify_scaling, "abs_x", "scaling_witness_c", (1.0, 4.0, 1.0 / 3.0)),
+            (besov.verify_power_map, "bracket_x", "power_map_witness_s", (0.0, 1.0, -0.5))):
+        for arg in args:
+            check, witness = verify(banks[bank], spectra[bank], arg)
+            report.add(check)
+            if not check.passed and witness is not None:
+                report.extras[f"{key}{arg:g}"] = witness
 
     # unit-width block bound against the dense shell-pair norm (N <= 128),
     # the worse side of the sandwich
@@ -250,8 +247,7 @@ def run_besov_selftest(cfg: ExperimentConfig) -> Report:
         g = Grid1D(16.0, n)
         vals = np.abs(g.nodes)
         phases = np.exp(2j * math.pi * rng.random(n))
-        t_diag = np.diag(phases)
-        ratios.append(besov.verify_interpolation(t_diag, vals, vals, s=1.0, rng=rng))
+        ratios.append(besov.verify_interpolation(phases, vals, vals, s=1.0, rng=rng))
     spread = max(ratios) / max(min(ratios), 1e-300)
     report.add(CheckResult("interpolation-stability", "interpolation-stability",
                            spread, 2.0, "<=",

@@ -25,8 +25,8 @@ leaves c - constant on a few midpoint rows per frequency.  The cutoffs
 are real and point-symmetric and the grid reversal P negates nodes,
 midpoints and frequencies exactly, so Op(c) = constant I + A + P A P,
 A over the band's xi >= 0 half.  One thread and one accumulator sum the
-frequency batches, and the cutoffs evaluate their polynomial only on
-its ramps.
+frequency batches, symbols are evaluated in chunks of rows, each cutoff
+rise only below its plateau and the polynomial only on its ramps.
 """
 
 from __future__ import annotations
@@ -74,9 +74,17 @@ def smoothstep7(t):
     return t[()]                       # a scalar for a scalar argument
 
 
-def _fall(t, start, width):
-    """1 below start, 0 above start + width, smooth in between."""
-    return 1.0 - smoothstep7((np.asarray(t, dtype=float) - start) / width)
+def _profile(t, rise, start, width):
+    """smoothstep7(t + rise) times a fall from 1 at start to 0 at start + width.
+
+    For rise 1.0 or 5.0, fl(t + rise) >= 1 and the clipped rise is exactly
+    1 from t = 1 - rise on, so it is evaluated and applied only below.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.asarray(1.0 - smoothstep7((t - start) / width))
+    below = t < 1.0 - rise
+    out[below] *= smoothstep7(t[below] + rise)
+    return out[()]                     # a scalar for a scalar argument
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +161,14 @@ class FilterSpec:
         return self.plateau_end + self.fall_width
 
     def chi_minus(self, t):
-        t = np.asarray(t, dtype=float)
-        return smoothstep7(t + 1.0) * _fall(t, self.plateau_end, self.fall_width)
+        return _profile(t, 1.0, self.plateau_end, self.fall_width)
 
     def chi_plus(self, t):
         return 1.0 - self.chi_minus(t)
 
     def chi_tilde_minus(self, t):
-        t = np.asarray(t, dtype=float)
         # 0 below t = -5, 1 from t = -4 up to the fall
-        return smoothstep7(t + 5.0) * _fall(
-            t, self.sigma_cut - self.tilde_width, self.tilde_width)
+        return _profile(t, 5.0, self.sigma_cut - self.tilde_width, self.tilde_width)
 
     def chi_tilde_mirror(self, t):
         """Reflection keeping the opposite direction region."""
@@ -219,8 +224,8 @@ def _band_rows(band: Band | None, mids, xi) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(k0, 0), np.minimum(k1, n)
 
 
-# band frequencies transformed together; the batch's symbol points, one
-# real (K_BATCH, 2N) table and its half spectra bound the memory
+# band frequencies transformed together; with symbols evaluated 2N / K_BATCH
+# rows at a time, v, acc, the (K_BATCH, 2N) table and its spectra bound memory
 K_BATCH = 8
 
 
@@ -232,9 +237,9 @@ def weyl_apply(symbol, grid: Grid1D, u, band: Band | None = None) -> np.ndarray:
     symbol, or xi = +-dxi columns not mirror images bit for bit on their
     hull rows, raise ValueError.  A acts on [u, P u] with its xi = 0
     column halved; the unpaired -N/2, if the band reaches it, on u alone.
-    Each batch writes its rows' hull into one zeroed real table; ``rfft``
-    and conjugation give each row's spectrum, and one accumulator sums
-    the batches in ascending frequency, the -N/2 batch last.
+    Each batch writes its hull, 2N / K_BATCH rows at a time, into one
+    zeroed real table; ``rfft`` and conjugation give each row's spectrum,
+    and one accumulator sums the batches in ascending frequency, -N/2 last.
     """
     u = np.asarray(u, dtype=complex)
     n = grid.size
@@ -254,16 +259,17 @@ def weyl_apply(symbol, grid: Grid1D, u, band: Band | None = None) -> np.ndarray:
         batches.append(np.array([0]))
     acc = np.zeros((2 * m, 2 * p), dtype=complex)
     table, halves = np.zeros((K_BATCH, p)), np.empty((K_BATCH, n + 1), dtype=complex)
-    row = np.empty(p, dtype=complex)
+    row, chunk = np.empty(p, dtype=complex), p // K_BATCH
     for cols in batches:
         # every row's band holds xi = 0, so some row meets each batch
         hit = np.flatnonzero((k0 <= cols[-1]) & (k1 > cols[0]))
         r0, r1 = hit[0], hit[-1] + 1
-        values = symbol(mids[None, r0:r1], xi[cols][:, None])
-        if np.iscomplexobj(values):
-            raise ValueError("weyl_apply needs a real symbol")
         batch = table[:len(cols)]
-        np.subtract(values, outside, out=batch[:, r0:r1])
+        for part in (slice(c, min(c + chunk, r1)) for c in range(r0, r1, chunk)):
+            values = symbol(mids[None, part], xi[cols][:, None])
+            if np.iscomplexobj(values):
+                raise ValueError("weyl_apply needs a real symbol")
+            np.subtract(values, outside, out=batch[:, part])
         if cols[0] == zero:
             mirror = symbol(-mids[None, r0:r1], -xi[cols[1:2]][:, None])
             if not np.array_equal(batch[1:2, r0:r1], mirror - outside):
@@ -277,7 +283,8 @@ def weyl_apply(symbol, grid: Grid1D, u, band: Band | None = None) -> np.ndarray:
             shift = 2 * (col - zero) % p
             w = m if col == 0 else 2 * m  # -N/2 has no mirror
             acc[:w, shift:shift + p] += row * v[:w, p - shift:2 * p - shift]
-    res = np.fft.ifft(acc[:, :p] + acc[:, p:], axis=1)[:, :n] / n
+    acc[:, :p] += acc[:, p:]
+    res = np.fft.ifft(acc[:, :p], axis=1)[:, :n] / n
     out = res[:m] + res[m:, ::-1] + outside * rows
     return np.ascontiguousarray(out.T).reshape(u.shape)
 

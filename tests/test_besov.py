@@ -481,7 +481,7 @@ def test_block_dimension_error():
 
 def test_interpolation_identity(rng):
     a = np.linspace(0.0, 12.0, 64)
-    ratio = verify_interpolation(np.eye(64), a, a, s=1.0, rng=rng)
+    ratio = verify_interpolation(np.ones(64), a, a, s=1.0, rng=rng)
     assert math.isfinite(ratio)
     assert ratio <= 0.5 + 1e-9   # denominator counts the norm twice
 
@@ -489,7 +489,7 @@ def test_interpolation_identity(rng):
 def test_interpolation_multiplier_bounded(rng):
     a = np.linspace(0.0, 12.0, 64)
     g = np.cos(a) + 0.2
-    ratio = verify_interpolation(np.diag(g), a, a, s=0.9, rng=rng)
+    ratio = verify_interpolation(g, a, a, s=0.9, rng=rng)
     # multiplication operators commute with the shells: ratio <= 1
     assert ratio <= 1.0 + 1e-9
 
@@ -499,10 +499,18 @@ def test_interpolation_refinement_stable(rng):
     for n in (64, 128, 256):
         a = np.abs(np.linspace(-16.0, 16.0, n))
         phases = np.exp(2j * np.pi * rng.random(n))
-        ratios.append(verify_interpolation(np.diag(phases), a, a, s=1.0, rng=rng))
+        ratios.append(verify_interpolation(phases, a, a, s=1.0, rng=rng))
     assert max(ratios) <= 2.0 * min(ratios)
 
 
 def test_interpolation_requires_s():
     with pytest.raises(ValueError):
-        verify_interpolation(np.eye(4), np.ones(4), np.ones(4), s=0.5)
+        verify_interpolation(np.ones(4), np.ones(4), np.ones(4), s=0.5)
+
+
+def test_interpolation_dimension_error():
+    # T = diag(d) maps the spectrum a1 to a2 node by node
+    with pytest.raises(DimensionError):
+        verify_interpolation(np.ones(4), np.ones(4), np.ones(5), s=1.0)
+    with pytest.raises(DimensionError):
+        verify_interpolation(np.ones(5), np.ones(4), np.ones(4), s=1.0)

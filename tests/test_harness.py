@@ -289,6 +289,10 @@ def test_each_selftest_check_fails_alone(fault, monkeypatch):
     _patch_result(monkeypatch, module, name, change)
     rep = run_besov_selftest(parse_config_text(SMALL_SELFTEST))
     assert {c.check_id for c in rep.checks if not c.passed} == expected
+    # a failing power map records its witness row, as base change and scaling do
+    assert {k for k in rep.extras if k.startswith("power_map_witness")} == (
+        {"power_map_witness_s0", "power_map_witness_s1", "power_map_witness_s-0.5"}
+        if fault == "power-map" else set())
 
 
 def test_unit_block_sandwich_reports_its_lower_side(monkeypatch):
@@ -430,6 +434,22 @@ def test_lap_sweep_unconverged_row_leaves_the_fits(monkeypatch):
     assert health["unconverged_rows"] == 1
     others = [r for r in rep.extras["csv_rows"] if r["quantity"] != "weighted"]
     assert all(r["stable"] for r in others)
+
+
+def test_weighted_boundedness_fails_on_a_growing_norm(monkeypatch):
+    # a weighted norm growing like 1/|z| (on both grids, so every row stays
+    # stable) breaks the weighted bound and no other check
+    real = experiments.weighted_opnorm
+
+    def growing(operator, z, *args, **kwargs):
+        return replace(real(operator, z, *args, **kwargs), lower=1.0 / abs(z))
+
+    monkeypatch.setattr(experiments, "weighted_opnorm", growing)
+    rep = run_lap_sweep(parse_config_text(SMALL_SWEEP))
+    failed = [c for c in rep.checks if not c.passed]
+    assert [c.check_id for c in failed] == ["weighted-boundedness"]
+    assert failed[0].value == pytest.approx(-1.0, rel=1e-9)
+    assert all(row["stable"] for row in rep.extras["csv_rows"])
 
 
 def test_lap_sweep_plain_norm_is_exact():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from lapkit.besov import loglog_slope
 from lapkit.errors import DimensionError
 from lapkit.operators import Grid1D, gaussian_probe, hermiticity_residual
-from lapkit.potential import WeightParams, standard_model
+from lapkit.potential import WeightParams, bracket, standard_model, weight_f
 from lapkit.weyl import (Band, FilterSpec, default_radius_ladder, filter_symbol,
                          radiation_filter, smoothstep7, symbol_a0, symbol_b0,
                          weyl_apply, weyl_matrix)
@@ -127,6 +128,23 @@ def test_apply_matches_dense_at_desk_spacing(mode, rng):
     for j in range(2):
         assert (np.max(np.abs(direct[:, j] - applied[:, j]))
                 <= 1e-12 * np.linalg.norm(block[:, j]))
+
+
+def test_desk_apply_memory_is_bounded(rng):
+    # one desk-size outgoing apply on two columns holds v, acc, the table
+    # and its half spectra (4.4 MiB traced); symbol temporaries over whole
+    # batch hulls, 8 x 8,191 points each, lift it to 6.7 MiB
+    spec, params = desk_filters()
+    symbol, band = filter_symbol(spec, params, "outgoing")
+    grid = Grid1D(400.0, 4096)
+    block = rng.standard_normal((4096, 2)) + 1j * rng.standard_normal((4096, 2))
+    tracemalloc.start()
+    try:
+        weyl_apply(symbol, grid, block, band=band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def test_mirrored_is_the_conjugate_of_outgoing(rng):
@@ -278,7 +296,7 @@ def test_apply_refuses_a_symbol_that_is_not_point_symmetric(asymmetry, rng):
 THREE_MODES = """
 import numpy as np
 from lapkit.operators import Grid1D
-from lapkit.potential import WeightParams, standard_model
+from lapkit.potential import WeightParams, bracket, standard_model, weight_f
 from lapkit.weyl import FilterSpec, filter_symbol, weyl_apply
 model = standard_model(1.0, 1.0, 1)
 spec = FilterSpec.for_model(model, 0.5)
@@ -383,6 +401,74 @@ def test_cutoff_supports():
     mirror = spec.chi_tilde_mirror(t)
     assert np.all(mirror[t <= -0.5] == 0.0)
     assert spec.chi_tilde_mirror(1.0) == spec.chi_tilde_minus(-1.0)
+
+
+def _rise_times_fall(spec):
+    """The four cutoffs as rise times fall on every point, rises of 1 included."""
+    def profile(t, rise, start, width):
+        t = np.asarray(t, dtype=float)
+        return smoothstep7(t + rise) * (1.0 - smoothstep7((t - start) / width))
+
+    def chi_minus(t):
+        return profile(t, 1.0, spec.plateau_end, spec.fall_width)
+
+    def chi_tilde_minus(t):
+        return profile(t, 5.0, spec.sigma_cut - spec.tilde_width, spec.tilde_width)
+
+    return {"chi_minus": chi_minus,
+            "chi_plus": lambda t: 1.0 - chi_minus(t),
+            "chi_tilde_minus": chi_tilde_minus,
+            "chi_tilde_mirror": lambda t: chi_tilde_minus(-np.asarray(t, dtype=float))}
+
+
+# a plain spec, the desk spec, and a direction fall overlapping its rise
+CUTOFF_SPECS = [FilterSpec(plateau_end=2.0, sigma_cut=0.5, tilde_width=0.25),
+                FilterSpec.for_model(standard_model(1.0, 1.0, 1), 0.5),
+                FilterSpec(plateau_end=0.5, sigma_cut=-4.2, tilde_width=0.8)]
+
+
+@pytest.mark.parametrize("spec", CUTOFF_SPECS)
+def test_cutoffs_are_rise_times_fall_bit_for_bit(spec, rng):
+    # each rise is skipped where it is exactly 1 (t >= 0 and t >= -4); on
+    # both ramps, both plateaus and at the skip points the values keep
+    # every bit, for arrays and for scalars
+    marks = np.array([-5.0, -4.0, -1.0, 0.0, 4.0, 5.0, spec.plateau_end,
+                      spec.kinetic_reach, spec.sigma_cut, spec.sigma_cut - spec.tilde_width])
+    near = np.concatenate([marks, -marks, np.nextafter(marks, -np.inf),
+                           np.nextafter(marks, np.inf), np.nextafter(-marks, -np.inf),
+                           np.nextafter(-marks, np.inf),
+                           [-0.0, 5e-324, -5e-324, -np.inf, np.inf]])
+    spread = rng.uniform(-7.0, 7.0, (29, 31))
+    ramps = np.linspace(-5.5, spec.kinetic_reach + 0.5, 4001)
+    for name, reference in _rise_times_fall(spec).items():
+        cutoff = getattr(spec, name)
+        for t in (near, spread, ramps):
+            assert cutoff(t).tobytes() == reference(t).tobytes(), name
+        for t in near:
+            value = cutoff(float(t))
+            assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
+            assert np.asarray(value).tobytes() == np.asarray(reference(t)).tobytes(), (name, t)
+
+
+@pytest.mark.parametrize("mode", ["outgoing", "high", "mirrored"])
+def test_filter_symbols_are_products_of_the_profiles(mode):
+    # on the band columns of the desk-spacing table, each symbol is
+    # chi_-(a0) times the direction cutoff of b0, or chi_+(a0), bit for bit
+    spec, params = desk_filters()
+    symbol, band = filter_symbol(spec, params, mode)
+    x = (-DESK_GRID.length + (np.arange(2 * DESK_GRID.size - 1) + 1.0)
+         * DESK_GRID.spacing / 2.0)[None, :]
+    xi = DESK_GRID.frequencies
+    reach = float(np.max(band.reach(x)))
+    xi = xi[np.abs(xi) <= reach + 2 * (xi[1] - xi[0])][:, None]
+    cut = _rise_times_fall(spec)
+    f = weight_f(params, x)
+    a0, b0 = xi**2 / f**2, (xi / f) * (x / bracket(x))
+    expected = {"outgoing": cut["chi_minus"](a0) * cut["chi_tilde_minus"](b0),
+                "mirrored": cut["chi_minus"](a0) * cut["chi_tilde_mirror"](b0),
+                "high": cut["chi_plus"](symbol_a0(params)(x, xi))}[mode]
+    assert np.count_nonzero(expected - band.outside) > 0
+    assert symbol(x, xi).tobytes() == expected.tobytes()
 
 
 def test_filter_spec_validation():
