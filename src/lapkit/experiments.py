@@ -28,8 +28,8 @@ from .potential import (PotentialModel, WeightParams, bracket,
 from .reports import CheckResult, Report
 from .resolvent import (Sector, ShiftedSolver, besov_bstar_estimate,
                         boundary_value, spectral_distance, weighted_opnorm)
-from .weyl import (ANNULUS_EPS, FilterSpec, default_radius_ladder,
-                   radiation_filter)
+from .weyl import (ANNULUS_EPS, REFERENCE_RADIUS, FilterSpec,
+                   default_radius_ladder, radiation_filter)
 
 __all__ = ["run_experiment", "run_besov_selftest", "run_check_potential",
            "run_lap_sweep", "run_besov_bound", "run_radiation",
@@ -465,19 +465,20 @@ def _boundary_values(h_cap, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_radiation(cfg: ExperimentConfig) -> Report:
-    """Microlocal filters applied to the two zero-energy boundary values.
+    """Microlocal filters applied to the outgoing zero-energy boundary value.
 
     Both values are the capped solve at z = 0, as in ``uniqueness``; the
     incoming one must solve the conjugate equation.  A ray ladder toward
     0 is evidence for the limiting absorption principle: its last iterate
     must lie within the tolerance of the outgoing value.  The outgoing
-    solution must lose its normalized ball norms after the cutoff
-    removing the outgoing phase-space region (and after the
-    high-frequency cutoff), while the mirrored cutoff keeps them from
-    vanishing; the incoming solution swaps the roles.  Vanishing is
-    judged by the log-log slope over the top half of the radius ladder
-    and by the annulus defect falling below 20% between the reference
-    radius 32 and half the box.
+    value must lose its normalized ball norms after the cutoff removing
+    the outgoing phase-space region (and after the high-frequency
+    cutoff), while the mirrored cutoff keeps them from vanishing.  The
+    incoming value, the conjugate of the outgoing one for the real
+    source, has the same ladders with the outgoing and mirrored roles
+    swapped, so it is not filtered.  Vanishing is judged by the log-log
+    slope over the top half of the radius ladder and by the annulus
+    defect falling below 20% between REFERENCE_RADIUS and half the box.
     """
     model, grid, h_op, cap, v = _line_problem(cfg, "radiation")
     h_cap = h_op if cap is None else h_op + cap
@@ -507,53 +508,39 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     del plus, w         # the ladder is evidence only; the filters need neither
 
     spec = FilterSpec.for_model(model, cfg.experiment["sigma_cut"])
-    half_box = grid.length / 2.0
     # Op(mirrored) is conj(Op(outgoing)) entrywise (b0 odd in xi, a0 even),
-    # Op(high) is real, and u_minus = conj(u_plus) for the real source: half
-    # the filtered values are conjugates of the others, with the same
-    # ladders.  Every ladder is taken from u_plus, so incoming-conjugation
-    # alone checks u_minus.
-    plus_out, minus_out = radiation_filter(np.column_stack((u_plus, np.conj(u_plus))),
-                                           spec, model, grid, mode="outgoing")
-    plus_high = radiation_filter(u_plus, spec, model, grid, mode="high")
-    results = {("plus", "outgoing"): plus_out, ("minus", "outgoing"): minus_out,
-               ("plus", "high"): plus_high, ("minus", "high"): plus_high,
-               ("plus", "mirrored"): minus_out, ("minus", "mirrored"): plus_out}
-
-    # the outgoing solution's outgoing and high defects vanish and its
-    # mirrored one does not; the incoming solution swaps the directions
-    for label, gone, kept in (("plus", "outgoing", "mirrored"),
-                              ("minus", "mirrored", "outgoing")):
-        for mode in (gone, "high", kept):
-            decreasing = mode != kept
-            threshold = SLOPE_DECREASING if decreasing else SLOPE_FLAT
-            slope = results[(label, mode)].annulus_slope
-            report.add(CheckResult(
-                f"{label}-{mode}-slope",
-                "outgoing-filter-vanishing" if decreasing else "mirrored-filter-asymmetry",
-                slope, threshold, "<=" if decreasing else ">=",
-                "defect ladder decreasing" if decreasing
-                else "defect ladder non-decreasing"))
-
-    for check_id, key in (("plus-outgoing-far-ratio", ("plus", "outgoing")),
-                          ("plus-high-far-ratio", ("plus", "high"))):
-        res = results[key]
-        near = res.defect_at(32.0)
-        far = res.defect_at(half_box)
-        ratio_far = far / max(near, 1e-300)
+    # so the outgoing filter of conj(u_plus) gives u_plus's mirrored ladders
+    outgoing, mirrored = radiation_filter(np.column_stack((u_plus, np.conj(u_plus))),
+                                          spec, model, grid, mode="outgoing")
+    filters = {"outgoing": outgoing,
+               "high": radiation_filter(u_plus, spec, model, grid, mode="high"),
+               "mirrored": mirrored}
+    for mode, res in filters.items():
+        decreasing = mode != "mirrored"
         report.add(CheckResult(
-            check_id, "outgoing-filter-vanishing", ratio_far, 0.2, "<=",
-            "annulus defect at half box <= 20% of its value at 32"))
+            f"plus-{mode}-slope",
+            "outgoing-filter-vanishing" if decreasing else "mirrored-filter-asymmetry",
+            res.annulus_slope, SLOPE_DECREASING if decreasing else SLOPE_FLAT,
+            "<=" if decreasing else ">=",
+            "defect ladder decreasing" if decreasing
+            else "defect ladder non-decreasing"))
+    for mode in ("outgoing", "high"):
+        res = filters[mode]
+        near = res.defect_at(REFERENCE_RADIUS)
+        report.add(CheckResult(
+            f"plus-{mode}-far-ratio", "outgoing-filter-vanishing",
+            res.defect_at(grid.length / 2.0) / max(near, 1e-300), 0.2, "<=",
+            f"annulus defect at half box <= 20% of its value at {REFERENCE_RADIUS:g}"))
 
+    report.extras["radius_ladder"] = outgoing.ladder.tolist()
     report.extras["defect_ladders"] = {
-        f"{label}_{mode}": {
-            "ladder": res.ladder.tolist(),
+        f"plus_{mode}": {
             "ball": res.ball_defect.tolist(),
             "annulus": res.annulus_defect.tolist(),
             "ball_slope": res.ball_slope,
             "degenerate": res.degenerate,
         }
-        for (label, mode), res in results.items()
+        for mode, res in filters.items()
     }
     report.artifacts["vectors"] = {
         "u_plus": u_plus, "u_minus": u_minus, "source": v,
@@ -631,8 +618,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
     report.extras["defect_ladder"] = {"ladder": list(map(float, ladder)),
                                       "outgoing": filt.ball_defect.tolist(),
                                       "plain": plain.tolist()}
-    report.artifacts["vectors"] = {"u_plus": u_plus, "u_minus": u_minus,
-                                   "null_difference": w}
+    report.artifacts["vectors"] = {"u_plus": u_plus, "u_minus": u_minus}
     return report
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "FALL_WIDTH",
     "TILDE_WIDTH",
     "ANNULUS_EPS",
+    "REFERENCE_RADIUS",
     "FilterSpec",
     "Band",
     "symbol_a0",
@@ -293,16 +294,19 @@ def weyl_apply(symbol, grid: Grid1D, u, band: Band | None = None) -> np.ndarray:
 # Radiation filters and defect ladders
 # ---------------------------------------------------------------------------
 
-def default_radius_ladder(grid: Grid1D) -> np.ndarray:
-    """Radii 4 sqrt(2)^k up to half the box, plus 32 and the half box.
+# near radius of the far-field defect ratios, in x units; calibrated on
+# the desk box (L = 400) and not scaled with L: on the half box (L = 200)
+# the ratios compare radii 32 and 100, and both fail their 0.2 threshold
+REFERENCE_RADIUS = 32.0
 
-    The defect checks read the ladder at 32 and at half the box, so
-    both are rungs.
-    """
+
+def default_radius_ladder(grid: Grid1D) -> np.ndarray:
+    """Radii 4 sqrt(2)^k up to half the box, plus REFERENCE_RADIUS and
+    the half box, the two radii the far-field ratios read."""
     top = grid.length / 2.0
     ladder = [4.0 * 2.0 ** (k / 2.0) for k in
               range(int(math.floor(2 * math.log2(top / 4.0))) + 1)]
-    return np.array(sorted({r for r in ladder + [32.0, top] if r <= top}))
+    return np.array(sorted({r for r in ladder + [REFERENCE_RADIUS, top] if r <= top}))
 
 
 @dataclass

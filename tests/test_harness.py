@@ -13,7 +13,7 @@ from lapkit.cli import _print_checks
 from lapkit.cli import main as cli_main
 from lapkit.config import (ExperimentConfig, config_schema_text, load_config,
                            parse_config_text)
-from lapkit.errors import ConfigError
+from lapkit.errors import ConfigError, SolverError
 from lapkit.experiments import (build_grid, build_model, run_besov_selftest,
                                 run_check_potential, run_experiment,
                                 run_lap_sweep, run_radiation, run_uniqueness)
@@ -452,6 +452,54 @@ def test_weighted_boundedness_fails_on_a_growing_norm(monkeypatch):
     assert all(row["stable"] for row in rep.extras["csv_rows"])
 
 
+@pytest.mark.parametrize("check_id, stage, value", [
+    ("unweighted-growth", "spectral_distance", 0.0),
+    ("shell-dual-lower-boundedness", "besov_bstar_estimate", -1.0),
+    ("shell-dual-upper-boundedness", "besov_bstar_estimate", -1.0),
+])
+def test_sweep_check_fails_alone(check_id, stage, value, monkeypatch):
+    # a flat plain norm, or one side of the shell-space bracket growing like
+    # 1/|z|, on both grids (every row stays stable), fails that check alone
+    real = getattr(experiments, stage)
+
+    def perturbed(operator, z, *args, **kwargs):
+        if stage == "spectral_distance":
+            return 1.0
+        side = "lower" if "lower" in check_id else "upper"
+        return replace(real(operator, z, *args, **kwargs), **{side: 1.0 / abs(z)})
+
+    monkeypatch.setattr(experiments, stage, perturbed)
+    rep = run_lap_sweep(parse_config_text(SMALL_SWEEP))
+    failed = [c for c in rep.checks if not c.passed]
+    assert [c.check_id for c in failed] == [check_id]
+    assert failed[0].value == pytest.approx(value, abs=1e-9)
+    assert all(row["stable"] for row in rep.extras["csv_rows"])
+
+
+@pytest.mark.parametrize("gate", [True, False])
+def test_sweep_without_the_gate_flags_only_unconverged_rows(gate, monkeypatch):
+    # the weighted norm moves 10% under box doubling and its run at one z
+    # does not converge: the gate flags every weighted row, and without it
+    # the sweep solves the base grid alone and flags only that row
+    real = experiments.weighted_opnorm
+    target = 3e-2
+
+    def box_dependent(operator, z, left, *args, **kwargs):
+        est = real(operator, z, left, *args, **kwargs)
+        return replace(est, lower=est.lower * (1.1 if left.size > 1024 else 1.0),
+                       converged=abs(abs(z) - target) > 1e-12)
+
+    monkeypatch.setattr(experiments, "weighted_opnorm", box_dependent)
+    cfg = parse_config_text(SMALL_SWEEP + f"stability_check = {str(gate).lower()}\n")
+    assert cfg.experiment["stability_check"] is gate
+    rep = run_lap_sweep(cfg)
+    rows = rep.extras["csv_rows"]
+    flagged = [r["abs_z"] for r in rows if not r["stable"]]
+    weighted = [r["abs_z"] for r in rows if r["quantity"] == "weighted"]
+    assert flagged == (weighted if gate else pytest.approx([target]))
+    assert rep.extras["solver_health"]["weighted_runs"] == (6 if gate else 3)
+
+
 def test_lap_sweep_plain_norm_is_exact():
     # the unweighted rows and the recorded distances are 1 / dist(z, spectrum)
     # of the base grid's H, against a dense eigensolver
@@ -642,18 +690,15 @@ seed = 5
 
 
 def test_radiation_small_structure(small_radiation):
-    # structure check at reduced scale: all role checks are present
-    # and the incoming value solves its equation; the far-field ratio
-    # thresholds are calibrated for the full desk box and are left to
-    # the acceptance suite
+    # structure check at reduced scale: one check per filter slope and
+    # far ratio, and the incoming value solves its equation; the
+    # far-field ratio thresholds are calibrated for the full desk box and
+    # are left to the acceptance suite
     _, rep = small_radiation
-    ids = [c.check_id for c in rep.checks]
-    for expected in ("boundary-value-converged", "incoming-conjugation",
-                     "plus-outgoing-slope", "plus-high-slope",
-                     "plus-mirrored-slope", "minus-outgoing-slope",
-                     "minus-mirrored-slope", "minus-high-slope",
-                     "plus-outgoing-far-ratio", "plus-high-far-ratio"):
-        assert expected in ids
+    assert [c.check_id for c in rep.checks] == [
+        "boundary-value-converged", "incoming-conjugation",
+        "plus-outgoing-slope", "plus-high-slope", "plus-mirrored-slope",
+        "plus-outgoing-far-ratio", "plus-high-far-ratio"]
     by_id = {c.check_id: c for c in rep.checks}
     assert by_id["incoming-conjugation"].passed
     assert by_id["boundary-value-converged"].passed
@@ -686,6 +731,8 @@ def test_zero_energy_runners_share_one_boundary_value(tmp_path):
     rad_cfg = parse_config_text(SMALL_UNIQUENESS.replace("uniqueness", "radiation"))
     rad = run_radiation(rad_cfg)
     uni = run_uniqueness(parse_config_text(SMALL_UNIQUENESS))
+    # the null difference is u_plus - u_minus of these dumps, so it has none
+    assert set(uni.artifacts["vectors"]) == {"u_plus", "u_minus"}
     for name in ("u_plus", "u_minus"):
         dump_vector(tmp_path / f"rad_{name}", rad.artifacts["vectors"][name], {})
         dump_vector(tmp_path / f"uni_{name}", uni.artifacts["vectors"][name], {})
@@ -716,22 +763,23 @@ def test_incoming_conjugation_fails_on_the_outgoing_value(monkeypatch):
 
 
 def test_radiation_conjugate_ladders_match_direct_filters(small_radiation):
-    # the runner filters both values with the outgoing cutoff and u_plus
-    # alone with the high one; the other three ladders are taken by
-    # conjugation and must match the filters applied directly
+    # the runner filters u_plus alone; the incoming value filtered directly
+    # has the same ladders with the outgoing and mirrored roles swapped,
+    # because u_minus = conj(u_plus) and Op(mirrored) = conj(Op(outgoing))
     cfg, rep = small_radiation
     model, grid = build_model(cfg), build_grid(cfg)
     spec = FilterSpec.for_model(model, cfg.experiment["sigma_cut"])
-    vectors = rep.artifacts["vectors"]
-    for label, mode in (("plus", "mirrored"), ("minus", "mirrored"),
-                        ("minus", "high")):
-        direct = radiation_filter(vectors[f"u_{label}"], spec, model, grid,
-                                  mode=mode)
-        derived = rep.extras["defect_ladders"][f"{label}_{mode}"]
-        assert derived["ladder"] == direct.ladder.tolist()
+    u_minus = rep.artifacts["vectors"]["u_minus"]
+    ladders = rep.extras["defect_ladders"]
+    assert set(ladders) == {"plus_outgoing", "plus_high", "plus_mirrored"}
+    for mode, swapped in (("outgoing", "mirrored"), ("high", "high"),
+                          ("mirrored", "outgoing")):
+        direct = radiation_filter(u_minus, spec, model, grid, mode=mode)
+        assert direct.ladder.tolist() == rep.extras["radius_ladder"]
         for key, values in (("ball", direct.ball_defect),
                             ("annulus", direct.annulus_defect)):
-            assert np.allclose(derived[key], values, rtol=1e-12, atol=0.0)
+            assert np.allclose(ladders[f"plus_{swapped}"][key], values,
+                               rtol=1e-12, atol=0.0)
 
 
 def _meets(value, comparison, threshold) -> bool:
@@ -841,6 +889,20 @@ def test_cli_zero_ladder_steps_exits_two(tmp_path, capsys):
     path.write_text(f"[sector]\nsteps = 0\n[output]\ndirectory = {tmp_path}/out\n")
     assert cli_main(["radiation", "--config", str(path)]) == 2
     assert "steps" in capsys.readouterr().err
+
+
+def test_cli_solver_error_exits_two(tmp_path, capsys, monkeypatch):
+    # a LAPACK failure inside the runner is reported, not raised, and
+    # writes no report
+    def failing(h_op, z):
+        raise SolverError("dstebz failed at size 1024")
+
+    monkeypatch.setattr(experiments, "spectral_distance", failing)
+    path = tmp_path / "sweep.cfg"
+    path.write_text(SMALL_SWEEP + f"[output]\ndirectory = {tmp_path}/out\n")
+    assert cli_main(["lap-sweep", "--config", str(path)]) == 2
+    assert "solver error: dstebz failed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_printed_check_shows_a_failure_at_its_allowance(capsys):

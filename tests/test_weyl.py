@@ -12,9 +12,9 @@ from lapkit.besov import loglog_slope
 from lapkit.errors import DimensionError
 from lapkit.operators import Grid1D, gaussian_probe, hermiticity_residual
 from lapkit.potential import WeightParams, bracket, standard_model, weight_f
-from lapkit.weyl import (Band, FilterSpec, default_radius_ladder, filter_symbol,
-                         radiation_filter, smoothstep7, symbol_a0, symbol_b0,
-                         weyl_apply, weyl_matrix)
+from lapkit.weyl import (REFERENCE_RADIUS, Band, FilterSpec, default_radius_ladder,
+                         filter_symbol, radiation_filter, smoothstep7, symbol_a0,
+                         symbol_b0, weyl_apply, weyl_matrix)
 
 GRID = Grid1D(10.0, 128)
 ROOT = Path(__file__).resolve().parent.parent
@@ -539,3 +539,5 @@ def test_loglog_slope_and_ladder():
     assert ladder[0] == pytest.approx(4.0)
     assert ladder[-1] <= 100.0
     assert np.all(np.diff(ladder) > 0)
+    # the far-field ratios read the rungs at the reference radius and half the box
+    assert REFERENCE_RADIUS in ladder and 50.0 in ladder
