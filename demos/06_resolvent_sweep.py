@@ -18,7 +18,7 @@ import numpy as np
 from lapkit.config import parse_config_text
 from lapkit.operators import Grid1D, build_hamiltonian, matched_absorber
 from lapkit.potential import WeightParams, bracket, standard_model, weight_f
-from lapkit.resolvent import (besov_bstar_estimate, boundary_value,
+from lapkit.resolvent import (Sector, besov_bstar_estimate, boundary_value,
                               spectral_distance, weighted_opnorm)
 
 model = standard_model(1.0, 1.0, 1)
@@ -46,10 +46,10 @@ print("=== extrapolating the boundary value at zero energy ===")
 defaults = parse_config_text("")        # the configured layer and ladder
 layer = defaults.grid
 cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy,
-                       strength=layer["absorber_strength"],
-                       width_fraction=layer["absorber_width_fraction"])
+                       strength=layer["absorber_strength"])
 v = np.exp(-x**2 / 8.0).astype(complex)
-res = boundary_value(h_op + cap, v, grid, ratio=defaults.sector["ratio"],
+res = boundary_value(h_op + cap, v, grid, sector=Sector(),
+                     ratio=defaults.sector["ratio"],
                      tol=defaults.experiment["tolerance"],
                      max_steps=defaults.sector["steps"], weight_s=model.s0 + 0.05)
 print(f"  converged: {res.converged} after {len(res.z_values)} rungs, "

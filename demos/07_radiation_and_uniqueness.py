@@ -15,7 +15,7 @@ import numpy as np
 from lapkit.config import parse_config_text
 from lapkit.operators import Grid1D, build_hamiltonian, gaussian_probe, matched_absorber
 from lapkit.potential import bracket, standard_model
-from lapkit.resolvent import ShiftedSolver, boundary_value
+from lapkit.resolvent import Sector, ShiftedSolver, boundary_value
 from lapkit.weyl import FilterSpec, radiation_filter
 
 model = standard_model(1.0, 1.0, 1)
@@ -24,8 +24,7 @@ h_plain = build_hamiltonian(model, grid)
 defaults = parse_config_text("")        # the configured layer and ladder
 layer = defaults.grid
 cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy,
-                       strength=layer["absorber_strength"],
-                       width_fraction=layer["absorber_width_fraction"])
+                       strength=layer["absorber_strength"])
 h_cap = h_plain + cap
 v = gaussian_probe(grid, width=2.0)
 
@@ -39,7 +38,7 @@ print(f"  incoming is the conjugate of outgoing for the real source: "
       f"{np.allclose(u_minus, np.conj(u_plus))}")
 # a ray ladder toward 0 is evidence: its last iterate approaches the solve
 s = model.s0 + 0.05
-plus = boundary_value(h_cap, v, grid, ratio=defaults.sector["ratio"],
+plus = boundary_value(h_cap, v, grid, sector=Sector(), ratio=defaults.sector["ratio"],
                       tol=defaults.experiment["tolerance"],
                       max_steps=defaults.sector["steps"], weight_s=s)
 weight = bracket(grid.nodes) ** (-s)

@@ -2,8 +2,9 @@
 
 The schema is fixed: unknown sections or keys are rejected with the
 full schema listed, so a typo never silently falls back to a default.
-``resolved_dict`` returns every effective value, which experiment
-reports embed verbatim for reproducibility.
+``resolved_dict`` returns every effective value that decides a run,
+which reports embed verbatim; the output directory only places the
+files, so it is left out and a report does not depend on it.
 """
 
 from __future__ import annotations
@@ -44,15 +45,13 @@ SCHEMA = {
         "size": (int, 4096, "node count; power of two on the line"),
         "ell": (int, 0, "angular momentum for radial grids"),
         "absorber_strength": (float, 3.0, "absorbing-layer amplitude eta"),
-        "absorber_width_fraction": (float, 0.375, "layer width / box size"),
     },
     "sector": {
         "theta": (float, 0.75 * math.pi, "sector opening in (0, pi)"),
         "lambda0": (float, 1.0, "modulus bound"),
-        "rays": (_floats, None, "ray arguments; default theta/2"),
-        "ratio": (float, 0.5, "geometric ladder ratio"),
+        "ratio": (float, 0.5, "geometric ladder ratio in (0, 1)"),
         "steps": (int, 24, "maximum ray-ladder steps"),
-        "moduli": (_floats, [1e-1, 1e-2, 1e-3, 1e-4], "sweep |z| values"),
+        "moduli": (_floats, [1e-1, 1e-2, 1e-3, 1e-4], "sweep |z| on the ray theta/2"),
     },
     "experiment": {
         "id": (str, "lap-sweep", "one of: " + ", ".join(EXPERIMENT_IDS)),
@@ -63,8 +62,6 @@ SCHEMA = {
                             True, "gate quantities on box doubling"),
         "sigma_cut": (float, 0.5, "direction cutoff of the outgoing filter"),
         "source_width": (float, 2.0, "Gaussian source width"),
-        "source_center": (float, 0.0, "Gaussian source center"),
-        "weight_s": (float, None, "weight exponent; default s0 + 0.05"),
     },
     "output": {
         "directory": (str, "out", "where reports, CSV, vectors land"),
@@ -89,7 +86,7 @@ class ExperimentConfig:
         return self.experiment["seed"]
 
     def resolved_dict(self) -> dict:
-        return {section: dict(getattr(self, section)) for section in SCHEMA}
+        return {s: dict(getattr(self, s)) for s in SCHEMA if s != "output"}
 
 
 def config_schema_text() -> str:
@@ -131,6 +128,8 @@ def _resolve(parser: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError("sector grid is empty: no moduli given")
     if not resolved["sector"]["steps"] >= 1:
         raise ConfigError("sector.steps must be at least 1")
+    if not 0.0 < resolved["sector"]["ratio"] < 1.0:
+        raise ConfigError("sector.ratio must lie in (0, 1)")
     return ExperimentConfig(**resolved)
 
 

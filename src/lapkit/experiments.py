@@ -88,8 +88,7 @@ def build_sector(cfg: ExperimentConfig) -> Sector:
 
 
 def _weight_s(cfg: ExperimentConfig, model: PotentialModel | None) -> float:
-    if cfg.experiment["weight_s"] is not None:
-        return cfg.experiment["weight_s"]
+    """The weight exponent s0 + 0.05, just above the model's threshold."""
     s0 = model.s0 if model is not None else 0.5 + cfg.model["mu"] / 4.0
     return s0 + 0.05
 
@@ -317,7 +316,7 @@ def _sweep_quantities(h_op, model, grid, z, weight_s, rng, quantities):
 
 def run_lap_sweep(cfg: ExperimentConfig,
                   quantities=("unweighted", "weighted", "shell_dual")) -> Report:
-    """Sector sweep of resolvent norm estimates with growth-exponent fits.
+    """Resolvent norm estimates on the sector bisector, with exponent fits.
 
     For a certified model the low-energy theory predicts the weighted
     and shell-dual quantities stay bounded as |z| -> 0 while the plain
@@ -339,7 +338,6 @@ def run_lap_sweep(cfg: ExperimentConfig,
     rng = np.random.default_rng(cfg.seed)
     report = _report(cfg)
     weight_s = _weight_s(cfg, model)
-    rays = cfg.sector["rays"] or [sector.default_ray()]
     moduli = sorted(cfg.sector["moduli"], reverse=True)
     control = model is None
     if control:
@@ -356,55 +354,53 @@ def run_lap_sweep(cfg: ExperimentConfig,
         wide_grid = grid.widen()
         h_wide = build_hamiltonian(model, wide_grid)
     distances = report.extras.setdefault("distance_to_spectrum", {})
-    for arg in rays:
-        per_quantity: dict[str, list] = {q: [] for q in quantities}
-        for z in sector.points(moduli, rays=[arg]):
-            base = _sweep_quantities(h_op, model, grid, z, weight_s, rng,
-                                     quantities)
-            residual = base["_residual"]
-            if "_distance" in base:
-                distances[repr(z)] = base["_distance"]
-            if cfg.experiment["stability_check"]:
-                wide = _sweep_quantities(h_wide, model, wide_grid, z, weight_s,
-                                         rng, quantities)
-            else:
-                wide = None
-            parts = [base] if wide is None else [base, wide]
-            for part in parts:
-                for key, value in part["_health"].items():
-                    health[key] += value
-            unconverged = set().union(*(part["_unconverged"] for part in parts))
-            for q in quantities:
-                lo, up = base[q]
-                # an unconverged iteration flags its row like the gate does
-                stable = q not in unconverged
-                health["unconverged_rows"] += not stable
-                if wide is not None and stable:
-                    # each side the quantity has, lower and (if any) upper
-                    stable = all(abs(w - b) <= STABILITY_RTOL * max(abs(b), 1e-300)
-                                 for b, w in zip(base[q], wide[q]) if b is not None)
-                rows.append({
-                    "re_z": z.real, "im_z": z.imag, "abs_z": abs(z),
-                    "arg_z": cmath.phase(z), "quantity": q,
-                    "lower": lo, "upper": "" if up is None else up,
-                    "residual": residual, "stable": stable,
-                })
-                if stable:
-                    per_quantity[q].append((abs(z), lo, up))
-        for q, triples in per_quantity.items():
-            if len(triples) >= 2:
-                mods = [t[0] for t in triples]
-                fits[f"{q}_lower_exponent_ray{arg:.4f}"] = besov.loglog_slope(
-                    mods, [t[1] for t in triples])
-                if all(t[2] is not None for t in triples):
-                    fits[f"{q}_upper_exponent_ray{arg:.4f}"] = besov.loglog_slope(
-                        mods, [t[2] for t in triples])
+    per_quantity: dict[str, list] = {q: [] for q in quantities}
+    for z in sector.points(moduli):
+        base = _sweep_quantities(h_op, model, grid, z, weight_s, rng, quantities)
+        residual = base["_residual"]
+        if "_distance" in base:
+            distances[repr(z)] = base["_distance"]
+        if cfg.experiment["stability_check"]:
+            wide = _sweep_quantities(h_wide, model, wide_grid, z, weight_s,
+                                     rng, quantities)
+        else:
+            wide = None
+        parts = [base] if wide is None else [base, wide]
+        for part in parts:
+            for key, value in part["_health"].items():
+                health[key] += value
+        unconverged = set().union(*(part["_unconverged"] for part in parts))
+        for q in quantities:
+            lo, up = base[q]
+            # an unconverged iteration flags its row like the gate does
+            stable = q not in unconverged
+            health["unconverged_rows"] += not stable
+            if wide is not None and stable:
+                # each side the quantity has, lower and (if any) upper
+                stable = all(abs(w - b) <= STABILITY_RTOL * max(abs(b), 1e-300)
+                             for b, w in zip(base[q], wide[q]) if b is not None)
+            rows.append({
+                "re_z": z.real, "im_z": z.imag, "abs_z": abs(z),
+                "arg_z": cmath.phase(z), "quantity": q,
+                "lower": lo, "upper": "" if up is None else up,
+                "residual": residual, "stable": stable,
+            })
+            if stable:
+                per_quantity[q].append((abs(z), lo, up))
+    for q, triples in per_quantity.items():
+        if len(triples) >= 2:
+            mods = [t[0] for t in triples]
+            fits[f"{q}_lower_exponent"] = besov.loglog_slope(
+                mods, [t[1] for t in triples])
+            if all(t[2] is not None for t in triples):
+                fits[f"{q}_upper_exponent"] = besov.loglog_slope(
+                    mods, [t[2] for t in triples])
 
     report.extras["fits"] = fits
     report.extras["rows"] = len(rows)
     report.extras["solver_health"] = health
-    # each check reads its exponent on the first ray; a fit missing (too
-    # few stable rows, or a quantity not swept) omits its check
+    # a fit missing (too few stable rows, or a quantity not swept) omits
+    # its check
     checks = (
         ("unweighted_lower", "unweighted-growth", "resolvent-blowup-rate", -0.85,
          "<=", "plain resolvent norm grows like a negative power"),
@@ -416,7 +412,7 @@ def run_lap_sweep(cfg: ExperimentConfig,
          SLOPE_DECREASING, ">=", "shell-space upper bound stays bounded"),
     )
     for fit, check_id, anchor, threshold, comparison, description in checks:
-        key = f"{fit}_exponent_ray{rays[0]:.4f}"
+        key = f"{fit}_exponent"
         if not control and key in fits:
             report.add(CheckResult(check_id, anchor, fits[key], threshold,
                                    comparison, description))
@@ -437,7 +433,7 @@ def _line_problem(cfg: ExperimentConfig, name: str):
 
     The runner ``name`` needs a certified potential on the line grid;
     ``cap`` is the matched absorbing layer, None when the configured
-    strength is 0, and the source is the configured Gaussian.
+    strength is 0, and the source is a Gaussian centred at the origin.
     """
     model = build_model(cfg)
     if model is None:
@@ -449,10 +445,8 @@ def _line_problem(cfg: ExperimentConfig, name: str):
     cap = None
     if cfg.grid["absorber_strength"] > 0:
         cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy,
-                               strength=cfg.grid["absorber_strength"],
-                               width_fraction=cfg.grid["absorber_width_fraction"])
-    source = gaussian_probe(grid, center=cfg.experiment["source_center"],
-                            width=cfg.experiment["source_width"])
+                               strength=cfg.grid["absorber_strength"])
+    source = gaussian_probe(grid, width=cfg.experiment["source_width"])
     return model, grid, h_op, cap, source
 
 
@@ -485,12 +479,10 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     sector = build_sector(cfg)
     report = _report(cfg)
     weight_s = _weight_s(cfg, model)
-    arg = (cfg.sector["rays"] or [sector.default_ray()])[0]
     tol = cfg.experiment["tolerance"]
 
-    plus = boundary_value(h_cap, v, grid, sector=sector, ray_arg=arg,
-                          ratio=cfg.sector["ratio"], tol=tol,
-                          max_steps=cfg.sector["steps"], weight_s=weight_s)
+    plus = boundary_value(h_cap, v, grid, sector=sector, ratio=cfg.sector["ratio"],
+                          tol=tol, max_steps=cfg.sector["steps"], weight_s=weight_s)
     report.extras["ladder_plus"] = plus.diffs
     report.extras["final_z"] = [plus.final_z.real, plus.final_z.imag]
     u_plus, u_minus = _boundary_values(h_cap, v)

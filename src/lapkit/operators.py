@@ -4,7 +4,7 @@ Hamiltonians on the grids of ``lapkit.grids`` use the second-order
 central stencil with Dirichlet walls.  The one complex absorbing layer,
 ``matched_absorber``, is impedance-matched to zero-energy waves and
 kept as a separate diagonal term so the Hermitian part stays intact;
-its strength and width come from the configuration.  Every operator is
+its strength comes from the configuration.  Every operator is
 a ``BandMatrix``: its diagonals as numpy arrays.
 """
 
@@ -33,6 +33,9 @@ __all__ = [
     "export_triplets",
     "dilation_eigenbasis",
 ]
+
+# share of the box the absorbing layer covers, calibrated at desk scale (L = 400)
+ABSORBER_WIDTH = 0.375
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +133,7 @@ def build_hamiltonian(model: PotentialModel | None, grid) -> BandMatrix:
     return BandMatrix([off, main + pot, off])
 
 
-def matched_absorber(grid, mu: float, kappa: float, strength: float,
-                     width_fraction: float) -> BandMatrix:
+def matched_absorber(grid, mu: float, kappa: float, strength: float) -> BandMatrix:
     """Complex absorbing potential impedance-matched to zero-energy waves.
 
     Slow waves with local momentum f_0 = (K <x>^-mu)^{1/2} reflect off
@@ -145,7 +147,7 @@ def matched_absorber(grid, mu: float, kappa: float, strength: float,
     x = grid.nodes
     scale = kappa * bracket(x) ** (-mu)
     outer = grid.length
-    width = width_fraction * outer
+    width = ABSORBER_WIDTH * outer
     t = np.clip((np.abs(x) - (outer - width)) / width, 0.0, 1.0)
     ramp = t**2 * scale
     return BandMatrix([-1j * strength * ramp])

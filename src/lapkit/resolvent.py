@@ -90,24 +90,20 @@ class Sector:
         return 0.0 < arg < self.theta
 
     def default_ray(self) -> float:
+        """The bisector theta/2, the one ray every sweep and ladder uses."""
         return self.theta / 2.0
 
-    def points(self, moduli, rays=None) -> list[complex]:
-        rays = [self.default_ray()] if rays is None else list(rays)
+    def points(self, moduli) -> list[complex]:
         out = []
-        for arg in rays:
-            if not 0.0 < arg < self.theta:
-                raise ValueError(f"ray argument {arg} outside the sector")
-            for m in moduli:
-                z = m * cmath.exp(1j * arg)
-                if not self.contains(z):
-                    raise ValueError(f"point {z} outside the sector")
-                out.append(z)
+        for m in moduli:
+            z = m * cmath.exp(1j * self.default_ray())
+            if not self.contains(z):
+                raise ValueError(f"point {z} outside the sector")
+            out.append(z)
         return out
 
-    def ray_ladder(self, arg: float, ratio: float, count: int) -> list[complex]:
-        return [self.lambda0 * ratio**k * cmath.exp(1j * arg)
-                for k in range(count)]
+    def ray_ladder(self, ratio: float, count: int) -> list[complex]:
+        return self.points([self.lambda0 * ratio**k for k in range(count)])
 
 
 # ---------------------------------------------------------------------------
@@ -800,12 +796,11 @@ class BoundaryValueResult:
         return self.z_values[-1]
 
 
-def boundary_value(operator, v, grid, *, ratio: float, tol: float,
-                   max_steps: int, weight_s: float, sector: Sector | None = None,
-                   ray_arg: float | None = None) -> BoundaryValueResult:
-    """Approach R(0 + i0) v along a sector ray: evidence, not the definition.
+def boundary_value(operator, v, grid, *, sector: Sector, ratio: float,
+                   tol: float, max_steps: int, weight_s: float) -> BoundaryValueResult:
+    """Approach R(0 + i0) v along the bisector: evidence, not the definition.
 
-    Solves at z_k = lambda0 ratio^k e^{i arg} until the successive
+    Solves at z_k = lambda0 ratio^k e^{i theta/2} until the successive
     weighted differences ||u_{k+1} - u_k||_{-s} drop below
     tol * ||u||_{-s}.  On a finite box the ladder shows a transient
     wobble where |z| crosses the box scale before resuming geometric
@@ -818,11 +813,7 @@ def boundary_value(operator, v, grid, *, ratio: float, tol: float,
     here: the config schema decides them.
     """
     v = np.asarray(v, dtype=complex)
-    sector = sector or Sector()
-    arg = sector.default_ray() if ray_arg is None else ray_arg
-    if not 0.0 < arg < sector.theta:
-        raise ValueError("ray argument outside the sector")
-    zs = sector.ray_ladder(arg, ratio, max_steps)
+    zs = sector.ray_ladder(ratio, max_steps)
     w = bracket(grid.nodes) ** (-weight_s)
     if np.linalg.norm(v) == 0.0:
         return BoundaryValueResult(u=np.zeros_like(v), z_values=zs[:1], diffs=[],

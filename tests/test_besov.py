@@ -34,6 +34,44 @@ def brute_force_shell_norms(u, a, base):
     return {j: math.sqrt(v) for j, v in out.items()}
 
 
+def defined_shell_count(base, max_abs):
+    """The smallest J >= 1 with R_J = base**(J-1) > max_abs, by counting."""
+    j = 1
+    while base ** (j - 1) <= max_abs:
+        j += 1
+    return j
+
+
+def first_guess(base, max_abs):
+    """shell_count's estimate before its two float-log corrections."""
+    return int(math.floor(math.log(max_abs) / math.log(base))) + 2
+
+
+# ---------------------------------------------------------------------------
+# shell counts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("base", [1.5, 2.0, 3.0, 10.0])
+def test_shell_count_matches_its_definition(base):
+    scheme = ShellScheme(base)
+    for below_one in (0.0, 0.5, math.nextafter(1.0, 0.0)):
+        assert scheme.shell_count(below_one) == 1
+    for k in range(12):
+        power = base ** k
+        for m in (math.nextafter(power, 0.0), power, math.nextafter(power, math.inf)):
+            assert scheme.shell_count(m) == defined_shell_count(base, m), (k, m)
+
+
+def test_shell_count_corrects_its_float_log_both_ways():
+    # log(1000) / log(10) rounds below 3, so the first guess is one shell
+    # short; just below 8 the base-2 ratio rounds up to 3, one too many
+    up, down = (10.0, 1000.0), (2.0, math.nextafter(8.0, 0.0))
+    assert first_guess(*up) == defined_shell_count(*up) - 1
+    assert first_guess(*down) == defined_shell_count(*down) + 1
+    for base, m in (up, down):
+        assert ShellScheme(base).shell_count(m) == defined_shell_count(base, m)
+
+
 # ---------------------------------------------------------------------------
 # decomposition and the two norms
 # ---------------------------------------------------------------------------

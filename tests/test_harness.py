@@ -53,7 +53,8 @@ def test_defaults_resolved():
     assert cfg.grid["size"] == 4096
     assert cfg.sector["theta"] == pytest.approx(0.75 * math.pi)
     resolved = cfg.resolved_dict()
-    assert set(resolved) == {"model", "grid", "sector", "experiment", "output"}
+    # the output directory decides where a report lands, not what it says
+    assert set(resolved) == {"model", "grid", "sector", "experiment"}
 
 
 def test_unknown_key_lists_schema():
@@ -85,6 +86,13 @@ def test_schema_text_covers_all_sections():
     text = config_schema_text()
     for section in ("model", "grid", "sector", "experiment", "output"):
         assert f"[{section}]" in text
+
+
+def test_config_reference_shows_the_schema():
+    # docs/config.md quotes config_schema_text() verbatim in its Schema block
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "config.md").read_text()
+    block = doc.split("## Schema", 1)[1].split("```\n", 2)[1]
+    assert block == config_schema_text() + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -834,16 +842,18 @@ def test_cli_end_to_end(tmp_path, capsys):
 
 
 def test_cli_determinism(tmp_path):
+    # one config and seed give one report, wherever it is written: the
+    # config's directory or an --output override
     cfg_path = tmp_path / "self.cfg"
     cfg_path.write_text("[experiment]\nid = besov-selftest\nsamples = 60\n"
                         f"[output]\ndirectory = {tmp_path}/a\n")
-    report_path = tmp_path / "a" / "besov-selftest_report.json"
     assert cli_main(["besov-selftest", "--config", str(cfg_path),
                      "--seed", "7"]) == 0
-    first = report_path.read_bytes()
     assert cli_main(["besov-selftest", "--config", str(cfg_path),
-                     "--seed", "7"]) == 0
-    assert report_path.read_bytes() == first
+                     "--seed", "7", "--output", str(tmp_path / "b")]) == 0
+    first, second = ((tmp_path / name / "besov-selftest_report.json").read_bytes()
+                     for name in ("a", "b"))
+    assert first == second
 
 
 def test_cli_malformed_config(tmp_path, capsys):
@@ -889,6 +899,31 @@ def test_cli_zero_ladder_steps_exits_two(tmp_path, capsys):
     path.write_text(f"[sector]\nsteps = 0\n[output]\ndirectory = {tmp_path}/out\n")
     assert cli_main(["radiation", "--config", str(path)]) == 2
     assert "steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratio", ["-0.5", "0", "1", "2"])
+def test_cli_ladder_ratio_outside_unit_interval_exits_two(tmp_path, capsys, ratio):
+    # a ratio outside (0, 1) leaves the sector or never approaches z = 0
+    path = tmp_path / "ratio.cfg"
+    path.write_text(f"[sector]\nratio = {ratio}\n"
+                    f"[output]\ndirectory = {tmp_path}/out\n")
+    assert cli_main(["radiation", "--config", str(path)]) == 2
+    assert "sector.ratio" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "absorber_width_fraction", "0.375"),
+    ("sector", "rays", "1.0"),
+    ("experiment", "source_center", "0.0"),
+    ("experiment", "weight_s", "0.8"),
+])
+def test_cli_removed_keys_are_unknown(tmp_path, capsys, section, key, value):
+    path = tmp_path / "old.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n"
+                    f"[output]\ndirectory = {tmp_path}/out\n")
+    assert cli_main(["radiation", "--config", str(path)]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_cli_solver_error_exits_two(tmp_path, capsys, monkeypatch):

@@ -92,7 +92,7 @@ def test_band_matrix_keeps_the_bits_of_sparse_products(rng):
     # terms from zero in ascending order, and so does a BandMatrix
     g = Grid1D(20.0, 128)
     h_cap = build_hamiltonian(standard_model(1.0, 1.0, 1), g) + matched_absorber(
-        g, mu=1.0, kappa=1.0, strength=1.0, width_fraction=0.25)
+        g, mu=1.0, kappa=1.0, strength=1.0)
     a_op = build_dilation(g)
     comm = h_cap @ a_op - a_op @ h_cap
     v = rng.standard_normal(128) + 1j * rng.standard_normal(128)
@@ -126,27 +126,26 @@ def test_dimension_mismatch():
 @pytest.mark.parametrize("grid", [Grid1D(40.0, 256), RadialGrid(40.0, 128)],
                          ids=["line", "radial"])
 def test_matched_absorber_shape(grid):
-    # -i eta t^2 K <x>^-mu: purely absorbing, zero inside the layer, and
-    # -i eta K <x>^-mu at the wall, where the depth t reaches 1
-    cap = matched_absorber(grid, mu=1.0, kappa=2.0, strength=1.5,
-                           width_fraction=0.25)
+    # -i eta t^2 K <x>^-mu: purely absorbing, zero inside the layer (the
+    # outer 37.5% of the box, here 15 of 40), and -i eta K <x>^-mu at the
+    # wall, where the depth t reaches 1
+    cap = matched_absorber(grid, mu=1.0, kappa=2.0, strength=1.5)
     d = cap.diagonal()
     r = np.abs(grid.nodes)
     assert np.all(d.real == 0.0)
     assert np.all(d.imag <= 0.0)
-    assert np.all(d.imag[r <= 30.0] == 0.0)
-    assert np.all(d.imag[r > 30.0] < 0.0)
+    assert np.all(d.imag[r <= 25.0] == 0.0)
+    assert np.all(d.imag[r > 25.0] < 0.0)
     edge = np.argmax(r)
     # the outermost node sits half a cell inside the wall
-    depth = 1.0 - grid.spacing / 2.0 / 10.0
+    depth = 1.0 - grid.spacing / 2.0 / 15.0
     wall = -1.5 * 2.0 / math.sqrt(1 + r[edge] ** 2)
     assert d[edge] == pytest.approx(1j * depth**2 * wall, rel=1e-12)
 
 
 def test_matched_absorber_scales_with_local_energy():
     g = Grid1D(40.0, 256)
-    cap = matched_absorber(g, mu=1.0, kappa=2.0, strength=1.0,
-                           width_fraction=0.375)
+    cap = matched_absorber(g, mu=1.0, kappa=2.0, strength=1.0)
     d = cap.diagonal().imag
     x = g.nodes
     edge = np.argmax(np.abs(x))

@@ -27,19 +27,18 @@ from lapkit.resolvent import (LANCZOS_STEPS, SOLVE_RTOL, Sector,
 
 MODEL = standard_model(1.0, 1.0, 1)
 Z0 = 0.5 + 0.5j
-# the absorbing layer's strength and width as a config leaves them
+# the absorbing layer's strength as a config leaves it
 DEFAULTS = parse_config_text("")
 LAYER = DEFAULTS.grid
 # the boundary-value ladder as a config leaves it (weight s0 + 0.05)
-LADDER = {"ratio": DEFAULTS.sector["ratio"],
+LADDER = {"sector": Sector(), "ratio": DEFAULTS.sector["ratio"],
           "tol": DEFAULTS.experiment["tolerance"],
           "max_steps": DEFAULTS.sector["steps"], "weight_s": MODEL.s0 + 0.05}
 
 
 def configured_absorber(grid):
     return matched_absorber(grid, mu=1.0, kappa=1.0,
-                            strength=LAYER["absorber_strength"],
-                            width_fraction=LAYER["absorber_width_fraction"])
+                            strength=LAYER["absorber_strength"])
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +53,9 @@ def test_sector_membership():
     assert not s.contains(2.0j)       # modulus above the bound
     pts = s.points([1e-1, 1e-2])
     assert all(s.contains(z) for z in pts)
+    # a ladder ratio outside (0, 1) leaves the sector
     with pytest.raises(ValueError):
-        s.points([1e-1], rays=[0.9 * math.pi])
+        s.ray_ladder(-0.5, 3)
     with pytest.raises(ValueError):
         Sector(theta=3.5)
 
@@ -314,7 +314,7 @@ def test_spectral_distance_matches_dense_spectrum(model, ray):
     # window around Re z gives the distance to the dense spectrum's
     h_op = build_hamiltonian(model, Grid1D(20.0, 256))
     eigs = sla.eigvalsh(h_op.toarray())
-    for z in Sector().points([1e-1, 1e-2, 1e-3, 1e-4], rays=[ray]):
+    for z in (m * cmath.exp(1j * ray) for m in (1e-1, 1e-2, 1e-3, 1e-4)):
         exact = np.min(np.abs(eigs - z))
         assert spectral_distance(h_op, z) == pytest.approx(exact, rel=1e-9)
 
