@@ -58,6 +58,7 @@ __all__ = [
     "schur_block_bound",
     "bstar_norm_dense",
     "verify_interpolation",
+    "Stream",
     "sample_vectors",
 ]
 
@@ -133,7 +134,6 @@ class ShellProfile:
     """Per-shell norms of a vector together with the derived scalars
     (for a bank, each per-vector field gains a leading row axis)."""
 
-    scheme: ShellScheme
     radii: np.ndarray            # R_1..R_J
     shell_norms: np.ndarray      # ||F_j u|| for j = 1..J
     total_norm: float            # ||u||
@@ -153,8 +153,7 @@ def _check_pair(u, a):
         raise DimensionError("expected a 1-d vector or 2-d bank and a 1-d spectrum")
     if bank.shape[-1] != len(vals):
         raise DimensionError(
-            f"vector length {bank.shape[-1]} does not match spectrum length {len(vals)}"
-        )
+            f"vector length {bank.shape[-1]} does not match spectrum length {len(vals)}")
     if not (np.all(np.isfinite(bank.real)) and np.all(np.isfinite(bank.imag))):
         raise DataError("vector contains non-finite entries")
     return np.atleast_2d(bank), vals, bank.ndim == 1
@@ -223,7 +222,6 @@ def shell_decompose(u, a, scheme: ShellScheme | None = None,
     ladder = radii if ladder is None else np.asarray(ladder, dtype=float)
     sorted_abs, cum = _ball_mass(mass, vals)
     return ShellProfile(
-        scheme=scheme,
         radii=radii,
         shell_norms=_rows(norms, single),
         total_norm=_rows(_row_norms(bank), single),
@@ -254,13 +252,12 @@ def dual_norm(u, a, scheme: ShellScheme | None = None) -> float:
 # Vanishing-at-infinity defect
 # ---------------------------------------------------------------------------
 
-def defect_ladder(u, a, ladder, exponent: float = 0.5,
-                  annulus_eps: float | None = None) -> np.ndarray:
-    """R^{-exponent} ||F(|A| < R) u|| on the ladder, per bank row.
+def defect_ladder(u, a, ladder, exponent: float = 0.5, annulus_eps: float = 0.0) -> np.ndarray:
+    """R^{-exponent} ||F(annulus_eps R <= |A| < R) u|| on the ladder, per bank row.
 
-    With ``annulus_eps`` set, uses the annulus form
-    R^{-exponent} ||F(eps R <= |A| < R) u|| instead; both vanish along
-    R -> oo exactly when the vector lies in the small dual space.
+    The default annulus_eps = 0 gives the ball form R^{-exponent}
+    ||F(|A| < R) u||; ball and annulus forms vanish along R -> oo
+    exactly when the vector lies in the small dual space.
     """
     bank, vals, single = _check_pair(u, a)
     ladder = np.asarray(ladder, dtype=float)
@@ -269,16 +266,12 @@ def defect_ladder(u, a, ladder, exponent: float = 0.5,
     absvals = np.abs(vals)
     out = np.empty((len(bank), len(ladder)))
     for i, radius in enumerate(ladder):
-        if annulus_eps is None:
-            mask = absvals < radius
-        else:
-            mask = (absvals >= annulus_eps * radius) & (absvals < radius)
+        mask = (absvals >= annulus_eps * radius) & (absvals < radius)
         out[:, i] = _row_norms(bank[:, mask]) / radius ** exponent
     return _rows(out, single)
 
 
-def bstar0_defect(u, a, ladder, exponent: float = 0.5,
-                  annulus_eps: float | None = None) -> float:
+def bstar0_defect(u, a, ladder, exponent: float = 0.5, annulus_eps: float = 0.0) -> float:
     """Tail statistic: max of the defect over the top half of the ladder.
 
     A small value is finite-size evidence that the vector belongs to
@@ -335,11 +328,47 @@ def _first_over(ratios, bank):
 
 
 # ---------------------------------------------------------------------------
-# Sample banks
+# Seeded draws and sample banks
 # ---------------------------------------------------------------------------
 
-def sample_vectors(a, scheme: ShellScheme, n_random: int,
-                   rng: np.random.Generator) -> np.ndarray:
+def _finalize(z):
+    """SplitMix64's output mix (Steele, Lea & Flood 2014), in place on uint64."""
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= mult
+    z ^= z >> 31
+    return z
+
+
+class Stream:
+    """Seeded counter-based draws under numpy's names ``random`` and ``standard_normal``.
+
+    Draw k mixes key + k * gamma, the key itself mixed from the seed so
+    that seed s + 1 is no shifted copy of seed s; its top 53 bits give a
+    uniform in [0, 1), so uniform draws of n then m equal one of n + m.
+    Gaussians take both Box-Muller (1958) outputs of each pair of draws.
+    """
+
+    def __init__(self, seed: int):
+        self._key = _finalize(np.array([seed % 2**64], dtype=np.uint64))[0]
+        self._drawn = 0
+
+    def random(self, shape) -> np.ndarray:
+        z = np.arange(self._drawn, self._drawn + int(np.prod(shape)), dtype=np.uint64)
+        self._drawn += z.size
+        z *= 0x9E3779B97F4A7C15    # SplitMix64's gamma, 2**64 over the golden ratio
+        z += self._key
+        return ((_finalize(z) >> 11) * 2.0**-53).reshape(shape)
+
+    def standard_normal(self, shape) -> np.ndarray:
+        n = int(np.prod(shape))
+        u = self.random(n + n % 2)
+        radius, angle = np.sqrt(-2.0 * np.log1p(-u[0::2])), 2.0 * math.pi * u[1::2]
+        u[0::2], u[1::2] = radius * np.cos(angle), radius * np.sin(angle)
+        return u[:n].reshape(shape)
+
+
+def sample_vectors(a, scheme: ShellScheme, n_random: int, rng) -> np.ndarray:
     """A bank (m, n) of random complex Gaussian rows plus shell-boundary probes.
 
     Adversarial rows put all mass in a single shell or on the nodes
@@ -457,8 +486,6 @@ def verify_power_map(samples, a, s: float) -> tuple[CheckResult, list | None]:
     vals = as_spectrum_values(a)
     if np.any(vals < 1.0):
         raise ValueError("power map requires a spectrum bounded below by 1")
-    if not s > -1.0:
-        raise ValueError("power parameter must exceed -1")
     scheme = ShellScheme(2.0)
     c_fwd = power_map_constant(s)
     s_inv = -s / (1.0 + s)
@@ -519,8 +546,7 @@ def _spectral_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def schur_block_bound(T, a1, a2,
-                      rng: np.random.Generator | None = None) -> BlockBound:
+def schur_block_bound(T, a1, a2, rng=None) -> BlockBound:
     """Bracket the B(A_1) -> B(A_2)* norm of a dense matrix.
 
     Upper bound: twice the sup over unit-width block pairs
@@ -548,7 +574,7 @@ def schur_block_bound(T, a1, a2,
             if block.any():
                 block_sup = max(block_sup, _spectral_norm(block))
 
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     scheme = ShellScheme(2.0)
     probes_u = sample_vectors(v1, scheme, 32, rng)
     probes_w = sample_vectors(v2, scheme, 32, rng)
@@ -563,8 +589,7 @@ def schur_block_bound(T, a1, a2,
 
     result = BlockBound(upper=2.0 * block_sup, probe_lower=lower,
                         block_sup=block_sup)
-    same_weight = len(v1) == len(v2) and np.array_equal(v1, v2)
-    if same_weight:
+    if np.array_equal(v1, v2):
         herm = T + T.conj().T
         if np.min(np.linalg.eigvalsh(herm)) >= -1e-10 * max(1.0, _spectral_norm(T)):
             result.accretive = True
@@ -605,8 +630,7 @@ def bstar_norm_dense(T, a1, a2, scheme: ShellScheme | None = None) -> float:
     return best
 
 
-def verify_interpolation(d, a1, a2, s: float,
-                         rng: np.random.Generator | None = None) -> float:
+def verify_interpolation(d, a1, a2, s: float, rng=None) -> float:
     """Probe the interpolation bound ||T||_{B->B} <= C (||T|| + ||T||_{s}).
 
     T = diag(d), so ||T|| = max |d| and ||T||_{s} = max |w2 d w1|.  The
@@ -623,7 +647,7 @@ def verify_interpolation(d, a1, a2, s: float,
     if d.shape != v1.shape or d.shape != v2.shape:
         raise DimensionError("multiplier length does not match spectra")
     scheme = ShellScheme(2.0)
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     w2 = (1.0 + v2 ** 2) ** (s / 2.0)
     w1 = (1.0 + v1 ** 2) ** (-s / 2.0)
     denom = float(np.max(np.abs(d), initial=0.0) + np.max(np.abs(w2 * d * w1), initial=0.0))

@@ -55,7 +55,7 @@ SCHEMA = {
     },
     "experiment": {
         "id": (str, "lap-sweep", "one of: " + ", ".join(EXPERIMENT_IDS)),
-        "seed": (int, 0, "RNG seed recorded in reports"),
+        "seed": (int, 0, "seed of lap-sweep's weighted-norm Lanczos starts and selftest banks"),
         "tolerance": (float, 1e-4, "ray-ladder tolerance"),
         "samples": (int, 200, "random samples per inequality"),
         "stability_check": (lambda s: s.lower() in ("1", "true", "yes"),

@@ -118,7 +118,7 @@ def run_besov_selftest(cfg: ExperimentConfig) -> Report:
     A violated duality, base-change or scaling bound is reported with
     its witness vector serialized.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = besov.Stream(cfg.seed)
     report = _report(cfg)
     scheme = besov.ShellScheme(2.0)
     n_samples = cfg.experiment["samples"]
@@ -275,11 +275,12 @@ def run_check_potential(cfg: ExperimentConfig) -> Report:
 # lap-sweep and besov-bound
 # ---------------------------------------------------------------------------
 
-def _sweep_quantities(h_op, model, grid, z, weight_s, rng, quantities):
+def _sweep_quantities(h_op, model, grid, z, weight, rng, quantities):
     """The named sweep ``quantities`` at one z, from one factorization of h_op - z.
 
     The plain norm is exact, 1 / dist(z, spectrum), and the distance is
-    returned with it; the weighted norm is one Lanczos run.  Besides
+    returned with it; the weighted norm, with weight <x>^-s f_mu^{1/2} for
+    ``weight`` = (mu, s), is one Lanczos run.  Besides
     the (lower, upper) pairs it returns the residual of a probe solve,
     the quantities whose Lanczos run did not converge (the weighted
     norm's, or the diagonal shell pairs') and the Lanczos counts.
@@ -294,7 +295,7 @@ def _sweep_quantities(h_op, model, grid, z, weight_s, rng, quantities):
         out["_distance"] = spectral_distance(h_op, z)
         out["unweighted"] = (1.0 / out["_distance"], None)
     if "weighted" in quantities:
-        mu = model.mu if model is not None else 1.0
+        mu, weight_s = weight
         fvals = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=mu), x)
         wgt = bracket(x) ** (-weight_s) * np.sqrt(fvals)
         wei = weighted_opnorm(solver, z, wgt, wgt, rng=rng)
@@ -335,9 +336,10 @@ def run_lap_sweep(cfg: ExperimentConfig,
     if not isinstance(grid, Grid1D):
         raise ConfigError("sweeps run on the 1-d line grid")
     sector = build_sector(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rng = besov.Stream(cfg.seed)
     report = _report(cfg)
-    weight_s = _weight_s(cfg, model)
+    # a free run's f and s0 both read the configured mu
+    weight = (cfg.model["mu"] if model is None else model.mu, _weight_s(cfg, model))
     moduli = sorted(cfg.sector["moduli"], reverse=True)
     control = model is None
     if control:
@@ -356,15 +358,12 @@ def run_lap_sweep(cfg: ExperimentConfig,
     distances = report.extras.setdefault("distance_to_spectrum", {})
     per_quantity: dict[str, list] = {q: [] for q in quantities}
     for z in sector.points(moduli):
-        base = _sweep_quantities(h_op, model, grid, z, weight_s, rng, quantities)
+        base = _sweep_quantities(h_op, model, grid, z, weight, rng, quantities)
         residual = base["_residual"]
         if "_distance" in base:
             distances[repr(z)] = base["_distance"]
-        if cfg.experiment["stability_check"]:
-            wide = _sweep_quantities(h_wide, model, wide_grid, z, weight_s,
-                                     rng, quantities)
-        else:
-            wide = None
+        wide = (_sweep_quantities(h_wide, model, wide_grid, z, weight, rng, quantities)
+                if cfg.experiment["stability_check"] else None)
         parts = [base] if wide is None else [base, wide]
         for part in parts:
             for key, value in part["_health"].items():

@@ -173,13 +173,6 @@ def gaussian_probe(grid, center: float = 0.0, width: float = 1.0) -> np.ndarray:
     return np.exp(-((x - center) ** 2) / (2.0 * width**2)).astype(complex)
 
 
-def _probe_interior(grid, probe):
-    """True when the probe has no mass in the outer tenth of the box."""
-    edge = np.abs(grid.nodes) > 0.9 * grid.length
-    total = np.linalg.norm(probe)
-    return total > 0 and np.linalg.norm(probe[edge]) <= 1e-8 * total
-
-
 def commutator_residual(hm: BandMatrix, am: BandMatrix,
                         model: PotentialModel | None, grid,
                         probes=None) -> float:
@@ -199,12 +192,13 @@ def commutator_residual(hm: BandMatrix, am: BandMatrix,
                   for w in (1.0, 2.0)]
         probes.append(gaussian_probe(grid, center=grid.length / 8, width=1.5))
     w_diag = np.zeros(len(x)) if model is None else virial_w(model, x)
+    edge = np.abs(x) > 0.9 * grid.length     # the outer tenth of the box
     worst = 0.0
     for phi in probes:
         nrm = np.linalg.norm(phi)
         if nrm == 0:
             raise ValueError("degenerate probe (zero vector)")
-        if not _probe_interior(grid, phi):
+        if not np.linalg.norm(phi[edge]) <= 1e-8 * nrm:
             raise ValueError("probe touches the boundary layer")
         comm = 1j * (hm @ (am @ phi) - am @ (hm @ phi))
         target = 2.0 * (hm @ phi) + w_diag * phi

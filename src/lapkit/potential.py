@@ -250,10 +250,6 @@ def _fd_second(model, r):
     return (model.grad_v1(r + h) - gm) / (2.0 * h)
 
 
-def _local_p(dim):
-    return 2.0 if dim <= 3 else (3.0 if dim == 4 else dim / 2.0)
-
-
 def check_condition(model: PotentialModel,
                     grid_radii) -> tuple[list[CheckResult], list[float | None]]:
     """Evaluate all five hypotheses pointwise: one check per hypothesis,
@@ -322,7 +318,7 @@ def check_condition(model: PotentialModel,
         rows.append(("|V2| <= C |x|^-2s0-delta beyond R", float(margin4[i4]),
                      -1e-12 * max(tail_c, 1.0), float(outside[i4])))
 
-        p = _local_p(model.dim)
+        p = 2.0 if model.dim <= 3 else (3.0 if model.dim == 4 else model.dim / 2.0)
         inner = np.linspace(0.0, max(tail_r, 1.0), 4097)[1:]
         h = inner[1] - inner[0]
         dens = np.abs(model.v2(inner - h / 2.0)) ** p * (inner - h / 2.0) ** (model.dim - 1)

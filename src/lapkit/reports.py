@@ -140,9 +140,7 @@ def dump_vector(path, u, header: dict) -> None:
     u = np.asarray(u, dtype="<c16")
     path = str(path)
     u.tofile(path + ".f64")
-    sidecar = dict(header)
-    sidecar["length"] = len(u)
-    sidecar["format"] = "little-endian float64 (re, im) pairs"
+    sidecar = {**header, "length": len(u), "format": "little-endian float64 (re, im) pairs"}
     with open(path + ".json", "w") as fh:
         json.dump(_jsonable(sidecar), fh, indent=2, sort_keys=True,
                   allow_nan=False)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import COL_MAJOR, call, dstebz, dstevd
-from .besov import ShellScheme, loglog_slope, unit_blocks
+from .besov import ShellScheme, Stream, loglog_slope, unit_blocks
 from .errors import DimensionError, ExtrapolationError, SolverError
 from .operators import BandMatrix, dilation_eigenbasis
 from .potential import PotentialModel, WeightParams, bracket, weight_f
@@ -84,10 +84,8 @@ class Sector:
             raise ValueError("modulus bound must be positive")
 
     def contains(self, z: complex) -> bool:
-        if z == 0 or abs(z) > self.lambda0 * (1 + 1e-12):
-            return False
-        arg = cmath.phase(z)
-        return 0.0 < arg < self.theta
+        return (z != 0 and abs(z) <= self.lambda0 * (1 + 1e-12)
+                and 0.0 < cmath.phase(z) < self.theta)
 
     def default_ray(self) -> float:
         """The bisector theta/2, the one ray every sweep and ladder uses."""
@@ -429,8 +427,7 @@ def _lanczos(gram, start, norm_of) -> tuple[float, int, bool]:
     return value, step, bool(converged and agrees)
 
 
-def operator_norm_lower(matvec, rmatvec, dim: int,
-                        rng: np.random.Generator | None = None) -> OpNormEstimate:
+def operator_norm_lower(matvec, rmatvec, dim: int, rng=None) -> OpNormEstimate:
     """Largest-singular-value lower bound ||M y|| by Lanczos on M* M.
 
     ``_lanczos`` runs from a complex Gaussian start drawn from ``rng``
@@ -438,15 +435,14 @@ def operator_norm_lower(matvec, rmatvec, dim: int,
     value is certified from below; ``iterations`` counts the Lanczos
     steps, each one ``matvec`` and one ``rmatvec``.
     """
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     lower, steps, converged = _lanczos(
         lambda u: rmatvec(matvec(u)), start, lambda y: np.linalg.norm(matvec(y)))
     return OpNormEstimate(lower=lower, converged=converged, iterations=steps)
 
 
-def weighted_opnorm(operator, z: complex, left_weight, right_weight,
-                    rng: np.random.Generator | None = None) -> OpNormEstimate:
+def weighted_opnorm(operator, z: complex, left_weight, right_weight, rng=None) -> OpNormEstimate:
     """Lower bound for || W_l R(z) W_r || with diagonal weights.
 
     ``operator`` is H, or a ShiftedSolver already factorized at z.
@@ -477,7 +473,6 @@ class BesovEstimate:
     lower: float
     upper: float
     block_sup: float
-    z: complex
     details: dict
 
 
@@ -538,7 +533,7 @@ def besov_bstar_estimate(operator, z: complex, model: PotentialModel,
     upper = 2.0 * block_sup
     if lower > upper * (1 + 1e-6):
         raise AssertionError("shell-space bracket inverted")
-    return BesovEstimate(lower=lower, upper=upper, block_sup=block_sup, z=z,
+    return BesovEstimate(lower=lower, upper=upper, block_sup=block_sup,
                          details={"best_shell_pair": best_pair,
                                   "lower_converged": lower_converged,
                                   "lanczos_steps": steps,
@@ -694,7 +689,7 @@ def _diagonal_shell_pairs(kernel: TridiagonalResolvent, solver: ShiftedSolver,
 
     # two real draws, not [1, 1j] @ draws: the sum's rounding is pinned, and
     # that product runs threaded BLAS when numpy was loaded before lapkit
-    re, im = np.random.default_rng(0).standard_normal((2, len(w)))
+    re, im = Stream(0).standard_normal((2, len(w)))
     value, steps, converged = _lanczos(gram, re + 1j * im, norm_of)
     return value, int(live[np.argmax(terms)]), steps, converged
 
@@ -714,10 +709,8 @@ class HoelderReport:
     unconverged: int            # pairs left out of the fit
 
 
-def hoelder_estimate(operator, s: float, pairs, grid,
-                     s0: float | None = None,
-                     gamma: float | None = None,
-                     rng: np.random.Generator | None = None) -> HoelderReport:
+def hoelder_estimate(operator, s: float, pairs, grid, s0: float | None = None,
+                     gamma: float | None = None, rng=None) -> HoelderReport:
     """Difference norms ||T(z1) - T(z2)|| for T(z) = <x>^{-s} R(z) <x>^{-s}.
 
     Fits the growth exponent of the difference norm against the pair
@@ -731,7 +724,7 @@ def hoelder_estimate(operator, s: float, pairs, grid,
     pairs = list(pairs)
     if len(pairs) < 3:
         raise ValueError("need at least 3 sector pairs")
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     w = bracket(grid.nodes) ** (-s)
     rows = []
     converged = []
@@ -755,11 +748,8 @@ def hoelder_estimate(operator, s: float, pairs, grid,
     dists = np.array([r[2] for r in rows if r[2] > 0])
     norms = np.array([r[3] for r in rows if r[2] > 0])
     converged = np.array(converged, dtype=bool)
-    good = (norms > 0) & converged
-    if np.count_nonzero(good) >= 2:
-        fitted_gamma = loglog_slope(dists[good], norms[good])
-    else:
-        fitted_gamma = math.nan
+    # nan with fewer than two converged nonzero pairs
+    fitted_gamma = loglog_slope(dists[converged], norms[converged])
     used = fitted_gamma if gamma is None else gamma
     quot = 0.0
     for d, nrm in zip(dists, norms):
@@ -870,17 +860,15 @@ class QuadraticReport:
         """max/min of the per-z sup for one probe (1 = perfectly flat)."""
         per_z: dict[complex, float] = {}
         for row in self.rows:
-            if row["probe"] != probe:
-                continue
-            key = row["z"]
-            per_z[key] = max(per_z.get(key, 0.0), row["q"])
+            if row["probe"] == probe:
+                per_z[row["z"]] = max(per_z.get(row["z"], 0.0), row["q"])
         values = list(per_z.values())
         return max(values) / min(values) if values else math.inf
 
 
 def quadratic_check(h_op: BandMatrix, a_op: BandMatrix,
                     model: PotentialModel, grid, z_values, eps_values,
-                    rng: np.random.Generator | None = None) -> QuadraticReport:
+                    rng=None) -> QuadraticReport:
     """Evaluate ||f R_z(eps) T||^2 <= C |eps|^{-1} ||T* R_z(eps) T||.
 
     Probes: T = f^{1/2} <x>^{-s} (diagonal, s = s0 + 0.05, weight
@@ -890,7 +878,7 @@ def quadratic_check(h_op: BandMatrix, a_op: BandMatrix,
     depending only on the sector opening.  A row's ``converged`` is
     true when the Lanczos runs of both its LHS and its RHS converged.
     """
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     x = grid.nodes
     s = model.s0 + 0.05
     avals, avecs = dilation_eigenbasis(a_op)

@@ -14,6 +14,7 @@ from lapkit.besov import (ShellScheme, as_spectrum_values, ball_sup,
                           verify_base_equivalence, verify_interpolation,
                           verify_power_map, verify_scaling)
 from lapkit.errors import DataError, DimensionError
+from lapkit.resolvent import operator_norm_lower
 
 SPECTRUM = np.linspace(0.0, 20.0, 64)
 SCHEME = ShellScheme(2.0)
@@ -552,3 +553,64 @@ def test_interpolation_dimension_error():
         verify_interpolation(np.ones(4), np.ones(4), np.ones(5), s=1.0)
     with pytest.raises(DimensionError):
         verify_interpolation(np.ones(5), np.ones(4), np.ones(4), s=1.0)
+
+
+# ---------------------------------------------------------------------------
+# The seeded stream
+# ---------------------------------------------------------------------------
+
+def _splitmix_mix(z: int) -> int:
+    """SplitMix64's finalizer on a Python int, the reference for besov._finalize."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def test_stream_mix_is_splitmix64():
+    # SplitMix64 from state 0 outputs the mix of k * gamma, k = 1, 2, 3
+    gamma = 0x9E3779B97F4A7C15
+    counters = np.array([k * gamma % 2**64 for k in (1, 2, 3)], dtype=np.uint64)
+    assert besov._finalize(counters).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    for seed in (0, 1, 7, -3, 2**64 - 1, 2**70 + 5):
+        key = _splitmix_mix(seed % 2**64)
+        words = [_splitmix_mix((key + k * gamma) % 2**64) for k in range(6)]
+        assert besov.Stream(seed).random(6).tolist() == [(w >> 11) * 2.0**-53 for w in words]
+
+
+@pytest.mark.parametrize("n,m", [(0, 5), (1, 1), (3, 8), (64, 7)])
+def test_stream_is_a_function_of_seed_and_index(n, m):
+    stream = besov.Stream(5)
+    first, second = stream.random(n), stream.random((m, 1))
+    assert np.array_equal(np.concatenate((first, second.ravel())),
+                          besov.Stream(5).random(n + m))
+    # a Gaussian draw of even size takes its own count of uniforms
+    stream = besov.Stream(5)
+    first, second = stream.standard_normal(2 * n), stream.standard_normal((m, 2))
+    assert np.array_equal(np.concatenate((first, second.ravel())),
+                          besov.Stream(5).standard_normal(2 * n + 2 * m))
+
+
+def test_stream_seeds_share_no_uniform():
+    # keying the counter by seed + k would make seed 1 seed 0 shifted by one draw
+    draws = np.concatenate([besov.Stream(seed).random(10**4) for seed in range(8)])
+    assert np.unique(draws).size == draws.size
+    assert draws.min() >= 0.0 and draws.max() < 1.0
+
+
+def test_stream_gaussian_moments():
+    g = besov.Stream(0).standard_normal((10**3, 100))
+    assert g.shape == (10**3, 100)
+    n = g.size
+    # within 5 sigma: the sample mean's sigma is n^-1/2, the variance's (2/n)^1/2
+    assert abs(g.mean()) <= 5.0 / math.sqrt(n)
+    assert abs(g.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+    assert besov.Stream(0).standard_normal(()).shape == ()
+
+
+def test_rng_arguments_take_a_numpy_generator():
+    mat = np.diag([3.0, 1.0, 0.5])
+    for rng in (np.random.default_rng(1), besov.Stream(1)):
+        assert sample_vectors(SPECTRUM, SCHEME, 4, rng).shape[1] == len(SPECTRUM)
+        est = operator_norm_lower(lambda u: mat @ u, lambda w: mat.T @ w, 3, rng=rng)
+        assert est.converged and est.lower == pytest.approx(3.0, rel=1e-12)

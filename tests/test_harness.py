@@ -18,7 +18,7 @@ from lapkit.experiments import (build_grid, build_model, run_besov_selftest,
                                 run_check_potential, run_experiment,
                                 run_lap_sweep, run_radiation, run_uniqueness)
 from lapkit.operators import Grid1D, build_hamiltonian
-from lapkit.potential import bracket
+from lapkit.potential import WeightParams, bracket, weight_f
 from lapkit.resolvent import ShiftedSolver
 from lapkit.reports import (CheckResult, Report, dump_vector, load_vector,
                             write_sweep_csv)
@@ -183,7 +183,7 @@ def test_selftest_fault_injection(monkeypatch):
         "duality-sandwich", "weight-scaling-c4", "weight-scaling-c0.333333",
         "unit-block-sandwich"}
     # the banks are the experiment's first draws; redo each rule row by row
-    rng = np.random.default_rng(cfg.seed)
+    rng = besov.Stream(cfg.seed)
     scheme = besov.ShellScheme(2.0)
     nodes = Grid1D(30.0, 256).nodes
     spectra = (np.abs(nodes), nodes, bracket(nodes))
@@ -237,7 +237,7 @@ def test_failing_base_equivalence_records_its_witness(monkeypatch):
         rep = run_besov_selftest(cfg)
     assert [c.check_id for c in rep.checks if not c.passed] == ["base-equivalence-p4"]
     bank = besov.sample_vectors(SELFTEST_ABS_X, besov.ShellScheme(2.0), 40,
-                                np.random.default_rng(cfg.seed))
+                                besov.Stream(cfg.seed))
     c_to, c_from = besov.base_equivalence_constants(4.0)
     worst, witness = 0.0, None
     for u in bank:
@@ -542,6 +542,26 @@ def test_free_control_run_documents_contrast():
     assert not rep.checks
     fits = rep.extras["fits"]
     assert any(k.startswith("unweighted") for k in fits)
+
+
+def test_free_control_run_weights_with_the_configured_mu():
+    # both factors of the weight <x>^-s f_mu^1/2 read the configured mu, so
+    # each weighted row is the dense norm of W R(z) W with s = 1/2 + mu/4 + 0.05
+    cfg = parse_config_text("[model]\nfamily = free\nmu = 0.5\n[grid]\nlength = 50.0\n"
+                            "size = 256\n[sector]\nmoduli = 1e-1, 3e-2\n"
+                            "[experiment]\nstability_check = false\n")
+    rep = run_lap_sweep(cfg)
+    grid = build_grid(cfg)
+    dense = build_hamiltonian(None, grid).toarray()
+    rows = [r for r in rep.extras["csv_rows"] if r["quantity"] == "weighted"]
+    assert len(rows) == 2 and rep.extras["solver_health"]["unconverged_weighted_runs"] == 0
+    for row in rows:
+        z = complex(row["re_z"], row["im_z"])
+        f = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=0.5), grid.nodes)
+        w = bracket(grid.nodes) ** -(0.5 + 0.5 / 4.0 + 0.05) * np.sqrt(f)
+        resolvent = np.linalg.inv(dense - z * np.eye(grid.size))
+        exact = np.linalg.norm(w[:, None] * resolvent * w[None, :], 2)
+        assert row["lower"] == pytest.approx(exact, rel=1e-8)
 
 
 def test_besov_bound_subset(monkeypatch):

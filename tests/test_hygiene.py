@@ -2,9 +2,10 @@
 re-exported, no handler swallows every error, settable values, config
 keys and source lines do not grow, only ``reports`` defines a ``passed``
 verdict, no module imports scipy and no command loads it or numpy.ma,
-no module starts threads or processes of its own, OpenBLAS starts
-with one thread unless the caller chose otherwise, and the package
-exports its fixed set of names."""
+no module starts threads or processes of its own, no module draws from
+numpy.random, random or secrets and no command loads numpy.random,
+secrets or hashlib, OpenBLAS starts with one thread unless the caller
+chose otherwise, and the package exports its fixed set of names."""
 
 import ast
 import importlib
@@ -102,7 +103,7 @@ def test_settable_values_do_not_grow():
 
 # Ceiling on the package's source lines (all of src/lapkit, blank lines
 # and comments included); like SETTABLE_CEILING it may only fall.
-LINE_CEILING = 3889
+LINE_CEILING = 3888
 
 
 def test_source_lines_do_not_grow():
@@ -242,6 +243,56 @@ def test_concurrency_imports_are_caught():
         "import numpy as np\nimport threadingish\nfrom concurrent_x import y")) == []
 
 
+# lapkit draws from its own seeded stream (besov.Stream): importing
+# numpy.random costs a process about 5 MB of peak RSS, most of it
+# OpenSSL's _hashlib, which numpy.random.bit_generator pulls in via secrets
+RANDOM_MODULES = ("numpy.random", "random", "secrets")
+
+
+def _random_sources(tree: ast.Module) -> list[str]:
+    """Imports of a random-number module and references to numpy.random,
+    type annotations (string ones too) included."""
+    numpy_names = {"np", "numpy"} | {
+        alias.asname or alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.Import) for alias in node.names if alias.name == "numpy"}
+    out = [f"line {line}" for line, modules, _ in _imports(tree)
+           if _within(modules, RANDOM_MODULES)]
+    for node in ast.walk(tree):
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            out += _random_sources(ast.parse(annotation.value, mode="eval"))
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and getattr(node.value, "id", None) in numpy_names):
+            out.append(f"line {node.lineno}")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_random_module_of_numpy_or_python(path):
+    assert _random_sources(ast.parse(path.read_text())) == []
+
+
+def test_random_sources_are_caught():
+    for source in ("import random",
+                   "from random import random",
+                   "import secrets",
+                   "def f():\n    from secrets import token_bytes",
+                   "import numpy.random",
+                   "from numpy.random import default_rng",
+                   "from numpy import random",
+                   "import numpy as np\nrng = np.random.default_rng(0)",
+                   "import numpy as xp\nrng = xp.random.default_rng(0)",
+                   "import numpy\nx = numpy.random.rand(3)",
+                   "def f(rng: np.random.Generator | None = None):\n    pass",
+                   "def f(rng: 'np.random.Generator'):\n    pass",
+                   "def f() -> np.random.Generator:\n    pass",
+                   "class S:\n    rng: np.random.Generator"):
+        assert len(_random_sources(ast.parse(source))) == 1, source
+    assert _random_sources(ast.parse(
+        "import numpy as np\nimport randomness\nfrom .besov import Stream\n"
+        "def f(rng=None):\n    return rng.random(3) + self.random + Stream(0).random(2)")) == []
+
+
 # a small sweep config: the import check needs the code paths, not desk scale
 SMALL_SWEEP = """
 [grid]
@@ -265,7 +316,9 @@ codes = [main([command, "--config", config, "--output", sys.argv[1]])
              ("uniqueness", "demos/configs/radiation.cfg"),
              ("export-operator", sweep))]
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy, "numpy.ma": "numpy.ma" in sys.modules}))
+unloaded = ("numpy.ma", "numpy.random", "secrets", "hashlib")
+print(json.dumps({"codes": codes, "scipy": scipy,
+                  "loaded": [m for m in unloaded if m in sys.modules]}))
 """
 
 
@@ -287,8 +340,9 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * 7
     assert result["scipy"] == []
-    # np.unique without return_inverse imports numpy.ma (numpy 2.4)
-    assert result["numpy.ma"] is False
+    # np.unique without return_inverse imports numpy.ma (numpy 2.4), and
+    # numpy.random imports secrets and with it hashlib
+    assert result["loaded"] == []
 
 
 BLAS_THREADS_RUN = """
