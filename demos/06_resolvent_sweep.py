@@ -16,10 +16,12 @@ import math
 import numpy as np
 
 from lapkit.config import parse_config_text
+from lapkit.experiments import build_sector
 from lapkit.operators import Grid1D, build_hamiltonian, matched_absorber
-from lapkit.potential import WeightParams, bracket, standard_model, weight_f
-from lapkit.resolvent import (Sector, besov_bstar_estimate, boundary_value,
-                              spectral_distance, weighted_opnorm)
+from lapkit.potential import (WeightParams, bracket, standard_model, weight_exponent,
+                              weight_f)
+from lapkit.resolvent import (besov_bstar_estimate, boundary_value, spectral_distance,
+                              weighted_opnorm)
 
 model = standard_model(1.0, 1.0, 1)
 grid = Grid1D(100.0, 1024)
@@ -33,10 +35,10 @@ print("  |z|      plain ||R||    weighted      shell-dual bracket")
 for mod in (1e-1, 1e-2, 1e-3):
     z = mod * cmath.exp(1j * ray)
     plain = 1.0 / spectral_distance(h_op, z)
-    f = weight_f(WeightParams(mod, 1.0, 1.0), x)
-    wgt = bracket(x) ** (-0.8) * np.sqrt(f)
+    f = weight_f(WeightParams(mod, 1.0, model.mu), x)
+    wgt = bracket(x) ** (-weight_exponent(model.mu)) * np.sqrt(f)
     weighted = weighted_opnorm(h_op, z, wgt, wgt, rng=rng).lower
-    est = besov_bstar_estimate(h_op, z, model, grid)
+    est = besov_bstar_estimate(h_op, z, f, grid)
     print(f"  {mod:7.0e}  {plain:11.2f}  {weighted:11.4f}   "
           f"[{est.lower:.4f}, {est.upper:.4f}]")
 print("plain norm grows ~ 1/|z|; the framed quantities barely move")
@@ -48,10 +50,11 @@ layer = defaults.grid
 cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy,
                        strength=layer["absorber_strength"])
 v = np.exp(-x**2 / 8.0).astype(complex)
-res = boundary_value(h_op + cap, v, grid, sector=Sector(),
+res = boundary_value(h_op + cap, v, grid, sector=build_sector(defaults),
                      ratio=defaults.sector["ratio"],
                      tol=defaults.experiment["tolerance"],
-                     max_steps=defaults.sector["steps"], weight_s=model.s0 + 0.05)
+                     max_steps=defaults.sector["steps"],
+                     weight_s=weight_exponent(model.mu))
 print(f"  converged: {res.converged} after {len(res.z_values)} rungs, "
       f"final |z| = {abs(res.final_z):.1e}")
 print("  difference ladder:",

@@ -13,9 +13,10 @@ suite runs the desk-scale box where the far-field ratios bind.
 import numpy as np
 
 from lapkit.config import parse_config_text
+from lapkit.experiments import SOURCE_WIDTH, build_sector
 from lapkit.operators import Grid1D, build_hamiltonian, gaussian_probe, matched_absorber
-from lapkit.potential import bracket, standard_model
-from lapkit.resolvent import Sector, ShiftedSolver, boundary_value
+from lapkit.potential import bracket, standard_model, weight_exponent
+from lapkit.resolvent import ShiftedSolver, boundary_value
 from lapkit.weyl import FilterSpec, radiation_filter
 
 model = standard_model(1.0, 1.0, 1)
@@ -26,7 +27,7 @@ layer = defaults.grid
 cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy,
                        strength=layer["absorber_strength"])
 h_cap = h_plain + cap
-v = gaussian_probe(grid, width=2.0)
+v = gaussian_probe(grid, width=SOURCE_WIDTH)
 
 print("=== the two boundary values ===")
 # one factorization of the capped operator at z = 0 gives both:
@@ -37,8 +38,9 @@ u_minus = solver.solve_adjoint(v)
 print(f"  incoming is the conjugate of outgoing for the real source: "
       f"{np.allclose(u_minus, np.conj(u_plus))}")
 # a ray ladder toward 0 is evidence: its last iterate approaches the solve
-s = model.s0 + 0.05
-plus = boundary_value(h_cap, v, grid, sector=Sector(), ratio=defaults.sector["ratio"],
+s = weight_exponent(model.mu)
+plus = boundary_value(h_cap, v, grid, sector=build_sector(defaults),
+                      ratio=defaults.sector["ratio"],
                       tol=defaults.experiment["tolerance"],
                       max_steps=defaults.sector["steps"], weight_s=s)
 weight = bracket(grid.nodes) ** (-s)
@@ -47,14 +49,13 @@ print(f"  ray ladder converged: {plus.converged} after {len(plus.z_values)} "
       f"rungs, weighted distance from the solve {gap:.1e}")
 
 spec = FilterSpec.for_model(model, sigma_cut=0.5)
-ladder = np.array([4.0, 8.0, 16.0, 32.0, 64.0, 100.0])
 
 print()
 print("=== filter defect ladders for the outgoing value ===")
 for mode, story in (("outgoing", "remove direction +1 (must vanish)"),
                     ("high", "keep only high frequencies (must vanish)"),
                     ("mirrored", "keep direction +1 (must persist)")):
-    res = radiation_filter(u_plus, spec, model, grid, ladder=ladder, mode=mode)
+    res = radiation_filter(u_plus, spec, model, grid, mode=mode)
     print(f"  {mode:9s} {story}")
     print("     annulus defect:",
           " ".join(f"{d:.2e}" for d in res.annulus_defect),
@@ -68,7 +69,7 @@ interior[1:] &= interior[:-1].copy()
 resid = np.linalg.norm((h_plain @ w)[interior]) / np.linalg.norm(w)
 print(f"  H w interior residual: {resid:.1e} (solves the homogeneous equation)")
 print(f"  size: |w| / |u_plus| = {np.linalg.norm(w) / np.linalg.norm(u_plus):.3f}")
-res = radiation_filter(w, spec, model, grid, ladder=ladder, mode="outgoing")
+res = radiation_filter(w, spec, model, grid, mode="outgoing")
 print("  outgoing-filter defect of w:",
       " ".join(f"{d:.2e}" for d in res.annulus_defect),
       f" slope {res.annulus_slope:+.2f} (flat: w fails the outgoing condition)")

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -139,8 +138,6 @@ class ShellProfile:
     total_norm: float            # ||u||
     besov: float                 # sum_j R_j^{1/2} ||F_j u||
     dual: float                  # sup_j R_j^{-1/2} ||F_j u||
-    ladder: np.ndarray           # radii where ball norms were sampled
-    ball_norms: np.ndarray       # ||F(|A| < R) u|| on the ladder
     ball_sup: float              # exact sup_{R>1} R^{-1/2} ||F(|A| < R) u||
 
 
@@ -206,31 +203,24 @@ def ball_sup(u, a) -> float:
     return _rows(_ball_sup(*_ball_mass(np.abs(bank) ** 2, vals)), single)
 
 
-def shell_decompose(u, a, scheme: ShellScheme | None = None,
-                    ladder: Sequence[float] | None = None) -> ShellProfile:
+def shell_decompose(u, a, scheme: ShellScheme | None = None) -> ShellProfile:
     """Split u (a vector or a bank of rows) into weight shells and
     collect every derived norm.
 
     The shells partition the index set, so the shell norms satisfy
-    sum_j ||F_j u||^2 = ||u||^2 exactly.  Ball norms are sampled on
-    ``ladder`` (default: the shell radii themselves).
+    sum_j ||F_j u||^2 = ||u||^2 exactly.
     """
     bank, vals, single = _check_pair(u, a)
     scheme = scheme or ShellScheme()
     mass = np.abs(bank) ** 2
     norms, radii = _shell_norms(mass, vals, scheme)
-    ladder = radii if ladder is None else np.asarray(ladder, dtype=float)
-    sorted_abs, cum = _ball_mass(mass, vals)
     return ShellProfile(
         radii=radii,
         shell_norms=_rows(norms, single),
         total_norm=_rows(_row_norms(bank), single),
         besov=_rows(np.sum(np.sqrt(radii) * norms, axis=1), single),
         dual=_rows(np.max(norms / np.sqrt(radii), axis=1), single),
-        ladder=ladder,
-        ball_norms=_rows(np.sqrt(cum[:, np.searchsorted(sorted_abs, ladder, side="left")]),
-                         single),
-        ball_sup=_rows(_ball_sup(sorted_abs, cum), single),
+        ball_sup=_rows(_ball_sup(*_ball_mass(mass, vals)), single),
     )
 
 

@@ -60,8 +60,7 @@ SCHEMA = {
         "samples": (int, 200, "random samples per inequality"),
         "stability_check": (lambda s: s.lower() in ("1", "true", "yes"),
                             True, "gate quantities on box doubling"),
-        "sigma_cut": (float, 0.5, "direction cutoff of the outgoing filter"),
-        "source_width": (float, 2.0, "Gaussian source width"),
+        "sigma_cut": (float, 0.5, "direction cutoff of the outgoing filter; at most 1"),
     },
     "output": {
         "directory": (str, "out", "where reports, CSV, vectors land"),
@@ -118,18 +117,28 @@ def _resolve(parser: configparser.ConfigParser) -> ExperimentConfig:
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(
                         f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
+                if parse in (float, _floats) and not all(
+                        map(math.isfinite, _floats(raw))):
+                    raise ConfigError(f"{section}.{key} must be finite: {raw!r}")
             else:
                 resolved[section][key] = default
     exp_id = resolved["experiment"]["id"]
     if exp_id not in EXPERIMENT_IDS:
         raise ConfigError(
             f"unknown experiment id {exp_id!r}; valid: {', '.join(EXPERIMENT_IDS)}")
-    if not resolved["sector"]["moduli"]:
+    sector = resolved["sector"]
+    if not sector["moduli"]:
         raise ConfigError("sector grid is empty: no moduli given")
-    if not resolved["sector"]["steps"] >= 1:
+    if not all(0.0 < m <= sector["lambda0"] for m in sector["moduli"]):
+        raise ConfigError("sector.moduli must lie in (0, lambda0]")
+    if not sector["steps"] >= 1:
         raise ConfigError("sector.steps must be at least 1")
-    if not 0.0 < resolved["sector"]["ratio"] < 1.0:
+    if not 0.0 < sector["ratio"] < 1.0:
         raise ConfigError("sector.ratio must lie in (0, 1)")
+    if not resolved["experiment"]["sigma_cut"] <= 1.0:
+        raise ConfigError("experiment.sigma_cut must be at most 1")
+    if not resolved["experiment"]["samples"] >= 1:
+        raise ConfigError("experiment.samples must be at least 1")
     return ExperimentConfig(**resolved)
 
 

@@ -24,12 +24,11 @@ from .grids import Grid1D, RadialGrid
 from .operators import build_hamiltonian, gaussian_probe, matched_absorber
 from .potential import (PotentialModel, WeightParams, bracket,
                         check_condition, load_v2_table, model_from_config,
-                        weight_f)
+                        weight_exponent, weight_f)
 from .reports import CheckResult, Report
 from .resolvent import (Sector, ShiftedSolver, besov_bstar_estimate,
                         boundary_value, spectral_distance, weighted_opnorm)
-from .weyl import (ANNULUS_EPS, REFERENCE_RADIUS, FilterSpec,
-                   default_radius_ladder, radiation_filter)
+from .weyl import ANNULUS_EPS, REFERENCE_RADIUS, FilterSpec, radiation_filter
 
 __all__ = ["run_experiment", "run_besov_selftest", "run_check_potential",
            "run_lap_sweep", "run_besov_bound", "run_radiation",
@@ -42,6 +41,9 @@ SLOPE_DECREASING = -0.2
 SLOPE_FLAT = -0.05
 
 STABILITY_RTOL = 0.05
+
+# width of the Gaussian at the origin: zero-energy source and sweep probe
+SOURCE_WIDTH = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +87,6 @@ def build_sector(cfg: ExperimentConfig) -> Sector:
         return Sector(theta=cfg.sector["theta"], lambda0=cfg.sector["lambda0"])
     except ValueError as exc:
         raise ConfigError(f"bad sector: {exc}") from exc
-
-
-def _weight_s(cfg: ExperimentConfig, model: PotentialModel | None) -> float:
-    """The weight exponent s0 + 0.05, just above the model's threshold."""
-    s0 = model.s0 if model is not None else 0.5 + cfg.model["mu"] / 4.0
-    return s0 + 0.05
 
 
 def _report(cfg: ExperimentConfig) -> Report:
@@ -275,18 +271,20 @@ def run_check_potential(cfg: ExperimentConfig) -> Report:
 # lap-sweep and besov-bound
 # ---------------------------------------------------------------------------
 
-def _sweep_quantities(h_op, model, grid, z, weight, rng, quantities):
+def _sweep_quantities(h_op, grid, z, mu, rng, quantities):
     """The named sweep ``quantities`` at one z, from one factorization of h_op - z.
 
     The plain norm is exact, 1 / dist(z, spectrum), and the distance is
-    returned with it; the weighted norm, with weight <x>^-s f_mu^{1/2} for
-    ``weight`` = (mu, s), is one Lanczos run.  Besides
-    the (lower, upper) pairs it returns the residual of a probe solve,
-    the quantities whose Lanczos run did not converge (the weighted
-    norm's, or the diagonal shell pairs') and the Lanczos counts.
+    returned with it; the weighted norm, with weight <x>^-s f^{1/2} for
+    s = weight_exponent(mu) and f = f_{|z|} at K = 1, is one Lanczos run,
+    and the shell-space bracket reuses f.  Besides the (lower, upper)
+    pairs it returns the residual of a probe solve, the quantities whose
+    Lanczos run did not converge (the weighted norm's, or the diagonal
+    shell pairs') and the Lanczos counts.
     """
     solver = ShiftedSolver(h_op, z)
     x = grid.nodes
+    f = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=mu), x)
     out = {}
     health = {"weighted_runs": int("weighted" in quantities),
               "unconverged_weighted_runs": 0,
@@ -295,18 +293,16 @@ def _sweep_quantities(h_op, model, grid, z, weight, rng, quantities):
         out["_distance"] = spectral_distance(h_op, z)
         out["unweighted"] = (1.0 / out["_distance"], None)
     if "weighted" in quantities:
-        mu, weight_s = weight
-        fvals = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=mu), x)
-        wgt = bracket(x) ** (-weight_s) * np.sqrt(fvals)
+        wgt = bracket(x) ** (-weight_exponent(mu)) * np.sqrt(f)
         wei = weighted_opnorm(solver, z, wgt, wgt, rng=rng)
         out["weighted"] = (wei.lower, None)
         health["unconverged_weighted_runs"] = int(not wei.converged)
     if "shell_dual" in quantities:
-        est = besov_bstar_estimate(solver, z, model, grid)
+        est = besov_bstar_estimate(solver, z, f, grid)
         out["shell_dual"] = (est.lower, est.upper)
         for key in ("lanczos_steps", "unconverged_shell_pairs"):
             health[key] = est.details[key]
-    probe = gaussian_probe(grid, width=2.0)
+    probe = gaussian_probe(grid, width=SOURCE_WIDTH)
     out["_residual"] = solver.residual(solver.solve(probe), probe)
     out["_health"] = health
     out["_unconverged"] = {q for q, key in (("weighted", "unconverged_weighted_runs"),
@@ -339,7 +335,7 @@ def run_lap_sweep(cfg: ExperimentConfig,
     rng = besov.Stream(cfg.seed)
     report = _report(cfg)
     # a free run's f and s0 both read the configured mu
-    weight = (cfg.model["mu"] if model is None else model.mu, _weight_s(cfg, model))
+    mu = cfg.model["mu"] if model is None else model.mu
     moduli = sorted(cfg.sector["moduli"], reverse=True)
     control = model is None
     if control:
@@ -358,11 +354,11 @@ def run_lap_sweep(cfg: ExperimentConfig,
     distances = report.extras.setdefault("distance_to_spectrum", {})
     per_quantity: dict[str, list] = {q: [] for q in quantities}
     for z in sector.points(moduli):
-        base = _sweep_quantities(h_op, model, grid, z, weight, rng, quantities)
+        base = _sweep_quantities(h_op, grid, z, mu, rng, quantities)
         residual = base["_residual"]
         if "_distance" in base:
             distances[repr(z)] = base["_distance"]
-        wide = (_sweep_quantities(h_wide, model, wide_grid, z, weight, rng, quantities)
+        wide = (_sweep_quantities(h_wide, wide_grid, z, mu, rng, quantities)
                 if cfg.experiment["stability_check"] else None)
         parts = [base] if wide is None else [base, wide]
         for part in parts:
@@ -432,7 +428,7 @@ def _line_problem(cfg: ExperimentConfig, name: str):
 
     The runner ``name`` needs a certified potential on the line grid;
     ``cap`` is the matched absorbing layer, None when the configured
-    strength is 0, and the source is a Gaussian centred at the origin.
+    strength is 0, and the source is the Gaussian of width SOURCE_WIDTH.
     """
     model = build_model(cfg)
     if model is None:
@@ -445,7 +441,7 @@ def _line_problem(cfg: ExperimentConfig, name: str):
     if cfg.grid["absorber_strength"] > 0:
         cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy,
                                strength=cfg.grid["absorber_strength"])
-    source = gaussian_probe(grid, width=cfg.experiment["source_width"])
+    source = gaussian_probe(grid, width=SOURCE_WIDTH)
     return model, grid, h_op, cap, source
 
 
@@ -477,7 +473,7 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     h_cap = h_op if cap is None else h_op + cap
     sector = build_sector(cfg)
     report = _report(cfg)
-    weight_s = _weight_s(cfg, model)
+    weight_s = weight_exponent(model.mu)
     tol = cfg.experiment["tolerance"]
 
     plus = boundary_value(h_cap, v, grid, sector=sector, ratio=cfg.sector["ratio"],
@@ -558,12 +554,6 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
         raise ConfigError("uniqueness needs the absorbing layer enabled")
     h_cap = h_plain + cap
     report = _report(cfg)
-    if np.linalg.norm(v) == 0.0:
-        report.extras["trivial"] = True
-        report.add(CheckResult("trivial-source", "uniqueness-null-difference",
-                               0.0, 0.0, "<=", "zero source gives the zero solution"))
-        return report
-
     u_plus, u_minus = _boundary_values(h_cap, v)
     w = u_plus - u_minus
 
@@ -592,14 +582,13 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
         norm_w / norm_plus, 0.1, ">=", "the two boundary values genuinely differ"))
 
     spec = FilterSpec.for_model(model, cfg.experiment["sigma_cut"])
-    ladder = default_radius_ladder(grid)
-    filt = radiation_filter(w, spec, model, grid, ladder=ladder,
-                            mode="outgoing")
+    filt = radiation_filter(w, spec, model, grid, mode="outgoing")
     report.add(CheckResult(
         "null-outgoing-slope", "mirrored-filter-asymmetry",
         filt.annulus_slope, SLOPE_FLAT, ">=",
         "null difference fails the outgoing condition"))
 
+    ladder = filt.ladder
     plain = besov.defect_ladder(w, grid.nodes, ladder, exponent=model.s0,
                                 annulus_eps=ANNULUS_EPS)
     plain_slope = besov.tail_slope(ladder, plain)

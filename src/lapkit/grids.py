@@ -62,8 +62,8 @@ class RadialGrid:
 
     length: float
     size: int
-    dim: int = 3
-    ell: int = 0
+    dim: int
+    ell: int
 
     def __post_init__(self):
         if self.size < 2:

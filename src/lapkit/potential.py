@@ -72,6 +72,16 @@ def weight_f(params: WeightParams, x) -> np.ndarray:
     return np.sqrt(params.lam + params.kappa * bracket(x) ** (-params.mu))
 
 
+def threshold_s0(mu: float) -> float:
+    """s0 = 1/2 + mu/4, the weight threshold of the decay rate mu."""
+    return 0.5 + mu / 4.0
+
+
+def weight_exponent(mu: float) -> float:
+    """s0 + 0.05, the exponent every weighted bound is checked at."""
+    return threshold_s0(mu) + 0.05
+
+
 # ---------------------------------------------------------------------------
 # Models
 # ---------------------------------------------------------------------------
@@ -106,7 +116,7 @@ class PotentialModel:
 
     @property
     def s0(self) -> float:
-        return 0.5 + self.mu / 4.0
+        return threshold_s0(self.mu)
 
     @property
     def kappa_low_energy(self) -> float:
@@ -311,8 +321,6 @@ def check_condition(model: PotentialModel,
                  ("V2 local integrability", math.inf, 0.0, None)]
     else:
         outside = r[r > tail_r]
-        if outside.size == 0:
-            outside = np.geomspace(tail_r * 1.01, tail_r * 10.0, 32)
         margin4 = tail_c * outside ** (-2.0 * model.s0 - delta) - np.abs(model.v2(outside))
         i4 = int(np.argmin(margin4))
         rows.append(("|V2| <= C |x|^-2s0-delta beyond R", float(margin4[i4]),
@@ -346,10 +354,9 @@ def model_to_config(model: PotentialModel) -> dict:
 def model_from_config(cfg: dict) -> PotentialModel:
     family = cfg.get("family")
     if family == "standard":
-        return standard_model(float(cfg["gamma"]), float(cfg["mu"]),
-                              int(cfg.get("dim", 1)))
+        return standard_model(float(cfg["gamma"]), float(cfg["mu"]), int(cfg["dim"]))
     if family == "coulomb":
-        return coulomb_model(float(cfg["gamma"]), int(cfg.get("dim", 3)))
+        return coulomb_model(float(cfg["gamma"]), int(cfg["dim"]))
     raise ValueError(f"unknown model family {family!r}")
 
 

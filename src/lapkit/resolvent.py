@@ -30,7 +30,8 @@ from ._lapack import COL_MAJOR, call, dstebz, dstevd
 from .besov import ShellScheme, Stream, loglog_slope, unit_blocks
 from .errors import DimensionError, ExtrapolationError, SolverError
 from .operators import BandMatrix, dilation_eigenbasis
-from .potential import PotentialModel, WeightParams, bracket, weight_f
+from .potential import (PotentialModel, WeightParams, bracket, weight_exponent,
+                        weight_f)
 
 __all__ = [
     "Sector",
@@ -74,8 +75,8 @@ BATCH = 16
 class Sector:
     """Complex energies with arg z in (0, theta) and 0 < |z| <= lambda0."""
 
-    theta: float = 0.75 * math.pi
-    lambda0: float = 1.0
+    theta: float
+    lambda0: float
 
     def __post_init__(self):
         if not 0.0 < self.theta < math.pi:
@@ -260,15 +261,14 @@ class TridiagonalResolvent:
     the residual norms of all columns are two accumulated log-sums.
     Each |q_i| carries a rounding allowance of 4u times the sum of its
     terms' moduli.  SolverError unless every column's residual is at
-    most ``rtol``.
+    most SOLVE_RTOL.
     """
 
-    def __init__(self, operator, z: complex, rtol: float = SOLVE_RTOL):
+    def __init__(self, operator, z: complex):
         main, upper, *wider = _bands(operator)
         if wider:
             raise ValueError("operator is not tridiagonal")
         self.z = complex(z)
-        self.rtol = rtol
         self.n = n = len(main)
         self.a = main.astype(complex) - self.z
         self.b = upper.astype(complex)
@@ -307,7 +307,7 @@ class TridiagonalResolvent:
         return np.exp(log) * self.g[cols]
 
     def _certify(self) -> None:
-        """Raise SolverError unless ||(M - z) R[:, c] - e_c|| <= rtol for every c."""
+        """Raise SolverError unless ||(M - z) R[:, c] - e_c|| <= SOLVE_RTOL for every c."""
         a, b, up, dn, g = self.a, self.b, self.up, self.dn, self.g
         n, u = self.n, np.finfo(float).eps / 2
         zero = np.zeros(1, dtype=complex)
@@ -334,10 +334,10 @@ class TridiagonalResolvent:
             rows_sq[:-1] += np.exp(acc - 2 * re_d[:-1])
             res_sq += np.abs(g) ** 2 * rows_sq
         worst = math.sqrt(float(np.max(res_sq)))
-        if not worst <= self.rtol:
+        if not worst <= SOLVE_RTOL:
             raise SolverError(
                 f"resolvent columns at z = {self.z} reached residual "
-                f"{worst:.3e} (requested {self.rtol:.1e})")
+                f"{worst:.3e} (requested {SOLVE_RTOL:.1e})")
 
 
 def _span(sums, j, k):
@@ -476,11 +476,11 @@ class BesovEstimate:
     details: dict
 
 
-def besov_bstar_estimate(operator, z: complex, model: PotentialModel,
-                         grid) -> BesovEstimate:
+def besov_bstar_estimate(operator, z: complex, f, grid) -> BesovEstimate:
     """Two-sided estimate of the shell-space norm of f^{1/2} R(z) f^{1/2}.
 
-    f is the local momentum weight at lambda = |z| with K = 1.
+    ``f`` holds the weight's values on the grid nodes; the sweep passes
+    the local momentum weight at lambda = |z| with K = 1.
 
     ``operator`` is H, or a ShiftedSolver already factorized at z; H
     must be complex-symmetric tridiagonal.  Every resolvent entry is
@@ -499,12 +499,11 @@ def besov_bstar_estimate(operator, z: complex, model: PotentialModel,
     blocks.  The diagonal pairs ||F_S R[S, S] F_S|| invert to tridiagonal
     Schur complements, and one Lanczos run on their direct sum
     (``_diagonal_shell_pairs``) finds the best, a lower bound whether or
-    not it converged.  ``details`` records the best pair, whether the term
-    that set ``lower`` converged (separated pairs are exact), the run's
-    Lanczos steps, and 1 in ``unconverged_shell_pairs`` if it did not.
+    not it converged.  ``details`` records whether the term that set
+    ``lower`` converged (separated pairs are exact), the run's Lanczos
+    steps, and 1 in ``unconverged_shell_pairs`` if it did not.
     """
     absx = np.abs(grid.nodes)
-    f = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=model.mu), grid.nodes)
     fh = np.sqrt(f)
     solver = _solver_at(operator, z)
     kernel = TridiagonalResolvent(solver.matrix, z)
@@ -522,20 +521,16 @@ def besov_bstar_estimate(operator, z: complex, model: PotentialModel,
     inner, outer = np.triu_indices(len(radii), 1)
     pairs = (_separated_pair_norms(kernel, f, shell_of, len(radii), center)
              / np.sqrt(radii[inner] * radii[outer]))
-    lower, shell, steps, converged = _diagonal_shell_pairs(kernel, solver, fh,
-                                                           shell_of, radii)
-    best_pair, lower_converged = (shell + 1, shell + 1), converged
+    lower, _, steps, converged = _diagonal_shell_pairs(kernel, solver, fh, shell_of, radii)
+    lower_converged = converged
     if pairs.size and np.max(pairs) >= lower:
-        best = int(np.argmax(pairs))
-        lower, lower_converged = float(pairs[best]), True
-        best_pair = (int(inner[best]) + 1, int(outer[best]) + 1)
+        lower, lower_converged = float(np.max(pairs)), True
 
     upper = 2.0 * block_sup
     if lower > upper * (1 + 1e-6):
         raise AssertionError("shell-space bracket inverted")
     return BesovEstimate(lower=lower, upper=upper, block_sup=block_sup,
-                         details={"best_shell_pair": best_pair,
-                                  "lower_converged": lower_converged,
+                         details={"lower_converged": lower_converged,
                                   "lanczos_steps": steps,
                                   "unconverged_shell_pairs": int(not converged)})
 
@@ -880,7 +875,7 @@ def quadratic_check(h_op: BandMatrix, a_op: BandMatrix,
     """
     rng = rng or Stream(0)
     x = grid.nodes
-    s = model.s0 + 0.05
+    s = weight_exponent(model.mu)
     avals, avecs = dilation_eigenbasis(a_op)
     avecs_h = avecs.conj().T
     ainv = 1.0 / np.sqrt(1.0 + avals**2)

@@ -126,24 +126,20 @@ ANNULUS_EPS = 0.5
 class FilterSpec:
     """Smooth cutoffs selecting the low-frequency outgoing region.
 
-    chi_minus equals 1 on [0, plateau_end], falls to 0 over
-    ``fall_width``, and rises from -1, so its support is
-    [-1, plateau_end + fall_width] and it is nonincreasing for t > 0.
-    chi_tilde is supported in (-inf, sigma_cut), realized with a
-    compact plateau wide enough to cover every direction value the
-    kinetic cutoff lets through.
+    chi_minus equals 1 on [0, plateau_end], falls to 0 over FALL_WIDTH,
+    and rises from -1, so its support is [-1, plateau_end + FALL_WIDTH]
+    and it is nonincreasing for t > 0.  chi_tilde falls over TILDE_WIDTH
+    and is supported in (-inf, sigma_cut), realized with a compact
+    plateau wide enough to cover every direction value the kinetic
+    cutoff lets through.
     """
 
     plateau_end: float
     sigma_cut: float
-    fall_width: float = FALL_WIDTH
-    tilde_width: float = TILDE_WIDTH
 
     def __post_init__(self):
         if self.plateau_end <= 0:
             raise ValueError("plateau must have positive length")
-        if self.fall_width <= 0 or self.tilde_width <= 0:
-            raise ValueError("ramp widths must be positive")
 
     @classmethod
     def for_model(cls, model: PotentialModel, sigma_cut: float) -> "FilterSpec":
@@ -159,17 +155,17 @@ class FilterSpec:
     @property
     def kinetic_reach(self) -> float:
         """The value of t from which chi_minus(t) is exactly 0."""
-        return self.plateau_end + self.fall_width
+        return self.plateau_end + FALL_WIDTH
 
     def chi_minus(self, t):
-        return _profile(t, 1.0, self.plateau_end, self.fall_width)
+        return _profile(t, 1.0, self.plateau_end, FALL_WIDTH)
 
     def chi_plus(self, t):
         return 1.0 - self.chi_minus(t)
 
     def chi_tilde_minus(self, t):
         # 0 below t = -5, 1 from t = -4 up to the fall
-        return _profile(t, 5.0, self.sigma_cut - self.tilde_width, self.tilde_width)
+        return _profile(t, 5.0, self.sigma_cut - TILDE_WIDTH, TILDE_WIDTH)
 
     def chi_tilde_mirror(self, t):
         """Reflection keeping the opposite direction region."""
@@ -369,22 +365,22 @@ def filter_symbol(spec: FilterSpec, params: WeightParams,
 
 
 def radiation_filter(u, spec: FilterSpec, model: PotentialModel,
-                     grid: Grid1D, ladder=None, mode: str = "outgoing"):
+                     grid: Grid1D, mode: str = "outgoing"):
     """Apply a phase-space cutoff and ladder its vanishing defect.
 
     The cutoff is ``filter_symbol(spec, params, mode)`` with the
     model's low-energy weight; an outgoing solution must leave the
     ``outgoing`` and ``high`` defects vanishing, while ``mirrored``
-    witnesses the asymmetry.  The defect exponent is the model's
-    s0 = 1/2 + mu/4.  ``u`` of shape (n,) gives one FilterResult; a
-    block of shape (n, m) is filtered in one pass and gives a list of
-    m results, one per column.
+    witnesses the asymmetry.  The defects, with the model's exponent s0,
+    are laddered on ``default_radius_ladder(grid)``.  ``u`` of shape (n,)
+    gives one FilterResult; a block of shape (n, m) is filtered in one
+    pass and gives a list of m results, one per column.
     """
     params = WeightParams(lam=0.0, kappa=model.kappa_low_energy, mu=model.mu)
     symbol, band = filter_symbol(spec, params, mode)
     u = np.asarray(u, dtype=complex)
     w = weyl_apply(symbol, grid, u, band=band)
-    ladder = default_radius_ladder(grid) if ladder is None else np.asarray(ladder, dtype=float)
+    ladder = default_radius_ladder(grid)
     s0 = model.s0
 
     def result(u_col, w_col):

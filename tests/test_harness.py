@@ -18,7 +18,7 @@ from lapkit.experiments import (build_grid, build_model, run_besov_selftest,
                                 run_check_potential, run_experiment,
                                 run_lap_sweep, run_radiation, run_uniqueness)
 from lapkit.operators import Grid1D, build_hamiltonian
-from lapkit.potential import WeightParams, bracket, weight_f
+from lapkit.potential import WeightParams, bracket, weight_exponent, weight_f
 from lapkit.resolvent import ShiftedSolver
 from lapkit.reports import (CheckResult, Report, dump_vector, load_vector,
                             write_sweep_csv)
@@ -581,36 +581,6 @@ def test_besov_bound_subset(monkeypatch):
     assert rep.extras["distance_to_spectrum"] == {}
 
 
-def test_uniqueness_trivial_source():
-    cfg = parse_config_text("""
-[model]
-family = standard
-
-[grid]
-length = 100.0
-size = 1024
-
-[experiment]
-id = uniqueness
-source_width = 2.0
-""")
-    cfg.experiment["source_width"] = 2.0
-
-
-    real_probe = experiments.gaussian_probe
-
-    def zero_probe(grid, center=0.0, width=1.0):
-        return np.zeros(grid.size, dtype=complex)
-
-    experiments.gaussian_probe = zero_probe
-    try:
-        rep = run_uniqueness(cfg)
-    finally:
-        experiments.gaussian_probe = real_probe
-    assert rep.extras.get("trivial")
-    assert rep.passed
-
-
 def test_uniqueness_over_damping_fails_on_its_value(monkeypatch):
     # boundary values that coincide leave w = 0: the report is
     # inconclusive and the magnitude check fails on its own value
@@ -769,7 +739,7 @@ def test_zero_energy_runners_share_one_boundary_value(tmp_path):
     model, grid, h_op, cap, v = experiments._line_problem(rad_cfg, "radiation")
     last = ShiftedSolver(h_op + cap, complex(*rad.extras["final_z"])).solve(v)
     u_plus = load_vector(tmp_path / "rad_u_plus")
-    w = bracket(grid.nodes) ** (-experiments._weight_s(rad_cfg, model))
+    w = bracket(grid.nodes) ** (-weight_exponent(model.mu))
     check = next(c for c in rad.checks if c.check_id == "boundary-value-converged")
     assert check.passed
     assert check.value == np.linalg.norm(w * (last - u_plus)) / np.linalg.norm(w * u_plus)
@@ -808,6 +778,96 @@ def test_radiation_conjugate_ladders_match_direct_filters(small_radiation):
                             ("annulus", direct.annulus_defect)):
             assert np.allclose(ladders[f"plus_{swapped}"][key], values,
                                rtol=1e-12, atol=0.0)
+
+
+# the far-ratio thresholds are calibrated on the desk box, where every
+# radiation check passes; a desk run takes a fraction of a second
+DESK_RADIATION = """
+[model]
+family = standard
+
+[grid]
+length = 400.0
+size = 4096
+
+[experiment]
+id = radiation
+"""
+
+
+def _scaled_defect(target, column, factor):
+    """Wrap ``radiation_filter`` so that the annulus defect of result
+    ``column`` of its ``target`` mode is multiplied by ``factor(ladder, grid)``."""
+    def wrap(real):
+        def perturbed(u, spec, model, grid, mode):
+            out = real(u, spec, model, grid, mode=mode)
+            results = out if isinstance(out, list) else [out]
+            if mode == target:
+                res = results[column]
+                results[column] = replace(res, annulus_defect=res.annulus_defect
+                                          * factor(res.ladder, grid))
+            return results if isinstance(out, list) else results[0]
+        return perturbed
+    return experiments, "radiation_filter", wrap
+
+
+def _boundary_values_as(combine):
+    def wrap(real):
+        return lambda h_cap, v: combine(*real(h_cap, v))
+    return experiments, "_boundary_values", wrap
+
+
+def _bulge(r, grid):
+    # 100-fold between L/4 and L/2, where the far ratio reads nothing
+    return np.where((r > grid.length / 4) & (r < grid.length / 2), 100.0, 1.0)
+
+
+def _faster(r, grid):
+    # one power of R faster decay
+    return 1.0 / r
+
+
+def _far_rise(r, grid):
+    # 4-fold at L/2, the far ratio's outer radius
+    return np.where(r == grid.length / 2, 4.0, 1.0)
+
+
+ZERO_ENERGY_CHECKS = {
+    "radiation": ["boundary-value-converged", "incoming-conjugation",
+                  "plus-outgoing-slope", "plus-high-slope", "plus-mirrored-slope",
+                  "plus-outgoing-far-ratio", "plus-high-far-ratio"],
+    "uniqueness": ["interior-null-residual", "null-difference-magnitude",
+                   "null-outgoing-slope", "null-ball-norm-growth"],
+}
+ZERO_ENERGY_FAULTS = {
+    "plus-outgoing-slope": (DESK_RADIATION, _scaled_defect("outgoing", 0, _bulge)),
+    "plus-high-slope": (DESK_RADIATION, _scaled_defect("high", 0, _bulge)),
+    # the second column of the outgoing call is u_plus's mirrored result
+    "plus-mirrored-slope": (DESK_RADIATION, _scaled_defect("outgoing", 1, _faster)),
+    "plus-outgoing-far-ratio": (DESK_RADIATION, _scaled_defect("outgoing", 0, _far_rise)),
+    "plus-high-far-ratio": (DESK_RADIATION, _scaled_defect("high", 0, _far_rise)),
+    # H w = -1e-4 v in the interior once the incoming value is scaled
+    "interior-null-residual": (SMALL_UNIQUENESS, _boundary_values_as(
+        lambda plus, minus: (plus, (1 + 1e-4) * minus))),
+    # the null difference shrunk 100-fold, still a null solution
+    "null-difference-magnitude": (SMALL_UNIQUENESS, _boundary_values_as(
+        lambda plus, minus: (plus, plus - 0.01 * (plus - minus)))),
+    "null-outgoing-slope": (SMALL_UNIQUENESS, _scaled_defect("outgoing", 0, _faster)),
+    "null-ball-norm-growth": (SMALL_UNIQUENESS, (besov, "defect_ladder", lambda real: (
+        lambda u, a, ladder, **kwargs: real(u, a, ladder, **kwargs) / ladder))),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(ZERO_ENERGY_FAULTS))
+def test_zero_energy_check_fails_alone(check_id, monkeypatch):
+    # one perturbed stage fails its check, and every other check of the
+    # report is still made and passes
+    config, (module, stage, wrap) = ZERO_ENERGY_FAULTS[check_id]
+    cfg = parse_config_text(config)
+    monkeypatch.setattr(module, stage, wrap(getattr(module, stage)))
+    rep = run_experiment(cfg)
+    assert [c.check_id for c in rep.checks] == ZERO_ENERGY_CHECKS[cfg.experiment_id]
+    assert [c.check_id for c in rep.checks if not c.passed] == [check_id]
 
 
 def _meets(value, comparison, threshold) -> bool:
@@ -892,14 +952,31 @@ def test_cli_missing_config(tmp_path):
     ("model", "mu", "2.5"),
     ("grid", "size", "100"),             # not a power of two on the line
     ("sector", "theta", "4"),
-], ids=["coulomb-dim1", "mu", "line-size", "theta"])
+    # values that once reached a runner and crashed it or ran on nothing:
+    # a modulus outside the sector, a non-finite float, a direction cut
+    # the outgoing filter refuses, no random samples
+    ("sector", "moduli", "1e-1, 2.0"),
+    ("sector", "moduli", "1e-1, 0"),
+    ("sector", "moduli", "-1e-2"),
+    ("sector", "moduli", "1e-1, nan"),
+    ("grid", "length", "nan"),
+    ("model", "gamma", "nan"),
+    ("sector", "lambda0", "inf"),
+    ("experiment", "sigma_cut", "1.5"),
+    ("experiment", "samples", "-1"),
+    ("experiment", "samples", "0"),
+], ids=["coulomb-dim1", "mu", "line-size", "theta", "modulus-above-lambda0",
+        "modulus-zero", "modulus-negative", "modulus-nan", "length-nan", "gamma-nan",
+        "lambda0-inf", "sigma-cut-above-1", "samples-negative", "samples-zero"])
 def test_cli_out_of_range_value_exits_two(tmp_path, capsys, section, key, value):
     # a value the schema parses but a constructor rejects is a config error
     path = tmp_path / "range.cfg"
     path.write_text(f"[{section}]\n{key} = {value}\n"
                     f"[output]\ndirectory = {tmp_path}/out\n")
     assert cli_main(["lap-sweep", "--config", str(path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_free_model_with_v2_table_exits_two(tmp_path, capsys):
@@ -937,6 +1014,7 @@ def test_cli_ladder_ratio_outside_unit_interval_exits_two(tmp_path, capsys, rati
     ("sector", "rays", "1.0"),
     ("experiment", "source_center", "0.0"),
     ("experiment", "weight_s", "0.8"),
+    ("experiment", "source_width", "2.0"),
 ])
 def test_cli_removed_keys_are_unknown(tmp_path, capsys, section, key, value):
     path = tmp_path / "old.cfg"

@@ -33,7 +33,7 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid1D(-1.0, 64)
     with pytest.raises(ValueError):
-        RadialGrid(10.0, 32, dim=0)
+        RadialGrid(10.0, 32, dim=0, ell=0)
 
 
 def test_radial_grid_centrifugal():
@@ -120,10 +120,10 @@ def test_dimension_mismatch():
         build_hamiltonian(m, Grid1D(10.0, 64))
     with pytest.raises(DimensionError):
         build_hamiltonian(standard_model(1.0, 1.0, 1),
-                          RadialGrid(10.0, 32, dim=3))
+                          RadialGrid(10.0, 32, dim=3, ell=0))
 
 
-@pytest.mark.parametrize("grid", [Grid1D(40.0, 256), RadialGrid(40.0, 128)],
+@pytest.mark.parametrize("grid", [Grid1D(40.0, 256), RadialGrid(40.0, 128, dim=3, ell=0)],
                          ids=["line", "radial"])
 def test_matched_absorber_shape(grid):
     # -i eta t^2 K <x>^-mu: purely absorbing, zero inside the layer (the

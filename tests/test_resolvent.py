@@ -11,6 +11,7 @@ from lapkit.besov import (ShellScheme, bstar_norm_dense, loglog_slope,
                           schur_block_bound, unit_blocks)
 from lapkit.config import parse_config_text
 from lapkit.errors import ExtrapolationError, SolverError
+from lapkit.experiments import build_sector
 from lapkit.operators import (BandMatrix, Grid1D, RadialGrid, build_dilation,
                               build_hamiltonian, gaussian_probe,
                               matched_absorber)
@@ -30,10 +31,16 @@ Z0 = 0.5 + 0.5j
 # the absorbing layer's strength as a config leaves it
 DEFAULTS = parse_config_text("")
 LAYER = DEFAULTS.grid
+SECTOR = build_sector(DEFAULTS)
 # the boundary-value ladder as a config leaves it (weight s0 + 0.05)
-LADDER = {"sector": Sector(), "ratio": DEFAULTS.sector["ratio"],
+LADDER = {"sector": SECTOR, "ratio": DEFAULTS.sector["ratio"],
           "tol": DEFAULTS.experiment["tolerance"],
           "max_steps": DEFAULTS.sector["steps"], "weight_s": MODEL.s0 + 0.05}
+
+
+def sweep_weight(z, grid):
+    """The sweep's weight f at lambda = |z|, K = 1 and the model's mu."""
+    return weight_f(WeightParams(abs(z), 1.0, MODEL.mu), grid.nodes)
 
 
 def configured_absorber(grid):
@@ -57,7 +64,7 @@ def test_sector_membership():
     with pytest.raises(ValueError):
         s.ray_ladder(-0.5, 3)
     with pytest.raises(ValueError):
-        Sector(theta=3.5)
+        Sector(theta=3.5, lambda0=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +314,7 @@ def test_unweighted_norm_is_inverse_distance(rng):
 
 
 @pytest.mark.parametrize("model", [MODEL, None], ids=["standard", "free"])
-@pytest.mark.parametrize("ray", [Sector().default_ray(), 0.01],
+@pytest.mark.parametrize("ray", [SECTOR.default_ray(), 0.01],
                          ids=["default-ray", "near-real-axis"])
 def test_spectral_distance_matches_dense_spectrum(model, ray):
     # 1 / dist(z, spectrum) is the plain resolvent norm; bisection on a
@@ -331,7 +338,7 @@ def test_spectral_distance_rejects_non_real_tridiagonal():
 
 def _check_bracket(grid, z):
     h_op = build_hamiltonian(MODEL, grid)
-    est = besov_bstar_estimate(h_op, z, MODEL, grid)
+    est = besov_bstar_estimate(h_op, z, sweep_weight(z, grid), grid)
     fh = np.sqrt(weight_f(WeightParams(abs(z), 1.0, 1.0), grid.nodes))
     dense = fh[:, None] * sla.inv(h_op.toarray() - z * np.eye(grid.size)) * fh
     exact = bstar_norm_dense(dense, np.abs(grid.nodes), np.abs(grid.nodes))
@@ -349,12 +356,12 @@ def test_besov_estimate_brackets_dense_norm():
 
 def test_besov_estimate_brackets_dense_norm_at_desk_spacing():
     # the desk grids' spacing h = 0.1953, at a low energy on the default ray
-    _check_bracket(Grid1D(100.0, 1024), Sector().points([1e-3])[0])
+    _check_bracket(Grid1D(100.0, 1024), SECTOR.points([1e-3])[0])
 
 
 @pytest.mark.parametrize("model, grid", [
     (MODEL, Grid1D(20.0, 256)),
-    (standard_model(1.0, 1.0, 3), RadialGrid(20.0, 256, dim=3)),
+    (standard_model(1.0, 1.0, 3), RadialGrid(20.0, 256, dim=3, ell=0)),
 ])
 def test_kernel_columns_match_dense_inverse(model, grid):
     # every column, read off the log-domain generators with no solve,
@@ -362,7 +369,7 @@ def test_kernel_columns_match_dense_inverse(model, grid):
     h_op = build_hamiltonian(model, grid)
     n = grid.size
     every = np.arange(n)
-    for z in Sector().points([1e-1, 1e-2, 1e-3, 1e-4]):
+    for z in SECTOR.points([1e-1, 1e-2, 1e-3, 1e-4]):
         dense = sla.inv(h_op.toarray() - z * np.eye(n))
         cols = TridiagonalResolvent(h_op, z).entries(every[:, None], every)
         err = np.linalg.norm(cols - dense, axis=0)
@@ -380,15 +387,18 @@ def test_kernel_rejects_pentadiagonal_operator():
     with pytest.raises(ValueError, match="tridiagonal"):
         TridiagonalResolvent(solver.matrix, Z0)
     with pytest.raises(ValueError, match="tridiagonal"):
-        besov_bstar_estimate(solver, Z0, MODEL, grid)
+        besov_bstar_estimate(solver, Z0, sweep_weight(Z0, grid), grid)
 
 
-def test_kernel_residual_failure_raises():
+def test_kernel_residual_failure_raises(monkeypatch):
     # the one-pass column certificate carries a rounding allowance, so
     # no column passes an impossible tolerance
+    import lapkit.resolvent as resolvent
+
     h_op = build_hamiltonian(MODEL, Grid1D(20.0, 128))
+    monkeypatch.setattr(resolvent, "SOLVE_RTOL", 1e-30)
     with pytest.raises(SolverError, match="residual"):
-        TridiagonalResolvent(h_op, Z0, rtol=1e-30)
+        TridiagonalResolvent(h_op, Z0)
     with pytest.raises(SolverError, match="pivot"):
         TridiagonalResolvent(BandMatrix([[1.0, 2.0, 3.0]]), 2.0)
 
@@ -409,7 +419,7 @@ def test_separated_shell_pairs_are_exact():
     shell_of, radii = ShellScheme().shell_indices(absx)
     block_of, blocks = unit_blocks(absx)
     assert np.count_nonzero(np.bincount(shell_of)) >= 4
-    for z in (Z0, Sector().points([1e-3])[0]):
+    for z in (Z0, SECTOR.points([1e-3])[0]):
         fh, dense = _dense_weighted_resolvent(h_op, grid, z)
         kernel = TridiagonalResolvent(h_op, z)
         for labels, count in ((shell_of, len(radii)), (block_of, len(blocks))):
@@ -429,7 +439,7 @@ def test_diagonal_shell_pairs_match_dense_svd():
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
     shell_of, radii = ShellScheme().shell_indices(np.abs(grid.nodes))
-    for z in Sector().points([1e-1, 1e-2, 1e-3, 1e-4]):
+    for z in SECTOR.points([1e-1, 1e-2, 1e-3, 1e-4]):
         fh, dense = _dense_weighted_resolvent(h_op, grid, z)
         kernel = TridiagonalResolvent(h_op, z)
         norm, shell, steps, converged = _diagonal_shell_pairs(
@@ -451,7 +461,7 @@ def test_diagonal_shell_pairs_factor_once(monkeypatch):
 
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
-    z = Sector().points([1e-3])[0]
+    z = SECTOR.points([1e-3])[0]
     fh = np.sqrt(weight_f(WeightParams(abs(z), 1.0, 1.0), grid.nodes))
     kernel = TridiagonalResolvent(h_op, z)
     solver = ShiftedSolver(h_op, z)
@@ -506,7 +516,8 @@ def test_besov_estimate_runs_one_lanczos(monkeypatch):
     monkeypatch.setattr(resolvent, "_lanczos", counted)
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
-    est = besov_bstar_estimate(h_op, Sector().points([1e-3])[0], MODEL, grid)
+    z = SECTOR.points([1e-3])[0]
+    est = besov_bstar_estimate(h_op, z, sweep_weight(z, grid), grid)
     assert len(calls) == 1
     assert est.details["lanczos_steps"] > 2
 
@@ -516,9 +527,9 @@ def test_besov_lower_is_the_shell_dual_norm():
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
     absx = np.abs(grid.nodes)
-    for z in Sector().points([1e-1, 1e-3]):
+    for z in SECTOR.points([1e-1, 1e-3]):
         _, dense = _dense_weighted_resolvent(h_op, grid, z)
-        est = besov_bstar_estimate(h_op, z, MODEL, grid)
+        est = besov_bstar_estimate(h_op, z, sweep_weight(z, grid), grid)
         exact = bstar_norm_dense(dense, absx, absx)
         assert est.lower == pytest.approx(exact, rel=1e-9)
         assert est.details["lower_converged"]
@@ -534,7 +545,8 @@ def test_besov_estimate_runs_no_power_iteration(monkeypatch):
     monkeypatch.setattr(resolvent, "operator_norm_lower", refuse)
     monkeypatch.setattr(resolvent, "weighted_opnorm", refuse)
     grid = Grid1D(20.0, 128)
-    est = besov_bstar_estimate(build_hamiltonian(MODEL, grid), Z0, MODEL, grid)
+    est = besov_bstar_estimate(build_hamiltonian(MODEL, grid), Z0, sweep_weight(Z0, grid),
+                               grid)
     assert 0 < est.lower <= est.upper
 
 
@@ -543,13 +555,13 @@ def test_besov_estimate_shares_a_solver():
     grid = Grid1D(20.0, 128)
     h_op = build_hamiltonian(MODEL, grid)
     solver = ShiftedSolver(h_op, Z0)
-    shared = besov_bstar_estimate(solver, Z0, MODEL, grid)
-    own = besov_bstar_estimate(h_op, Z0, MODEL, grid)
+    shared = besov_bstar_estimate(solver, Z0, sweep_weight(Z0, grid), grid)
+    own = besov_bstar_estimate(h_op, Z0, sweep_weight(Z0, grid), grid)
     assert (shared.lower, shared.upper) == (own.lower, own.upper)
     assert shared.details == own.details
     assert weighted_opnorm(solver, Z0, np.ones(128), np.ones(128)).lower > 0
     with pytest.raises(ValueError):
-        besov_bstar_estimate(solver, 0.1j, MODEL, grid)
+        besov_bstar_estimate(solver, 0.1j, sweep_weight(0.1j, grid), grid)
 
 
 def test_besov_estimate_scales_linearly(rng):
@@ -686,7 +698,7 @@ def test_boundary_value_ladder_consistent_with_hoelder(rng):
     assert res.converged
     dr = np.array(res.diffs)
     geo_mean = (dr[-1] / dr[0]) ** (1.0 / (len(dr) - 1))
-    ray = Sector().default_ray()
+    ray = SECTOR.default_ray()
     zs = [0.5**k * cmath.exp(1j * ray) for k in range(8)]
     rep = hoelder_estimate(h_op, MODEL.s0 + 0.05,
                            [(zs[i], zs[i + 1]) for i in range(7)], grid,

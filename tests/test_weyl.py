@@ -12,7 +12,8 @@ from lapkit.besov import loglog_slope
 from lapkit.errors import DimensionError
 from lapkit.operators import Grid1D, gaussian_probe, hermiticity_residual
 from lapkit.potential import WeightParams, bracket, standard_model, weight_f
-from lapkit.weyl import (REFERENCE_RADIUS, Band, FilterSpec, default_radius_ladder,
+from lapkit.weyl import (FALL_WIDTH, REFERENCE_RADIUS, TILDE_WIDTH, Band, FilterSpec,
+                         default_radius_ladder,
                          filter_symbol, radiation_filter, smoothstep7, symbol_a0,
                          symbol_b0, weyl_apply, weyl_matrix)
 
@@ -386,7 +387,7 @@ def test_smoothstep_is_the_full_polynomial_byte_for_byte(rng):
 
 
 def test_cutoff_supports():
-    spec = FilterSpec(plateau_end=2.0, sigma_cut=0.5, tilde_width=0.25)
+    spec = FilterSpec(plateau_end=2.0, sigma_cut=0.5)
     t = np.linspace(-3, 5, 400)
     chi = spec.chi_minus(t)
     assert np.all(chi[(t >= 0) & (t <= 2.0)] == 1.0)
@@ -410,10 +411,10 @@ def _rise_times_fall(spec):
         return smoothstep7(t + rise) * (1.0 - smoothstep7((t - start) / width))
 
     def chi_minus(t):
-        return profile(t, 1.0, spec.plateau_end, spec.fall_width)
+        return profile(t, 1.0, spec.plateau_end, FALL_WIDTH)
 
     def chi_tilde_minus(t):
-        return profile(t, 5.0, spec.sigma_cut - spec.tilde_width, spec.tilde_width)
+        return profile(t, 5.0, spec.sigma_cut - TILDE_WIDTH, TILDE_WIDTH)
 
     return {"chi_minus": chi_minus,
             "chi_plus": lambda t: 1.0 - chi_minus(t),
@@ -422,9 +423,9 @@ def _rise_times_fall(spec):
 
 
 # a plain spec, the desk spec, and a direction fall overlapping its rise
-CUTOFF_SPECS = [FilterSpec(plateau_end=2.0, sigma_cut=0.5, tilde_width=0.25),
+CUTOFF_SPECS = [FilterSpec(plateau_end=2.0, sigma_cut=0.5),
                 FilterSpec.for_model(standard_model(1.0, 1.0, 1), 0.5),
-                FilterSpec(plateau_end=0.5, sigma_cut=-4.2, tilde_width=0.8)]
+                FilterSpec(plateau_end=0.5, sigma_cut=-4.2)]
 
 
 @pytest.mark.parametrize("spec", CUTOFF_SPECS)
@@ -433,7 +434,7 @@ def test_cutoffs_are_rise_times_fall_bit_for_bit(spec, rng):
     # both ramps, both plateaus and at the skip points the values keep
     # every bit, for arrays and for scalars
     marks = np.array([-5.0, -4.0, -1.0, 0.0, 4.0, 5.0, spec.plateau_end,
-                      spec.kinetic_reach, spec.sigma_cut, spec.sigma_cut - spec.tilde_width])
+                      spec.kinetic_reach, spec.sigma_cut, spec.sigma_cut - TILDE_WIDTH])
     near = np.concatenate([marks, -marks, np.nextafter(marks, -np.inf),
                            np.nextafter(marks, np.inf), np.nextafter(-marks, -np.inf),
                            np.nextafter(-marks, np.inf),
@@ -474,8 +475,6 @@ def test_filter_symbols_are_products_of_the_profiles(mode):
 def test_filter_spec_validation():
     with pytest.raises(ValueError):
         FilterSpec(plateau_end=0.0, sigma_cut=0.5)
-    with pytest.raises(ValueError):
-        FilterSpec(plateau_end=1.0, sigma_cut=0.5, tilde_width=0.0)
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.0, 1.5])
@@ -484,8 +483,8 @@ def test_filter_spec_for_model_is_the_calibrated_shape(mu):
     # calibration every radiation filter uses
     m = standard_model(1.0, mu, 1)
     spec = FilterSpec.for_model(m, 0.3)
-    assert spec == FilterSpec(plateau_end=m.c0_prime() + 2.0, sigma_cut=0.3,
-                              fall_width=1.0, tilde_width=0.8)
+    assert spec == FilterSpec(plateau_end=m.c0_prime() + 2.0, sigma_cut=0.3)
+    assert (FALL_WIDTH, TILDE_WIDTH) == (1.0, 0.8)
     assert spec.kinetic_reach == pytest.approx(m.c0_prime() + 3.0)
 
 
