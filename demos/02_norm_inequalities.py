@@ -51,15 +51,15 @@ small = np.abs(np.linspace(-12.0, 12.0, n))
 body = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 5
 t = np.where(band, body, 0.0)
-bb = schur_block_bound(t, small, small, rng=rng)
-exact = bstar_norm_dense(t, small, small, scheme)
+bb = schur_block_bound(t, small, rng)
+exact = bstar_norm_dense(t, small)
 print(f"  probe lower bound   {bb.probe_lower:.4f}")
 print(f"  exact dual norm     {exact:.4f}   (shell-pair enumeration)")
 print(f"  2 x block sup       {bb.upper:.4f}")
 print("  bracket holds:", bb.probe_lower <= exact <= bb.upper)
 
 t_acc = np.eye(n) + np.where(band, body - body.conj().T, 0.0)
-bb_acc = schur_block_bound(t_acc, small, small, rng=rng)
+bb_acc = schur_block_bound(t_acc, small, rng)
 print(f"  accretive combination 2C1+C2+C3 = {bb_acc.accretive_bound:.4f} "
       f">= block sup {bb_acc.block_sup:.4f}:",
       bb_acc.block_sup <= bb_acc.accretive_bound)

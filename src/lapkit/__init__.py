@@ -15,8 +15,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import (besov, config, errors, experiments, grids, operators, potential,
                reports, resolvent, weyl)
-from .besov import (ShellScheme, besov_norm, bstar0_defect, dual_norm,
-                    shell_decompose)
+from .besov import ShellScheme, besov_norm, shell_decompose
 from .errors import (ConfigError, DataError, DimensionError,
                      ExtrapolationError, SolverError)
 from .grids import Grid1D, RadialGrid
@@ -25,7 +24,7 @@ from .potential import (PotentialModel, WeightParams, check_condition,
                         coulomb_model, standard_model, virial_w, weight_f)
 from .resolvent import (Sector, ShiftedSolver, besov_bstar_estimate,
                         boundary_value, hoelder_estimate, mourre_resolvent,
-                        quadratic_check, solve, spectral_free_solve,
+                        quadratic_check, spectral_free_solve,
                         weighted_opnorm)
 from .weyl import FilterSpec, radiation_filter, weyl_apply, weyl_matrix
 

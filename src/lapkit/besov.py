@@ -42,9 +42,6 @@ __all__ = [
     "as_spectrum_values",
     "shell_decompose",
     "besov_norm",
-    "dual_norm",
-    "ball_sup",
-    "bstar0_defect",
     "defect_ladder",
     "loglog_slope",
     "tail_slope",
@@ -197,12 +194,6 @@ def _ball_sup(sorted_abs, cum):
     return np.sqrt(np.max(ratios, axis=1, initial=0.0))
 
 
-def ball_sup(u, a) -> float:
-    """Exact sup over R > 1 of R^{-1/2} ||F(|A| < R) u||, per bank row."""
-    bank, vals, single = _check_pair(u, a)
-    return _rows(_ball_sup(*_ball_mass(np.abs(bank) ** 2, vals)), single)
-
-
 def shell_decompose(u, a, scheme: ShellScheme | None = None) -> ShellProfile:
     """Split u (a vector or a bank of rows) into weight shells and
     collect every derived norm.
@@ -231,13 +222,6 @@ def besov_norm(u, a, scheme: ShellScheme | None = None) -> float:
     return _rows(np.sum(np.sqrt(radii) * norms, axis=1), single)
 
 
-def dual_norm(u, a, scheme: ShellScheme | None = None) -> float:
-    """sup_j R_j^{-1/2} ||F_j u||, per bank row."""
-    bank, vals, single = _check_pair(u, a)
-    norms, radii = _shell_norms(np.abs(bank) ** 2, vals, scheme or ShellScheme())
-    return _rows(np.max(norms / np.sqrt(radii), axis=1), single)
-
-
 # ---------------------------------------------------------------------------
 # Vanishing-at-infinity defect
 # ---------------------------------------------------------------------------
@@ -259,19 +243,6 @@ def defect_ladder(u, a, ladder, exponent: float = 0.5, annulus_eps: float = 0.0)
         mask = (absvals >= annulus_eps * radius) & (absvals < radius)
         out[:, i] = _row_norms(bank[:, mask]) / radius ** exponent
     return _rows(out, single)
-
-
-def bstar0_defect(u, a, ladder, exponent: float = 0.5, annulus_eps: float = 0.0) -> float:
-    """Tail statistic: max of the defect over the top half of the ladder.
-
-    A small value is finite-size evidence that the vector belongs to
-    the small dual space (normalized ball norms vanishing at infinity);
-    the limit itself is undecidable on finite data.
-    """
-    values = defect_ladder(u, a, ladder, exponent=exponent,
-                           annulus_eps=annulus_eps)
-    tail = np.max(values[..., values.shape[-1] // 2:], axis=-1)
-    return float(tail) if np.ndim(tail) == 0 else tail
 
 
 def loglog_slope(radii, values) -> float:
@@ -500,21 +471,12 @@ def verify_power_map(samples, a, s: float) -> tuple[CheckResult, list | None]:
 
 @dataclass
 class BlockBound:
-    """Two-sided bracket for an operator norm from B(A_1) to B(A_2)*."""
+    """Two-sided bracket for an operator norm from B(A) to B(A)*."""
 
     upper: float                # 2 x unit-block sup
     probe_lower: float          # max dual pairing over normalized probes
     block_sup: float            # sup over unit-width block pairs
-    accretive: bool = False
-    c1: float | None = None
-    c2: float | None = None
-    c3: float | None = None
-
-    @property
-    def accretive_bound(self) -> float | None:
-        if self.c1 is None:
-            return None
-        return 2.0 * self.c1 + self.c2 + self.c3
+    accretive_bound: float | None   # 2 C_1 + C_2 + C_3 for an accretive T, else None
 
 
 def unit_blocks(values) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -536,66 +498,58 @@ def _spectral_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def schur_block_bound(T, a1, a2, rng=None) -> BlockBound:
-    """Bracket the B(A_1) -> B(A_2)* norm of a dense matrix.
+def schur_block_bound(T, a, rng) -> BlockBound:
+    """Bracket the B(A) -> B(A)* norm of a dense matrix.
 
     Upper bound: twice the sup over unit-width block pairs
-    ||F(m <= A_2 < m+1) T F(n <= A_1 < n+1)||.  Lower bound: the best
-    dual pairing |<w, T u>| over 32 random probes per side (plus the
-    shell-boundary ones) normalized in the respective Besov norms.
-    When T is accretive and the two weights coincide, the three
-    one-sided block constants are recorded so the combined
-    2 C_1 + C_2 + C_3 criterion can be compared against the block sup.
+    ||F(m <= A < m+1) T F(n <= A < n+1)||.  Lower bound: the best
+    dual pairing |<w, T u>| of two banks of 32 random probes (plus the
+    shell-boundary ones) normalized in the Besov norm.  When T is
+    accretive, the three one-sided block constants give the combined
+    2 C_1 + C_2 + C_3 criterion to compare against the block sup.
     """
     T = np.asarray(T)
-    v1 = as_spectrum_values(a1)
-    v2 = as_spectrum_values(a2)
-    if T.shape != (len(v2), len(v1)):
+    vals = as_spectrum_values(a)
+    if T.shape != (len(vals), len(vals)):
         raise DimensionError(
-            f"matrix shape {T.shape} does not match spectra ({len(v2)}, {len(v1)})")
-    labels1, blocks1 = unit_blocks(v1)
-    _, blocks2 = unit_blocks(v2)
+            f"matrix shape {T.shape} does not match spectrum length {len(vals)}")
+    labels, blocks = unit_blocks(vals)
     block_sup = 0.0
-    for rows in blocks2:
+    for rows in blocks:
         sub = T[rows]
-        for cols in blocks1:
+        for cols in blocks:
             block = sub[:, cols]
             # a block with no nonzero entry has norm exactly 0: skip its SVD
             if block.any():
                 block_sup = max(block_sup, _spectral_norm(block))
 
-    rng = rng or Stream(0)
     scheme = ShellScheme(2.0)
-    probes_u = sample_vectors(v1, scheme, 32, rng)
-    probes_w = sample_vectors(v2, scheme, 32, rng)
-    pairs = min(len(probes_u), len(probes_w))
-    probes_u, probes_w = probes_u[:pairs], probes_w[:pairs]
-    bu = besov_norm(probes_u, v1, scheme)
-    bw = besov_norm(probes_w, v2, scheme)
+    probes_u = sample_vectors(vals, scheme, 32, rng)
+    probes_w = sample_vectors(vals, scheme, 32, rng)
+    bu = besov_norm(probes_u, vals, scheme)
+    bw = besov_norm(probes_w, vals, scheme)
     # per-row vdot: a batched inner product rounds differently
     pairing = np.array([abs(np.vdot(w, T @ u)) for u, w in zip(probes_u, probes_w)])
     lower = float(np.max(_masked_ratio(pairing, bu * bw, (bu != 0.0) & (bw != 0.0)),
                          initial=0.0))
 
-    result = BlockBound(upper=2.0 * block_sup, probe_lower=lower,
-                        block_sup=block_sup)
-    if np.array_equal(v1, v2):
-        herm = T + T.conj().T
-        if np.min(np.linalg.eigvalsh(herm)) >= -1e-10 * max(1.0, _spectral_norm(T)):
-            result.accretive = True
-            c1 = c2 = c3 = 0.0
-            for g, cols in enumerate(blocks1):
-                c1 = max(c1, _spectral_norm(T[np.ix_(cols, cols)]))
-                below = np.flatnonzero(labels1 < g)
-                c2 = max(c2, _spectral_norm(T[np.ix_(below, cols)]))
-                atleast = np.flatnonzero(labels1 >= g)
-                c3 = max(c3, _spectral_norm(T[np.ix_(cols, atleast)]))
-            result.c1, result.c2, result.c3 = c1, c2, c3
-    return result
+    accretive_bound = None
+    herm = T + T.conj().T
+    if np.min(np.linalg.eigvalsh(herm)) >= -1e-10 * max(1.0, _spectral_norm(T)):
+        c1 = c2 = c3 = 0.0
+        for g, cols in enumerate(blocks):
+            c1 = max(c1, _spectral_norm(T[np.ix_(cols, cols)]))
+            below = np.flatnonzero(labels < g)
+            c2 = max(c2, _spectral_norm(T[np.ix_(below, cols)]))
+            atleast = np.flatnonzero(labels >= g)
+            c3 = max(c3, _spectral_norm(T[np.ix_(cols, atleast)]))
+        accretive_bound = 2.0 * c1 + c2 + c3
+    return BlockBound(upper=2.0 * block_sup, probe_lower=lower,
+                      block_sup=block_sup, accretive_bound=accretive_bound)
 
 
-def bstar_norm_dense(T, a1, a2, scheme: ShellScheme | None = None) -> float:
-    """Exact B(A_1) -> B(A_2)* norm of a dense matrix.
+def bstar_norm_dense(T, a) -> float:
+    """Exact B(A) -> B(A)* norm of a dense matrix.
 
     The source norm is a weighted l1 sum over shells and the target a
     weighted sup, so the dual-pairing optimum is attained on a single
@@ -604,27 +558,24 @@ def bstar_norm_dense(T, a1, a2, scheme: ShellScheme | None = None) -> float:
         max_{j,k} R_j^{-1/2} R_k^{-1/2} || F_j T F_k ||.
     """
     T = np.asarray(T)
-    v1 = as_spectrum_values(a1)
-    v2 = as_spectrum_values(a2)
-    if T.shape != (len(v2), len(v1)):
-        raise DimensionError("matrix shape does not match spectra")
-    scheme = scheme or ShellScheme()
-    shells1, radii1 = scheme.shells(v1)
-    shells2, radii2 = scheme.shells(v2)
+    vals = as_spectrum_values(a)
+    if T.shape != (len(vals), len(vals)):
+        raise DimensionError("matrix shape does not match spectrum")
+    shells, radii = ShellScheme(2.0).shells(vals)
     best = 0.0
-    for rows, r2 in zip(shells2, radii2):
-        for cols, r1 in zip(shells1, radii1):
+    for rows, r_row in zip(shells, radii):
+        for cols, r_col in zip(shells, radii):
             # an empty shell gives an empty block of norm 0
-            val = _spectral_norm(T[np.ix_(rows, cols)]) / math.sqrt(r2 * r1)
+            val = _spectral_norm(T[np.ix_(rows, cols)]) / math.sqrt(r_row * r_col)
             best = max(best, val)
     return best
 
 
-def verify_interpolation(d, a1, a2, s: float, rng=None) -> float:
+def verify_interpolation(d, a, s: float, rng) -> float:
     """Probe the interpolation bound ||T||_{B->B} <= C (||T|| + ||T||_{s}).
 
-    T = diag(d), so ||T|| = max |d| and ||T||_{s} = max |w2 d w1|.  The
-    constant C(s) is not explicit, so this only returns the observed
+    T = diag(d), so ||T|| = max |d| and ||T||_{s} = max |<A>^s d <A>^-s|.
+    The constant C(s) is not explicit, so this only returns the observed
     ratio of a probe-based B -> B norm estimate (64 random probes plus
     the shell-boundary ones) against the sum of the plain and weighted
     norms; blow-up is detected by comparing ratios across refinements.
@@ -632,18 +583,16 @@ def verify_interpolation(d, a1, a2, s: float, rng=None) -> float:
     if not s > 0.5:
         raise ValueError("interpolation exponent must exceed 1/2")
     d = np.asarray(d)
-    v1 = as_spectrum_values(a1)
-    v2 = as_spectrum_values(a2)
-    if d.shape != v1.shape or d.shape != v2.shape:
-        raise DimensionError("multiplier length does not match spectra")
+    vals = as_spectrum_values(a)
+    if d.shape != vals.shape:
+        raise DimensionError("multiplier length does not match spectrum")
     scheme = ShellScheme(2.0)
-    rng = rng or Stream(0)
-    w2 = (1.0 + v2 ** 2) ** (s / 2.0)
-    w1 = (1.0 + v1 ** 2) ** (-s / 2.0)
-    denom = float(np.max(np.abs(d), initial=0.0) + np.max(np.abs(w2 * d * w1), initial=0.0))
-    probes = sample_vectors(v1, scheme, 64, rng)
-    bu = besov_norm(probes, v1, scheme)
+    weight = 1.0 + vals ** 2
+    weighted = weight ** (s / 2.0) * d * weight ** (-s / 2.0)
+    denom = float(np.max(np.abs(d), initial=0.0) + np.max(np.abs(weighted), initial=0.0))
+    probes = sample_vectors(vals, scheme, 64, rng)
+    bu = besov_norm(probes, vals, scheme)
     images = d * probes
-    numer = float(np.max(_masked_ratio(besov_norm(images, v2, scheme), bu, bu != 0.0),
+    numer = float(np.max(_masked_ratio(besov_norm(images, vals, scheme), bu, bu != 0.0),
                          initial=0.0))
     return numer / denom if denom > 0 else math.inf

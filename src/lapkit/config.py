@@ -30,7 +30,7 @@ def _floats(text):
 # section -> key -> (parser, default, help)
 SCHEMA = {
     "model": {
-        "family": (str, "standard", "potential family: standard | coulomb"),
+        "family": (str, "standard", "potential family: standard | coulomb | free"),
         "gamma": (float, 1.0, "attraction strength"),
         "mu": (float, 1.0, "decay rate in (0, 2); ignored by coulomb"),
         "dim": (int, 1, "ambient dimension"),

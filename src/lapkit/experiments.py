@@ -217,8 +217,8 @@ def run_besov_selftest(cfg: ExperimentConfig) -> Report:
     body = rng.standard_normal((n_small, n_small)) + 1j * rng.standard_normal((n_small, n_small))
     band = np.abs(np.subtract.outer(np.arange(n_small), np.arange(n_small))) <= 8
     t_band = np.where(band, body, 0.0)
-    bb = besov.schur_block_bound(t_band, a_small, a_small, rng=rng)
-    exact = besov.bstar_norm_dense(t_band, a_small, a_small, scheme)
+    bb = besov.schur_block_bound(t_band, a_small, rng)
+    exact = besov.bstar_norm_dense(t_band, a_small)
     report.add(CheckResult("unit-block-sandwich", "unit-block-factor-2",
                            max(bb.probe_lower / exact,
                                exact / bb.upper if bb.upper else math.inf),
@@ -230,7 +230,7 @@ def run_besov_selftest(cfg: ExperimentConfig) -> Report:
     # accretive block combination; no bound (T not accretive) reads inf
     skew = body - body.conj().T
     t_acc = np.eye(n_small) + np.where(band, skew, 0.0)
-    bb_acc = besov.schur_block_bound(t_acc, a_small, a_small, rng=rng)
+    bb_acc = besov.schur_block_bound(t_acc, a_small, rng)
     report.add(CheckResult("accretive-blocks", "accretive-block-combination",
                            bb_acc.block_sup / bb_acc.accretive_bound
                            if bb_acc.accretive_bound else math.inf,
@@ -242,7 +242,7 @@ def run_besov_selftest(cfg: ExperimentConfig) -> Report:
         g = Grid1D(16.0, n)
         vals = np.abs(g.nodes)
         phases = np.exp(2j * math.pi * rng.random(n))
-        ratios.append(besov.verify_interpolation(phases, vals, vals, s=1.0, rng=rng))
+        ratios.append(besov.verify_interpolation(phases, vals, 1.0, rng))
     spread = max(ratios) / max(min(ratios), 1e-300)
     report.add(CheckResult("interpolation-stability", "interpolation-stability",
                            spread, 2.0, "<=",
@@ -339,7 +339,6 @@ def run_lap_sweep(cfg: ExperimentConfig,
     moduli = sorted(cfg.sector["moduli"], reverse=True)
     control = model is None
     if control:
-        quantities = tuple(q for q in quantities if q != "shell_dual")
         report.extras["control_run"] = True
 
     rows = []

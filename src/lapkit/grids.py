@@ -43,10 +43,6 @@ class Grid1D:
         """FFT frequency ladder (pi/L) {-N/2, ..., N/2 - 1}, fftshifted order."""
         return (math.pi / self.length) * np.arange(-self.size // 2, self.size // 2)
 
-    def refine(self) -> "Grid1D":
-        """Half the spacing, same box."""
-        return Grid1D(self.length, self.size * 2)
-
     def widen(self) -> "Grid1D":
         """Same spacing, twice the box."""
         return Grid1D(self.length * 2, self.size * 2)

@@ -34,7 +34,6 @@ __all__ = [
     "check_condition",
     "standard_model",
     "coulomb_model",
-    "model_to_config",
     "model_from_config",
     "load_v2_table",
 ]
@@ -106,7 +105,6 @@ class PotentialModel:
     v2: Callable[[np.ndarray], np.ndarray] | None = None
     v2_tail: tuple[float, float, float] = (1.0, 0.0, 1.0)   # (delta, C, R)
     symbol_constants: dict = field(default_factory=dict)    # C_alpha, |alpha| <= 2
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 < self.mu < 2.0:
@@ -176,7 +174,6 @@ def standard_model(gamma: float, mu: float, dim: int = 1) -> PotentialModel:
         grad_v1=grad_v1,
         dim=dim,
         symbol_constants={0: gamma, 1: gamma * mu, 2: gamma * mu * (mu + 2.0)},
-        params={"gamma": gamma, "mu": mu, "dim": dim},
     )
 
 
@@ -241,7 +238,6 @@ def coulomb_model(gamma: float, dim: int = 3) -> PotentialModel:
         v2_tail=(delta, gamma, 1.0),
         symbol_constants={0: gamma * math.sqrt(math.e),
                           1: 2.2 * gamma, 2: 10.5 * gamma},
-        params={"gamma": gamma, "dim": dim},
     )
 
 
@@ -343,13 +339,6 @@ def check_condition(model: PotentialModel,
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-def model_to_config(model: PotentialModel) -> dict:
-    """Named family plus parameters, round-trippable through a config file."""
-    if model.name not in ("standard", "coulomb"):
-        raise ValueError(f"model family {model.name!r} is not serializable")
-    return {"family": model.name, **{k: v for k, v in model.params.items()}}
-
 
 def model_from_config(cfg: dict) -> PotentialModel:
     family = cfg.get("family")

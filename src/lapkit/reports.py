@@ -24,7 +24,6 @@ __all__ = [
     "SWEEP_COLUMNS",
     "write_sweep_csv",
     "dump_vector",
-    "load_vector",
 ]
 
 SWEEP_COLUMNS = ["re_z", "im_z", "abs_z", "arg_z", "quantity",
@@ -146,8 +145,3 @@ def dump_vector(path, u, header: dict) -> None:
                   allow_nan=False)
         fh.write("\n")
 
-
-def load_vector(path) -> np.ndarray:
-    path = str(path)
-    raw = np.fromfile(path + ".f64", dtype="<f8")
-    return raw[0::2] + 1j * raw[1::2]

@@ -38,7 +38,6 @@ __all__ = [
     "ShiftedSolver",
     "TridiagonalResolvent",
     "spectral_distance",
-    "solve",
     "spectral_free_solve",
     "OpNormEstimate",
     "operator_norm_lower",
@@ -197,11 +196,6 @@ def _solver_at(operator, z: complex) -> ShiftedSolver:
             raise ValueError(f"solver was factorized at {operator.z}, not {z}")
         return operator
     return ShiftedSolver(operator, z)
-
-
-def solve(operator, z: complex, v) -> np.ndarray:
-    """u = (H - z)^{-1} v with residual certified below SOLVE_RTOL ||v||."""
-    return ShiftedSolver(operator, z).solve(v)
 
 
 # ---------------------------------------------------------------------------

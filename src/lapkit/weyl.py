@@ -52,7 +52,6 @@ __all__ = [
     "FilterSpec",
     "Band",
     "symbol_a0",
-    "symbol_b0",
     "weyl_matrix",
     "weyl_apply",
     "filter_symbol",
@@ -96,13 +95,6 @@ def symbol_a0(params: WeightParams) -> Callable:
     """a(x, xi) = xi^2 / f(x)^2, the scaled kinetic symbol."""
     def fn(x, xi):
         return xi**2 / weight_f(params, x) ** 2
-    return fn
-
-
-def symbol_b0(params: WeightParams) -> Callable:
-    """b(x, xi) = (xi / f(x)) (x / <x>), the scaled radial-direction symbol."""
-    def fn(x, xi):
-        return (xi / weight_f(params, x)) * (x / bracket(x))
     return fn
 
 
@@ -354,7 +346,7 @@ def filter_symbol(spec: FilterSpec, params: WeightParams,
                      else spec.chi_tilde_mirror)
 
         def symbol(x, xi):
-            # symbol_a0 and symbol_b0 with the weight evaluated once
+            # a0 = xi^2 / f^2 and b0 = (xi / f) (x / <x>), the weight evaluated once
             f = weight_f(params, x)
             turn = direction((xi / f) * (x / bracket(x)))
             return spec.chi_minus(xi**2 / f**2) * turn

@@ -14,14 +14,14 @@ from lapkit.cli import main as cli_main
 from lapkit.config import (ExperimentConfig, config_schema_text, load_config,
                            parse_config_text)
 from lapkit.errors import ConfigError, SolverError
-from lapkit.experiments import (build_grid, build_model, run_besov_selftest,
-                                run_check_potential, run_experiment,
-                                run_lap_sweep, run_radiation, run_uniqueness)
+from lapkit.experiments import (SLOPE_DECREASING, build_grid, build_model,
+                                run_besov_selftest, run_check_potential,
+                                run_experiment, run_lap_sweep, run_radiation,
+                                run_uniqueness)
 from lapkit.operators import Grid1D, build_hamiltonian
 from lapkit.potential import WeightParams, bracket, weight_exponent, weight_f
 from lapkit.resolvent import ShiftedSolver
-from lapkit.reports import (CheckResult, Report, dump_vector, load_vector,
-                            write_sweep_csv)
+from lapkit.reports import CheckResult, Report, dump_vector, write_sweep_csv
 from lapkit.weyl import FilterSpec, radiation_filter
 
 SMALL_SWEEP = """
@@ -257,9 +257,9 @@ def _scale_profile(field, factor):
 
 
 def _scale_block_constants(bb, args):
-    if not bb.accretive:
+    if bb.accretive_bound is None:
         return bb
-    return replace(bb, c1=bb.c1 / 10.0, c2=bb.c2 / 10.0, c3=bb.c3 / 10.0)
+    return replace(bb, accretive_bound=bb.accretive_bound / 10.0)
 
 
 # the selftest checks no test above breaks: (module, name, change of the
@@ -281,7 +281,7 @@ SELFTEST_FAULTS = {
     "power-map": (
         besov, "power_map_constant", lambda c, args: c / 100.0,
         {"power-map-s0", "power-map-s1", "power-map-s-0.5"}),
-    # the three one-sided block constants ten times too small
+    # the combined one-sided block constants ten times too small
     "accretive-blocks": (
         besov, "schur_block_bound", _scale_block_constants, {"accretive-blocks"}),
     # an interpolation ratio growing with the grid size, 4x over the refinements
@@ -308,8 +308,8 @@ def test_unit_block_sandwich_reports_its_lower_side(monkeypatch):
     # and the reported value shows it
     real = besov.schur_block_bound
 
-    def high_probe(T, a1, a2, rng=None):
-        bb = real(T, a1, a2, rng=rng)
+    def high_probe(T, a, rng):
+        bb = real(T, a, rng)
         return replace(bb, probe_lower=2.0 * bb.upper)
 
     monkeypatch.setattr(besov, "schur_block_bound", high_probe)
@@ -335,7 +335,7 @@ def test_sweep_csv_schema(tmp_path):
 def test_vector_dump_round_trip(tmp_path, rng):
     u = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     dump_vector(tmp_path / "vec", u, {"grid": {"size": 32}})
-    back = load_vector(tmp_path / "vec")
+    back = np.fromfile(tmp_path / "vec.f64", dtype="<c16")
     assert np.array_equal(back, u)
     sidecar = json.loads((tmp_path / "vec.json").read_text())
     assert sidecar["length"] == 32
@@ -542,6 +542,12 @@ def test_free_control_run_documents_contrast():
     assert not rep.checks
     fits = rep.extras["fits"]
     assert any(k.startswith("unweighted") for k in fits)
+    # the three boundedness fits separate the free kernel, near |z|^-1/2,
+    # from the certified model
+    standard = run_lap_sweep(parse_config_text(SMALL_SWEEP)).extras["fits"]
+    for key in ("weighted_lower_exponent", "shell_dual_lower_exponent",
+                "shell_dual_upper_exponent"):
+        assert fits[key] < SLOPE_DECREASING <= standard[key], key
 
 
 def test_free_control_run_weights_with_the_configured_mu():
@@ -738,7 +744,7 @@ def test_zero_energy_runners_share_one_boundary_value(tmp_path):
                 == (tmp_path / f"uni_{name}.f64").read_bytes())
     model, grid, h_op, cap, v = experiments._line_problem(rad_cfg, "radiation")
     last = ShiftedSolver(h_op + cap, complex(*rad.extras["final_z"])).solve(v)
-    u_plus = load_vector(tmp_path / "rad_u_plus")
+    u_plus = np.fromfile(tmp_path / "rad_u_plus.f64", dtype="<c16")
     w = bracket(grid.nodes) ** (-weight_exponent(model.mu))
     check = next(c for c in rad.checks if c.check_id == "boundary-value-converged")
     assert check.passed

@@ -169,7 +169,7 @@ def test_dilation_hermitian_and_action(rng):
     gau = np.exp(-x * x / 2.0).astype(complex)
     exact = -1j * (-x * x + 0.5) * np.exp(-x * x / 2.0)
     err1 = np.linalg.norm(a_op @ gau - exact)
-    g2 = g.refine()
+    g2 = Grid1D(g.length, 2 * g.size)
     x2 = g2.nodes
     gau2 = np.exp(-x2 * x2 / 2.0).astype(complex)
     exact2 = -1j * (-x2 * x2 + 0.5) * np.exp(-x2 * x2 / 2.0)

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lapkit.potential import (PotentialModel, WeightParams, check_condition,
-                              coulomb_model, load_v2_table, model_from_config,
-                              model_to_config, standard_model, virial_w,
+from lapkit.potential import (PotentialModel, WeightParams, bracket,
+                              check_condition, coulomb_model, load_v2_table,
+                              model_from_config, standard_model, virial_w,
                               weight_f)
 
 RADII = np.linspace(0.0, 50.0, 201)
@@ -112,6 +113,29 @@ def test_sign_flip_fails_hypothesis_one():
     assert witnesses[0] == pytest.approx(0.0)
 
 
+def _v2_core(r):
+    # V2 = -inf on |x| < 0.5: not locally integrable
+    return np.where(np.abs(r) < 0.5, -np.inf, 0.0)
+
+
+# one model change per hypothesis of standard_model(1, 1, 1), each
+# measured to break that hypothesis and no other
+HYPOTHESIS_FAULTS = {
+    1: {"eps1": 1.5},
+    2: {"symbol_constants": {0: 1.0, 1: 0.5, 2: 3.0}},
+    3: {"eps1_tilde": 1.5},
+    4: {"v2": lambda r: -0.1 / bracket(r), "v2_tail": (0.5, 1.0, 1.0)},
+    5: {"v2": _v2_core},
+}
+
+
+@pytest.mark.parametrize("hypothesis", sorted(HYPOTHESIS_FAULTS))
+def test_each_hypothesis_fails_alone(hypothesis):
+    model = replace(standard_model(1.0, 1.0, 1), **HYPOTHESIS_FAULTS[hypothesis])
+    checks, _ = check_condition(model, RADII)
+    assert [c.check_id for c in checks if not c.passed] == [f"hypothesis-{hypothesis}"]
+
+
 def test_coulomb_model_passes_all():
     checks, _ = check_condition(coulomb_model(1.0, 3), RADII)
     assert all(c.passed for c in checks), checks
@@ -182,11 +206,9 @@ def test_model_validation():
 
 def test_config_round_trip():
     m = standard_model(2.0, 1.5, 3)
-    cfg = model_to_config(m)
-    m2 = model_from_config(cfg)
+    m2 = model_from_config({"family": "standard", "gamma": 2.0, "mu": 1.5, "dim": 3})
     assert m2.eps1 == m.eps1 and m2.mu == m.mu and m2.dim == m.dim
-    c = coulomb_model(1.0, 3)
-    c2 = model_from_config(model_to_config(c))
+    c2 = model_from_config({"family": "coulomb", "gamma": 1.0, "dim": 3})
     assert c2.name == "coulomb"
     with pytest.raises(ValueError):
         model_from_config({"family": "nope"})

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 from conftest import (free_resolvent_gaussian, free_resolvent_kernel,
                       lattice_free_kernel)
-from lapkit.besov import (ShellScheme, bstar_norm_dense, loglog_slope,
+from lapkit.besov import (ShellScheme, Stream, bstar_norm_dense, loglog_slope,
                           schur_block_bound, unit_blocks)
 from lapkit.config import parse_config_text
 from lapkit.errors import ExtrapolationError, SolverError
@@ -22,7 +22,7 @@ from lapkit.resolvent import (LANCZOS_STEPS, SOLVE_RTOL, Sector,
                               _shell_inverse, besov_bstar_estimate,
                               boundary_value,
                               hoelder_estimate, mourre_resolvent,
-                              operator_norm_lower, quadratic_check, solve,
+                              operator_norm_lower, quadratic_check,
                               spectral_distance, spectral_free_solve,
                               weighted_opnorm)
 
@@ -82,8 +82,8 @@ def test_solve_residual_contract(rng):
 def test_solve_conjugation_symmetry(rng):
     h_op = build_hamiltonian(MODEL, Grid1D(50.0, 512))
     v = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    u = solve(h_op, Z0, v)
-    u_bar = solve(h_op, np.conj(Z0), np.conj(v))
+    u = ShiftedSolver(h_op, Z0).solve(v)
+    u_bar = ShiftedSolver(h_op, np.conj(Z0)).solve(np.conj(v))
     assert np.allclose(np.conj(u_bar), u, atol=1e-10 * np.linalg.norm(u))
 
 
@@ -91,14 +91,16 @@ def test_first_resolvent_identity(rng):
     h_op = build_hamiltonian(MODEL, Grid1D(50.0, 512))
     v = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     for z1, z2 in [(0.3 + 0.4j, 0.05 + 0.2j), (0.9 + 0.05j, 0.01 + 0.01j)]:
-        lhs = solve(h_op, z1, v) - solve(h_op, z2, v)
-        rhs = (z1 - z2) * solve(h_op, z1, solve(h_op, z2, v))
+        r1, r2 = ShiftedSolver(h_op, z1).solve, ShiftedSolver(h_op, z2).solve
+        lhs = r1(v) - r2(v)
+        rhs = (z1 - z2) * r1(r2(v))
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(lhs)
     # the fixed-point form against z = i
     zi = 1j
     z = 0.2 + 0.3j
-    lhs = solve(h_op, z, v)
-    rhs = solve(h_op, zi, v) + (z - zi) * solve(h_op, z, solve(h_op, zi, v))
+    r, ri = ShiftedSolver(h_op, z).solve, ShiftedSolver(h_op, zi).solve
+    lhs = r(v)
+    rhs = ri(v) + (z - zi) * r(ri(v))
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(lhs)
 
 
@@ -208,7 +210,7 @@ def test_stencil_solve_matches_lattice_kernel():
     j = grid.size // 2
     v = np.zeros(grid.size, dtype=complex)
     v[j] = 1.0 / h
-    u = solve(h_op, Z0, v)
+    u = ShiftedSolver(h_op, Z0).solve(v)
     i = np.arange(grid.size)
     exact = lattice_free_kernel(Z0, h, i, j)
     interior = np.abs(grid.nodes) <= 30.0
@@ -341,12 +343,12 @@ def _check_bracket(grid, z):
     est = besov_bstar_estimate(h_op, z, sweep_weight(z, grid), grid)
     fh = np.sqrt(weight_f(WeightParams(abs(z), 1.0, 1.0), grid.nodes))
     dense = fh[:, None] * sla.inv(h_op.toarray() - z * np.eye(grid.size)) * fh
-    exact = bstar_norm_dense(dense, np.abs(grid.nodes), np.abs(grid.nodes))
+    exact = bstar_norm_dense(dense, np.abs(grid.nodes))
     assert est.lower <= exact * (1 + 1e-6)
     assert exact <= est.upper * (1 + 1e-6)
     assert est.lower >= 0.5 * exact      # the shell-pair probe is tight
     # the solve-based block sup is the dense unit-block sup
-    blocks = schur_block_bound(dense, np.abs(grid.nodes), np.abs(grid.nodes))
+    blocks = schur_block_bound(dense, np.abs(grid.nodes), Stream(0))
     assert est.block_sup == pytest.approx(blocks.block_sup, rel=1e-12)
 
 
@@ -530,7 +532,7 @@ def test_besov_lower_is_the_shell_dual_norm():
     for z in SECTOR.points([1e-1, 1e-3]):
         _, dense = _dense_weighted_resolvent(h_op, grid, z)
         est = besov_bstar_estimate(h_op, z, sweep_weight(z, grid), grid)
-        exact = bstar_norm_dense(dense, absx, absx)
+        exact = bstar_norm_dense(dense, absx)
         assert est.lower == pytest.approx(exact, rel=1e-9)
         assert est.details["lower_converged"]
         assert est.details["unconverged_shell_pairs"] == 0
@@ -739,7 +741,7 @@ def test_mourre_small_eps_limit():
     a_op = build_dilation(grid)
     z = 0.2 + 0.2j
     v = gaussian_probe(grid, width=1.5)
-    base = solve(h_op, z, v)
+    base = ShiftedSolver(h_op, z).solve(v)
     gaps = []
     for eps in (1e-2, 1e-3, 1e-4):
         u = mourre_resolvent(h_op, a_op, z, eps).solve(v)
@@ -777,7 +779,6 @@ def test_estimates_in_dilation_eigenbasis(rng):
     # weighted-resolvent block estimate against the dilation generator:
     # diagonalize A, transport the operator, and reuse the block and
     # shell machinery on the eigenvalue spectrum
-    from lapkit.besov import bstar_norm_dense, schur_block_bound
     from lapkit.operators import dilation_eigenbasis
 
     grid = Grid1D(20.0, 128)
@@ -787,7 +788,7 @@ def test_estimates_in_dilation_eigenbasis(rng):
     f = weight_f(WeightParams(abs(Z0), 1.0, 1.0), grid.nodes)
     dense = np.diag(f) @ sla.inv(h_op.toarray() - Z0 * np.eye(128)) @ np.diag(f)
     transported = avecs.conj().T @ dense @ avecs
-    bb = schur_block_bound(transported, avals, avals, rng=rng)
-    exact = bstar_norm_dense(transported, avals, avals)
+    bb = schur_block_bound(transported, avals, rng)
+    exact = bstar_norm_dense(transported, avals)
     assert math.isfinite(bb.upper)
     assert bb.probe_lower <= exact * (1 + 1e-9) <= bb.upper * (1 + 1e-9)

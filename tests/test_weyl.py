@@ -15,10 +15,15 @@ from lapkit.potential import WeightParams, bracket, standard_model, weight_f
 from lapkit.weyl import (FALL_WIDTH, REFERENCE_RADIUS, TILDE_WIDTH, Band, FilterSpec,
                          default_radius_ladder,
                          filter_symbol, radiation_filter, smoothstep7, symbol_a0,
-                         symbol_b0, weyl_apply, weyl_matrix)
+                         weyl_apply, weyl_matrix)
 
 GRID = Grid1D(10.0, 128)
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def direction_symbol(params):
+    """b0(x, xi) = (xi / f(x)) (x / <x>), the scaled radial-direction symbol."""
+    return lambda x, xi: (xi / weight_f(params, x)) * (x / bracket(x))
 
 
 def constant_symbol(value):
@@ -69,7 +74,7 @@ def test_partition_of_unity():
 
 def test_apply_matches_dense(rng):
     params = WeightParams(0.0, 1.0, 1.0)
-    b0 = symbol_b0(params)
+    b0 = direction_symbol(params)
     dense = weyl_matrix(b0, GRID)
     u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     direct = dense @ u
@@ -340,7 +345,7 @@ def test_quantized_position_is_multiplication(rng):
 def test_symbol_pointwise_values():
     params = WeightParams(0.0, 1.0, 1.0)
     a0 = symbol_a0(params)
-    b0 = symbol_b0(params)
+    b0 = direction_symbol(params)
     # at x = 0: f0 = 1, so a0 = xi^2 and b0 = 0
     assert a0(0.0, 2.0) == pytest.approx(4.0)
     assert b0(0.0, 2.0) == pytest.approx(0.0)
