@@ -45,10 +45,8 @@ print("plain norm grows ~ 1/|z|; the framed quantities barely move")
 
 print()
 print("=== extrapolating the boundary value at zero energy ===")
-defaults = parse_config_text("")        # the configured layer and ladder
-layer = defaults.grid
-cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy,
-                       strength=layer["absorber_strength"])
+defaults = parse_config_text("")        # the configured ladder
+cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy)
 v = np.exp(-x**2 / 8.0).astype(complex)
 res = boundary_value(h_op + cap, v, grid, sector=build_sector(defaults),
                      ratio=defaults.sector["ratio"],

@@ -22,10 +22,8 @@ from lapkit.weyl import FilterSpec, radiation_filter
 model = standard_model(1.0, 1.0, 1)
 grid = Grid1D(200.0, 2048)
 h_plain = build_hamiltonian(model, grid)
-defaults = parse_config_text("")        # the configured layer and ladder
-layer = defaults.grid
-cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy,
-                       strength=layer["absorber_strength"])
+defaults = parse_config_text("")        # the configured ladder
+cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy)
 h_cap = h_plain + cap
 v = gaussian_probe(grid, width=SOURCE_WIDTH)
 

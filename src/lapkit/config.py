@@ -34,17 +34,12 @@ SCHEMA = {
         "gamma": (float, 1.0, "attraction strength"),
         "mu": (float, 1.0, "decay rate in (0, 2); ignored by coulomb"),
         "dim": (int, 1, "ambient dimension"),
-        "v2_table": (str, None, "two-column text file (radius, value) for V2"),
-        "v2_delta": (float, 0.5, "tail exponent margin of the tabulated V2"),
-        "v2_c": (float, 1.0, "tail constant of the tabulated V2"),
-        "v2_r": (float, 1.0, "tail radius of the tabulated V2"),
     },
     "grid": {
         "kind": (str, "line", "grid kind: line | radial"),
         "length": (float, 400.0, "box half-width (line) or outer radius"),
         "size": (int, 4096, "node count; power of two on the line"),
         "ell": (int, 0, "angular momentum for radial grids"),
-        "absorber_strength": (float, 3.0, "absorbing-layer amplitude eta"),
     },
     "sector": {
         "theta": (float, 0.75 * math.pi, "sector opening in (0, pi)"),
@@ -58,8 +53,6 @@ SCHEMA = {
         "seed": (int, 0, "seed of lap-sweep's weighted-norm Lanczos starts and selftest banks"),
         "tolerance": (float, 1e-4, "ray-ladder tolerance"),
         "samples": (int, 200, "random samples per inequality"),
-        "stability_check": (lambda s: s.lower() in ("1", "true", "yes"),
-                            True, "gate quantities on box doubling"),
         "sigma_cut": (float, 0.5, "direction cutoff of the outgoing filter; at most 1"),
     },
     "output": {

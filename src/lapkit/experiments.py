@@ -5,15 +5,14 @@ under its seed, and emits a Report whose checks each cite one stable
 anchor id.  Sweep experiments also produce CSV rows; radiation and
 uniqueness produce vector dumps.  Numerical policy: every claimed
 bound is checked with its explicit constant, limits are replaced by
-slope statistics over the top half of a radius ladder, and quantities
-can be gated on stability under doubling the box at fixed spacing.
+slope statistics over the top half of a radius ladder, and sweep
+quantities are gated on box doubling at fixed spacing.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -23,8 +22,8 @@ from .errors import ConfigError
 from .grids import Grid1D, RadialGrid
 from .operators import build_hamiltonian, gaussian_probe, matched_absorber
 from .potential import (PotentialModel, WeightParams, bracket,
-                        check_condition, load_v2_table, model_from_config,
-                        weight_exponent, weight_f)
+                        check_condition, model_from_config, weight_exponent,
+                        weight_f)
 from .reports import CheckResult, Report
 from .resolvent import (Sector, ShiftedSolver, besov_bstar_estimate,
                         boundary_value, spectral_distance, weighted_opnorm)
@@ -52,21 +51,11 @@ SOURCE_WIDTH = 2.0
 
 def build_model(cfg: ExperimentConfig) -> PotentialModel | None:
     if cfg.model["family"] == "free":
-        if cfg.model.get("v2_table"):
-            raise ConfigError("the free family has no potential to add "
-                              "a v2_table to")
         return None
     try:
-        model = model_from_config(cfg.model)
-        if cfg.model.get("v2_table"):
-            model = replace(model, v2=load_v2_table(cfg.model["v2_table"]),
-                            v2_tail=(cfg.model["v2_delta"], cfg.model["v2_c"],
-                                     cfg.model["v2_r"]))
-    except OSError as exc:
-        raise ConfigError(f"cannot read V2 table: {exc}") from exc
+        return model_from_config(cfg.model)
     except ValueError as exc:
         raise ConfigError(f"bad model: {exc}") from exc
-    return model
 
 
 def build_grid(cfg: ExperimentConfig):
@@ -347,9 +336,8 @@ def run_lap_sweep(cfg: ExperimentConfig,
                             "lanczos_steps", "unconverged_shell_pairs",
                             "unconverged_rows"), 0)
     h_op = build_hamiltonian(model, grid)
-    if cfg.experiment["stability_check"]:
-        wide_grid = grid.widen()
-        h_wide = build_hamiltonian(model, wide_grid)
+    wide_grid = grid.widen()
+    h_wide = build_hamiltonian(model, wide_grid)
     distances = report.extras.setdefault("distance_to_spectrum", {})
     per_quantity: dict[str, list] = {q: [] for q in quantities}
     for z in sector.points(moduli):
@@ -357,19 +345,17 @@ def run_lap_sweep(cfg: ExperimentConfig,
         residual = base["_residual"]
         if "_distance" in base:
             distances[repr(z)] = base["_distance"]
-        wide = (_sweep_quantities(h_wide, wide_grid, z, mu, rng, quantities)
-                if cfg.experiment["stability_check"] else None)
-        parts = [base] if wide is None else [base, wide]
-        for part in parts:
+        wide = _sweep_quantities(h_wide, wide_grid, z, mu, rng, quantities)
+        for part in (base, wide):
             for key, value in part["_health"].items():
                 health[key] += value
-        unconverged = set().union(*(part["_unconverged"] for part in parts))
+        unconverged = base["_unconverged"] | wide["_unconverged"]
         for q in quantities:
             lo, up = base[q]
             # an unconverged iteration flags its row like the gate does
             stable = q not in unconverged
             health["unconverged_rows"] += not stable
-            if wide is not None and stable:
+            if stable:
                 # each side the quantity has, lower and (if any) upper
                 stable = all(abs(w - b) <= STABILITY_RTOL * max(abs(b), 1e-300)
                              for b, w in zip(base[q], wide[q]) if b is not None)
@@ -426,8 +412,8 @@ def _line_problem(cfg: ExperimentConfig, name: str):
     """(model, grid, H, cap, source) of a zero-energy runner.
 
     The runner ``name`` needs a certified potential on the line grid;
-    ``cap`` is the matched absorbing layer, None when the configured
-    strength is 0, and the source is the Gaussian of width SOURCE_WIDTH.
+    ``cap`` is the matched absorbing layer, and the source is the
+    Gaussian of width SOURCE_WIDTH.
     """
     model = build_model(cfg)
     if model is None:
@@ -436,10 +422,7 @@ def _line_problem(cfg: ExperimentConfig, name: str):
     if not isinstance(grid, Grid1D):
         raise ConfigError(f"{name} runs on the 1-d line grid")
     h_op = build_hamiltonian(model, grid)
-    cap = None
-    if cfg.grid["absorber_strength"] > 0:
-        cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy,
-                               strength=cfg.grid["absorber_strength"])
+    cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy)
     source = gaussian_probe(grid, width=SOURCE_WIDTH)
     return model, grid, h_op, cap, source
 
@@ -469,7 +452,7 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     defect falling below 20% between REFERENCE_RADIUS and half the box.
     """
     model, grid, h_op, cap, v = _line_problem(cfg, "radiation")
-    h_cap = h_op if cap is None else h_op + cap
+    h_cap = h_op + cap
     sector = build_sector(cfg)
     report = _report(cfg)
     weight_s = weight_exponent(model.mu)
@@ -549,8 +532,6 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
     (over-damping), not as success.
     """
     model, grid, h_plain, cap, v = _line_problem(cfg, "uniqueness")
-    if cap is None:
-        raise ConfigError("uniqueness needs the absorbing layer enabled")
     h_cap = h_plain + cap
     report = _report(cfg)
     u_plus, u_minus = _boundary_values(h_cap, v)
@@ -615,8 +596,8 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, **kwargs) -> Report:
+def run_experiment(cfg: ExperimentConfig) -> Report:
     runner = _RUNNERS.get(cfg.experiment_id)
     if runner is None:
         raise ConfigError(f"unknown experiment id {cfg.experiment_id!r}")
-    return runner(cfg, **kwargs)
+    return runner(cfg)

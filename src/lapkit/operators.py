@@ -4,7 +4,7 @@ Hamiltonians on the grids of ``lapkit.grids`` use the second-order
 central stencil with Dirichlet walls.  The one complex absorbing layer,
 ``matched_absorber``, is impedance-matched to zero-energy waves and
 kept as a separate diagonal term so the Hermitian part stays intact;
-its strength comes from the configuration.  Every operator is
+its amplitude and width are module constants.  Every operator is
 a ``BandMatrix``: its diagonals as numpy arrays.
 """
 
@@ -34,7 +34,9 @@ __all__ = [
     "dilation_eigenbasis",
 ]
 
-# share of the box the absorbing layer covers, calibrated at desk scale (L = 400)
+# the absorbing layer, calibrated at desk scale (L = 400): its amplitude eta
+# and the share of the box it covers
+ABSORBER_STRENGTH = 3.0
 ABSORBER_WIDTH = 0.375
 
 
@@ -133,16 +135,17 @@ def build_hamiltonian(model: PotentialModel | None, grid) -> BandMatrix:
     return BandMatrix([off, main + pot, off])
 
 
-def matched_absorber(grid, mu: float, kappa: float, strength: float) -> BandMatrix:
+def matched_absorber(grid, mu: float, kappa: float) -> BandMatrix:
     """Complex absorbing potential impedance-matched to zero-energy waves.
 
     Slow waves with local momentum f_0 = (K <x>^-mu)^{1/2} reflect off
     a constant-amplitude layer (it is either an overdamped wall or too
-    weak to absorb), so the amplitude -i eta t^2 K <x>^-mu tracks the
-    local kinetic scale f_0^2 under a quadratic ramp in the depth t,
-    which rises from 0 at the inner edge of the layer to 1 at the wall;
-    measured round-trip reflection stays near the percent level at
-    desk-scale boxes.  Returned as a separate labeled term.
+    weak to absorb), so the amplitude -i eta t^2 K <x>^-mu, with
+    eta = ABSORBER_STRENGTH, tracks the local kinetic scale f_0^2 under
+    a quadratic ramp in the depth t, which rises from 0 at the inner
+    edge of the layer to 1 at the wall; measured round-trip reflection
+    stays near the percent level at desk-scale boxes.  Returned as a
+    separate diagonal term.
     """
     x = grid.nodes
     scale = kappa * bracket(x) ** (-mu)
@@ -150,7 +153,7 @@ def matched_absorber(grid, mu: float, kappa: float, strength: float) -> BandMatr
     width = ABSORBER_WIDTH * outer
     t = np.clip((np.abs(x) - (outer - width)) / width, 0.0, 1.0)
     ramp = t**2 * scale
-    return BandMatrix([-1j * strength * ramp])
+    return BandMatrix([-1j * ABSORBER_STRENGTH * ramp])
 
 
 def build_dilation(grid) -> BandMatrix:

@@ -35,7 +35,6 @@ __all__ = [
     "standard_model",
     "coulomb_model",
     "model_from_config",
-    "load_v2_table",
 ]
 
 
@@ -347,24 +346,3 @@ def model_from_config(cfg: dict) -> PotentialModel:
     if family == "coulomb":
         return coulomb_model(float(cfg["gamma"]), int(cfg["dim"]))
     raise ValueError(f"unknown model family {family!r}")
-
-
-def load_v2_table(path) -> Callable[[np.ndarray], np.ndarray]:
-    """Radial V2 from a two-column text file (radius, value).
-
-    Values are interpolated linearly in radius, held at the innermost
-    value below the first radius, and set to zero beyond the last one
-    (a tabulated potential carries no tail).
-    """
-    data = np.loadtxt(path)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError("expected a two-column table (radius, value)")
-    radii, values = data[:, 0], data[:, 1]
-    order = np.argsort(radii)
-    radii, values = radii[order], values[order]
-
-    def v2(r):
-        return np.interp(np.abs(np.asarray(r, dtype=float)), radii, values,
-                         right=0.0)
-
-    return v2

@@ -7,11 +7,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from lapkit.errors import DimensionError
-from lapkit.operators import (BandMatrix, Grid1D, RadialGrid, build_dilation,
-                              build_hamiltonian, commutator_residual,
-                              dilation_eigenbasis, export_triplets,
-                              gaussian_probe, hermiticity_residual,
-                              matched_absorber, refinement_orders)
+from lapkit.operators import (ABSORBER_STRENGTH, BandMatrix, Grid1D, RadialGrid,
+                              build_dilation, build_hamiltonian,
+                              commutator_residual, dilation_eigenbasis,
+                              export_triplets, gaussian_probe,
+                              hermiticity_residual, matched_absorber,
+                              refinement_orders)
 from lapkit.potential import coulomb_model, standard_model
 
 
@@ -92,7 +93,7 @@ def test_band_matrix_keeps_the_bits_of_sparse_products(rng):
     # terms from zero in ascending order, and so does a BandMatrix
     g = Grid1D(20.0, 128)
     h_cap = build_hamiltonian(standard_model(1.0, 1.0, 1), g) + matched_absorber(
-        g, mu=1.0, kappa=1.0, strength=1.0)
+        g, mu=1.0, kappa=1.0)
     a_op = build_dilation(g)
     comm = h_cap @ a_op - a_op @ h_cap
     v = rng.standard_normal(128) + 1j * rng.standard_normal(128)
@@ -129,7 +130,7 @@ def test_matched_absorber_shape(grid):
     # -i eta t^2 K <x>^-mu: purely absorbing, zero inside the layer (the
     # outer 37.5% of the box, here 15 of 40), and -i eta K <x>^-mu at the
     # wall, where the depth t reaches 1
-    cap = matched_absorber(grid, mu=1.0, kappa=2.0, strength=1.5)
+    cap = matched_absorber(grid, mu=1.0, kappa=2.0)
     d = cap.diagonal()
     r = np.abs(grid.nodes)
     assert np.all(d.real == 0.0)
@@ -139,19 +140,19 @@ def test_matched_absorber_shape(grid):
     edge = np.argmax(r)
     # the outermost node sits half a cell inside the wall
     depth = 1.0 - grid.spacing / 2.0 / 15.0
-    wall = -1.5 * 2.0 / math.sqrt(1 + r[edge] ** 2)
+    wall = -ABSORBER_STRENGTH * 2.0 / math.sqrt(1 + r[edge] ** 2)
     assert d[edge] == pytest.approx(1j * depth**2 * wall, rel=1e-12)
 
 
 def test_matched_absorber_scales_with_local_energy():
     g = Grid1D(40.0, 256)
-    cap = matched_absorber(g, mu=1.0, kappa=2.0, strength=1.0)
+    cap = matched_absorber(g, mu=1.0, kappa=2.0)
     d = cap.diagonal().imag
     x = g.nodes
     edge = np.argmax(np.abs(x))
     ramp = ((abs(x[edge]) - 25.0) / 15.0) ** 2
     assert d[edge] == pytest.approx(
-        -ramp * 2.0 / math.sqrt(1 + x[edge] ** 2), rel=1e-12)
+        -ABSORBER_STRENGTH * ramp * 2.0 / math.sqrt(1 + x[edge] ** 2), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from lapkit.potential import (PotentialModel, WeightParams, bracket,
-                              check_condition, coulomb_model, load_v2_table,
-                              model_from_config, standard_model, virial_w,
-                              weight_f)
+                              check_condition, coulomb_model, model_from_config,
+                              standard_model, virial_w, weight_f)
 
 RADII = np.linspace(0.0, 50.0, 201)
 
@@ -212,16 +211,3 @@ def test_config_round_trip():
     assert c2.name == "coulomb"
     with pytest.raises(ValueError):
         model_from_config({"family": "nope"})
-
-
-def test_v2_table_loading(tmp_path):
-    path = tmp_path / "v2.txt"
-    radii = np.linspace(0.0, 5.0, 21)
-    np.savetxt(path, np.column_stack([radii, -1.0 / (1.0 + radii)]))
-    v2 = load_v2_table(path)
-    assert v2(2.0) == pytest.approx(-1.0 / 3.0)
-    assert v2(-2.0) == pytest.approx(-1.0 / 3.0)   # radial symmetry
-    bad = tmp_path / "bad.txt"
-    np.savetxt(bad, radii)
-    with pytest.raises(ValueError):
-        load_v2_table(bad)

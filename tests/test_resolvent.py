@@ -28,9 +28,7 @@ from lapkit.resolvent import (LANCZOS_STEPS, SOLVE_RTOL, Sector,
 
 MODEL = standard_model(1.0, 1.0, 1)
 Z0 = 0.5 + 0.5j
-# the absorbing layer's strength as a config leaves it
 DEFAULTS = parse_config_text("")
-LAYER = DEFAULTS.grid
 SECTOR = build_sector(DEFAULTS)
 # the boundary-value ladder as a config leaves it (weight s0 + 0.05)
 LADDER = {"sector": SECTOR, "ratio": DEFAULTS.sector["ratio"],
@@ -41,11 +39,6 @@ LADDER = {"sector": SECTOR, "ratio": DEFAULTS.sector["ratio"],
 def sweep_weight(z, grid):
     """The sweep's weight f at lambda = |z|, K = 1 and the model's mu."""
     return weight_f(WeightParams(abs(z), 1.0, MODEL.mu), grid.nodes)
-
-
-def configured_absorber(grid):
-    return matched_absorber(grid, mu=1.0, kappa=1.0,
-                            strength=LAYER["absorber_strength"])
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +325,7 @@ def test_spectral_distance_rejects_non_real_tridiagonal():
     grid = Grid1D(20.0, 128)
     h_op = build_hamiltonian(MODEL, grid)
     with pytest.raises(ValueError, match="real"):
-        spectral_distance(h_op + configured_absorber(grid), Z0)
+        spectral_distance(h_op + matched_absorber(grid, mu=1.0, kappa=1.0), Z0)
     solver = mourre_resolvent(h_op, build_dilation(grid), Z0, 0.1)
     with pytest.raises(ValueError, match="tridiagonal"):
         spectral_distance(solver.matrix, Z0)
@@ -664,7 +657,7 @@ def test_boundary_value_unconverged_returns_its_last_iterate():
     # three rungs do not reach the tolerance: the last solve is returned
     # with the ladder of its two differences
     grid = Grid1D(100.0, 1024)
-    full = build_hamiltonian(MODEL, grid) + configured_absorber(grid)
+    full = build_hamiltonian(MODEL, grid) + matched_absorber(grid, mu=1.0, kappa=1.0)
     v = gaussian_probe(grid, width=2.0)
     res = boundary_value(full, v, grid, **{**LADDER, "max_steps": 3})
     assert not res.converged
@@ -679,7 +672,7 @@ def test_boundary_value_ladder_reaches_the_capped_solve():
     # definition of the boundary value: its converged last iterate lies
     # within the tolerance of it in the weighted relative norm
     grid = Grid1D(100.0, 1024)
-    full = build_hamiltonian(MODEL, grid) + configured_absorber(grid)
+    full = build_hamiltonian(MODEL, grid) + matched_absorber(grid, mu=1.0, kappa=1.0)
     v = gaussian_probe(grid, width=2.0)
     res = boundary_value(full, v, grid, **LADDER)
     assert res.converged
@@ -693,7 +686,7 @@ def test_boundary_value_ladder_consistent_with_hoelder(rng):
     # the operator-norm growth exponent bounds the per-step vector decay
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
-    cap = configured_absorber(grid)
+    cap = matched_absorber(grid, mu=1.0, kappa=1.0)
     full = h_op + cap
     v = gaussian_probe(grid, width=2.0)
     res = boundary_value(full, v, grid, **{**LADDER, "tol": 1e-5})
