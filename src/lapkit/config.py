@@ -20,7 +20,7 @@ __all__ = ["ExperimentConfig", "load_config", "parse_config_text",
            "config_schema_text", "EXPERIMENT_IDS"]
 
 EXPERIMENT_IDS = ("besov-selftest", "check-potential", "lap-sweep",
-                  "besov-bound", "radiation", "uniqueness")
+                  "radiation", "uniqueness")
 
 
 def _floats(text):

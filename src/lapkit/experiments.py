@@ -2,7 +2,7 @@
 
 Each experiment consumes a resolved configuration, runs deterministically
 under its seed, and emits a Report whose checks each cite one stable
-anchor id.  Sweep experiments also produce CSV rows; radiation and
+anchor id.  The sweep also produces CSV rows; radiation and
 uniqueness produce vector dumps.  Numerical policy: every claimed
 bound is checked with its explicit constant, limits are replaced by
 slope statistics over the top half of a radius ladder, and sweep
@@ -30,7 +30,7 @@ from .resolvent import (Sector, ShiftedSolver, besov_bstar_estimate,
 from .weyl import ANNULUS_EPS, REFERENCE_RADIUS, FilterSpec, radiation_filter
 
 __all__ = ["run_experiment", "run_besov_selftest", "run_check_potential",
-           "run_lap_sweep", "run_besov_bound", "run_radiation",
+           "run_lap_sweep", "run_radiation",
            "run_uniqueness", "build_grid", "build_model", "build_sector",
            "SLOPE_DECREASING", "SLOPE_FLAT"]
 
@@ -257,11 +257,11 @@ def run_check_potential(cfg: ExperimentConfig) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# lap-sweep and besov-bound
+# lap-sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_quantities(h_op, grid, z, mu, rng, quantities):
-    """The named sweep ``quantities`` at one z, from one factorization of h_op - z.
+def _sweep_quantities(h_op, grid, z, mu, rng):
+    """The sweep quantities at one z, from one factorization of h_op - z.
 
     The plain norm is exact, 1 / dist(z, spectrum), and the distance is
     returned with it; the weighted norm, with weight <x>^-s f^{1/2} for
@@ -274,34 +274,28 @@ def _sweep_quantities(h_op, grid, z, mu, rng, quantities):
     solver = ShiftedSolver(h_op, z)
     x = grid.nodes
     f = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=mu), x)
-    out = {}
-    health = {"weighted_runs": int("weighted" in quantities),
-              "unconverged_weighted_runs": 0,
-              "lanczos_steps": 0, "unconverged_shell_pairs": 0}
-    if "unweighted" in quantities:
-        out["_distance"] = spectral_distance(h_op, z)
-        out["unweighted"] = (1.0 / out["_distance"], None)
-    if "weighted" in quantities:
-        wgt = bracket(x) ** (-weight_exponent(mu)) * np.sqrt(f)
-        wei = weighted_opnorm(solver, z, wgt, wgt, rng=rng)
-        out["weighted"] = (wei.lower, None)
-        health["unconverged_weighted_runs"] = int(not wei.converged)
-    if "shell_dual" in quantities:
-        est = besov_bstar_estimate(solver, z, f, grid)
-        out["shell_dual"] = (est.lower, est.upper)
-        for key in ("lanczos_steps", "unconverged_shell_pairs"):
-            health[key] = est.details[key]
+    distance = spectral_distance(h_op, z)
+    wgt = bracket(x) ** (-weight_exponent(mu)) * np.sqrt(f)
+    wei = weighted_opnorm(solver, z, wgt, wgt, rng=rng)
+    est = besov_bstar_estimate(solver, z, f, grid)
     probe = gaussian_probe(grid, width=SOURCE_WIDTH)
-    out["_residual"] = solver.residual(solver.solve(probe), probe)
-    out["_health"] = health
-    out["_unconverged"] = {q for q, key in (("weighted", "unconverged_weighted_runs"),
-                                            ("shell_dual", "unconverged_shell_pairs"))
-                           if health[key]}
-    return out
+    health = {"weighted_runs": 1,
+              "unconverged_weighted_runs": int(not wei.converged),
+              "lanczos_steps": est.lanczos_steps,
+              "unconverged_shell_pairs": int(not est.converged)}
+    return {
+        "_distance": distance,
+        "unweighted": (1.0 / distance, None),
+        "weighted": (wei.lower, None),
+        "shell_dual": (est.lower, est.upper),
+        "_residual": solver.residual(solver.solve(probe), probe),
+        "_health": health,
+        "_unconverged": {q for q, ok in (("weighted", wei.converged),
+                                         ("shell_dual", est.converged)) if not ok},
+    }
 
 
-def run_lap_sweep(cfg: ExperimentConfig,
-                  quantities=("unweighted", "weighted", "shell_dual")) -> Report:
+def run_lap_sweep(cfg: ExperimentConfig) -> Report:
     """Resolvent norm estimates on the sector bisector, with exponent fits.
 
     For a certified model the low-energy theory predicts the weighted
@@ -339,18 +333,17 @@ def run_lap_sweep(cfg: ExperimentConfig,
     wide_grid = grid.widen()
     h_wide = build_hamiltonian(model, wide_grid)
     distances = report.extras.setdefault("distance_to_spectrum", {})
-    per_quantity: dict[str, list] = {q: [] for q in quantities}
+    per_quantity = {q: [] for q in ("unweighted", "weighted", "shell_dual")}
     for z in sector.points(moduli):
-        base = _sweep_quantities(h_op, grid, z, mu, rng, quantities)
+        base = _sweep_quantities(h_op, grid, z, mu, rng)
         residual = base["_residual"]
-        if "_distance" in base:
-            distances[repr(z)] = base["_distance"]
-        wide = _sweep_quantities(h_wide, wide_grid, z, mu, rng, quantities)
+        distances[repr(z)] = base["_distance"]
+        wide = _sweep_quantities(h_wide, wide_grid, z, mu, rng)
         for part in (base, wide):
             for key, value in part["_health"].items():
                 health[key] += value
         unconverged = base["_unconverged"] | wide["_unconverged"]
-        for q in quantities:
+        for q, kept in per_quantity.items():
             lo, up = base[q]
             # an unconverged iteration flags its row like the gate does
             stable = q not in unconverged
@@ -366,7 +359,7 @@ def run_lap_sweep(cfg: ExperimentConfig,
                 "residual": residual, "stable": stable,
             })
             if stable:
-                per_quantity[q].append((abs(z), lo, up))
+                kept.append((abs(z), lo, up))
     for q, triples in per_quantity.items():
         if len(triples) >= 2:
             mods = [t[0] for t in triples]
@@ -379,8 +372,7 @@ def run_lap_sweep(cfg: ExperimentConfig,
     report.extras["fits"] = fits
     report.extras["rows"] = len(rows)
     report.extras["solver_health"] = health
-    # a fit missing (too few stable rows, or a quantity not swept) omits
-    # its check
+    # a fit missing (too few stable rows) omits its check
     checks = (
         ("unweighted_lower", "unweighted-growth", "resolvent-blowup-rate", -0.85,
          "<=", "plain resolvent norm grows like a negative power"),
@@ -398,10 +390,6 @@ def run_lap_sweep(cfg: ExperimentConfig,
                                    comparison, description))
     report.extras["csv_rows"] = rows
     return report
-
-
-def run_besov_bound(cfg: ExperimentConfig) -> Report:
-    return run_lap_sweep(cfg, quantities=("shell_dual",))
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +499,8 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
         }
         for mode, res in filters.items()
     }
-    report.artifacts["vectors"] = {
-        "u_plus": u_plus, "u_minus": u_minus, "source": v,
-    }
+    # u_minus is conj(u_plus) bit for bit, so it is not dumped
+    report.artifacts["vectors"] = {"u_plus": u_plus, "source": v}
     return report
 
 
@@ -578,7 +565,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
     report.extras["defect_ladder"] = {"ladder": list(map(float, ladder)),
                                       "outgoing": filt.ball_defect.tolist(),
                                       "plain": plain.tolist()}
-    report.artifacts["vectors"] = {"u_plus": u_plus, "u_minus": u_minus}
+    report.artifacts["vectors"] = {"u_plus": u_plus}
     return report
 
 
@@ -590,7 +577,6 @@ _RUNNERS = {
     "besov-selftest": run_besov_selftest,
     "check-potential": run_check_potential,
     "lap-sweep": run_lap_sweep,
-    "besov-bound": run_besov_bound,
     "radiation": run_radiation,
     "uniqueness": run_uniqueness,
 }

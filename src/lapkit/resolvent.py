@@ -467,7 +467,8 @@ class BesovEstimate:
     lower: float
     upper: float
     block_sup: float
-    details: dict
+    lanczos_steps: int          # of the diagonal shell pairs' run
+    converged: bool             # whether that run converged
 
 
 def besov_bstar_estimate(operator, z: complex, f, grid) -> BesovEstimate:
@@ -493,9 +494,8 @@ def besov_bstar_estimate(operator, z: complex, f, grid) -> BesovEstimate:
     blocks.  The diagonal pairs ||F_S R[S, S] F_S|| invert to tridiagonal
     Schur complements, and one Lanczos run on their direct sum
     (``_diagonal_shell_pairs``) finds the best, a lower bound whether or
-    not it converged.  ``details`` records whether the term that set
-    ``lower`` converged (separated pairs are exact), the run's Lanczos
-    steps, and 1 in ``unconverged_shell_pairs`` if it did not.
+    not it converged; ``lanczos_steps`` and ``converged`` describe that
+    run.
     """
     absx = np.abs(grid.nodes)
     fh = np.sqrt(f)
@@ -516,17 +516,14 @@ def besov_bstar_estimate(operator, z: complex, f, grid) -> BesovEstimate:
     pairs = (_separated_pair_norms(kernel, f, shell_of, len(radii), center)
              / np.sqrt(radii[inner] * radii[outer]))
     lower, _, steps, converged = _diagonal_shell_pairs(kernel, solver, fh, shell_of, radii)
-    lower_converged = converged
     if pairs.size and np.max(pairs) >= lower:
-        lower, lower_converged = float(np.max(pairs)), True
+        lower = float(np.max(pairs))
 
     upper = 2.0 * block_sup
     if lower > upper * (1 + 1e-6):
         raise AssertionError("shell-space bracket inverted")
     return BesovEstimate(lower=lower, upper=upper, block_sup=block_sup,
-                         details={"lower_converged": lower_converged,
-                                  "lanczos_steps": steps,
-                                  "unconverged_shell_pairs": int(not converged)})
+                         lanczos_steps=steps, converged=converged)
 
 
 def _separated_pair_norms(kernel: TridiagonalResolvent, f, labels, count: int,

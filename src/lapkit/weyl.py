@@ -323,7 +323,7 @@ class FilterResult:
 
 
 def filter_symbol(spec: FilterSpec, params: WeightParams,
-                  mode: str = "outgoing") -> tuple[Callable, Band]:
+                  mode: str) -> tuple[Callable, Band]:
     """The cutoff symbol of a radiation filter mode, with its band.
 
     Modes: ``outgoing`` is chi_-(a0) chi~_-(b0), which removes the
@@ -357,7 +357,7 @@ def filter_symbol(spec: FilterSpec, params: WeightParams,
 
 
 def radiation_filter(u, spec: FilterSpec, model: PotentialModel,
-                     grid: Grid1D, mode: str = "outgoing"):
+                     grid: Grid1D, mode: str):
     """Apply a phase-space cutoff and ladder its vanishing defect.
 
     The cutoff is ``filter_symbol(spec, params, mode)`` with the

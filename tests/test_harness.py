@@ -11,8 +11,8 @@ import scipy.linalg as sla
 from lapkit import besov, experiments, operators
 from lapkit.cli import _print_checks
 from lapkit.cli import main as cli_main
-from lapkit.config import (ExperimentConfig, config_schema_text, load_config,
-                           parse_config_text)
+from lapkit.config import (EXPERIMENT_IDS, ExperimentConfig, config_schema_text,
+                           load_config, parse_config_text)
 from lapkit.errors import ConfigError, SolverError
 from lapkit.experiments import (SLOPE_DECREASING, build_grid, build_model,
                                 run_besov_selftest, run_check_potential,
@@ -547,6 +547,21 @@ def test_free_control_run_documents_contrast():
         assert fits[key] < SLOPE_DECREASING <= standard[key], key
 
 
+def test_weighted_exponent_falls_with_the_weight_exponent(monkeypatch):
+    # s = 0.8 is the model's own weight_exponent; below s0 = 0.75 the
+    # weighted exponent keeps falling, but weighted-boundedness first
+    # fails between s = 0.5 and 0.4 (its passes at 0.6 and 0.5 are not
+    # asserted: they are the check's known weakness)
+    exponents = []
+    for s in (0.8, 0.6, 0.5, 0.4):
+        monkeypatch.setattr(experiments, "weight_exponent", lambda mu, s=s: s)
+        rep = run_lap_sweep(parse_config_text(SMALL_SWEEP))
+        exponents.append(rep.extras["fits"]["weighted_lower_exponent"])
+    assert all(lo < hi for hi, lo in zip(exponents, exponents[1:])), exponents
+    check = next(c for c in rep.checks if c.check_id == "weighted-boundedness")
+    assert check.value == exponents[-1] and not check.passed
+
+
 def test_free_control_run_weights_with_the_configured_mu():
     # both factors of the weight <x>^-s f_mu^1/2 read the configured mu, so
     # each weighted row is the dense norm of W R(z) W with s = 1/2 + mu/4 + 0.05
@@ -564,23 +579,6 @@ def test_free_control_run_weights_with_the_configured_mu():
         resolvent = np.linalg.inv(dense - z * np.eye(grid.size))
         exact = np.linalg.norm(w[:, None] * resolvent * w[None, :], 2)
         assert row["lower"] == pytest.approx(exact, rel=1e-8)
-
-
-def test_besov_bound_subset(monkeypatch):
-    # the shell-dual quantity alone: no spectral distance is computed
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("besov-bound computed a spectral distance")
-
-    monkeypatch.setattr(experiments, "spectral_distance", refuse)
-    cfg = parse_config_text(SMALL_SWEEP.replace("id = lap-sweep",
-                                                "id = besov-bound"))
-    rep = run_experiment(cfg)
-    ids = {c.check_id for c in rep.checks}
-    assert ids == {"shell-dual-lower-boundedness", "shell-dual-upper-boundedness"}
-    quantities = {row["quantity"] for row in rep.extras["csv_rows"]}
-    assert quantities == {"shell_dual"}
-    assert rep.extras["distance_to_spectrum"] == {}
 
 
 def test_uniqueness_over_damping_fails_on_its_value(monkeypatch):
@@ -699,7 +697,7 @@ def test_radiation_small_structure(small_radiation):
     assert converged.value <= converged.threshold
     assert by_id["plus-outgoing-slope"].passed
     assert by_id["plus-mirrored-slope"].passed
-    assert set(rep.artifacts["vectors"]) == {"u_plus", "u_minus", "source"}
+    assert set(rep.artifacts["vectors"]) == {"u_plus", "source"}
 
 
 @pytest.mark.parametrize("steps", [1, 3])
@@ -724,13 +722,13 @@ def test_zero_energy_runners_share_one_boundary_value(tmp_path):
     rad_cfg = parse_config_text(SMALL_UNIQUENESS.replace("uniqueness", "radiation"))
     rad = run_radiation(rad_cfg)
     uni = run_uniqueness(parse_config_text(SMALL_UNIQUENESS))
-    # the null difference is u_plus - u_minus of these dumps, so it has none
-    assert set(uni.artifacts["vectors"]) == {"u_plus", "u_minus"}
-    for name in ("u_plus", "u_minus"):
-        dump_vector(tmp_path / f"rad_{name}", rad.artifacts["vectors"][name], {})
-        dump_vector(tmp_path / f"uni_{name}", uni.artifacts["vectors"][name], {})
-        assert ((tmp_path / f"rad_{name}.f64").read_bytes()
-                == (tmp_path / f"uni_{name}.f64").read_bytes())
+    # u_minus is conj(u_plus) and the null difference u_plus - conj(u_plus),
+    # so neither is dumped
+    assert set(uni.artifacts["vectors"]) == {"u_plus"}
+    dump_vector(tmp_path / "rad_u_plus", rad.artifacts["vectors"]["u_plus"], {})
+    dump_vector(tmp_path / "uni_u_plus", uni.artifacts["vectors"]["u_plus"], {})
+    assert ((tmp_path / "rad_u_plus.f64").read_bytes()
+            == (tmp_path / "uni_u_plus.f64").read_bytes())
     model, grid, h_op, cap, v = experiments._line_problem(rad_cfg, "radiation")
     last = ShiftedSolver(h_op + cap, complex(*rad.extras["final_z"])).solve(v)
     u_plus = np.fromfile(tmp_path / "rad_u_plus.f64", dtype="<c16")
@@ -771,9 +769,11 @@ def test_radiation_conjugate_ladders_match_direct_filters(small_radiation):
     # has the same ladders with the outgoing and mirrored roles swapped,
     # because u_minus = conj(u_plus) and Op(mirrored) = conj(Op(outgoing))
     cfg, rep = small_radiation
-    model, grid = build_model(cfg), build_grid(cfg)
+    model, grid, h_op, cap, v = experiments._line_problem(cfg, "radiation")
     spec = FilterSpec.for_model(model, cfg.experiment["sigma_cut"])
-    u_minus = rep.artifacts["vectors"]["u_minus"]
+    u_minus = experiments._boundary_values(h_op + cap, v)[1]
+    # the conjugate of the u_plus dump, bit for bit, so it is not dumped
+    assert u_minus.tobytes() == np.conj(rep.artifacts["vectors"]["u_plus"]).tobytes()
     ladders = rep.extras["defect_ladders"]
     assert set(ladders) == {"plus_outgoing", "plus_high", "plus_mirrored"}
     for mode, swapped in (("outgoing", "mirrored"), ("high", "high"),
@@ -886,7 +886,6 @@ SMALL_CONFIGS = {
     "besov-selftest": SMALL_SELFTEST,
     "check-potential": SMALL_SWEEP.replace("lap-sweep", "check-potential"),
     "lap-sweep": SMALL_SWEEP,
-    "besov-bound": SMALL_SWEEP.replace("lap-sweep", "besov-bound"),
     "radiation": SMALL_UNIQUENESS.replace("uniqueness", "radiation"),
     "uniqueness": SMALL_UNIQUENESS,
 }
@@ -1023,6 +1022,28 @@ def test_cli_removed_keys_are_unknown(tmp_path, capsys, section, key, value):
                     f"[output]\ndirectory = {tmp_path}/out\n")
     assert cli_main(["radiation", "--config", str(path)]) == 2
     assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_cli_removed_command_exits_two(tmp_path, capsys):
+    # besov-bound reported a subset of lap-sweep's report; it is gone
+    path = tmp_path / "sweep.cfg"
+    path.write_text(SMALL_SWEEP + f"[output]\ndirectory = {tmp_path}/out\n")
+    with pytest.raises(SystemExit) as stop:
+        cli_main(["besov-bound", "--config", str(path)])
+    assert stop.value.code == 2
+    assert "invalid choice: 'besov-bound'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_removed_experiment_id_exits_two(tmp_path, capsys):
+    path = tmp_path / "old.cfg"
+    path.write_text(f"[experiment]\nid = besov-bound\n[output]\ndirectory = {tmp_path}/out\n")
+    assert cli_main(["lap-sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown experiment id 'besov-bound'")
+    assert f"valid: {', '.join(EXPERIMENT_IDS)}" in err
+    assert len(EXPERIMENT_IDS) == 5 and "besov-bound" not in EXPERIMENT_IDS
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_solver_error_exits_two(tmp_path, capsys, monkeypatch):

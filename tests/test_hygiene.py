@@ -73,7 +73,7 @@ def test_no_broad_exception_handlers(path):
 # Ceiling on settable values: defaulted function parameters (keyword-only
 # included, nested functions too) plus defaulted dataclass fields.  Each
 # default is a knob a caller may turn; the ceiling may only fall.
-SETTABLE_CEILING = 32
+SETTABLE_CEILING = 29
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -104,7 +104,7 @@ def test_settable_values_do_not_grow():
 
 # Ceiling on the package's source lines (all of src/lapkit, blank lines
 # and comments included); like SETTABLE_CEILING it may only fall.
-LINE_CEILING = 3741
+LINE_CEILING = 3712
 
 
 def test_source_lines_do_not_grow():
@@ -324,7 +324,7 @@ codes = [main([command, "--config", config, "--output", sys.argv[1]])
              ("besov-selftest", "demos/configs/selftest.cfg"),
              ("check-potential", "demos/configs/coulomb_check.cfg"),
              ("check-potential", sweep),
-             ("lap-sweep", sweep), ("besov-bound", sweep),
+             ("lap-sweep", sweep),
              ("radiation", "demos/configs/radiation.cfg"),
              ("uniqueness", "demos/configs/radiation.cfg"),
              ("export-operator", sweep))]
@@ -360,7 +360,7 @@ def every_command(tmp_path_factory):
 
 
 def test_numpy_only_commands_load_no_scipy(every_command):
-    assert every_command["codes"] == [0] * 8
+    assert every_command["codes"] == [0] * 7
     assert every_command["scipy"] == []
     # np.unique without return_inverse imports numpy.ma (numpy 2.4), and
     # numpy.random imports secrets and with it hashlib
@@ -481,34 +481,9 @@ def test_selftest_report_independent_of_blas_threads(tmp_path):
     assert reports[0] == reports[1]
 
 
-# Names lapkit/__init__.py binds, by the module each is imported from.
-PACKAGE_API = {
-    "besov": ["ShellScheme", "besov_norm", "shell_decompose"],
-    "errors": ["ConfigError", "DataError", "DimensionError",
-               "ExtrapolationError", "SolverError"],
-    "operators": ["Grid1D", "RadialGrid", "build_dilation",
-                  "build_hamiltonian", "commutator_residual"],
-    "potential": ["PotentialModel", "WeightParams", "check_condition",
-                  "coulomb_model", "standard_model", "virial_w", "weight_f"],
-    "resolvent": ["Sector", "ShiftedSolver", "besov_bstar_estimate",
-                  "boundary_value", "hoelder_estimate", "mourre_resolvent",
-                  "quadratic_check", "spectral_free_solve",
-                  "weighted_opnorm"],
-    "weyl": ["FilterSpec", "radiation_filter", "weyl_apply", "weyl_matrix"],
-}
+# Modules lapkit/__init__.py binds; every other name is imported from its module.
 PACKAGE_MODULES = ["besov", "config", "experiments", "operators", "potential",
                    "reports", "resolvent", "weyl"]
-
-
-@pytest.mark.parametrize("module", sorted(PACKAGE_API))
-def test_package_exports_resolve_to_their_definitions(module):
-    source = importlib.import_module(f"lapkit.{module}")
-    for name in PACKAGE_API[module]:
-        scope = {}
-        exec(f"from lapkit import {name}", scope)
-        value = scope[name]
-        assert value is getattr(source, name)
-        assert value is getattr(importlib.import_module(value.__module__), name)
 
 
 def test_package_modules_and_dir():
@@ -516,7 +491,6 @@ def test_package_modules_and_dir():
 
     for module in PACKAGE_MODULES:
         assert getattr(lapkit, module) is importlib.import_module(f"lapkit.{module}")
-    pinned = PACKAGE_MODULES + [n for names in PACKAGE_API.values() for n in names]
-    assert set(pinned) <= set(dir(lapkit))
+    assert set(PACKAGE_MODULES) <= set(dir(lapkit))
     with pytest.raises(AttributeError):
         lapkit.no_such_name
