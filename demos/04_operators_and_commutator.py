@@ -35,7 +35,7 @@ print()
 print("=== Coulomb well, radial reduction: ground state -> -1/4 ===")
 cm = coulomb_model(1.0, 3)
 for n in (1024, 2048, 4096):
-    g = RadialGrid(60.0, n, dim=3, ell=0)
+    g = RadialGrid(60.0, n, dim=3)
     val = ground_state(build_hamiltonian(cm, g))
     print(f"  N = {n:5d}: E0 = {val:.8f}   error {abs(val + 0.25):.2e}")
 

@@ -37,7 +37,7 @@ print("=== direction symbol separates outgoing from incoming ===")
 wide = Grid1D(100.0, 1024)
 x = wide.nodes
 f0 = np.sqrt(params.kappa) * (1 + x**2) ** (-params.mu / 4)
-spec = FilterSpec.for_model(model, sigma_cut=0.5)
+spec = FilterSpec.for_model(model)
 # outgoing mass moves away from the origin on both sides: the local
 # frequency is sign(x) f0(x), so the direction value sits near +1
 integral = np.cumsum(f0) * wide.spacing

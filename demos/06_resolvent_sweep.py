@@ -15,8 +15,6 @@ import math
 
 import numpy as np
 
-from lapkit.config import parse_config_text
-from lapkit.experiments import build_sector
 from lapkit.operators import Grid1D, build_hamiltonian, matched_absorber
 from lapkit.potential import (WeightParams, bracket, standard_model, weight_exponent,
                               weight_f)
@@ -45,14 +43,9 @@ print("plain norm grows ~ 1/|z|; the framed quantities barely move")
 
 print()
 print("=== extrapolating the boundary value at zero energy ===")
-defaults = parse_config_text("")        # the configured ladder
 cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy)
 v = np.exp(-x**2 / 8.0).astype(complex)
-res = boundary_value(h_op + cap, v, grid, sector=build_sector(defaults),
-                     ratio=defaults.sector["ratio"],
-                     tol=defaults.experiment["tolerance"],
-                     max_steps=defaults.sector["steps"],
-                     weight_s=weight_exponent(model.mu))
+res = boundary_value(h_op + cap, v, grid, weight_exponent(model.mu))
 print(f"  converged: {res.converged} after {len(res.z_values)} rungs, "
       f"final |z| = {abs(res.final_z):.1e}")
 print("  difference ladder:",

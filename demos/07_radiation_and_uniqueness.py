@@ -12,8 +12,7 @@ suite runs the desk-scale box where the far-field ratios bind.
 
 import numpy as np
 
-from lapkit.config import parse_config_text
-from lapkit.experiments import SOURCE_WIDTH, build_sector
+from lapkit.experiments import SOURCE_WIDTH
 from lapkit.operators import Grid1D, build_hamiltonian, gaussian_probe, matched_absorber
 from lapkit.potential import bracket, standard_model, weight_exponent
 from lapkit.resolvent import ShiftedSolver, boundary_value
@@ -22,7 +21,6 @@ from lapkit.weyl import FilterSpec, radiation_filter
 model = standard_model(1.0, 1.0, 1)
 grid = Grid1D(200.0, 2048)
 h_plain = build_hamiltonian(model, grid)
-defaults = parse_config_text("")        # the configured ladder
 cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy)
 h_cap = h_plain + cap
 v = gaussian_probe(grid, width=SOURCE_WIDTH)
@@ -37,16 +35,13 @@ print(f"  incoming is the conjugate of outgoing for the real source: "
       f"{np.allclose(u_minus, np.conj(u_plus))}")
 # a ray ladder toward 0 is evidence: its last iterate approaches the solve
 s = weight_exponent(model.mu)
-plus = boundary_value(h_cap, v, grid, sector=build_sector(defaults),
-                      ratio=defaults.sector["ratio"],
-                      tol=defaults.experiment["tolerance"],
-                      max_steps=defaults.sector["steps"], weight_s=s)
+plus = boundary_value(h_cap, v, grid, s)
 weight = bracket(grid.nodes) ** (-s)
 gap = np.linalg.norm(weight * (plus.u - u_plus)) / np.linalg.norm(weight * u_plus)
 print(f"  ray ladder converged: {plus.converged} after {len(plus.z_values)} "
       f"rungs, weighted distance from the solve {gap:.1e}")
 
-spec = FilterSpec.for_model(model, sigma_cut=0.5)
+spec = FilterSpec.for_model(model)
 
 print()
 print("=== filter defect ladders for the outgoing value ===")

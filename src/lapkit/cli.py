@@ -84,10 +84,10 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
-    report.runtime_seconds = time.perf_counter() - start
+    runtime = time.perf_counter() - start
 
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = report.extras.pop("csv_rows", None)
+    rows = report.artifacts.pop("csv_rows", None)
     if rows:
         csv_path = outdir / f"{args.command}.csv"
         write_sweep_csv(csv_path, rows)
@@ -96,8 +96,7 @@ def main(argv=None) -> int:
     if vectors:
         header_base = {"experiment": args.command, "seed": cfg.seed,
                        "grid": cfg.grid, "model": cfg.model,
-                       "sector": cfg.sector,
-                       "tolerance": cfg.experiment["tolerance"]}
+                       "sector": cfg.sector}
         for name, vec in vectors.items():
             dump_vector(outdir / f"{args.command}_{name}", vec, header_base)
         print(f"wrote {len(vectors)} vector dumps to {outdir}")
@@ -106,7 +105,7 @@ def main(argv=None) -> int:
     print(f"wrote {report_path}")
 
     _print_checks(report)
-    print(f"runtime: {report.runtime_seconds:.2f} s")
+    print(f"runtime: {runtime:.2f} s")
     return 0 if report.passed else 1
 
 

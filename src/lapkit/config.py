@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .resolvent import SECTOR
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config_text",
            "config_schema_text", "EXPERIMENT_IDS"]
@@ -39,21 +40,14 @@ SCHEMA = {
         "kind": (str, "line", "grid kind: line | radial"),
         "length": (float, 400.0, "box half-width (line) or outer radius"),
         "size": (int, 4096, "node count; power of two on the line"),
-        "ell": (int, 0, "angular momentum for radial grids"),
     },
     "sector": {
-        "theta": (float, 0.75 * math.pi, "sector opening in (0, pi)"),
-        "lambda0": (float, 1.0, "modulus bound"),
-        "ratio": (float, 0.5, "geometric ladder ratio in (0, 1)"),
-        "steps": (int, 24, "maximum ray-ladder steps"),
         "moduli": (_floats, [1e-1, 1e-2, 1e-3, 1e-4], "sweep |z| on the ray theta/2"),
     },
     "experiment": {
         "id": (str, "lap-sweep", "one of: " + ", ".join(EXPERIMENT_IDS)),
         "seed": (int, 0, "seed of lap-sweep's weighted-norm Lanczos starts and selftest banks"),
-        "tolerance": (float, 1e-4, "ray-ladder tolerance"),
         "samples": (int, 200, "random samples per inequality"),
-        "sigma_cut": (float, 0.5, "direction cutoff of the outgoing filter; at most 1"),
     },
     "output": {
         "directory": (str, "out", "where reports, CSV, vectors land"),
@@ -122,14 +116,8 @@ def _resolve(parser: configparser.ConfigParser) -> ExperimentConfig:
     sector = resolved["sector"]
     if not sector["moduli"]:
         raise ConfigError("sector grid is empty: no moduli given")
-    if not all(0.0 < m <= sector["lambda0"] for m in sector["moduli"]):
+    if not all(0.0 < m <= SECTOR.lambda0 for m in sector["moduli"]):
         raise ConfigError("sector.moduli must lie in (0, lambda0]")
-    if not sector["steps"] >= 1:
-        raise ConfigError("sector.steps must be at least 1")
-    if not 0.0 < sector["ratio"] < 1.0:
-        raise ConfigError("sector.ratio must lie in (0, 1)")
-    if not resolved["experiment"]["sigma_cut"] <= 1.0:
-        raise ConfigError("experiment.sigma_cut must be at most 1")
     if not resolved["experiment"]["samples"] >= 1:
         raise ConfigError("experiment.samples must be at least 1")
     return ExperimentConfig(**resolved)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from . import besov
+from . import besov, resolvent
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .grids import Grid1D, RadialGrid
@@ -25,13 +25,13 @@ from .potential import (PotentialModel, WeightParams, bracket,
                         check_condition, model_from_config, weight_exponent,
                         weight_f)
 from .reports import CheckResult, Report
-from .resolvent import (Sector, ShiftedSolver, besov_bstar_estimate,
+from .resolvent import (SECTOR, ShiftedSolver, besov_bstar_estimate,
                         boundary_value, spectral_distance, weighted_opnorm)
 from .weyl import ANNULUS_EPS, REFERENCE_RADIUS, FilterSpec, radiation_filter
 
 __all__ = ["run_experiment", "run_besov_selftest", "run_check_potential",
            "run_lap_sweep", "run_radiation",
-           "run_uniqueness", "build_grid", "build_model", "build_sector",
+           "run_uniqueness", "build_grid", "build_model",
            "SLOPE_DECREASING", "SLOPE_FLAT"]
 
 # slope thresholds separating "decreasing" from "non-decreasing" ladders;
@@ -65,17 +65,10 @@ def build_grid(cfg: ExperimentConfig):
             return Grid1D(cfg.grid["length"], cfg.grid["size"])
         if kind == "radial":
             return RadialGrid(cfg.grid["length"], cfg.grid["size"],
-                              dim=cfg.model["dim"], ell=cfg.grid["ell"])
+                              dim=cfg.model["dim"])
     except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
     raise ConfigError(f"unknown grid kind {kind!r}")
-
-
-def build_sector(cfg: ExperimentConfig) -> Sector:
-    try:
-        return Sector(theta=cfg.sector["theta"], lambda0=cfg.sector["lambda0"])
-    except ValueError as exc:
-        raise ConfigError(f"bad sector: {exc}") from exc
 
 
 def _report(cfg: ExperimentConfig) -> Report:
@@ -314,7 +307,6 @@ def run_lap_sweep(cfg: ExperimentConfig) -> Report:
     grid = build_grid(cfg)
     if not isinstance(grid, Grid1D):
         raise ConfigError("sweeps run on the 1-d line grid")
-    sector = build_sector(cfg)
     rng = besov.Stream(cfg.seed)
     report = _report(cfg)
     # a free run's f and s0 both read the configured mu
@@ -334,7 +326,7 @@ def run_lap_sweep(cfg: ExperimentConfig) -> Report:
     h_wide = build_hamiltonian(model, wide_grid)
     distances = report.extras.setdefault("distance_to_spectrum", {})
     per_quantity = {q: [] for q in ("unweighted", "weighted", "shell_dual")}
-    for z in sector.points(moduli):
+    for z in SECTOR.points(moduli):
         base = _sweep_quantities(h_op, grid, z, mu, rng)
         residual = base["_residual"]
         distances[repr(z)] = base["_distance"]
@@ -388,7 +380,7 @@ def run_lap_sweep(cfg: ExperimentConfig) -> Report:
         if not control and key in fits:
             report.add(CheckResult(check_id, anchor, fits[key], threshold,
                                    comparison, description))
-    report.extras["csv_rows"] = rows
+    report.artifacts["csv_rows"] = rows
     return report
 
 
@@ -441,13 +433,10 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     """
     model, grid, h_op, cap, v = _line_problem(cfg, "radiation")
     h_cap = h_op + cap
-    sector = build_sector(cfg)
     report = _report(cfg)
     weight_s = weight_exponent(model.mu)
-    tol = cfg.experiment["tolerance"]
 
-    plus = boundary_value(h_cap, v, grid, sector=sector, ratio=cfg.sector["ratio"],
-                          tol=tol, max_steps=cfg.sector["steps"], weight_s=weight_s)
+    plus = boundary_value(h_cap, v, grid, weight_s)
     report.extras["ladder_plus"] = plus.diffs
     report.extras["final_z"] = [plus.final_z.real, plus.final_z.imag]
     u_plus, u_minus = _boundary_values(h_cap, v)
@@ -456,7 +445,8 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
         "boundary-value-converged", "boundary-value-ladder",
         float(np.linalg.norm(w * (plus.u - u_plus))
               / max(np.linalg.norm(w * u_plus), 1e-300)),
-        tol, "<=", "ray ladder ends within tolerance of the capped solve"))
+        resolvent.LADDER_TOL, "<=",
+        "ray ladder ends within tolerance of the capped solve"))
     report.add(CheckResult(
         "incoming-conjugation", "incoming-conjugation",
         float(np.linalg.norm(h_cap.conj() @ u_minus - v)
@@ -464,7 +454,7 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
         1e-8, "<=", "the incoming value solves the conjugate equation"))
     del plus, w         # the ladder is evidence only; the filters need neither
 
-    spec = FilterSpec.for_model(model, cfg.experiment["sigma_cut"])
+    spec = FilterSpec.for_model(model)
     # Op(mirrored) is conj(Op(outgoing)) entrywise (b0 odd in xi, a0 even),
     # so the outgoing filter of conj(u_plus) gives u_plus's mirrored ladders
     outgoing, mirrored = radiation_filter(np.column_stack((u_plus, np.conj(u_plus))),
@@ -548,7 +538,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
         "null-difference-magnitude", "uniqueness-null-difference",
         norm_w / norm_plus, 0.1, ">=", "the two boundary values genuinely differ"))
 
-    spec = FilterSpec.for_model(model, cfg.experiment["sigma_cut"])
+    spec = FilterSpec.for_model(model)
     filt = radiation_filter(w, spec, model, grid, mode="outgoing")
     report.add(CheckResult(
         "null-outgoing-slope", "mirrored-filter-asymmetry",

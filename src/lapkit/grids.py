@@ -50,26 +50,20 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Half-line (0, L] with cell-centered nodes, spherical reduction.
-
-    The effective radial operator is -d^2/dr^2 + c_l / r^2 with
-    c_l = (d-1)(d-3)/4 + l(l+d-2).
-    """
+    """Half-line (0, L] with cell-centered nodes, spherical reduction
+    of the s-wave (angular momentum 0) in dimension ``dim``."""
 
     length: float
     size: int
     dim: int
-    ell: int
 
     def __post_init__(self):
         if self.size < 2:
             raise ValueError("grid size must be at least 2")
         if self.length <= 0:
             raise ValueError("radius must be positive")
-        if self.ell < 0 or self.dim < 1:
-            raise ValueError("need ell >= 0 and dim >= 1")
-        if self.centrifugal < -0.25:
-            raise ValueError("centrifugal coefficient below -1/4")
+        if self.dim < 1:
+            raise ValueError("need dim >= 1")
 
     @property
     def spacing(self) -> float:
@@ -79,8 +73,3 @@ class RadialGrid:
     def nodes(self) -> np.ndarray:
         h = self.spacing
         return (np.arange(self.size) + 0.5) * h
-
-    @property
-    def centrifugal(self) -> float:
-        d, ell = self.dim, self.ell
-        return (d - 1) * (d - 3) / 4.0 + ell * (ell + d - 2)

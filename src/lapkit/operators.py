@@ -129,7 +129,8 @@ def build_hamiltonian(model: PotentialModel | None, grid) -> BandMatrix:
     if isinstance(grid, Grid1D):
         main[-1] = 3.0 / h**2
     else:
-        main = main + grid.centrifugal / grid.nodes**2
+        # the s-wave centrifugal term c / r^2, c = (d-1)(d-3)/4 >= -1/4
+        main = main + (grid.dim - 1) * (grid.dim - 3) / 4.0 / grid.nodes**2
     off = np.full(grid.size - 1, -1.0 / h**2)
     pot = np.zeros(grid.size) if model is None else model.total(grid.nodes)
     return BandMatrix([off, main + pot, off])

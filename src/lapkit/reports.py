@@ -2,11 +2,10 @@
 
 Reports serialize deterministically: given the same config and seed
 the JSON bytes are identical, so wall-clock runtime is kept out of the
-serialized form (it is carried on the in-memory object and printed by
-the command line instead).  Each check cites exactly one stable
-anchor id naming the inequality or identity it exercises.  Reports and
-vector sidecars are strict JSON: a non-finite float is written as the
-string "nan", "inf" or "-inf".
+serialized form (the command line prints it instead).  Each check
+cites exactly one stable anchor id naming the inequality or identity
+it exercises.  Reports and vector sidecars are strict JSON: a
+non-finite float is written as the string "nan", "inf" or "-inf".
 """
 
 from __future__ import annotations
@@ -66,8 +65,7 @@ class Report:
     config: dict
     checks: list[CheckResult] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
-    artifacts: dict = field(default_factory=dict)   # not serialized
-    runtime_seconds: float | None = None            # not serialized
+    artifacts: dict = field(default_factory=dict)   # CSV rows, vectors: not serialized
     inconclusive: bool = False
 
     @property

@@ -104,6 +104,10 @@ class Sector:
         return self.points([self.lambda0 * ratio**k for k in range(count)])
 
 
+# the one sector every sweep and ray ladder samples
+SECTOR = Sector(theta=0.75 * math.pi, lambda0=1.0)
+
+
 # ---------------------------------------------------------------------------
 # Shifted solves
 # ---------------------------------------------------------------------------
@@ -758,6 +762,11 @@ def hoelder_estimate(operator, s: float, pairs, grid, s0: float | None = None,
 # a ladder whose difference exceeds this multiple of its running minimum
 # has stopped decreasing
 RISE_FACTOR = 2.0
+# the ray ladder: rungs SECTOR.lambda0 LADDER_RATIO^k for k below
+# LADDER_STEPS, stopped once a weighted difference is within LADDER_TOL
+LADDER_RATIO = 0.5
+LADDER_STEPS = 24
+LADDER_TOL = 1e-4
 
 
 @dataclass
@@ -772,24 +781,22 @@ class BoundaryValueResult:
         return self.z_values[-1]
 
 
-def boundary_value(operator, v, grid, *, sector: Sector, ratio: float,
-                   tol: float, max_steps: int, weight_s: float) -> BoundaryValueResult:
+def boundary_value(operator, v, grid, weight_s: float) -> BoundaryValueResult:
     """Approach R(0 + i0) v along the bisector: evidence, not the definition.
 
-    Solves at z_k = lambda0 ratio^k e^{i theta/2} until the successive
-    weighted differences ||u_{k+1} - u_k||_{-s} drop below
-    tol * ||u||_{-s}.  On a finite box the ladder shows a transient
+    Solves at z_k = lambda0 LADDER_RATIO^k e^{i theta/2} on SECTOR until
+    the successive weighted differences ||u_{k+1} - u_k||_{-s} drop below
+    LADDER_TOL * ||u||_{-s}.  On a finite box the ladder shows a transient
     wobble where |z| crosses the box scale before resuming geometric
     decrease, so non-convergence is declared on the envelope: the
     ladder fails once a difference exceeds ``RISE_FACTOR`` times the
     running minimum.  Both zero-energy runners filter the capped solve
     at z = 0; ``radiation`` keeps this ladder as evidence for the
     limiting absorption principle and measures its last iterate's
-    distance from that solve.  The ladder settings have no defaults
-    here: the config schema decides them.
+    distance from that solve.
     """
     v = np.asarray(v, dtype=complex)
-    zs = sector.ray_ladder(ratio, max_steps)
+    zs = SECTOR.ray_ladder(LADDER_RATIO, LADDER_STEPS)
     w = bracket(grid.nodes) ** (-weight_s)
     if np.linalg.norm(v) == 0.0:
         return BoundaryValueResult(u=np.zeros_like(v), z_values=zs[:1], diffs=[],
@@ -810,7 +817,7 @@ def boundary_value(operator, v, grid, *, sector: Sector, ratio: float,
                 raise ExtrapolationError(
                     "difference ladder stopped decreasing", ladder=diffs)
             running_min = min(running_min, d)
-            if d <= tol * scale:
+            if d <= LADDER_TOL * scale:
                 return BoundaryValueResult(u=u, z_values=used, diffs=diffs,
                                            converged=True)
         u_prev = u

@@ -47,6 +47,7 @@ __all__ = [
     "PLATEAU_MARGIN",
     "FALL_WIDTH",
     "TILDE_WIDTH",
+    "SIGMA_CUT",
     "ANNULUS_EPS",
     "REFERENCE_RADIUS",
     "FilterSpec",
@@ -103,12 +104,13 @@ def symbol_a0(params: WeightParams) -> Callable:
 # ---------------------------------------------------------------------------
 
 # calibrated cutoff shape, in symbol units: the kinetic plateau's margin
-# above C_0', its fall width, and the direction cutoff's fall width;
-# ramps much narrower than the local frequency resolution leak on
-# coarse grids
+# above C_0', its fall width, the direction cutoff's fall width and the
+# direction value it has fallen to 0 by; ramps much narrower than the
+# local frequency resolution leak on coarse grids
 PLATEAU_MARGIN = 2.0
 FALL_WIDTH = 1.0
 TILDE_WIDTH = 0.8
+SIGMA_CUT = 0.5
 
 # inner radius of the defect annuli as a fraction of the outer radius
 ANNULUS_EPS = 0.5
@@ -134,15 +136,16 @@ class FilterSpec:
             raise ValueError("plateau must have positive length")
 
     @classmethod
-    def for_model(cls, model: PotentialModel, sigma_cut: float) -> "FilterSpec":
+    def for_model(cls, model: PotentialModel) -> "FilterSpec":
         """The calibrated cutoffs on the model's scale C_0' = max(C_0/K, 1).
 
         The plateau extends to C_0' + PLATEAU_MARGIN; any margin > 0
         keeps the cutoff equal to 1 on a neighborhood of [0, C_0'],
         which is all the phase-space localization statements require.
+        The direction cutoff falls to 0 at SIGMA_CUT.
         """
         return cls(plateau_end=model.c0_prime() + PLATEAU_MARGIN,
-                   sigma_cut=sigma_cut)
+                   sigma_cut=SIGMA_CUT)
 
     @property
     def kinetic_reach(self) -> float:

@@ -172,7 +172,7 @@ def test_criterion_4_low_energy_trend(sweep_report):
     frozen("sweep_unweighted_exponent", unw.value)
     frozen("sweep_shell_lower_exponent", lo.value)
     frozen("sweep_shell_upper_exponent", up.value)
-    stable_rows = sum(1 for r in sweep_report.extras["csv_rows"] if r["stable"])
+    stable_rows = sum(1 for r in sweep_report.artifacts["csv_rows"] if r["stable"])
     announce(4, unw.passed and lo.passed and up.passed,
              f"stable-row fits: plain norm exponent {unw.value:.3f} <= -0.85, "
              f"shell-dual exponents {lo.value:.3f}/{up.value:.3f} >= -0.2 "

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from lapkit import besov, experiments, operators
+from lapkit import besov, experiments, operators, resolvent
 from lapkit.cli import _print_checks
 from lapkit.cli import main as cli_main
 from lapkit.config import (EXPERIMENT_IDS, ExperimentConfig, config_schema_text,
@@ -51,7 +51,7 @@ def test_defaults_resolved():
     cfg = parse_config_text("[experiment]\nid = besov-selftest\n")
     assert cfg.experiment_id == "besov-selftest"
     assert cfg.grid["size"] == 4096
-    assert cfg.sector["theta"] == pytest.approx(0.75 * math.pi)
+    assert cfg.sector["moduli"] == [1e-1, 1e-2, 1e-3, 1e-4]
     resolved = cfg.resolved_dict()
     # the output directory decides where a report lands, not what it says
     assert set(resolved) == {"model", "grid", "sector", "experiment"}
@@ -102,13 +102,13 @@ def test_config_reference_shows_the_schema():
 def test_report_serialization_deterministic():
     rep = Report(experiment="x", seed=1, config={"a": 1})
     rep.add(CheckResult("c1", "anchor-1", 0.5, 1.0, "<=", ""))
-    rep.runtime_seconds = 123.0
+    rep.artifacts["csv_rows"] = [{"quantity": "weighted"}]
     text = rep.to_json()
-    assert "runtime" not in text
+    assert "csv_rows" not in text and "weighted" not in text
     data = json.loads(text)
     assert data["passed"] is True
     assert data["checks"][0]["anchor"] == "anchor-1"
-    rep.runtime_seconds = 456.0
+    rep.artifacts["csv_rows"] = []
     assert rep.to_json() == text
 
 
@@ -394,13 +394,13 @@ def test_check_potential_rows_meet_their_thresholds(family, monkeypatch):
         assert check.passed == (check.value >= check.threshold), check
 
 
-def test_lap_sweep_small_passes():
+def test_lap_sweep_small_passes(tmp_path):
     rep = run_lap_sweep(parse_config_text(SMALL_SWEEP))
     assert rep.passed
     ids = {c.check_id for c in rep.checks}
     assert "unweighted-growth" in ids
     assert "shell-dual-upper-boundedness" in ids
-    rows = rep.extras["csv_rows"]
+    rows = rep.artifacts["csv_rows"]
     assert len(rows) == 9
     assert all(row["stable"] for row in rows)
     # one weighted_opnorm run per z and grid (3 moduli, 2 grids); the
@@ -411,6 +411,11 @@ def test_lap_sweep_small_passes():
     assert health["lanczos_steps"] >= 3 * 2 * 6
     assert health["unconverged_shell_pairs"] == 0
     assert health["unconverged_rows"] == 0
+    # the rows go to the CSV the command line writes: a report written
+    # from the library holds none of them either
+    rep.write(tmp_path / "report.json")
+    extras = json.loads((tmp_path / "report.json").read_text())["extras"]
+    assert "csv_rows" not in extras and extras["rows"] == 9
 
 
 def test_lap_sweep_unconverged_row_leaves_the_fits(monkeypatch):
@@ -428,7 +433,7 @@ def test_lap_sweep_unconverged_row_leaves_the_fits(monkeypatch):
 
     monkeypatch.setattr(experiments, "weighted_opnorm", flaky)
     rep = run_lap_sweep(parse_config_text(SMALL_SWEEP))
-    rows = [r for r in rep.extras["csv_rows"] if r["quantity"] == "weighted"]
+    rows = [r for r in rep.artifacts["csv_rows"] if r["quantity"] == "weighted"]
     flagged = [r for r in rows if not r["stable"]]
     assert [r["abs_z"] for r in flagged] == pytest.approx([target])
     kept = [r for r in rows if r["stable"]]
@@ -440,7 +445,7 @@ def test_lap_sweep_unconverged_row_leaves_the_fits(monkeypatch):
     # both grids' runs at that z are unconverged; one row is flagged
     assert health["unconverged_weighted_runs"] == 2
     assert health["unconverged_rows"] == 1
-    others = [r for r in rep.extras["csv_rows"] if r["quantity"] != "weighted"]
+    others = [r for r in rep.artifacts["csv_rows"] if r["quantity"] != "weighted"]
     assert all(r["stable"] for r in others)
 
 
@@ -457,7 +462,7 @@ def test_weighted_boundedness_fails_on_a_growing_norm(monkeypatch):
     failed = [c for c in rep.checks if not c.passed]
     assert [c.check_id for c in failed] == ["weighted-boundedness"]
     assert failed[0].value == pytest.approx(-1.0, rel=1e-9)
-    assert all(row["stable"] for row in rep.extras["csv_rows"])
+    assert all(row["stable"] for row in rep.artifacts["csv_rows"])
 
 
 @pytest.mark.parametrize("check_id, stage, value", [
@@ -481,7 +486,7 @@ def test_sweep_check_fails_alone(check_id, stage, value, monkeypatch):
     failed = [c for c in rep.checks if not c.passed]
     assert [c.check_id for c in failed] == [check_id]
     assert failed[0].value == pytest.approx(value, abs=1e-9)
-    assert all(row["stable"] for row in rep.extras["csv_rows"])
+    assert all(row["stable"] for row in rep.artifacts["csv_rows"])
 
 
 def test_sweep_gate_flags_every_box_dependent_row(monkeypatch):
@@ -497,7 +502,7 @@ def test_sweep_gate_flags_every_box_dependent_row(monkeypatch):
 
     monkeypatch.setattr(experiments, "weighted_opnorm", box_dependent)
     rep = run_lap_sweep(parse_config_text(SMALL_SWEEP))
-    rows = rep.extras["csv_rows"]
+    rows = rep.artifacts["csv_rows"]
     flagged = [r["abs_z"] for r in rows if not r["stable"]]
     weighted = [r["abs_z"] for r in rows if r["quantity"] == "weighted"]
     assert flagged == weighted
@@ -512,7 +517,7 @@ def test_lap_sweep_plain_norm_is_exact():
     rep = run_lap_sweep(cfg)
     h_op = build_hamiltonian(build_model(cfg), build_grid(cfg))
     eigs = sla.eigvalsh(h_op.toarray())
-    rows = [r for r in rep.extras["csv_rows"] if r["quantity"] == "unweighted"]
+    rows = [r for r in rep.artifacts["csv_rows"] if r["quantity"] == "unweighted"]
     assert len(rows) == 3
     for row in rows:
         exact = np.min(np.abs(eigs - complex(row["re_z"], row["im_z"])))
@@ -570,7 +575,7 @@ def test_free_control_run_weights_with_the_configured_mu():
     rep = run_lap_sweep(cfg)
     grid = build_grid(cfg)
     dense = build_hamiltonian(None, grid).toarray()
-    rows = [r for r in rep.extras["csv_rows"] if r["quantity"] == "weighted"]
+    rows = [r for r in rep.artifacts["csv_rows"] if r["quantity"] == "weighted"]
     assert len(rows) == 2 and rep.extras["solver_health"]["unconverged_weighted_runs"] == 0
     for row in rows:
         z = complex(row["re_z"], row["im_z"])
@@ -655,10 +660,9 @@ size = 1024
 
 [experiment]
 id = {name}
-sigma_cut = 0.4
 """)
     runner(cfg)
-    expected = FilterSpec.for_model(build_model(cfg), 0.4)
+    expected = FilterSpec.for_model(build_model(cfg))
     assert len(specs) == (2 if name == "radiation" else 1)
     assert all(spec == expected for spec in specs)
 
@@ -701,16 +705,16 @@ def test_radiation_small_structure(small_radiation):
 
 
 @pytest.mark.parametrize("steps", [1, 3])
-def test_radiation_unconverged_ladder_fails_on_its_value(steps):
+def test_radiation_unconverged_ladder_fails_on_its_value(steps, monkeypatch):
     # one or three rungs cannot reach the tolerance: the ladder returns
     # its last iterate unconverged, and the check reads that iterate's
     # distance from the capped solve (one rung: its first solve)
-    cfg = parse_config_text(SMALL_UNIQUENESS.replace("uniqueness", "radiation")
-                            + f"\n[sector]\nsteps = {steps}\n")
+    monkeypatch.setattr(resolvent, "LADDER_STEPS", steps)
+    cfg = parse_config_text(SMALL_UNIQUENESS.replace("uniqueness", "radiation"))
     rep = run_radiation(cfg)
     check = next(c for c in rep.checks if c.check_id == "boundary-value-converged")
     assert len(rep.extras["ladder_plus"]) == steps - 1
-    assert check.threshold == cfg.experiment["tolerance"]
+    assert check.threshold == resolvent.LADDER_TOL
     assert check.value > check.threshold
     assert not check.passed and not rep.passed
 
@@ -770,7 +774,7 @@ def test_radiation_conjugate_ladders_match_direct_filters(small_radiation):
     # because u_minus = conj(u_plus) and Op(mirrored) = conj(Op(outgoing))
     cfg, rep = small_radiation
     model, grid, h_op, cap, v = experiments._line_problem(cfg, "radiation")
-    spec = FilterSpec.for_model(model, cfg.experiment["sigma_cut"])
+    spec = FilterSpec.for_model(model)
     u_minus = experiments._boundary_values(h_op + cap, v)[1]
     # the conjugate of the u_plus dump, bit for bit, so it is not dumped
     assert u_minus.tobytes() == np.conj(rep.artifacts["vectors"]["u_plus"]).tobytes()
@@ -956,23 +960,19 @@ def test_cli_missing_config(tmp_path):
     ("model", "family", "coulomb"),      # the Coulomb model needs dim >= 3
     ("model", "mu", "2.5"),
     ("grid", "size", "100"),             # not a power of two on the line
-    ("sector", "theta", "4"),
     # values that once reached a runner and crashed it or ran on nothing:
-    # a modulus outside the sector, a non-finite float, a direction cut
-    # the outgoing filter refuses, no random samples
+    # a modulus outside the sector, a non-finite float, no random samples
     ("sector", "moduli", "1e-1, 2.0"),
     ("sector", "moduli", "1e-1, 0"),
     ("sector", "moduli", "-1e-2"),
     ("sector", "moduli", "1e-1, nan"),
     ("grid", "length", "nan"),
     ("model", "gamma", "nan"),
-    ("sector", "lambda0", "inf"),
-    ("experiment", "sigma_cut", "1.5"),
     ("experiment", "samples", "-1"),
     ("experiment", "samples", "0"),
-], ids=["coulomb-dim1", "mu", "line-size", "theta", "modulus-above-lambda0",
+], ids=["coulomb-dim1", "mu", "line-size", "modulus-above-lambda0",
         "modulus-zero", "modulus-negative", "modulus-nan", "length-nan", "gamma-nan",
-        "lambda0-inf", "sigma-cut-above-1", "samples-negative", "samples-zero"])
+        "samples-negative", "samples-zero"])
 def test_cli_out_of_range_value_exits_two(tmp_path, capsys, section, key, value):
     # a value the schema parses but a constructor rejects is a config error
     path = tmp_path / "range.cfg"
@@ -981,25 +981,6 @@ def test_cli_out_of_range_value_exits_two(tmp_path, capsys, section, key, value)
     assert cli_main(["lap-sweep", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_zero_ladder_steps_exits_two(tmp_path, capsys):
-    # an empty boundary-value ladder has no value: a config error, not a crash
-    path = tmp_path / "steps.cfg"
-    path.write_text(f"[sector]\nsteps = 0\n[output]\ndirectory = {tmp_path}/out\n")
-    assert cli_main(["radiation", "--config", str(path)]) == 2
-    assert "steps" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("ratio", ["-0.5", "0", "1", "2"])
-def test_cli_ladder_ratio_outside_unit_interval_exits_two(tmp_path, capsys, ratio):
-    # a ratio outside (0, 1) leaves the sector or never approaches z = 0
-    path = tmp_path / "ratio.cfg"
-    path.write_text(f"[sector]\nratio = {ratio}\n"
-                    f"[output]\ndirectory = {tmp_path}/out\n")
-    assert cli_main(["radiation", "--config", str(path)]) == 2
-    assert "sector.ratio" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -1015,13 +996,24 @@ def test_cli_ladder_ratio_outside_unit_interval_exits_two(tmp_path, capsys, rati
     ("model", "v2_r", "1.0"),
     ("grid", "absorber_strength", "3.0"),
     ("experiment", "stability_check", "true"),
+    # the sector, the ray ladder, the direction cut and ell are constants;
+    # values their range checks once rejected now fail on the key
+    ("grid", "ell", "1"),
+    ("sector", "theta", "4"),
+    ("sector", "lambda0", "inf"),
+    ("sector", "ratio", "2"),
+    ("sector", "steps", "0"),
+    ("experiment", "tolerance", "1e-3"),
+    ("experiment", "sigma_cut", "1.5"),
 ])
 def test_cli_removed_keys_are_unknown(tmp_path, capsys, section, key, value):
     path = tmp_path / "old.cfg"
     path.write_text(f"[{section}]\n{key} = {value}\n"
                     f"[output]\ndirectory = {tmp_path}/out\n")
     assert cli_main(["radiation", "--config", str(path)]) == 2
-    assert f"unknown key {key!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unknown key {key!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_removed_command_exits_two(tmp_path, capsys):
@@ -1074,6 +1066,7 @@ def test_cli_failing_check_exit_one(tmp_path, monkeypatch, capsys):
     # without the absorbing layer the box reflection contaminates the
     # boundary value and the direction filters detect it
     monkeypatch.setattr(operators, "ABSORBER_STRENGTH", 0.0)
+    monkeypatch.setattr(resolvent, "LADDER_TOL", 1e-3)
     cfg_path = tmp_path / "rad.cfg"
     cfg_path.write_text("""
 [model]
@@ -1085,7 +1078,6 @@ size = 1024
 
 [experiment]
 id = radiation
-tolerance = 1e-3
 """ + f"[output]\ndirectory = {tmp_path}/out\n")
     assert cli_main(["radiation", "--config", str(cfg_path)]) == 1
     failed = {line.split()[1] for line in capsys.readouterr().out.splitlines()

@@ -73,7 +73,7 @@ def test_no_broad_exception_handlers(path):
 # Ceiling on settable values: defaulted function parameters (keyword-only
 # included, nested functions too) plus defaulted dataclass fields.  Each
 # default is a knob a caller may turn; the ceiling may only fall.
-SETTABLE_CEILING = 29
+SETTABLE_CEILING = 28
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -104,7 +104,7 @@ def test_settable_values_do_not_grow():
 
 # Ceiling on the package's source lines (all of src/lapkit, blank lines
 # and comments included); like SETTABLE_CEILING it may only fall.
-LINE_CEILING = 3712
+LINE_CEILING = 3687
 
 
 def test_source_lines_do_not_grow():
@@ -114,7 +114,7 @@ def test_source_lines_do_not_grow():
 
 # Ceiling on the keys of config.SCHEMA: each key is a value a run may
 # set, a knob like any defaulted parameter; like the others it may only fall.
-CONFIG_KEY_CEILING = 19
+CONFIG_KEY_CEILING = 12
 
 
 def test_config_keys_do_not_grow():

@@ -34,17 +34,20 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid1D(-1.0, 64)
     with pytest.raises(ValueError):
-        RadialGrid(10.0, 32, dim=0, ell=0)
+        RadialGrid(10.0, 32, dim=0)
 
 
 def test_radial_grid_centrifugal():
-    g = RadialGrid(10.0, 32, dim=3, ell=0)
-    assert g.centrifugal == pytest.approx(0.0)
+    # the s-wave coefficient (d-1)(d-3)/4 times r^-2 on the diagonal:
+    # 0 in three dimensions, -1/4 in two
+    g = RadialGrid(10.0, 32, dim=3)
     assert np.all(g.nodes > 0)
-    g2 = RadialGrid(10.0, 32, dim=3, ell=1)
-    assert g2.centrifugal == pytest.approx(2.0)
-    g3 = RadialGrid(10.0, 32, dim=2, ell=0)
-    assert g3.centrifugal == pytest.approx(-0.25)
+    free = build_hamiltonian(None, g).diagonal(0)
+    g2 = RadialGrid(10.0, 32, dim=2)
+    assert np.allclose((build_hamiltonian(None, g2).diagonal(0) - free) * g.nodes**2,
+                       -0.25, rtol=1e-9, atol=0.0)
+    g1 = RadialGrid(10.0, 32, dim=1)
+    assert np.array_equal(build_hamiltonian(None, g1).diagonal(0), free)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +72,7 @@ def test_hydrogen_ground_state_convergence():
     model = coulomb_model(1.0, 3)
     errors = []
     for n in (1024, 2048, 4096):
-        g = RadialGrid(60.0, n, dim=3, ell=0)
+        g = RadialGrid(60.0, n, dim=3)
         m = build_hamiltonian(model, g)
         # the radial operator is real symmetric tridiagonal
         val = sla.eigh_tridiagonal(m.diagonal().real, m.diagonal(1).real,
@@ -121,10 +124,10 @@ def test_dimension_mismatch():
         build_hamiltonian(m, Grid1D(10.0, 64))
     with pytest.raises(DimensionError):
         build_hamiltonian(standard_model(1.0, 1.0, 1),
-                          RadialGrid(10.0, 32, dim=3, ell=0))
+                          RadialGrid(10.0, 32, dim=3))
 
 
-@pytest.mark.parametrize("grid", [Grid1D(40.0, 256), RadialGrid(40.0, 128, dim=3, ell=0)],
+@pytest.mark.parametrize("grid", [Grid1D(40.0, 256), RadialGrid(40.0, 128, dim=3)],
                          ids=["line", "radial"])
 def test_matched_absorber_shape(grid):
     # -i eta t^2 K <x>^-mu: purely absorbing, zero inside the layer (the

@@ -9,15 +9,13 @@ from conftest import (free_resolvent_gaussian, free_resolvent_kernel,
                       lattice_free_kernel)
 from lapkit.besov import (ShellScheme, Stream, bstar_norm_dense, loglog_slope,
                           schur_block_bound, unit_blocks)
-from lapkit.config import parse_config_text
 from lapkit.errors import ExtrapolationError, SolverError
-from lapkit.experiments import build_sector
 from lapkit.operators import (BandMatrix, Grid1D, RadialGrid, build_dilation,
                               build_hamiltonian, gaussian_probe,
                               matched_absorber)
 from lapkit.potential import WeightParams, bracket, standard_model, weight_f
-from lapkit.resolvent import (LANCZOS_STEPS, SOLVE_RTOL, Sector,
-                              ShiftedSolver, TridiagonalResolvent,
+from lapkit.resolvent import (LADDER_TOL, LANCZOS_STEPS, SECTOR, SOLVE_RTOL,
+                              Sector, ShiftedSolver, TridiagonalResolvent,
                               _diagonal_shell_pairs, _separated_pair_norms,
                               _shell_inverse, besov_bstar_estimate,
                               boundary_value,
@@ -28,12 +26,8 @@ from lapkit.resolvent import (LANCZOS_STEPS, SOLVE_RTOL, Sector,
 
 MODEL = standard_model(1.0, 1.0, 1)
 Z0 = 0.5 + 0.5j
-DEFAULTS = parse_config_text("")
-SECTOR = build_sector(DEFAULTS)
-# the boundary-value ladder as a config leaves it (weight s0 + 0.05)
-LADDER = {"sector": SECTOR, "ratio": DEFAULTS.sector["ratio"],
-          "tol": DEFAULTS.experiment["tolerance"],
-          "max_steps": DEFAULTS.sector["steps"], "weight_s": MODEL.s0 + 0.05}
+# the boundary-value ladder's weight exponent, s0 + 0.05
+WEIGHT_S = MODEL.s0 + 0.05
 
 
 def sweep_weight(z, grid):
@@ -356,7 +350,7 @@ def test_besov_estimate_brackets_dense_norm_at_desk_spacing():
 
 @pytest.mark.parametrize("model, grid", [
     (MODEL, Grid1D(20.0, 256)),
-    (standard_model(1.0, 1.0, 3), RadialGrid(20.0, 256, dim=3, ell=0)),
+    (standard_model(1.0, 1.0, 3), RadialGrid(20.0, 256, dim=3)),
 ])
 def test_kernel_columns_match_dense_inverse(model, grid):
     # every column, read off the log-domain generators with no solve,
@@ -646,24 +640,25 @@ def test_hoelder_out_of_hypothesis_flag(rng):
 def test_boundary_value_zero_source():
     grid = Grid1D(20.0, 128)
     h_op = build_hamiltonian(MODEL, grid)
-    res = boundary_value(h_op, np.zeros(128), grid, **LADDER)
+    res = boundary_value(h_op, np.zeros(128), grid, WEIGHT_S)
     assert res.converged
     assert np.all(res.u == 0.0)
     assert len(res.z_values) == 1
 
 
-def test_boundary_value_unconverged_returns_its_last_iterate():
+def test_boundary_value_unconverged_returns_its_last_iterate(monkeypatch):
     # three rungs do not reach the tolerance: the last solve is returned
     # with the ladder of its two differences
     grid = Grid1D(100.0, 1024)
     full = build_hamiltonian(MODEL, grid) + matched_absorber(grid, mu=1.0, kappa=1.0)
     v = gaussian_probe(grid, width=2.0)
-    res = boundary_value(full, v, grid, **{**LADDER, "max_steps": 3})
+    monkeypatch.setattr("lapkit.resolvent.LADDER_STEPS", 3)
+    res = boundary_value(full, v, grid, WEIGHT_S)
     assert not res.converged
     assert len(res.z_values) == 3 and len(res.diffs) == 2
     assert np.array_equal(res.u, ShiftedSolver(full, res.z_values[-1]).solve(v))
-    w = bracket(grid.nodes) ** (-LADDER["weight_s"])
-    assert res.diffs[-1] > LADDER["tol"] * np.linalg.norm(w * res.u)
+    w = bracket(grid.nodes) ** (-WEIGHT_S)
+    assert res.diffs[-1] > LADDER_TOL * np.linalg.norm(w * res.u)
 
 
 def test_boundary_value_ladder_reaches_the_capped_solve():
@@ -673,22 +668,23 @@ def test_boundary_value_ladder_reaches_the_capped_solve():
     grid = Grid1D(100.0, 1024)
     full = build_hamiltonian(MODEL, grid) + matched_absorber(grid, mu=1.0, kappa=1.0)
     v = gaussian_probe(grid, width=2.0)
-    res = boundary_value(full, v, grid, **LADDER)
+    res = boundary_value(full, v, grid, WEIGHT_S)
     assert res.converged
     direct = ShiftedSolver(full, 0.0).solve(v)
-    w = bracket(grid.nodes) ** (-LADDER["weight_s"])
+    w = bracket(grid.nodes) ** (-WEIGHT_S)
     assert (np.linalg.norm(w * (res.u - direct))
-            <= LADDER["tol"] * np.linalg.norm(w * direct))
+            <= LADDER_TOL * np.linalg.norm(w * direct))
 
 
-def test_boundary_value_ladder_consistent_with_hoelder(rng):
+def test_boundary_value_ladder_consistent_with_hoelder(rng, monkeypatch):
     # the operator-norm growth exponent bounds the per-step vector decay
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
     cap = matched_absorber(grid, mu=1.0, kappa=1.0)
     full = h_op + cap
     v = gaussian_probe(grid, width=2.0)
-    res = boundary_value(full, v, grid, **{**LADDER, "tol": 1e-5})
+    monkeypatch.setattr("lapkit.resolvent.LADDER_TOL", 1e-5)
+    res = boundary_value(full, v, grid, WEIGHT_S)
     assert res.converged
     dr = np.array(res.diffs)
     geo_mean = (dr[-1] / dr[0]) ** (1.0 / (len(dr) - 1))
@@ -708,8 +704,9 @@ def test_boundary_value_nongeometric_error(monkeypatch):
     h_op = build_hamiltonian(MODEL, grid)
     v = gaussian_probe(grid, width=2.0)
     monkeypatch.setattr("lapkit.resolvent.RISE_FACTOR", 1.2)
+    monkeypatch.setattr("lapkit.resolvent.LADDER_TOL", 1e-12)
     with pytest.raises(ExtrapolationError) as info:
-        boundary_value(h_op, v, grid, **{**LADDER, "tol": 1e-12})
+        boundary_value(h_op, v, grid, WEIGHT_S)
     assert len(info.value.ladder) >= 2
 
 

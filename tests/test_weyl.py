@@ -12,8 +12,8 @@ from lapkit.besov import loglog_slope
 from lapkit.errors import DimensionError
 from lapkit.operators import Grid1D, gaussian_probe, hermiticity_residual
 from lapkit.potential import WeightParams, bracket, standard_model, weight_f
-from lapkit.weyl import (FALL_WIDTH, REFERENCE_RADIUS, TILDE_WIDTH, Band, FilterSpec,
-                         default_radius_ladder,
+from lapkit.weyl import (FALL_WIDTH, REFERENCE_RADIUS, SIGMA_CUT, TILDE_WIDTH, Band,
+                         FilterSpec, default_radius_ladder,
                          filter_symbol, radiation_filter, smoothstep7, symbol_a0,
                          weyl_apply, weyl_matrix)
 
@@ -64,7 +64,7 @@ def test_linearity():
 
 def test_partition_of_unity():
     m = standard_model(1.0, 1.0, 1)
-    spec = FilterSpec.for_model(m, 0.5)
+    spec = FilterSpec.for_model(m)
     params = WeightParams(0.0, m.kappa_low_energy, m.mu)
     a0 = symbol_a0(params)
     low = weyl_matrix(lambda x, xi: spec.chi_minus(a0(x, xi)), GRID)
@@ -85,7 +85,7 @@ def test_apply_matches_dense(rng):
 @pytest.mark.parametrize("mode", ["outgoing", "high", "mirrored"])
 def test_band_limited_apply_matches_dense(mode, rng):
     m = standard_model(1.0, 1.0, 1)
-    spec = FilterSpec.for_model(m, 0.5)
+    spec = FilterSpec.for_model(m)
     params = WeightParams(0.0, m.kappa_low_energy, m.mu)
     symbol, band = filter_symbol(spec, params, mode)
     u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
@@ -97,7 +97,7 @@ def test_band_limited_apply_matches_dense(mode, rng):
 @pytest.mark.parametrize("mode", ["outgoing", "high", "mirrored"])
 def test_block_apply_equals_column_applies(mode, rng):
     m = standard_model(1.0, 1.0, 1)
-    spec = FilterSpec.for_model(m, 0.5)
+    spec = FilterSpec.for_model(m)
     params = WeightParams(0.0, m.kappa_low_energy, m.mu)
     symbol, band = filter_symbol(spec, params, mode)
     block = rng.standard_normal((128, 2)) + 1j * rng.standard_normal((128, 2))
@@ -120,7 +120,7 @@ DESK_GRID = Grid1D(100.0, 1024)     # the desk spacing on a quarter box
 
 def desk_filters():
     m = standard_model(1.0, 1.0, 1)
-    spec = FilterSpec.for_model(m, 0.5)
+    spec = FilterSpec.for_model(m)
     return spec, WeightParams(0.0, m.kappa_low_energy, m.mu)
 
 
@@ -240,7 +240,7 @@ def test_band_covers_symbol_support(length, size, kappa, mu):
     # outside |xi| <= reach(x) the full-table symbol is exactly constant
     grid = Grid1D(length, size)
     params = WeightParams(0.0, kappa, mu)
-    spec = FilterSpec.for_model(standard_model(1.0, mu, 1), 0.5)
+    spec = FilterSpec.for_model(standard_model(1.0, mu, 1))
     x = -length + (np.arange(2 * size - 1) + 1.0) * grid.spacing / 2.0
     xi = grid.frequencies
     for mode in ("outgoing", "high", "mirrored"):
@@ -263,7 +263,7 @@ def test_filter_tables_are_real_and_point_symmetric(length, size, kappa, mu):
     assert np.array_equal(x[::-1], -x)
     assert np.array_equal(xi[::-1], -xi)
     params = WeightParams(0.0, kappa, mu)
-    spec = FilterSpec.for_model(standard_model(1.0, mu, 1), 0.5)
+    spec = FilterSpec.for_model(standard_model(1.0, mu, 1))
     for mode in ("outgoing", "high", "mirrored"):
         symbol, _ = filter_symbol(spec, params, mode)
         for top in range(0, size, 128):
@@ -305,7 +305,7 @@ from lapkit.operators import Grid1D
 from lapkit.potential import WeightParams, bracket, standard_model, weight_f
 from lapkit.weyl import FilterSpec, filter_symbol, weyl_apply
 model = standard_model(1.0, 1.0, 1)
-spec = FilterSpec.for_model(model, 0.5)
+spec = FilterSpec.for_model(model)
 params = WeightParams(0.0, model.kappa_low_energy, model.mu)
 grid = Grid1D(100.0, 1024)
 block = np.random.default_rng(7).standard_normal((1024, 4)).view(complex)
@@ -429,7 +429,7 @@ def _rise_times_fall(spec):
 
 # a plain spec, the desk spec, and a direction fall overlapping its rise
 CUTOFF_SPECS = [FilterSpec(plateau_end=2.0, sigma_cut=0.5),
-                FilterSpec.for_model(standard_model(1.0, 1.0, 1), 0.5),
+                FilterSpec.for_model(standard_model(1.0, 1.0, 1)),
                 FilterSpec(plateau_end=0.5, sigma_cut=-4.2)]
 
 
@@ -484,12 +484,12 @@ def test_filter_spec_validation():
 
 @pytest.mark.parametrize("mu", [0.5, 1.0, 1.5])
 def test_filter_spec_for_model_is_the_calibrated_shape(mu):
-    # plateau C_0' + 2, kinetic fall 1, direction fall 0.8: the one
-    # calibration every radiation filter uses
+    # plateau C_0' + 2, kinetic fall 1, direction fall 0.8 to 0 at 0.5:
+    # the one calibration every radiation filter uses
     m = standard_model(1.0, mu, 1)
-    spec = FilterSpec.for_model(m, 0.3)
-    assert spec == FilterSpec(plateau_end=m.c0_prime() + 2.0, sigma_cut=0.3)
-    assert (FALL_WIDTH, TILDE_WIDTH) == (1.0, 0.8)
+    spec = FilterSpec.for_model(m)
+    assert spec == FilterSpec(plateau_end=m.c0_prime() + 2.0, sigma_cut=0.5)
+    assert (FALL_WIDTH, TILDE_WIDTH, SIGMA_CUT) == (1.0, 0.8, 0.5)
     assert spec.kinetic_reach == pytest.approx(m.c0_prime() + 3.0)
 
 
@@ -516,7 +516,7 @@ def test_compact_support_defect_decays():
     m = standard_model(1.0, 1.0, 1)
     g = Grid1D(40.0, 512)
     u = gaussian_probe(g, width=1.5)
-    spec = FilterSpec.for_model(m, 0.5)
+    spec = FilterSpec.for_model(m)
     res = radiation_filter(u, spec, m, g, mode="outgoing")
     # smooth compactly supported input: ladder decays past the support
     assert res.ball_slope <= -0.2
@@ -527,7 +527,8 @@ def test_compact_support_defect_decays():
 def test_outgoing_sigma_contract():
     m = standard_model(1.0, 1.0, 1)
     g = Grid1D(40.0, 256)
-    spec = FilterSpec.for_model(m, 1.5)
+    # a library caller may build a direction cut the outgoing filter refuses
+    spec = FilterSpec(plateau_end=m.c0_prime() + 2.0, sigma_cut=1.5)
     with pytest.raises(ValueError):
         radiation_filter(gaussian_probe(g), spec, m, g, mode="outgoing")
     with pytest.raises(ValueError):
