@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .resolvent import SECTOR
+from .resolvent import LAMBDA0
 
 __all__ = ["ExperimentConfig", "load_config", "parse_config_text",
            "config_schema_text", "EXPERIMENT_IDS"]
@@ -116,7 +116,7 @@ def _resolve(parser: configparser.ConfigParser) -> ExperimentConfig:
     sector = resolved["sector"]
     if not sector["moduli"]:
         raise ConfigError("sector grid is empty: no moduli given")
-    if not all(0.0 < m <= SECTOR.lambda0 for m in sector["moduli"]):
+    if not all(0.0 < m <= LAMBDA0 for m in sector["moduli"]):
         raise ConfigError("sector.moduli must lie in (0, lambda0]")
     if not resolved["experiment"]["samples"] >= 1:
         raise ConfigError("experiment.samples must be at least 1")

@@ -14,15 +14,5 @@ class ConfigError(Exception):
 
 
 class SolverError(RuntimeError):
-    """A linear solve failed or did not reach the requested residual."""
-
-
-class ExtrapolationError(SolverError):
-    """Boundary-value ladder did not decrease geometrically.
-
-    Carries the observed difference ladder for inspection.
-    """
-
-    def __init__(self, message, ladder=None):
-        super().__init__(message)
-        self.ladder = list(ladder) if ladder is not None else []
+    """A linear solve failed or did not reach the requested residual, or a
+    boundary-value ladder stopped decreasing (the message quotes its ladder)."""

@@ -25,7 +25,7 @@ from .potential import (PotentialModel, WeightParams, bracket,
                         check_condition, model_from_config, weight_exponent,
                         weight_f)
 from .reports import CheckResult, Report
-from .resolvent import (SECTOR, ShiftedSolver, besov_bstar_estimate,
+from .resolvent import (RAY, ShiftedSolver, besov_bstar_estimate,
                         boundary_value, spectral_distance, weighted_opnorm)
 from .weyl import ANNULUS_EPS, REFERENCE_RADIUS, FilterSpec, radiation_filter
 
@@ -253,25 +253,23 @@ def run_check_potential(cfg: ExperimentConfig) -> Report:
 # lap-sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_quantities(h_op, grid, z, mu, rng):
-    """The sweep quantities at one z, from one factorization of h_op - z.
+def _sweep_quantities(solver, grid, mu, rng):
+    """The sweep quantities at z, from one factorization of H - z (``solver``).
 
     The plain norm is exact, 1 / dist(z, spectrum), and the distance is
     returned with it; the weighted norm, with weight <x>^-s f^{1/2} for
     s = weight_exponent(mu) and f = f_{|z|} at K = 1, is one Lanczos run,
     and the shell-space bracket reuses f.  Besides the (lower, upper)
-    pairs it returns the residual of a probe solve, the quantities whose
-    Lanczos run did not converge (the weighted norm's, or the diagonal
-    shell pairs') and the Lanczos counts.
+    pairs it returns the quantities whose Lanczos run did not converge
+    (the weighted norm's, or the diagonal shell pairs') and the Lanczos
+    counts.
     """
-    solver = ShiftedSolver(h_op, z)
-    x = grid.nodes
+    z, x = solver.z, grid.nodes
     f = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=mu), x)
-    distance = spectral_distance(h_op, z)
+    distance = spectral_distance(solver.matrix, z)
     wgt = bracket(x) ** (-weight_exponent(mu)) * np.sqrt(f)
     wei = weighted_opnorm(solver, z, wgt, wgt, rng=rng)
     est = besov_bstar_estimate(solver, z, f, grid)
-    probe = gaussian_probe(grid, width=SOURCE_WIDTH)
     health = {"weighted_runs": 1,
               "unconverged_weighted_runs": int(not wei.converged),
               "lanczos_steps": est.lanczos_steps,
@@ -281,7 +279,6 @@ def _sweep_quantities(h_op, grid, z, mu, rng):
         "unweighted": (1.0 / distance, None),
         "weighted": (wei.lower, None),
         "shell_dual": (est.lower, est.upper),
-        "_residual": solver.residual(solver.solve(probe), probe),
         "_health": health,
         "_unconverged": {q for q, ok in (("weighted", wei.converged),
                                          ("shell_dual", est.converged)) if not ok},
@@ -326,11 +323,15 @@ def run_lap_sweep(cfg: ExperimentConfig) -> Report:
     h_wide = build_hamiltonian(model, wide_grid)
     distances = report.extras.setdefault("distance_to_spectrum", {})
     per_quantity = {q: [] for q in ("unweighted", "weighted", "shell_dual")}
-    for z in SECTOR.points(moduli):
-        base = _sweep_quantities(h_op, grid, z, mu, rng)
-        residual = base["_residual"]
+    # the residual of a probe solve on the base grid, in each row
+    probe = gaussian_probe(grid, width=SOURCE_WIDTH)
+    for z in (m * RAY for m in moduli):
+        solver = ShiftedSolver(h_op, z)
+        base = _sweep_quantities(solver, grid, mu, rng)
+        residual = solver.residual(solver.solve(probe), probe)
+        del solver          # its factors are not held through the doubled box
         distances[repr(z)] = base["_distance"]
-        wide = _sweep_quantities(h_wide, wide_grid, z, mu, rng)
+        wide = _sweep_quantities(ShiftedSolver(h_wide, z), wide_grid, mu, rng)
         for part in (base, wide):
             for key, value in part["_health"].items():
                 health[key] += value

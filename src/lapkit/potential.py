@@ -94,7 +94,6 @@ class PotentialModel:
     ``v2_tail`` holds (delta, C, R) of the tail hypothesis.
     """
 
-    name: str
     mu: float
     eps1: float
     eps1_tilde: float
@@ -165,7 +164,6 @@ def standard_model(gamma: float, mu: float, dim: int = 1) -> PotentialModel:
         return gamma * mu * r * bracket(r) ** (-mu - 2.0)
 
     return PotentialModel(
-        name="standard",
         mu=mu,
         eps1=gamma,
         eps1_tilde=2.0 - mu,
@@ -226,7 +224,6 @@ def coulomb_model(gamma: float, dim: int = 3) -> PotentialModel:
 
     delta = 0.499   # vacuous: the tail vanishes identically beyond R = 1
     return PotentialModel(
-        name="coulomb",
         mu=1.0,
         eps1=gamma,
         eps1_tilde=1.0,

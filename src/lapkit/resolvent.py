@@ -1,6 +1,7 @@
-"""Complex shifted solves and resolvent-norm estimators over a sector.
+"""Complex shifted solves and resolvent-norm estimators on one ray.
 
-Sweep energies live in the open sector arg z in (0, theta), |z| <= lambda_0.
+Sweep energies are z = m RAY for moduli m in (0, LAMBDA0], on the
+bisector of the sector arg z in (0, 3 pi / 4), |z| <= LAMBDA0.
 Both zero-energy boundary values are the capped solve (H + cap) u = v at
 z = 0 with one ``ShiftedSolver``; the ray ladder toward 0
 (``boundary_value``) is evidence for the limiting absorption principle.
@@ -28,13 +29,12 @@ import numpy as np
 
 from ._lapack import COL_MAJOR, call, dstebz, dstevd
 from .besov import ShellScheme, Stream, loglog_slope, unit_blocks
-from .errors import DimensionError, ExtrapolationError, SolverError
+from .errors import DimensionError, SolverError
 from .operators import BandMatrix, dilation_eigenbasis
 from .potential import (PotentialModel, WeightParams, bracket, weight_exponent,
                         weight_f)
 
 __all__ = [
-    "Sector",
     "ShiftedSolver",
     "TridiagonalResolvent",
     "spectral_distance",
@@ -64,48 +64,10 @@ LANCZOS_STEPS = 128
 # shell-space bracket; it bounds their temporaries (a bench sweep peaked
 # about 4 MB higher with 64 than with 16)
 BATCH = 16
-
-
-# ---------------------------------------------------------------------------
-# Sector geometry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Sector:
-    """Complex energies with arg z in (0, theta) and 0 < |z| <= lambda0."""
-
-    theta: float
-    lambda0: float
-
-    def __post_init__(self):
-        if not 0.0 < self.theta < math.pi:
-            raise ValueError("sector opening must lie in (0, pi)")
-        if self.lambda0 <= 0:
-            raise ValueError("modulus bound must be positive")
-
-    def contains(self, z: complex) -> bool:
-        return (z != 0 and abs(z) <= self.lambda0 * (1 + 1e-12)
-                and 0.0 < cmath.phase(z) < self.theta)
-
-    def default_ray(self) -> float:
-        """The bisector theta/2, the one ray every sweep and ladder uses."""
-        return self.theta / 2.0
-
-    def points(self, moduli) -> list[complex]:
-        out = []
-        for m in moduli:
-            z = m * cmath.exp(1j * self.default_ray())
-            if not self.contains(z):
-                raise ValueError(f"point {z} outside the sector")
-            out.append(z)
-        return out
-
-    def ray_ladder(self, ratio: float, count: int) -> list[complex]:
-        return self.points([self.lambda0 * ratio**k for k in range(count)])
-
-
-# the one sector every sweep and ray ladder samples
-SECTOR = Sector(theta=0.75 * math.pi, lambda0=1.0)
+# the sector arg z in (0, 3 pi / 4), 0 < |z| <= LAMBDA0, is sampled on its
+# bisector: every sweep point and ray-ladder rung is a modulus times RAY
+LAMBDA0 = 1.0
+RAY = cmath.exp(1j * (0.75 * math.pi / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +409,6 @@ def weighted_opnorm(operator, z: complex, left_weight, right_weight, rng=None) -
     """
     wl = np.asarray(left_weight, dtype=float)
     wr = np.asarray(right_weight, dtype=float)
-    if np.all(wl == 0.0) or np.all(wr == 0.0):
-        return OpNormEstimate(lower=0.0, converged=True, iterations=0)
     solver = _solver_at(operator, z)
 
     def matvec(u):
@@ -470,7 +430,6 @@ class BesovEstimate:
 
     lower: float
     upper: float
-    block_sup: float
     lanczos_steps: int          # of the diagonal shell pairs' run
     converged: bool             # whether that run converged
 
@@ -526,8 +485,8 @@ def besov_bstar_estimate(operator, z: complex, f, grid) -> BesovEstimate:
     upper = 2.0 * block_sup
     if lower > upper * (1 + 1e-6):
         raise AssertionError("shell-space bracket inverted")
-    return BesovEstimate(lower=lower, upper=upper, block_sup=block_sup,
-                         lanczos_steps=steps, converged=converged)
+    return BesovEstimate(lower=lower, upper=upper, lanczos_steps=steps,
+                         converged=converged)
 
 
 def _separated_pair_norms(kernel: TridiagonalResolvent, f, labels, count: int,
@@ -762,7 +721,7 @@ def hoelder_estimate(operator, s: float, pairs, grid, s0: float | None = None,
 # a ladder whose difference exceeds this multiple of its running minimum
 # has stopped decreasing
 RISE_FACTOR = 2.0
-# the ray ladder: rungs SECTOR.lambda0 LADDER_RATIO^k for k below
+# the ray ladder: rungs LAMBDA0 LADDER_RATIO^k RAY for k below
 # LADDER_STEPS, stopped once a weighted difference is within LADDER_TOL
 LADDER_RATIO = 0.5
 LADDER_STEPS = 24
@@ -784,24 +743,20 @@ class BoundaryValueResult:
 def boundary_value(operator, v, grid, weight_s: float) -> BoundaryValueResult:
     """Approach R(0 + i0) v along the bisector: evidence, not the definition.
 
-    Solves at z_k = lambda0 LADDER_RATIO^k e^{i theta/2} on SECTOR until
-    the successive weighted differences ||u_{k+1} - u_k||_{-s} drop below
+    Solves at z_k = LAMBDA0 LADDER_RATIO^k RAY until the successive
+    weighted differences ||u_{k+1} - u_k||_{-s} drop below
     LADDER_TOL * ||u||_{-s}.  On a finite box the ladder shows a transient
     wobble where |z| crosses the box scale before resuming geometric
-    decrease, so non-convergence is declared on the envelope: the
-    ladder fails once a difference exceeds ``RISE_FACTOR`` times the
-    running minimum.  Both zero-energy runners filter the capped solve
-    at z = 0; ``radiation`` keeps this ladder as evidence for the
-    limiting absorption principle and measures its last iterate's
-    distance from that solve.
+    decrease, so non-convergence is declared on the envelope: once a
+    difference exceeds ``RISE_FACTOR`` times the running minimum, a
+    SolverError quotes the difference ladder.  Both zero-energy runners
+    filter the capped solve at z = 0; ``radiation`` keeps this ladder as
+    evidence for the limiting absorption principle and measures its last
+    iterate's distance from that solve.
     """
     v = np.asarray(v, dtype=complex)
-    zs = SECTOR.ray_ladder(LADDER_RATIO, LADDER_STEPS)
+    zs = [LAMBDA0 * LADDER_RATIO**k * RAY for k in range(LADDER_STEPS)]
     w = bracket(grid.nodes) ** (-weight_s)
-    if np.linalg.norm(v) == 0.0:
-        return BoundaryValueResult(u=np.zeros_like(v), z_values=zs[:1], diffs=[],
-                                   converged=True)
-
     u_prev = None
     diffs: list[float] = []
     used: list[complex] = []
@@ -814,8 +769,8 @@ def boundary_value(operator, v, grid, weight_s: float) -> BoundaryValueResult:
             scale = float(np.linalg.norm(w * u))
             diffs.append(d)
             if d > RISE_FACTOR * running_min:
-                raise ExtrapolationError(
-                    "difference ladder stopped decreasing", ladder=diffs)
+                raise SolverError(
+                    f"difference ladder stopped decreasing: {diffs}")
             running_min = min(running_min, d)
             if d <= LADDER_TOL * scale:
                 return BoundaryValueResult(u=u, z_values=used, diffs=diffs,

@@ -202,18 +202,15 @@ def weyl_matrix(symbol, grid: Grid1D) -> np.ndarray:
     return g[i[:, None] + i[None, :], (i[:, None] - i[None, :]) % n]
 
 
-def _band_rows(band: Band | None, mids, xi) -> tuple[np.ndarray, np.ndarray]:
+def _band_rows(band: Band, mids, xi) -> tuple[np.ndarray, np.ndarray]:
     """Per midpoint row s, the ladder columns [k0[s], k1[s]) of the band.
 
     Two extra columns on each side absorb rounding at the band edge.
     """
-    n = len(xi)
-    if band is None:
-        return np.zeros(len(mids), dtype=int), np.full(len(mids), n)
     reach = np.broadcast_to(band.reach(mids), mids.shape)
     k0 = np.searchsorted(xi, -reach, side="left") - 2
     k1 = np.searchsorted(xi, reach, side="right") + 2
-    return np.maximum(k0, 0), np.minimum(k1, n)
+    return np.maximum(k0, 0), np.minimum(k1, len(xi))
 
 
 # band frequencies transformed together; with symbols evaluated 2N / K_BATCH
@@ -221,7 +218,7 @@ def _band_rows(band: Band | None, mids, xi) -> tuple[np.ndarray, np.ndarray]:
 K_BATCH = 8
 
 
-def weyl_apply(symbol, grid: Grid1D, u, band: Band | None = None) -> np.ndarray:
+def weyl_apply(symbol, grid: Grid1D, u, band: Band) -> np.ndarray:
     """Matrix-free application of the quantized symbol, sliced by frequency.
 
     ``u`` is one vector of shape (n,) or a block of shape (n, m); each
@@ -240,7 +237,7 @@ def weyl_apply(symbol, grid: Grid1D, u, band: Band | None = None) -> np.ndarray:
     rows = u.reshape(n, -1).T          # each column of u as one row
     m, p, zero = len(rows), 2 * n, n // 2   # zero: the column of xi = 0
     xi, mids = grid.frequencies, _midpoints(grid)
-    outside = 0.0 if band is None else band.outside
+    outside = band.outside
     k0, k1 = _band_rows(band, mids, xi)
     # v[f] = sum_t w[t] e^{2 pi i f t / p} for the rows w of [u, P u],
     # stored twice so that a shift by whole bins is a slice
@@ -304,11 +301,9 @@ def default_radius_ladder(grid: Grid1D) -> np.ndarray:
 class FilterResult:
     """Defect ladders of a phase-space-filtered vector."""
 
-    filtered: np.ndarray
     ladder: np.ndarray
     ball_defect: np.ndarray      # R^{-s0} ||F(|x| < R) w||
     annulus_defect: np.ndarray   # R^{-s0} ||F(ANNULUS_EPS R <= |x| < R) w||
-    exponent: float
     degenerate: bool
 
     @property
@@ -381,11 +376,10 @@ def radiation_filter(u, spec: FilterSpec, model: PotentialModel,
     def result(u_col, w_col):
         scale = max(np.linalg.norm(u_col), 1e-300)
         return FilterResult(
-            filtered=w_col, ladder=ladder,
+            ladder=ladder,
             ball_defect=defect_ladder(w_col, grid.nodes, ladder, exponent=s0),
             annulus_defect=defect_ladder(w_col, grid.nodes, ladder, exponent=s0,
                                          annulus_eps=ANNULUS_EPS),
-            exponent=s0,
             degenerate=bool(np.linalg.norm(w_col) <= 1e-13 * scale))
 
     if w.ndim == 1:

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import struct
@@ -384,7 +385,7 @@ def test_check_potential_rows_meet_their_thresholds(family, monkeypatch):
 
         good = standard_model(1.0, 1.0, 1)
         bad = PotentialModel(
-            name="standard", mu=1.0, eps1=1.0, eps1_tilde=1.0,
+            mu=1.0, eps1=1.0, eps1_tilde=1.0,
             v1=lambda r: -good.v1(r), grad_v1=lambda r: -good.grad_v1(r), dim=1)
         monkeypatch.setattr(experiments, "build_model", lambda cfg: bad)
     rep = run_check_potential(cfg)
@@ -1049,6 +1050,22 @@ def test_cli_solver_error_exits_two(tmp_path, capsys, monkeypatch):
     path.write_text(SMALL_SWEEP + f"[output]\ndirectory = {tmp_path}/out\n")
     assert cli_main(["lap-sweep", "--config", str(path)]) == 2
     assert "solver error: dstebz failed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rising_ladder_exits_two_with_the_ladder(tmp_path, capsys, monkeypatch):
+    # a ray ladder that stops decreasing is a solver error: the CLI prints
+    # the difference ladder and writes no report
+    monkeypatch.setattr(resolvent, "RISE_FACTOR", 0.0)
+    path = tmp_path / "rad.cfg"
+    path.write_text(SMALL_UNIQUENESS.replace("uniqueness", "radiation")
+                    + f"[output]\ndirectory = {tmp_path}/out\n")
+    assert cli_main(["radiation", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    prefix = "solver error: difference ladder stopped decreasing: "
+    assert err.startswith(prefix)
+    ladder = ast.literal_eval(err[len(prefix):])
+    assert len(ladder) == 2 and ladder[1] > 0.0
     assert not (tmp_path / "out").exists()
 
 

@@ -105,7 +105,7 @@ def test_standard_model_passes():
 def test_sign_flip_fails_hypothesis_one():
     m = standard_model(1.0, 1.0, 1)
     bad = PotentialModel(
-        name="standard", mu=1.0, eps1=1.0, eps1_tilde=1.0,
+        mu=1.0, eps1=1.0, eps1_tilde=1.0,
         v1=lambda r: -m.v1(r), grad_v1=lambda r: -m.grad_v1(r), dim=1)
     checks, witnesses = check_condition(bad, RADII)
     assert not checks[0].passed
@@ -159,7 +159,7 @@ def test_smoothed_coulomb_split_passes():
         return np.where(r < 1.0, sing, 0.0)
 
     model = PotentialModel(
-        name="smoothed-coulomb", mu=1.0, eps1=gamma, eps1_tilde=1.0,
+        mu=1.0, eps1=gamma, eps1_tilde=1.0,
         v1=base.v1, grad_v1=base.grad_v1, dim=3, v2=v2,
         v2_tail=(0.4, gamma, 1.0),
         symbol_constants=base.symbol_constants)
@@ -208,6 +208,6 @@ def test_config_round_trip():
     m2 = model_from_config({"family": "standard", "gamma": 2.0, "mu": 1.5, "dim": 3})
     assert m2.eps1 == m.eps1 and m2.mu == m.mu and m2.dim == m.dim
     c2 = model_from_config({"family": "coulomb", "gamma": 1.0, "dim": 3})
-    assert c2.name == "coulomb"
+    assert (c2.mu, c2.dim) == (1.0, 3) and c2.v2 is not None
     with pytest.raises(ValueError):
         model_from_config({"family": "nope"})

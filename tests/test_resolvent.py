@@ -1,3 +1,4 @@
+import ast
 import cmath
 import math
 
@@ -9,13 +10,15 @@ from conftest import (free_resolvent_gaussian, free_resolvent_kernel,
                       lattice_free_kernel)
 from lapkit.besov import (ShellScheme, Stream, bstar_norm_dense, loglog_slope,
                           schur_block_bound, unit_blocks)
-from lapkit.errors import ExtrapolationError, SolverError
+from lapkit.config import parse_config_text
+from lapkit.errors import SolverError
+from lapkit.experiments import run_lap_sweep
 from lapkit.operators import (BandMatrix, Grid1D, RadialGrid, build_dilation,
                               build_hamiltonian, gaussian_probe,
                               matched_absorber)
 from lapkit.potential import WeightParams, bracket, standard_model, weight_f
-from lapkit.resolvent import (LADDER_TOL, LANCZOS_STEPS, SECTOR, SOLVE_RTOL,
-                              Sector, ShiftedSolver, TridiagonalResolvent,
+from lapkit.resolvent import (LADDER_TOL, LANCZOS_STEPS, RAY, SOLVE_RTOL,
+                              ShiftedSolver, TridiagonalResolvent,
                               _diagonal_shell_pairs, _separated_pair_norms,
                               _shell_inverse, besov_bstar_estimate,
                               boundary_value,
@@ -39,19 +42,34 @@ def sweep_weight(z, grid):
 # sector
 # ---------------------------------------------------------------------------
 
-def test_sector_membership():
-    s = Sector(theta=0.75 * math.pi, lambda0=1.0)
-    assert s.contains(0.1 + 0.1j)
-    assert not s.contains(-0.1)       # negative real axis excluded
-    assert not s.contains(0.1)        # real axis itself excluded
-    assert not s.contains(2.0j)       # modulus above the bound
-    pts = s.points([1e-1, 1e-2])
-    assert all(s.contains(z) for z in pts)
-    # a ladder ratio outside (0, 1) leaves the sector
-    with pytest.raises(ValueError):
-        s.ray_ladder(-0.5, 3)
-    with pytest.raises(ValueError):
-        Sector(theta=3.5, lambda0=1.0)
+# the unit on the bisector of the sector arg z in (0, 3 pi / 4), written
+# out: every sweep point and ladder rung built from RAY keeps these bits
+BISECTOR = cmath.exp(1j * (0.75 * math.pi / 2.0))
+
+
+def test_sweep_points_and_ladder_rungs_keep_their_bits(monkeypatch):
+    assert 0.0 < cmath.phase(RAY) < 0.75 * math.pi
+    # every lap-sweep point, at the default moduli and at the bound 1
+    cfg = parse_config_text("[grid]\nlength = 20.0\nsize = 128\n"
+                            "[sector]\nmoduli = 1e-4, 1e-3, 1, 1e-2, 1e-1\n")
+    rows = run_lap_sweep(cfg).artifacts["csv_rows"]
+    assert ([complex(row["re_z"], row["im_z"]) for row in rows[::3]]
+            == [m * BISECTOR for m in (1.0, 1e-1, 1e-2, 1e-3, 1e-4)])
+    # every rung of the ray ladder, kept from converging or rising
+    rungs = []
+
+    def recording(operator, z):
+        rungs.append(z)
+        return ShiftedSolver(operator, z)
+
+    monkeypatch.setattr("lapkit.resolvent.ShiftedSolver", recording)
+    monkeypatch.setattr("lapkit.resolvent.LADDER_TOL", 0.0)
+    monkeypatch.setattr("lapkit.resolvent.RISE_FACTOR", math.inf)
+    grid = Grid1D(20.0, 128)
+    res = boundary_value(build_hamiltonian(MODEL, grid), gaussian_probe(grid),
+                         grid, WEIGHT_S)
+    assert not res.converged
+    assert rungs == res.z_values == [1.0 * 0.5**k * BISECTOR for k in range(24)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +321,14 @@ def test_unweighted_norm_is_inverse_distance(rng):
 
 
 @pytest.mark.parametrize("model", [MODEL, None], ids=["standard", "free"])
-@pytest.mark.parametrize("ray", [SECTOR.default_ray(), 0.01],
+@pytest.mark.parametrize("unit", [RAY, cmath.exp(0.01j)],
                          ids=["default-ray", "near-real-axis"])
-def test_spectral_distance_matches_dense_spectrum(model, ray):
+def test_spectral_distance_matches_dense_spectrum(model, unit):
     # 1 / dist(z, spectrum) is the plain resolvent norm; bisection on a
     # window around Re z gives the distance to the dense spectrum's
     h_op = build_hamiltonian(model, Grid1D(20.0, 256))
     eigs = sla.eigvalsh(h_op.toarray())
-    for z in (m * cmath.exp(1j * ray) for m in (1e-1, 1e-2, 1e-3, 1e-4)):
+    for z in (m * unit for m in (1e-1, 1e-2, 1e-3, 1e-4)):
         exact = np.min(np.abs(eigs - z))
         assert spectral_distance(h_op, z) == pytest.approx(exact, rel=1e-9)
 
@@ -334,9 +352,9 @@ def _check_bracket(grid, z):
     assert est.lower <= exact * (1 + 1e-6)
     assert exact <= est.upper * (1 + 1e-6)
     assert est.lower >= 0.5 * exact      # the shell-pair probe is tight
-    # the solve-based block sup is the dense unit-block sup
+    # the solve-based upper bound is twice the dense unit-block sup
     blocks = schur_block_bound(dense, np.abs(grid.nodes), Stream(0))
-    assert est.block_sup == pytest.approx(blocks.block_sup, rel=1e-12)
+    assert est.upper == pytest.approx(blocks.upper, rel=1e-12)
 
 
 def test_besov_estimate_brackets_dense_norm():
@@ -345,7 +363,7 @@ def test_besov_estimate_brackets_dense_norm():
 
 def test_besov_estimate_brackets_dense_norm_at_desk_spacing():
     # the desk grids' spacing h = 0.1953, at a low energy on the default ray
-    _check_bracket(Grid1D(100.0, 1024), SECTOR.points([1e-3])[0])
+    _check_bracket(Grid1D(100.0, 1024), 1e-3 * RAY)
 
 
 @pytest.mark.parametrize("model, grid", [
@@ -358,7 +376,7 @@ def test_kernel_columns_match_dense_inverse(model, grid):
     h_op = build_hamiltonian(model, grid)
     n = grid.size
     every = np.arange(n)
-    for z in SECTOR.points([1e-1, 1e-2, 1e-3, 1e-4]):
+    for z in (m * RAY for m in (1e-1, 1e-2, 1e-3, 1e-4)):
         dense = sla.inv(h_op.toarray() - z * np.eye(n))
         cols = TridiagonalResolvent(h_op, z).entries(every[:, None], every)
         err = np.linalg.norm(cols - dense, axis=0)
@@ -408,7 +426,7 @@ def test_separated_shell_pairs_are_exact():
     shell_of, radii = ShellScheme().shell_indices(absx)
     block_of, blocks = unit_blocks(absx)
     assert np.count_nonzero(np.bincount(shell_of)) >= 4
-    for z in (Z0, SECTOR.points([1e-3])[0]):
+    for z in (Z0, 1e-3 * RAY):
         fh, dense = _dense_weighted_resolvent(h_op, grid, z)
         kernel = TridiagonalResolvent(h_op, z)
         for labels, count in ((shell_of, len(radii)), (block_of, len(blocks))):
@@ -428,7 +446,7 @@ def test_diagonal_shell_pairs_match_dense_svd():
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
     shell_of, radii = ShellScheme().shell_indices(np.abs(grid.nodes))
-    for z in SECTOR.points([1e-1, 1e-2, 1e-3, 1e-4]):
+    for z in (m * RAY for m in (1e-1, 1e-2, 1e-3, 1e-4)):
         fh, dense = _dense_weighted_resolvent(h_op, grid, z)
         kernel = TridiagonalResolvent(h_op, z)
         norm, shell, steps, converged = _diagonal_shell_pairs(
@@ -450,7 +468,7 @@ def test_diagonal_shell_pairs_factor_once(monkeypatch):
 
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
-    z = SECTOR.points([1e-3])[0]
+    z = 1e-3 * RAY
     fh = np.sqrt(weight_f(WeightParams(abs(z), 1.0, 1.0), grid.nodes))
     kernel = TridiagonalResolvent(h_op, z)
     solver = ShiftedSolver(h_op, z)
@@ -505,7 +523,7 @@ def test_besov_estimate_runs_one_lanczos(monkeypatch):
     monkeypatch.setattr(resolvent, "_lanczos", counted)
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
-    z = SECTOR.points([1e-3])[0]
+    z = 1e-3 * RAY
     est = besov_bstar_estimate(h_op, z, sweep_weight(z, grid), grid)
     assert len(calls) == 1
     assert est.lanczos_steps > 2
@@ -516,7 +534,7 @@ def test_besov_lower_is_the_shell_dual_norm():
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
     absx = np.abs(grid.nodes)
-    for z in SECTOR.points([1e-1, 1e-3]):
+    for z in (1e-1 * RAY, 1e-3 * RAY):
         _, dense = _dense_weighted_resolvent(h_op, grid, z)
         est = besov_bstar_estimate(h_op, z, sweep_weight(z, grid), grid)
         exact = bstar_norm_dense(dense, absx)
@@ -643,7 +661,6 @@ def test_boundary_value_zero_source():
     res = boundary_value(h_op, np.zeros(128), grid, WEIGHT_S)
     assert res.converged
     assert np.all(res.u == 0.0)
-    assert len(res.z_values) == 1
 
 
 def test_boundary_value_unconverged_returns_its_last_iterate(monkeypatch):
@@ -688,8 +705,7 @@ def test_boundary_value_ladder_consistent_with_hoelder(rng, monkeypatch):
     assert res.converged
     dr = np.array(res.diffs)
     geo_mean = (dr[-1] / dr[0]) ** (1.0 / (len(dr) - 1))
-    ray = SECTOR.default_ray()
-    zs = [0.5**k * cmath.exp(1j * ray) for k in range(8)]
+    zs = [0.5**k * RAY for k in range(8)]
     rep = hoelder_estimate(h_op, MODEL.s0 + 0.05,
                            [(zs[i], zs[i + 1]) for i in range(7)], grid,
                            s0=MODEL.s0, rng=rng)
@@ -699,15 +715,17 @@ def test_boundary_value_ladder_consistent_with_hoelder(rng, monkeypatch):
 
 def test_boundary_value_nongeometric_error(monkeypatch):
     # an unabsorbed box rises when |z| crosses the box scale; a tight
-    # rise envelope must report it with the ladder attached
+    # rise envelope must report it with the ladder in the message
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
     v = gaussian_probe(grid, width=2.0)
     monkeypatch.setattr("lapkit.resolvent.RISE_FACTOR", 1.2)
     monkeypatch.setattr("lapkit.resolvent.LADDER_TOL", 1e-12)
-    with pytest.raises(ExtrapolationError) as info:
+    with pytest.raises(SolverError, match="^difference ladder stopped decreasing: ") as info:
         boundary_value(h_op, v, grid, WEIGHT_S)
-    assert len(info.value.ladder) >= 2
+    ladder = ast.literal_eval(str(info.value).split(": ", 1)[1])
+    assert len(ladder) >= 2
+    assert ladder[-1] > 1.2 * min(ladder[:-1]) > 0.0
 
 
 # ---------------------------------------------------------------------------
