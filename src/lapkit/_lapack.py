@@ -1,9 +1,11 @@
-"""zgbtrf, zgbtrs, dstevd and dstebz from the OpenBLAS in numpy's wheel.
+"""zgttrf, zgttrs, zgbtrf, zgbtrs, dstevd and dstebz from numpy's OpenBLAS.
 
 numpy's Linux wheels ship numpy.libs/libscipy_openblas64_*.so, whose LAPACKE
 symbols scipy_LAPACKE_<name>64_ take 64-bit integers; numpy has it loaded,
 so binding it costs no import.  Arrays are column-major (LAPACK Users'
 Guide, 3rd ed., 1999); a missing library or symbol is an ImportError.
+``call`` checks and converts its arguments on every call; a solver
+reusing its factors calls the routine in ``LIB`` with their addresses.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from .errors import SolverError
 LIBRARY_DIR = Path(np.__file__).parent.parent / "numpy.libs"
 COL_MAJOR = 102
 # argument types: L the int layout, I int64, C char, D double, P pointer;
-# the band LU's _work variants skip LAPACKE's NaN scan of the band
+# the LUs' _work variants skip LAPACKE's NaN scan of the factors
 _TYPES = dict(L=ctypes.c_int, I=ctypes.c_int64, C=ctypes.c_char,
               D=ctypes.c_double, P=ctypes.c_void_p)
-_ARGS = {"zgbtrf_work": "LIIIIPIP", "zgbtrs_work": "LCIIIIPIPPI",
+_ARGS = {"zgttrf_work": "IPPPPP", "zgttrs_work": "LCIIPPPPPPI",
+         "zgbtrf_work": "LIIIIPIP", "zgbtrs_work": "LCIIIIPIPPI",
          "dstevd": "LCIPPPI", "dstebz": "CCIDDIIDPPPPPPP"}
 
 
@@ -39,15 +42,15 @@ def _load(directory: Path) -> dict:
     return routines
 
 
-_LIB = _load(LIBRARY_DIR)
+LIB = _load(LIBRARY_DIR)
 
 
 def call(name, *args) -> int:
     """LAPACK's info from ``name``, contiguous arrays passed by address."""
     if any(isinstance(a, np.ndarray) and not a.flags.forc for a in args):
         raise ValueError(f"{name}: arrays must be contiguous")
-    info = _LIB[name](*(a.ctypes.data if isinstance(a, np.ndarray) else a
-                        for a in args))
+    info = LIB[name](*(a.ctypes.data if isinstance(a, np.ndarray) else a
+                       for a in args))
     if info < 0:
         raise ValueError(f"{name}: argument {-info} is illegal")
     return info

@@ -128,10 +128,8 @@ class PotentialModel:
         return max(self.c0 / self.kappa_low_energy, 1.0)
 
     def total(self, x) -> np.ndarray:
-        v = self.v1(np.abs(np.asarray(x, dtype=float)))
-        if self.v2 is not None:
-            v = v + self.v2(np.abs(np.asarray(x, dtype=float)))
-        return v
+        r = np.abs(np.asarray(x, dtype=float))
+        return self.v1(r) if self.v2 is None else self.v1(r) + self.v2(r)
 
 
 def virial_w(model: PotentialModel, x) -> np.ndarray:
@@ -153,8 +151,6 @@ def standard_model(gamma: float, mu: float, dim: int = 1) -> PotentialModel:
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if not 0.0 < mu < 2.0:
-        raise ValueError("mu must lie in (0, 2)")
 
     def v1(r):
         return -gamma * bracket(r) ** (-mu)

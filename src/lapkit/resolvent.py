@@ -7,16 +7,18 @@ z = 0 with one ``ShiftedSolver``; the ray ladder toward 0
 (``boundary_value``) is evidence for the limiting absorption principle.
 Every factorized operator is a complex-symmetric ``BandMatrix``: H and
 H + cap are tridiagonal, the commutator-regularized operator is
-pentadiagonal.  One band LU with partial pivoting (``_band_lu``: zgbtrf
-once, zgbtrs per solve, from numpy's own OpenBLAS through ``_lapack``)
-serves every solve; adjoint solves conjugate forward ones.
+pentadiagonal.  One LU with partial pivoting (``_band_lu``, from numpy's
+own OpenBLAS through ``_lapack``: zgttrf once and zgttrs per solve for a
+tridiagonal, zgbtrf and zgbtrs for a wider band) serves every solve;
+adjoint solves conjugate forward ones.
 
 The plain resolvent norm of a self-adjoint H is exact, 1 / dist(z,
 spectrum) (``spectral_distance``).  Every other operator norm is one
 Lanczos run on A* A (``_lanczos``) whose Ritz vector is re-evaluated
 through A, a certified lower bound.  ``TridiagonalResolvent`` reads
-any entry of a tridiagonal resolvent off two pivot sequences, and the
-shell-space bracket (``besov_bstar_estimate``) takes every entry there.
+any entry of a tridiagonal resolvent off two pivot sequences (two scaled
+zgttrf calls), and the shell-space bracket (``besov_bstar_estimate``) takes
+every entry it evaluates there.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import COL_MAJOR, call, dstebz, dstevd
+from ._lapack import COL_MAJOR, LIB, call, dstebz, dstevd
 from .besov import ShellScheme, Stream, loglog_slope, unit_blocks
 from .errors import DimensionError, SolverError
 from .operators import BandMatrix, dilation_eigenbasis
@@ -60,10 +62,8 @@ SOLVE_RTOL = 1e-10
 # most LANCZOS_RTOL times the Ritz value, or after LANCZOS_STEPS steps
 LANCZOS_RTOL = 1e-10
 LANCZOS_STEPS = 128
-# groups per vectorized batch of block pairs and diagonal blocks in the
-# shell-space bracket; it bounds their temporaries (a bench sweep peaked
-# about 4 MB higher with 64 than with 16)
-BATCH = 16
+# the power of two scaling TridiagonalResolvent's off-diagonals in zgttrf
+PIVOT_SCALE = 300
 # the sector arg z in (0, 3 pi / 4), 0 < |z| <= LAMBDA0, is sampled on its
 # bisector: every sweep point and ray-ladder rung is a modulus times RAY
 LAMBDA0 = 1.0
@@ -91,26 +91,38 @@ def _bands(operator: BandMatrix) -> list[np.ndarray]:
 def _band_lu(bands):
     """Solver b -> A^{-1} b for the complex-symmetric A with diagonals +-j = bands[j].
 
-    A is factored once, by Gaussian elimination with partial pivoting in
-    LAPACK band storage (zgbtrf; LAPACK Users' Guide, 3rd ed., 1999,
-    section 2.4.3); each solve, of a vector or of columns, is one
-    zgbtrs.  SolverError on a zero pivot.
+    A is factored once by Gaussian elimination with partial pivoting
+    (LAPACK Users' Guide, 3rd ed., 1999, section 2.4.3): a tridiagonal A
+    by zgttrf, a wider band in band storage by zgbtrf.  Each solve, of a
+    vector or of columns, is one zgttrs or zgbtrs called with the
+    factors' addresses read once.  SolverError on a zero pivot.
     """
     k, n = len(bands) - 1, len(bands[0])
-    ab = np.zeros((3 * k + 1, n), dtype=complex, order="F")
-    for j, band in enumerate(bands):
-        ab[2 * k - j, j:] = ab[2 * k + j, :n - j] = band
     piv = np.empty(n, dtype=np.int64)
-    info = call("zgbtrf_work", COL_MAJOR, n, n, k, k, ab, 3 * k + 1, piv)
+    if k == 1:
+        # dl, d, du and the second superdiagonal that row interchanges fill
+        factors = [np.array(bands[j], dtype=complex) for j in (1, 0, 1)]
+        factors += [np.zeros(max(n - 2, 0), dtype=complex), piv]
+        info = call("zgttrf_work", n, *factors)
+        name, head = "zgttrs_work", (COL_MAJOR, b"N", n)
+    else:
+        ab = np.zeros((3 * k + 1, n), dtype=complex, order="F")
+        for j, band in enumerate(bands):
+            ab[2 * k - j, j:] = ab[2 * k + j, :n - j] = band
+        factors = [ab, 3 * k + 1, piv]
+        info = call("zgbtrf_work", COL_MAJOR, n, n, k, k, *factors)
+        name, head = "zgbtrs_work", (COL_MAJOR, b"N", n, k, k)
     if info:
         raise SolverError(f"zero pivot {info} of {n}: spectrally degenerate")
+    routine = LIB[name]
+    args = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in factors]
 
     def solve(rhs):
         b = np.array(rhs, dtype=complex, order="F")
-        call("zgbtrs_work", COL_MAJOR, b"N", n, k, k, b.size // n, ab, 3 * k + 1,
-             piv, b, n)
+        routine(*head, b.size // n, *args, b.ctypes.data, n)
         return b
 
+    solve.factors = factors         # the arrays ``args`` point into
     return solve
 
 
@@ -200,12 +212,18 @@ class TridiagonalResolvent:
     d_i = a_i - b_{i-1}^2 / d_{i-1} and the bottom-up pivots
     e_i = a_i - b_i^2 / e_{i+1} are the two LU factorizations without
     pivoting; they are stable because Im(M - z) = -Im z is definite for
-    a Hermitian M (Higham, Math. Comp. 67 (1998) 1591).  Column c of R
-    satisfies R[i, c] = up_i R[i+1, c] above the diagonal
-    (up_i = -b_i / d_i) and R[i+1, c] = dn_i R[i, c] below it
-    (dn_i = -b_i / e_{i+1}), and R[c, c] = g_c = 1 / (d_c + e_c - a_c).
+    a Hermitian M (Higham, Math. Comp. 67 (1998) 1591).  Each is one
+    zgttrf of (dl, d, du) = (2^-k b, a, 2^k b), k = PIVOT_SCALE, or of its
+    reversal: powers of two scale exactly, so its update a_i - fl(dl / d)
+    du is a_i - fl(b / d) b, and 2^+-k |b| stay normal for |b| in
+    (2^-700, 2^700).  zgttrf swaps rows only where |d| < 2^-k |b| in
+    1-norms of (Re, Im), far below Im z <= |d|: a swap, like a zero
+    pivot, is a SolverError.  Column c of R has R[i, c] = up_i R[i+1, c]
+    above the diagonal (up_i = -b_i / d_i), R[i+1, c] = dn_i R[i, c] below
+    it (dn_i = -b_i / e_{i+1}), and R[c, c] = g_c = 1 / (d_c + e_c - a_c).
     So R is semiseparable (Meurant, SIAM J. Matrix Anal. Appl. 13
-    (1992) 707): with the prefix sums U and D of log up and log dn,
+    (1992) 707): with the prefix sums U and D of log up and log dn
+    (``log_up`` and ``log_dn``),
 
         R[i, c] = exp(U_c - U_i) g_c  (i <= c),
         R[i, c] = exp(D_i - D_c) g_c  (i >= c),
@@ -229,41 +247,30 @@ class TridiagonalResolvent:
         if wider:
             raise ValueError("operator is not tridiagonal")
         self.z = complex(z)
-        self.n = n = len(main)
+        self.n = len(main)
         self.a = main.astype(complex) - self.z
         self.b = upper.astype(complex)
-        a, b2 = self.a.tolist(), (self.b**2).tolist()
-        self.d, self.e = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-        d = self.d[0] = a[0]
-        e = self.e[n - 1] = a[n - 1]
-        try:
-            for i in range(1, n):
-                d = self.d[i] = a[i] - b2[i - 1] / d
-                e = self.e[n - 1 - i] = a[n - 1 - i] - b2[n - 1 - i] / e
-        except ZeroDivisionError as exc:
-            raise SolverError(
-                f"zero pivot at z = {self.z}: spectrally degenerate") from exc
+        pivots = []
+        for a, b in ((self.a, self.b), (self.a[::-1], self.b[::-1])):
+            lu = [b * 2.0**-PIVOT_SCALE, np.array(a), b * 2.0**PIVOT_SCALE,
+                  np.empty(max(self.n - 2, 0), dtype=complex), np.empty(self.n, dtype=np.int64)]
+            if call("zgttrf_work", self.n, *lu) or np.any(lu[4] != np.arange(1, self.n + 1)):
+                raise SolverError(f"zero pivot at z = {self.z}: spectrally degenerate")
+            pivots.append(lu[1])
+        self.d, self.e = pivots[0], pivots[1][::-1]
         if not np.all(self.b):
             raise ValueError("operator decouples: zero off-diagonal entry")
         self.up = -self.b / self.d[:-1]
         self.dn = -self.b / self.e[1:]
         self.g = 1.0 / (self.d + self.e - self.a)
-        self._log_up = _prefix_sums(np.log(self.up))
-        self._log_dn = _prefix_sums(np.log(self.dn))
+        self.log_up = _prefix_sums(np.log(self.up))
+        self.log_dn = _prefix_sums(np.log(self.dn))
         self._certify()
-
-    def log_up(self, i, c):
-        """log of up_i ... up_{c-1}, so R[i, c] = exp(log_up(i, c)) g_c for i <= c."""
-        return _span(self._log_up, i, c)
-
-    def log_dn(self, c, i):
-        """log of dn_c ... dn_{i-1}, so R[i, c] = exp(log_dn(c, i)) g_c for i >= c."""
-        return _span(self._log_dn, c, i)
 
     def entries(self, rows, cols) -> np.ndarray:
         """R[rows, cols] for index arrays that broadcast against each other."""
-        log = np.where(rows <= cols, self.log_up(rows, cols),
-                       self.log_dn(cols, rows))
+        log = np.where(rows <= cols, _span(self.log_up, rows, cols),
+                       _span(self.log_dn, cols, rows))
         return np.exp(log) * self.g[cols]
 
     def _certify(self) -> None:
@@ -281,18 +288,15 @@ class TridiagonalResolvent:
         def bound(terms):
             return np.abs(sum(terms)) + 4 * u * sum(np.abs(t) for t in terms)
 
-        res_sq = bound(diag) ** 2
-        if n > 1:
-            # rows above column c: sum_{i<c} |up_i...up_{c-1}|^2 bound_i^2
-            re_u, re_d = self._log_up[0].real, self._log_dn[0].real
-            acc = np.logaddexp.accumulate(2 * np.log(bound(above)) - 2 * re_u[:-1])
-            rows_sq = np.zeros(n)
-            rows_sq[1:] = np.exp(2 * re_u[1:] + acc)
-            # rows below: sum_{i>c} |dn_c...dn_{i-1}|^2 bound_i^2
-            acc = np.logaddexp.accumulate((2 * np.log(bound(below))
-                                           + 2 * re_d[1:])[::-1])[::-1]
-            rows_sq[:-1] += np.exp(acc - 2 * re_d[:-1])
-            res_sq += np.abs(g) ** 2 * rows_sq
+        # rows above column c: sum_{i<c} |up_i...up_{c-1}|^2 bound_i^2
+        re_u, re_d = self.log_up[0].real, self.log_dn[0].real
+        acc = np.logaddexp.accumulate(2 * np.log(bound(above)) - 2 * re_u[:-1])
+        rows_sq = np.zeros(n)
+        rows_sq[1:] = np.exp(2 * re_u[1:] + acc)
+        # rows below: sum_{i>c} |dn_c...dn_{i-1}|^2 bound_i^2
+        acc = np.logaddexp.accumulate((2 * np.log(bound(below)) + 2 * re_d[1:])[::-1])[::-1]
+        rows_sq[:-1] += np.exp(acc - 2 * re_d[:-1])
+        res_sq = bound(diag) ** 2 + np.abs(g) ** 2 * rows_sq
         worst = math.sqrt(float(np.max(res_sq)))
         if not worst <= SOLVE_RTOL:
             raise SolverError(
@@ -410,14 +414,8 @@ def weighted_opnorm(operator, z: complex, left_weight, right_weight, rng=None) -
     wl = np.asarray(left_weight, dtype=float)
     wr = np.asarray(right_weight, dtype=float)
     solver = _solver_at(operator, z)
-
-    def matvec(u):
-        return wl * solver.solve(wr * u)
-
-    def rmatvec(w):
-        return wr * solver.solve_adjoint(wl * w)
-
-    return operator_norm_lower(matvec, rmatvec, len(wl), rng=rng)
+    return operator_norm_lower(lambda u: wl * solver.solve(wr * u),
+                               lambda w: wr * solver.solve_adjoint(wl * w), len(wl), rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +443,17 @@ def besov_bstar_estimate(operator, z: complex, f, grid) -> BesovEstimate:
     read off the certified generators of ``TridiagonalResolvent``.
 
     Upper bound: the exact unit-width block sup over |x| blocks,
-    doubled.  Two different blocks are separated (the outer block's
-    nodes lie wholly before or after the inner block's), so their
-    weighted block has rank <= 2 and its norm is a closed-form 2 x 2
-    eigenvalue of segment sums (``_separated_pair_norms``); only the
-    diagonal blocks are built, about 10 x 10 at desk spacing.
+    doubled (``_block_sup``).  Two different blocks are separated (the
+    outer block's nodes lie wholly before or after the inner block's),
+    so their weighted block has rank <= 2 and its norm is a closed-form
+    2 x 2 eigenvalue of segment sums (``_separated_pairs``); only the
+    diagonal blocks are built, about 10 x 10 at desk spacing.  Row p,
+    the diagonal block p and the pairs (p, q > p), is bounded by the
+    block's Frobenius norm and the root of the pairs' largest trace.
+    Rows are evaluated in decreasing order of bound until the next
+    bound times 1 + 1e-6 is at most the running max.  The slack covers
+    the rounding of bounds and values (about 1e-13 relative at desk
+    scale), so the sup is the max over every pair of blocks to the bit.
 
     Lower bound: the best dyadic shell pair, scaled by
     R_j^{-1/2} R_k^{-1/2}; the best pair is the shell-dual norm
@@ -461,24 +465,16 @@ def besov_bstar_estimate(operator, z: complex, f, grid) -> BesovEstimate:
     run.
     """
     absx = np.abs(grid.nodes)
-    fh = np.sqrt(f)
     solver = _solver_at(operator, z)
     kernel = TridiagonalResolvent(solver.matrix, z)
     center = int(np.argmin(absx))
+    block_sup = _block_sup(kernel, f, *unit_blocks(absx), center)
 
-    # --- exact unit-width block sup (upper bound) -------------------------
-    labels, blocks = unit_blocks(absx)
-    block_sup = max(
-        float(np.max(_diagonal_block_norms(kernel, fh, blocks))),
-        float(np.max(_separated_pair_norms(kernel, f, labels, len(blocks),
-                                           center), initial=0.0)))
-
-    # --- shell pairs (lower bound) ----------------------------------------
     shell_of, radii = ShellScheme().shell_indices(absx)
     inner, outer = np.triu_indices(len(radii), 1)
-    pairs = (_separated_pair_norms(kernel, f, shell_of, len(radii), center)
-             / np.sqrt(radii[inner] * radii[outer]))
-    lower, _, steps, converged = _diagonal_shell_pairs(kernel, solver, fh, shell_of, radii)
+    norms, _ = _separated_pairs(kernel, f, shell_of, len(radii), center)
+    pairs = norms(inner, outer) / np.sqrt(radii[inner] * radii[outer])
+    lower, _, steps, converged = _diagonal_shell_pairs(kernel, solver, np.sqrt(f), shell_of, radii)
     if pairs.size and np.max(pairs) >= lower:
         lower = float(np.max(pairs))
 
@@ -489,25 +485,56 @@ def besov_bstar_estimate(operator, z: complex, f, grid) -> BesovEstimate:
                          converged=converged)
 
 
-def _separated_pair_norms(kernel: TridiagonalResolvent, f, labels, count: int,
-                          center: int) -> np.ndarray:
-    """||F R[G_p, G_q] F|| for all p < q, F = diag(f)^{1/2}, in triu_indices order.
+def _block_sup(kernel: TridiagonalResolvent, f, labels, blocks, center: int) -> float:
+    """max over p <= q of ||F R[G_p, G_q] F||, F = diag(f)^{1/2}, G_p = blocks[p],
+    evaluated row by row in decreasing order of bound (``besov_bstar_estimate``)."""
+    fh = np.sqrt(f)
+    sizes = np.bincount(labels, minlength=len(blocks))
+    order, filled = np.concatenate(blocks), np.arange(sizes.max()) < sizes[:, None]
+    # Frobenius norms: R is symmetric, so twice the upper triangle i < c plus the
+    # diagonal, |R[i, c]| = exp(Re (U_c - U_i)) |g_c|; blocks padded with their
+    # last node at weight 0 keep i <= c in node order
+    idx = np.repeat(order[np.cumsum(sizes) - 1, None], filled.shape[1], axis=1)
+    idx[filled] = order
+    w, (i, c) = np.where(filled, fh[idx], 0.0) ** 2, np.triu_indices(filled.shape[1])
+    real_up = tuple(part.real for part in kernel.log_up)
+    frobenius_sq = np.sum(np.where(i < c, 2.0, 1.0) * w[:, i] * w[:, c]
+                          * np.abs(kernel.g[idx[:, c]]) ** 2
+                          * np.exp(2 * _span(real_up, idx[:, i], idx[:, c])), axis=1)
+    norms, row_bounds = _separated_pairs(kernel, f, labels, len(blocks), center)
+    bounds = np.maximum(np.sqrt(frobenius_sq), row_bounds)
+    best = 0.0
+    for p in np.argsort(-bounds):
+        if bounds[p] * (1 + 1e-6) <= best:     # slack for rounding
+            break
+        block = blocks[p]
+        sub = kernel.entries(block[:, None], block) * fh[block][:, None] * fh[block]
+        best = max(best, math.sqrt(np.linalg.eigvalsh(sub.conj().T @ sub)[-1]),
+                   float(np.max(norms(p, np.arange(p + 1, len(blocks))), initial=0.0)))
+    return best
+
+
+def _separated_pairs(kernel: TridiagonalResolvent, f, labels, count: int, center: int):
+    """(norms, bounds): norms(p, q) = ||F R[G_p, G_q] F|| for index arrays
+    p < q, F = diag(f)^{1/2}, and bounds[p] >= norms(p, q) for all q > p.
 
     Group p holds the nodes labelled p, and ``center`` is a node of
     least |x|; the groups are levels of |x| (unit blocks or shells),
     so for p < q every node of G_q lies before G_p's first node a
     (when it precedes ``center``) or after its last node b.  A column
     c before a has R[i, c] = alpha_i beta_c with alpha_i = dn_a ...
-    dn_{i-1} and beta_c = R[a, c], and a column after b has
-    R[i, c] = gamma_i delta_c with gamma_i = up_i ... up_{b-1} and
-    delta_c = R[b, c].  The block is alpha beta^T +
-    gamma delta^T with beta and delta on disjoint columns, so its
-    squared norm is the top eigenvalue of [[S_aa B, S_ag (B D)^{1/2}],
+    dn_{i-1} and beta_c = R[a, c], and a column after b has R[i, c] =
+    gamma_i delta_c with gamma_i = up_i ... up_{b-1} and delta_c =
+    R[b, c].  The block is alpha beta^T + gamma delta^T with beta and
+    delta on disjoint columns, so its squared norm is the top
+    eigenvalue of the positive semidefinite [[S_aa B, S_ag (B D)^{1/2}],
     [conj, S_gg D]], with the row sums S = sum f conj(.) (.) over G_p
     and B, D = sum f |beta|^2, sum f |delta|^2 over G_q's two sides.
     Each column sum is its side's own sum, anchored at the side's end
     nearest the center, times the squared ratio product across the
-    separation.  O(n + count^2), in batches of BATCH rows.
+    separation.  So B and D are a factor of p times one of q, and the
+    trace S_aa B + S_gg D, at least the squared norm, is bounded for
+    every row at once by suffix maxima over q in the log domain.
     """
     n = kernel.n
     nodes = np.arange(n)
@@ -515,8 +542,8 @@ def _separated_pair_norms(kernel: TridiagonalResolvent, f, labels, count: int,
     last = np.zeros(count, dtype=int)
     np.minimum.at(first, labels, nodes)
     np.maximum.at(last, labels, nodes)
-    alpha = np.exp(kernel.log_dn(first[labels], nodes))
-    gamma = np.exp(kernel.log_up(nodes, last[labels]))
+    alpha = np.exp(_span(kernel.log_dn, first[labels], nodes))
+    gamma = np.exp(_span(kernel.log_up, nodes, last[labels]))
 
     def group_sum(idx, weights):
         return np.bincount(labels[idx], weights=weights, minlength=count)
@@ -532,18 +559,13 @@ def _separated_pair_norms(kernel: TridiagonalResolvent, f, labels, count: int,
     start = np.full(count, n - 1)
     np.maximum.at(end, labels[left], left)
     np.minimum.at(start, labels[right], right)
-    beta = np.exp(kernel.log_dn(left, end[labels[left]])) * kernel.g[left]
-    delta = np.exp(kernel.log_up(start[labels[right]], right)) * kernel.g[right]
+    beta = np.exp(_span(kernel.log_dn, left, end[labels[left]])) * kernel.g[left]
+    delta = np.exp(_span(kernel.log_up, start[labels[right]], right)) * kernel.g[right]
     side_b = group_sum(left, f[left] * np.abs(beta) ** 2)
     side_d = group_sum(right, f[right] * np.abs(delta) ** 2)
+    real_up, real_dn = ((hi.real, lo.real) for hi, lo in (kernel.log_up, kernel.log_dn))
 
-    real_up = tuple(part.real for part in kernel._log_up)
-    real_dn = tuple(part.real for part in kernel._log_dn)
-    out = []
-    for top in range(0, count, BATCH):
-        p, q = np.nonzero(np.arange(top, min(top + BATCH, count))[:, None]
-                          < np.arange(count))
-        p += top
+    def norms(p, q):
         # an empty group or side has a zero sum, and its anchors are not read
         live = s_aa[p] > 0
         big_b = side_b[q] * np.exp(np.where(
@@ -551,25 +573,17 @@ def _separated_pair_norms(kernel: TridiagonalResolvent, f, labels, count: int,
         big_d = side_d[q] * np.exp(np.where(
             live & (side_d[q] > 0), 2 * _span(real_up, last[p], start[q]), -np.inf))
         pp, rr = s_aa[p] * big_b, s_gg[p] * big_d
-        out.append(np.sqrt((pp + rr) / 2 + np.hypot((pp - rr) / 2,
-                                                    s_ag[p] * np.sqrt(big_b * big_d))))
-    return np.concatenate(out)
+        return np.sqrt((pp + rr) / 2 + np.hypot((pp - rr) / 2, s_ag[p] * np.sqrt(big_b * big_d)))
 
+    def row_max(p_log, q_log):
+        # log of max_{q > p} exp(p_log[p] + q_log[q]), -inf for the last row
+        return p_log + np.append(np.maximum.accumulate(q_log[::-1])[-2::-1], -np.inf)
 
-def _diagonal_block_norms(kernel: TridiagonalResolvent, fh, blocks) -> np.ndarray:
-    """||F R[B, B] F|| per block, from each zero-padded block's top Gram eigenvalue."""
-    norms = []
-    for top in range(0, len(blocks), BATCH):
-        batch = blocks[top:top + BATCH]
-        sizes = np.array([len(block) for block in batch])
-        filled = np.arange(sizes.max()) < sizes[:, None]
-        idx = np.repeat([[block[0]] for block in batch], filled.shape[1], axis=1)
-        idx[filled] = np.concatenate(batch)
-        w = np.where(filled, fh[idx], 0.0)
-        sub = (kernel.entries(idx[:, :, None], idx[:, None, :])
-               * w[:, :, None] * w[:, None, :])
-        norms.append(np.sqrt(np.linalg.eigvalsh(sub.mT.conj() @ sub)[:, -1]))
-    return np.concatenate(norms)
+    with np.errstate(divide="ignore"):
+        up_at, dn_at = (hi.real + lo.real for hi, lo in (kernel.log_up, kernel.log_dn))
+        log_b = row_max(np.log(s_aa) + 2 * dn_at[first], np.log(side_b) - 2 * dn_at[end])
+        log_d = row_max(np.log(s_gg) - 2 * up_at[last], np.log(side_d) + 2 * up_at[start])
+    return norms, np.sqrt(np.exp(log_b) + np.exp(log_d))
 
 
 def _shell_inverse(kernel: TridiagonalResolvent, idx) -> tuple[np.ndarray, np.ndarray]:
@@ -581,7 +595,7 @@ def _shell_inverse(kernel: TridiagonalResolvent, idx) -> tuple[np.ndarray, np.nd
     term b^2 / d (b^2 / e) is a global pivot.  A gap between two runs
     of S couples the last node before it to the first node after it,
     which are neighbours in S order; its 2 x 2 term takes the corner
-    entries of the gap block's inverse from one band LU.
+    entries of the gap block's inverse from one ``_band_lu``.
     """
     a, b, n = kernel.a, kernel.b, kernel.n
     diag = a[idx]
@@ -609,7 +623,7 @@ def _diagonal_shell_pairs(kernel: TridiagonalResolvent, solver: ShiftedSolver,
     """(lower bound for max_j ||A_j|| / R_j, that shell j, Lanczos steps, converged).
 
     A_j = F_j R[S_j, S_j] F_j on the nodes S_j labelled j.  The max is the norm
-    of the direct sum of the A_j / R_j: one band LU of the ``_shell_inverse``
+    of the direct sum of the A_j / R_j: one ``_band_lu`` of the ``_shell_inverse``
     tridiagonals set on one diagonal, one ``_lanczos`` run with two O(n)
     solves per step, and ||A y|| re-evaluated by a certified solve per shell.
     """
@@ -700,13 +714,9 @@ def hoelder_estimate(operator, s: float, pairs, grid, s0: float | None = None,
     # nan with fewer than two converged nonzero pairs
     fitted_gamma = loglog_slope(dists[converged], norms[converged])
     used = fitted_gamma if gamma is None else gamma
-    quot = 0.0
-    for d, nrm in zip(dists, norms):
-        denom = d**used
-        if denom > 0:
-            quot = max(quot, nrm / denom)
-        elif nrm > 0:
-            quot = math.inf
+    # a distance power that is not positive makes a nonzero norm's quotient inf
+    quot = max((nrm / d**used if d**used > 0 else math.inf if nrm > 0 else 0.0
+                for d, nrm in zip(dists, norms)), default=0.0)
     return HoelderReport(
         s=s, pairs=rows, fitted_gamma=fitted_gamma,
         sup_quotient=float(quot), gamma_used=used,
@@ -757,27 +767,18 @@ def boundary_value(operator, v, grid, weight_s: float) -> BoundaryValueResult:
     v = np.asarray(v, dtype=complex)
     zs = [LAMBDA0 * LADDER_RATIO**k * RAY for k in range(LADDER_STEPS)]
     w = bracket(grid.nodes) ** (-weight_s)
-    u_prev = None
     diffs: list[float] = []
-    used: list[complex] = []
-    running_min = math.inf
-    for z in zs:
+    u_prev = ShiftedSolver(operator, zs[0]).solve(v)
+    for rungs, z in enumerate(zs[1:], 2):
         u = ShiftedSolver(operator, z).solve(v)
-        used.append(z)
-        if u_prev is not None:
-            d = float(np.linalg.norm(w * (u - u_prev)))
-            scale = float(np.linalg.norm(w * u))
-            diffs.append(d)
-            if d > RISE_FACTOR * running_min:
-                raise SolverError(
-                    f"difference ladder stopped decreasing: {diffs}")
-            running_min = min(running_min, d)
-            if d <= LADDER_TOL * scale:
-                return BoundaryValueResult(u=u, z_values=used, diffs=diffs,
-                                           converged=True)
+        diffs.append(float(np.linalg.norm(w * (u - u_prev))))
+        if diffs[-1] > RISE_FACTOR * min(diffs[:-1], default=math.inf):
+            raise SolverError(f"difference ladder stopped decreasing: {diffs}")
+        if diffs[-1] <= LADDER_TOL * float(np.linalg.norm(w * u)):
+            return BoundaryValueResult(u=u, z_values=zs[:rungs], diffs=diffs,
+                                       converged=True)
         u_prev = u
-    return BoundaryValueResult(u=u_prev, z_values=used, diffs=diffs,
-                               converged=False)
+    return BoundaryValueResult(u=u_prev, z_values=zs, diffs=diffs, converged=False)
 
 
 # ---------------------------------------------------------------------------

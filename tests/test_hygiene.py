@@ -170,9 +170,11 @@ def test_second_verdicts_are_caught():
         "class R:\n    ok: bool\n    def verdict(self):\n        return self.passed")) == []
 
 
-# One LU back end and no scipy at run time: every solve goes through the
-# band LU in resolvent.py, and LAPACK comes from numpy's own OpenBLAS
-# through lapkit._lapack, so no module imports scipy or a second solver.
+# One LU back end and no scipy at run time: every solve goes through
+# resolvent._band_lu, which hands a tridiagonal to LAPACK's zgttrf/zgttrs
+# and a wider band to zgbtrf/zgbtrs, and LAPACK comes from numpy's own
+# OpenBLAS through lapkit._lapack, so no module imports scipy or a second
+# solver.
 FORBIDDEN_MODULES = ("scipy.sparse.linalg", "scipy")
 FORBIDDEN_NAMES = {"zgtsv", "splu", "spsolve"}
 

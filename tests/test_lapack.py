@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.linalg.lapack import zgbtrf, zgbtrs, zgttrf, zgttrs
 
 from lapkit import _lapack
 from lapkit.errors import SolverError
@@ -21,9 +21,34 @@ def _complex_bands(rng, n, k):
     return bands
 
 
-@pytest.mark.parametrize("k", [1, 2])
+def _rhs(rng, n, columns):
+    shape = (n,) if columns is None else (n, columns)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("dominant", [True, False], ids=["dominant", "interchanging"])
+@pytest.mark.parametrize("columns", [None, 2], ids=["vector", "two-columns"])
+def test_band_lu_matches_scipy_zgttrf_zgttrs(columns, dominant, rng):
+    # bandwidth 1 goes to LAPACK's tridiagonal LU; without a dominant
+    # diagonal it interchanges rows, so the solve reads du2 and ipiv too
+    n = 257
+    main, off = _complex_bands(rng, n, 1)
+    main = main if dominant else main - 8.0
+    factors = zgttrf(off, main, off)
+    assert factors[-1] == 0
+    assert np.array_equal(factors[4], np.arange(1, n + 1)) == dominant
+    rhs = _rhs(rng, n, columns)
+    expected, info = zgttrs(*factors[:-1], rhs)
+    assert info == 0
+    got = _band_lu([main, off])(rhs)
+    assert got.shape == expected.shape
+    assert got.tobytes() == np.asfortranarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("k", [2])
 @pytest.mark.parametrize("columns", [None, 2], ids=["vector", "two-columns"])
 def test_band_lu_matches_scipy_zgbtrf_zgbtrs(k, columns, rng):
+    # wider bands, the Mourre operator's, go to LAPACK's band LU
     n = 257
     bands = _complex_bands(rng, n, k)
     ab = np.zeros((3 * k + 1, n), dtype=complex)
@@ -31,8 +56,7 @@ def test_band_lu_matches_scipy_zgbtrf_zgbtrs(k, columns, rng):
         ab[2 * k - j, j:] = ab[2 * k + j, :n - j] = band
     lu, piv, info = zgbtrf(ab, k, k)
     assert info == 0
-    shape = (n,) if columns is None else (n, columns)
-    rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rhs = _rhs(rng, n, columns)
     expected, info = zgbtrs(lu, k, k, rhs, piv)
     assert info == 0
     got = _band_lu(bands)(rhs)

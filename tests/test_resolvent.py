@@ -18,8 +18,8 @@ from lapkit.operators import (BandMatrix, Grid1D, RadialGrid, build_dilation,
                               matched_absorber)
 from lapkit.potential import WeightParams, bracket, standard_model, weight_f
 from lapkit.resolvent import (LADDER_TOL, LANCZOS_STEPS, RAY, SOLVE_RTOL,
-                              ShiftedSolver, TridiagonalResolvent,
-                              _diagonal_shell_pairs, _separated_pair_norms,
+                              ShiftedSolver, TridiagonalResolvent, _block_sup,
+                              _diagonal_shell_pairs, _separated_pairs,
                               _shell_inverse, besov_bstar_estimate,
                               boundary_value,
                               hoelder_estimate, mourre_resolvent,
@@ -410,6 +410,85 @@ def test_kernel_residual_failure_raises(monkeypatch):
         TridiagonalResolvent(BandMatrix([[1.0, 2.0, 3.0]]), 2.0)
 
 
+def _pivot_recurrence(a, b):
+    """d_i = a_i - b_{i-1}^2 / d_{i-1}, the two-term recurrence, in Python."""
+    d = [complex(a[0])]
+    for ai, bi in zip(a[1:], b):
+        d.append(complex(ai) - complex(bi) ** 2 / d[-1])
+    return np.array(d)
+
+
+@pytest.mark.parametrize("grid", [Grid1D(20.0, 256), Grid1D(100.0, 1024)],
+                         ids=["L20-N256", "L100-N1024"])
+def test_kernel_pivots_match_the_recurrence(grid):
+    # the scaled zgttrf calls give the unpivoted pivots of M - z, top-down
+    # and bottom-up, to rounding
+    h_op = build_hamiltonian(MODEL, grid)
+    for z in (m * RAY for m in (1e-1, 1e-2, 1e-3, 1e-4)):
+        kernel = TridiagonalResolvent(h_op, z)
+        a, b = h_op.diagonal() - z, h_op.diagonal(1)
+        down, up = _pivot_recurrence(a, b), _pivot_recurrence(a[::-1], b[::-1])[::-1]
+        assert np.max(np.abs(kernel.d / down - 1)) <= 1e-10
+        assert np.max(np.abs(kernel.e / up - 1)) <= 1e-10
+
+
+@pytest.mark.parametrize("a0", [0.0, 1e-95], ids=["zero-pivot", "forced-swap"])
+def test_kernel_pivot_that_zgttrf_would_swap_raises(a0):
+    # with the off-diagonal scaled by 2^-300 below and 2^300 above, zgttrf
+    # swaps rows only past a pivot below 2^-300 |b|: an exact zero pivot,
+    # or one that small, is a SolverError, never a pivoted factorization
+    with pytest.raises(SolverError, match="pivot"):
+        TridiagonalResolvent(BandMatrix([[1.0], [a0, 3.0], [1.0]]), 0.0)
+    with pytest.raises(SolverError, match="pivot"):
+        TridiagonalResolvent(BandMatrix([[1.0], [3.0, a0], [1.0]]), 0.0)
+
+
+def _all_rows_max(kernel, f, labels, blocks, center):
+    """(max diagonal block norm, max separated pair norm), every one evaluated."""
+    fh = np.sqrt(f)
+    diagonal = 0.0
+    for block in (b for b in blocks if b.size):
+        sub = kernel.entries(block[:, None], block) * fh[block][:, None] * fh[block]
+        diagonal = max(diagonal, math.sqrt(np.linalg.eigvalsh(sub.conj().T @ sub)[-1]))
+    norms, _ = _separated_pairs(kernel, f, labels, len(blocks), center)
+    return diagonal, float(np.max(norms(*np.triu_indices(len(blocks), 1)), initial=0.0))
+
+
+@pytest.mark.parametrize("grid", [Grid1D(20.0, 256), Grid1D(100.0, 1024)],
+                         ids=["L20-N256", "L100-N1024"])
+def test_block_sup_equals_the_all_rows_max(grid):
+    # the pruned sup skips only rows whose bound shows they cannot set it,
+    # so it is the max over every diagonal block and separated pair to
+    # the bit, for unit blocks and for shells as the groups
+    h_op = build_hamiltonian(MODEL, grid)
+    absx = np.abs(grid.nodes)
+    center = int(np.argmin(absx))
+    shell_of, _ = ShellScheme().shell_indices(absx)
+    groupings = [unit_blocks(absx), (shell_of, ShellScheme().shells(absx)[0])]
+    for z in (m * RAY for m in (1e-1, 1e-2, 1e-3, 1e-4)):
+        kernel = TridiagonalResolvent(h_op, z)
+        f = sweep_weight(z, grid)
+        for labels, blocks in groupings:
+            expected = max(_all_rows_max(kernel, f, labels, blocks, center))
+            assert _block_sup(kernel, f, labels, blocks, center) == expected
+
+
+def test_block_sup_is_set_by_either_kind_of_pair():
+    # on the bench grid a diagonal block sets the unit-block sup at |z| =
+    # 1e-1 and 1e-2 and a separated pair at 1e-4; both are found exactly
+    grid = Grid1D(200.0, 2048)
+    h_op = build_hamiltonian(MODEL, grid)
+    absx = np.abs(grid.nodes)
+    center = int(np.argmin(absx))
+    labels, blocks = unit_blocks(absx)
+    for m, kind in ((1e-1, "diagonal"), (1e-2, "diagonal"), (1e-4, "separated")):
+        kernel = TridiagonalResolvent(h_op, m * RAY)
+        f = sweep_weight(m * RAY, grid)
+        diagonal, separated = _all_rows_max(kernel, f, labels, blocks, center)
+        assert (diagonal > separated) == (kind == "diagonal")
+        assert _block_sup(kernel, f, labels, blocks, center) == max(diagonal, separated)
+
+
 def _dense_weighted_resolvent(h_op, grid, z):
     fh = np.sqrt(weight_f(WeightParams(abs(z), 1.0, 1.0), grid.nodes))
     dense = fh[:, None] * sla.inv(h_op.toarray() - z * np.eye(grid.size)) * fh
@@ -430,9 +509,10 @@ def test_separated_shell_pairs_are_exact():
         fh, dense = _dense_weighted_resolvent(h_op, grid, z)
         kernel = TridiagonalResolvent(h_op, z)
         for labels, count in ((shell_of, len(radii)), (block_of, len(blocks))):
-            norms = _separated_pair_norms(kernel, fh**2, labels, count, center)
+            norms, _ = _separated_pairs(kernel, fh**2, labels, count, center)
+            inner, outer = np.triu_indices(count, 1)
             groups = [np.flatnonzero(labels == p) for p in range(count)]
-            for norm, p, q in zip(norms, *np.triu_indices(count, 1)):
+            for norm, p, q in zip(norms(inner, outer), inner, outer):
                 for rows, cols in ((groups[p], groups[q]), (groups[q], groups[p])):
                     ref = (sla.svdvals(dense[np.ix_(rows, cols)])[0]
                            if rows.size and cols.size else 0.0)
