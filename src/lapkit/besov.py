@@ -17,9 +17,8 @@ shells partition the index set, so no quadrature or truncation error
 enters.  Alongside the norms this module carries numerical checks of
 the base-change, scaling and power-map inequalities that the norms
 satisfy: each returns a ``reports.CheckResult`` against its explicit
-constant, with a witness row when one breaks it.  The interpolation
-probe, whose constant is not explicit, returns its bare ratio, and the
-block bound brackets an operator norm.
+constant, with a witness row when one breaks it.  The block bound
+brackets an operator norm.
 
 The norms take a bank, an (m, n) array of sample rows, and bin the
 spectrum once per call; a 1-d vector is a bank of one row.
@@ -53,7 +52,6 @@ __all__ = [
     "unit_blocks",
     "schur_block_bound",
     "bstar_norm_dense",
-    "verify_interpolation",
     "Stream",
     "sample_vectors",
 ]
@@ -570,29 +568,3 @@ def bstar_norm_dense(T, a) -> float:
             best = max(best, val)
     return best
 
-
-def verify_interpolation(d, a, s: float, rng) -> float:
-    """Probe the interpolation bound ||T||_{B->B} <= C (||T|| + ||T||_{s}).
-
-    T = diag(d), so ||T|| = max |d| and ||T||_{s} = max |<A>^s d <A>^-s|.
-    The constant C(s) is not explicit, so this only returns the observed
-    ratio of a probe-based B -> B norm estimate (64 random probes plus
-    the shell-boundary ones) against the sum of the plain and weighted
-    norms; blow-up is detected by comparing ratios across refinements.
-    """
-    if not s > 0.5:
-        raise ValueError("interpolation exponent must exceed 1/2")
-    d = np.asarray(d)
-    vals = as_spectrum_values(a)
-    if d.shape != vals.shape:
-        raise DimensionError("multiplier length does not match spectrum")
-    scheme = ShellScheme(2.0)
-    weight = 1.0 + vals ** 2
-    weighted = weight ** (s / 2.0) * d * weight ** (-s / 2.0)
-    denom = float(np.max(np.abs(d), initial=0.0) + np.max(np.abs(weighted), initial=0.0))
-    probes = sample_vectors(vals, scheme, 64, rng)
-    bu = besov_norm(probes, vals, scheme)
-    images = d * probes
-    numer = float(np.max(_masked_ratio(besov_norm(images, vals, scheme), bu, bu != 0.0),
-                         initial=0.0))
-    return numer / denom if denom > 0 else math.inf

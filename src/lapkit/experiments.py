@@ -217,19 +217,6 @@ def run_besov_selftest(cfg: ExperimentConfig) -> Report:
                            bb_acc.block_sup / bb_acc.accretive_bound
                            if bb_acc.accretive_bound else math.inf,
                            1 + 1e-9, "<=", "block sup dominated by 2C1 + C2 + C3"))
-
-    # interpolation ratio stability across refinement
-    ratios = []
-    for n in (64, 128, 256):
-        g = Grid1D(16.0, n)
-        vals = np.abs(g.nodes)
-        phases = np.exp(2j * math.pi * rng.random(n))
-        ratios.append(besov.verify_interpolation(phases, vals, 1.0, rng))
-    spread = max(ratios) / max(min(ratios), 1e-300)
-    report.add(CheckResult("interpolation-stability", "interpolation-stability",
-                           spread, 2.0, "<=",
-                           "probe interpolation ratio stable under refinement"))
-    report.extras["interpolation_ratios"] = ratios
     return report
 
 
@@ -411,26 +398,28 @@ def _line_problem(cfg: ExperimentConfig, name: str):
 def _boundary_values(h_cap, v) -> tuple[np.ndarray, np.ndarray]:
     """(H + cap)^{-1} v and (H + cap)^{-*} v: the zero-energy boundary
     values R(0 +- i0) v, the layer standing in for +-i0 (Riss & Meyer,
-    J. Phys. B 26 (1993) 4503), from one factorization at z = 0."""
-    solver = ShiftedSolver(h_cap, 0.0)
-    return solver.solve(v), solver.solve_adjoint(v)
+    J. Phys. B 26 (1993) 4503), from one solve at z = 0.  H + cap is
+    complex symmetric and the source real, so the incoming value is the
+    conjugate of the outgoing one by construction."""
+    u_plus = ShiftedSolver(h_cap, 0.0).solve(v)
+    return u_plus, np.conj(u_plus)
 
 
 def run_radiation(cfg: ExperimentConfig) -> Report:
     """Microlocal filters applied to the outgoing zero-energy boundary value.
 
-    Both values are the capped solve at z = 0, as in ``uniqueness``; the
-    incoming one must solve the conjugate equation.  A ray ladder toward
-    0 is evidence for the limiting absorption principle: its last iterate
-    must lie within the tolerance of the outgoing value.  The outgoing
-    value must lose its normalized ball norms after the cutoff removing
-    the outgoing phase-space region (and after the high-frequency
-    cutoff), while the mirrored cutoff keeps them from vanishing.  The
-    incoming value, the conjugate of the outgoing one for the real
-    source, has the same ladders with the outgoing and mirrored roles
-    swapped, so it is not filtered.  Vanishing is judged by the log-log
-    slope over the top half of the radius ladder and by the annulus
-    defect falling below 20% between REFERENCE_RADIUS and half the box.
+    The outgoing value is the capped solve at z = 0, as in ``uniqueness``.
+    A ray ladder toward 0 is evidence for the limiting absorption
+    principle: its last iterate must lie within the tolerance of the
+    outgoing value.  The outgoing value must lose its normalized ball
+    norms after the cutoff removing the outgoing phase-space region (and
+    after the high-frequency cutoff), while the mirrored cutoff keeps
+    them from vanishing.  The incoming value is conj(u_plus) by
+    construction for the real source, so it has the same ladders with
+    the outgoing and mirrored roles swapped and is neither checked nor
+    filtered.  Vanishing is judged by the log-log slope over the top
+    half of the radius ladder and by the annulus defect falling below
+    20% between REFERENCE_RADIUS and half the box.
     """
     model, grid, h_op, cap, v = _line_problem(cfg, "radiation")
     h_cap = h_op + cap
@@ -440,7 +429,7 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     plus = boundary_value(h_cap, v, grid, weight_s)
     report.extras["ladder_plus"] = plus.diffs
     report.extras["final_z"] = [plus.final_z.real, plus.final_z.imag]
-    u_plus, u_minus = _boundary_values(h_cap, v)
+    u_plus = _boundary_values(h_cap, v)[0]
     w = bracket(grid.nodes) ** (-weight_s)
     report.add(CheckResult(
         "boundary-value-converged", "boundary-value-ladder",
@@ -448,11 +437,6 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
               / max(np.linalg.norm(w * u_plus), 1e-300)),
         resolvent.LADDER_TOL, "<=",
         "ray ladder ends within tolerance of the capped solve"))
-    report.add(CheckResult(
-        "incoming-conjugation", "incoming-conjugation",
-        float(np.linalg.norm(h_cap.conj() @ u_minus - v)
-              / max(np.linalg.norm(v), 1e-300)),
-        1e-8, "<=", "the incoming value solves the conjugate equation"))
     del plus, w         # the ladder is evidence only; the filters need neither
 
     spec = FilterSpec.for_model(model)

@@ -59,9 +59,6 @@ class BandMatrix:
             return np.zeros(self.shape[0] - abs(j))
         return self.diags[j + self.k].copy()
 
-    def conj(self) -> BandMatrix:
-        return BandMatrix([np.conj(d) for d in self.diags])
-
     def __add__(self, other: BandMatrix) -> BandMatrix:
         k = max(self.k, other.k)
         return BandMatrix([self.diagonal(j) + other.diagonal(j) for j in range(-k, k + 1)])

@@ -142,7 +142,7 @@ def virial_w(model: PotentialModel, x) -> np.ndarray:
 # Built-in families
 # ---------------------------------------------------------------------------
 
-def standard_model(gamma: float, mu: float, dim: int = 1) -> PotentialModel:
+def standard_model(gamma: float, mu: float, dim: int) -> PotentialModel:
     """V1 = -gamma <x>^{-mu}, V2 = 0.
 
     Certified constants: eps1 = gamma, eps1_tilde = 2 - mu (the virial
@@ -188,7 +188,7 @@ def _bump_prime(t):
     return out
 
 
-def coulomb_model(gamma: float, dim: int = 3) -> PotentialModel:
+def coulomb_model(gamma: float, dim: int) -> PotentialModel:
     """Attractive Coulomb V = -gamma / |x| with a smooth/singular split.
 
     V1 = -gamma (|x|^2 + phi(|x|^2))^{-1/2} with a smooth bump phi

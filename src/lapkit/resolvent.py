@@ -817,7 +817,7 @@ class QuadraticReport:
 
 def quadratic_check(h_op: BandMatrix, a_op: BandMatrix,
                     model: PotentialModel, grid, z_values, eps_values,
-                    rng=None) -> QuadraticReport:
+                    rng) -> QuadraticReport:
     """Evaluate ||f R_z(eps) T||^2 <= C |eps|^{-1} ||T* R_z(eps) T||.
 
     Probes: T = f^{1/2} <x>^{-s} (diagonal, s = s0 + 0.05, weight
@@ -827,7 +827,6 @@ def quadratic_check(h_op: BandMatrix, a_op: BandMatrix,
     depending only on the sector opening.  A row's ``converged`` is
     true when the Lanczos runs of both its LHS and its RHS converged.
     """
-    rng = rng or Stream(0)
     x = grid.nodes
     s = weight_exponent(model.mu)
     avals, avecs = dilation_eigenbasis(a_op)

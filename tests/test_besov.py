@@ -11,8 +11,7 @@ from lapkit.besov import (ShellScheme, as_spectrum_values,
                           bstar_norm_dense, defect_ladder, power_map_constant,
                           sample_vectors, schur_block_bound, shell_decompose,
                           unit_blocks, verify_base_equivalence,
-                          verify_interpolation, verify_power_map,
-                          verify_scaling)
+                          verify_power_map, verify_scaling)
 from lapkit.errors import DataError, DimensionError
 from lapkit.resolvent import operator_norm_lower
 
@@ -509,45 +508,6 @@ def test_block_dimension_error(rng):
             schur_block_bound(np.ones(shape), np.ones(5), rng)
         with pytest.raises(DimensionError):
             bstar_norm_dense(np.ones(shape), np.ones(5))
-
-
-# ---------------------------------------------------------------------------
-# interpolation monitor
-# ---------------------------------------------------------------------------
-
-def test_interpolation_identity(rng):
-    a = np.linspace(0.0, 12.0, 64)
-    ratio = verify_interpolation(np.ones(64), a, 1.0, rng)
-    assert math.isfinite(ratio)
-    assert ratio <= 0.5 + 1e-9   # denominator counts the norm twice
-
-
-def test_interpolation_multiplier_bounded(rng):
-    a = np.linspace(0.0, 12.0, 64)
-    g = np.cos(a) + 0.2
-    ratio = verify_interpolation(g, a, 0.9, rng)
-    # multiplication operators commute with the shells: ratio <= 1
-    assert ratio <= 1.0 + 1e-9
-
-
-def test_interpolation_refinement_stable(rng):
-    ratios = []
-    for n in (64, 128, 256):
-        a = np.abs(np.linspace(-16.0, 16.0, n))
-        phases = np.exp(2j * np.pi * rng.random(n))
-        ratios.append(verify_interpolation(phases, a, 1.0, rng))
-    assert max(ratios) <= 2.0 * min(ratios)
-
-
-def test_interpolation_requires_s(rng):
-    with pytest.raises(ValueError):
-        verify_interpolation(np.ones(4), np.ones(4), 0.5, rng)
-
-
-def test_interpolation_dimension_error(rng):
-    # T = diag(d) multiplies node by node: one multiplier per spectral value
-    with pytest.raises(DimensionError):
-        verify_interpolation(np.ones(5), np.ones(4), 1.0, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -285,10 +285,6 @@ SELFTEST_FAULTS = {
     # the combined one-sided block constants ten times too small
     "accretive-blocks": (
         besov, "schur_block_bound", _scale_block_constants, {"accretive-blocks"}),
-    # an interpolation ratio growing with the grid size, 4x over the refinements
-    "interpolation-stability": (
-        besov, "verify_interpolation", lambda ratio, args: ratio * len(args[1]) / 64.0,
-        {"interpolation-stability"}),
 }
 
 
@@ -590,7 +586,8 @@ def test_free_control_run_weights_with_the_configured_mu():
 def test_uniqueness_over_damping_fails_on_its_value(monkeypatch):
     # boundary values that coincide leave w = 0: the report is
     # inconclusive and the magnitude check fails on its own value
-    monkeypatch.setattr(ShiftedSolver, "solve_adjoint", ShiftedSolver.solve)
+    module, stage, wrap = _boundary_values_as(lambda plus, minus: (plus, plus))
+    monkeypatch.setattr(module, stage, wrap(getattr(module, stage)))
     rep = run_uniqueness(parse_config_text(SMALL_UNIQUENESS))
     assert rep.inconclusive
     assert [c.check_id for c in rep.checks] == ["null-difference-magnitude"]
@@ -687,16 +684,14 @@ seed = 5
 
 def test_radiation_small_structure(small_radiation):
     # structure check at reduced scale: one check per filter slope and
-    # far ratio, and the incoming value solves its equation; the
-    # far-field ratio thresholds are calibrated for the full desk box and
-    # are left to the acceptance suite
+    # far ratio; the far-field ratio thresholds are calibrated for the
+    # full desk box and are left to the acceptance suite
     _, rep = small_radiation
     assert [c.check_id for c in rep.checks] == [
-        "boundary-value-converged", "incoming-conjugation",
+        "boundary-value-converged",
         "plus-outgoing-slope", "plus-high-slope", "plus-mirrored-slope",
         "plus-outgoing-far-ratio", "plus-high-far-ratio"]
     by_id = {c.check_id: c for c in rep.checks}
-    assert by_id["incoming-conjugation"].passed
     assert by_id["boundary-value-converged"].passed
     converged = by_id["boundary-value-converged"]
     assert converged.value <= converged.threshold
@@ -743,30 +738,22 @@ def test_zero_energy_runners_share_one_boundary_value(tmp_path):
     assert check.value == np.linalg.norm(w * (last - u_plus)) / np.linalg.norm(w * u_plus)
 
 
-def test_incoming_conjugation_fails_on_the_outgoing_value(monkeypatch):
-    # the outgoing value in place of the incoming one leaves the
-    # conjugate equation unsolved by the layer's share of the residual;
-    # every defect ladder comes from u_plus, so no other value moves
-    cfg = parse_config_text(SMALL_UNIQUENESS.replace("uniqueness", "radiation"))
-    sound = {c.check_id: c.value for c in run_radiation(cfg).checks}
-    monkeypatch.setattr(ShiftedSolver, "solve_adjoint", ShiftedSolver.solve)
-    rep = run_radiation(cfg)
-    check = next(c for c in rep.checks if c.check_id == "incoming-conjugation")
-    assert check.value > 1e-2 and check.threshold == 1e-8
-    assert not check.passed and not rep.passed
-    moved = [c.check_id for c in rep.checks if c.value != sound[c.check_id]]
-    assert moved == ["incoming-conjugation"]
+def test_zero_energy_runners_solve_once_at_zero(monkeypatch):
+    # the incoming value is conj(u_plus) by construction, so at z = 0 each
+    # runner makes one refined solve and no adjoint solve (which would
+    # make a second solve there); the ray ladder's rungs never reach 0
+    shifts = []
+    real = ShiftedSolver.solve
 
+    def counted(self, v):
+        shifts.append(self.z)
+        return real(self, v)
 
-def test_incoming_conjugation_is_the_outgoing_solve_residual(small_radiation):
-    # u_minus = conj(u_plus) and the source is real, so the check reads
-    # u_plus's own solve residual to the last bit, which the solver already
-    # certifies below SOLVE_RTOL: only a broken solve_adjoint can fail it
-    cfg, rep = small_radiation
-    _, _, h_op, cap, v = experiments._line_problem(cfg, "radiation")
-    u_plus = rep.artifacts["vectors"]["u_plus"]
-    check = next(c for c in rep.checks if c.check_id == "incoming-conjugation")
-    assert check.value == ShiftedSolver(h_op + cap, 0.0).residual(u_plus, v)
+    monkeypatch.setattr(ShiftedSolver, "solve", counted)
+    for experiment in ("radiation", "uniqueness"):
+        shifts.clear()
+        run_experiment(parse_config_text(SMALL_UNIQUENESS.replace("uniqueness", experiment)))
+        assert shifts.count(0.0) == 1
 
 
 def test_radiation_conjugate_ladders_match_direct_filters(small_radiation):
@@ -844,7 +831,7 @@ def _far_rise(r, grid):
 
 
 ZERO_ENERGY_CHECKS = {
-    "radiation": ["boundary-value-converged", "incoming-conjugation",
+    "radiation": ["boundary-value-converged",
                   "plus-outgoing-slope", "plus-high-slope", "plus-mirrored-slope",
                   "plus-outgoing-far-ratio", "plus-high-far-ratio"],
     "uniqueness": ["interior-null-residual", "null-difference-magnitude",

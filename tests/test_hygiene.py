@@ -74,7 +74,7 @@ def test_no_broad_exception_handlers(path):
 # Ceiling on settable values: defaulted function parameters (keyword-only
 # included, nested functions too) plus defaulted dataclass fields.  Each
 # default is a knob a caller may turn; the ceiling may only fall.
-SETTABLE_CEILING = 26
+SETTABLE_CEILING = 23
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -105,7 +105,7 @@ def test_settable_values_do_not_grow():
 
 # Ceiling on the package's source lines (all of src/lapkit, blank lines
 # and comments included); like SETTABLE_CEILING it may only fall.
-LINE_CEILING = 3624
+LINE_CEILING = 3576
 
 
 def test_source_lines_do_not_grow():

@@ -489,6 +489,33 @@ def test_block_sup_is_set_by_either_kind_of_pair():
         assert _block_sup(kernel, f, labels, blocks, center) == max(diagonal, separated)
 
 
+def test_block_sup_finds_the_row_after_a_near_tie():
+    # weight on the outer block 6 and on one node of the inner block 2:
+    # the outer diagonal block's Frobenius bound puts its row first, its
+    # norm lies 0.5% below the sup, and the inner row's separated pair
+    # sets the sup; a stopping rule with a few percent of slack would
+    # return the outer block's norm
+    grid = Grid1D(20.0, 256)
+    h_op = build_hamiltonian(MODEL, grid)
+    absx = np.abs(grid.nodes)
+    center = int(np.argmin(absx))
+    labels, blocks = unit_blocks(absx)
+    kernel = TridiagonalResolvent(h_op, 1e-2 * RAY)
+    node, outer = blocks[2][:1], blocks[6]
+    sub = kernel.entries(outer[:, None], outer)
+    target = 1.005 * np.linalg.norm(sub, 2)
+    # the inner row's value max(c |R_jj|, c^1/2 ||R[j, outer]||) is the target
+    c = min(target / abs(kernel.entries(node, node)[0]),
+            (target / np.linalg.norm(kernel.entries(node, outer))) ** 2)
+    f = np.zeros(grid.size)
+    f[outer], f[node] = 1.0, c
+    diagonal, separated = _all_rows_max(kernel, f, labels, blocks, center)
+    assert diagonal == pytest.approx(target / 1.005, rel=1e-12)
+    assert separated == pytest.approx(target, rel=1e-12)
+    assert np.linalg.norm(sub) > 1.02 * separated
+    assert _block_sup(kernel, f, labels, blocks, center) == separated
+
+
 def _dense_weighted_resolvent(h_op, grid, z):
     fh = np.sqrt(weight_f(WeightParams(abs(z), 1.0, 1.0), grid.nodes))
     dense = fh[:, None] * sla.inv(h_op.toarray() - z * np.eye(grid.size)) * fh
