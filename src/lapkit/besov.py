@@ -17,8 +17,8 @@ shells partition the index set, so no quadrature or truncation error
 enters.  Alongside the norms this module carries numerical checks of
 the base-change, scaling and power-map inequalities that the norms
 satisfy: each returns a ``reports.CheckResult`` against its explicit
-constant, with a witness row when one breaks it.  The block bound
-brackets an operator norm.
+constant, with a witness row when one breaks it.  The unit-block sup
+and a probe pairing bracket an operator norm from above and below.
 
 The norms take a bank, an (m, n) array of sample rows, and bin the
 spectrum once per call; a 1-d vector is a bank of one row.
@@ -37,7 +37,6 @@ from .reports import CheckResult
 __all__ = [
     "ShellScheme",
     "ShellProfile",
-    "BlockBound",
     "as_spectrum_values",
     "shell_decompose",
     "besov_norm",
@@ -51,6 +50,8 @@ __all__ = [
     "verify_power_map",
     "unit_blocks",
     "schur_block_bound",
+    "probe_lower_bound",
+    "accretive_bound",
     "bstar_norm_dense",
     "Stream",
     "sample_vectors",
@@ -146,7 +147,7 @@ def _check_pair(u, a):
     if bank.shape[-1] != len(vals):
         raise DimensionError(
             f"vector length {bank.shape[-1]} does not match spectrum length {len(vals)}")
-    if not (np.all(np.isfinite(bank.real)) and np.all(np.isfinite(bank.imag))):
+    if not np.isfinite(bank).all():
         raise DataError("vector contains non-finite entries")
     return np.atleast_2d(bank), vals, bank.ndim == 1
 
@@ -159,8 +160,10 @@ def _rows(values, single):
 
 
 def _row_norms(bank) -> np.ndarray:
-    # np.linalg.norm per row: the axis=1 form rounds differently
-    return np.array([np.linalg.norm(row) for row in bank])
+    # re.re + im.im by one BLAS dot per row and part: what np.linalg.norm
+    # sums for a lone complex row, bit for bit (the axis=1 form is not)
+    sq = sum(part[:, None, :] @ part[:, :, None] for part in (bank.real, bank.imag))
+    return np.sqrt(sq[:, 0, 0])
 
 
 def _shell_norms(mass, vals, scheme):
@@ -464,18 +467,8 @@ def verify_power_map(samples, a, s: float) -> tuple[CheckResult, list | None]:
 
 
 # ---------------------------------------------------------------------------
-# Unit-width block bound and the dense dual norm
+# Unit-width block bracket and the dense dual norm
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BlockBound:
-    """Two-sided bracket for an operator norm from B(A) to B(A)*."""
-
-    upper: float                # 2 x unit-block sup
-    probe_lower: float          # max dual pairing over normalized probes
-    block_sup: float            # sup over unit-width block pairs
-    accretive_bound: float | None   # 2 C_1 + C_2 + C_3 for an accretive T, else None
-
 
 def unit_blocks(values) -> tuple[np.ndarray, list[np.ndarray]]:
     """Group node indices by the half-open unit block floor(a) <= a < floor(a) + 1.
@@ -490,37 +483,46 @@ def unit_blocks(values) -> tuple[np.ndarray, list[np.ndarray]]:
     return labels, np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
+def _size_groups(blocks) -> list[np.ndarray]:
+    """The index arrays of equal-size blocks stacked, one (count, size) array per size."""
+    return [np.stack([b for b in blocks if len(b) == s]) for s in sorted(set(map(len, blocks)))]
+
+
 def _spectral_norm(m) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    # of a matrix, or the largest over a stack (0 for none): a batched SVD
+    # makes per matrix the call of np.linalg.norm(m, 2), bit for bit
+    return float(np.linalg.svd(m, compute_uv=False).max(initial=0.0))
 
 
-def schur_block_bound(T, a, rng) -> BlockBound:
-    """Bracket the B(A) -> B(A)* norm of a dense matrix.
-
-    Upper bound: twice the sup over unit-width block pairs
-    ||F(m <= A < m+1) T F(n <= A < n+1)||.  Lower bound: the best
-    dual pairing |<w, T u>| of two banks of 32 random probes (plus the
-    shell-boundary ones) normalized in the Besov norm.  When T is
-    accretive, the three one-sided block constants give the combined
-    2 C_1 + C_2 + C_3 criterion to compare against the block sup.
-    """
+def _operator(T, a) -> tuple[np.ndarray, np.ndarray]:
+    """A dense matrix and the spectrum it acts on, validated together."""
     T = np.asarray(T)
     vals = as_spectrum_values(a)
     if T.shape != (len(vals), len(vals)):
-        raise DimensionError(
-            f"matrix shape {T.shape} does not match spectrum length {len(vals)}")
-    labels, blocks = unit_blocks(vals)
-    block_sup = 0.0
-    for rows in blocks:
-        sub = T[rows]
-        for cols in blocks:
-            block = sub[:, cols]
-            # a block with no nonzero entry has norm exactly 0: skip its SVD
-            if block.any():
-                block_sup = max(block_sup, _spectral_norm(block))
+        raise DimensionError(f"matrix shape {T.shape} does not match spectrum length {len(vals)}")
+    return T, vals
 
+
+def schur_block_bound(T, a) -> float:
+    """Unit-block sup of a dense matrix, sup ||F(m <= A < m+1) T F(n <= A < n+1)||
+    over unit-width block pairs; twice it bounds the B(A) -> B(A)* norm.
+    One SVD batch per pair of block sizes; an all-zero pair (norm 0) is skipped."""
+    T, vals = _operator(T, a)
+    groups = _size_groups(unit_blocks(vals)[1])
+    best = 0.0
+    for rows in groups:
+        for cols in groups:
+            pairs = T[rows[:, None, :, None], cols[None, :, None, :]]
+            pairs = pairs.reshape(-1, rows.shape[1], cols.shape[1])
+            best = max(best, _spectral_norm(pairs[pairs.any(axis=(1, 2))]))
+    return best
+
+
+def probe_lower_bound(T, a, rng) -> float:
+    """Lower bound on the B(A) -> B(A)* norm of a dense matrix: the best
+    dual pairing |<w, T u>| of two banks of 32 random probes (plus the
+    shell-boundary ones) normalized in the Besov norm."""
+    T, vals = _operator(T, a)
     scheme = ShellScheme(2.0)
     probes_u = sample_vectors(vals, scheme, 32, rng)
     probes_w = sample_vectors(vals, scheme, 32, rng)
@@ -528,22 +530,26 @@ def schur_block_bound(T, a, rng) -> BlockBound:
     bw = besov_norm(probes_w, vals, scheme)
     # per-row vdot: a batched inner product rounds differently
     pairing = np.array([abs(np.vdot(w, T @ u)) for u, w in zip(probes_u, probes_w)])
-    lower = float(np.max(_masked_ratio(pairing, bu * bw, (bu != 0.0) & (bw != 0.0)),
-                         initial=0.0))
+    return float(np.max(_masked_ratio(pairing, bu * bw, (bu != 0.0) & (bw != 0.0)),
+                        initial=0.0))
 
-    accretive_bound = None
-    herm = T + T.conj().T
-    if np.min(np.linalg.eigvalsh(herm)) >= -1e-10 * max(1.0, _spectral_norm(T)):
-        c1 = c2 = c3 = 0.0
-        for g, cols in enumerate(blocks):
-            c1 = max(c1, _spectral_norm(T[np.ix_(cols, cols)]))
-            below = np.flatnonzero(labels < g)
-            c2 = max(c2, _spectral_norm(T[np.ix_(below, cols)]))
-            atleast = np.flatnonzero(labels >= g)
-            c3 = max(c3, _spectral_norm(T[np.ix_(cols, atleast)]))
-        accretive_bound = 2.0 * c1 + c2 + c3
-    return BlockBound(upper=2.0 * block_sup, probe_lower=lower,
-                      block_sup=block_sup, accretive_bound=accretive_bound)
+
+def accretive_bound(T, a) -> float | None:
+    """2 C_1 + C_2 + C_3, which bounds the unit-block sup of an accretive
+    dense matrix; None when T + T* has an eigenvalue below rounding level.
+    C_1 is the largest norm of a diagonal unit block, C_2 of a block's
+    columns on the blocks below it, C_3 of its rows on it and those above."""
+    T, vals = _operator(T, a)
+    if np.min(np.linalg.eigvalsh(T + T.conj().T)) < -1e-10 * max(1.0, _spectral_norm(T)):
+        return None
+    labels, blocks = unit_blocks(vals)
+    c1 = max(_spectral_norm(T[g[:, :, None], g[:, None, :]]) for g in _size_groups(blocks))
+    # each restriction has its own shape, and zero-padded batches round differently
+    c2 = c3 = 0.0
+    for g, cols in enumerate(blocks):
+        c2 = max(c2, _spectral_norm(T[np.ix_(np.flatnonzero(labels < g), cols)]))
+        c3 = max(c3, _spectral_norm(T[np.ix_(cols, np.flatnonzero(labels >= g))]))
+    return 2.0 * c1 + c2 + c3
 
 
 def bstar_norm_dense(T, a) -> float:
@@ -555,16 +561,11 @@ def bstar_norm_dense(T, a) -> float:
 
         max_{j,k} R_j^{-1/2} R_k^{-1/2} || F_j T F_k ||.
     """
-    T = np.asarray(T)
-    vals = as_spectrum_values(a)
-    if T.shape != (len(vals), len(vals)):
-        raise DimensionError("matrix shape does not match spectrum")
+    T, vals = _operator(T, a)
     shells, radii = ShellScheme(2.0).shells(vals)
     best = 0.0
     for rows, r_row in zip(shells, radii):
         for cols, r_col in zip(shells, radii):
-            # an empty shell gives an empty block of norm 0
-            val = _spectral_norm(T[np.ix_(rows, cols)]) / math.sqrt(r_row * r_col)
-            best = max(best, val)
+            best = max(best, _spectral_norm(T[np.ix_(rows, cols)]) / math.sqrt(r_row * r_col))
     return best
 

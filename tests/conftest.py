@@ -1,5 +1,11 @@
-import numpy as np
-import pytest
+import os
+
+# the CLI's and the bench's one-thread OpenBLAS policy, set before
+# anything in the test process loads numpy (lapkit/__init__ comes too late)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 @pytest.fixture

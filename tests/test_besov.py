@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapkit import besov
-from lapkit.besov import (ShellScheme, as_spectrum_values,
+from lapkit.besov import (ShellScheme, accretive_bound, as_spectrum_values,
                           base_equivalence_constants, besov_norm,
                           bstar_norm_dense, defect_ladder, power_map_constant,
-                          sample_vectors, schur_block_bound, shell_decompose,
-                          unit_blocks, verify_base_equivalence,
+                          probe_lower_bound, sample_vectors, schur_block_bound,
+                          shell_decompose, unit_blocks, verify_base_equivalence,
                           verify_power_map, verify_scaling)
 from lapkit.errors import DataError, DimensionError
 from lapkit.resolvent import operator_norm_lower
@@ -196,6 +200,34 @@ def test_bank_call_equals_row_calls(name, rows):
     assert np.array_equal(defect_ladder(bank, a, ladder, annulus_eps=0.5),
                           np.array([defect_ladder(u, a, ladder, annulus_eps=0.5)
                                     for u in bank]))
+
+
+# the stacked row norms against np.linalg.norm row by row; run in this
+# process and in a fresh interpreter with two OpenBLAS threads
+ROW_NORMS_RUN = """
+import numpy as np
+from lapkit.besov import Stream, _row_norms
+mismatched = []
+for shape in ((1, 100), (1, 257), (57, 31), (3, 4096), (227, 256), (4, 0)):
+    gauss = Stream(sum(shape)).standard_normal((2,) + shape)
+    bank = gauss[0] + 1j * gauss[1]
+    if not np.array_equal(_row_norms(bank), [np.linalg.norm(row) for row in bank]):
+        mismatched.append(shape)
+print(mismatched)
+"""
+
+
+@pytest.mark.parametrize("threads", [None, "2"], ids=["this-process", "two-threads"])
+def test_row_norms_are_the_per_row_norms(threads, capsys):
+    if threads is None:
+        exec(ROW_NORMS_RUN, {})
+        out = capsys.readouterr().out
+    else:
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", ROW_NORMS_RUN], env=env,
+                             capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_ball_sup_with_tied_moduli(rng):
@@ -438,11 +470,9 @@ def test_unit_blocks_and_shells_on_signed_values():
 
 def test_block_bound_identity(rng):
     a = np.linspace(0.0, 12.0, 48)
-    bb = schur_block_bound(np.eye(48), a, rng)
-    assert bb.block_sup == pytest.approx(1.0)
-    assert bb.upper == pytest.approx(2.0)
-    assert bb.probe_lower <= 1.0 + 1e-12
-    assert bb.accretive_bound >= bb.block_sup
+    assert schur_block_bound(np.eye(48), a) == pytest.approx(1.0)
+    assert probe_lower_bound(np.eye(48), a, rng) <= 1.0 + 1e-12
+    assert accretive_bound(np.eye(48), a) >= 1.0
 
 
 def test_block_sandwich_against_dense_oracle(rng):
@@ -451,10 +481,54 @@ def test_block_sandwich_against_dense_oracle(rng):
     body = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 6
     t = np.where(band, body, 0.0)
-    bb = schur_block_bound(t, a, rng)
     exact = bstar_norm_dense(t, a)
-    assert bb.probe_lower <= exact * (1 + 1e-9)
-    assert exact <= bb.upper * (1 + 1e-9)
+    assert probe_lower_bound(t, a, rng) <= exact * (1 + 1e-9)
+    assert exact <= 2.0 * schur_block_bound(t, a) * (1 + 1e-9)
+
+
+# equal unit blocks (the self-test's 16 blocks of 8 nodes), and unequal
+# ones: three sizes, and every block a size of its own
+BLOCK_SPECTRA = {
+    "equal": np.abs(np.linspace(-16.0, 16.0, 129)[:-1] + 0.125),
+    "three-sizes": np.abs(np.linspace(-10.0, 10.0, 96)),
+    "all-sizes": np.repeat(np.arange(12.0), np.arange(1, 13)) + 0.5,
+}
+
+
+def _band_and_body(n, seed):
+    """The self-test's band mask |i - j| <= 8 and a random complex n x n body."""
+    gen = np.random.default_rng(seed)
+    body = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    return np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 8, body
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_SPECTRA))
+def test_block_sup_is_the_per_pair_norm_max(name):
+    # the batched SVDs give each pair the bits of np.linalg.norm(block, 2)
+    a = BLOCK_SPECTRA[name]
+    band, body = _band_and_body(len(a), 3)
+    t = np.where(band, body, 0.0)
+    blocks = unit_blocks(a)[1]
+    expected = max(np.linalg.norm(t[np.ix_(rows, cols)], 2)
+                   for rows in blocks for cols in blocks)
+    assert schur_block_bound(t, a) == expected
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_SPECTRA))
+def test_accretive_bound_is_the_per_block_loop(name):
+    a = BLOCK_SPECTRA[name]
+    band, body = _band_and_body(len(a), 4)
+    t = np.eye(len(a)) + np.where(band, body - body.conj().T, 0.0)
+    labels, blocks = unit_blocks(a)
+
+    def norm(rows, cols):
+        return np.linalg.norm(t[np.ix_(rows, cols)], 2) if len(rows) else 0.0
+
+    c1 = max(norm(cols, cols) for cols in blocks)
+    c2 = max(norm(np.flatnonzero(labels < g), cols) for g, cols in enumerate(blocks))
+    c3 = max(norm(cols, np.flatnonzero(labels >= g)) for g, cols in enumerate(blocks))
+    assert accretive_bound(t, a) == 2.0 * c1 + c2 + c3
+    assert accretive_bound(np.where(band, body, 0.0), a) is None
 
 
 def test_dense_norm_is_the_true_norm(rng):
@@ -496,18 +570,18 @@ def test_accretive_combination(rng):
     body = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     skew = body - body.conj().T
     t = np.eye(n) + skew
-    bb = schur_block_bound(t, a, rng)
-    assert bb.accretive_bound is not None
-    assert bb.block_sup <= bb.accretive_bound * (1 + 1e-9)
+    bound = accretive_bound(t, a)
+    assert bound is not None
+    assert schur_block_bound(t, a) <= bound * (1 + 1e-9)
 
 
 def test_block_dimension_error(rng):
     # T maps B(A) to B(A)*, so it is n x n for a spectrum of length n
     for shape in ((4, 4), (4, 5), (5, 4)):
-        with pytest.raises(DimensionError):
-            schur_block_bound(np.ones(shape), np.ones(5), rng)
-        with pytest.raises(DimensionError):
-            bstar_norm_dense(np.ones(shape), np.ones(5))
+        for bound in (schur_block_bound, accretive_bound, bstar_norm_dense,
+                      lambda t, a: probe_lower_bound(t, a, rng)):
+            with pytest.raises(DimensionError):
+                bound(np.ones(shape), np.ones(5))
 
 
 # ---------------------------------------------------------------------------

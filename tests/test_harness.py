@@ -177,8 +177,7 @@ def test_selftest_fault_injection(monkeypatch):
                       lambda prof, args: replace(prof, ball_sup=4.0 * prof.ball_sup))
         _patch_result(m, besov, "besov_norm", _boost_norms_on(
             [c * SELFTEST_ABS_X for c in (4.0, 1.0 / 3.0)], 8.0))
-        _patch_result(m, besov, "schur_block_bound",
-                      lambda bb, args: replace(bb, upper=bb.upper / 4.0))
+        _patch_result(m, besov, "schur_block_bound", lambda sup, args: sup / 4.0)
         rep = run_besov_selftest(cfg)
     assert {c.check_id for c in rep.checks if not c.passed} == {
         "duality-sandwich", "weight-scaling-c4", "weight-scaling-c0.333333",
@@ -196,14 +195,14 @@ def test_selftest_fault_injection(monkeypatch):
             if prof.dual > 0 and prof.ball_sup / (0.5 * prof.dual) > worst_hi:
                 worst_hi, witness = prof.ball_sup / (0.5 * prof.dual), u
     assert rep.extras["duality_witness"] == [[z.real, z.imag] for z in witness]
-    # a scaling witness is the first row over 8 |c|^{1/2}; c = 1 has none
-    for c, boost in ((1.0, 1.0), (4.0, 8.0), (1.0 / 3.0, 8.0)):
+    # a scaling witness is the first row over 8 |c|^{1/2}
+    for c in (4.0, 1.0 / 3.0):
         first_over = None
         for u in banks[0]:
             if abs(c) <= 1.0:
                 u = np.where(np.abs(c * spectra[0]) >= 1.0, u, 0.0)
             nb = besov.besov_norm(u, spectra[0], scheme)
-            nbc = boost * besov.besov_norm(u, c * spectra[0], scheme)
+            nbc = 8.0 * besov.besov_norm(u, c * spectra[0], scheme)    # the boost above
             if nb > 0 and nbc > 8.0 * math.sqrt(c) * nb:
                 first_over = [[float(z.real), float(z.imag)] for z in u]
                 break
@@ -257,12 +256,6 @@ def _scale_profile(field, factor):
     return lambda prof, args: replace(prof, **{field: getattr(prof, field) * factor})
 
 
-def _scale_block_constants(bb, args):
-    if bb.accretive_bound is None:
-        return bb
-    return replace(bb, accretive_bound=bb.accretive_bound / 10.0)
-
-
 # the selftest checks no test above breaks: (module, name, change of the
 # result, the check ids that must then fail and no others)
 SELFTEST_FAULTS = {
@@ -281,10 +274,10 @@ SELFTEST_FAULTS = {
     # every power-map constant a hundred times too small
     "power-map": (
         besov, "power_map_constant", lambda c, args: c / 100.0,
-        {"power-map-s0", "power-map-s1", "power-map-s-0.5"}),
+        {"power-map-s1", "power-map-s-0.5"}),
     # the combined one-sided block constants ten times too small
     "accretive-blocks": (
-        besov, "schur_block_bound", _scale_block_constants, {"accretive-blocks"}),
+        besov, "accretive_bound", lambda bound, args: bound / 10.0, {"accretive-blocks"}),
 }
 
 
@@ -296,20 +289,15 @@ def test_each_selftest_check_fails_alone(fault, monkeypatch):
     assert {c.check_id for c in rep.checks if not c.passed} == expected
     # a failing power map records its witness row, as base change and scaling do
     assert {k for k in rep.extras if k.startswith("power_map_witness")} == (
-        {"power_map_witness_s0", "power_map_witness_s1", "power_map_witness_s-0.5"}
+        {"power_map_witness_s1", "power_map_witness_s-0.5"}
         if fault == "power-map" else set())
 
 
 def test_unit_block_sandwich_reports_its_lower_side(monkeypatch):
     # a probe pairing above the exact norm breaks the sandwich from below,
     # and the reported value shows it
-    real = besov.schur_block_bound
-
-    def high_probe(T, a, rng):
-        bb = real(T, a, rng)
-        return replace(bb, probe_lower=2.0 * bb.upper)
-
-    monkeypatch.setattr(besov, "schur_block_bound", high_probe)
+    _patch_result(monkeypatch, besov, "probe_lower_bound",
+                  lambda lower, args: 2.0 * besov.bstar_norm_dense(args[0], args[1]))
     rep = run_besov_selftest(parse_config_text(SMALL_SELFTEST))
     check = next(c for c in rep.checks if c.check_id == "unit-block-sandwich")
     assert not check.passed
@@ -317,6 +305,26 @@ def test_unit_block_sandwich_reports_its_lower_side(monkeypatch):
     assert check.value == unit["probe_lower"] / unit["exact"]
     assert check.value > check.threshold
     assert [c.check_id for c in rep.checks if not c.passed] == ["unit-block-sandwich"]
+
+
+def test_selftest_draws_five_banks_and_tests_accretivity_once(monkeypatch):
+    # three sample banks and the banded matrix's two probe banks; only the
+    # accretive matrix is tested for accretivity
+    calls = {"sample_vectors": 0, "eigvalsh": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(besov, "sample_vectors")
+    count(np.linalg, "eigvalsh")
+    assert run_besov_selftest(parse_config_text(SMALL_SELFTEST)).passed
+    assert calls == {"sample_vectors": 5, "eigvalsh": 1}
 
 
 def test_sweep_csv_schema(tmp_path):

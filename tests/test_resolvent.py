@@ -8,8 +8,8 @@ import scipy.linalg as sla
 
 from conftest import (free_resolvent_gaussian, free_resolvent_kernel,
                       lattice_free_kernel)
-from lapkit.besov import (ShellScheme, Stream, bstar_norm_dense, loglog_slope,
-                          schur_block_bound, unit_blocks)
+from lapkit.besov import (ShellScheme, bstar_norm_dense, loglog_slope,
+                          probe_lower_bound, schur_block_bound, unit_blocks)
 from lapkit.config import parse_config_text
 from lapkit.errors import SolverError
 from lapkit.experiments import run_lap_sweep
@@ -353,8 +353,8 @@ def _check_bracket(grid, z):
     assert exact <= est.upper * (1 + 1e-6)
     assert est.lower >= 0.5 * exact      # the shell-pair probe is tight
     # the solve-based upper bound is twice the dense unit-block sup
-    blocks = schur_block_bound(dense, np.abs(grid.nodes), Stream(0))
-    assert est.upper == pytest.approx(blocks.upper, rel=1e-12)
+    block_sup = schur_block_bound(dense, np.abs(grid.nodes))
+    assert est.upper == pytest.approx(2.0 * block_sup, rel=1e-12)
 
 
 def test_besov_estimate_brackets_dense_norm():
@@ -902,7 +902,8 @@ def test_estimates_in_dilation_eigenbasis(rng):
     f = weight_f(WeightParams(abs(Z0), 1.0, 1.0), grid.nodes)
     dense = np.diag(f) @ sla.inv(h_op.toarray() - Z0 * np.eye(128)) @ np.diag(f)
     transported = avecs.conj().T @ dense @ avecs
-    bb = schur_block_bound(transported, avals, rng)
+    upper = 2.0 * schur_block_bound(transported, avals)
     exact = bstar_norm_dense(transported, avals)
-    assert math.isfinite(bb.upper)
-    assert bb.probe_lower <= exact * (1 + 1e-9) <= bb.upper * (1 + 1e-9)
+    assert math.isfinite(upper)
+    lower = probe_lower_bound(transported, avals, rng)
+    assert lower <= exact * (1 + 1e-9) <= upper * (1 + 1e-9)
