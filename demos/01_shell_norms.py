@@ -3,7 +3,8 @@
 Walks through the dyadic shell decomposition, the primal (weighted
 sum) and dual (weighted sup) norms, the factor-2 sandwich between the
 dual norm and normalized ball norms, and the vanishing-defect ladder
-that stands in for membership in the small dual space.
+that stands in for membership in the small dual space.  Every norm
+takes a bank, an (m, n) array of rows, and returns one value per row.
 """
 
 import numpy as np
@@ -19,22 +20,22 @@ a = np.abs(x)
 
 print("=== single vector, full profile ===")
 u = np.exp(-((x - 5.0) ** 2) / 18.0) * np.exp(0.4j * x)
-prof = shell_decompose(u, a, scheme)
+prof = shell_decompose(u[None], a, scheme)      # a bank of one row
+norms = prof.shell_norms[0]
 print(f"shells: {len(prof.radii)}, radii up to {prof.radii[-1]:g}")
-for j, (r, n) in enumerate(zip(prof.radii, prof.shell_norms), start=1):
+for j, (r, n) in enumerate(zip(prof.radii, norms), start=1):
     print(f"  shell {j:2d}  [{0 if j == 1 else r / 2:5.1f}, {r:5.1f})   norm {n:.4f}")
-print(f"plain norm     {prof.total_norm:.6f}")
-print(f"primal norm    {prof.besov:.6f}   (weighted shell sum)")
-print(f"dual norm      {prof.dual:.6f}   (weighted shell sup)")
+print(f"plain norm     {prof.total_norm[0]:.6f}")
+print(f"primal norm    {prof.besov[0]:.6f}   (weighted shell sum)")
+print(f"dual norm      {prof.dual[0]:.6f}   (weighted shell sup)")
 print(f"partition check: sum of squares - norm^2 = "
-      f"{abs(np.sum(prof.shell_norms**2) - prof.total_norm**2):.2e}")
+      f"{abs(np.sum(norms**2) - prof.total_norm[0]**2):.2e}")
 
 print()
 print("=== duality sandwich: dual <= ball sup <= 2 x dual ===")
-for trial in range(4):
-    v = rng.standard_normal(257) + 1j * rng.standard_normal(257)
-    pv = shell_decompose(v, a, scheme)
-    d, s = pv.dual, pv.ball_sup
+bank = rng.standard_normal((4, 257)) + 1j * rng.standard_normal((4, 257))
+pv = shell_decompose(bank, a, scheme)
+for trial, (d, s) in enumerate(zip(pv.dual, pv.ball_sup)):
     print(f"  trial {trial}: dual {d:.4f}  ball-sup {s:.4f}  ratio {s / d:.4f}")
 
 print()
@@ -42,8 +43,9 @@ print("=== vanishing defect: compactly supported vs spread-out mass ===")
 ladder = [4.0, 8.0, 16.0, 32.0]
 compact = np.where(a < 3.0, 1.0 + 0j, 0.0)
 spread = (1.0 + a) ** 0.25 + 0j     # mimics extremal dual-norm growth
-for label, vec in (("compact", compact), ("spread", spread)):
-    vals = defect_ladder(vec, a, ladder)
+# exponent 1/2 and annulus_eps 0: the ball form R^-1/2 ||F(|A| < R) u||
+ladders = defect_ladder(np.stack((compact, spread)), a, ladder, 0.5, 0.0)
+for label, vals in zip(("compact", "spread"), ladders):
     tail = np.max(vals[len(vals) // 2:])    # the top half of the ladder
     print(f"  {label:8s} defect ladder " +
           " ".join(f"{t:.3f}" for t in vals) + f"   tail statistic {tail:.3f}")

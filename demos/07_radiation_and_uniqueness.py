@@ -48,7 +48,8 @@ print("=== filter defect ladders for the outgoing value ===")
 for mode, story in (("outgoing", "remove direction +1 (must vanish)"),
                     ("high", "keep only high frequencies (must vanish)"),
                     ("mirrored", "keep direction +1 (must persist)")):
-    res = radiation_filter(u_plus, spec, model, grid, mode=mode)
+    # a block of one column gives one result
+    res, = radiation_filter(u_plus[:, None], spec, model, grid, mode=mode)
     print(f"  {mode:9s} {story}")
     print("     annulus defect:",
           " ".join(f"{d:.2e}" for d in res.annulus_defect),
@@ -62,7 +63,7 @@ interior[1:] &= interior[:-1].copy()
 resid = np.linalg.norm((h_plain @ w)[interior]) / np.linalg.norm(w)
 print(f"  H w interior residual: {resid:.1e} (solves the homogeneous equation)")
 print(f"  size: |w| / |u_plus| = {np.linalg.norm(w) / np.linalg.norm(u_plus):.3f}")
-res = radiation_filter(w, spec, model, grid, mode="outgoing")
+res, = radiation_filter(w[:, None], spec, model, grid, mode="outgoing")
 print("  outgoing-filter defect of w:",
       " ".join(f"{d:.2e}" for d in res.annulus_defect),
       f" slope {res.annulus_slope:+.2f} (flat: w fails the outgoing condition)")

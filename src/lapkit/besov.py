@@ -20,8 +20,8 @@ satisfy: each returns a ``reports.CheckResult`` against its explicit
 constant, with a witness row when one breaks it.  The unit-block sup
 and a probe pairing bracket an operator norm from above and below.
 
-The norms take a bank, an (m, n) array of sample rows, and bin the
-spectrum once per call; a 1-d vector is a bank of one row.
+The norms take a bank, an (m, n) array of sample rows, bin the
+spectrum once per call and return one value per row.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ __all__ = [
 class ShellScheme:
     """Dyadic-type shell ladder with radii R_0 = 0 and R_j = base**(j-1)."""
 
-    base: float = 2.0
+    base: float
 
     def __post_init__(self):
         if not self.base > 1.0:
@@ -126,37 +126,27 @@ def as_spectrum_values(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShellProfile:
-    """Per-shell norms of a vector together with the derived scalars
-    (for a bank, each per-vector field gains a leading row axis)."""
+    """Per-shell norms of the rows u of a bank together with the derived
+    values, one per row."""
 
     radii: np.ndarray            # R_1..R_J
-    shell_norms: np.ndarray      # ||F_j u|| for j = 1..J
-    total_norm: float            # ||u||
-    besov: float                 # sum_j R_j^{1/2} ||F_j u||
-    dual: float                  # sup_j R_j^{-1/2} ||F_j u||
-    ball_sup: float              # exact sup_{R>1} R^{-1/2} ||F(|A| < R) u||
+    shell_norms: np.ndarray      # (m, J): ||F_j u|| for j = 1..J
+    total_norm: np.ndarray       # ||u||
+    besov: np.ndarray            # sum_j R_j^{1/2} ||F_j u||
+    dual: np.ndarray             # sup_j R_j^{-1/2} ||F_j u||
+    ball_sup: np.ndarray         # exact sup_{R>1} R^{-1/2} ||F(|A| < R) u||
 
 
 def _check_pair(u, a):
-    """Validate a bank (m, n) against a spectrum once; a 1-d vector is a
-    bank of one row, flagged so callers return that row's values."""
+    """Validate a bank (m, n) against a spectrum once."""
     bank = np.asarray(u, dtype=complex)
     vals = as_spectrum_values(a)
-    if bank.ndim not in (1, 2) or vals.ndim != 1:
-        raise DimensionError("expected a 1-d vector or 2-d bank and a 1-d spectrum")
-    if bank.shape[-1] != len(vals):
-        raise DimensionError(
-            f"vector length {bank.shape[-1]} does not match spectrum length {len(vals)}")
+    if bank.ndim != 2 or vals.ndim != 1 or bank.shape[1] != len(vals):
+        raise DimensionError(f"a bank of shape {bank.shape} against a spectrum of "
+                             f"shape {vals.shape}: expected (m, n) against (n,)")
     if not np.isfinite(bank).all():
-        raise DataError("vector contains non-finite entries")
-    return np.atleast_2d(bank), vals, bank.ndim == 1
-
-
-def _rows(values, single):
-    """Per-row results, or the one row's (as a float where scalar)."""
-    if not single:
-        return values
-    return float(values[0]) if np.ndim(values[0]) == 0 else values[0]
+        raise DataError("bank contains non-finite entries")
+    return bank, vals
 
 
 def _row_norms(bank) -> np.ndarray:
@@ -195,46 +185,45 @@ def _ball_sup(sorted_abs, cum):
     return np.sqrt(np.max(ratios, axis=1, initial=0.0))
 
 
-def shell_decompose(u, a, scheme: ShellScheme | None = None) -> ShellProfile:
-    """Split u (a vector or a bank of rows) into weight shells and
-    collect every derived norm.
+def shell_decompose(u, a, scheme: ShellScheme) -> ShellProfile:
+    """Split each row of the bank u into weight shells and collect every
+    derived norm.
 
     The shells partition the index set, so the shell norms satisfy
     sum_j ||F_j u||^2 = ||u||^2 exactly.
     """
-    bank, vals, single = _check_pair(u, a)
-    scheme = scheme or ShellScheme()
+    bank, vals = _check_pair(u, a)
     mass = np.abs(bank) ** 2
     norms, radii = _shell_norms(mass, vals, scheme)
     return ShellProfile(
         radii=radii,
-        shell_norms=_rows(norms, single),
-        total_norm=_rows(_row_norms(bank), single),
-        besov=_rows(np.sum(np.sqrt(radii) * norms, axis=1), single),
-        dual=_rows(np.max(norms / np.sqrt(radii), axis=1), single),
-        ball_sup=_rows(_ball_sup(*_ball_mass(mass, vals)), single),
+        shell_norms=norms,
+        total_norm=_row_norms(bank),
+        besov=np.sum(np.sqrt(radii) * norms, axis=1),
+        dual=np.max(norms / np.sqrt(radii), axis=1),
+        ball_sup=_ball_sup(*_ball_mass(mass, vals)),
     )
 
 
-def besov_norm(u, a, scheme: ShellScheme | None = None) -> float:
+def besov_norm(u, a, scheme: ShellScheme) -> np.ndarray:
     """sum_j R_j^{1/2} ||F_j u||, per bank row."""
-    bank, vals, single = _check_pair(u, a)
-    norms, radii = _shell_norms(np.abs(bank) ** 2, vals, scheme or ShellScheme())
-    return _rows(np.sum(np.sqrt(radii) * norms, axis=1), single)
+    bank, vals = _check_pair(u, a)
+    norms, radii = _shell_norms(np.abs(bank) ** 2, vals, scheme)
+    return np.sum(np.sqrt(radii) * norms, axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Vanishing-at-infinity defect
 # ---------------------------------------------------------------------------
 
-def defect_ladder(u, a, ladder, exponent: float = 0.5, annulus_eps: float = 0.0) -> np.ndarray:
+def defect_ladder(u, a, ladder, exponent: float, annulus_eps: float) -> np.ndarray:
     """R^{-exponent} ||F(annulus_eps R <= |A| < R) u|| on the ladder, per bank row.
 
-    The default annulus_eps = 0 gives the ball form R^{-exponent}
-    ||F(|A| < R) u||; ball and annulus forms vanish along R -> oo
-    exactly when the vector lies in the small dual space.
+    annulus_eps = 0 gives the ball form R^{-exponent} ||F(|A| < R) u||;
+    ball and annulus forms vanish along R -> oo exactly when the vector
+    lies in the small dual space.
     """
-    bank, vals, single = _check_pair(u, a)
+    bank, vals = _check_pair(u, a)
     ladder = np.asarray(ladder, dtype=float)
     if ladder.size == 0:
         raise ValueError("radius ladder is empty")
@@ -243,7 +232,7 @@ def defect_ladder(u, a, ladder, exponent: float = 0.5, annulus_eps: float = 0.0)
     for i, radius in enumerate(ladder):
         mask = (absvals >= annulus_eps * radius) & (absvals < radius)
         out[:, i] = _row_norms(bank[:, mask]) / radius ** exponent
-    return _rows(out, single)
+    return out
 
 
 def loglog_slope(radii, values) -> float:

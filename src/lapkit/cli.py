@@ -107,7 +107,3 @@ def main(argv=None) -> int:
     _print_checks(report)
     print(f"runtime: {runtime:.2f} s")
     return 0 if report.passed else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

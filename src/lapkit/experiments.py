@@ -253,8 +253,8 @@ def _sweep_quantities(solver, grid, mu, rng):
     f = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=mu), x)
     distance = spectral_distance(solver.matrix, z)
     wgt = bracket(x) ** (-weight_exponent(mu)) * np.sqrt(f)
-    wei = weighted_opnorm(solver, z, wgt, wgt, rng=rng)
-    est = besov_bstar_estimate(solver, z, f, grid)
+    wei = weighted_opnorm(solver, z, wgt, wgt, rng)
+    est = besov_bstar_estimate(solver, f, grid)
     health = {"weighted_runs": 1,
               "unconverged_weighted_runs": int(not wei.converged),
               "lanczos_steps": est.lanczos_steps,
@@ -393,14 +393,13 @@ def _line_problem(cfg: ExperimentConfig, name: str):
     return model, grid, h_op, cap, source
 
 
-def _boundary_values(h_cap, v) -> tuple[np.ndarray, np.ndarray]:
-    """(H + cap)^{-1} v and (H + cap)^{-*} v: the zero-energy boundary
-    values R(0 +- i0) v, the layer standing in for +-i0 (Riss & Meyer,
-    J. Phys. B 26 (1993) 4503), from one solve at z = 0.  H + cap is
-    complex symmetric and the source real, so the incoming value is the
-    conjugate of the outgoing one by construction."""
-    u_plus = ShiftedSolver(h_cap, 0.0).solve(v)
-    return u_plus, np.conj(u_plus)
+def _outgoing_value(h_cap, v) -> np.ndarray:
+    """(H + cap)^{-1} v: the outgoing zero-energy boundary value
+    R(0 + i0) v, the layer standing in for +i0 (Riss & Meyer, J. Phys. B
+    26 (1993) 4503), from one solve at z = 0.  H + cap is complex
+    symmetric and the source real, so the incoming value (H + cap)^{-*} v
+    is its conjugate by construction."""
+    return ShiftedSolver(h_cap, 0.0).solve(v)
 
 
 def run_radiation(cfg: ExperimentConfig) -> Report:
@@ -427,7 +426,7 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     plus = boundary_value(h_cap, v, grid, weight_s)
     report.extras["ladder_plus"] = plus.diffs
     report.extras["final_z"] = [plus.final_z.real, plus.final_z.imag]
-    u_plus = _boundary_values(h_cap, v)[0]
+    u_plus = _outgoing_value(h_cap, v)
     w = bracket(grid.nodes) ** (-weight_s)
     report.add(CheckResult(
         "boundary-value-converged", "boundary-value-ladder",
@@ -443,7 +442,7 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     outgoing, mirrored = radiation_filter(np.column_stack((u_plus, np.conj(u_plus))),
                                           spec, model, grid, mode="outgoing")
     filters = {"outgoing": outgoing,
-               "high": radiation_filter(u_plus, spec, model, grid, mode="high"),
+               "high": radiation_filter(u_plus[:, None], spec, model, grid, mode="high")[0],
                "mirrored": mirrored}
     for mode, res in filters.items():
         decreasing = mode != "mirrored"
@@ -494,8 +493,8 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
     model, grid, h_plain, cap, v = _line_problem(cfg, "uniqueness")
     h_cap = h_plain + cap
     report = _report(cfg)
-    u_plus, u_minus = _boundary_values(h_cap, v)
-    w = u_plus - u_minus
+    u_plus = _outgoing_value(h_cap, v)
+    w = u_plus - np.conj(u_plus)
 
     untouched = np.abs(cap.diagonal()) == 0.0
     # one stencil row of separation from the layer
@@ -522,15 +521,14 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
         norm_w / norm_plus, 0.1, ">=", "the two boundary values genuinely differ"))
 
     spec = FilterSpec.for_model(model)
-    filt = radiation_filter(w, spec, model, grid, mode="outgoing")
+    filt = radiation_filter(w[:, None], spec, model, grid, mode="outgoing")[0]
     report.add(CheckResult(
         "null-outgoing-slope", "mirrored-filter-asymmetry",
         filt.annulus_slope, SLOPE_FLAT, ">=",
         "null difference fails the outgoing condition"))
 
     ladder = filt.ladder
-    plain = besov.defect_ladder(w, grid.nodes, ladder, exponent=model.s0,
-                                annulus_eps=ANNULUS_EPS)
+    plain = besov.defect_ladder(w[None, :], grid.nodes, ladder, model.s0, ANNULUS_EPS)[0]
     plain_slope = besov.tail_slope(ladder, plain)
     report.add(CheckResult(
         "null-ball-norm-growth", "null-vector-growth", plain_slope, SLOPE_FLAT, ">=",

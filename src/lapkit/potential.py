@@ -19,7 +19,7 @@ also carries the local momentum weight f_lambda = (lambda + K
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -91,7 +91,8 @@ class PotentialModel:
     ``v1`` and ``v2`` map the radial coordinate (or the signed 1-d
     coordinate) to values; ``grad_v1`` is the analytic derivative of
     V1 along the radial direction, so x . grad V1 = |x| grad_v1(|x|).
-    ``v2_tail`` holds (delta, C, R) of the tail hypothesis.
+    ``symbol_constants`` holds (C_0, C_1, C_2) of the symbol hypothesis
+    and ``v2_tail`` (delta, C, R) of the tail hypothesis.
     """
 
     mu: float
@@ -99,10 +100,10 @@ class PotentialModel:
     eps1_tilde: float
     v1: Callable[[np.ndarray], np.ndarray]
     grad_v1: Callable[[np.ndarray], np.ndarray]
-    dim: int = 1
+    dim: int
+    symbol_constants: tuple[float, float, float]
     v2: Callable[[np.ndarray], np.ndarray] | None = None
     v2_tail: tuple[float, float, float] = (1.0, 0.0, 1.0)   # (delta, C, R)
-    symbol_constants: dict = field(default_factory=dict)    # C_alpha, |alpha| <= 2
 
     def __post_init__(self):
         if not 0.0 < self.mu < 2.0:
@@ -119,13 +120,9 @@ class PotentialModel:
         """Weight constant used by the zero-energy radiation symbols."""
         return self.eps1 * self.eps1_tilde / (2.0 - self.mu)
 
-    @property
-    def c0(self) -> float:
-        return self.symbol_constants.get(0, self.eps1)
-
     def c0_prime(self) -> float:
         """max(C_0 / K, 1), the plateau scale of the low-frequency cutoff."""
-        return max(self.c0 / self.kappa_low_energy, 1.0)
+        return max(self.symbol_constants[0] / self.kappa_low_energy, 1.0)
 
     def total(self, x) -> np.ndarray:
         r = np.abs(np.asarray(x, dtype=float))
@@ -166,7 +163,7 @@ def standard_model(gamma: float, mu: float, dim: int) -> PotentialModel:
         v1=v1,
         grad_v1=grad_v1,
         dim=dim,
-        symbol_constants={0: gamma, 1: gamma * mu, 2: gamma * mu * (mu + 2.0)},
+        symbol_constants=(gamma, gamma * mu, gamma * mu * (mu + 2.0)),
     )
 
 
@@ -228,8 +225,7 @@ def coulomb_model(gamma: float, dim: int) -> PotentialModel:
         dim=dim,
         v2=v2,
         v2_tail=(delta, gamma, 1.0),
-        symbol_constants={0: gamma * math.sqrt(math.e),
-                          1: 2.2 * gamma, 2: 10.5 * gamma},
+        symbol_constants=(gamma * math.sqrt(math.e), 2.2 * gamma, 10.5 * gamma),
     )
 
 
@@ -276,25 +272,16 @@ def check_condition(model: PotentialModel,
     rows.append(("V1 <= -eps1 <x>^-mu", float(margin1[i1]), -1e-12 * model.eps1,
                  float(r[i1])))
 
-    # (2) symbol bounds |d^a V1| <= C_a <x>^{-mu-|a|}, |a| <= 2
-    worst2 = math.inf
-    wit2 = None
-    budgets = [
-        (np.abs(model.v1(r)), model.symbol_constants.get(0, model.eps1), 0),
-        (np.abs(model.grad_v1(r)), model.symbol_constants.get(1, math.inf), 1),
-        (np.abs(_fd_second(model, r)), model.symbol_constants.get(2, math.inf), 2),
-    ]
-    for values, c_alpha, order in budgets:
-        if not math.isfinite(c_alpha):
-            continue
-        slack = 1e-6 if order == 2 else 0.0
-        # relative margin so the three orders are comparable
-        margin = ((1.0 + slack) * c_alpha * br ** (-model.mu - order) - values) / c_alpha
-        i = int(np.argmin(margin))
-        if margin[i] < worst2:
-            worst2 = float(margin[i])
-            wit2 = float(r[i])
-    rows.append(("|d^a V1| <= C_a <x>^-mu-|a|", worst2, -1e-10, wit2))
+    # (2) symbol bounds |d^a V1| <= C_a <x>^{-mu-|a|}, |a| <= 2, as relative
+    # margins so the three orders are comparable; the first least one counts
+    derivatives = (np.abs(model.v1(r)), np.abs(model.grad_v1(r)),
+                   np.abs(_fd_second(model, r)))
+    margin2 = np.array([((1.0 + slack) * c_alpha * br ** (-model.mu - order) - values) / c_alpha
+                        for order, (values, c_alpha, slack) in enumerate(zip(
+                            derivatives, model.symbol_constants, (0.0, 0.0, 1e-6)))])
+    order, i2 = np.unravel_index(np.argmin(margin2), margin2.shape)
+    rows.append(("|d^a V1| <= C_a <x>^-mu-|a|", float(margin2[order, i2]), -1e-10,
+                 float(r[i2])))
 
     # (3) virial: W >= -eps1_tilde V1 pointwise
     margin3 = virial_w(model, r) + model.eps1_tilde * model.v1(r)

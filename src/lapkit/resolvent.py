@@ -167,15 +167,6 @@ class ShiftedSolver:
                      / max(np.linalg.norm(v), 1e-300))
 
 
-def _solver_at(operator, z: complex) -> ShiftedSolver:
-    """ShiftedSolver for operator - z; a solver already built at z is reused."""
-    if isinstance(operator, ShiftedSolver):
-        if operator.z != complex(z):
-            raise ValueError(f"solver was factorized at {operator.z}, not {z}")
-        return operator
-    return ShiftedSolver(operator, z)
-
-
 # ---------------------------------------------------------------------------
 # Tridiagonal resolvent kernel and the distance to the spectrum
 # ---------------------------------------------------------------------------
@@ -391,7 +382,7 @@ def _lanczos(gram, start, norm_of) -> tuple[float, int, bool]:
     return value, step, bool(converged and agrees)
 
 
-def operator_norm_lower(matvec, rmatvec, dim: int, rng=None) -> OpNormEstimate:
+def operator_norm_lower(matvec, rmatvec, dim: int, rng) -> OpNormEstimate:
     """Largest-singular-value lower bound ||M y|| by Lanczos on M* M.
 
     ``_lanczos`` runs from a complex Gaussian start drawn from ``rng``
@@ -399,21 +390,23 @@ def operator_norm_lower(matvec, rmatvec, dim: int, rng=None) -> OpNormEstimate:
     value is certified from below; ``iterations`` counts the Lanczos
     steps, each one ``matvec`` and one ``rmatvec``.
     """
-    rng = rng or Stream(0)
     start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     lower, steps, converged = _lanczos(
         lambda u: rmatvec(matvec(u)), start, lambda y: np.linalg.norm(matvec(y)))
     return OpNormEstimate(lower=lower, converged=converged, iterations=steps)
 
 
-def weighted_opnorm(operator, z: complex, left_weight, right_weight, rng=None) -> OpNormEstimate:
+def weighted_opnorm(operator, z: complex, left_weight, right_weight, rng) -> OpNormEstimate:
     """Lower bound for || W_l R(z) W_r || with diagonal weights.
 
-    ``operator`` is H, or a ShiftedSolver already factorized at z.
+    ``operator`` is the ShiftedSolver the sweep factorized at z, or H
+    (the benchmark's tracer test passes H and z).
     """
     wl = np.asarray(left_weight, dtype=float)
     wr = np.asarray(right_weight, dtype=float)
-    solver = _solver_at(operator, z)
+    solver = operator if isinstance(operator, ShiftedSolver) else ShiftedSolver(operator, z)
+    if solver.z != complex(z):
+        raise ValueError(f"solver was factorized at {solver.z}, not {z}")
     return operator_norm_lower(lambda u: wl * solver.solve(wr * u),
                                lambda w: wr * solver.solve_adjoint(wl * w), len(wl), rng=rng)
 
@@ -432,15 +425,15 @@ class BesovEstimate:
     converged: bool             # whether that run converged
 
 
-def besov_bstar_estimate(operator, z: complex, f, grid) -> BesovEstimate:
+def besov_bstar_estimate(solver: ShiftedSolver, f, grid) -> BesovEstimate:
     """Two-sided estimate of the shell-space norm of f^{1/2} R(z) f^{1/2}.
 
     ``f`` holds the weight's values on the grid nodes; the sweep passes
     the local momentum weight at lambda = |z| with K = 1.
 
-    ``operator`` is H, or a ShiftedSolver already factorized at z; H
-    must be complex-symmetric tridiagonal.  Every resolvent entry is
-    read off the certified generators of ``TridiagonalResolvent``.
+    ``solver`` is the factorization of H - z, z = solver.z, for a
+    complex-symmetric tridiagonal H.  Every resolvent entry is read off
+    the certified generators of ``TridiagonalResolvent``.
 
     Upper bound: the exact unit-width block sup over |x| blocks,
     doubled (``_block_sup``).  Two different blocks are separated (the
@@ -465,22 +458,21 @@ def besov_bstar_estimate(operator, z: complex, f, grid) -> BesovEstimate:
     run.
     """
     absx = np.abs(grid.nodes)
-    solver = _solver_at(operator, z)
-    kernel = TridiagonalResolvent(solver.matrix, z)
+    kernel = TridiagonalResolvent(solver.matrix, solver.z)
     center = int(np.argmin(absx))
     block_sup = _block_sup(kernel, f, *unit_blocks(absx), center)
 
-    shell_of, radii = ShellScheme().shell_indices(absx)
+    shell_of, radii = ShellScheme(2.0).shell_indices(absx)
     inner, outer = np.triu_indices(len(radii), 1)
     norms, _ = _separated_pairs(kernel, f, shell_of, len(radii), center)
     pairs = norms(inner, outer) / np.sqrt(radii[inner] * radii[outer])
     lower, _, steps, converged = _diagonal_shell_pairs(kernel, solver, np.sqrt(f), shell_of, radii)
-    if pairs.size and np.max(pairs) >= lower:
-        lower = float(np.max(pairs))
+    lower = max(lower, float(np.max(pairs, initial=0.0)))
 
     upper = 2.0 * block_sup
     if lower > upper * (1 + 1e-6):
-        raise AssertionError("shell-space bracket inverted")
+        raise SolverError(f"shell-space bracket inverted at z = {solver.z}: "
+                          f"lower {lower:.6g} > upper {upper:.6g}")
     return BesovEstimate(lower=lower, upper=upper, lanczos_steps=steps,
                          converged=converged)
 
@@ -672,8 +664,8 @@ class HoelderReport:
     unconverged: int            # pairs left out of the fit
 
 
-def hoelder_estimate(operator, s: float, pairs, grid, s0: float | None = None,
-                     gamma: float | None = None, rng=None) -> HoelderReport:
+def hoelder_estimate(operator, s: float, pairs, grid, rng, s0: float | None = None,
+                     gamma: float | None = None) -> HoelderReport:
     """Difference norms ||T(z1) - T(z2)|| for T(z) = <x>^{-s} R(z) <x>^{-s}.
 
     Fits the growth exponent of the difference norm against the pair
@@ -687,7 +679,6 @@ def hoelder_estimate(operator, s: float, pairs, grid, s0: float | None = None,
     pairs = list(pairs)
     if len(pairs) < 3:
         raise ValueError("need at least 3 sector pairs")
-    rng = rng or Stream(0)
     w = bracket(grid.nodes) ** (-s)
     rows = []
     converged = []

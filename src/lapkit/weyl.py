@@ -123,13 +123,12 @@ class FilterSpec:
     chi_minus equals 1 on [0, plateau_end], falls to 0 over FALL_WIDTH,
     and rises from -1, so its support is [-1, plateau_end + FALL_WIDTH]
     and it is nonincreasing for t > 0.  chi_tilde falls over TILDE_WIDTH
-    and is supported in (-inf, sigma_cut), realized with a compact
+    and is supported in (-inf, SIGMA_CUT), realized with a compact
     plateau wide enough to cover every direction value the kinetic
     cutoff lets through.
     """
 
     plateau_end: float
-    sigma_cut: float
 
     def __post_init__(self):
         if self.plateau_end <= 0:
@@ -144,8 +143,7 @@ class FilterSpec:
         which is all the phase-space localization statements require.
         The direction cutoff falls to 0 at SIGMA_CUT.
         """
-        return cls(plateau_end=model.c0_prime() + PLATEAU_MARGIN,
-                   sigma_cut=SIGMA_CUT)
+        return cls(plateau_end=model.c0_prime() + PLATEAU_MARGIN)
 
     @property
     def kinetic_reach(self) -> float:
@@ -160,7 +158,7 @@ class FilterSpec:
 
     def chi_tilde_minus(self, t):
         # 0 below t = -5, 1 from t = -4 up to the fall
-        return _profile(t, 5.0, self.sigma_cut - TILDE_WIDTH, TILDE_WIDTH)
+        return _profile(t, 5.0, SIGMA_CUT - TILDE_WIDTH, TILDE_WIDTH)
 
     def chi_tilde_mirror(self, t):
         """Reflection keeping the opposite direction region."""
@@ -332,8 +330,6 @@ def filter_symbol(spec: FilterSpec, params: WeightParams,
     """
     if mode not in ("outgoing", "high", "mirrored"):
         raise ValueError(f"unknown filter mode {mode!r}")
-    if mode == "outgoing" and spec.sigma_cut > 1.0:
-        raise ValueError("outgoing filter requires direction cut sigma <= 1")
     if mode == "high":
         a0 = symbol_a0(params)
 
@@ -355,34 +351,25 @@ def filter_symbol(spec: FilterSpec, params: WeightParams,
 
 
 def radiation_filter(u, spec: FilterSpec, model: PotentialModel,
-                     grid: Grid1D, mode: str):
+                     grid: Grid1D, mode: str) -> list[FilterResult]:
     """Apply a phase-space cutoff and ladder its vanishing defect.
 
     The cutoff is ``filter_symbol(spec, params, mode)`` with the
     model's low-energy weight; an outgoing solution must leave the
     ``outgoing`` and ``high`` defects vanishing, while ``mirrored``
-    witnesses the asymmetry.  The defects, with the model's exponent s0,
-    are laddered on ``default_radius_ladder(grid)``.  ``u`` of shape (n,)
-    gives one FilterResult; a block of shape (n, m) is filtered in one
-    pass and gives a list of m results, one per column.
+    witnesses the asymmetry.  The block ``u`` of shape (n, m) is
+    filtered in one pass, and the filtered columns are laddered as one
+    bank on ``default_radius_ladder(grid)`` with the model's exponent
+    s0: one FilterResult per column.
     """
     params = WeightParams(lam=0.0, kappa=model.kappa_low_energy, mu=model.mu)
     symbol, band = filter_symbol(spec, params, mode)
     u = np.asarray(u, dtype=complex)
-    w = weyl_apply(symbol, grid, u, band=band)
+    bank = np.ascontiguousarray(weyl_apply(symbol, grid, u, band=band).T)
     ladder = default_radius_ladder(grid)
-    s0 = model.s0
-
-    def result(u_col, w_col):
-        scale = max(np.linalg.norm(u_col), 1e-300)
-        return FilterResult(
-            ladder=ladder,
-            ball_defect=defect_ladder(w_col, grid.nodes, ladder, exponent=s0),
-            annulus_defect=defect_ladder(w_col, grid.nodes, ladder, exponent=s0,
-                                         annulus_eps=ANNULUS_EPS),
-            degenerate=bool(np.linalg.norm(w_col) <= 1e-13 * scale))
-
-    if w.ndim == 1:
-        return result(u, w)
-    return [result(u[:, j], np.ascontiguousarray(w[:, j]))
-            for j in range(w.shape[1])]
+    ball = defect_ladder(bank, grid.nodes, ladder, model.s0, 0.0)
+    annulus = defect_ladder(bank, grid.nodes, ladder, model.s0, ANNULUS_EPS)
+    return [FilterResult(ladder=ladder, ball_defect=b, annulus_defect=a,
+                         degenerate=bool(np.linalg.norm(w) <= 1e-13
+                                         * max(np.linalg.norm(u_col), 1e-300)))
+            for b, a, w, u_col in zip(ball, annulus, bank, u.T)]

@@ -84,36 +84,38 @@ def test_single_shell_vector():
     # mass where 1 <= |a| < 2 sits in shell 2 with radius 2
     u = np.zeros(64, dtype=complex)
     u[np.flatnonzero((SPECTRUM >= 1) & (SPECTRUM < 2))[0]] = 1.0
-    prof = shell_decompose(u, SPECTRUM, SCHEME)
-    assert prof.shell_norms[1] == 1.0
-    assert np.all(prof.shell_norms[[0, 2, 3]] == 0.0)
-    assert prof.besov == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert prof.dual == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+    prof = shell_decompose(u[None], SPECTRUM, SCHEME)
+    assert prof.shell_norms[0, 1] == 1.0
+    assert np.all(prof.shell_norms[0, [0, 2, 3]] == 0.0)
+    assert prof.besov[0] == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert prof.dual[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
 
 
 def test_zero_vector():
-    prof = shell_decompose(np.zeros(64), SPECTRUM, SCHEME)
-    assert prof.besov == 0.0
+    prof = shell_decompose(np.zeros((1, 64)), SPECTRUM, SCHEME)
+    assert prof.besov[0] == 0.0
     assert np.all(prof.shell_norms == 0.0)
 
 
 def test_against_brute_force(rng):
     u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    prof = shell_decompose(u, SPECTRUM, SCHEME)
+    prof = shell_decompose(u[None], SPECTRUM, SCHEME)
     expected = brute_force_shell_norms(u, SPECTRUM, 2.0)
     for j, val in expected.items():
-        assert prof.shell_norms[j - 1] == pytest.approx(val, abs=1e-12)
+        assert prof.shell_norms[0, j - 1] == pytest.approx(val, abs=1e-12)
     b = sum(2.0 ** ((j - 1) / 2.0) * v for j, v in expected.items())
     d = max(v / 2.0 ** ((j - 1) / 2.0) for j, v in expected.items())
-    assert besov_norm(u, SPECTRUM) == pytest.approx(b, rel=1e-12)
-    assert prof.dual == pytest.approx(d, rel=1e-12)
+    assert besov_norm(u[None], SPECTRUM, SCHEME)[0] == pytest.approx(b, rel=1e-12)
+    assert prof.dual[0] == pytest.approx(d, rel=1e-12)
 
 
 def test_errors():
     with pytest.raises(DimensionError):
-        shell_decompose(np.ones(5), SPECTRUM, SCHEME)
+        shell_decompose(np.ones((1, 5)), SPECTRUM, SCHEME)
+    with pytest.raises(DimensionError):
+        shell_decompose(np.ones(64), SPECTRUM, SCHEME)
     with pytest.raises(DataError):
-        shell_decompose(np.array([1.0, np.nan]), np.array([0.0, 1.0]), SCHEME)
+        shell_decompose(np.array([[1.0, np.nan]]), np.array([0.0, 1.0]), SCHEME)
     with pytest.raises(DataError):
         as_spectrum_values([np.inf])
 
@@ -125,15 +127,15 @@ def test_partition_and_homogeneity(seed, alpha):
     gen = np.random.default_rng(seed)
     u = gen.standard_normal(48) + 1j * gen.standard_normal(48)
     a = gen.uniform(-30.0, 30.0, size=48)
-    prof = shell_decompose(u, a, SCHEME)
+    prof = shell_decompose(u[None], a, SCHEME)
     assert np.sum(prof.shell_norms**2) == pytest.approx(
         np.linalg.norm(u) ** 2, rel=1e-12)
-    assert besov_norm(alpha * u, a) == pytest.approx(
-        alpha * prof.besov, rel=1e-12)
-    assert shell_decompose(alpha * u, a).dual == pytest.approx(
-        alpha * prof.dual, rel=1e-12)
+    assert besov_norm(alpha * u[None], a, SCHEME)[0] == pytest.approx(
+        alpha * prof.besov[0], rel=1e-12)
+    assert shell_decompose(alpha * u[None], a, SCHEME).dual[0] == pytest.approx(
+        alpha * prof.dual[0], rel=1e-12)
     # the norm lower bound: ||u|| <= ||u||_B
-    assert prof.total_norm <= prof.besov * (1 + 1e-12)
+    assert prof.total_norm[0] <= prof.besov[0] * (1 + 1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,8 +144,8 @@ def test_duality_sandwich(seed):
     gen = np.random.default_rng(seed)
     u = gen.standard_normal(48) + 1j * gen.standard_normal(48)
     a = gen.uniform(-50.0, 50.0, size=48)
-    prof = shell_decompose(u, a)
-    d, s = prof.dual, prof.ball_sup
+    prof = shell_decompose(u[None], a, SCHEME)
+    d, s = prof.dual[0], prof.ball_sup[0]
     assert d <= s * (1 + 1e-12)
     assert s <= 2.0 * d * (1 + 1e-12)
 
@@ -151,14 +153,14 @@ def test_duality_sandwich(seed):
 def test_ball_sup_on_ladder_agrees(rng):
     # scheme-radii ladder stays inside the exact-sup sandwich too
     u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    prof = shell_decompose(u, SPECTRUM, SCHEME)
-    ladder_sup = np.max(defect_ladder(u, SPECTRUM, prof.radii, exponent=0.5))
-    assert prof.dual <= ladder_sup * (1 + 1e-12)
-    assert ladder_sup <= 2.0 * prof.dual * (1 + 1e-12)
+    prof = shell_decompose(u[None], SPECTRUM, SCHEME)
+    ladder_sup = np.max(defect_ladder(u[None], SPECTRUM, prof.radii, 0.5, 0.0))
+    assert prof.dual[0] <= ladder_sup * (1 + 1e-12)
+    assert ladder_sup <= 2.0 * prof.dual[0] * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# banks: one call per bank of rows equals one 1-d call per row
+# banks: one call per bank of rows equals one one-row call per row
 # ---------------------------------------------------------------------------
 
 BANK_SPECTRA = {
@@ -181,8 +183,8 @@ def test_bank_call_equals_row_calls(name, rows):
     bank = bank[:rows]
     ladder = [0.5, 1.0, 5.0, 6.0, 300.0, 1e4]
     prof = shell_decompose(bank, a, SCHEME)
-    singles = [shell_decompose(u, a, SCHEME) for u in bank]
-    assert np.array_equal(prof.shell_norms, np.array([p.shell_norms for p in singles]))
+    singles = [shell_decompose(u[None], a, SCHEME) for u in bank]
+    assert np.array_equal(prof.shell_norms, np.array([p.shell_norms[0] for p in singles]))
     # the loop reference: every shell summed in node order
     sq = np.zeros_like(prof.shell_norms)
     for k, j in enumerate(SCHEME.shell_indices(a)[0]):
@@ -190,15 +192,16 @@ def test_bank_call_equals_row_calls(name, rows):
     assert np.array_equal(prof.shell_norms, np.sqrt(sq))
     for key in ("total_norm", "besov", "dual", "ball_sup"):
         assert np.array_equal(getattr(prof, key),
-                              np.array([getattr(p, key) for p in singles])), key
-        assert all(isinstance(getattr(p, key), float) for p in singles)
+                              np.array([getattr(p, key)[0] for p in singles])), key
+        assert all(getattr(p, key).shape == (1,) for p in singles)
     for scheme in (SCHEME, ShellScheme(1.5)):
         assert np.array_equal(besov_norm(bank, a, scheme),
-                              np.array([besov_norm(u, a, scheme) for u in bank]))
+                              np.array([besov_norm(u[None], a, scheme)[0] for u in bank]))
         assert np.array_equal(shell_decompose(bank, a, scheme).dual,
-                              np.array([shell_decompose(u, a, scheme).dual for u in bank]))
-    assert np.array_equal(defect_ladder(bank, a, ladder, annulus_eps=0.5),
-                          np.array([defect_ladder(u, a, ladder, annulus_eps=0.5)
+                              np.array([shell_decompose(u[None], a, scheme).dual[0]
+                                        for u in bank]))
+    assert np.array_equal(defect_ladder(bank, a, ladder, 0.5, 0.5),
+                          np.array([defect_ladder(u[None], a, ladder, 0.5, 0.5)[0]
                                     for u in bank]))
 
 
@@ -235,7 +238,7 @@ def test_ball_sup_with_tied_moduli(rng):
     # the ball takes in every node with |a| <= v, ties included
     a = BANK_SPECTRA["signed"]
     bank = rng.standard_normal((6, len(a))) + 1j * rng.standard_normal((6, len(a)))
-    for u, got in zip(bank, shell_decompose(bank, a).ball_sup):
+    for u, got in zip(bank, shell_decompose(bank, a, SCHEME).ball_sup):
         expected = max(np.linalg.norm(u[np.abs(a) <= v]) / math.sqrt(max(v, 1.0))
                        for v in np.unique(np.abs(a)))
         assert got == pytest.approx(expected, rel=1e-14)
@@ -253,10 +256,10 @@ def test_bank_errors(rng, row):
     bank[row, 7] = np.nan
     for fn in (besov_norm, shell_decompose):
         with pytest.raises(DataError):
-            fn(bank, SPECTRUM)
-    for shape in ((4, 63), (2, 2, 64)):
+            fn(bank, SPECTRUM, SCHEME)
+    for shape in ((4, 63), (2, 2, 64), (64,)):
         with pytest.raises(DimensionError):
-            besov_norm(np.ones(shape), SPECTRUM)
+            besov_norm(np.ones(shape), SPECTRUM, SCHEME)
 
 
 def _inflate_moved_norms(monkeypatch, base, boost):
@@ -305,7 +308,7 @@ def test_defect_compact_support():
     u[SPECTRUM < 3.0] = 1.0
     nrm = np.linalg.norm(u)
     ladder = [4.0, 8.0, 16.0, 32.0]
-    vals = defect_ladder(u, SPECTRUM, ladder)
+    vals = defect_ladder(u[None], SPECTRUM, ladder, 0.5, 0.0)[0]
     assert np.allclose(vals, nrm / np.sqrt(ladder))
 
 
@@ -315,21 +318,21 @@ def test_defect_extremal_growth():
     a = np.array([0.5] + [2.0**k for k in range(5)])
     u = np.sqrt(2.0 ** np.arange(6))
     ladder = 2.0 ** np.arange(1, 6)
-    vals = defect_ladder(u, a, ladder)
+    vals = defect_ladder(u[None], a, ladder, 0.5, 0.0)[0]
     expected = np.sqrt((2.0 ** np.arange(2, 7) - 1) / 2.0 ** np.arange(1, 6))
     assert np.allclose(vals, expected)
     assert np.all(vals >= 1.0)
 
 
 def test_defect_zero_and_empty():
-    assert np.all(defect_ladder(np.zeros(64), SPECTRUM, [2.0, 4.0]) == 0.0)
+    assert np.all(defect_ladder(np.zeros((1, 64)), SPECTRUM, [2.0, 4.0], 0.5, 0.0) == 0.0)
     with pytest.raises(ValueError):
-        defect_ladder(np.zeros(64), SPECTRUM, [])
+        defect_ladder(np.zeros((1, 64)), SPECTRUM, [], 0.5, 0.0)
 
 
 def test_defect_annulus_variant():
     u = np.ones(64, dtype=complex)
-    vals = defect_ladder(u, SPECTRUM, [8.0, 16.0], annulus_eps=0.5)
+    vals = defect_ladder(u[None], SPECTRUM, [8.0, 16.0], 0.5, 0.5)[0]
     direct = [np.linalg.norm(u[(SPECTRUM >= 4.0) & (SPECTRUM < 8.0)]) / 8.0**0.5,
               np.linalg.norm(u[(SPECTRUM >= 8.0) & (SPECTRUM < 16.0)]) / 16.0**0.5]
     assert np.allclose(vals, direct)
@@ -396,8 +399,8 @@ def test_scaling_c4_single_shell():
     # norm ratio 16^(1/2)/4^(1/2) = 2 against the allowance 16
     a = np.array([2.5])
     u = np.array([1.0 + 0j])
-    assert besov_norm(u, a) == pytest.approx(2.0)
-    assert besov_norm(u, 4.0 * a) == pytest.approx(4.0)
+    assert besov_norm(u[None], a, SCHEME)[0] == pytest.approx(2.0)
+    assert besov_norm(u[None], 4.0 * a, SCHEME)[0] == pytest.approx(4.0)
     check, witness = verify_scaling([u], a, 4.0)
     assert check.passed and witness is None
     assert check.value == pytest.approx(2.0 / 16.0)
@@ -540,7 +543,8 @@ def test_dense_norm_is_the_true_norm(rng):
     worst = 0.0
     for _ in range(400):
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        worst = max(worst, shell_decompose(t @ u, a).dual / besov_norm(u, a))
+        worst = max(worst, shell_decompose((t @ u)[None], a, SCHEME).dual[0]
+                    / besov_norm(u[None], a, SCHEME)[0])
     assert worst <= exact * (1 + 1e-9)
     # the optimum is attained on a single shell pair; build it
     scheme = ShellScheme(2.0)
@@ -560,7 +564,8 @@ def test_dense_norm_is_the_true_norm(rng):
     _, _, vh = np.linalg.svd(sub)
     u = np.zeros(n, dtype=complex)
     u[cols] = vh[0].conj()
-    attained = shell_decompose(t @ u, a).dual / besov_norm(u, a)
+    attained = (shell_decompose((t @ u)[None], a, SCHEME).dual[0]
+                / besov_norm(u[None], a, SCHEME)[0])
     assert attained == pytest.approx(exact, rel=1e-9)
 
 

@@ -191,9 +191,10 @@ def test_selftest_fault_injection(monkeypatch):
     worst_hi, witness = 0.0, None
     for vals, bank in zip(spectra, banks):
         for u in bank:
-            prof = besov.shell_decompose(u, vals, scheme)
-            if prof.dual > 0 and prof.ball_sup / (0.5 * prof.dual) > worst_hi:
-                worst_hi, witness = prof.ball_sup / (0.5 * prof.dual), u
+            prof = besov.shell_decompose(u[None], vals, scheme)
+            dual, ball_sup = prof.dual[0], prof.ball_sup[0]
+            if dual > 0 and ball_sup / (0.5 * dual) > worst_hi:
+                worst_hi, witness = ball_sup / (0.5 * dual), u
     assert rep.extras["duality_witness"] == [[z.real, z.imag] for z in witness]
     # a scaling witness is the first row over 8 |c|^{1/2}
     for c in (4.0, 1.0 / 3.0):
@@ -201,8 +202,8 @@ def test_selftest_fault_injection(monkeypatch):
         for u in banks[0]:
             if abs(c) <= 1.0:
                 u = np.where(np.abs(c * spectra[0]) >= 1.0, u, 0.0)
-            nb = besov.besov_norm(u, spectra[0], scheme)
-            nbc = 8.0 * besov.besov_norm(u, c * spectra[0], scheme)    # the boost above
+            nb = besov.besov_norm(u[None], spectra[0], scheme)[0]
+            nbc = 8.0 * besov.besov_norm(u[None], c * spectra[0], scheme)[0]   # the boost above
             if nb > 0 and nbc > 8.0 * math.sqrt(c) * nb:
                 first_over = [[float(z.real), float(z.imag)] for z in u]
                 break
@@ -241,8 +242,8 @@ def test_failing_base_equivalence_records_its_witness(monkeypatch):
     c_to, c_from = besov.base_equivalence_constants(4.0)
     worst, witness = 0.0, None
     for u in bank:
-        nb = besov.besov_norm(u, SELFTEST_ABS_X, besov.ShellScheme(2.0))
-        n4 = 1e3 * besov.besov_norm(u, SELFTEST_ABS_X, besov.ShellScheme(4.0))
+        nb = besov.besov_norm(u[None], SELFTEST_ABS_X, besov.ShellScheme(2.0))[0]
+        n4 = 1e3 * besov.besov_norm(u[None], SELFTEST_ABS_X, besov.ShellScheme(4.0))[0]
         ratio = max(n4 / (c_to * nb), nb / (c_from * n4)) if nb > 0 else 0.0
         if ratio > worst:
             worst, witness = ratio, u
@@ -390,7 +391,8 @@ def test_check_potential_rows_meet_their_thresholds(family, monkeypatch):
         good = standard_model(1.0, 1.0, 1)
         bad = PotentialModel(
             mu=1.0, eps1=1.0, eps1_tilde=1.0,
-            v1=lambda r: -good.v1(r), grad_v1=lambda r: -good.grad_v1(r), dim=1)
+            v1=lambda r: -good.v1(r), grad_v1=lambda r: -good.grad_v1(r), dim=1,
+            symbol_constants=good.symbol_constants)
         monkeypatch.setattr(experiments, "build_model", lambda cfg: bad)
     rep = run_check_potential(cfg)
     assert rep.passed == (family != "sign-flipped")
@@ -480,11 +482,11 @@ def test_sweep_check_fails_alone(check_id, stage, value, monkeypatch):
     # 1/|z|, on both grids (every row stays stable), fails that check alone
     real = getattr(experiments, stage)
 
-    def perturbed(operator, z, *args, **kwargs):
+    def perturbed(*args):
         if stage == "spectral_distance":
             return 1.0
         side = "lower" if "lower" in check_id else "upper"
-        return replace(real(operator, z, *args, **kwargs), **{side: 1.0 / abs(z)})
+        return replace(real(*args), **{side: 1.0 / abs(args[0].z)})
 
     monkeypatch.setattr(experiments, stage, perturbed)
     rep = run_lap_sweep(parse_config_text(SMALL_SWEEP))
@@ -592,9 +594,9 @@ def test_free_control_run_weights_with_the_configured_mu():
 
 
 def test_uniqueness_over_damping_fails_on_its_value(monkeypatch):
-    # boundary values that coincide leave w = 0: the report is
-    # inconclusive and the magnitude check fails on its own value
-    module, stage, wrap = _boundary_values_as(lambda plus, minus: (plus, plus))
+    # a real outgoing value leaves w = u_plus - conj(u_plus) = 0: the report
+    # is inconclusive and the magnitude check fails on its own value
+    module, stage, wrap = _outgoing_value_as(lambda plus: plus.real + 0j)
     monkeypatch.setattr(module, stage, wrap(getattr(module, stage)))
     rep = run_uniqueness(parse_config_text(SMALL_UNIQUENESS))
     assert rep.inconclusive
@@ -771,14 +773,14 @@ def test_radiation_conjugate_ladders_match_direct_filters(small_radiation):
     cfg, rep = small_radiation
     model, grid, h_op, cap, v = experiments._line_problem(cfg, "radiation")
     spec = FilterSpec.for_model(model)
-    u_minus = experiments._boundary_values(h_op + cap, v)[1]
+    u_minus = np.conj(experiments._outgoing_value(h_op + cap, v))
     # the conjugate of the u_plus dump, bit for bit, so it is not dumped
     assert u_minus.tobytes() == np.conj(rep.artifacts["vectors"]["u_plus"]).tobytes()
     ladders = rep.extras["defect_ladders"]
     assert set(ladders) == {"plus_outgoing", "plus_high", "plus_mirrored"}
     for mode, swapped in (("outgoing", "mirrored"), ("high", "high"),
                           ("mirrored", "outgoing")):
-        direct = radiation_filter(u_minus, spec, model, grid, mode=mode)
+        direct, = radiation_filter(u_minus[:, None], spec, model, grid, mode=mode)
         assert direct.ladder.tolist() == rep.extras["radius_ladder"]
         for key, values in (("ball", direct.ball_defect),
                             ("annulus", direct.annulus_defect)):
@@ -806,21 +808,20 @@ def _scaled_defect(target, column, factor):
     ``column`` of its ``target`` mode is multiplied by ``factor(ladder, grid)``."""
     def wrap(real):
         def perturbed(u, spec, model, grid, mode):
-            out = real(u, spec, model, grid, mode=mode)
-            results = out if isinstance(out, list) else [out]
+            results = real(u, spec, model, grid, mode=mode)
             if mode == target:
                 res = results[column]
                 results[column] = replace(res, annulus_defect=res.annulus_defect
                                           * factor(res.ladder, grid))
-            return results if isinstance(out, list) else results[0]
+            return results
         return perturbed
     return experiments, "radiation_filter", wrap
 
 
-def _boundary_values_as(combine):
+def _outgoing_value_as(change):
     def wrap(real):
-        return lambda h_cap, v: combine(*real(h_cap, v))
-    return experiments, "_boundary_values", wrap
+        return lambda h_cap, v: change(real(h_cap, v))
+    return experiments, "_outgoing_value", wrap
 
 
 def _bulge(r, grid):
@@ -852,15 +853,16 @@ ZERO_ENERGY_FAULTS = {
     "plus-mirrored-slope": (DESK_RADIATION, _scaled_defect("outgoing", 1, _faster)),
     "plus-outgoing-far-ratio": (DESK_RADIATION, _scaled_defect("outgoing", 0, _far_rise)),
     "plus-high-far-ratio": (DESK_RADIATION, _scaled_defect("high", 0, _far_rise)),
-    # H w = -1e-4 v in the interior once the incoming value is scaled
-    "interior-null-residual": (SMALL_UNIQUENESS, _boundary_values_as(
-        lambda plus, minus: (plus, (1 + 1e-4) * minus))),
-    # the null difference shrunk 100-fold, still a null solution
-    "null-difference-magnitude": (SMALL_UNIQUENESS, _boundary_values_as(
-        lambda plus, minus: (plus, plus - 0.01 * (plus - minus)))),
+    # H w = 2e-4 i v in the interior once the outgoing value is turned:
+    # w gains 2e-4 i Re u_plus, and H Re u_plus = v there
+    "interior-null-residual": (SMALL_UNIQUENESS, _outgoing_value_as(
+        lambda plus: (1 + 1e-4j) * plus)),
+    # the null difference 2i Im u_plus shrunk 100-fold, still a null solution
+    "null-difference-magnitude": (SMALL_UNIQUENESS, _outgoing_value_as(
+        lambda plus: plus.real + 0.01j * plus.imag)),
     "null-outgoing-slope": (SMALL_UNIQUENESS, _scaled_defect("outgoing", 0, _faster)),
     "null-ball-norm-growth": (SMALL_UNIQUENESS, (besov, "defect_ladder", lambda real: (
-        lambda u, a, ladder, **kwargs: real(u, a, ladder, **kwargs) / ladder))),
+        lambda u, a, ladder, *args: real(u, a, ladder, *args) / ladder))),
 }
 
 
@@ -1045,6 +1047,19 @@ def test_cli_solver_error_exits_two(tmp_path, capsys, monkeypatch):
     path.write_text(SMALL_SWEEP + f"[output]\ndirectory = {tmp_path}/out\n")
     assert cli_main(["lap-sweep", "--config", str(path)]) == 2
     assert "solver error: dstebz failed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_inverted_shell_space_bracket_exits_two(tmp_path, capsys, monkeypatch):
+    # a unit-block sup of 0 puts the upper end below the lower one: the
+    # estimate names z in a solver error, and no report is written
+    monkeypatch.setattr(resolvent, "_block_sup", lambda *args: 0.0)
+    path = tmp_path / "sweep.cfg"
+    path.write_text(SMALL_SWEEP + f"[output]\ndirectory = {tmp_path}/out\n")
+    assert cli_main(["lap-sweep", "--config", str(path)]) == 2
+    first = max(parse_config_text(SMALL_SWEEP).sector["moduli"]) * resolvent.RAY
+    assert capsys.readouterr().err.startswith(
+        f"solver error: shell-space bracket inverted at z = {first}: ")
     assert not (tmp_path / "out").exists()
 
 

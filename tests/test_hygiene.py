@@ -5,9 +5,9 @@ verdict, no module imports scipy and no command loads it or numpy.ma,
 no module starts threads or processes of its own, no module draws from
 numpy.random, random or secrets and no command loads numpy.random,
 secrets or hashlib, OpenBLAS starts with one thread unless the caller
-chose otherwise, every def is entered by some command and every dataclass
-field is read, or each is listed with its reason, and the package exports
-its fixed set of names."""
+chose otherwise, every def is entered and every statement line run by
+some command and every dataclass field is read, or each is listed with its
+reason, and the package exports its fixed set of names."""
 
 import ast
 import importlib
@@ -74,7 +74,7 @@ def test_no_broad_exception_handlers(path):
 # Ceiling on settable values: defaulted function parameters (keyword-only
 # included, nested functions too) plus defaulted dataclass fields.  Each
 # default is a knob a caller may turn; the ceiling may only fall.
-SETTABLE_CEILING = 23
+SETTABLE_CEILING = 13
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -105,7 +105,7 @@ def test_settable_values_do_not_grow():
 
 # Ceiling on the package's source lines (all of src/lapkit, blank lines
 # and comments included); like SETTABLE_CEILING it may only fall.
-LINE_CEILING = 3575
+LINE_CEILING = 3523
 
 
 def test_source_lines_do_not_grow():
@@ -297,8 +297,12 @@ def test_random_sources_are_caught():
         "def f(rng=None):\n    return rng.random(3) + self.random + Stream(0).random(2)")) == []
 
 
-# a small sweep config: the import check needs the code paths, not desk scale
-SMALL_SWEEP = """
+# the free control's sweep at a small size, which no shipped config runs:
+# the import check and the traces need its code paths, not desk scale
+FREE_SWEEP = """
+[model]
+family = free
+
 [grid]
 length = 100.0
 size = 1024
@@ -308,38 +312,50 @@ moduli = 1e-1, 3e-2
 """
 
 # every command in one fresh interpreter, traced from before lapkit
-# loads: each Python function entered is recorded by its code object
+# loads: each package frame is recorded by its code object, and each line
+# it runs by (file name, line number); other frames are not line-traced
 EVERY_COMMAND_RUN = """
 import json, os, sys
-entered = set()
+out, free, package = sys.argv[1:]
+entered, ran, inside = set(), set(), {}
+
+
+def lines(frame, event, arg):
+    if event == "line":
+        ran.add((frame.f_code.co_filename, frame.f_lineno))
+    return lines
 
 
 def record(frame, event, arg):
-    if event == "call":
+    name = frame.f_code.co_filename
+    if name not in inside:
+        inside[name] = os.path.dirname(name) == package
+    if inside[name]:
         entered.add(frame.f_code)
+        return lines
+    return None
 
 
-sys.setprofile(record)
+sys.settrace(record)
 from lapkit.cli import main
-sweep = sys.argv[2]
-codes = [main([command, "--config", config, "--output", sys.argv[1]])
-         for command, config in (
-             ("besov-selftest", "demos/configs/selftest.cfg"),
+codes = [main([command, "--config", config, "--output", out, *seed])
+         for command, config, *seed in (
+             ("besov-selftest", "demos/configs/selftest.cfg", "--seed", "1"),
              ("check-potential", "demos/configs/coulomb_check.cfg"),
-             ("check-potential", sweep),
-             ("lap-sweep", sweep),
+             ("check-potential", "demos/configs/standard1d.cfg"),
+             ("lap-sweep", "demos/configs/standard1d.cfg"),
+             ("lap-sweep", free),
              ("radiation", "demos/configs/radiation.cfg"),
              ("uniqueness", "demos/configs/radiation.cfg"),
-             ("export-operator", sweep))]
-sys.setprofile(None)
-package = os.path.dirname(sys.modules["lapkit"].__file__)
+             ("export-operator", "demos/configs/coulomb_check.cfg"))]
+sys.settrace(None)
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 unloaded = ("numpy.ma", "numpy.random", "secrets", "hashlib")
 print(json.dumps({"codes": codes, "scipy": scipy,
                   "loaded": [m for m in unloaded if m in sys.modules],
                   "entered": sorted([os.path.basename(c.co_filename),
-                                     c.co_firstlineno, c.co_name] for c in entered
-                                    if os.path.dirname(c.co_filename) == package)}))
+                                     c.co_firstlineno, c.co_name] for c in entered),
+                  "ran": sorted([os.path.basename(name), line] for name, line in ran)}))
 """
 
 
@@ -353,17 +369,17 @@ def _fresh_env(**extra) -> dict:
 def every_command(tmp_path_factory):
     # a fresh interpreter: this process has scipy loaded
     tmp = tmp_path_factory.mktemp("every_command")
-    sweep = tmp / "sweep.cfg"
-    sweep.write_text(SMALL_SWEEP)
+    free = tmp / "free.cfg"
+    free.write_text(FREE_SWEEP)
     proc = subprocess.run([sys.executable, "-c", EVERY_COMMAND_RUN,
-                           str(tmp / "out"), str(sweep)],
+                           str(tmp / "out"), str(free), str(PACKAGE)],
                           cwd=ROOT, env=_fresh_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_numpy_only_commands_load_no_scipy(every_command):
-    assert every_command["codes"] == [0] * 7
+    assert every_command["codes"] == [0] * 8
     assert every_command["scipy"] == []
     # np.unique without return_inverse imports numpy.ma (numpy 2.4), and
     # numpy.random imports secrets and with it hashlib
@@ -441,6 +457,137 @@ def test_defs_are_named_by_their_qualified_names():
               "    class D:\n        def m(self):\n            pass\n")
     assert _defs(ast.parse(source)) == {
         (1, "f"): "f", (2, "g"): "f.<locals>.g", (5, "p"): "C.p", (9, "m"): "C.D.m"}
+
+
+# Every statement line of src/lapkit that no command runs, keyed
+# "module.qualname: <its first line, stripped>" (qualname <module> at
+# module level), with the reason it stays.  A line needs no entry when it
+# is part of a raise, in an except body, a docstring or inside a def of
+# NOT_RUN_BY_A_COMMAND.  Entries may only be removed: a line that a
+# command starts to run leaves the list, and a new line no command runs
+# is deleted, reached by a shipped config in the trace, or exempt.
+LINES_NOT_RUN = {
+    # python -m lapkit; the trace calls cli.main in-process
+    "__main__.<module>: import sys": "the entry of python -m lapkit",
+    "__main__.<module>: from .cli import main": "the entry of python -m lapkit",
+    "__main__.<module>: sys.exit(main())": "the entry of python -m lapkit",
+    # rare inputs to library functions
+    "besov.ShellScheme.shell_count: return 1": "a spectrum inside the unit ball",
+    "besov.ShellScheme.shell_count: j -= 1": "a float log that rounds up; tests/test_besov.py",
+    "besov.ShellScheme.shell_count: j += 1": "a float log that rounds down; tests/test_besov.py",
+    "besov.loglog_slope: return math.nan": "fewer than two positive values, or one radius",
+    "besov.accretive_bound: return None": "a matrix that is not accretive; the selftest's is",
+    "reports._jsonable: return [_jsonable(v) for v in value.tolist()]":
+        "an ndarray in a report; no runner stores one",
+    "reports._jsonable: return [_float(value.real), _float(value.imag)]":
+        "a complex number in a report; no runner stores one",
+    "weyl.weyl_apply: batches.append(np.array([0]))":
+        "a band reaching the unpaired frequency -N/2; the radiation cutoffs' stop short",
+    # failures a sound run does not meet
+    "experiments.run_besov_selftest: name, i = where[int(np.argmax(his))]":
+        "a failing duality check's witness",
+    'experiments.run_besov_selftest: report.extras["duality_witness"] = '
+    '[[z.real, z.imag] for z in banks[name][i]]': "a failing duality check's witness",
+    'experiments.run_besov_selftest: report.extras[f"{key}{arg:g}"] = witness':
+        "a failing base-change, scaling or power-map check's witness",
+    "experiments.run_uniqueness: report.inconclusive = True": "over-damping: w vanishes",
+    "experiments.run_uniqueness: report.add(CheckResult(": "over-damping: w vanishes",
+    "experiments.run_uniqueness: return report": "over-damping: w vanishes",
+    'cli._print_checks: print("[NOTE] report marked inconclusive")':
+        "an inconclusive report: uniqueness's over-damping",
+    "resolvent.ShiftedSolver.solve: u = u + self._lu(r)":
+        "a refinement step; every command's solve meets SOLVE_RTOL without one",
+    "resolvent.boundary_value: return BoundaryValueResult(u=u_prev, z_values=zs, "
+    "diffs=diffs, converged=False)": "a ray ladder that runs out of rungs",
+    # criterion 8's pentadiagonal Mourre operator H - i eps i[H, A]
+    "operators.BandMatrix.__matmul__: k = self.k + other.k": "criterion 8's H A - A H",
+    "operators.BandMatrix.__matmul__: w = 2 * k + 1": "criterion 8's H A - A H",
+    "operators.BandMatrix.__matmul__: probes = "
+    "(np.arange(n) % w == np.arange(w)[:, None]).astype(float)": "criterion 8's H A - A H",
+    "operators.BandMatrix.__matmul__: cols = "
+    "np.array([self @ (other @ probe) for probe in probes])": "criterion 8's H A - A H",
+    "operators.BandMatrix.__matmul__: return "
+    "BandMatrix(cols[(rows + m) % w, rows] for m in range(-k, k + 1)": "criterion 8's H A - A H",
+    'resolvent._band_lu: ab = np.zeros((3 * k + 1, n), dtype=complex, order="F")':
+        "criterion 8's band of width 2",
+    "resolvent._band_lu: for j, band in enumerate(bands):": "criterion 8's band of width 2",
+    "resolvent._band_lu: ab[2 * k - j, j:] = ab[2 * k + j, :n - j] = band":
+        "criterion 8's band of width 2",
+    "resolvent._band_lu: factors = [ab, 3 * k + 1, piv]": "criterion 8's band of width 2",
+    'resolvent._band_lu: info = call("zgbtrf_work", COL_MAJOR, n, n, k, k, *factors)':
+        "criterion 8's band of width 2",
+    'resolvent._band_lu: name, head = "zgbtrs_work", (COL_MAJOR, b"N", n, k, k)':
+        "criterion 8's band of width 2",
+}
+
+
+def _unrun_lines(stem: str, source: str, ran) -> set:
+    """The keys of the statement lines of a module that are not in ``ran``
+    (line numbers) and that the rule above does not exempt."""
+    text = source.splitlines()
+    out = set()
+
+    def visit(body, owner, prefix, exempt, documented):
+        # owner: the qualified name of the enclosing def or class
+        for k, stmt in enumerate(body):
+            docstring = (documented and k == 0 and isinstance(stmt, ast.Expr)
+                         and isinstance(stmt.value, ast.Constant)
+                         and isinstance(stmt.value.value, str))
+            if not (exempt or docstring or isinstance(stmt, ast.Raise)
+                    or stmt.lineno in ran):
+                out.add(f"{stem}.{owner}: {text[stmt.lineno - 1].strip()}")
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + stmt.name
+                visit(stmt.body, name, name + ".<locals>.",
+                      exempt or f"{stem}.{name}" in NOT_RUN_BY_A_COMMAND, True)
+            elif isinstance(stmt, ast.ClassDef):
+                name = prefix + stmt.name
+                visit(stmt.body, name, name + ".", exempt, True)
+            else:
+                for field in ("body", "orelse", "finalbody"):
+                    visit(getattr(stmt, field, []), owner, prefix, exempt, False)
+                for handler in getattr(stmt, "handlers", []):
+                    visit(handler.body, owner, prefix, True, False)
+
+    visit(ast.parse(source).body, "<module>", "", False, True)
+    return out
+
+
+def test_every_line_is_run_by_a_command_or_listed(every_command):
+    ran = {tuple(row) for row in every_command["ran"]}
+    never = set().union(*(
+        _unrun_lines(path.stem, path.read_text(),
+                     {line for name, line in ran if name == path.name})
+        for path in PACKAGE.glob("*.py")))
+    assert never == set(LINES_NOT_RUN)
+
+
+def test_unrun_lines_are_caught():
+    source = ('"""doc"""\n'
+              "def f(x):\n"                               # 2
+              '    """doc"""\n'
+              "    if x:\n"                               # 4
+              "        y = 1\n"
+              "        raise ValueError(\n"
+              "            y)\n"
+              "    try:\n"                                # 8
+              "        y = 2\n"
+              "    except KeyError:\n"
+              "        y = 3\n"
+              "    return [\n"                            # 12
+              "        y]\n"
+              "class C:\n"                                # 14
+              "    def m(self):\n"                        # 15
+              "        def g():\n"                        # 16
+              "            return 4\n"
+              "        return g\n")
+    ran = {2, 4, 8, 9, 12, 14, 15}
+    assert _unrun_lines("m", source, ran) == {
+        "m.f: y = 1", "m.C.m: def g():", "m.C.m: return g",
+        "m.C.m.<locals>.g: return 4"}
+    # a def of NOT_RUN_BY_A_COMMAND is exempt, nested defs included
+    assert _unrun_lines("resolvent", source.replace("class C", "class QuadraticReport")
+                        .replace("def m", "def stability"), ran) == {"resolvent.f: y = 1"}
 
 
 # Every dataclass field in src/lapkit that no module or demo reads, with

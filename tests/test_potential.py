@@ -106,7 +106,8 @@ def test_sign_flip_fails_hypothesis_one():
     m = standard_model(1.0, 1.0, 1)
     bad = PotentialModel(
         mu=1.0, eps1=1.0, eps1_tilde=1.0,
-        v1=lambda r: -m.v1(r), grad_v1=lambda r: -m.grad_v1(r), dim=1)
+        v1=lambda r: -m.v1(r), grad_v1=lambda r: -m.grad_v1(r), dim=1,
+        symbol_constants=m.symbol_constants)
     checks, witnesses = check_condition(bad, RADII)
     assert not checks[0].passed
     assert witnesses[0] == pytest.approx(0.0)
@@ -121,7 +122,7 @@ def _v2_core(r):
 # measured to break that hypothesis and no other
 HYPOTHESIS_FAULTS = {
     1: {"eps1": 1.5},
-    2: {"symbol_constants": {0: 1.0, 1: 0.5, 2: 3.0}},
+    2: {"symbol_constants": (1.0, 0.5, 3.0)},
     3: {"eps1_tilde": 1.5},
     4: {"v2": lambda r: -0.1 / bracket(r), "v2_tail": (0.5, 1.0, 1.0)},
     5: {"v2": _v2_core},

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 from conftest import (free_resolvent_gaussian, free_resolvent_kernel,
                       lattice_free_kernel)
-from lapkit.besov import (ShellScheme, bstar_norm_dense, loglog_slope,
+from lapkit.besov import (ShellScheme, Stream, bstar_norm_dense, loglog_slope,
                           probe_lower_bound, schur_block_bound, unit_blocks)
 from lapkit.config import parse_config_text
 from lapkit.errors import SolverError
@@ -284,7 +284,7 @@ def test_operator_norm_matches_dense_svd(shape):
     # probe and the quadratic estimate build them
     matvec, rmatvec, dense = _norm_case(shape)
     top = sla.svdvals(dense)[0]
-    est = operator_norm_lower(matvec, rmatvec, dense.shape[0])
+    est = operator_norm_lower(matvec, rmatvec, dense.shape[0], Stream(0))
     assert est.lower == pytest.approx(top, rel=1e-9)
     assert est.lower <= top * (1 + 1e-9)
     assert est.converged
@@ -295,19 +295,19 @@ def test_operator_norm_on_small_matrices():
     # space is at most two-dimensional and Lanczos breaks down after two
     # steps with the exact top
     mat = np.diag([1.0, 1.0, 0.2])
-    est = operator_norm_lower(lambda u: mat @ u, lambda w: mat.T @ w, 3)
+    est = operator_norm_lower(lambda u: mat @ u, lambda w: mat.T @ w, 3, Stream(0))
     assert est.lower == pytest.approx(1.0, abs=1e-12)
     assert est.converged
     assert est.iterations == 2
     zero = np.zeros((3, 3))
-    est = operator_norm_lower(lambda u: zero @ u, lambda w: zero @ w, 3)
+    est = operator_norm_lower(lambda u: zero @ u, lambda w: zero @ w, 3, Stream(0))
     assert est.lower == 0.0
     assert est.converged
 
 
 def test_zero_weights_trivial():
     h_op = build_hamiltonian(MODEL, Grid1D(20.0, 128))
-    est = weighted_opnorm(h_op, Z0, np.zeros(128), np.ones(128))
+    est = weighted_opnorm(h_op, Z0, np.zeros(128), np.ones(128), Stream(0))
     assert est.lower == 0.0
 
 
@@ -345,7 +345,7 @@ def test_spectral_distance_rejects_non_real_tridiagonal():
 
 def _check_bracket(grid, z):
     h_op = build_hamiltonian(MODEL, grid)
-    est = besov_bstar_estimate(h_op, z, sweep_weight(z, grid), grid)
+    est = besov_bstar_estimate(ShiftedSolver(h_op, z), sweep_weight(z, grid), grid)
     fh = np.sqrt(weight_f(WeightParams(abs(z), 1.0, 1.0), grid.nodes))
     dense = fh[:, None] * sla.inv(h_op.toarray() - z * np.eye(grid.size)) * fh
     exact = bstar_norm_dense(dense, np.abs(grid.nodes))
@@ -394,7 +394,7 @@ def test_kernel_rejects_pentadiagonal_operator():
     with pytest.raises(ValueError, match="tridiagonal"):
         TridiagonalResolvent(solver.matrix, Z0)
     with pytest.raises(ValueError, match="tridiagonal"):
-        besov_bstar_estimate(solver, Z0, sweep_weight(Z0, grid), grid)
+        besov_bstar_estimate(solver, sweep_weight(Z0, grid), grid)
 
 
 def test_kernel_residual_failure_raises(monkeypatch):
@@ -463,8 +463,8 @@ def test_block_sup_equals_the_all_rows_max(grid):
     h_op = build_hamiltonian(MODEL, grid)
     absx = np.abs(grid.nodes)
     center = int(np.argmin(absx))
-    shell_of, _ = ShellScheme().shell_indices(absx)
-    groupings = [unit_blocks(absx), (shell_of, ShellScheme().shells(absx)[0])]
+    shell_of, _ = ShellScheme(2.0).shell_indices(absx)
+    groupings = [unit_blocks(absx), (shell_of, ShellScheme(2.0).shells(absx)[0])]
     for z in (m * RAY for m in (1e-1, 1e-2, 1e-3, 1e-4)):
         kernel = TridiagonalResolvent(h_op, z)
         f = sweep_weight(z, grid)
@@ -529,7 +529,7 @@ def test_separated_shell_pairs_are_exact():
     h_op = build_hamiltonian(MODEL, grid)
     absx = np.abs(grid.nodes)
     center = int(np.argmin(absx))
-    shell_of, radii = ShellScheme().shell_indices(absx)
+    shell_of, radii = ShellScheme(2.0).shell_indices(absx)
     block_of, blocks = unit_blocks(absx)
     assert np.count_nonzero(np.bincount(shell_of)) >= 4
     for z in (Z0, 1e-3 * RAY):
@@ -552,7 +552,7 @@ def test_diagonal_shell_pairs_match_dense_svd():
     # shell's own block norm over its radius, and that shell
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
-    shell_of, radii = ShellScheme().shell_indices(np.abs(grid.nodes))
+    shell_of, radii = ShellScheme(2.0).shell_indices(np.abs(grid.nodes))
     for z in (m * RAY for m in (1e-1, 1e-2, 1e-3, 1e-4)):
         fh, dense = _dense_weighted_resolvent(h_op, grid, z)
         kernel = TridiagonalResolvent(h_op, z)
@@ -587,7 +587,7 @@ def test_diagonal_shell_pairs_factor_once(monkeypatch):
 
     band_lu = resolvent._band_lu
     monkeypatch.setattr(resolvent, "_band_lu", counted)
-    shell_of, radii = ShellScheme().shell_indices(np.abs(grid.nodes))
+    shell_of, radii = ShellScheme(2.0).shell_indices(np.abs(grid.nodes))
     _, _, steps, _ = _diagonal_shell_pairs(kernel, solver, fh, shell_of, radii)
     gaps = sum(np.count_nonzero(np.diff(np.flatnonzero(shell_of == j)) != 1)
                for j in range(len(radii)))
@@ -631,7 +631,7 @@ def test_besov_estimate_runs_one_lanczos(monkeypatch):
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
     z = 1e-3 * RAY
-    est = besov_bstar_estimate(h_op, z, sweep_weight(z, grid), grid)
+    est = besov_bstar_estimate(ShiftedSolver(h_op, z), sweep_weight(z, grid), grid)
     assert len(calls) == 1
     assert est.lanczos_steps > 2
 
@@ -643,7 +643,7 @@ def test_besov_lower_is_the_shell_dual_norm():
     absx = np.abs(grid.nodes)
     for z in (1e-1 * RAY, 1e-3 * RAY):
         _, dense = _dense_weighted_resolvent(h_op, grid, z)
-        est = besov_bstar_estimate(h_op, z, sweep_weight(z, grid), grid)
+        est = besov_bstar_estimate(ShiftedSolver(h_op, z), sweep_weight(z, grid), grid)
         exact = bstar_norm_dense(dense, absx)
         assert est.lower == pytest.approx(exact, rel=1e-9)
         assert est.converged
@@ -658,23 +658,28 @@ def test_besov_estimate_runs_no_power_iteration(monkeypatch):
     monkeypatch.setattr(resolvent, "operator_norm_lower", refuse)
     monkeypatch.setattr(resolvent, "weighted_opnorm", refuse)
     grid = Grid1D(20.0, 128)
-    est = besov_bstar_estimate(build_hamiltonian(MODEL, grid), Z0, sweep_weight(Z0, grid),
-                               grid)
+    est = besov_bstar_estimate(ShiftedSolver(build_hamiltonian(MODEL, grid), Z0),
+                               sweep_weight(Z0, grid), grid)
     assert 0 < est.lower <= est.upper
 
 
-def test_besov_estimate_shares_a_solver():
-    # a ShiftedSolver factorized at z stands in for the operator
+def test_besov_estimate_shares_a_solver(monkeypatch):
+    # the sweep's one factorization of H - z serves both estimators, and
+    # neither factorizes again; the estimate reads z off the solver
+    import lapkit.resolvent as resolvent
+
     grid = Grid1D(20.0, 128)
-    h_op = build_hamiltonian(MODEL, grid)
-    solver = ShiftedSolver(h_op, Z0)
-    shared = besov_bstar_estimate(solver, Z0, sweep_weight(Z0, grid), grid)
-    own = besov_bstar_estimate(h_op, Z0, sweep_weight(Z0, grid), grid)
-    assert (shared.lower, shared.upper) == (own.lower, own.upper)
-    assert (shared.lanczos_steps, shared.converged) == (own.lanczos_steps, own.converged)
-    assert weighted_opnorm(solver, Z0, np.ones(128), np.ones(128)).lower > 0
+    solver = ShiftedSolver(build_hamiltonian(MODEL, grid), Z0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second factorization of H - z")
+
+    monkeypatch.setattr(resolvent.ShiftedSolver, "__init__", refuse)
+    est = besov_bstar_estimate(solver, sweep_weight(Z0, grid), grid)
+    assert 0 < est.lower <= est.upper
+    assert weighted_opnorm(solver, Z0, np.ones(128), np.ones(128), Stream(0)).lower > 0
     with pytest.raises(ValueError):
-        besov_bstar_estimate(solver, 0.1j, sweep_weight(0.1j, grid), grid)
+        weighted_opnorm(solver, 0.1j, np.ones(128), np.ones(128), Stream(0))
 
 
 def test_besov_estimate_scales_linearly(rng):
@@ -737,7 +742,7 @@ def test_hoelder_unconverged_pair_leaves_the_fit(monkeypatch):
     zs = [0.7**k * cmath.exp(1j * ray) for k in range(5)]
     rep = hoelder_estimate(h_op, MODEL.s0 + 0.05,
                            [(zs[i], zs[i + 1]) for i in range(4)], grid,
-                           s0=MODEL.s0)
+                           s0=MODEL.s0, rng=Stream(0))
     assert rep.unconverged == 1
     kept = [row for i, row in enumerate(rep.pairs) if i != 1]
     assert rep.fitted_gamma == pytest.approx(loglog_slope(
@@ -755,7 +760,7 @@ def test_hoelder_out_of_hypothesis_flag(rng):
     assert not rep.in_hypothesis
     assert math.isfinite(rep.sup_quotient)
     with pytest.raises(ValueError):
-        hoelder_estimate(h_op, 0.8, pairs[:2], grid)
+        hoelder_estimate(h_op, 0.8, pairs[:2], grid, rng=rng)
 
 
 # ---------------------------------------------------------------------------

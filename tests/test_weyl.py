@@ -108,13 +108,47 @@ def test_block_apply_equals_column_applies(mode, rng):
     for j in range(2):
         single = weyl_apply(symbol, GRID, block[:, j].copy(), band=band)
         assert np.array_equal(both[:, j], single)
-    results = radiation_filter(block, spec, m, GRID, mode=mode)
+
+
+# each mode's filter of an (n, 2) block against the filters of its (n, 1)
+# columns, bit for bit: the defects of one bank call per ladder and the
+# degeneracy flags; run in this process and in a fresh interpreter with
+# two OpenBLAS threads
+FILTER_COLUMNS_RUN = """
+import numpy as np
+from lapkit.besov import Stream
+from lapkit.operators import Grid1D, gaussian_probe
+from lapkit.potential import standard_model
+from lapkit.weyl import FilterSpec, radiation_filter
+model, grid = standard_model(1.0, 1.0, 1), Grid1D(100.0, 1024)
+spec = FilterSpec.for_model(model)
+gauss = Stream(3).standard_normal((2, 1024))
+u = gaussian_probe(grid, width=2.0) + 1e-3 * (gauss[0] + 1j * gauss[1])
+block = np.column_stack((u, np.conj(u)))     # as radiation filters u_plus
+mismatched = []
+for mode in ("outgoing", "high", "mirrored"):
+    results = radiation_filter(block, spec, model, grid, mode=mode)
     assert len(results) == 2
     for j, res in enumerate(results):
-        one = radiation_filter(block[:, j].copy(), spec, m, GRID, mode=mode)
-        assert res.degenerate == one.degenerate
-        assert np.array_equal(res.ball_defect, one.ball_defect)
-        assert np.array_equal(res.annulus_defect, one.annulus_defect)
+        one, = radiation_filter(block[:, j:j + 1].copy(), spec, model, grid, mode=mode)
+        if not (res.degenerate == one.degenerate
+                and np.array_equal(res.ball_defect, one.ball_defect)
+                and np.array_equal(res.annulus_defect, one.annulus_defect)):
+            mismatched.append((mode, j))
+print(mismatched)
+"""
+
+
+@pytest.mark.parametrize("threads", [None, "2"], ids=["this-process", "two-threads"])
+def test_filter_of_a_block_equals_the_filters_of_its_columns(threads, capsys):
+    if threads is None:
+        exec(FILTER_COLUMNS_RUN, {})
+        out = capsys.readouterr().out
+    else:
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", FILTER_COLUMNS_RUN], env=env,
+                             capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 DESK_GRID = Grid1D(100.0, 1024)     # the desk spacing on a quarter box
@@ -395,7 +429,7 @@ def test_smoothstep_is_the_full_polynomial_byte_for_byte(rng):
 
 
 def test_cutoff_supports():
-    spec = FilterSpec(plateau_end=2.0, sigma_cut=0.5)
+    spec = FilterSpec(plateau_end=2.0)
     t = np.linspace(-3, 5, 400)
     chi = spec.chi_minus(t)
     assert np.all(chi[(t >= 0) & (t <= 2.0)] == 1.0)
@@ -422,7 +456,7 @@ def _rise_times_fall(spec):
         return profile(t, 1.0, spec.plateau_end, FALL_WIDTH)
 
     def chi_tilde_minus(t):
-        return profile(t, 5.0, spec.sigma_cut - TILDE_WIDTH, TILDE_WIDTH)
+        return profile(t, 5.0, SIGMA_CUT - TILDE_WIDTH, TILDE_WIDTH)
 
     return {"chi_minus": chi_minus,
             "chi_plus": lambda t: 1.0 - chi_minus(t),
@@ -430,10 +464,9 @@ def _rise_times_fall(spec):
             "chi_tilde_mirror": lambda t: chi_tilde_minus(-np.asarray(t, dtype=float))}
 
 
-# a plain spec, the desk spec, and a direction fall overlapping its rise
-CUTOFF_SPECS = [FilterSpec(plateau_end=2.0, sigma_cut=0.5),
-                FilterSpec.for_model(standard_model(1.0, 1.0, 1)),
-                FilterSpec(plateau_end=0.5, sigma_cut=-4.2)]
+# a plain spec and the desk spec
+CUTOFF_SPECS = [FilterSpec(plateau_end=2.0),
+                FilterSpec.for_model(standard_model(1.0, 1.0, 1))]
 
 
 @pytest.mark.parametrize("spec", CUTOFF_SPECS)
@@ -442,7 +475,7 @@ def test_cutoffs_are_rise_times_fall_bit_for_bit(spec, rng):
     # both ramps, both plateaus and at the skip points the values keep
     # every bit, for arrays and for scalars
     marks = np.array([-5.0, -4.0, -1.0, 0.0, 4.0, 5.0, spec.plateau_end,
-                      spec.kinetic_reach, spec.sigma_cut, spec.sigma_cut - TILDE_WIDTH])
+                      spec.kinetic_reach, SIGMA_CUT, SIGMA_CUT - TILDE_WIDTH])
     near = np.concatenate([marks, -marks, np.nextafter(marks, -np.inf),
                            np.nextafter(marks, np.inf), np.nextafter(-marks, -np.inf),
                            np.nextafter(-marks, np.inf),
@@ -482,7 +515,7 @@ def test_filter_symbols_are_products_of_the_profiles(mode):
 
 def test_filter_spec_validation():
     with pytest.raises(ValueError):
-        FilterSpec(plateau_end=0.0, sigma_cut=0.5)
+        FilterSpec(plateau_end=0.0)
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.0, 1.5])
@@ -491,7 +524,7 @@ def test_filter_spec_for_model_is_the_calibrated_shape(mu):
     # the one calibration every radiation filter uses
     m = standard_model(1.0, mu, 1)
     spec = FilterSpec.for_model(m)
-    assert spec == FilterSpec(plateau_end=m.c0_prime() + 2.0, sigma_cut=0.5)
+    assert spec == FilterSpec(plateau_end=m.c0_prime() + 2.0)
     assert (FALL_WIDTH, TILDE_WIDTH, SIGMA_CUT) == (1.0, 0.8, 0.5)
     assert spec.kinetic_reach == pytest.approx(m.c0_prime() + 3.0)
 
@@ -509,8 +542,8 @@ def test_zero_tilde_cutoff_degenerate():
         def chi_tilde_minus(self, t):
             return np.zeros_like(np.asarray(t, dtype=float))
 
-    dead = ZeroTilde(plateau_end=m.c0_prime() + 1.0, sigma_cut=0.5)
-    res = radiation_filter(u, dead, m, g, mode="outgoing")
+    dead = ZeroTilde(plateau_end=m.c0_prime() + 1.0)
+    res, = radiation_filter(u[:, None], dead, m, g, mode="outgoing")
     assert res.degenerate
     assert np.all(res.ball_defect == 0.0)
 
@@ -520,21 +553,18 @@ def test_compact_support_defect_decays():
     g = Grid1D(40.0, 512)
     u = gaussian_probe(g, width=1.5)
     spec = FilterSpec.for_model(m)
-    res = radiation_filter(u, spec, m, g, mode="outgoing")
+    res, = radiation_filter(u[:, None], spec, m, g, mode="outgoing")
     # smooth compactly supported input: ladder decays past the support
     assert res.ball_slope <= -0.2
     assert not res.degenerate
 
 
-def test_outgoing_sigma_contract():
+def test_unknown_filter_mode_is_refused():
     m = standard_model(1.0, 1.0, 1)
     g = Grid1D(40.0, 256)
-    # a library caller may build a direction cut the outgoing filter refuses
-    spec = FilterSpec(plateau_end=m.c0_prime() + 2.0, sigma_cut=1.5)
+    spec = FilterSpec.for_model(m)
     with pytest.raises(ValueError):
-        radiation_filter(gaussian_probe(g), spec, m, g, mode="outgoing")
-    with pytest.raises(ValueError):
-        radiation_filter(gaussian_probe(g), spec, m, g, mode="sideways")
+        radiation_filter(gaussian_probe(g)[:, None], spec, m, g, mode="sideways")
 
 
 def test_loglog_slope_and_ladder():
