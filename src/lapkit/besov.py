@@ -17,8 +17,9 @@ shells partition the index set, so no quadrature or truncation error
 enters.  Alongside the norms this module carries numerical checks of
 the base-change, scaling and power-map inequalities that the norms
 satisfy: each returns a ``reports.CheckResult`` against its explicit
-constant, with a witness row when one breaks it.  The unit-block sup
-and a probe pairing bracket an operator norm from above and below.
+constant, with a witness row when one breaks it.  Dense oracles give
+an operator's norm from the shell space to its dual exactly, twice its
+unit-block sup above it, and block constants over an accretive sup.
 
 The norms take a bank, an (m, n) array of sample rows, bin the
 spectrum once per call and return one value per row.
@@ -50,7 +51,6 @@ __all__ = [
     "verify_power_map",
     "unit_blocks",
     "schur_block_bound",
-    "probe_lower_bound",
     "accretive_bound",
     "bstar_norm_dense",
     "Stream",
@@ -367,7 +367,7 @@ def verify_base_equivalence(samples, a, p: float) -> tuple[CheckResult, list | N
     ratio exceeds 1.
     """
     c_to, c_from = base_equivalence_constants(p)
-    bank = np.atleast_2d(np.asarray(samples, dtype=complex))
+    bank = np.asarray(samples, dtype=complex)
     nb = besov_norm(bank, a, ShellScheme(2.0))
     npnorm = besov_norm(bank, a, ShellScheme(p))
     # a row has both norms zero or neither: the same |u|^2 fill the shells
@@ -396,7 +396,7 @@ def verify_scaling(samples, a, c: float) -> tuple[CheckResult, list | None]:
     vals = as_spectrum_values(a)
     scheme = ShellScheme(2.0)
     small = abs(c) <= 1.0
-    bank = np.atleast_2d(np.asarray(samples, dtype=complex))
+    bank = np.asarray(samples, dtype=complex)
     if small:
         bank = np.where(np.abs(c * vals) >= 1.0, bank, 0.0)
     nb = besov_norm(bank, vals, scheme)
@@ -442,7 +442,7 @@ def verify_power_map(samples, a, s: float) -> tuple[CheckResult, list | None]:
     s_inv = -s / (1.0 + s)
     c_inv = power_map_constant(s_inv)
     powered = vals ** (1.0 + s)
-    bank = np.atleast_2d(np.asarray(samples, dtype=complex))
+    bank = np.asarray(samples, dtype=complex)
     nb = besov_norm(bank, vals, scheme)
     fwd = _masked_ratio(besov_norm(vals ** (-s / 2.0) * bank, powered, scheme),
                         c_fwd * nb, nb > 0.0)
@@ -505,22 +505,6 @@ def schur_block_bound(T, a) -> float:
             pairs = pairs.reshape(-1, rows.shape[1], cols.shape[1])
             best = max(best, _spectral_norm(pairs[pairs.any(axis=(1, 2))]))
     return best
-
-
-def probe_lower_bound(T, a, rng) -> float:
-    """Lower bound on the B(A) -> B(A)* norm of a dense matrix: the best
-    dual pairing |<w, T u>| of two banks of 32 random probes (plus the
-    shell-boundary ones) normalized in the Besov norm."""
-    T, vals = _operator(T, a)
-    scheme = ShellScheme(2.0)
-    probes_u = sample_vectors(vals, scheme, 32, rng)
-    probes_w = sample_vectors(vals, scheme, 32, rng)
-    bu = besov_norm(probes_u, vals, scheme)
-    bw = besov_norm(probes_w, vals, scheme)
-    # per-row vdot: a batched inner product rounds differently
-    pairing = np.array([abs(np.vdot(w, T @ u)) for u, w in zip(probes_u, probes_w)])
-    return float(np.max(_masked_ratio(pairing, bu * bw, (bu != 0.0) & (bw != 0.0)),
-                        initial=0.0))
 
 
 def accretive_bound(T, a) -> float | None:

@@ -22,8 +22,8 @@ from .errors import ConfigError
 from .grids import Grid1D, RadialGrid
 from .operators import build_hamiltonian, gaussian_probe, matched_absorber
 from .potential import (PotentialModel, WeightParams, bracket,
-                        check_condition, model_from_config, weight_exponent,
-                        weight_f)
+                        check_condition, model_from_config, standard_model,
+                        weight_exponent, weight_f)
 from .reports import CheckResult, Report
 from .resolvent import (RAY, ShiftedSolver, besov_bstar_estimate,
                         boundary_value, spectral_distance, weighted_opnorm)
@@ -191,30 +191,38 @@ def run_besov_selftest(cfg: ExperimentConfig) -> Report:
             if not check.passed and witness is not None:
                 report.extras[f"{key}{arg:g}"] = witness
 
-    # unit-width block bound against the dense shell-pair norm (N <= 128),
-    # the worse side of the sandwich
-    n_small = 128
-    small_grid = Grid1D(16.0, n_small)
-    a_small = np.abs(small_grid.nodes)
-    body = rng.standard_normal((n_small, n_small)) + 1j * rng.standard_normal((n_small, n_small))
-    band = np.abs(np.subtract.outer(np.arange(n_small), np.arange(n_small))) <= 8
-    t_band = np.where(band, body, 0.0)
-    lower = besov.probe_lower_bound(t_band, a_small, rng)
-    upper = 2.0 * besov.schur_block_bound(t_band, a_small)
-    exact = besov.bstar_norm_dense(t_band, a_small)
-    report.add(CheckResult("unit-block-sandwich", "unit-block-factor-2",
-                           max(lower / exact, exact / upper if upper else math.inf),
-                           1 + 1e-9, "<=",
-                           "probe lower <= exact shell-dual norm <= 2 x block sup"))
-    report.extras["unit_block"] = {"probe_lower": lower, "exact": exact, "upper": upper}
-
-    # accretive block combination; no bound (T not accretive) reads inf
-    t_acc = np.eye(n_small) + np.where(band, body - body.conj().T, 0.0)
-    bound = besov.accretive_bound(t_acc, a_small)
-    report.add(CheckResult("accretive-blocks", "accretive-block-combination",
-                           besov.schur_block_bound(t_acc, a_small) / bound
-                           if bound else math.inf,
-                           1 + 1e-9, "<=", "block sup dominated by 2C1 + C2 + C3"))
+    # the sweep's shell-space bracket of T = f^{1/2} R(z) f^{1/2} (f at
+    # lambda = |z|, K = 1) against the dense oracles, with T from a dense
+    # inverse that shares no code with the sweep's kernel; -iT is
+    # accretive (Im R(z) = Im z R*R >= 0) and ||F(-iT)F|| = ||FTF||, so
+    # one unit-block sup serves the upper side and the accretive bound
+    grid = Grid1D(16.0, 128)
+    h_op = build_hamiltonian(standard_model(1.0, 1.0, 1), grid)
+    z = 1e-2 * RAY
+    f = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=1.0), grid.nodes)
+    est = besov_bstar_estimate(ShiftedSolver(h_op, z), f, grid)
+    fh, absx = np.sqrt(f), np.abs(grid.nodes)
+    t = fh[:, None] * np.linalg.inv(h_op.toarray() - z * np.eye(grid.size)) * fh
+    exact = besov.bstar_norm_dense(t, absx)
+    sup = besov.schur_block_bound(t, absx)
+    bound = besov.accretive_bound(-1j * t, absx)
+    for check_id, anchor, value, threshold, description in (
+            ("bracket-lower-exact", "shell-pair-optimum", abs(est.lower / exact - 1),
+             1e-12, "the sweep's lower bound is the exact shell-dual norm"),
+            ("bracket-upper-block-sup", "unit-block-factor-2",
+             abs(est.upper / (2.0 * sup) - 1), 1e-12,
+             "the sweep's upper bound is twice the dense unit-block sup"),
+            ("unit-block-bracket", "unit-block-factor-2",
+             max(est.lower / exact, exact / est.upper), 1 + 1e-9,
+             "lower <= exact shell-dual norm <= 2 x block sup"),
+            ("accretive-blocks-resolvent", "accretive-block-combination",
+             sup / bound if bound else math.inf, 1 + 1e-9,
+             "block sup of -iT dominated by 2C1 + C2 + C3")):
+        report.add(CheckResult(check_id, anchor, value, threshold, "<=", description))
+    report.extras["unit_block"] = {"z": [z.real, z.imag], "lower": est.lower,
+                                   "exact": exact, "upper": est.upper,
+                                   "lanczos_steps": est.lanczos_steps,
+                                   "converged": est.converged}
     return report
 
 

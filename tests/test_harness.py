@@ -181,7 +181,7 @@ def test_selftest_fault_injection(monkeypatch):
         rep = run_besov_selftest(cfg)
     assert {c.check_id for c in rep.checks if not c.passed} == {
         "duality-sandwich", "weight-scaling-c4", "weight-scaling-c0.333333",
-        "unit-block-sandwich"}
+        "bracket-upper-block-sup"}
     # the banks are the experiment's first draws; redo each rule row by row
     rng = besov.Stream(cfg.seed)
     scheme = besov.ShellScheme(2.0)
@@ -252,9 +252,9 @@ def test_failing_base_equivalence_records_its_witness(monkeypatch):
         "base_equivalence_witness_p4"]
 
 
-def _scale_profile(field, factor):
-    """A ``shell_decompose`` change: the profile's ``field`` times ``factor``."""
-    return lambda prof, args: replace(prof, **{field: getattr(prof, field) * factor})
+def _scale_field(field, factor):
+    """A change of a dataclass result: its ``field`` times ``factor``."""
+    return lambda result, args: replace(result, **{field: getattr(result, field) * factor})
 
 
 # the selftest checks no test above breaks: (module, name, change of the
@@ -262,11 +262,11 @@ def _scale_profile(field, factor):
 SELFTEST_FAULTS = {
     # shell norms 1e-9 too large: their squares no longer sum to |u|^2
     "shell-partition-exactness": (
-        besov, "shell_decompose", _scale_profile("shell_norms", 1 + 1e-9),
+        besov, "shell_decompose", _scale_field("shell_norms", 1 + 1e-9),
         {"shell-partition-exactness"}),
     # the profile's Besov norms 1e-9 too large against freshly scaled ones
     "norm-homogeneity": (
-        besov, "shell_decompose", _scale_profile("besov", 1 + 1e-9),
+        besov, "shell_decompose", _scale_field("besov", 1 + 1e-9),
         {"norm-homogeneity"}),
     # the sharp per-spectrum embedding constant halved
     "embedding-chain": (
@@ -276,9 +276,22 @@ SELFTEST_FAULTS = {
     "power-map": (
         besov, "power_map_constant", lambda c, args: c / 100.0,
         {"power-map-s1", "power-map-s-0.5"}),
+    # the sweep's lower bound 1e-9 short of the exact shell-dual norm: the
+    # bracket still holds, the sharp check does not
+    "bracket-lower-exact": (
+        experiments, "besov_bstar_estimate", _scale_field("lower", 1 - 1e-9),
+        {"bracket-lower-exact"}),
+    # the sweep's unit-block sup halved
+    "bracket-upper-block-sup": (
+        resolvent, "_block_sup", lambda sup, args: sup / 2.0, {"bracket-upper-block-sup"}),
+    # the sweep's lower bound doubled, above the exact norm
+    "unit-block-bracket": (
+        experiments, "besov_bstar_estimate", _scale_field("lower", 2.0),
+        {"bracket-lower-exact", "unit-block-bracket"}),
     # the combined one-sided block constants ten times too small
-    "accretive-blocks": (
-        besov, "accretive_bound", lambda bound, args: bound / 10.0, {"accretive-blocks"}),
+    "accretive-blocks-resolvent": (
+        besov, "accretive_bound", lambda bound, args: bound / 10.0,
+        {"accretive-blocks-resolvent"}),
 }
 
 
@@ -294,38 +307,41 @@ def test_each_selftest_check_fails_alone(fault, monkeypatch):
         if fault == "power-map" else set())
 
 
-def test_unit_block_sandwich_reports_its_lower_side(monkeypatch):
-    # a probe pairing above the exact norm breaks the sandwich from below,
-    # and the reported value shows it
-    _patch_result(monkeypatch, besov, "probe_lower_bound",
-                  lambda lower, args: 2.0 * besov.bstar_norm_dense(args[0], args[1]))
+@pytest.mark.parametrize("side, factor", [("lower", 2.0), ("upper", 0.1)],
+                         ids=["lower", "upper"])
+def test_unit_block_bracket_reports_the_worse_side(side, factor, monkeypatch):
+    # a lower bound above the exact norm, or an upper one below it, breaks
+    # the bracket on that side, and the reported value and extras show it
+    _patch_result(monkeypatch, experiments, "besov_bstar_estimate",
+                  _scale_field(side, factor))
     rep = run_besov_selftest(parse_config_text(SMALL_SELFTEST))
-    check = next(c for c in rep.checks if c.check_id == "unit-block-sandwich")
-    assert not check.passed
+    check = next(c for c in rep.checks if c.check_id == "unit-block-bracket")
     unit = rep.extras["unit_block"]
-    assert check.value == unit["probe_lower"] / unit["exact"]
+    assert check.value == (unit["lower"] / unit["exact"] if side == "lower"
+                           else unit["exact"] / unit["upper"])
     assert check.value > check.threshold
-    assert [c.check_id for c in rep.checks if not c.passed] == ["unit-block-sandwich"]
+    assert not check.passed
 
 
-def test_selftest_draws_five_banks_and_tests_accretivity_once(monkeypatch):
-    # three sample banks and the banded matrix's two probe banks; only the
-    # accretive matrix is tested for accretivity
+def test_selftest_draws_three_banks_and_tests_accretivity_once(monkeypatch):
+    # the three sample banks; the one eigvalsh of a full 128 x 128 matrix
+    # is accretive_bound's test of -iT (the sweep's estimate takes those of
+    # its small diagonal-block Gram matrices)
     calls = {"sample_vectors": 0, "eigvalsh": 0}
 
-    def count(module, name):
+    def count(module, name, counts):
         real = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += counts(*args)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
-    count(besov, "sample_vectors")
-    count(np.linalg, "eigvalsh")
+    count(besov, "sample_vectors", lambda *args: True)
+    count(np.linalg, "eigvalsh", lambda m: m.shape == (128, 128))
     assert run_besov_selftest(parse_config_text(SMALL_SELFTEST)).passed
-    assert calls == {"sample_vectors": 5, "eigvalsh": 1}
+    assert calls == {"sample_vectors": 3, "eigvalsh": 1}
 
 
 def test_sweep_csv_schema(tmp_path):

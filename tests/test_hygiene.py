@@ -105,7 +105,7 @@ def test_settable_values_do_not_grow():
 
 # Ceiling on the package's source lines (all of src/lapkit, blank lines
 # and comments included); like SETTABLE_CEILING it may only fall.
-LINE_CEILING = 3523
+LINE_CEILING = 3515
 
 
 def test_source_lines_do_not_grow():
@@ -313,7 +313,9 @@ moduli = 1e-1, 3e-2
 
 # every command in one fresh interpreter, traced from before lapkit
 # loads: each package frame is recorded by its code object, and each line
-# it runs by (file name, line number); other frames are not line-traced
+# it runs by (file name, line number); other frames are not line-traced.
+# Run k writes into its own directory out/k; the fixture returns the
+# names of the files in each
 EVERY_COMMAND_RUN = """
 import json, os, sys
 out, free, package = sys.argv[1:]
@@ -336,22 +338,25 @@ def record(frame, event, arg):
     return None
 
 
+runs = (("besov-selftest", "demos/configs/selftest.cfg", "--seed", "1"),
+        ("check-potential", "demos/configs/coulomb_check.cfg"),
+        ("check-potential", "demos/configs/standard1d.cfg"),
+        ("lap-sweep", "demos/configs/standard1d.cfg"),
+        ("lap-sweep", free),
+        ("radiation", "demos/configs/radiation.cfg"),
+        ("uniqueness", "demos/configs/radiation.cfg"),
+        ("export-operator", "demos/configs/coulomb_check.cfg"))
+dirs = [os.path.join(out, str(k)) for k in range(len(runs))]
 sys.settrace(record)
 from lapkit.cli import main
-codes = [main([command, "--config", config, "--output", out, *seed])
-         for command, config, *seed in (
-             ("besov-selftest", "demos/configs/selftest.cfg", "--seed", "1"),
-             ("check-potential", "demos/configs/coulomb_check.cfg"),
-             ("check-potential", "demos/configs/standard1d.cfg"),
-             ("lap-sweep", "demos/configs/standard1d.cfg"),
-             ("lap-sweep", free),
-             ("radiation", "demos/configs/radiation.cfg"),
-             ("uniqueness", "demos/configs/radiation.cfg"),
-             ("export-operator", "demos/configs/coulomb_check.cfg"))]
+codes = [main([command, "--config", config, "--output", path, *seed])
+         for path, (command, config, *seed) in zip(dirs, runs)]
 sys.settrace(None)
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 unloaded = ("numpy.ma", "numpy.random", "secrets", "hashlib")
 print(json.dumps({"codes": codes, "scipy": scipy,
+                  "written": [sorted(os.listdir(d)) if os.path.isdir(d) else None
+                              for d in dirs],
                   "loaded": [m for m in unloaded if m in sys.modules],
                   "entered": sorted([os.path.basename(c.co_filename),
                                      c.co_firstlineno, c.co_name] for c in entered),
@@ -378,6 +383,24 @@ def every_command(tmp_path_factory):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# the files each run of the fixture writes, in run order
+WRITTEN = [
+    ["besov-selftest_report.json"],
+    ["check-potential_report.json"],
+    ["check-potential_report.json"],
+    ["lap-sweep.csv", "lap-sweep_report.json"],
+    ["lap-sweep.csv", "lap-sweep_report.json"],
+    ["radiation_report.json", "radiation_source.f64", "radiation_source.json",
+     "radiation_u_plus.f64", "radiation_u_plus.json"],
+    ["uniqueness_report.json", "uniqueness_u_plus.f64", "uniqueness_u_plus.json"],
+    ["operator_H.txt"],
+]
+
+
+def test_each_command_run_writes_its_own_files(every_command):
+    assert every_command["written"] == WRITTEN
+
+
 def test_numpy_only_commands_load_no_scipy(every_command):
     assert every_command["codes"] == [0] * 8
     assert every_command["scipy"] == []
@@ -397,7 +420,6 @@ NOT_RUN_BY_A_COMMAND = {
     "config.config_schema_text": "printed with an unknown section or key",
     # oracles and references
     "weyl.weyl_matrix": "the dense quantization weyl_apply is tested against; demo 05",
-    "operators.BandMatrix.toarray": "the dense form band operators are tested against",
     "weyl.FilterSpec.chi_tilde_mirror":
         "the mirrored filter the outgoing filter of conj(u) is tested against",
     # demos 04 and 05
