@@ -49,7 +49,7 @@ cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy)
 v = np.exp(-x**2 / 8.0).astype(complex)
 res = boundary_value(h_op + cap, v, grid, weight_exponent(model.mu))
 print(f"  converged: {res.converged} after {len(res.z_values)} rungs, "
-      f"final |z| = {abs(res.final_z):.1e}")
+      f"final |z| = {abs(res.z_values[-1]):.1e}")
 print("  difference ladder:",
       " ".join(f"{d:.1e}" for d in res.diffs[:8]), "...")
 ratios = [res.diffs[i + 1] / res.diffs[i] for i in range(len(res.diffs) - 1)]

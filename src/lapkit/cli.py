@@ -41,8 +41,6 @@ def _print_checks(report: Report) -> None:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {check.check_id}  "
               f"{check.value:.13g} {check.comparison} {check.threshold:.13g}")
-    if report.inconclusive:
-        print("[NOTE] report marked inconclusive")
 
 
 def main(argv=None) -> int:

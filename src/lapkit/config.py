@@ -47,7 +47,6 @@ SCHEMA = {
     "experiment": {
         "id": (str, "lap-sweep", "one of: " + ", ".join(EXPERIMENT_IDS)),
         "seed": (int, 0, "seed of lap-sweep's weighted-norm Lanczos starts and selftest banks"),
-        "samples": (int, 200, "random samples per inequality"),
     },
     "output": {
         "directory": (str, "out", "where reports, CSV, vectors land"),
@@ -118,8 +117,6 @@ def _resolve(parser: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError("sector grid is empty: no moduli given")
     if not all(0.0 < m <= LAMBDA0 for m in sector["moduli"]):
         raise ConfigError("sector.moduli must lie in (0, lambda0]")
-    if not resolved["experiment"]["samples"] >= 1:
-        raise ConfigError("experiment.samples must be at least 1")
     return ExperimentConfig(**resolved)
 
 

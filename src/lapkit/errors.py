@@ -14,5 +14,4 @@ class ConfigError(Exception):
 
 
 class SolverError(RuntimeError):
-    """A linear solve failed or did not reach the requested residual, or a
-    boundary-value ladder stopped decreasing (the message quotes its ladder)."""
+    """A linear solve failed or did not reach the requested residual."""

@@ -175,30 +175,26 @@ def gaussian_probe(grid, center: float = 0.0, width: float = 1.0) -> np.ndarray:
 
 
 def commutator_residual(hm: BandMatrix, am: BandMatrix,
-                        model: PotentialModel | None, grid,
-                        probes=None) -> float:
+                        model: PotentialModel | None, grid) -> float:
     """Residual of the virial identity i[H, A] = 2H + W on smooth probes.
 
     Returns max over the probe bank of ||(i[H,A] - 2H - W) phi|| / ||phi||.
     The identity holds for the smooth part of the potential only, so
     the Hamiltonian must be built without V2.  Probes overlapping the
-    boundary band are rejected.
+    boundary band (on a small box) are rejected.
     """
     if model is not None and model.v2 is not None:
         raise ValueError("virial identity check requires V2 = 0")
     x = grid.nodes
-    if probes is None:
-        probes = [gaussian_probe(grid, center=c, width=w)
-                  for c in (0.0 if isinstance(grid, Grid1D) else grid.length / 4,)
-                  for w in (1.0, 2.0)]
-        probes.append(gaussian_probe(grid, center=grid.length / 8, width=1.5))
+    probes = [gaussian_probe(grid, center=c, width=w)
+              for c in (0.0 if isinstance(grid, Grid1D) else grid.length / 4,)
+              for w in (1.0, 2.0)]
+    probes.append(gaussian_probe(grid, center=grid.length / 8, width=1.5))
     w_diag = np.zeros(len(x)) if model is None else virial_w(model, x)
     edge = np.abs(x) > 0.9 * grid.length     # the outer tenth of the box
     worst = 0.0
     for phi in probes:
         nrm = np.linalg.norm(phi)
-        if nrm == 0:
-            raise ValueError("degenerate probe (zero vector)")
         if not np.linalg.norm(phi[edge]) <= 1e-8 * nrm:
             raise ValueError("probe touches the boundary layer")
         comm = 1j * (hm @ (am @ phi) - am @ (hm @ phi))

@@ -66,7 +66,6 @@ class Report:
     checks: list[CheckResult] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)   # CSV rows, vectors: not serialized
-    inconclusive: bool = False
 
     @property
     def passed(self) -> bool:
@@ -80,7 +79,6 @@ class Report:
             "experiment": self.experiment,
             "seed": self.seed,
             "passed": self.passed,
-            "inconclusive": self.inconclusive,
             "config": _jsonable(self.config),
             "checks": [c.to_dict() for c in self.checks],
             "extras": _jsonable(self.extras),

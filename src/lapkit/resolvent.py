@@ -655,24 +655,21 @@ def _diagonal_shell_pairs(kernel: TridiagonalResolvent, solver: ShiftedSolver,
 
 @dataclass
 class HoelderReport:
-    s: float
     pairs: list                 # (z1, z2, distance, difference norm)
     fitted_gamma: float
     sup_quotient: float         # at the exponent used
-    gamma_used: float
-    in_hypothesis: bool
     unconverged: int            # pairs left out of the fit
 
 
-def hoelder_estimate(operator, s: float, pairs, grid, rng, s0: float | None = None,
+def hoelder_estimate(operator, s: float, pairs, grid, rng,
                      gamma: float | None = None) -> HoelderReport:
     """Difference norms ||T(z1) - T(z2)|| for T(z) = <x>^{-s} R(z) <x>^{-s}.
 
     Fits the growth exponent of the difference norm against the pair
     distance and reports the sup quotient at that exponent (or at a
     caller-supplied one, so runs on different grids stay comparable).
-    Pairs with s <= s0 are still evaluated but flagged out of
-    hypothesis.  A pair whose Lanczos run did not converge is left out
+    The theory needs s > s0; the caller chooses s.  At least 3 pairs
+    are required.  A pair whose Lanczos run did not converge is left out
     of the fit and counted in ``unconverged``; its value is still a
     certified lower bound, so it stays in the sup quotient.
     """
@@ -709,9 +706,7 @@ def hoelder_estimate(operator, s: float, pairs, grid, rng, s0: float | None = No
     quot = max((nrm / d**used if d**used > 0 else math.inf if nrm > 0 else 0.0
                 for d, nrm in zip(dists, norms)), default=0.0)
     return HoelderReport(
-        s=s, pairs=rows, fitted_gamma=fitted_gamma,
-        sup_quotient=float(quot), gamma_used=used,
-        in_hypothesis=(s0 is None or s > s0),
+        pairs=rows, fitted_gamma=fitted_gamma, sup_quotient=float(quot),
         unconverged=int(np.count_nonzero(~converged)))
 
 
@@ -719,9 +714,6 @@ def hoelder_estimate(operator, s: float, pairs, grid, rng, s0: float | None = No
 # Boundary values along a ray
 # ---------------------------------------------------------------------------
 
-# a ladder whose difference exceeds this multiple of its running minimum
-# has stopped decreasing
-RISE_FACTOR = 2.0
 # the ray ladder: rungs LAMBDA0 LADDER_RATIO^k RAY for k below
 # LADDER_STEPS, stopped once a weighted difference is within LADDER_TOL
 LADDER_RATIO = 0.5
@@ -736,21 +728,15 @@ class BoundaryValueResult:
     diffs: list[float]          # successive weighted differences
     converged: bool
 
-    @property
-    def final_z(self) -> complex:
-        return self.z_values[-1]
-
 
 def boundary_value(operator, v, grid, weight_s: float) -> BoundaryValueResult:
     """Approach R(0 + i0) v along the bisector: evidence, not the definition.
 
     Solves at z_k = LAMBDA0 LADDER_RATIO^k RAY until the successive
     weighted differences ||u_{k+1} - u_k||_{-s} drop below
-    LADDER_TOL * ||u||_{-s}.  On a finite box the ladder shows a transient
-    wobble where |z| crosses the box scale before resuming geometric
-    decrease, so non-convergence is declared on the envelope: once a
-    difference exceeds ``RISE_FACTOR`` times the running minimum, a
-    SolverError quotes the difference ladder.  Both zero-energy runners
+    LADDER_TOL * ||u||_{-s}.  A ladder that does not get there within
+    LADDER_STEPS rungs (one that stops decreasing, say) returns its last
+    iterate and its differences unconverged.  Both zero-energy runners
     filter the capped solve at z = 0; ``radiation`` keeps this ladder as
     evidence for the limiting absorption principle and measures its last
     iterate's distance from that solve.
@@ -763,8 +749,6 @@ def boundary_value(operator, v, grid, weight_s: float) -> BoundaryValueResult:
     for rungs, z in enumerate(zs[1:], 2):
         u = ShiftedSolver(operator, z).solve(v)
         diffs.append(float(np.linalg.norm(w * (u - u_prev))))
-        if diffs[-1] > RISE_FACTOR * min(diffs[:-1], default=math.inf):
-            raise SolverError(f"difference ladder stopped decreasing: {diffs}")
         if diffs[-1] <= LADDER_TOL * float(np.linalg.norm(w * u)):
             return BoundaryValueResult(u=u, z_values=zs[:rungs], diffs=diffs,
                                        converged=True)

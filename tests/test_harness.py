@@ -1,4 +1,3 @@
-import ast
 import json
 import math
 import struct
@@ -144,13 +143,13 @@ def test_report_booleans_are_json_booleans(tmp_path):
 
 
 def test_every_check_carries_one_anchor():
-    cfg = parse_config_text("[experiment]\nid = besov-selftest\nsamples = 40\n")
+    cfg = parse_config_text("[experiment]\nid = besov-selftest\n")
     rep = run_besov_selftest(cfg)
     for check in rep.checks:
         assert isinstance(check.anchor, str) and check.anchor
 
 
-SMALL_SELFTEST = "[experiment]\nid = besov-selftest\nsamples = 40\n"
+SMALL_SELFTEST = "[experiment]\nid = besov-selftest\n"
 SELFTEST_ABS_X = np.abs(Grid1D(30.0, 256).nodes)
 
 
@@ -187,7 +186,8 @@ def test_selftest_fault_injection(monkeypatch):
     scheme = besov.ShellScheme(2.0)
     nodes = Grid1D(30.0, 256).nodes
     spectra = (np.abs(nodes), nodes, bracket(nodes))
-    banks = [besov.sample_vectors(vals, scheme, 40, rng) for vals in spectra]
+    banks = [besov.sample_vectors(vals, scheme, experiments.SAMPLES, rng)
+             for vals in spectra]
     worst_hi, witness = 0.0, None
     for vals, bank in zip(spectra, banks):
         for u in bank:
@@ -237,8 +237,8 @@ def test_failing_base_equivalence_records_its_witness(monkeypatch):
                       1e3 * norms if args[2].base == 4.0 else norms)
         rep = run_besov_selftest(cfg)
     assert [c.check_id for c in rep.checks if not c.passed] == ["base-equivalence-p4"]
-    bank = besov.sample_vectors(SELFTEST_ABS_X, besov.ShellScheme(2.0), 40,
-                                besov.Stream(cfg.seed))
+    bank = besov.sample_vectors(SELFTEST_ABS_X, besov.ShellScheme(2.0),
+                                experiments.SAMPLES, besov.Stream(cfg.seed))
     c_to, c_from = besov.base_equivalence_constants(4.0)
     worst, witness = 0.0, None
     for u in bank:
@@ -610,15 +610,16 @@ def test_free_control_run_weights_with_the_configured_mu():
 
 
 def test_uniqueness_over_damping_fails_on_its_value(monkeypatch):
-    # a real outgoing value leaves w = u_plus - conj(u_plus) = 0: the report
-    # is inconclusive and the magnitude check fails on its own value
+    # a real outgoing value leaves w = u_plus - conj(u_plus) = 0: the
+    # magnitude check, the report's only one, fails on its own value and
+    # names over-damping
     module, stage, wrap = _outgoing_value_as(lambda plus: plus.real + 0j)
     monkeypatch.setattr(module, stage, wrap(getattr(module, stage)))
     rep = run_uniqueness(parse_config_text(SMALL_UNIQUENESS))
-    assert rep.inconclusive
     assert [c.check_id for c in rep.checks] == ["null-difference-magnitude"]
     check = rep.checks[0]
     assert check.value == 0.0 and check.comparison == ">="
+    assert "over-damping" in check.description
     assert not check.passed and not rep.passed
 
 
@@ -627,9 +628,10 @@ def test_uniqueness_needs_absorber(monkeypatch):
     # and the report takes the over-damping branch
     monkeypatch.setattr(operators, "ABSORBER_STRENGTH", 0.0)
     rep = run_uniqueness(parse_config_text(SMALL_UNIQUENESS))
-    assert rep.inconclusive and not rep.passed
+    assert not rep.passed
     assert [(c.check_id, c.value, c.passed) for c in rep.checks] == [
         ("null-difference-magnitude", 0.0, False)]
+    assert "over-damping" in rep.checks[0].description
 
 
 SMALL_UNIQUENESS = """
@@ -948,7 +950,7 @@ def test_cli_determinism(tmp_path):
     # one config and seed give one report, wherever it is written: the
     # config's directory or an --output override
     cfg_path = tmp_path / "self.cfg"
-    cfg_path.write_text("[experiment]\nid = besov-selftest\nsamples = 60\n"
+    cfg_path.write_text("[experiment]\nid = besov-selftest\n"
                         f"[output]\ndirectory = {tmp_path}/a\n")
     assert cli_main(["besov-selftest", "--config", str(cfg_path),
                      "--seed", "7"]) == 0
@@ -975,18 +977,15 @@ def test_cli_missing_config(tmp_path):
     ("model", "mu", "2.5"),
     ("grid", "size", "100"),             # not a power of two on the line
     # values that once reached a runner and crashed it or ran on nothing:
-    # a modulus outside the sector, a non-finite float, no random samples
+    # a modulus outside the sector, a non-finite float
     ("sector", "moduli", "1e-1, 2.0"),
     ("sector", "moduli", "1e-1, 0"),
     ("sector", "moduli", "-1e-2"),
     ("sector", "moduli", "1e-1, nan"),
     ("grid", "length", "nan"),
     ("model", "gamma", "nan"),
-    ("experiment", "samples", "-1"),
-    ("experiment", "samples", "0"),
 ], ids=["coulomb-dim1", "mu", "line-size", "modulus-above-lambda0",
-        "modulus-zero", "modulus-negative", "modulus-nan", "length-nan", "gamma-nan",
-        "samples-negative", "samples-zero"])
+        "modulus-zero", "modulus-negative", "modulus-nan", "length-nan", "gamma-nan"])
 def test_cli_out_of_range_value_exits_two(tmp_path, capsys, section, key, value):
     # a value the schema parses but a constructor rejects is a config error
     path = tmp_path / "range.cfg"
@@ -1010,6 +1009,8 @@ def test_cli_out_of_range_value_exits_two(tmp_path, capsys, section, key, value)
     ("model", "v2_r", "1.0"),
     ("grid", "absorber_strength", "3.0"),
     ("experiment", "stability_check", "true"),
+    # every run draws the self-test's fixed number of rows
+    ("experiment", "samples", "200"),
     # the sector, the ray ladder, the direction cut and ell are constants;
     # values their range checks once rejected now fail on the key
     ("grid", "ell", "1"),
@@ -1079,20 +1080,22 @@ def test_cli_inverted_shell_space_bracket_exits_two(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_rising_ladder_exits_two_with_the_ladder(tmp_path, capsys, monkeypatch):
-    # a ray ladder that stops decreasing is a solver error: the CLI prints
-    # the difference ladder and writes no report
-    monkeypatch.setattr(resolvent, "RISE_FACTOR", 0.0)
-    path = tmp_path / "rad.cfg"
-    path.write_text(SMALL_UNIQUENESS.replace("uniqueness", "radiation")
-                    + f"[output]\ndirectory = {tmp_path}/out\n")
-    assert cli_main(["radiation", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    prefix = "solver error: difference ladder stopped decreasing: "
-    assert err.startswith(prefix)
-    ladder = ast.literal_eval(err[len(prefix):])
-    assert len(ladder) == 2 and ladder[1] > 0.0
-    assert not (tmp_path / "out").exists()
+def test_cli_rising_ladder_fails_its_check(tmp_path, capsys, monkeypatch):
+    # without the layer the desk ray ladder rises when |z| crosses the box
+    # scale and runs out of rungs: the run writes its report, and the
+    # ladder's distance from the capped solve fails its check
+    monkeypatch.setattr(operators, "ABSORBER_STRENGTH", 0.0)
+    config = Path(__file__).resolve().parent.parent / "demos/configs/radiation.cfg"
+    assert cli_main(["radiation", "--config", str(config),
+                     "--output", str(tmp_path)]) == 1
+    assert "[FAIL] boundary-value-converged" in capsys.readouterr().out
+    report = json.loads((tmp_path / "radiation_report.json").read_text())
+    ladder = report["extras"]["ladder_plus"]
+    assert len(ladder) == resolvent.LADDER_STEPS - 1
+    assert max(d / min(ladder[:k]) for k, d in enumerate(ladder) if k) > 7.0
+    check = {c["check_id"]: c for c in report["checks"]}["boundary-value-converged"]
+    assert check["value"] > check["threshold"] == resolvent.LADDER_TOL
+    assert not check["passed"] and not report["passed"]
 
 
 def test_printed_check_shows_a_failure_at_its_allowance(capsys):
