@@ -12,7 +12,8 @@ import numpy as np
 from lapkit.besov import (ShellScheme, accretive_bound,
                           base_equivalence_constants, bstar_norm_dense,
                           power_map_constant, sample_vectors,
-                          schur_block_bound, verify_base_equivalence,
+                          schur_block_bound, shell_decompose,
+                          verify_base_equivalence,
                           verify_power_map, verify_scaling)
 from lapkit.grids import Grid1D
 from lapkit.operators import build_hamiltonian
@@ -23,11 +24,13 @@ rng = np.random.default_rng(1)
 scheme = ShellScheme(2.0)
 a = np.abs(np.linspace(-30.0, 30.0, 193))
 samples = sample_vectors(a, scheme, 150, rng)
+# the base-2 norms of each bank, which two of the verifiers take
+nb = shell_decompose(samples, a, scheme).besov
 
 print("=== base change: shells on powers of p instead of 2 ===")
 for p in (1.5, 3.0, 4.0):
     c_to, c_from = base_equivalence_constants(p)
-    check, _ = verify_base_equivalence(samples, a, p)
+    check, _ = verify_base_equivalence(samples, a, nb, p)
     print(f"  p = {p:3g}: constants ({c_to:.3f}, {c_from:.3f}), "
           f"worst normalized ratio {check.value:.4f}  "
           f"{'OK' if check.passed else 'VIOLATED'}")
@@ -43,8 +46,9 @@ print()
 print("=== power map A -> A^(1+s) with spectra >= 1 ===")
 a1 = np.sqrt(1.0 + np.linspace(-30.0, 30.0, 193) ** 2)
 samples1 = sample_vectors(a1, scheme, 150, rng)
+nb1 = shell_decompose(samples1, a1, scheme).besov
 for s in (1.0, -0.5):
-    check, _ = verify_power_map(samples1, a1, s)
+    check, _ = verify_power_map(samples1, a1, nb1, s)
     print(f"  s = {s:4g}: constant {power_map_constant(s):.3f}, worst "
           f"normalized ratio {check.value:.4f}  "
           f"{'OK' if check.passed else 'VIOLATED'}")

@@ -330,6 +330,7 @@ def sample_vectors(a, scheme: ShellScheme, n_random: int, rng) -> np.ndarray:
     n = len(vals)
     gauss = rng.standard_normal((n_random, 2, n))
     rows = [(gauss[:, 0] + 1j * gauss[:, 1]) / math.sqrt(2)]
+    del gauss
     absvals = np.abs(vals)
     for nodes in scheme.shells(vals)[0]:
         if nodes.size == 0:
@@ -360,15 +361,12 @@ def base_equivalence_constants(p: float) -> tuple[float, float]:
     return c_to, c_from
 
 
-def verify_base_equivalence(samples, a, p: float) -> tuple[CheckResult, list | None]:
-    """Check both directions of the base-p equivalence on every sample.
-
-    The witness is the first row attaining the worst ratio, when that
-    ratio exceeds 1.
-    """
+def verify_base_equivalence(samples, a, nb, p: float) -> tuple[CheckResult, list | None]:
+    """Check both directions of the base-p equivalence on every sample
+    against its base-2 norms ``nb`` (its ``ShellProfile.besov``); the
+    witness is the first row attaining the worst ratio, when over 1."""
     c_to, c_from = base_equivalence_constants(p)
     bank = np.asarray(samples, dtype=complex)
-    nb = besov_norm(bank, a, ShellScheme(2.0))
     npnorm = besov_norm(bank, a, ShellScheme(p))
     # a row has both norms zero or neither: the same |u|^2 fill the shells
     live = nb > 0.0
@@ -429,11 +427,10 @@ def power_map_constant(s: float) -> float:
     return 2.0 ** (max(s / 2.0, 0.0) / (1.0 + s)) * c_to
 
 
-def verify_power_map(samples, a, s: float) -> tuple[CheckResult, list | None]:
-    """Check both directions of the power-map norm bounds on spectra >= 1.
-
-    The witness is the first row over either direction's constant.
-    """
+def verify_power_map(samples, a, nb, s: float) -> tuple[CheckResult, list | None]:
+    """Check both directions of the power-map norm bounds on spectra >= 1
+    against the samples' base-2 norms ``nb`` (their ``ShellProfile.besov``);
+    the witness is the first row over either direction's constant."""
     vals = as_spectrum_values(a)
     if np.any(vals < 1.0):
         raise ValueError("power map requires a spectrum bounded below by 1")
@@ -443,7 +440,6 @@ def verify_power_map(samples, a, s: float) -> tuple[CheckResult, list | None]:
     c_inv = power_map_constant(s_inv)
     powered = vals ** (1.0 + s)
     bank = np.asarray(samples, dtype=complex)
-    nb = besov_norm(bank, vals, scheme)
     fwd = _masked_ratio(besov_norm(vals ** (-s / 2.0) * bank, powered, scheme),
                         c_fwd * nb, nb > 0.0)
     nbp = besov_norm(bank, powered, scheme)

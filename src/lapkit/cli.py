@@ -24,14 +24,12 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lapkit",
         description="numerical checks of low-energy resolvent bounds")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="config file path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--output", default=None,
-                       help="override the output directory")
+    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("--config", required=True, help="config file path")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config seed")
+    parser.add_argument("--output", default=None,
+                        help="override the output directory")
     return parser
 
 

@@ -181,16 +181,19 @@ def run_besov_selftest(cfg: ExperimentConfig) -> Report:
 
     # base-change equivalence, weight scaling and the power map (on a
     # spectrum bounded below by 1); a failure records its witness
-    for verify, bank, key, args in (
+    for verify, name, key, args in (
             (besov.verify_base_equivalence, "abs_x", "base_equivalence_witness_p",
              (4.0, 3.0, 1.5)),
             (besov.verify_scaling, "abs_x", "scaling_witness_c", (4.0, 1.0 / 3.0)),
             (besov.verify_power_map, "bracket_x", "power_map_witness_s", (1.0, -0.5))):
+        # the scaling check projects its bank, so it takes no base-2 norms
+        norms = () if verify is besov.verify_scaling else (profiles[name].besov,)
         for arg in args:
-            check, witness = verify(banks[bank], spectra[bank], arg)
+            check, witness = verify(banks[name], spectra[name], *norms, arg)
             report.add(check)
             if not check.passed and witness is not None:
                 report.extras[f"{key}{arg:g}"] = witness
+    del banks, profiles     # the dense stage reuses their pages
 
     # the sweep's shell-space bracket of T = f^{1/2} R(z) f^{1/2} (f at
     # lambda = |z|, K = 1) against the dense oracles, with T from a dense

@@ -270,6 +270,7 @@ def weyl_apply(symbol, grid: Grid1D, u, band: Band) -> np.ndarray:
             shift = 2 * (col - zero) % p
             w = m if col == 0 else 2 * m  # -N/2 has no mirror
             acc[:w, shift:shift + p] += row * v[:w, p - shift:2 * p - shift]
+    del v, table, halves, row, batch, spectrum   # the last transform reuses them
     acc[:, :p] += acc[:, p:]
     res = np.fft.ifft(acc[:, :p], axis=1)[:, :n] / n
     out = res[:m] + res[m:, ::-1] + outside * rows

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 # the CLI's and the bench's one-thread OpenBLAS policy, set before
 # anything in the test process loads numpy (lapkit/__init__ comes too late)
@@ -11,6 +12,32 @@ import pytest  # noqa: E402
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def live_at_entry(monkeypatch):
+    """Trace allocations for the test; ``live_at_entry(owner, name)``
+    wraps ``owner.name`` and returns the list to which each call first
+    appends tracemalloc's current traced bytes.
+
+    Traced bytes count what Python and numpy hold, independent of the
+    allocator and the machine, unlike the resident set size.
+    """
+    def wrap(owner, name):
+        seen, inner = [], getattr(owner, name)
+
+        def entered(*args, **kwargs):
+            seen.append(tracemalloc.get_traced_memory()[0])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, entered)
+        return seen
+
+    tracemalloc.start()
+    try:
+        yield wrap
+    finally:
+        tracemalloc.stop()
 
 
 def free_resolvent_kernel(z, x, y):

@@ -261,10 +261,11 @@ def test_bank_errors(rng, row):
         with pytest.raises(DimensionError):
             besov_norm(np.ones(shape), SPECTRUM, SCHEME)
     # the verifiers take banks too: a lone sample is the bank u[None]
-    for verify, arg in ((verify_base_equivalence, 4.0), (verify_scaling, 0.5),
-                        (verify_power_map, 1.0)):
+    for verify, norms, arg in ((verify_base_equivalence, (np.ones(1),), 4.0),
+                               (verify_scaling, (), 0.5),
+                               (verify_power_map, (np.ones(1),), 1.0)):
         with pytest.raises(DimensionError):
-            verify(np.ones(64), 1.0 + SPECTRUM, arg)
+            verify(np.ones(64), 1.0 + SPECTRUM, *norms, arg)
 
 
 def _inflate_moved_norms(monkeypatch, base, boost):
@@ -279,6 +280,21 @@ def _inflate_moved_norms(monkeypatch, base, boost):
     monkeypatch.setattr(besov, "besov_norm", inflated)
 
 
+def _nb(bank, a):
+    """The base-2 norms the base-change and power-map verifiers take,
+    as the self-test takes them: the bank's ShellProfile.besov."""
+    return shell_decompose(bank, a, SCHEME).besov
+
+
+def test_profile_besov_is_the_besov_norm_bit_for_bit(rng):
+    # the self-test hands the profile's norms to the verifiers in place
+    # of besov_norm's, so both must agree in every bit
+    for a in (SPECTRUM, np.sqrt(1.0 + SPECTRUM**2), SPECTRUM - 10.0):
+        bank = sample_vectors(a, SCHEME, 30, rng)
+        assert np.array_equal(shell_decompose(bank, a, SCHEME).besov,
+                              besov_norm(bank, a, SCHEME))
+
+
 def _serialized(u):
     return [[float(z.real), float(z.imag)] for z in u]
 
@@ -290,7 +306,7 @@ def test_witness_rules(monkeypatch, rng):
     boost[[3, 5, 7]] = [1e3, 1e6, 1e6]
     _inflate_moved_norms(monkeypatch, SPECTRUM, boost)
     # base change: the first of the rows attaining the strict maximum
-    check, witness = verify_base_equivalence(bank, SPECTRUM, 4.0)
+    check, witness = verify_base_equivalence(bank, SPECTRUM, _nb(bank, SPECTRUM), 4.0)
     assert not check.passed and witness == _serialized(bank[5])
     # scaling: the first row over the bound, not the worst one
     check, witness = verify_scaling(bank, SPECTRUM, 4.0)
@@ -300,7 +316,7 @@ def test_witness_rules(monkeypatch, rng):
     boost = np.ones(len(bank))
     boost[[3, 5]] = [1e3, 1e6]
     _inflate_moved_norms(monkeypatch, a, boost)
-    check, witness = verify_power_map(bank, a, 1.0)
+    check, witness = verify_power_map(bank, a, _nb(bank, a), 1.0)
     assert not check.passed and witness == _serialized(bank[3])
 
 
@@ -349,7 +365,7 @@ def test_defect_annulus_variant():
 
 def test_base_p2_is_identity(rng):
     samples = sample_vectors(SPECTRUM, SCHEME, 10, rng)
-    check, witness = verify_base_equivalence(samples, SPECTRUM, 2.0)
+    check, witness = verify_base_equivalence(samples, SPECTRUM, _nb(samples, SPECTRUM), 2.0)
     assert check.passed and witness is None
     # identical schemes: raw ratios are exactly one, so the value is 1 / C
     c_to, c_from = base_equivalence_constants(2.0)
@@ -362,7 +378,7 @@ def test_base_p4_constants(rng):
     assert c_from == pytest.approx(1.0 + 4.0 * math.sqrt(2.0))
     samples = sample_vectors(SPECTRUM, SCHEME, 200, rng)
     assert len(samples) >= 200
-    check, _ = verify_base_equivalence(samples, SPECTRUM, 4.0)
+    check, _ = verify_base_equivalence(samples, SPECTRUM, _nb(samples, SPECTRUM), 4.0)
     assert check.passed
     assert (check.check_id, check.anchor) == ("base-equivalence-p4", "base-equivalence")
 
@@ -377,7 +393,7 @@ def test_base_adversarial_boundaries(rng):
         e[i] = 1.0
         samples.append(e)
     for p in (3.0, 4.0, 1.5):
-        check, _ = verify_base_equivalence(samples, a, p)
+        check, _ = verify_base_equivalence(samples, a, _nb(samples, a), p)
         assert check.passed, check
 
 
@@ -426,14 +442,14 @@ def test_scaling_small_c_sharp(rng):
 def test_power_map_identity(rng):
     a = np.sqrt(1.0 + SPECTRUM**2)
     samples = sample_vectors(a, SCHEME, 20, rng)
-    check, witness = verify_power_map(samples, a, 0.0)
+    check, witness = verify_power_map(samples, a, _nb(samples, a), 0.0)
     assert check.passed and witness is None
 
 
 def test_power_map_s1_and_inverse(rng):
     a = np.sqrt(1.0 + np.linspace(-20, 20, 100) ** 2)
     samples = sample_vectors(a, SCHEME, 100, rng)
-    check, _ = verify_power_map(samples, a, 1.0)
+    check, _ = verify_power_map(samples, a, _nb(samples, a), 1.0)
     # the value is the worse of the forward and inverse ratios
     assert check.passed
     assert check.value <= 1.0
@@ -442,7 +458,7 @@ def test_power_map_s1_and_inverse(rng):
 def test_power_map_negative_exponent(rng):
     a = np.sqrt(1.0 + SPECTRUM**2)
     samples = sample_vectors(a, SCHEME, 100, rng)
-    check, _ = verify_power_map(samples, a, -0.5)
+    check, _ = verify_power_map(samples, a, _nb(samples, a), -0.5)
     assert check.passed
 
 
@@ -455,7 +471,7 @@ def test_power_map_constant_value():
 
 def test_power_map_preconditions():
     with pytest.raises(ValueError):
-        verify_power_map([np.ones(3)], np.array([0.5, 1.0, 2.0]), 1.0)
+        verify_power_map([np.ones(3)], np.array([0.5, 1.0, 2.0]), np.ones(1), 1.0)
     with pytest.raises(ValueError):
         power_map_constant(-1.0)
 

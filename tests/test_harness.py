@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -342,6 +343,18 @@ def test_selftest_draws_three_banks_and_tests_accretivity_once(monkeypatch):
     count(np.linalg, "eigvalsh", lambda m: m.shape == (128, 128))
     assert run_besov_selftest(parse_config_text(SMALL_SELFTEST)).passed
     assert calls == {"sample_vectors": 3, "eigvalsh": 1}
+
+
+def test_selftest_dense_stage_starts_without_the_sample_banks(live_at_entry):
+    # the three banks and their profiles hold 2.7 MiB; the dense bracket
+    # stage, entered at its besov_bstar_estimate, must find them freed
+    # (0.14 MiB live above the runner's entry) instead of stacking on them
+    entries = live_at_entry(experiments, "besov_bstar_estimate")
+    cfg = parse_config_text(SMALL_SELFTEST)
+    start = tracemalloc.get_traced_memory()[0]
+    assert run_besov_selftest(cfg).passed
+    assert len(entries) == 1
+    assert entries[0] - start <= 0.5 * 2**20
 
 
 def test_sweep_csv_schema(tmp_path):
@@ -1040,6 +1053,18 @@ def test_cli_removed_command_exits_two(tmp_path, capsys):
     assert stop.value.code == 2
     assert "invalid choice: 'besov-bound'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["radiation"], "--config"),
+    (["--config", "lapkit.cfg"], "command"),
+], ids=["no-config", "no-command"])
+def test_cli_usage_error_exits_two(argv, missing, capsys):
+    # one flat parser: the command is a positional choice, --config required
+    with pytest.raises(SystemExit) as stop:
+        cli_main(argv)
+    assert stop.value.code == 2
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
 
 
 def test_cli_removed_experiment_id_exits_two(tmp_path, capsys):

@@ -112,7 +112,7 @@ def test_settable_values_do_not_grow():
 
 # Ceiling on the package's source lines (all of src/lapkit, blank lines
 # and comments included); like SETTABLE_CEILING it may only fall.
-LINE_CEILING = 3487
+LINE_CEILING = 3485
 
 
 def test_source_lines_do_not_grow():

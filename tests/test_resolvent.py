@@ -380,13 +380,13 @@ def test_kernel_columns_match_dense_inverse(model, grid):
         assert np.all(err <= 1e-12 * np.linalg.norm(dense, axis=0))
 
 
-def mirror_free_column(h_op, z, j):
-    """Column j (1-based) of (H - z)^{-1} for the free H, in closed form.
+def _mirror_free_image_sum(h_op, z):
+    """(theta, D) of the free kernel's periodized lattice sum
+    S(m) = (e^{-m theta} + e^{-(P - m) theta}) / D, P = 2N.
 
     The mirror closure puts antisymmetric walls half a cell beyond the
-    end nodes, so with P = 2N the images give
-    G(i, j) = S(i - j) - S(i + j - 1), where the periodized lattice kernel
-    S(m) = (e^{-m theta} + e^{-(P - m) theta}) / (b 2 sinh(theta) (1 - e^{-P theta}))
+    end nodes, so with 1-based i and j the images give
+    G(i, j) = S(i - j) - S(i + j - 1), where D = b 2 sinh(theta) (1 - e^{-P theta})
     and cosh(theta) = a / (2b) with Re theta > 0.  Here b = -H[0, 1] and
     a = H[1, 1] - z, the shifted interior diagonal as stored; a - 2b is
     exact (Sterbenz), so theta = 2 asinh(sqrt((a - 2b) / (4b))) sees the
@@ -395,13 +395,46 @@ def mirror_free_column(h_op, z, j):
     n = h_op.shape[0]
     a, b = h_op.diagonal()[1] - z, -h_op.diagonal(1)[0]
     theta = 2.0 * np.arcsinh(np.sqrt((a - 2.0 * b) / (4.0 * b)))
+    return theta, b * 2.0 * np.sinh(theta) * -np.expm1(-2 * n * theta)
+
+
+def mirror_free_kernel(h_op, z, i, j):
+    """G(i, j) of (H - z)^{-1} for the free H, in closed form, for 1-based
+    index arrays that broadcast against each other."""
+    p = 2 * h_op.shape[0]
+    theta, d = _mirror_free_image_sum(h_op, z)
 
     def s(m):
-        return ((np.exp(-m * theta) + np.exp(-(2 * n - m) * theta))
-                / (b * 2.0 * np.sinh(theta) * -np.expm1(-2 * n * theta)))
+        return (np.exp(-m * theta) + np.exp(-(p - m) * theta)) / d
 
-    i = np.arange(1, n + 1)
     return s(np.abs(i - j)) - s(i + j - 1)
+
+
+def mirror_free_block_norm(h_op, z, fh, rows, cols):
+    """||diag(fh) G[rows, cols] diag(fh)|| for the closed-form G of
+    ``mirror_free_kernel``, with 0-based nodes and every column before
+    or after every row, without forming the block.
+
+    With t = e^{-theta}, each image term is a product of powers of t in
+    i and in j: G(i, j) D = t^i w_1(j) + t^-i w_2(j), where for j < i
+    w = (t^-j - t^(j-1), t^(P+j) - t^(P+1-j)) and for j > i
+    w = (t^(P-j) - t^(j-1), t^j - t^(P+1-j)).  So the block is U W^T with
+    two columns each, and its norm is that of R_U R_W^T from two thin QRs.
+    """
+    p = 2 * h_op.shape[0]
+    theta, d = _mirror_free_image_sum(h_op, z)
+
+    def t(k):
+        return np.exp(-k * theta)
+
+    i, j = rows + 1, cols + 1
+    u = fh[rows, None] * np.column_stack((t(i), t(-i)))
+    w = fh[cols, None] * np.where(
+        (j < i[0])[:, None],
+        np.column_stack((t(-j) - t(j - 1), t(p + j) - t(p + 1 - j))),
+        np.column_stack((t(p - j) - t(j - 1), t(j) - t(p + 1 - j))))
+    r_u, r_w = np.linalg.qr(u, mode="r"), np.linalg.qr(w, mode="r")
+    return np.linalg.norm(r_u @ r_w.T, 2) / abs(d)
 
 
 @pytest.mark.parametrize("grid", [Grid1D(400.0, 4096), Grid1D(800.0, 8192)],
@@ -419,13 +452,43 @@ def test_free_resolvent_matches_closed_form_at_desk_scale(grid):
     for z in (m * RAY for m in (1e-1, 1e-2, 1e-3, 1e-4)):
         kernel = TridiagonalResolvent(h_op, z)
         for j in (1, n // 4, n // 2 + 1, n):
-            exact = mirror_free_column(h_op, z, j)
+            exact = mirror_free_kernel(h_op, z, np.arange(1, n + 1), j)
             err = np.max(np.abs(kernel.entries(np.arange(n), j - 1) - exact))
             assert err <= 5e-12 * np.max(np.abs(exact))
         # ||H||_1 = 4b: each column sums to 2b + b + b, or 3b + b at an end
         bound = np.finfo(float).eps * 4.0 * b / z.imag
         exact = np.min(np.abs(spectrum - z))
         assert abs(spectral_distance(h_op, z) - exact) <= bound * exact
+
+
+def test_separated_shell_pairs_match_the_closed_form_at_desk_scale():
+    # every separated shell pair of the free H at N = 4096, |z| = 1e-1
+    # and 1e-4 with the sweep's weight, against the closed form's block
+    # norms: at most 1.7e-13 relative (3.3e-13 at 1e-2), the level at
+    # which the kernel and a certified solve agree (5.9e-13), so 1e-12;
+    # where a block has at most 1e5 entries it is also formed and its
+    # 2-norm taken by SVD, which the factored norm matches to 1.5e-15
+    grid = Grid1D(400.0, 4096)
+    h_op = build_hamiltonian(None, grid)
+    absx = np.abs(grid.nodes)
+    center = int(np.argmin(absx))
+    shell_of, radii = ShellScheme(2.0).shell_indices(absx)
+    shells = [np.flatnonzero(shell_of == k) for k in range(len(radii))]
+    inner, outer = np.triu_indices(len(radii), 1)
+    for z in (1e-1 * RAY, 1e-4 * RAY):
+        f = sweep_weight(z, grid)
+        fh = np.sqrt(f)
+        norms, _ = _separated_pairs(TridiagonalResolvent(h_op, z), f, shell_of,
+                                    len(radii), center)
+        got = norms(inner, outer)
+        for p, q, value in zip(inner, outer, got):
+            rows, cols = shells[p], shells[q]
+            exact = mirror_free_block_norm(h_op, z, fh, rows, cols)
+            assert abs(value / exact - 1) <= 1e-12, (p, q)
+            if rows.size * cols.size <= 10**5:
+                block = (fh[rows, None] * fh[cols]
+                         * mirror_free_kernel(h_op, z, rows[:, None] + 1, cols + 1))
+                assert abs(np.linalg.norm(block, 2) / exact - 1) <= 1e-14, (p, q)
 
 
 def test_kernel_rejects_pentadiagonal_operator():

@@ -189,6 +189,25 @@ def test_desk_apply_memory_is_bounded(rng):
     assert peak <= 5 * 2**20
 
 
+def test_last_transform_runs_without_the_batch_arrays(live_at_entry, rng):
+    # when the accumulator's inverse FFT starts, v (as large as the
+    # accumulator), the real table and its half spectra (half as large
+    # each) are freed: the accumulator and O(n) bookkeeping are left,
+    # 1.30 accumulators on this grid against 3.43 if the three stayed
+    spec, params = desk_filters()
+    symbol, band = filter_symbol(spec, params, "outgoing")
+    grid = Grid1D(80.0, 1024)
+    block = rng.standard_normal((grid.size, 2)) + 1j * rng.standard_normal((grid.size, 2))
+    entries = live_at_entry(np.fft, "ifft")
+    weyl_apply(symbol, grid, block, band=band)      # first-call caches settle
+    entries.clear()
+    start = tracemalloc.get_traced_memory()[0]
+    weyl_apply(symbol, grid, block, band=band)
+    acc_bytes = (2 * 2) * (4 * grid.size) * 16     # (2m, 2p) complex, p = 2n
+    assert len(entries) == 2                       # v's transform, then the last
+    assert entries[-1] - start <= 1.5 * acc_bytes
+
+
 def test_mirrored_is_the_conjugate_of_outgoing(rng):
     # b0 is odd in xi and a0 even, so Op(mirrored) = conj(Op(outgoing))
     # entrywise; the band never reaches the unpaired frequency -N/2
