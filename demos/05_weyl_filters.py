@@ -47,12 +47,11 @@ envelope = taper * f0 ** -0.5
 waves = {"outgoing": envelope * np.exp(1j * phase),
          "incoming": envelope * np.exp(-1j * phase)}
 # chi_-(a0) chi~_-(b0) vanishes outside a frequency band, and both waves
-# share each symbol table as the two columns of one block
+# share each symbol table as the two rows of one bank
 outgoing, band = filter_symbol(spec, params, "outgoing")
-block = np.column_stack(list(waves.values()))
-kept = weyl_apply(outgoing, wide, block, band=band)
+kept = weyl_apply(outgoing, wide, np.stack(list(waves.values())), band=band)
 for j, (name, wave) in enumerate(waves.items()):
-    frac = np.linalg.norm(kept[:, j]) / np.linalg.norm(wave)
+    frac = np.linalg.norm(kept[j]) / np.linalg.norm(wave)
     print(f"  {name} wave: fraction surviving the 'remove direction +1' "
           f"cutoff: {frac:.3f}")
 print("the cutoff removes the outgoing wave and keeps the incoming one")

@@ -16,7 +16,7 @@ from lapkit.experiments import SOURCE_WIDTH
 from lapkit.operators import Grid1D, build_hamiltonian, gaussian_probe, matched_absorber
 from lapkit.potential import bracket, standard_model, weight_exponent
 from lapkit.resolvent import ShiftedSolver, boundary_value
-from lapkit.weyl import FilterSpec, radiation_filter
+from lapkit.weyl import radiation_filter
 
 model = standard_model(1.0, 1.0, 1)
 grid = Grid1D(200.0, 2048)
@@ -41,15 +41,13 @@ gap = np.linalg.norm(weight * (plus.u - u_plus)) / np.linalg.norm(weight * u_plu
 print(f"  ray ladder converged: {plus.converged} after {len(plus.z_values)} "
       f"rungs, weighted distance from the solve {gap:.1e}")
 
-spec = FilterSpec.for_model(model)
-
 print()
 print("=== filter defect ladders for the outgoing value ===")
 for mode, story in (("outgoing", "remove direction +1 (must vanish)"),
                     ("high", "keep only high frequencies (must vanish)"),
                     ("mirrored", "keep direction +1 (must persist)")):
-    # a block of one column gives one result
-    res, = radiation_filter(u_plus[:, None], spec, model, grid, mode=mode)
+    # a bank of one row gives one result
+    res, = radiation_filter(u_plus[None], model, grid, mode=mode)
     print(f"  {mode:9s} {story}")
     print("     annulus defect:",
           " ".join(f"{d:.2e}" for d in res.annulus_defect),
@@ -63,7 +61,7 @@ interior[1:] &= interior[:-1].copy()
 resid = np.linalg.norm((h_plain @ w)[interior]) / np.linalg.norm(w)
 print(f"  H w interior residual: {resid:.1e} (solves the homogeneous equation)")
 print(f"  size: |w| / |u_plus| = {np.linalg.norm(w) / np.linalg.norm(u_plus):.3f}")
-res, = radiation_filter(w[:, None], spec, model, grid, mode="outgoing")
+res, = radiation_filter(w[None], model, grid, mode="outgoing")
 print("  outgoing-filter defect of w:",
       " ".join(f"{d:.2e}" for d in res.annulus_defect),
       f" slope {res.annulus_slope:+.2f} (flat: w fails the outgoing condition)")

@@ -45,42 +45,29 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        cfg.experiment["seed"] = args.seed
-    if args.output is not None:
-        cfg.output["directory"] = args.output
-    outdir = Path(cfg.output["directory"])
-
-    if args.command == "export-operator":
-        try:
-            model = build_model(cfg)
-            grid = build_grid(cfg)
-            h_op = build_hamiltonian(model, grid)
-        except (ConfigError, DimensionError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / "operator_H.txt"
-        export_triplets(h_op, path)
-        print(f"wrote {path}")
-        return 0
-
-    # the subcommand wins over the config's experiment id
-    cfg.experiment["id"] = args.command
-
-    start = time.perf_counter()
-    try:
+        if args.seed is not None:
+            cfg.experiment["seed"] = args.seed
+        if args.output is not None:
+            cfg.output["directory"] = args.output
+        outdir = Path(cfg.output["directory"])
+        if args.command == "export-operator":
+            h_op = build_hamiltonian(build_model(cfg), build_grid(cfg))
+            outdir.mkdir(parents=True, exist_ok=True)
+            path = outdir / "operator_H.txt"
+            export_triplets(h_op, path)
+            print(f"wrote {path}")
+            return 0
+        # the subcommand wins over the config's experiment id
+        cfg.experiment["id"] = args.command
+        start = time.perf_counter()
         report = run_experiment(cfg)
-    except ConfigError as exc:
+        runtime = time.perf_counter() - start
+    except (ConfigError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
-    runtime = time.perf_counter() - start
 
     outdir.mkdir(parents=True, exist_ok=True)
     rows = report.artifacts.pop("csv_rows", None)

@@ -2,8 +2,8 @@
 
 Each experiment consumes a resolved configuration, runs deterministically
 under its seed, and emits a Report whose checks each cite one stable
-anchor id.  The sweep also produces CSV rows; radiation and
-uniqueness produce vector dumps.  Numerical policy: every claimed
+anchor id.  The sweep also produces CSV rows; radiation dumps the
+outgoing value and its source.  Numerical policy: every claimed
 bound is checked with its explicit constant, limits are replaced by
 slope statistics over the top half of a radius ladder, and sweep
 quantities are gated on box doubling at fixed spacing.
@@ -27,7 +27,7 @@ from .potential import (PotentialModel, WeightParams, bracket,
 from .reports import CheckResult, Report
 from .resolvent import (RAY, ShiftedSolver, besov_bstar_estimate,
                         boundary_value, spectral_distance, weighted_opnorm)
-from .weyl import ANNULUS_EPS, REFERENCE_RADIUS, FilterSpec, radiation_filter
+from .weyl import ANNULUS_EPS, REFERENCE_RADIUS, radiation_filter
 
 __all__ = ["run_experiment", "run_besov_selftest", "run_check_potential",
            "run_lap_sweep", "run_radiation",
@@ -208,11 +208,17 @@ def run_besov_selftest(cfg: ExperimentConfig) -> Report:
     fh, absx = np.sqrt(f), np.abs(grid.nodes)
     t = fh[:, None] * np.linalg.inv(h_op.toarray() - z * np.eye(grid.size)) * fh
     exact = besov.bstar_norm_dense(t, absx)
+    # the diagonal pairs' Lanczos value against max_j ||T[S_j, S_j]|| / R_j
+    exact_diagonal = float(max(np.linalg.norm(t[np.ix_(s, s)], 2) / r
+                               for s, r in zip(*scheme.shells(absx)) if s.size))
     sup = besov.schur_block_bound(t, absx)
     bound = besov.accretive_bound(-1j * t, absx)
     for check_id, anchor, value, threshold, description in (
             ("bracket-lower-exact", "shell-pair-optimum", abs(est.lower / exact - 1),
              1e-12, "the sweep's lower bound is the exact shell-dual norm"),
+            ("bracket-diagonal-pair-exact", "shell-pair-optimum",
+             abs(est.diagonal / exact_diagonal - 1), 1e-12,
+             "the sweep's diagonal shell pairs reach their dense max"),
             ("bracket-upper-block-sup", "unit-block-factor-2",
              abs(est.upper / (2.0 * sup) - 1), 1e-12,
              "the sweep's upper bound is twice the dense unit-block sup"),
@@ -225,6 +231,8 @@ def run_besov_selftest(cfg: ExperimentConfig) -> Report:
         report.add(CheckResult(check_id, anchor, value, threshold, "<=", description))
     report.extras["unit_block"] = {"z": [z.real, z.imag], "lower": est.lower,
                                    "exact": exact, "upper": est.upper,
+                                   "diagonal": est.diagonal,
+                                   "exact_diagonal": exact_diagonal,
                                    "lanczos_steps": est.lanczos_steps,
                                    "converged": est.converged}
     return report
@@ -387,11 +395,15 @@ def run_lap_sweep(cfg: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 
 def _line_problem(cfg: ExperimentConfig, name: str):
-    """(model, grid, H, cap, source) of a zero-energy runner.
+    """(model, grid, H, cap, source v, u_plus) of a zero-energy runner.
 
     The runner ``name`` needs a certified potential on the line grid;
     ``cap`` is the matched absorbing layer, and the source is the
-    Gaussian of width SOURCE_WIDTH.
+    Gaussian of width SOURCE_WIDTH.  u_plus = (H + cap)^{-1} v is the
+    outgoing zero-energy boundary value R(0 + i0) v, the layer standing
+    in for +i0 (Riss & Meyer, J. Phys. B 26 (1993) 4503), from one solve
+    at z = 0.  H + cap is complex symmetric and the source real, so the
+    incoming value (H + cap)^{-*} v is its conjugate by construction.
     """
     model = build_model(cfg)
     if model is None:
@@ -402,22 +414,13 @@ def _line_problem(cfg: ExperimentConfig, name: str):
     h_op = build_hamiltonian(model, grid)
     cap = matched_absorber(grid, mu=model.mu, kappa=model.kappa_low_energy)
     source = gaussian_probe(grid, width=SOURCE_WIDTH)
-    return model, grid, h_op, cap, source
-
-
-def _outgoing_value(h_cap, v) -> np.ndarray:
-    """(H + cap)^{-1} v: the outgoing zero-energy boundary value
-    R(0 + i0) v, the layer standing in for +i0 (Riss & Meyer, J. Phys. B
-    26 (1993) 4503), from one solve at z = 0.  H + cap is complex
-    symmetric and the source real, so the incoming value (H + cap)^{-*} v
-    is its conjugate by construction."""
-    return ShiftedSolver(h_cap, 0.0).solve(v)
+    return model, grid, h_op, cap, source, ShiftedSolver(h_op + cap, 0.0).solve(source)
 
 
 def run_radiation(cfg: ExperimentConfig) -> Report:
     """Microlocal filters applied to the outgoing zero-energy boundary value.
 
-    The outgoing value is the capped solve at z = 0, as in ``uniqueness``.
+    The outgoing value is ``_line_problem``'s capped solve at z = 0.
     A ray ladder toward 0 is evidence for the limiting absorption
     principle: its last iterate must lie within the tolerance of the
     outgoing value.  The outgoing value must lose its normalized ball
@@ -430,15 +433,13 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
     half of the radius ladder and by the annulus defect falling below
     20% between REFERENCE_RADIUS and half the box.
     """
-    model, grid, h_op, cap, v = _line_problem(cfg, "radiation")
-    h_cap = h_op + cap
+    model, grid, h_op, cap, v, u_plus = _line_problem(cfg, "radiation")
     report = _report(cfg)
     weight_s = weight_exponent(model.mu)
 
-    plus = boundary_value(h_cap, v, grid, weight_s)
+    plus = boundary_value(h_op + cap, v, grid, weight_s)
     report.extras["ladder_plus"] = plus.diffs
     report.extras["final_z"] = [plus.z_values[-1].real, plus.z_values[-1].imag]
-    u_plus = _outgoing_value(h_cap, v)
     w = bracket(grid.nodes) ** (-weight_s)
     report.add(CheckResult(
         "boundary-value-converged", "boundary-value-ladder",
@@ -448,13 +449,12 @@ def run_radiation(cfg: ExperimentConfig) -> Report:
         "ray ladder ends within tolerance of the capped solve"))
     del plus, w         # the ladder is evidence only; the filters need neither
 
-    spec = FilterSpec.for_model(model)
     # Op(mirrored) is conj(Op(outgoing)) entrywise (b0 odd in xi, a0 even),
     # so the outgoing filter of conj(u_plus) gives u_plus's mirrored ladders
-    outgoing, mirrored = radiation_filter(np.column_stack((u_plus, np.conj(u_plus))),
-                                          spec, model, grid, mode="outgoing")
+    outgoing, mirrored = radiation_filter(np.stack((u_plus, np.conj(u_plus))),
+                                          model, grid, mode="outgoing")
     filters = {"outgoing": outgoing,
-               "high": radiation_filter(u_plus[:, None], spec, model, grid, mode="high")[0],
+               "high": radiation_filter(u_plus[None], model, grid, mode="high")[0],
                "mirrored": mirrored}
     for mode, res in filters.items():
         decreasing = mode != "mirrored"
@@ -502,11 +502,9 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
     at solver level.  A vanishing difference (over-damping) is not
     success: its one check, ``null-difference-magnitude``, fails.
     """
-    model, grid, h_plain, cap, v = _line_problem(cfg, "uniqueness")
-    h_cap = h_plain + cap
+    model, grid, h_plain, cap, _, u_plus = _line_problem(cfg, "uniqueness")
     report = _report(cfg)
-    u_plus = _outgoing_value(h_cap, v)
-    w = u_plus - np.conj(u_plus)
+    w = (u_plus - np.conj(u_plus))[None]    # the null difference, a one-row bank
 
     untouched = np.abs(cap.diagonal()) == 0.0
     # one stencil row of separation from the layer
@@ -522,7 +520,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
             "boundary values coincide: possible over-damping"))
         return report
 
-    resid_vec = h_plain @ w
+    resid_vec = h_plain @ w[0]
     interior_resid = float(np.linalg.norm(resid_vec[interior])) / norm_w
     report.add(CheckResult(
         "interior-null-residual", "uniqueness-null-difference",
@@ -531,15 +529,14 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
         "null-difference-magnitude", "uniqueness-null-difference",
         norm_w / norm_plus, 0.1, ">=", "the two boundary values genuinely differ"))
 
-    spec = FilterSpec.for_model(model)
-    filt = radiation_filter(w[:, None], spec, model, grid, mode="outgoing")[0]
+    filt = radiation_filter(w, model, grid, mode="outgoing")[0]
     report.add(CheckResult(
         "null-outgoing-slope", "mirrored-filter-asymmetry",
         filt.annulus_slope, SLOPE_FLAT, ">=",
         "null difference fails the outgoing condition"))
 
     ladder = filt.ladder
-    plain = besov.defect_ladder(w[None, :], grid.nodes, ladder, model.s0, ANNULUS_EPS)[0]
+    plain = besov.defect_ladder(w, grid.nodes, ladder, model.s0, ANNULUS_EPS)[0]
     plain_slope = besov.tail_slope(ladder, plain)
     report.add(CheckResult(
         "null-ball-norm-growth", "null-vector-growth", plain_slope, SLOPE_FLAT, ">=",
@@ -547,7 +544,6 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
     report.extras["defect_ladder"] = {"ladder": list(map(float, ladder)),
                                       "outgoing": filt.ball_defect.tolist(),
                                       "plain": plain.tolist()}
-    report.artifacts["vectors"] = {"u_plus": u_plus}
     return report
 
 

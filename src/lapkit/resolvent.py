@@ -421,8 +421,9 @@ class BesovEstimate:
 
     lower: float
     upper: float
-    lanczos_steps: int          # of the diagonal shell pairs' run
-    converged: bool             # whether that run converged
+    diagonal: float             # the diagonal shell pairs' run: its value,
+    lanczos_steps: int          # its steps
+    converged: bool             # and whether it converged
 
 
 def besov_bstar_estimate(solver: ShiftedSolver, f, grid) -> BesovEstimate:
@@ -466,15 +467,16 @@ def besov_bstar_estimate(solver: ShiftedSolver, f, grid) -> BesovEstimate:
     inner, outer = np.triu_indices(len(radii), 1)
     norms, _ = _separated_pairs(kernel, f, shell_of, len(radii), center)
     pairs = norms(inner, outer) / np.sqrt(radii[inner] * radii[outer])
-    lower, _, steps, converged = _diagonal_shell_pairs(kernel, solver, np.sqrt(f), shell_of, radii)
-    lower = max(lower, float(np.max(pairs, initial=0.0)))
+    diagonal, _, steps, converged = _diagonal_shell_pairs(kernel, solver, np.sqrt(f),
+                                                          shell_of, radii)
+    lower = max(diagonal, float(np.max(pairs, initial=0.0)))
 
     upper = 2.0 * block_sup
     if lower > upper * (1 + 1e-6):
         raise SolverError(f"shell-space bracket inverted at z = {solver.z}: "
                           f"lower {lower:.6g} > upper {upper:.6g}")
-    return BesovEstimate(lower=lower, upper=upper, lanczos_steps=steps,
-                         converged=converged)
+    return BesovEstimate(lower=lower, upper=upper, diagonal=diagonal,
+                         lanczos_steps=steps, converged=converged)
 
 
 def _block_sup(kernel: TridiagonalResolvent, f, labels, blocks, center: int) -> float:

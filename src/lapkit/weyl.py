@@ -216,23 +216,23 @@ def _band_rows(band: Band, mids, xi) -> tuple[np.ndarray, np.ndarray]:
 K_BATCH = 8
 
 
-def weyl_apply(symbol, grid: Grid1D, u, band: Band) -> np.ndarray:
+def weyl_apply(symbol, grid: Grid1D, bank, band: Band) -> np.ndarray:
     """Matrix-free application of the quantized symbol, sliced by frequency.
 
-    ``u`` is one vector of shape (n,) or a block of shape (n, m); each
-    column equals its own single-vector apply bit for bit.  A complex
-    symbol, or xi = +-dxi columns not mirror images bit for bit on their
-    hull rows, raise ValueError.  A acts on [u, P u] with its xi = 0
-    column halved; the unpaired -N/2, if the band reaches it, on u alone.
-    Each batch writes its hull, 2N / K_BATCH rows at a time, into one
-    zeroed real table; ``rfft`` and conjugation give each row's spectrum,
-    and one accumulator sums the batches in ascending frequency, -N/2 last.
+    ``bank`` holds one vector per row, shape (m, n), and the result is
+    the bank of their images; each row equals its own one-row apply bit
+    for bit.  A complex symbol, or xi = +-dxi columns not mirror images
+    bit for bit on their hull rows, raise ValueError.  A acts on each
+    row u and its reversal P u, with its xi = 0 column halved; the
+    unpaired -N/2, if the band reaches it, on u alone.  Each batch writes its hull, 2N /
+    K_BATCH rows at a time, into one zeroed real table; ``rfft`` and
+    conjugation give each row's spectrum, and one accumulator sums the
+    batches in ascending frequency, -N/2 last.
     """
-    u = np.asarray(u, dtype=complex)
+    rows = np.asarray(bank, dtype=complex)
     n = grid.size
-    if u.ndim not in (1, 2) or u.shape[0] != n:
-        raise DimensionError("vector length does not match grid size")
-    rows = u.reshape(n, -1).T          # each column of u as one row
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise DimensionError("bank rows do not match grid size")
     m, p, zero = len(rows), 2 * n, n // 2   # zero: the column of xi = 0
     xi, mids = grid.frequencies, _midpoints(grid)
     outside = band.outside
@@ -273,8 +273,7 @@ def weyl_apply(symbol, grid: Grid1D, u, band: Band) -> np.ndarray:
     del v, table, halves, row, batch, spectrum   # the last transform reuses them
     acc[:, :p] += acc[:, p:]
     res = np.fft.ifft(acc[:, :p], axis=1)[:, :n] / n
-    out = res[:m] + res[m:, ::-1] + outside * rows
-    return np.ascontiguousarray(out.T).reshape(u.shape)
+    return res[:m] + res[m:, ::-1] + outside * rows
 
 
 # ---------------------------------------------------------------------------
@@ -351,26 +350,25 @@ def filter_symbol(spec: FilterSpec, params: WeightParams,
     return symbol, band
 
 
-def radiation_filter(u, spec: FilterSpec, model: PotentialModel,
-                     grid: Grid1D, mode: str) -> list[FilterResult]:
+def radiation_filter(bank, model: PotentialModel, grid: Grid1D,
+                     mode: str) -> list[FilterResult]:
     """Apply a phase-space cutoff and ladder its vanishing defect.
 
-    The cutoff is ``filter_symbol(spec, params, mode)`` with the
-    model's low-energy weight; an outgoing solution must leave the
-    ``outgoing`` and ``high`` defects vanishing, while ``mirrored``
-    witnesses the asymmetry.  The block ``u`` of shape (n, m) is
-    filtered in one pass, and the filtered columns are laddered as one
-    bank on ``default_radius_ladder(grid)`` with the model's exponent
-    s0: one FilterResult per column.
+    The cutoff is ``filter_symbol(FilterSpec.for_model(model), params,
+    mode)`` with the model's low-energy weight; an outgoing solution
+    must leave the ``outgoing`` and ``high`` defects vanishing, while
+    ``mirrored`` witnesses the asymmetry.  The rows of ``bank``, shape
+    (m, n), are filtered in one pass and laddered as one bank on
+    ``default_radius_ladder(grid)`` with the model's exponent s0: one
+    FilterResult per row.
     """
     params = WeightParams(lam=0.0, kappa=model.kappa_low_energy, mu=model.mu)
-    symbol, band = filter_symbol(spec, params, mode)
-    u = np.asarray(u, dtype=complex)
-    bank = np.ascontiguousarray(weyl_apply(symbol, grid, u, band=band).T)
+    symbol, band = filter_symbol(FilterSpec.for_model(model), params, mode)
+    filtered = weyl_apply(symbol, grid, bank, band=band)
     ladder = default_radius_ladder(grid)
-    ball = defect_ladder(bank, grid.nodes, ladder, model.s0, 0.0)
-    annulus = defect_ladder(bank, grid.nodes, ladder, model.s0, ANNULUS_EPS)
+    ball = defect_ladder(filtered, grid.nodes, ladder, model.s0, 0.0)
+    annulus = defect_ladder(filtered, grid.nodes, ladder, model.s0, ANNULUS_EPS)
     return [FilterResult(ladder=ladder, ball_defect=b, annulus_defect=a,
                          degenerate=bool(np.linalg.norm(w) <= 1e-13
-                                         * max(np.linalg.norm(u_col), 1e-300)))
-            for b, a, w, u_col in zip(ball, annulus, bank, u.T)]
+                                         * max(np.linalg.norm(u), 1e-300)))
+            for b, a, w, u in zip(ball, annulus, filtered, bank)]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from lapkit import besov, experiments, operators, resolvent
+from lapkit import besov, experiments, operators, resolvent, weyl
 from lapkit.cli import _print_checks
 from lapkit.cli import main as cli_main
 from lapkit.config import (EXPERIMENT_IDS, ExperimentConfig, config_schema_text,
@@ -259,7 +259,8 @@ def _scale_field(field, factor):
 
 
 # the selftest checks no test above breaks: (module, name, change of the
-# result, the check ids that must then fail and no others)
+# result or a new value of a constant, the check ids that must then fail
+# and no others)
 SELFTEST_FAULTS = {
     # shell norms 1e-9 too large: their squares no longer sum to |u|^2
     "shell-partition-exactness": (
@@ -282,6 +283,10 @@ SELFTEST_FAULTS = {
     "bracket-lower-exact": (
         experiments, "besov_bstar_estimate", _scale_field("lower", 1 - 1e-9),
         {"bracket-lower-exact"}),
+    # a diagonal-pair Lanczos run cut at 3 steps: at the self-test's z a
+    # separated pair attains the lower bound, so only this check sees it
+    "bracket-diagonal-pair-exact": (
+        resolvent, "LANCZOS_STEPS", 3, {"bracket-diagonal-pair-exact"}),
     # the sweep's unit-block sup halved
     "bracket-upper-block-sup": (
         resolvent, "_block_sup", lambda sup, args: sup / 2.0, {"bracket-upper-block-sup"}),
@@ -299,7 +304,10 @@ SELFTEST_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(SELFTEST_FAULTS))
 def test_each_selftest_check_fails_alone(fault, monkeypatch):
     module, name, change, expected = SELFTEST_FAULTS[fault]
-    _patch_result(monkeypatch, module, name, change)
+    if callable(change):
+        _patch_result(monkeypatch, module, name, change)
+    else:
+        monkeypatch.setattr(module, name, change)
     rep = run_besov_selftest(parse_config_text(SMALL_SELFTEST))
     assert {c.check_id for c in rep.checks if not c.passed} == expected
     # a failing power map records its witness row, as base change and scaling do
@@ -626,7 +634,7 @@ def test_uniqueness_over_damping_fails_on_its_value(monkeypatch):
     # a real outgoing value leaves w = u_plus - conj(u_plus) = 0: the
     # magnitude check, the report's only one, fails on its own value and
     # names over-damping
-    module, stage, wrap = _outgoing_value_as(lambda plus: plus.real + 0j)
+    module, stage, wrap = _u_plus_as(lambda plus: plus.real + 0j)
     monkeypatch.setattr(module, stage, wrap(getattr(module, stage)))
     rep = run_uniqueness(parse_config_text(SMALL_UNIQUENESS))
     assert [c.check_id for c in rep.checks] == ["null-difference-magnitude"]
@@ -679,15 +687,15 @@ def test_zero_energy_runners_need_a_potential_on_the_line(runner, section,
 
 @ZERO_ENERGY_RUNNERS
 def test_zero_energy_runners_filter_with_the_calibrated_spec(runner, monkeypatch):
-
-    real_filter = experiments.radiation_filter
+    # every filter the runner applies builds its symbol from the model's spec
+    real_symbol = weyl.filter_symbol
     specs = []
 
-    def recording_filter(u, spec, *args, **kwargs):
+    def recording_symbol(spec, *args, **kwargs):
         specs.append(spec)
-        return real_filter(u, spec, *args, **kwargs)
+        return real_symbol(spec, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "radiation_filter", recording_filter)
+    monkeypatch.setattr(weyl, "filter_symbol", recording_symbol)
     name = runner.__name__.removeprefix("run_")
     cfg = parse_config_text(f"""
 [model]
@@ -757,22 +765,19 @@ def test_radiation_unconverged_ladder_fails_on_its_value(steps, monkeypatch):
 
 
 def test_zero_energy_runners_share_one_boundary_value(tmp_path):
-    # both runners filter the capped solve at z = 0, and the radiation
-    # ladder is measured against it from its last iterate, at final_z
-
+    # both runners filter _line_problem's capped solve at z = 0, which
+    # radiation alone dumps, and the radiation ladder is measured against
+    # it from its last iterate, at final_z
     rad_cfg = parse_config_text(SMALL_UNIQUENESS.replace("uniqueness", "radiation"))
     rad = run_radiation(rad_cfg)
     uni = run_uniqueness(parse_config_text(SMALL_UNIQUENESS))
-    # u_minus is conj(u_plus) and the null difference u_plus - conj(u_plus),
-    # so neither is dumped
-    assert set(uni.artifacts["vectors"]) == {"u_plus"}
+    # uniqueness dumps nothing: u_plus is radiation's dump, u_minus its
+    # conjugate and the null difference u_plus - conj(u_plus)
+    assert "vectors" not in uni.artifacts
     dump_vector(tmp_path / "rad_u_plus", rad.artifacts["vectors"]["u_plus"], {})
-    dump_vector(tmp_path / "uni_u_plus", uni.artifacts["vectors"]["u_plus"], {})
-    assert ((tmp_path / "rad_u_plus.f64").read_bytes()
-            == (tmp_path / "uni_u_plus.f64").read_bytes())
-    model, grid, h_op, cap, v = experiments._line_problem(rad_cfg, "radiation")
+    model, grid, h_op, cap, v, u_plus = experiments._line_problem(rad_cfg, "radiation")
+    assert (tmp_path / "rad_u_plus.f64").read_bytes() == u_plus.astype("<c16").tobytes()
     last = ShiftedSolver(h_op + cap, complex(*rad.extras["final_z"])).solve(v)
-    u_plus = np.fromfile(tmp_path / "rad_u_plus.f64", dtype="<c16")
     w = bracket(grid.nodes) ** (-weight_exponent(model.mu))
     check = next(c for c in rad.checks if c.check_id == "boundary-value-converged")
     assert check.passed
@@ -802,16 +807,15 @@ def test_radiation_conjugate_ladders_match_direct_filters(small_radiation):
     # has the same ladders with the outgoing and mirrored roles swapped,
     # because u_minus = conj(u_plus) and Op(mirrored) = conj(Op(outgoing))
     cfg, rep = small_radiation
-    model, grid, h_op, cap, v = experiments._line_problem(cfg, "radiation")
-    spec = FilterSpec.for_model(model)
-    u_minus = np.conj(experiments._outgoing_value(h_op + cap, v))
+    model, grid, _, _, _, u_plus = experiments._line_problem(cfg, "radiation")
+    u_minus = np.conj(u_plus)
     # the conjugate of the u_plus dump, bit for bit, so it is not dumped
     assert u_minus.tobytes() == np.conj(rep.artifacts["vectors"]["u_plus"]).tobytes()
     ladders = rep.extras["defect_ladders"]
     assert set(ladders) == {"plus_outgoing", "plus_high", "plus_mirrored"}
     for mode, swapped in (("outgoing", "mirrored"), ("high", "high"),
                           ("mirrored", "outgoing")):
-        direct, = radiation_filter(u_minus[:, None], spec, model, grid, mode=mode)
+        direct, = radiation_filter(u_minus[None], model, grid, mode=mode)
         assert direct.ladder.tolist() == rep.extras["radius_ladder"]
         for key, values in (("ball", direct.ball_defect),
                             ("annulus", direct.annulus_defect)):
@@ -834,25 +838,29 @@ id = radiation
 """
 
 
-def _scaled_defect(target, column, factor):
+def _scaled_defect(target, row, factor):
     """Wrap ``radiation_filter`` so that the annulus defect of result
-    ``column`` of its ``target`` mode is multiplied by ``factor(ladder, grid)``."""
+    ``row`` of its ``target`` mode is multiplied by ``factor(ladder, grid)``."""
     def wrap(real):
-        def perturbed(u, spec, model, grid, mode):
-            results = real(u, spec, model, grid, mode=mode)
+        def perturbed(bank, model, grid, mode):
+            results = real(bank, model, grid, mode=mode)
             if mode == target:
-                res = results[column]
-                results[column] = replace(res, annulus_defect=res.annulus_defect
+                res = results[row]
+                results[row] = replace(res, annulus_defect=res.annulus_defect
                                           * factor(res.ladder, grid))
             return results
         return perturbed
     return experiments, "radiation_filter", wrap
 
 
-def _outgoing_value_as(change):
+def _u_plus_as(change):
+    """Wrap ``_line_problem`` so that its u_plus passes through ``change``."""
     def wrap(real):
-        return lambda h_cap, v: change(real(h_cap, v))
-    return experiments, "_outgoing_value", wrap
+        def problem(cfg, name):
+            *rest, u_plus = real(cfg, name)
+            return (*rest, change(u_plus))
+        return problem
+    return experiments, "_line_problem", wrap
 
 
 def _bulge(r, grid):
@@ -880,16 +888,16 @@ ZERO_ENERGY_CHECKS = {
 ZERO_ENERGY_FAULTS = {
     "plus-outgoing-slope": (DESK_RADIATION, _scaled_defect("outgoing", 0, _bulge)),
     "plus-high-slope": (DESK_RADIATION, _scaled_defect("high", 0, _bulge)),
-    # the second column of the outgoing call is u_plus's mirrored result
+    # the second row of the outgoing call is u_plus's mirrored result
     "plus-mirrored-slope": (DESK_RADIATION, _scaled_defect("outgoing", 1, _faster)),
     "plus-outgoing-far-ratio": (DESK_RADIATION, _scaled_defect("outgoing", 0, _far_rise)),
     "plus-high-far-ratio": (DESK_RADIATION, _scaled_defect("high", 0, _far_rise)),
     # H w = 2e-4 i v in the interior once the outgoing value is turned:
     # w gains 2e-4 i Re u_plus, and H Re u_plus = v there
-    "interior-null-residual": (SMALL_UNIQUENESS, _outgoing_value_as(
+    "interior-null-residual": (SMALL_UNIQUENESS, _u_plus_as(
         lambda plus: (1 + 1e-4j) * plus)),
     # the null difference 2i Im u_plus shrunk 100-fold, still a null solution
-    "null-difference-magnitude": (SMALL_UNIQUENESS, _outgoing_value_as(
+    "null-difference-magnitude": (SMALL_UNIQUENESS, _u_plus_as(
         lambda plus: plus.real + 0.01j * plus.imag)),
     "null-outgoing-slope": (SMALL_UNIQUENESS, _scaled_defect("outgoing", 0, _faster)),
     "null-ball-norm-growth": (SMALL_UNIQUENESS, (besov, "defect_ladder", lambda real: (
@@ -1007,6 +1015,20 @@ def test_cli_out_of_range_value_exits_two(tmp_path, capsys, section, key, value)
     assert cli_main(["lap-sweep", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["lap-sweep", "radiation", "uniqueness",
+                                     "export-operator"])
+def test_cli_model_of_another_dimension_exits_two(tmp_path, capsys, command):
+    # a dim-3 model on the default line grid: every command reports the
+    # operator's DimensionError as a config error, with no traceback and
+    # no output written
+    path = tmp_path / "dim3.cfg"
+    path.write_text(f"[model]\nfamily = standard\ndim = 3\n"
+                    f"[output]\ndirectory = {tmp_path}/out\n")
+    assert cli_main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: line grid needs a 1-d model\n"
     assert not (tmp_path / "out").exists()
 
 

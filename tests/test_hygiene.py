@@ -112,7 +112,7 @@ def test_settable_values_do_not_grow():
 
 # Ceiling on the package's source lines (all of src/lapkit, blank lines
 # and comments included); like SETTABLE_CEILING it may only fall.
-LINE_CEILING = 3485
+LINE_CEILING = 3468
 
 
 def test_source_lines_do_not_grow():
@@ -399,7 +399,7 @@ WRITTEN = [
     ["lap-sweep.csv", "lap-sweep_report.json"],
     ["radiation_report.json", "radiation_source.f64", "radiation_source.json",
      "radiation_u_plus.f64", "radiation_u_plus.json"],
-    ["uniqueness_report.json", "uniqueness_u_plus.f64", "uniqueness_u_plus.json"],
+    ["uniqueness_report.json"],
     ["operator_H.txt"],
 ]
 

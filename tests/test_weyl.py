@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lapkit import weyl
 from lapkit.besov import loglog_slope
 from lapkit.errors import DimensionError
 from lapkit.operators import Grid1D, gaussian_probe, hermiticity_residual
@@ -80,7 +81,7 @@ def test_apply_matches_dense(rng):
     dense = weyl_matrix(b0, GRID)
     u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     direct = dense @ u
-    streamed = weyl_apply(b0, GRID, u, band=EVERY_FREQUENCY)
+    streamed, = weyl_apply(b0, GRID, u[None], band=EVERY_FREQUENCY)
     assert np.max(np.abs(direct - streamed)) <= 1e-11 * np.linalg.norm(u)
 
 
@@ -92,7 +93,7 @@ def test_band_limited_apply_matches_dense(mode, rng):
     symbol, band = filter_symbol(spec, params, mode)
     u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     direct = weyl_matrix(symbol, GRID) @ u
-    streamed = weyl_apply(symbol, GRID, u, band=band)
+    streamed, = weyl_apply(symbol, GRID, u[None], band=band)
     assert np.max(np.abs(direct - streamed)) <= 1e-12 * np.linalg.norm(u)
 
 
@@ -102,16 +103,16 @@ def test_block_apply_equals_column_applies(mode, rng):
     spec = FilterSpec.for_model(m)
     params = WeightParams(0.0, m.kappa_low_energy, m.mu)
     symbol, band = filter_symbol(spec, params, mode)
-    block = rng.standard_normal((128, 2)) + 1j * rng.standard_normal((128, 2))
-    both = weyl_apply(symbol, GRID, block, band=band)
-    assert both.shape == (128, 2)
+    bank = rng.standard_normal((2, 128)) + 1j * rng.standard_normal((2, 128))
+    both = weyl_apply(symbol, GRID, bank, band=band)
+    assert both.shape == (2, 128)
     for j in range(2):
-        single = weyl_apply(symbol, GRID, block[:, j].copy(), band=band)
-        assert np.array_equal(both[:, j], single)
+        single = weyl_apply(symbol, GRID, bank[j:j + 1].copy(), band=band)
+        assert np.array_equal(both[j:j + 1], single)
 
 
-# each mode's filter of an (n, 2) block against the filters of its (n, 1)
-# columns, bit for bit: the defects of one bank call per ladder and the
+# each mode's filter of a (2, n) bank against the filters of its (1, n)
+# rows, bit for bit: the defects of one bank call per ladder and the
 # degeneracy flags; run in this process and in a fresh interpreter with
 # two OpenBLAS threads
 FILTER_COLUMNS_RUN = """
@@ -119,18 +120,17 @@ import numpy as np
 from lapkit.besov import Stream
 from lapkit.operators import Grid1D, gaussian_probe
 from lapkit.potential import standard_model
-from lapkit.weyl import FilterSpec, radiation_filter
+from lapkit.weyl import radiation_filter
 model, grid = standard_model(1.0, 1.0, 1), Grid1D(100.0, 1024)
-spec = FilterSpec.for_model(model)
 gauss = Stream(3).standard_normal((2, 1024))
 u = gaussian_probe(grid, width=2.0) + 1e-3 * (gauss[0] + 1j * gauss[1])
-block = np.column_stack((u, np.conj(u)))     # as radiation filters u_plus
+bank = np.stack((u, np.conj(u)))     # as radiation filters u_plus
 mismatched = []
 for mode in ("outgoing", "high", "mirrored"):
-    results = radiation_filter(block, spec, model, grid, mode=mode)
+    results = radiation_filter(bank, model, grid, mode=mode)
     assert len(results) == 2
     for j, res in enumerate(results):
-        one, = radiation_filter(block[:, j:j + 1].copy(), spec, model, grid, mode=mode)
+        one, = radiation_filter(bank[j:j + 1].copy(), model, grid, mode=mode)
         if not (res.degenerate == one.degenerate
                 and np.array_equal(res.ball_defect, one.ball_defect)
                 and np.array_equal(res.annulus_defect, one.annulus_defect)):
@@ -164,25 +164,24 @@ def desk_filters():
 def test_apply_matches_dense_at_desk_spacing(mode, rng):
     spec, params = desk_filters()
     symbol, band = filter_symbol(spec, params, mode)
-    block = rng.standard_normal((1024, 2)) + 1j * rng.standard_normal((1024, 2))
-    direct = weyl_matrix(symbol, DESK_GRID) @ block
-    applied = weyl_apply(symbol, DESK_GRID, block, band=band)
+    bank = rng.standard_normal((2, 1024)) + 1j * rng.standard_normal((2, 1024))
+    direct = bank @ weyl_matrix(symbol, DESK_GRID).T
+    applied = weyl_apply(symbol, DESK_GRID, bank, band=band)
     for j in range(2):
-        assert (np.max(np.abs(direct[:, j] - applied[:, j]))
-                <= 1e-12 * np.linalg.norm(block[:, j]))
+        assert np.max(np.abs(direct[j] - applied[j])) <= 1e-12 * np.linalg.norm(bank[j])
 
 
 def test_desk_apply_memory_is_bounded(rng):
-    # one desk-size outgoing apply on two columns holds v, acc, the table
+    # one desk-size outgoing apply on two rows holds v, acc, the table
     # and its half spectra (4.4 MiB traced); symbol temporaries over whole
     # batch hulls, 8 x 8,191 points each, lift it to 6.7 MiB
     spec, params = desk_filters()
     symbol, band = filter_symbol(spec, params, "outgoing")
     grid = Grid1D(400.0, 4096)
-    block = rng.standard_normal((4096, 2)) + 1j * rng.standard_normal((4096, 2))
+    bank = rng.standard_normal((2, 4096)) + 1j * rng.standard_normal((2, 4096))
     tracemalloc.start()
     try:
-        weyl_apply(symbol, grid, block, band=band)
+        weyl_apply(symbol, grid, bank, band=band)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -197,12 +196,12 @@ def test_last_transform_runs_without_the_batch_arrays(live_at_entry, rng):
     spec, params = desk_filters()
     symbol, band = filter_symbol(spec, params, "outgoing")
     grid = Grid1D(80.0, 1024)
-    block = rng.standard_normal((grid.size, 2)) + 1j * rng.standard_normal((grid.size, 2))
+    bank = rng.standard_normal((2, grid.size)) + 1j * rng.standard_normal((2, grid.size))
     entries = live_at_entry(np.fft, "ifft")
-    weyl_apply(symbol, grid, block, band=band)      # first-call caches settle
+    weyl_apply(symbol, grid, bank, band=band)       # first-call caches settle
     entries.clear()
     start = tracemalloc.get_traced_memory()[0]
-    weyl_apply(symbol, grid, block, band=band)
+    weyl_apply(symbol, grid, bank, band=band)
     acc_bytes = (2 * 2) * (4 * grid.size) * 16     # (2m, 2p) complex, p = 2n
     assert len(entries) == 2                       # v's transform, then the last
     assert entries[-1] - start <= 1.5 * acc_bytes
@@ -214,20 +213,20 @@ def test_mirrored_is_the_conjugate_of_outgoing(rng):
     spec, params = desk_filters()
     outgoing, out_band = filter_symbol(spec, params, "outgoing")
     mirrored, mir_band = filter_symbol(spec, params, "mirrored")
-    block = rng.standard_normal((1024, 2)) + 1j * rng.standard_normal((1024, 2))
-    direct = weyl_apply(mirrored, DESK_GRID, block, band=mir_band)
-    derived = np.conj(weyl_apply(outgoing, DESK_GRID, np.conj(block), band=out_band))
-    assert np.max(np.abs(direct - derived)) <= 1e-12 * np.linalg.norm(block)
+    bank = rng.standard_normal((2, 1024)) + 1j * rng.standard_normal((2, 1024))
+    direct = weyl_apply(mirrored, DESK_GRID, bank, band=mir_band)
+    derived = np.conj(weyl_apply(outgoing, DESK_GRID, np.conj(bank), band=out_band))
+    assert np.max(np.abs(direct - derived)) <= 1e-12 * np.linalg.norm(bank)
 
 
 def test_high_is_a_real_operator(rng):
     # the high symbol is real and even in xi, so Op(high) is real
     spec, params = desk_filters()
     high, band = filter_symbol(spec, params, "high")
-    block = rng.standard_normal((1024, 2)) + 1j * rng.standard_normal((1024, 2))
-    of_conj = weyl_apply(high, DESK_GRID, np.conj(block), band=band)
-    conj_of = np.conj(weyl_apply(high, DESK_GRID, block, band=band))
-    assert np.max(np.abs(of_conj - conj_of)) <= 1e-12 * np.linalg.norm(block)
+    bank = rng.standard_normal((2, 1024)) + 1j * rng.standard_normal((2, 1024))
+    of_conj = weyl_apply(high, DESK_GRID, np.conj(bank), band=band)
+    conj_of = np.conj(weyl_apply(high, DESK_GRID, bank, band=band))
+    assert np.max(np.abs(of_conj - conj_of)) <= 1e-12 * np.linalg.norm(bank)
 
 
 @pytest.mark.parametrize("mode", ["outgoing", "high"])
@@ -236,9 +235,9 @@ def test_apply_is_deterministic(mode, rng):
     # applies agree bit for bit
     spec, params = desk_filters()
     symbol, band = filter_symbol(spec, params, mode)
-    block = rng.standard_normal((1024, 2)) + 1j * rng.standard_normal((1024, 2))
-    first = weyl_apply(symbol, DESK_GRID, block, band=band)
-    assert np.array_equal(first, weyl_apply(symbol, DESK_GRID, block, band=band))
+    bank = rng.standard_normal((2, 1024)) + 1j * rng.standard_normal((2, 1024))
+    first = weyl_apply(symbol, DESK_GRID, bank, band=band)
+    assert np.array_equal(first, weyl_apply(symbol, DESK_GRID, bank, band=band))
 
 
 def test_apply_band_at_the_box_edges(rng):
@@ -256,19 +255,18 @@ def test_apply_band_at_the_box_edges(rng):
         return 0.5 + np.where(np.abs(xi) <= r, np.cos(xi * x) * (r - np.abs(xi)), 0.0)
 
     band = Band(reach, outside=0.5)
-    block = rng.standard_normal((128, 2)) + 1j * rng.standard_normal((128, 2))
-    direct = weyl_matrix(symbol, grid) @ block
-    applied = weyl_apply(symbol, grid, block, band=band)
-    assert np.max(np.abs(direct - applied)) <= 1e-12 * np.linalg.norm(block)
-    assert np.array_equal(applied[:, 1],
-                          weyl_apply(symbol, grid, block[:, 1].copy(), band=band))
+    bank = rng.standard_normal((2, 128)) + 1j * rng.standard_normal((2, 128))
+    direct = bank @ weyl_matrix(symbol, grid).T
+    applied = weyl_apply(symbol, grid, bank, band=band)
+    assert np.max(np.abs(direct - applied)) <= 1e-12 * np.linalg.norm(bank)
+    assert np.array_equal(applied[1:], weyl_apply(symbol, grid, bank[1:].copy(), band=band))
 
 
 def test_high_is_identity_minus_low(rng):
     spec, params = desk_filters()
     a0 = symbol_a0(params)
     high, band = filter_symbol(spec, params, "high")
-    u = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    u = rng.standard_normal((1, 1024)) + 1j * rng.standard_normal((1, 1024))
     low = weyl_apply(lambda x, xi: spec.chi_minus(a0(x, xi)), DESK_GRID, u,
                      band=Band(band.reach, outside=0.0))
     applied = weyl_apply(high, DESK_GRID, u, band=band)
@@ -276,11 +274,10 @@ def test_high_is_identity_minus_low(rng):
 
 
 def test_apply_rejects_wrong_shape():
-    with pytest.raises(DimensionError):
-        weyl_apply(constant_symbol(1.0), GRID, np.ones(127), band=EVERY_FREQUENCY)
-    with pytest.raises(DimensionError):
-        weyl_apply(constant_symbol(1.0), GRID, np.ones((128, 2, 1)),
-                   band=EVERY_FREQUENCY)
+    # a bank of rows only: a short row, a bare vector, a column block
+    for shape in ((1, 127), (128,), (128, 2), (2, 128, 1)):
+        with pytest.raises(DimensionError):
+            weyl_apply(constant_symbol(1.0), GRID, np.ones(shape), band=EVERY_FREQUENCY)
 
 
 FILTER_GRIDS = [
@@ -334,7 +331,7 @@ def test_filter_tables_are_real_and_point_symmetric(length, size, kappa, mu):
 
 def test_apply_refuses_a_complex_symbol(rng):
     # point-symmetric, but a real table would drop its imaginary part
-    u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    u = rng.standard_normal((1, 128)) + 1j * rng.standard_normal((1, 128))
     with pytest.raises(ValueError, match="real symbol"):
         weyl_apply(lambda x, xi: np.exp(1j * xi * x), GRID, u, band=EVERY_FREQUENCY)
 
@@ -349,7 +346,7 @@ def test_apply_refuses_a_symbol_that_is_not_point_symmetric(asymmetry, rng):
         factor = 1.0 + 0.25 * np.tanh(x) if asymmetry == "tilted in x" else xi
         return outgoing(x, xi) * factor
 
-    u = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    u = rng.standard_normal((1, 128)) + 1j * rng.standard_normal((1, 128))
     with pytest.raises(ValueError, match="point"):
         weyl_apply(symbol, GRID, u, band=band)
 
@@ -364,9 +361,9 @@ model = standard_model(1.0, 1.0, 1)
 spec = FilterSpec.for_model(model)
 params = WeightParams(0.0, model.kappa_low_energy, model.mu)
 grid = Grid1D(100.0, 1024)
-block = np.random.default_rng(7).standard_normal((1024, 4)).view(complex)
+bank = np.random.default_rng(7).standard_normal((2, 2048)).view(complex)
 applied = b"".join(
-    weyl_apply(symbol, grid, block, band=band).tobytes()
+    weyl_apply(symbol, grid, bank, band=band).tobytes()
     for symbol, band in (filter_symbol(spec, params, mode)
                          for mode in ("outgoing", "high", "mirrored")))
 """
@@ -552,7 +549,7 @@ def test_filter_spec_for_model_is_the_calibrated_shape(mu):
 # radiation filters
 # ---------------------------------------------------------------------------
 
-def test_zero_tilde_cutoff_degenerate():
+def test_zero_tilde_cutoff_degenerate(monkeypatch):
     m = standard_model(1.0, 1.0, 1)
     g = Grid1D(40.0, 256)
     u = gaussian_probe(g, width=3.0)
@@ -562,7 +559,8 @@ def test_zero_tilde_cutoff_degenerate():
             return np.zeros_like(np.asarray(t, dtype=float))
 
     dead = ZeroTilde(plateau_end=m.c0_prime() + 1.0)
-    res, = radiation_filter(u[:, None], dead, m, g, mode="outgoing")
+    monkeypatch.setattr(weyl.FilterSpec, "for_model", staticmethod(lambda model: dead))
+    res, = radiation_filter(u[None], m, g, mode="outgoing")
     assert res.degenerate
     assert np.all(res.ball_defect == 0.0)
 
@@ -571,8 +569,7 @@ def test_compact_support_defect_decays():
     m = standard_model(1.0, 1.0, 1)
     g = Grid1D(40.0, 512)
     u = gaussian_probe(g, width=1.5)
-    spec = FilterSpec.for_model(m)
-    res, = radiation_filter(u[:, None], spec, m, g, mode="outgoing")
+    res, = radiation_filter(u[None], m, g, mode="outgoing")
     # smooth compactly supported input: ladder decays past the support
     assert res.ball_slope <= -0.2
     assert not res.degenerate
@@ -581,9 +578,8 @@ def test_compact_support_defect_decays():
 def test_unknown_filter_mode_is_refused():
     m = standard_model(1.0, 1.0, 1)
     g = Grid1D(40.0, 256)
-    spec = FilterSpec.for_model(m)
     with pytest.raises(ValueError):
-        radiation_filter(gaussian_probe(g)[:, None], spec, m, g, mode="sideways")
+        radiation_filter(gaussian_probe(g)[None], m, g, mode="sideways")
 
 
 def test_loglog_slope_and_ladder():
