@@ -1,11 +1,11 @@
-"""zgttrf, zgttrs, zgbtrf, zgbtrs, dstevd and dstebz from numpy's OpenBLAS.
+"""zgttrf, zgttrs, zgbtrf, zgbtrs, zhetrd, dstevd and dstebz from numpy's OpenBLAS.
 
 numpy's Linux wheels ship numpy.libs/libscipy_openblas64_*.so, whose LAPACKE
-symbols scipy_LAPACKE_<name>64_ take 64-bit integers; numpy has it loaded,
-so binding it costs no import.  Arrays are column-major (LAPACK Users'
-Guide, 3rd ed., 1999); a missing library or symbol is an ImportError.
-``call`` checks and converts its arguments on every call; a solver
-reusing its factors calls the routine in ``LIB`` with their addresses.
+symbols scipy_LAPACKE_<name>64_ take 64-bit integers; numpy has it loaded, so
+binding it costs no import.  lap-sweep runs no other LAPACK routine.  Arrays
+are column-major (LAPACK Users' Guide, 3rd ed., 1999); a missing library or
+symbol is an ImportError.  ``call`` checks and converts its arguments on every
+call; a solver reusing its factors calls ``LIB``'s routine with their addresses.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from .errors import SolverError
 LIBRARY_DIR = Path(np.__file__).parent.parent / "numpy.libs"
 COL_MAJOR = 102
 # argument types: L the int layout, I int64, C char, D double, P pointer;
-# the LUs' _work variants skip LAPACKE's NaN scan of the factors
+# the _work variants skip LAPACKE's NaN scan of their input
 _TYPES = dict(L=ctypes.c_int, I=ctypes.c_int64, C=ctypes.c_char,
               D=ctypes.c_double, P=ctypes.c_void_p)
 _ARGS = {"zgttrf_work": "IPPPPP", "zgttrs_work": "LCIIPPPPPPI",
          "zgbtrf_work": "LIIIIPIP", "zgbtrs_work": "LCIIIIPIPPI",
-         "dstevd": "LCIPPPI", "dstebz": "CCIDDIIDPPPPPPP"}
+         "zhetrd_work": "LCIPIPPPPI", "dstevd": "LCIPPPI", "dstebz": "CCIDDIIDPPPPPPP"}
 
 
 def _load(directory: Path) -> dict:
@@ -54,6 +54,15 @@ def call(name, *args) -> int:
     if info < 0:
         raise ValueError(f"{name}: argument {-info} is illegal")
     return info
+
+
+def zhetrd(a) -> tuple[np.ndarray, np.ndarray]:
+    """(d, e) of the real tridiag(e, d, e) unitarily similar to the Hermitian ``a``,
+    by the unblocked reduction that lwork = n selects: level-2 BLAS, no GEMM."""
+    a = np.array(a, dtype=complex, order="F")
+    (d, e), (tau, work) = np.empty((2, len(a))), np.empty((2, len(a)), dtype=complex)
+    call("zhetrd_work", COL_MAJOR, b"L", len(a), a, len(a), d, e, tau, work, len(a))
+    return d, e[:-1]
 
 
 def dstevd(d, e) -> tuple[np.ndarray, np.ndarray]:

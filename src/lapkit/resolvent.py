@@ -1,24 +1,16 @@
 """Complex shifted solves and resolvent-norm estimators on one ray.
 
 Sweep energies are z = m RAY for moduli m in (0, LAMBDA0], on the
-bisector of the sector arg z in (0, 3 pi / 4), |z| <= LAMBDA0.
-Both zero-energy boundary values are the capped solve (H + cap) u = v at
-z = 0 with one ``ShiftedSolver``; the ray ladder toward 0
-(``boundary_value``) is evidence for the limiting absorption principle.
-Every factorized operator is a complex-symmetric ``BandMatrix``: H and
-H + cap are tridiagonal, the commutator-regularized operator is
-pentadiagonal.  One LU with partial pivoting (``_band_lu``, from numpy's
-own OpenBLAS through ``_lapack``: zgttrf once and zgttrs per solve for a
-tridiagonal, zgbtrf and zgbtrs for a wider band) serves every solve;
-adjoint solves conjugate forward ones.
-
-The plain resolvent norm of a self-adjoint H is exact, 1 / dist(z,
-spectrum) (``spectral_distance``).  Every other operator norm is one
-Lanczos run on A* A (``_lanczos``) whose Ritz vector is re-evaluated
-through A, a certified lower bound.  ``TridiagonalResolvent`` reads
-any entry of a tridiagonal resolvent off two pivot sequences (two scaled
-zgttrf calls), and the shell-space bracket (``besov_bstar_estimate``) takes
-every entry it evaluates there.
+bisector of the sector arg z in (0, 3 pi / 4), |z| <= LAMBDA0.  Every
+factorized operator is a complex-symmetric ``BandMatrix`` (H and H + cap
+tridiagonal, the commutator-regularized operator pentadiagonal), and one
+LU with partial pivoting (``_band_lu``) serves every solve.  The plain
+resolvent norm of a self-adjoint H is exact (``spectral_distance``);
+every other operator norm is a certified lower bound from one Lanczos
+run (``_lanczos``).  ``TridiagonalResolvent`` reads any entry of a
+tridiagonal resolvent off two pivot sequences, and the shell-space
+bracket (``besov_bstar_estimate``) takes every entry it evaluates there.
+Every LAPACK routine here comes from numpy's OpenBLAS through ``_lapack``.
 """
 
 from __future__ import annotations
@@ -29,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import COL_MAJOR, LIB, call, dstebz, dstevd
+from ._lapack import COL_MAJOR, LIB, call, dstebz, dstevd, zhetrd
 from .besov import ShellScheme, Stream, loglog_slope, unit_blocks
 from .errors import DimensionError, SolverError
 from .operators import BandMatrix, dilation_eigenbasis
@@ -177,19 +169,17 @@ def spectral_distance(operator, z: complex) -> float:
     For real lambda, |lambda - z|^2 = (lambda - Re z)^2 + (Im z)^2, so
     any window around Re z that holds an eigenvalue holds the nearest
     one.  Bisection (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)
-    386) lists the eigenvalues in a window of half-width Im z / 16,
-    widened fourfold until it is not empty.  The error is at most the
-    bisection tolerance eps ||H||_1 over Im z, relative: below 1e-9 at
-    desk scale for |z| >= 1e-4.  ValueError unless H is real, symmetric
-    and tridiagonal.
+    386) lists the eigenvalues in a window of half-width Im z / 256,
+    widened fourfold until it is not empty, so the nearest is bisected
+    nearly alone.  The error is at most eps ||H||_1 / Im z, relative:
+    below 1e-9 at desk scale for |z| >= 1e-4.  ValueError unless H is
+    real, symmetric and tridiagonal.
     """
     main, off, *wider = _bands(operator)
-    if wider:
-        raise ValueError("operator is not tridiagonal")
-    if np.any(np.imag(main)) or np.any(np.imag(off)):
-        raise ValueError("operator is not real")
+    if wider or np.any(np.imag(main)) or np.any(np.imag(off)):
+        raise ValueError("operator is not real tridiagonal")
     main, off, z = main.real, off.real, complex(z)
-    half = abs(z.imag) / 16.0 or 1.0
+    half = abs(z.imag) / 256.0 or 1.0
     while True:
         vals = dstebz(main, off, z.real - half, z.real + half)
         if vals.size:
@@ -429,40 +419,33 @@ class BesovEstimate:
 def besov_bstar_estimate(solver: ShiftedSolver, f, grid) -> BesovEstimate:
     """Two-sided estimate of the shell-space norm of f^{1/2} R(z) f^{1/2}.
 
-    ``f`` holds the weight's values on the grid nodes; the sweep passes
-    the local momentum weight at lambda = |z| with K = 1.
+    ``solver`` factors H - z, z = solver.z, for a complex-symmetric
+    tridiagonal H, whose resolvent entries are read off
+    ``TridiagonalResolvent``; ``f`` holds the weight on the grid nodes
+    (the sweep's local momentum weight at lambda = |z|, K = 1).
 
-    ``solver`` is the factorization of H - z, z = solver.z, for a
-    complex-symmetric tridiagonal H.  Every resolvent entry is read off
-    the certified generators of ``TridiagonalResolvent``.
-
-    Upper bound: the exact unit-width block sup over |x| blocks,
-    doubled (``_block_sup``).  Two different blocks are separated (the
-    outer block's nodes lie wholly before or after the inner block's),
-    so their weighted block has rank <= 2 and its norm is a closed-form
-    2 x 2 eigenvalue of segment sums (``_separated_pairs``); only the
-    diagonal blocks are built, about 10 x 10 at desk spacing.  Row p,
-    the diagonal block p and the pairs (p, q > p), is bounded by the
-    block's Frobenius norm and the root of the pairs' largest trace.
-    Rows are evaluated in decreasing order of bound until the next
-    bound times 1 + 1e-6 is at most the running max.  The slack covers
-    the rounding of bounds and values (about 1e-13 relative at desk
+    Upper bound: twice the exact sup over pairs of unit |x| blocks
+    (``_block_sup``).  Two different blocks are separated, so their
+    weighted block has rank <= 2 and a closed-form norm from segment
+    sums (``_separated_pairs``); a diagonal block, about 10 x 10 at desk
+    spacing, takes zhetrd and dstevd (``_block_norm``).  Block row p is
+    bounded by the diagonal block's Frobenius norm and the root of its
+    pairs' largest trace, and rows are evaluated in decreasing order of
+    bound until the next bound times 1 + 1e-6 is at most the running
+    max: the slack covers rounding (about 1e-13 relative at desk
     scale), so the sup is the max over every pair of blocks to the bit.
 
-    Lower bound: the best dyadic shell pair, scaled by
-    R_j^{-1/2} R_k^{-1/2}; the best pair is the shell-dual norm
-    itself.  Pairs j != k have rank <= 2 and take the same path as the
-    blocks.  The diagonal pairs ||F_S R[S, S] F_S|| invert to tridiagonal
-    Schur complements, and one Lanczos run on their direct sum
-    (``_diagonal_shell_pairs``) finds the best, a lower bound whether or
-    not it converged; ``lanczos_steps`` and ``converged`` describe that
-    run.
+    Lower bound: the best dyadic shell pair, scaled by R_j^{-1/2}
+    R_k^{-1/2}: the shell-dual norm itself.  Pairs j != k take the
+    blocks' closed form.  The diagonal pairs ||F_S R[S, S] F_S|| invert
+    to tridiagonal Schur complements, and one Lanczos run on their
+    direct sum (``_diagonal_shell_pairs``) finds the best, a lower bound
+    whether or not it converged, as ``lanczos_steps`` and ``converged`` say.
     """
     absx = np.abs(grid.nodes)
     kernel = TridiagonalResolvent(solver.matrix, solver.z)
     center = int(np.argmin(absx))
-    block_sup = _block_sup(kernel, f, *unit_blocks(absx), center)
-
+    upper = 2.0 * _block_sup(kernel, f, *unit_blocks(absx), center)
     shell_of, radii = ShellScheme(2.0).shell_indices(absx)
     inner, outer = np.triu_indices(len(radii), 1)
     norms, _ = _separated_pairs(kernel, f, shell_of, len(radii), center)
@@ -470,8 +453,6 @@ def besov_bstar_estimate(solver: ShiftedSolver, f, grid) -> BesovEstimate:
     diagonal, _, steps, converged = _diagonal_shell_pairs(kernel, solver, np.sqrt(f),
                                                           shell_of, radii)
     lower = max(diagonal, float(np.max(pairs, initial=0.0)))
-
-    upper = 2.0 * block_sup
     if lower > upper * (1 + 1e-6):
         raise SolverError(f"shell-space bracket inverted at z = {solver.z}: "
                           f"lower {lower:.6g} > upper {upper:.6g}")
@@ -482,30 +463,42 @@ def besov_bstar_estimate(solver: ShiftedSolver, f, grid) -> BesovEstimate:
 def _block_sup(kernel: TridiagonalResolvent, f, labels, blocks, center: int) -> float:
     """max over p <= q of ||F R[G_p, G_q] F||, F = diag(f)^{1/2}, G_p = blocks[p],
     evaluated row by row in decreasing order of bound (``besov_bstar_estimate``)."""
-    fh = np.sqrt(f)
-    sizes = np.bincount(labels, minlength=len(blocks))
-    order, filled = np.concatenate(blocks), np.arange(sizes.max()) < sizes[:, None]
-    # Frobenius norms: R is symmetric, so twice the upper triangle i < c plus the
-    # diagonal, |R[i, c]| = exp(Re (U_c - U_i)) |g_c|; blocks padded with their
-    # last node at weight 0 keep i <= c in node order
-    idx = np.repeat(order[np.cumsum(sizes) - 1, None], filled.shape[1], axis=1)
-    idx[filled] = order
-    w, (i, c) = np.where(filled, fh[idx], 0.0) ** 2, np.triu_indices(filled.shape[1])
-    real_up = tuple(part.real for part in kernel.log_up)
-    frobenius_sq = np.sum(np.where(i < c, 2.0, 1.0) * w[:, i] * w[:, c]
-                          * np.abs(kernel.g[idx[:, c]]) ** 2
-                          * np.exp(2 * _span(real_up, idx[:, i], idx[:, c])), axis=1)
     norms, row_bounds = _separated_pairs(kernel, f, labels, len(blocks), center)
-    bounds = np.maximum(np.sqrt(frobenius_sq), row_bounds)
+    bounds = np.maximum(_frobenius_norms(kernel, f, labels, blocks), row_bounds)
     best = 0.0
     for p in np.argsort(-bounds):
         if bounds[p] * (1 + 1e-6) <= best:     # slack for rounding
             break
-        block = blocks[p]
-        sub = kernel.entries(block[:, None], block) * fh[block][:, None] * fh[block]
-        best = max(best, math.sqrt(np.linalg.eigvalsh(sub.conj().T @ sub)[-1]),
+        best = max(best, _block_norm(kernel, np.sqrt(f[blocks[p]]), blocks[p]),
                    float(np.max(norms(p, np.arange(p + 1, len(blocks))), initial=0.0)))
     return best
+
+
+def _frobenius_norms(kernel: TridiagonalResolvent, f, labels, blocks) -> np.ndarray:
+    """||F R[G_p, G_p] F||_F for every p in one pass over block positions, each block
+    padded with its last node at weight 0: R is symmetric, and for i <= c, |R[i, c]|
+    = exp(Re (U_c - U_i)) |g_c|, so column c adds f_c |g_c|^2 (f_c + 2 t_c) with the
+    tail t_c = sum_{i < c} f_i |R[i, c] / g_c|^2 = (t_b + f_b) |R[b, c] / g_c|^2, b = c - 1."""
+    sizes = np.bincount(labels, minlength=len(blocks))
+    order, filled = np.concatenate(blocks), np.arange(sizes.max()) < sizes[:, None]
+    idx = np.repeat(order[np.cumsum(sizes) - 1, None], filled.shape[1], axis=1)
+    idx[filled] = order
+    w, g_sq = np.where(filled, f[idx], 0.0), np.abs(kernel.g[idx]) ** 2
+    real_up = tuple(part.real for part in kernel.log_up)
+    total = tail = 0.0
+    for c in range(idx.shape[1]):
+        if c:
+            tail = (tail + w[:, c - 1]) * np.exp(2 * _span(real_up, idx[:, c - 1], idx[:, c]))
+        total = total + w[:, c] * g_sq[:, c] * (w[:, c] + 2 * tail)
+    return np.sqrt(total)
+
+
+def _block_norm(kernel: TridiagonalResolvent, fh, block) -> float:
+    """||F R[G, G] F|| for G = block, fh = f[G]^{1/2}: the top eigenvalue of
+    the Gram S* S, S = F R[G, G] F, summed without a matrix product and
+    reduced by zhetrd to a real tridiagonal for dstevd."""
+    sub = kernel.entries(block[:, None], block) * fh[:, None] * fh
+    return math.sqrt(dstevd(*zhetrd(np.einsum("ij,ik->jk", sub.conj(), sub)))[0][-1])
 
 
 def _separated_pairs(kernel: TridiagonalResolvent, f, labels, count: int, center: int):
@@ -532,8 +525,8 @@ def _separated_pairs(kernel: TridiagonalResolvent, f, labels, count: int, center
     """
     n = kernel.n
     nodes = np.arange(n)
-    first = np.full(count, n - 1)
-    last = np.zeros(count, dtype=int)
+    first, start = np.full((2, count), n - 1)
+    last, end = np.zeros((2, count), dtype=int)
     np.minimum.at(first, labels, nodes)
     np.maximum.at(last, labels, nodes)
     alpha = np.exp(_span(kernel.log_dn, first[labels], nodes))
@@ -549,8 +542,6 @@ def _separated_pairs(kernel: TridiagonalResolvent, f, labels, count: int, center
 
     # each outer side anchored at its node nearest the center
     left, right = nodes[:center], nodes[center:]
-    end = np.zeros(count, dtype=int)
-    start = np.full(count, n - 1)
     np.maximum.at(end, labels[left], left)
     np.minimum.at(start, labels[right], right)
     beta = np.exp(_span(kernel.log_dn, left, end[labels[left]])) * kernel.g[left]

@@ -438,6 +438,25 @@ def test_check_potential_rows_meet_their_thresholds(family, monkeypatch):
         assert check.passed == (check.value >= check.threshold), check
 
 
+NUMPY_LAPACK = ("eigvalsh", "eigh", "eig", "svd", "inv", "solve", "lstsq", "qr",
+                "cholesky", "det")
+
+
+def test_lap_sweep_needs_no_numpy_lapack(monkeypatch):
+    # every LAPACK routine the sweep runs is one lapkit._lapack binds: with
+    # numpy.linalg's LAPACK-backed functions raising, both in numpy.linalg
+    # and in the module numpy's own functions look them up in, it passes
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep reached numpy.linalg's LAPACK")
+
+    for module in (np.linalg, np.linalg._linalg):
+        for name in NUMPY_LAPACK:
+            monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="numpy.linalg"):
+        np.linalg.norm(np.eye(2), 2)
+    assert run_lap_sweep(parse_config_text(SMALL_SWEEP)).passed
+
+
 def test_lap_sweep_small_passes(tmp_path):
     rep = run_lap_sweep(parse_config_text(SMALL_SWEEP))
     assert rep.passed

@@ -80,6 +80,22 @@ def test_dstevd_matches_scipy_eigh_tridiagonal(k, rng):
     assert v.flags.f_contiguous and v_ref.flags.f_contiguous
 
 
+@pytest.mark.parametrize("zeros", [0, 1, 3], ids=["full", "one-zero", "three-zeros"])
+def test_zhetrd_tridiagonal_keeps_the_spectrum(zeros, rng):
+    # (d, e) of a Hermitian matrix, sizes 1 to 12, with zero rows and
+    # columns as a weight vanishing on part of a block gives: the real
+    # tridiag(e, d, e) has the matrix's eigenvalues
+    for k in range(1, 13):
+        s = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        s[:, rng.permutation(k)[:zeros]] = 0.0
+        a = s.conj().T @ s
+        d, e = _lapack.zhetrd(a)
+        assert d.shape == (k,) and e.shape == (k - 1,)
+        expected = np.linalg.eigvalsh(a)
+        got = eigvalsh_tridiagonal(d, e)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected)), k
+
+
 @pytest.mark.parametrize("window", [(-0.1, 0.1), (0.3, 0.31), (7.0, 8.0)])
 def test_dstebz_window_matches_scipy(window, rng):
     d, e = rng.standard_normal(2048), rng.standard_normal(2047)

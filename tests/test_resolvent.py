@@ -18,7 +18,8 @@ from lapkit.operators import (BandMatrix, Grid1D, RadialGrid, build_dilation,
 from lapkit.potential import WeightParams, bracket, standard_model, weight_f
 from lapkit.resolvent import (LADDER_STEPS, LADDER_TOL, LANCZOS_STEPS, RAY,
                               SOLVE_RTOL, ShiftedSolver, TridiagonalResolvent,
-                              _block_sup, _diagonal_shell_pairs, _separated_pairs,
+                              _block_norm, _block_sup, _diagonal_shell_pairs,
+                              _frobenius_norms, _separated_pairs,
                               _shell_inverse, besov_bstar_estimate,
                               boundary_value, hoelder_estimate, mourre_resolvent,
                               operator_norm_lower, quadratic_check,
@@ -330,6 +331,37 @@ def test_spectral_distance_matches_dense_spectrum(model, unit):
         assert spectral_distance(h_op, z) == pytest.approx(exact, rel=1e-9)
 
 
+@pytest.mark.parametrize("grid", [Grid1D(400.0, 4096), Grid1D(800.0, 8192)],
+                         ids=["desk-N4096", "desk-N8192"])
+def test_spectral_distance_bisects_the_nearest_eigenvalue_nearly_alone(grid, monkeypatch):
+    # the first window, half-width Im z / 256, widens fourfold until it
+    # holds an eigenvalue: on the desk box every z of the sweep bisects at
+    # most two (a window of half-width Im z / 16 bisected 7 and 14 at
+    # |z| = 1e-1), and the distance is the one a wide window gives
+    import lapkit.resolvent as resolvent
+    from lapkit._lapack import dstebz
+
+    h_op = build_hamiltonian(MODEL, grid)
+    main, off = h_op.diagonal().real, h_op.diagonal(1).real
+    found = []
+
+    def counting(*args):
+        vals = dstebz(*args)
+        found.append(vals.size)
+        return vals
+
+    # every Re z lies in (0, 0.04), and this window holds eigenvalues at
+    # most 0.05 apart from below -0.05 to above 0.09: each z's nearest
+    wide = dstebz(main, off, -0.1, 0.2)
+    assert wide[0] < -0.05 and wide[-1] > 0.09 and np.max(np.diff(wide)) < 0.05
+    monkeypatch.setattr(resolvent, "dstebz", counting)
+    for z in (m * RAY for m in (1e-1, 1e-2, 1e-3, 1e-4)):
+        found.clear()
+        distance = spectral_distance(h_op, z)
+        assert 1 <= sum(found) <= 2, (z, found)
+        assert distance == pytest.approx(np.min(np.hypot(wide - z.real, z.imag)), rel=1e-12)
+
+
 def test_spectral_distance_rejects_non_real_tridiagonal():
     grid = Grid1D(20.0, 128)
     h_op = build_hamiltonian(MODEL, grid)
@@ -546,6 +578,26 @@ def test_block_sup_matches_the_closed_form_at_desk_scale():
         assert abs(_block_sup(kernel, f, labels, blocks, center) / exact - 1) <= 1e-12
 
 
+def test_block_norms_and_frobenius_bounds_at_desk_scale():
+    # every diagonal unit block at N = 4096 and the sweep's four moduli:
+    # the zhetrd + dstevd norm against eigvalsh of the same Gram (worst
+    # 6.7e-16), and the one-pass Frobenius norm against the dense one
+    # (worst 4.4e-16), at least the block's 2-norm as pruning needs
+    grid = Grid1D(400.0, 4096)
+    h_op = build_hamiltonian(MODEL, grid)
+    labels, blocks = unit_blocks(np.abs(grid.nodes))
+    for z in (m * RAY for m in (1e-1, 1e-2, 1e-3, 1e-4)):
+        kernel, f = TridiagonalResolvent(h_op, z), sweep_weight(z, grid)
+        frobenius = _frobenius_norms(kernel, f, labels, blocks)
+        for block, bound in zip(blocks, frobenius):
+            fh = np.sqrt(f[block])
+            sub = kernel.entries(block[:, None], block) * fh[:, None] * fh
+            exact = math.sqrt(np.linalg.eigvalsh(sub.conj().T @ sub)[-1])
+            assert abs(_block_norm(kernel, fh, block) / exact - 1) <= 1e-14, block
+            assert abs(bound / np.linalg.norm(sub) - 1) <= 1e-12, block
+            assert bound >= np.linalg.norm(sub, 2)
+
+
 def test_kernel_rejects_pentadiagonal_operator():
     # the commutator-regularized operator couples next-nearest nodes;
     # the shifted solver factors it as a band of width 2, and the
@@ -607,12 +659,13 @@ def test_kernel_pivot_that_zgttrf_would_swap_raises(a0):
 
 
 def _all_rows_max(kernel, f, labels, blocks, center):
-    """(max diagonal block norm, max separated pair norm), every one evaluated."""
-    fh = np.sqrt(f)
-    diagonal = 0.0
-    for block in (b for b in blocks if b.size):
-        sub = kernel.entries(block[:, None], block) * fh[block][:, None] * fh[block]
-        diagonal = max(diagonal, math.sqrt(np.linalg.eigvalsh(sub.conj().T @ sub)[-1]))
+    """(max diagonal block norm, max separated pair norm), every one evaluated.
+
+    Each diagonal block takes _block_sup's own per-block routine, so the
+    tests comparing the two with == pin the pruning alone; the routine's
+    accuracy is pinned against eigvalsh separately."""
+    diagonal = max((_block_norm(kernel, np.sqrt(f[b]), b) for b in blocks if b.size),
+                   default=0.0)
     norms, _ = _separated_pairs(kernel, f, labels, len(blocks), center)
     return diagonal, float(np.max(norms(*np.triu_indices(len(blocks), 1)), initial=0.0))
 
