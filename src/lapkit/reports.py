@@ -107,8 +107,6 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
         return _float(value)
     # bool is a subclass of int, so it is tested first
@@ -116,8 +114,6 @@ def _jsonable(value):
         return bool(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        return [_float(value.real), _float(value.imag)]
     return value
 
 

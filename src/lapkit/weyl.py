@@ -18,7 +18,8 @@ same sum by frequency: with omega = exp(2 pi i / N),
 
 and each inner sum correlates one symbol column with u, which a
 zero-padded real FFT of length 2N computes without wraparound; at that
-length every modulation is a whole-bin shift.  Op(1) = I applies a
+length every modulation is a whole-bin shift, so the vector spectra and
+the accumulator span 2N bins plus the largest shift.  Op(1) = I applies a
 symbol's constant outside its ``Band`` exactly, and the radiation
 cutoffs' band (chi_-(a0) vanishes once a0 = xi^2/f^2 ends its fall)
 leaves c - constant on a few midpoint rows per frequency.  The cutoffs
@@ -211,45 +212,48 @@ def _band_rows(band: Band, mids, xi) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(k0, 0), np.minimum(k1, len(xi))
 
 
-# band frequencies transformed together; with symbols evaluated 2N / K_BATCH
-# rows at a time, v, acc, the (K_BATCH, 2N) table and its spectra bound memory
-K_BATCH = 8
+# band frequencies transformed together: the (K_BATCH, 2N) table and its half
+# spectra take 32 K_BATCH N bytes; symbols are evaluated 2N / K_BATCH rows at a time
+K_BATCH = 4
 
 
 def weyl_apply(symbol, grid: Grid1D, bank, band: Band) -> np.ndarray:
     """Matrix-free application of the quantized symbol, sliced by frequency.
 
-    ``bank`` holds one vector per row, shape (m, n), and the result is
-    the bank of their images; each row equals its own one-row apply bit
-    for bit.  A complex symbol, or xi = +-dxi columns not mirror images
-    bit for bit on their hull rows, raise ValueError.  A acts on each
-    row u and its reversal P u, with its xi = 0 column halved; the
-    unpaired -N/2, if the band reaches it, on u alone.  Each batch writes its hull, 2N /
-    K_BATCH rows at a time, into one zeroed real table; ``rfft`` and
-    conjugation give each row's spectrum, and one accumulator sums the
-    batches in ascending frequency, -N/2 last.
+    ``bank`` holds one vector per row, shape (m, n), and the result is the bank
+    of their images; each row equals its own one-row apply bit for bit.  A
+    complex symbol, or xi = +-dxi columns not mirror images bit for bit on their
+    hull rows, raise ValueError.  A acts on each row u and its reversal P u, with
+    its xi = 0 column halved; the unpaired -N/2, if the band reaches it, on u
+    alone.  Each batch writes its hull, 2N / K_BATCH rows at a time, into one
+    zeroed real table; ``rfft`` and conjugation give column k's spectrum, shifted
+    2 (k - N/2) mod 2N bins, and one accumulator of 2N plus the largest shift
+    bins sums the batches in ascending frequency, -N/2 last, and folds its wrap.
     """
     rows = np.asarray(bank, dtype=complex)
     n = grid.size
     if rows.ndim != 2 or rows.shape[1] != n:
         raise DimensionError("bank rows do not match grid size")
     m, p, zero = len(rows), 2 * n, n // 2   # zero: the column of xi = 0
-    xi, mids = grid.frequencies, _midpoints(grid)
-    outside = band.outside
+    xi, mids, outside = grid.frequencies, _midpoints(grid), band.outside
     k0, k1 = _band_rows(band, mids, xi)
-    # v[f] = sum_t w[t] e^{2 pi i f t / p} for the rows w of [u, P u],
-    # stored twice so that a shift by whole bins is a slice
-    v = np.tile(np.fft.ifft(np.vstack((rows, rows[:, ::-1])), n=p, norm="forward"), 2)
     stop = k1.max()
     batches = np.split(np.arange(zero, stop), range(K_BATCH, stop - zero, K_BATCH))
     if k0.min() == 0:                    # the unpaired -N/2
         batches.append(np.array([0]))
-    acc = np.zeros((2 * m, 2 * p), dtype=complex)
+    top = max(2 * (cols[-1] - zero) % p for cols in batches)   # the largest shift
+    # v[f] = sum_t w[t] e^{2 pi i f t / p} for the rows w of [u, P u], its
+    # last top bins copied in front so that a shift by whole bins is a slice
+    v = np.zeros((2 * m, top + p), dtype=complex)
+    v[:m, top:top + n], v[m:, top:top + n] = rows, rows[:, ::-1]
+    v[:, :top] = np.fft.ifft(v[:, top:], norm="forward", out=v[:, top:])[:, p - top:]
+    acc = np.zeros((2 * m, top + p), dtype=complex)
     table, halves = np.zeros((K_BATCH, p)), np.empty((K_BATCH, n + 1), dtype=complex)
-    row, chunk = np.empty(p, dtype=complex), p // K_BATCH
+    (row, term), chunk = np.empty((2, p), dtype=complex), p // K_BATCH
+    r0, r1 = 0, len(mids)
     for cols in batches:
-        # every row's band holds xi = 0, so some row meets each batch
-        hit = np.flatnonzero((k0 <= cols[-1]) & (k1 > cols[0]))
+        # every band holds xi = 0, so some row meets each batch, inside the last hull
+        hit = r0 + np.flatnonzero((k0[r0:r1] <= cols[-1]) & (k1[r0:r1] > cols[0]))
         r0, r1 = hit[0], hit[-1] + 1
         batch = table[:len(cols)]
         for part in (slice(c, min(c + chunk, r1)) for c in range(r0, r1, chunk)):
@@ -268,10 +272,10 @@ def weyl_apply(symbol, grid: Grid1D, bank, band: Band) -> np.ndarray:
             row[:n + 1] = spectrum       # the other half by conjugation
             np.conjugate(spectrum[n - 1:0:-1], out=row[n + 1:])
             shift = 2 * (col - zero) % p
-            w = m if col == 0 else 2 * m  # -N/2 has no mirror
-            acc[:w, shift:shift + p] += row * v[:w, p - shift:2 * p - shift]
-    del v, table, halves, row, batch, spectrum   # the last transform reuses them
-    acc[:, :p] += acc[:, p:]
+            for j in range(m if col == 0 else 2 * m):   # -N/2 has no mirror
+                acc[j, shift:shift + p] += np.multiply(row, v[j, top - shift:][:p], out=term)
+    del v, table, halves, row, term, batch, spectrum   # the last transform reuses them
+    acc[:, :top] += acc[:, p:]
     res = np.fft.ifft(acc[:, :p], axis=1)[:, :n] / n
     return res[:m] + res[m:, ::-1] + outside * rows
 

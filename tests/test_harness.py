@@ -119,8 +119,8 @@ def test_report_is_strict_json(tmp_path):
 
     rep = Report(experiment="x", seed=1, config={"tol": math.inf})
     rep.add(CheckResult("c1", "anchor-1", math.nan, -math.inf, "<=", ""))
-    rep.extras["values"] = np.array([1.5, math.nan, math.inf, -math.inf])
-    rep.extras["z"] = complex(math.inf, -0.5)
+    rep.extras["values"] = [1.5, np.float64(math.nan), math.inf, -math.inf]
+    rep.extras["z"] = [math.inf, -0.5]
     data = json.loads(rep.to_json(), parse_constant=reject)
     assert data["checks"][0]["value"] == "nan"
     assert data["checks"][0]["threshold"] == "-inf"
@@ -131,6 +131,16 @@ def test_report_is_strict_json(tmp_path):
     sidecar = json.loads((tmp_path / "vec.json").read_text(),
                          parse_constant=reject)
     assert sidecar["scale"] == "nan"
+
+
+@pytest.mark.parametrize("value", [np.zeros(2), 1j, np.complex128(1j)],
+                         ids=["ndarray", "complex", "numpy-complex"])
+def test_report_rejects_arrays_and_complex_numbers(value):
+    # runners store lists of reals; anything else fails when it is written
+    rep = Report(experiment="x", seed=1, config={})
+    rep.extras["stray"] = value
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        rep.to_json()
 
 
 def test_report_booleans_are_json_booleans(tmp_path):
@@ -363,6 +373,23 @@ def test_selftest_dense_stage_starts_without_the_sample_banks(live_at_entry):
     assert run_besov_selftest(cfg).passed
     assert len(entries) == 1
     assert entries[0] - start <= 0.5 * 2**20
+
+
+def test_desk_radiation_memory_is_bounded():
+    # the desk radiation run (the bench's config) peaks inside its two-row
+    # outgoing filter at 3.06 MiB traced, 3.18 with a process's first
+    # 8,192-point FFT plans, against 4.43 when weyl_apply's spectra and
+    # accumulator were 4N bins wide; traced bytes, unlike the resident set
+    # size, do not depend on the allocator
+    config = Path(__file__).resolve().parent.parent / "demos/configs/radiation.cfg"
+    cfg = load_config(config)
+    tracemalloc.start()
+    try:
+        assert run_radiation(cfg).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.4 * 2**20
 
 
 def test_sweep_csv_schema(tmp_path):

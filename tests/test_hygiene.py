@@ -410,7 +410,8 @@ def test_each_command_run_writes_its_own_files(every_command):
 
 # The bytes and check margins of the fixture's runs, on the numpy and
 # OpenBLAS builds that wrote them (BLAS kernels differ by build and by
-# CPU core, which the OpenBLAS config string names).  A change that
+# CPU core, which the OpenBLAS config string names, and numpy's own
+# loops by the SIMD targets it enables on the CPU).  A change that
 # moves an output updates the manifest: on any mismatch the test writes
 # the fresh one to its tmp_path and names that file.
 MANIFEST = ROOT / "tests" / "output_manifest.json"
@@ -421,6 +422,11 @@ def _openblas_config() -> str:
     lib.scipy_openblas_get_config64_.argtypes = []
     lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
     return lib.scipy_openblas_get_config64_().decode()
+
+
+def _numpy_simd() -> str:
+    """The SIMD targets numpy dispatches to on this CPU, as show_config lists them."""
+    return " ".join(numpy.__config__.CONFIG["SIMD Extensions"]["found"])
 
 
 def _margin(check: dict):
@@ -446,7 +452,8 @@ def _manifest(every_command) -> dict:
                     "value": check["value"], "threshold": check["threshold"],
                     "margin": _margin(check)}
         runs[f"{k} {command}"] = {"files": files, "checks": checks}
-    return {"numpy": numpy.__version__, "openblas": _openblas_config(), "runs": runs}
+    return {"numpy": numpy.__version__, "numpy_simd": _numpy_simd(),
+            "openblas": _openblas_config(), "runs": runs}
 
 
 def _moved(old, new, path="") -> list[str]:
@@ -464,7 +471,8 @@ def _mismatch(recorded: dict, fresh: dict, directory: Path) -> str | None:
         return None
     path = directory / MANIFEST.name
     path.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
-    builds = [f"numpy {m['numpy']}, {m['openblas']}" for m in (recorded, fresh)]
+    builds = [f"numpy {m['numpy']} (SIMD {m['numpy_simd']}), {m['openblas']}"
+              for m in (recorded, fresh)]
     return (f"outputs differ from {MANIFEST.name} (recorded on {builds[0]}; "
             f"this run: {builds[1]}) at {_moved(recorded, fresh)}; "
             f"the fresh manifest is {path}")
@@ -482,6 +490,12 @@ def test_manifest_mismatch_names_both_builds(every_command, tmp_path):
     assert other["openblas"] in message and fresh["openblas"] in message
     assert "at ['/openblas']" in message
     assert json.loads((tmp_path / MANIFEST.name).read_text()) == fresh
+    # numpy at its AVX2 level, as on a host without AVX-512
+    other = dict(fresh, numpy_simd="X86_V3")
+    message = _mismatch(other, fresh, tmp_path)
+    assert f"numpy {fresh['numpy']} (SIMD X86_V3)" in message
+    assert f"numpy {fresh['numpy']} (SIMD {fresh['numpy_simd']})" in message
+    assert "at ['/numpy_simd']" in message
     assert _mismatch(fresh, fresh, tmp_path) is None
     # margins are signed so that a positive one passes
     assert _margin({"value": 0.25, "threshold": 1.0, "comparison": "<="}) == 0.75
@@ -588,10 +602,6 @@ LINES_NOT_RUN = {
     "besov.ShellScheme.shell_count: j += 1": "a float log that rounds down; tests/test_besov.py",
     "besov.loglog_slope: return math.nan": "fewer than two positive values, or one radius",
     "besov.accretive_bound: return None": "a matrix that is not accretive; the selftest's is",
-    "reports._jsonable: return [_jsonable(v) for v in value.tolist()]":
-        "an ndarray in a report; no runner stores one",
-    "reports._jsonable: return [_float(value.real), _float(value.imag)]":
-        "a complex number in a report; no runner stores one",
     "weyl.weyl_apply: batches.append(np.array([0]))":
         "a band reaching the unpaired frequency -N/2; the radiation cutoffs' stop short",
     # failures a sound run does not meet
