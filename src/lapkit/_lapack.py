@@ -1,8 +1,9 @@
-"""zgttrf, zgttrs, zgbtrf, zgbtrs, zhetrd, dstevd and dstebz from numpy's OpenBLAS.
+"""zgttrf, zgttrs, zhetrd, dstevd and dstebz from numpy's OpenBLAS.
 
 numpy's Linux wheels ship numpy.libs/libscipy_openblas64_*.so, whose LAPACKE
 symbols scipy_LAPACKE_<name>64_ take 64-bit integers; numpy has it loaded, so
-binding it costs no import.  lap-sweep runs no other LAPACK routine.  Arrays
+binding it costs no import.  lapkit runs no other LAPACK routine, and its
+commands run all five: every factorized operator is tridiagonal.  Arrays
 are column-major (LAPACK Users' Guide, 3rd ed., 1999); a missing library or
 symbol is an ImportError.  ``call`` checks and converts its arguments on every
 call; a solver reusing its factors calls ``LIB``'s routine with their addresses.
@@ -23,9 +24,8 @@ COL_MAJOR = 102
 # the _work variants skip LAPACKE's NaN scan of their input
 _TYPES = dict(L=ctypes.c_int, I=ctypes.c_int64, C=ctypes.c_char,
               D=ctypes.c_double, P=ctypes.c_void_p)
-_ARGS = {"zgttrf_work": "IPPPPP", "zgttrs_work": "LCIIPPPPPPI",
-         "zgbtrf_work": "LIIIIPIP", "zgbtrs_work": "LCIIIIPIPPI",
-         "zhetrd_work": "LCIPIPPPPI", "dstevd": "LCIPPPI", "dstebz": "CCIDDIIDPPPPPPP"}
+_ARGS = {"zgttrf_work": "IPPPPP", "zgttrs_work": "LCIIPPPPPPI", "zhetrd_work": "LCIPIPPPPI",
+         "dstevd": "LCIPPPI", "dstebz": "CCIDDIIDPPPPPPP"}
 
 
 def _load(directory: Path) -> dict:

@@ -5,7 +5,8 @@ central stencil with Dirichlet walls.  The one complex absorbing layer,
 ``matched_absorber``, is impedance-matched to zero-energy waves and
 kept as a separate diagonal term so the Hermitian part stays intact;
 its amplitude and width are module constants.  Every operator is
-a ``BandMatrix``: its diagonals as numpy arrays.
+a tridiagonal (or diagonal) ``BandMatrix``: its diagonals as numpy
+arrays, with a sum and a product with a vector.
 """
 
 from __future__ import annotations
@@ -63,23 +64,8 @@ class BandMatrix:
         k = max(self.k, other.k)
         return BandMatrix([self.diagonal(j) + other.diagonal(j) for j in range(-k, k + 1)])
 
-    def __sub__(self, other: BandMatrix) -> BandMatrix:
-        return self + -1.0 * other
-
-    def __rmul__(self, scalar) -> BandMatrix:
-        return BandMatrix([scalar * d for d in self.diags])
-
-    def __matmul__(self, other):
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
         n = self.shape[0]
-        if isinstance(other, BandMatrix):
-            # a column of M B meets k rows either side of its diagonal, so one
-            # probe, the sum of every w-th unit vector, recovers w columns whole
-            k = self.k + other.k
-            w = 2 * k + 1
-            probes = (np.arange(n) % w == np.arange(w)[:, None]).astype(float)
-            cols = np.array([self @ (other @ probe) for probe in probes])
-            return BandMatrix(cols[(rows + m) % w, rows] for m in range(-k, k + 1)
-                              for rows in [np.arange(max(-m, 0), n - max(m, 0))])
         out = np.zeros(n, dtype=np.result_type(*self.diags, other))
         for j, d in enumerate(self.diags, -self.k):
             out[max(-j, 0):n - max(j, 0)] += _product(d, other[max(j, 0):n - max(-j, 0)])

@@ -2,15 +2,16 @@
 
 Sweep energies are z = m RAY for moduli m in (0, LAMBDA0], on the
 bisector of the sector arg z in (0, 3 pi / 4), |z| <= LAMBDA0.  Every
-factorized operator is a complex-symmetric ``BandMatrix`` (H and H + cap
-tridiagonal, the commutator-regularized operator pentadiagonal), and one
-LU with partial pivoting (``_band_lu``) serves every solve.  The plain
-resolvent norm of a self-adjoint H is exact (``spectral_distance``);
-every other operator norm is a certified lower bound from one Lanczos
-run (``_lanczos``).  ``TridiagonalResolvent`` reads any entry of a
-tridiagonal resolvent off two pivot sequences, and the shell-space
-bracket (``besov_bstar_estimate``) takes every entry it evaluates there.
-Every LAPACK routine here comes from numpy's OpenBLAS through ``_lapack``.
+factorized operator is a complex-symmetric tridiagonal ``BandMatrix``
+(H, H + cap and the commutator-regularized operator), ``_tridiagonal``
+alone decides that, and one LU with partial pivoting (``_band_lu``)
+serves every solve.  The plain resolvent norm of a self-adjoint H is
+exact (``spectral_distance``); every other operator norm is a certified
+lower bound from one Lanczos run (``_lanczos``).
+``TridiagonalResolvent`` reads any entry of a tridiagonal resolvent off
+two pivot sequences, and the shell-space bracket
+(``besov_bstar_estimate``) takes every entry it evaluates there.  Every
+LAPACK routine here comes from numpy's OpenBLAS through ``_lapack``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from ._lapack import COL_MAJOR, LIB, call, dstebz, dstevd, zhetrd
 from .besov import ShellScheme, Stream, loglog_slope, unit_blocks
 from .errors import DimensionError, SolverError
 from .operators import BandMatrix, dilation_eigenbasis
-from .potential import (PotentialModel, WeightParams, bracket, weight_exponent,
-                        weight_f)
+from .potential import (PotentialModel, WeightParams, bracket, virial_w,
+                        weight_exponent, weight_f)
 
 __all__ = [
     "ShiftedSolver",
@@ -66,52 +67,38 @@ RAY = cmath.exp(1j * (0.75 * math.pi / 2.0))
 # Shifted solves
 # ---------------------------------------------------------------------------
 
-def _bands(operator: BandMatrix) -> list[np.ndarray]:
-    """Diagonals 0, 1, ..., k of a band of bandwidth k, at least 1.
-
-    ValueError unless it is complex symmetric: diagonal -j is diagonal +j.
-    """
-    k = max(operator.k, 1)
-    bands = [operator.diagonal(j) for j in range(k + 1)]
-    scale = max(np.max(np.abs(np.concatenate(bands))), 1e-300)
-    if any(np.max(np.abs(operator.diagonal(-j) - bands[j]), initial=0.0) > 1e-12 * scale
-           for j in range(1, k + 1)):
+def _tridiagonal(operator: BandMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(main, off): the diagonal and the off-diagonal of a complex-symmetric
+    tridiagonal operator.  ValueError unless it is tridiagonal and its
+    diagonal -1 is its diagonal +1."""
+    if operator.k > 1:
+        raise ValueError("operator is not tridiagonal")
+    main, off = operator.diagonal(0), operator.diagonal(1)
+    scale = max(np.max(np.abs(np.concatenate((main, off)))), 1e-300)
+    if np.max(np.abs(operator.diagonal(-1) - off), initial=0.0) > 1e-12 * scale:
         raise ValueError("operator is not complex symmetric")
-    return bands
+    return main, off
 
 
 def _band_lu(bands):
-    """Solver b -> A^{-1} b for the complex-symmetric A with diagonals +-j = bands[j].
-
-    A is factored once by Gaussian elimination with partial pivoting
-    (LAPACK Users' Guide, 3rd ed., 1999, section 2.4.3): a tridiagonal A
-    by zgttrf, a wider band in band storage by zgbtrf.  Each solve, of a
-    vector or of columns, is one zgttrs or zgbtrs called with the
-    factors' addresses read once.  SolverError on a zero pivot.
-    """
-    k, n = len(bands) - 1, len(bands[0])
-    piv = np.empty(n, dtype=np.int64)
-    if k == 1:
-        # dl, d, du and the second superdiagonal that row interchanges fill
-        factors = [np.array(bands[j], dtype=complex) for j in (1, 0, 1)]
-        factors += [np.zeros(max(n - 2, 0), dtype=complex), piv]
-        info = call("zgttrf_work", n, *factors)
-        name, head = "zgttrs_work", (COL_MAJOR, b"N", n)
-    else:
-        ab = np.zeros((3 * k + 1, n), dtype=complex, order="F")
-        for j, band in enumerate(bands):
-            ab[2 * k - j, j:] = ab[2 * k + j, :n - j] = band
-        factors = [ab, 3 * k + 1, piv]
-        info = call("zgbtrf_work", COL_MAJOR, n, n, k, k, *factors)
-        name, head = "zgbtrs_work", (COL_MAJOR, b"N", n, k, k)
-    if info:
+    """Solver b -> A^{-1} b for the complex-symmetric tridiagonal A with
+    diagonal bands[0] and off-diagonals bands[1]: one zgttrf (Gaussian
+    elimination with partial pivoting, LAPACK Users' Guide, 3rd ed., 1999,
+    section 2.4.3), then one zgttrs per solve, of a vector or of columns,
+    called with the factors' addresses read once.  SolverError on a zero
+    pivot."""
+    n = len(bands[0])
+    # dl, d, du and the second superdiagonal that row interchanges fill
+    factors = [np.array(bands[j], dtype=complex) for j in (1, 0, 1)]
+    factors += [np.zeros(max(n - 2, 0), dtype=complex), np.empty(n, dtype=np.int64)]
+    if info := call("zgttrf_work", n, *factors):
         raise SolverError(f"zero pivot {info} of {n}: spectrally degenerate")
-    routine = LIB[name]
-    args = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in factors]
+    routine = LIB["zgttrs_work"]
+    args = [a.ctypes.data for a in factors]
 
     def solve(rhs):
         b = np.array(rhs, dtype=complex, order="F")
-        routine(*head, b.size // n, *args, b.ctypes.data, n)
+        routine(COL_MAJOR, b"N", n, b.size // n, *args, b.ctypes.data, n)
         return b
 
     solve.factors = factors         # the arrays ``args`` point into
@@ -119,20 +106,19 @@ def _band_lu(bands):
 
 
 class ShiftedSolver:
-    """Band LU factorization of (M - z) with iterative refinement on solves.
+    """LU factorization of (M - z) with iterative refinement on solves.
 
-    M - z must be a complex-symmetric band matrix; its bandwidth is read
-    off M (1 for a Hamiltonian, 2 for the Mourre operator) and
-    ``_band_lu`` factors it once.  Being symmetric, it gives adjoint
-    solves from the same factors by conjugation.  ``matrix`` is the
-    BandMatrix M.  A solve takes up to four refinement steps to reach
-    a relative residual of SOLVE_RTOL, the residual being M u - z u.
+    M must be a complex-symmetric tridiagonal ``BandMatrix`` (``matrix``),
+    and ``_band_lu`` factors M - z once.  Being symmetric, it gives
+    adjoint solves from the same factors by conjugation.  A solve takes
+    up to four refinement steps to reach a relative residual of
+    SOLVE_RTOL, the residual being M u - z u.
     """
 
     def __init__(self, operator: BandMatrix, z: complex):
         self.matrix, self.shape, self.z = operator, operator.shape, complex(z)
-        main, *upper = _bands(self.matrix)
-        self._lu = _band_lu([main - self.z, *upper])
+        main, off = _tridiagonal(self.matrix)
+        self._lu = _band_lu([main - self.z, off])
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
@@ -175,8 +161,8 @@ def spectral_distance(operator, z: complex) -> float:
     below 1e-9 at desk scale for |z| >= 1e-4.  ValueError unless H is
     real, symmetric and tridiagonal.
     """
-    main, off, *wider = _bands(operator)
-    if wider or np.any(np.imag(main)) or np.any(np.imag(off)):
+    main, off = _tridiagonal(operator)
+    if np.any(np.imag(main)) or np.any(np.imag(off)):
         raise ValueError("operator is not real tridiagonal")
     main, off, z = main.real, off.real, complex(z)
     half = abs(z.imag) / 256.0 or 1.0
@@ -224,9 +210,7 @@ class TridiagonalResolvent:
     """
 
     def __init__(self, operator, z: complex):
-        main, upper, *wider = _bands(operator)
-        if wider:
-            raise ValueError("operator is not tridiagonal")
+        main, upper = _tridiagonal(operator)
         self.z = complex(z)
         self.n = len(main)
         self.a = main.astype(complex) - self.z
@@ -670,6 +654,9 @@ def hoelder_estimate(operator, s: float, pairs, grid, rng,
     if len(pairs) < 3:
         raise ValueError("need at least 3 sector pairs")
     w = bracket(grid.nodes) ** (-s)
+    # one factorization per distinct z of a pair of distinct points
+    solvers = {z: ShiftedSolver(operator, z) for z in dict.fromkeys(
+        z for z1, z2 in pairs if z1 != z2 for z in (z1, z2))}
     rows = []
     converged = []
     for z1, z2 in pairs:
@@ -677,8 +664,7 @@ def hoelder_estimate(operator, s: float, pairs, grid, rng,
         if dist == 0.0:
             rows.append((z1, z2, 0.0, 0.0))
             continue
-        s1 = ShiftedSolver(operator, z1)
-        s2 = ShiftedSolver(operator, z2)
+        s1, s2 = solvers[z1], solvers[z2]
 
         def matvec(u):
             return w * (s1.solve(w * u) - s2.solve(w * u))
@@ -753,19 +739,24 @@ def boundary_value(operator, v, grid, weight_s: float) -> BoundaryValueResult:
 # Commutator-regularized resolvent and the quadratic estimate
 # ---------------------------------------------------------------------------
 
-def mourre_resolvent(hm: BandMatrix, am: BandMatrix,
+def mourre_resolvent(h_op: BandMatrix, model: PotentialModel, grid,
                      z: complex, eps: float) -> ShiftedSolver:
     """Factorize H - i eps i[H, A] - z, defined for eps Im z > 0.
 
-    The commutator is formed as the discrete product i (H A - A H),
-    which is real symmetric for a real H and the symmetrized dilation
-    generator, so the regularized operator stays complex symmetric.
+    With V2 = 0, the virial identity i[H, A] = 2H + W with W = -2 V1 -
+    x V1' (``virial_w``; criterion 2 checks it at stencil order) turns
+    the regularized operator into the tridiagonal (1 - 2i eps) H - i eps W,
+    built diagonal by diagonal and complex symmetric for a real symmetric
+    H.  ValueError for a model with V2.
     """
     if eps * z.imag <= 0:
         raise ValueError("regularization requires eps Im z > 0")
-    comm = 1j * (hm @ am - am @ hm)
-    reg = hm - 1j * eps * comm
-    return ShiftedSolver(reg, z)
+    if model.v2 is not None:
+        raise ValueError("virial identity requires V2 = 0")
+    main, off = _tridiagonal(h_op)
+    scale = 1.0 - 2j * eps
+    main = scale * main - 1j * eps * virial_w(model, grid.nodes)
+    return ShiftedSolver(BandMatrix([scale * off, main, scale * off]), z)
 
 
 @dataclass
@@ -790,10 +781,11 @@ def quadratic_check(h_op: BandMatrix, a_op: BandMatrix,
 
     Probes: T = f^{1/2} <x>^{-s} (diagonal, s = s0 + 0.05, weight
     constant K = 1) and T = f <A>^{-1}, the second applied through the
-    eigendecomposition of the dilation generator.  Reports q = LHS |eps| / RHS per (z, eps, probe) and
-    the sup per probe; the estimate predicts q bounded by a constant
-    depending only on the sector opening.  A row's ``converged`` is
-    true when the Lanczos runs of both its LHS and its RHS converged.
+    eigendecomposition of the dilation generator ``a_op``; R_z(eps) is
+    ``mourre_resolvent``'s.  Reports q = LHS |eps| / RHS per (z, eps,
+    probe) and the sup per probe; the estimate predicts q bounded by a
+    constant depending only on the sector opening.  A row's ``converged``
+    is true when the Lanczos runs of both its LHS and its RHS converged.
     """
     x = grid.nodes
     s = weight_exponent(model.mu)
@@ -822,7 +814,7 @@ def quadratic_check(h_op: BandMatrix, a_op: BandMatrix,
             "f_dilation": (t_dil, t_dil_adj),
         }
         for eps in eps_values:
-            solver = mourre_resolvent(h_op, a_op, z, eps)
+            solver = mourre_resolvent(h_op, model, grid, z, eps)
             for name, (t_fwd, t_adj) in probes.items():
                 # each run finishes inside this iteration, so the closures
                 # see this iteration's solver and probe

@@ -260,7 +260,7 @@ def test_criterion_7_uniqueness(uniqueness_report):
 
 
 # ---------------------------------------------------------------------------
-# 8. commutator-regularized quadratic estimate
+# 8. commutator-regularized quadratic estimate, i[H, A] = 2H + W
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_quadratic_probe():
@@ -284,10 +284,13 @@ def test_criterion_8_quadratic_probe():
     for probe in report.constants:
         vals = [v for (p, _), v in per_eps.items() if p == probe]
         eps_stable[probe] = max(vals) / min(vals)
-    ok = (finite and all(v <= 2.0 for v in z_stable.values())
+    # an unconverged Lanczos lower bound would enter q unflagged
+    converged = all(row["converged"] for row in report.rows)
+    ok = (finite and converged and all(v <= 2.0 for v in z_stable.values())
           and all(v <= 2.0 for v in eps_stable.values()))
     frozen("quadratic_constant", max(report.constants.values()))
     announce(8, ok,
-             f"empirical constants {report.constants} finite; stability "
+             f"empirical constants {report.constants} finite; all "
+             f"{len(report.rows)} rows converged: {converged}; stability "
              f"across |z| decades {z_stable} and across eps-halvings "
              f"{eps_stable} all within x2")

@@ -7,7 +7,8 @@ numpy.random, random or secrets and no command loads numpy.random,
 secrets or hashlib, OpenBLAS starts with one thread unless the caller
 chose otherwise, every def is entered and every statement line run by
 some command and every dataclass field is read, or each is listed with its
-reason, every command's files and check margins match
+reason, every bound LAPACK routine is called by some command, every
+command's files and check margins match
 tests/output_manifest.json, and the package exports its fixed set of
 names."""
 
@@ -112,7 +113,7 @@ def test_settable_values_do_not_grow():
 
 # Ceiling on the package's source lines (all of src/lapkit, blank lines
 # and comments included); like SETTABLE_CEILING it may only fall.
-LINE_CEILING = 3468
+LINE_CEILING = 3446
 
 
 def test_source_lines_do_not_grow():
@@ -177,11 +178,10 @@ def test_second_verdicts_are_caught():
         "class R:\n    ok: bool\n    def verdict(self):\n        return self.passed")) == []
 
 
-# One LU back end and no scipy at run time: every solve goes through
-# resolvent._band_lu, which hands a tridiagonal to LAPACK's zgttrf/zgttrs
-# and a wider band to zgbtrf/zgbtrs, and LAPACK comes from numpy's own
-# OpenBLAS through lapkit._lapack, so no module imports scipy or a second
-# solver.
+# One LU back end and no scipy at run time: every factorized operator is
+# tridiagonal, every solve goes through resolvent._band_lu, which hands it
+# to LAPACK's zgttrf/zgttrs, and LAPACK comes from numpy's own OpenBLAS
+# through lapkit._lapack, so no module imports scipy or a second solver.
 FORBIDDEN_MODULES = ("scipy.sparse.linalg", "scipy")
 FORBIDDEN_NAMES = {"zgtsv", "splu", "spsolve"}
 
@@ -528,8 +528,6 @@ NOT_RUN_BY_A_COMMAND = {
     # demos 04 and 05
     "operators.hermiticity_residual": "printed by demos 04 and 05",
     # criteria code
-    "operators.BandMatrix.__sub__": "criterion 2's commutator",
-    "operators.BandMatrix.__rmul__": "criterion 2's commutator",
     "operators.build_dilation": "criteria 2 and 8",
     "operators.commutator_residual": "criterion 2",
     "operators.refinement_orders": "criterion 2",
@@ -617,25 +615,6 @@ LINES_NOT_RUN = {
         "a refinement step; every command's solve meets SOLVE_RTOL without one",
     "resolvent.boundary_value: return BoundaryValueResult(u=u_prev, z_values=zs, "
     "diffs=diffs, converged=False)": "a ray ladder that runs out of rungs",
-    # criterion 8's pentadiagonal Mourre operator H - i eps i[H, A]
-    "operators.BandMatrix.__matmul__: k = self.k + other.k": "criterion 8's H A - A H",
-    "operators.BandMatrix.__matmul__: w = 2 * k + 1": "criterion 8's H A - A H",
-    "operators.BandMatrix.__matmul__: probes = "
-    "(np.arange(n) % w == np.arange(w)[:, None]).astype(float)": "criterion 8's H A - A H",
-    "operators.BandMatrix.__matmul__: cols = "
-    "np.array([self @ (other @ probe) for probe in probes])": "criterion 8's H A - A H",
-    "operators.BandMatrix.__matmul__: return "
-    "BandMatrix(cols[(rows + m) % w, rows] for m in range(-k, k + 1)": "criterion 8's H A - A H",
-    'resolvent._band_lu: ab = np.zeros((3 * k + 1, n), dtype=complex, order="F")':
-        "criterion 8's band of width 2",
-    "resolvent._band_lu: for j, band in enumerate(bands):": "criterion 8's band of width 2",
-    "resolvent._band_lu: ab[2 * k - j, j:] = ab[2 * k + j, :n - j] = band":
-        "criterion 8's band of width 2",
-    "resolvent._band_lu: factors = [ab, 3 * k + 1, piv]": "criterion 8's band of width 2",
-    'resolvent._band_lu: info = call("zgbtrf_work", COL_MAJOR, n, n, k, k, *factors)':
-        "criterion 8's band of width 2",
-    'resolvent._band_lu: name, head = "zgbtrs_work", (COL_MAJOR, b"N", n, k, k)':
-        "criterion 8's band of width 2",
 }
 
 
@@ -706,6 +685,37 @@ def test_unrun_lines_are_caught():
     # a def of NOT_RUN_BY_A_COMMAND is exempt, nested defs included
     assert _unrun_lines("resolvent", source.replace("class C", "class QuadraticReport")
                         .replace("def m", "def stability"), ran) == {"resolvent.f: y = 1"}
+
+
+# Every LAPACK routine lapkit binds is one some command calls: each key of
+# _lapack._ARGS is named, as a string, on a src line a command runs.  A
+# routine named only on lines no command runs is a binding nothing needs.
+def _routine_lines(trees: dict) -> dict:
+    """routine -> {(file name, line)} of each string constant naming a key
+    of _lapack._ARGS, in the trees (file name -> tree), outside the
+    assignment of _ARGS itself."""
+    out = {name: set() for name in _lapack._ARGS}
+    for name, tree in trees.items():
+        table = {id(node) for stmt in ast.walk(tree) if isinstance(stmt, ast.Assign)
+                 and any(getattr(t, "id", None) == "_ARGS" for t in stmt.targets)
+                 for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value in out and id(node) not in table):
+                out[node.value].add((name, node.lineno))
+    return out
+
+
+def test_every_bound_routine_is_called_by_a_command(every_command):
+    ran = {tuple(row) for row in every_command["ran"]}
+    lines = _routine_lines({p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")})
+    assert sorted(name for name, where in lines.items() if not where & ran) == []
+
+
+def test_routine_lines_skip_the_binding_table():
+    tree = ast.parse('_ARGS = {"dstevd": "LCIPPPI"}\nx = 1\ninfo = call("dstevd", x)\n')
+    lines = _routine_lines({"m.py": tree})
+    assert lines["dstevd"] == {("m.py", 3)} and lines["dstebz"] == set()
 
 
 # Every dataclass field in src/lapkit that no module or demo reads, with

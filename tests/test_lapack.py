@@ -6,19 +6,18 @@ import os
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-from scipy.linalg.lapack import zgbtrf, zgbtrs, zgttrf, zgttrs
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from lapkit import _lapack
 from lapkit.errors import SolverError
 from lapkit.resolvent import _band_lu
 
 
-def _complex_bands(rng, n, k):
-    """Diagonals 0..k of a random complex-symmetric band matrix, diagonally heavy."""
-    bands = [rng.standard_normal(n - j) + 1j * rng.standard_normal(n - j)
-             for j in range(k + 1)]
-    bands[0] += 4.0 * (k + 1)
-    return bands
+def _complex_bands(rng, n):
+    """Diagonal and off-diagonal of a random complex-symmetric tridiagonal,
+    diagonally heavy."""
+    main, off = (rng.standard_normal(m) + 1j * rng.standard_normal(m) for m in (n, n - 1))
+    return main + 8.0, off
 
 
 def _rhs(rng, n, columns):
@@ -29,10 +28,10 @@ def _rhs(rng, n, columns):
 @pytest.mark.parametrize("dominant", [True, False], ids=["dominant", "interchanging"])
 @pytest.mark.parametrize("columns", [None, 2], ids=["vector", "two-columns"])
 def test_band_lu_matches_scipy_zgttrf_zgttrs(columns, dominant, rng):
-    # bandwidth 1 goes to LAPACK's tridiagonal LU; without a dominant
-    # diagonal it interchanges rows, so the solve reads du2 and ipiv too
+    # LAPACK's tridiagonal LU; without a dominant diagonal it
+    # interchanges rows, so the solve reads du2 and ipiv too
     n = 257
-    main, off = _complex_bands(rng, n, 1)
+    main, off = _complex_bands(rng, n)
     main = main if dominant else main - 8.0
     factors = zgttrf(off, main, off)
     assert factors[-1] == 0
@@ -41,25 +40,6 @@ def test_band_lu_matches_scipy_zgttrf_zgttrs(columns, dominant, rng):
     expected, info = zgttrs(*factors[:-1], rhs)
     assert info == 0
     got = _band_lu([main, off])(rhs)
-    assert got.shape == expected.shape
-    assert got.tobytes() == np.asfortranarray(expected).tobytes()
-
-
-@pytest.mark.parametrize("k", [2])
-@pytest.mark.parametrize("columns", [None, 2], ids=["vector", "two-columns"])
-def test_band_lu_matches_scipy_zgbtrf_zgbtrs(k, columns, rng):
-    # wider bands, the Mourre operator's, go to LAPACK's band LU
-    n = 257
-    bands = _complex_bands(rng, n, k)
-    ab = np.zeros((3 * k + 1, n), dtype=complex)
-    for j, band in enumerate(bands):
-        ab[2 * k - j, j:] = ab[2 * k + j, :n - j] = band
-    lu, piv, info = zgbtrf(ab, k, k)
-    assert info == 0
-    rhs = _rhs(rng, n, columns)
-    expected, info = zgbtrs(lu, k, k, rhs, piv)
-    assert info == 0
-    got = _band_lu(bands)(rhs)
     assert got.shape == expected.shape
     assert got.tobytes() == np.asfortranarray(expected).tobytes()
 
@@ -119,7 +99,7 @@ def test_call_rejects_a_strided_array():
 
 
 def test_missing_library_raises_import_error(tmp_path):
-    with pytest.raises(ImportError, match="scipy_LAPACKE_zgbtrf_work64_") as err:
+    with pytest.raises(ImportError, match="scipy_LAPACKE_zgttrs_work64_") as err:
         _lapack._load(tmp_path)
     assert str(tmp_path / "libscipy_openblas64_*.so") in str(err.value)
 

@@ -93,21 +93,19 @@ def test_hermiticity():
 
 def test_band_matrix_keeps_the_bits_of_sparse_products(rng):
     # scipy.sparse is the oracle: a CSR row with sorted columns sums its
-    # terms from zero in ascending order, and so does a BandMatrix
+    # terms from zero in ascending order, and so does a BandMatrix, of
+    # any width
     g = Grid1D(20.0, 128)
     h_cap = build_hamiltonian(standard_model(1.0, 1.0, 1), g) + matched_absorber(
         g, mu=1.0, kappa=1.0)
-    a_op = build_dilation(g)
-    comm = h_cap @ a_op - a_op @ h_cap
-    h_bar = BandMatrix([np.conj(d) for d in h_cap.diags])
+    h_bar = BandMatrix([0.5j * np.conj(d) for d in h_cap.diags])
+    wide = BandMatrix([rng.standard_normal(128 - abs(j)) + 1j * rng.standard_normal(128 - abs(j))
+                       for j in range(-2, 3)])
     v = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    for band in (h_cap, a_op, comm, 0.5j * h_bar):
+    for band in (h_cap, build_dilation(g), h_bar, wide):
         assert (band @ v).tobytes() == (sp.csr_matrix(band.toarray()) @ v).tobytes()
-    sparse = sp.csr_matrix(h_cap.toarray()) @ sp.csr_matrix(a_op.toarray())
-    assert np.array_equal((h_cap @ a_op).toarray(), sparse.toarray())
-    assert comm.k == 2 and comm.shape == (128, 128)
-    assert np.array_equal(comm.toarray(), (h_cap @ a_op).toarray() - (a_op @ h_cap).toarray())
-    assert np.array_equal(comm.diagonal(-2), np.diagonal(comm.toarray(), -2))
+    assert wide.k == 2 and wide.shape == (128, 128)
+    assert np.array_equal(wide.diagonal(-2), np.diagonal(wide.toarray(), -2))
     assert np.array_equal(h_cap.diagonal(2), np.zeros(126))
 
 
@@ -116,7 +114,7 @@ def test_band_matrix_smallest_sizes():
     assert one.shape == (1, 1) and one.k == 0
     assert (one @ np.array([3.0])).tolist() == [6.0 + 3j]
     tri = BandMatrix([[1.0], [2.0, 3.0], [4.0]])
-    assert np.array_equal((tri @ tri).toarray(), tri.toarray() @ tri.toarray())
+    assert (tri @ np.array([1.0, 2.0])).tolist() == (tri.toarray() @ [1.0, 2.0]).tolist()
 
 
 def test_dimension_mismatch():

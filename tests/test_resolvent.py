@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from lapkit.config import parse_config_text
 from lapkit.errors import SolverError
 from lapkit.experiments import run_lap_sweep
 from lapkit.operators import (BandMatrix, Grid1D, RadialGrid, build_dilation,
-                              build_hamiltonian, gaussian_probe,
-                              matched_absorber)
-from lapkit.potential import WeightParams, bracket, standard_model, weight_f
+                              build_hamiltonian, commutator_residual,
+                              gaussian_probe, matched_absorber)
+from lapkit.potential import (WeightParams, bracket, coulomb_model,
+                              standard_model, virial_w, weight_f)
 from lapkit.resolvent import (LADDER_STEPS, LADDER_TOL, LANCZOS_STEPS, RAY,
                               SOLVE_RTOL, ShiftedSolver, TridiagonalResolvent,
                               _block_norm, _block_sup, _diagonal_shell_pairs,
@@ -28,6 +30,9 @@ from lapkit.resolvent import (LADDER_STEPS, LADDER_TOL, LANCZOS_STEPS, RAY,
 
 MODEL = standard_model(1.0, 1.0, 1)
 Z0 = 0.5 + 0.5j
+# complex symmetric with a band of width 2: no factorization takes it
+PENTADIAGONAL = BandMatrix([np.full(6, 0.5), np.full(7, 1.0), np.full(8, 4.0 + 1j),
+                            np.full(7, 1.0), np.full(6, 0.5)])
 # the boundary-value ladder's weight exponent, s0 + 0.05
 WEIGHT_S = MODEL.s0 + 0.05
 
@@ -163,12 +168,11 @@ def test_banded_solver_at_smallest_sizes(n, rng):
     _check_against_dense(ShiftedSolver(h_op, Z0), rng)
 
 
-def test_banded_solver_on_pentadiagonal_mourre_operator(rng):
+def test_banded_solver_on_mourre_operator(rng):
     grid = Grid1D(20.0, 128)
-    solver = mourre_resolvent(build_hamiltonian(MODEL, grid), build_dilation(grid),
-                              Z0, 0.1)
+    solver = mourre_resolvent(build_hamiltonian(MODEL, grid), MODEL, grid, Z0, 0.1)
     offsets = np.unique(np.subtract(*np.nonzero(solver.matrix.toarray())))
-    assert offsets.tolist() == [-2, -1, 0, 1, 2]
+    assert offsets.tolist() == [-1, 0, 1]
     _check_against_dense(solver, rng)
 
 
@@ -176,6 +180,11 @@ def test_shifted_solver_rejects_non_symmetric_operator():
     op = BandMatrix([[1.0, 1.0], [2.0, 3.0, 4.0], [1.0, 5.0]])
     with pytest.raises(ValueError, match="complex symmetric"):
         ShiftedSolver(op, Z0)
+
+
+def test_shifted_solver_rejects_pentadiagonal_operator():
+    with pytest.raises(ValueError, match="operator is not tridiagonal"):
+        ShiftedSolver(PENTADIAGONAL, Z0)
 
 
 @pytest.mark.parametrize("idx", [[5], [3, 4, 6, 7], [0, 2], [13, 15]])
@@ -270,7 +279,7 @@ def _norm_case(shape):
                 w[:, None] * (inverse(h_op, z) - inverse(h_op, z2)) * w)
     f = weight_f(WeightParams(abs(z), 1.0, MODEL.mu), x)
     t = np.sqrt(f) * w
-    solver = mourre_resolvent(h_op, build_dilation(grid), z, 0.16)
+    solver = mourre_resolvent(h_op, MODEL, grid, z, 0.16)
     return (lambda u: f * solver.solve(t * u),
             lambda v: t * solver.solve_adjoint(f * v),
             f[:, None] * inverse(solver.matrix, z) * t)
@@ -367,9 +376,8 @@ def test_spectral_distance_rejects_non_real_tridiagonal():
     h_op = build_hamiltonian(MODEL, grid)
     with pytest.raises(ValueError, match="real"):
         spectral_distance(h_op + matched_absorber(grid, mu=1.0, kappa=1.0), Z0)
-    solver = mourre_resolvent(h_op, build_dilation(grid), Z0, 0.1)
-    with pytest.raises(ValueError, match="tridiagonal"):
-        spectral_distance(solver.matrix, Z0)
+    with pytest.raises(ValueError, match="operator is not tridiagonal"):
+        spectral_distance(PENTADIAGONAL, Z0)
 
 
 def _check_bracket(grid, z):
@@ -599,17 +607,14 @@ def test_block_norms_and_frobenius_bounds_at_desk_scale():
 
 
 def test_kernel_rejects_pentadiagonal_operator():
-    # the commutator-regularized operator couples next-nearest nodes;
-    # the shifted solver factors it as a band of width 2, and the
-    # kernel refuses it
-    grid = Grid1D(20.0, 128)
-    h_op = build_hamiltonian(MODEL, grid)
-    a_op = build_dilation(grid)
-    solver = mourre_resolvent(h_op, a_op, Z0, 0.1)
-    with pytest.raises(ValueError, match="tridiagonal"):
-        TridiagonalResolvent(solver.matrix, Z0)
-    with pytest.raises(ValueError, match="tridiagonal"):
-        besov_bstar_estimate(solver, sweep_weight(Z0, grid), grid)
+    # the shell-space bracket reads its kernel off the solver's matrix,
+    # so a solver standing in for one of a band of width 2 is refused too
+    grid = Grid1D(20.0, 8)
+    with pytest.raises(ValueError, match="operator is not tridiagonal"):
+        TridiagonalResolvent(PENTADIAGONAL, Z0)
+    with pytest.raises(ValueError, match="operator is not tridiagonal"):
+        besov_bstar_estimate(SimpleNamespace(matrix=PENTADIAGONAL, z=Z0),
+                             sweep_weight(Z0, grid), grid)
 
 
 def test_kernel_residual_failure_raises(monkeypatch):
@@ -948,6 +953,28 @@ def test_hoelder_zero_distance_pair(rng):
         hoelder_estimate(h_op, MODEL.s0 + 0.05, pairs[:2], grid, rng=rng)
 
 
+def test_hoelder_factors_once_per_distinct_z(monkeypatch, rng):
+    # criterion 5's shape: chained pairs share their points, a second ray
+    # pairs with the first; a zero-distance pair needs no factorization
+    grid = Grid1D(20.0, 128)
+    h_op = build_hamiltonian(MODEL, grid)
+    zs = [0.7**k * RAY for k in range(5)]
+    zs += [0.7**k * cmath.exp(1j * math.pi / 3) for k in range(3)]
+    pairs = [(zs[i], zs[i + 1]) for i in range(4)] + list(zip(zs[:3], zs[5:]))
+    pairs += [(zs[7], zs[7]), (0.05j, 0.05j)]
+    shifts = []
+    init = ShiftedSolver.__init__
+
+    def counted(self, operator, z):
+        shifts.append(z)
+        init(self, operator, z)
+
+    monkeypatch.setattr(ShiftedSolver, "__init__", counted)
+    rep = hoelder_estimate(h_op, MODEL.s0 + 0.05, pairs, grid, rng=rng)
+    assert shifts == zs
+    assert len(rep.pairs) == len(pairs) and rep.unconverged == 0
+
+
 def test_hoelder_quotients_bounded_along_ray(rng):
     grid = Grid1D(100.0, 1024)
     h_op = build_hamiltonian(MODEL, grid)
@@ -1075,23 +1102,46 @@ def test_boundary_value_unabsorbed_ladder_runs_out_unconverged():
 def test_mourre_sign_contract():
     grid = Grid1D(20.0, 128)
     h_op = build_hamiltonian(MODEL, grid)
-    a_op = build_dilation(grid)
     with pytest.raises(ValueError):
-        mourre_resolvent(h_op, a_op, 0.1 + 0.1j, -0.05)
+        mourre_resolvent(h_op, MODEL, grid, 0.1 + 0.1j, -0.05)
     with pytest.raises(ValueError):
-        mourre_resolvent(h_op, a_op, 0.1 - 0.1j, 0.05)
+        mourre_resolvent(h_op, MODEL, grid, 0.1 - 0.1j, 0.05)
+
+
+def test_mourre_operator_is_the_virial_regularization():
+    # H - i eps i[H, A] with i[H, A] = 2H + W, diagonal by diagonal; on a
+    # smooth probe it differs from the discrete commutator's operator by
+    # eps times criterion 2's residual
+    grid = Grid1D(20.0, 128)
+    h_op, a_op = build_hamiltonian(MODEL, grid), build_dilation(grid)
+    eps = 0.1
+    m = mourre_resolvent(h_op, MODEL, grid, Z0, eps).matrix
+    expected = ((1 - 2j * eps) * h_op.toarray()
+                - 1j * eps * np.diag(virial_w(MODEL, grid.nodes)))
+    assert m.k == 1 and np.array_equal(m.toarray(), expected)
+    phi = gaussian_probe(grid, width=2.0)
+    comm = 1j * (h_op @ (a_op @ phi) - a_op @ (h_op @ phi))
+    gap = np.linalg.norm(m @ phi - (h_op @ phi - 1j * eps * comm)) / np.linalg.norm(phi)
+    assert 0 < gap <= eps * commutator_residual(h_op, a_op, MODEL, grid) * (1 + 1e-9)
+
+
+def test_mourre_refuses_a_model_with_v2():
+    # the virial identity holds for V1 alone
+    model = coulomb_model(1.0, 3)
+    grid = RadialGrid(20.0, 128, dim=3)
+    with pytest.raises(ValueError, match="V2"):
+        mourre_resolvent(build_hamiltonian(model, grid), model, grid, Z0, 0.1)
 
 
 def test_mourre_small_eps_limit():
     grid = Grid1D(20.0, 256)
     h_op = build_hamiltonian(MODEL, grid)
-    a_op = build_dilation(grid)
     z = 0.2 + 0.2j
     v = gaussian_probe(grid, width=1.5)
     base = ShiftedSolver(h_op, z).solve(v)
     gaps = []
     for eps in (1e-2, 1e-3, 1e-4):
-        u = mourre_resolvent(h_op, a_op, z, eps).solve(v)
+        u = mourre_resolvent(h_op, MODEL, grid, z, eps).solve(v)
         gaps.append(np.linalg.norm(u - base) / np.linalg.norm(base))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] <= 1e-3
