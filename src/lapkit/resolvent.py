@@ -127,7 +127,9 @@ class ShiftedSolver:
         u = self._lu(v)
         vnorm = np.linalg.norm(v)
         for _ in range(5):
-            r = v + self.z * u - self.matrix @ u
+            r = self.z * u      # v + z u - M u in one buffer, same rounding
+            r += v
+            r -= self.matrix @ u
             if np.linalg.norm(r) <= SOLVE_RTOL * vnorm:
                 return u
             u = u + self._lu(r)
@@ -141,8 +143,10 @@ class ShiftedSolver:
 
     def residual(self, u, v) -> float:
         v = np.asarray(v, dtype=complex)
-        return float(np.linalg.norm(v + self.z * u - self.matrix @ u)
-                     / max(np.linalg.norm(v), 1e-300))
+        r = self.z * u
+        r += v
+        r -= self.matrix @ u
+        return float(np.linalg.norm(r) / max(np.linalg.norm(v), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +215,8 @@ class TridiagonalResolvent:
 
     def __init__(self, operator, z: complex):
         main, upper = _tridiagonal(operator)
-        self.z = complex(z)
-        self.n = len(main)
-        self.a = main.astype(complex) - self.z
-        self.b = upper.astype(complex)
+        self.z, self.n = complex(z), len(main)
+        self.a, self.b = main.astype(complex) - self.z, upper.astype(complex)
         pivots = []
         for a, b in ((self.a, self.b), (self.a[::-1], self.b[::-1])):
             lu = [b * 2.0**-PIVOT_SCALE, np.array(a), b * 2.0**PIVOT_SCALE,
@@ -225,11 +227,9 @@ class TridiagonalResolvent:
         self.d, self.e = pivots[0], pivots[1][::-1]
         if not np.all(self.b):
             raise ValueError("operator decouples: zero off-diagonal entry")
-        self.up = -self.b / self.d[:-1]
-        self.dn = -self.b / self.e[1:]
+        self.up, self.dn = -self.b / self.d[:-1], -self.b / self.e[1:]
         self.g = 1.0 / (self.d + self.e - self.a)
-        self.log_up = _prefix_sums(np.log(self.up))
-        self.log_dn = _prefix_sums(np.log(self.dn))
+        self.log_up, self.log_dn = _prefix_sums(np.log(self.up)), _prefix_sums(np.log(self.dn))
         self._certify()
 
     def entries(self, rows, cols) -> np.ndarray:
@@ -243,25 +243,23 @@ class TridiagonalResolvent:
         a, b, up, dn, g = self.a, self.b, self.up, self.dn, self.g
         n, u = self.n, np.finfo(float).eps / 2
         zero = np.zeros(1, dtype=complex)
-        # the terms of row i's residual divided by R[i, c], for columns c
-        # right of i (above) and left of i (below), and the diagonal row's
-        above = (a[:-1], np.concatenate((zero, b[:-1] * up[:-1])), b / up)
-        below = (a[1:], b / dn, np.concatenate((b[1:] * dn[1:], zero)))
-        diag = (g * a, g * np.concatenate((zero, b * up)),
-                g * np.concatenate((b * dn, zero)), -np.ones(n))
 
-        def bound(terms):
+        def bound(*terms):
             return np.abs(sum(terms)) + 4 * u * sum(np.abs(t) for t in terms)
 
-        # rows above column c: sum_{i<c} |up_i...up_{c-1}|^2 bound_i^2
+        # rows above c add |up_i...up_{c-1}|^2 bound_i^2, rows below |dn_c...dn_{i-1}|^2
+        # bound_i^2; each set of terms of row i's residual over R[i, c] lives for its bound
         re_u, re_d = self.log_up[0].real, self.log_dn[0].real
-        acc = np.logaddexp.accumulate(2 * np.log(bound(above)) - 2 * re_u[:-1])
+        acc = np.logaddexp.accumulate(2 * np.log(bound(
+            a[:-1], np.concatenate((zero, b[:-1] * up[:-1])), b / up)) - 2 * re_u[:-1])
         rows_sq = np.zeros(n)
         rows_sq[1:] = np.exp(2 * re_u[1:] + acc)
-        # rows below: sum_{i>c} |dn_c...dn_{i-1}|^2 bound_i^2
-        acc = np.logaddexp.accumulate((2 * np.log(bound(below)) + 2 * re_d[1:])[::-1])[::-1]
+        acc = np.logaddexp.accumulate((2 * np.log(bound(
+            a[1:], b / dn, np.concatenate((b[1:] * dn[1:], zero)))) + 2 * re_d[1:])[::-1])[::-1]
         rows_sq[:-1] += np.exp(acc - 2 * re_d[:-1])
-        res_sq = bound(diag) ** 2 + np.abs(g) ** 2 * rows_sq
+        res_sq = np.abs(g) ** 2 * rows_sq + bound(
+            g * a, g * np.concatenate((zero, b * up)),
+            g * np.concatenate((b * dn, zero)), -np.ones(n)) ** 2
         worst = math.sqrt(float(np.max(res_sq)))
         if not worst <= SOLVE_RTOL:
             raise SolverError(
@@ -403,28 +401,24 @@ class BesovEstimate:
 def besov_bstar_estimate(solver: ShiftedSolver, f, grid) -> BesovEstimate:
     """Two-sided estimate of the shell-space norm of f^{1/2} R(z) f^{1/2}.
 
-    ``solver`` factors H - z, z = solver.z, for a complex-symmetric
-    tridiagonal H, whose resolvent entries are read off
-    ``TridiagonalResolvent``; ``f`` holds the weight on the grid nodes
-    (the sweep's local momentum weight at lambda = |z|, K = 1).
+    ``solver`` factors H - z, z = solver.z, for a complex-symmetric tridiagonal H; ``f``
+    holds the weight on the grid nodes (the sweep's local momentum weight at lambda = |z|,
+    K = 1).  The stages do not stack: the ``TridiagonalResolvent`` kernel serves the upper
+    bound, the separated pairs and the Schur complements, and is freed before K is factored
+    and the Lanczos run, which sees only K's factors and ``solver``, starts.
 
     Upper bound: twice the exact sup over pairs of unit |x| blocks
-    (``_block_sup``).  Two different blocks are separated, so their
-    weighted block has rank <= 2 and a closed-form norm from segment
-    sums (``_separated_pairs``); a diagonal block, about 10 x 10 at desk
-    spacing, takes zhetrd and dstevd (``_block_norm``).  Block row p is
-    bounded by the diagonal block's Frobenius norm and the root of its
-    pairs' largest trace, and rows are evaluated in decreasing order of
-    bound until the next bound times 1 + 1e-6 is at most the running
-    max: the slack covers rounding (about 1e-13 relative at desk
-    scale), so the sup is the max over every pair of blocks to the bit.
+    (``_block_sup``): separated blocks in closed form (``_separated_pairs``),
+    diagonal ones, about 10 x 10 at desk spacing, by ``_block_norm``.  Block
+    row p is bounded by its diagonal block's Frobenius norm and the root of its
+    pairs' largest trace, and rows go in decreasing order of bound until the
+    next bound times 1 + 1e-6 is at most the running max: the slack covers
+    rounding (about 1e-13 relative at desk scale), so the sup is exact to the bit.
 
-    Lower bound: the best dyadic shell pair, scaled by R_j^{-1/2}
-    R_k^{-1/2}: the shell-dual norm itself.  Pairs j != k take the
-    blocks' closed form.  The diagonal pairs ||F_S R[S, S] F_S|| invert
-    to tridiagonal Schur complements, and one Lanczos run on their
-    direct sum (``_diagonal_shell_pairs``) finds the best, a lower bound
-    whether or not it converged, as ``lanczos_steps`` and ``converged`` say.
+    Lower bound: the best dyadic shell pair, scaled by R_j^{-1/2} R_k^{-1/2}:
+    the shell-dual norm itself.  Pairs j != k take the blocks' closed form, and
+    the diagonal pairs one Lanczos run (``_diagonal_shell_pairs``), a lower
+    bound whether or not it converged, as ``lanczos_steps`` and ``converged`` say.
     """
     absx = np.abs(grid.nodes)
     kernel = TridiagonalResolvent(solver.matrix, solver.z)
@@ -432,9 +426,13 @@ def besov_bstar_estimate(solver: ShiftedSolver, f, grid) -> BesovEstimate:
     upper = 2.0 * _block_sup(kernel, f, *unit_blocks(absx), center)
     shell_of, radii = ShellScheme(2.0).shell_indices(absx)
     inner, outer = np.triu_indices(len(radii), 1)
-    norms, _ = _separated_pairs(kernel, f, shell_of, len(radii), center)
-    pairs = norms(inner, outer) / np.sqrt(radii[inner] * radii[outer])
-    diagonal, _, steps, converged = _diagonal_shell_pairs(kernel, solver, np.sqrt(f),
+    pairs = (_separated_pairs(kernel, f, shell_of, len(radii), center)[0](inner, outer)
+             / np.sqrt(radii[inner] * radii[outer]))
+    bands = _schur_bands(kernel, shell_of)
+    del kernel              # K's factors go where the kernel was
+    k_inv = _band_lu(bands)
+    del bands               # the Lanczos run sees only K's factors and the solver
+    diagonal, _, steps, converged = _diagonal_shell_pairs(k_inv, solver, np.sqrt(f),
                                                           shell_of, radii)
     lower = max(diagonal, float(np.max(pairs, initial=0.0)))
     if lower > upper * (1 + 1e-6):
@@ -445,8 +443,8 @@ def besov_bstar_estimate(solver: ShiftedSolver, f, grid) -> BesovEstimate:
 
 
 def _block_sup(kernel: TridiagonalResolvent, f, labels, blocks, center: int) -> float:
-    """max over p <= q of ||F R[G_p, G_q] F||, F = diag(f)^{1/2}, G_p = blocks[p],
-    evaluated row by row in decreasing order of bound (``besov_bstar_estimate``)."""
+    """max over p <= q of ||F R[G_p, G_q] F||, F = diag(f)^{1/2}, G_p = blocks[p], row by
+    row in decreasing order of bound, as ``besov_bstar_estimate`` says."""
     norms, row_bounds = _separated_pairs(kernel, f, labels, len(blocks), center)
     bounds = np.maximum(_frobenius_norms(kernel, f, labels, blocks), row_bounds)
     best = 0.0
@@ -507,9 +505,8 @@ def _separated_pairs(kernel: TridiagonalResolvent, f, labels, count: int, center
     trace S_aa B + S_gg D, at least the squared norm, is bounded for
     every row at once by suffix maxima over q in the log domain.
     """
-    n = kernel.n
-    nodes = np.arange(n)
-    first, start = np.full((2, count), n - 1)
+    nodes = np.arange(kernel.n)
+    first, start = np.full((2, count), kernel.n - 1)
     last, end = np.zeros((2, count), dtype=int)
     np.minimum.at(first, labels, nodes)
     np.maximum.at(last, labels, nodes)
@@ -587,24 +584,27 @@ def _shell_inverse(kernel: TridiagonalResolvent, idx) -> tuple[np.ndarray, np.nd
     return diag, off
 
 
-def _diagonal_shell_pairs(kernel: TridiagonalResolvent, solver: ShiftedSolver,
-                          fh, labels, radii) -> tuple[float, int, int, bool]:
+def _schur_bands(kernel: TridiagonalResolvent, labels) -> list:
+    """[diagonal, off-diagonal] of K: the live shells' ``_shell_inverse``
+    tridiagonals on one diagonal, uncoupled by a zero entry at each joint."""
+    diag, off = zip(*(_shell_inverse(kernel, np.flatnonzero(labels == j))
+                      for j in np.flatnonzero(np.bincount(labels))))
+    return [np.concatenate(diag), np.concatenate([np.append(o, 0.0) for o in off])[:-1]]
+
+
+def _diagonal_shell_pairs(k_inv, solver, fh, labels, radii) -> tuple[float, int, int, bool]:
     """(lower bound for max_j ||A_j|| / R_j, that shell j, Lanczos steps, converged).
 
-    A_j = F_j R[S_j, S_j] F_j on the nodes S_j labelled j.  The max is the norm
-    of the direct sum of the A_j / R_j: one ``_band_lu`` of the ``_shell_inverse``
-    tridiagonals set on one diagonal, one ``_lanczos`` run with two O(n)
-    solves per step, and ||A y|| re-evaluated by a certified solve per shell.
+    A_j = F_j R[S_j, S_j] F_j on the nodes S_j labelled j.  The max is the norm of the
+    direct sum of the A_j / R_j, whose inverse is K (``_schur_bands``; ``k_inv`` solves
+    with it).  One ``_lanczos`` run, two K solves per step, sees only K and ``solver``,
+    which re-evaluates ||A y|| by a certified solve per shell: no kernel is alive.
     """
     live = np.flatnonzero(np.bincount(labels))
     shells = [np.flatnonzero(labels == j) for j in live]
     ends = np.cumsum([idx.size for idx in shells])[:-1]
     weights = [fh[idx] / math.sqrt(radii[j]) for j, idx in zip(live, shells)]
     w = np.concatenate(weights)
-    diag, off = zip(*(_shell_inverse(kernel, idx) for idx in shells))
-    # the blocks are not coupled: a zero off-diagonal entry at each joint
-    k_inv = _band_lu([np.concatenate(diag),
-                      np.concatenate([np.append(o, 0.0) for o in off])[:-1]])
     terms = np.zeros(len(shells))
 
     def gram(v):
@@ -614,7 +614,7 @@ def _diagonal_shell_pairs(kernel: TridiagonalResolvent, solver: ShiftedSolver,
 
     def norm_of(y):
         for t, (idx, wj, yj) in enumerate(zip(shells, weights, np.split(y, ends))):
-            probe = np.zeros(kernel.n, dtype=complex)
+            probe = np.zeros(solver.shape[0], dtype=complex)
             probe[idx] = wj * yj
             terms[t] = np.linalg.norm(wj * solver.solve(probe)[idx]) ** 2
         return math.sqrt(float(np.sum(terms)))

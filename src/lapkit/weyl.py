@@ -212,7 +212,7 @@ def _band_rows(band: Band, mids, xi) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(k0, 0), np.minimum(k1, len(xi))
 
 
-# band frequencies transformed together: the (K_BATCH, 2N) table and its half
+# band frequencies transformed together: the (K_BATCH, 2N) table and one batch's half
 # spectra take 32 K_BATCH N bytes; symbols are evaluated 2N / K_BATCH rows at a time
 K_BATCH = 4
 
@@ -225,10 +225,10 @@ def weyl_apply(symbol, grid: Grid1D, bank, band: Band) -> np.ndarray:
     complex symbol, or xi = +-dxi columns not mirror images bit for bit on their
     hull rows, raise ValueError.  A acts on each row u and its reversal P u, with
     its xi = 0 column halved; the unpaired -N/2, if the band reaches it, on u
-    alone.  Each batch writes its hull, 2N / K_BATCH rows at a time, into one
-    zeroed real table; ``rfft`` and conjugation give column k's spectrum, shifted
-    2 (k - N/2) mod 2N bins, and one accumulator of 2N plus the largest shift
-    bins sums the batches in ascending frequency, -N/2 last, and folds its wrap.
+    alone.  Each batch writes its hull, 2N / K_BATCH rows at a time, into one zeroed real
+    table; its ``rfft``, freed before the next batch's symbols, and conjugation give column
+    k's spectrum, shifted 2 (k - N/2) mod 2N bins, and one accumulator of 2N plus the
+    largest shift bins sums the batches in ascending frequency, -N/2 last, and folds its wrap.
     """
     rows = np.asarray(bank, dtype=complex)
     n = grid.size
@@ -248,8 +248,8 @@ def weyl_apply(symbol, grid: Grid1D, bank, band: Band) -> np.ndarray:
     v[:m, top:top + n], v[m:, top:top + n] = rows, rows[:, ::-1]
     v[:, :top] = np.fft.ifft(v[:, top:], norm="forward", out=v[:, top:])[:, p - top:]
     acc = np.zeros((2 * m, top + p), dtype=complex)
-    table, halves = np.zeros((K_BATCH, p)), np.empty((K_BATCH, n + 1), dtype=complex)
-    (row, term), chunk = np.empty((2, p), dtype=complex), p // K_BATCH
+    table, (row, term) = np.zeros((K_BATCH, p)), np.empty((2, p), dtype=complex)
+    chunk = p // K_BATCH
     r0, r1 = 0, len(mids)
     for cols in batches:
         # every band holds xi = 0, so some row meets each batch, inside the last hull
@@ -262,19 +262,19 @@ def weyl_apply(symbol, grid: Grid1D, bank, band: Band) -> np.ndarray:
                 raise ValueError("weyl_apply needs a real symbol")
             np.subtract(values, outside, out=batch[:, part])
         if cols[0] == zero:
-            mirror = symbol(-mids[None, r0:r1], -xi[cols[1:2]][:, None])
-            if not np.array_equal(batch[1:2, r0:r1], mirror - outside):
+            if not np.array_equal(batch[1:2, r0:r1], symbol(
+                    -mids[None, r0:r1], -xi[cols[1:2]][:, None]) - outside):
                 raise ValueError("weyl_apply needs a point-symmetric symbol")
             batch[0, r0:r1] *= 0.5        # A and P A P share xi = 0
-        np.fft.rfft(batch, axis=1, out=halves[:len(cols)])
-        batch[:, r0:r1] = 0.0            # the table is zero off the hull again
-        for spectrum, col in zip(halves, cols):
+        for spectrum, col in zip(np.fft.rfft(batch, axis=1), cols):
             row[:n + 1] = spectrum       # the other half by conjugation
             np.conjugate(spectrum[n - 1:0:-1], out=row[n + 1:])
             shift = 2 * (col - zero) % p
             for j in range(m if col == 0 else 2 * m):   # -N/2 has no mirror
                 acc[j, shift:shift + p] += np.multiply(row, v[j, top - shift:][:p], out=term)
-    del v, table, halves, row, term, batch, spectrum   # the last transform reuses them
+        batch[:, r0:r1] = 0.0            # the table is zero off the hull again
+        del spectrum, values             # the half spectra go before the next symbols
+    del v, table, row, term, batch       # the last transform reuses them
     acc[:, :top] += acc[:, p:]
     res = np.fft.ifft(acc[:, :p], axis=1)[:, :n] / n
     return res[:m] + res[m:, ::-1] + outside * rows

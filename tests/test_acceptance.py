@@ -22,8 +22,7 @@ from lapkit.experiments import (SLOPE_DECREASING, SLOPE_FLAT,
                                 run_radiation, run_uniqueness)
 from lapkit.operators import (Grid1D, build_dilation, build_hamiltonian,
                               commutator_residual, refinement_orders)
-from lapkit.potential import (coulomb_model, standard_model, virial_w,
-                              weight_f)
+from lapkit.potential import coulomb_model, standard_model, virial_w
 from lapkit.resolvent import (hoelder_estimate, quadratic_check,
                               spectral_free_solve)
 

@@ -12,8 +12,8 @@ import scipy.linalg as sla
 from lapkit import besov, experiments, operators, resolvent, weyl
 from lapkit.cli import _print_checks
 from lapkit.cli import main as cli_main
-from lapkit.config import (EXPERIMENT_IDS, ExperimentConfig, config_schema_text,
-                           load_config, parse_config_text)
+from lapkit.config import (EXPERIMENT_IDS, config_schema_text, load_config,
+                           parse_config_text)
 from lapkit.errors import ConfigError, SolverError
 from lapkit.experiments import (SLOPE_DECREASING, build_grid, build_model,
                                 run_besov_selftest, run_check_potential,
@@ -375,21 +375,33 @@ def test_selftest_dense_stage_starts_without_the_sample_banks(live_at_entry):
     assert entries[0] - start <= 0.5 * 2**20
 
 
-def test_desk_radiation_memory_is_bounded():
-    # the desk radiation run (the bench's config) peaks inside its two-row
-    # outgoing filter at 3.06 MiB traced, 3.18 with a process's first
-    # 8,192-point FFT plans, against 4.43 when weyl_apply's spectra and
-    # accumulator were 4N bins wide; traced bytes, unlike the resident set
-    # size, do not depend on the allocator
-    config = Path(__file__).resolve().parent.parent / "demos/configs/radiation.cfg"
-    cfg = load_config(config)
+def _traced_peak(runner, config: str) -> int:
+    """Peak traced bytes of a passing run of a demo config."""
+    cfg = load_config(Path(__file__).resolve().parent.parent / "demos/configs" / config)
     tracemalloc.start()
     try:
-        assert run_radiation(cfg).passed
-        peak = tracemalloc.get_traced_memory()[1]
+        assert runner(cfg).passed
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.4 * 2**20
+
+
+def test_desk_radiation_memory_is_bounded():
+    # the desk radiation run (the bench's config) peaks inside its two-row
+    # outgoing filter at 2.81 MiB traced, 2.93 with a process's first
+    # 8,192-point FFT plans, against 3.06 when weyl_apply held its half
+    # spectra across batches and 4.43 when its spectra and accumulator were
+    # 4N bins wide; traced bytes, unlike the resident set size, do not
+    # depend on the allocator
+    assert _traced_peak(run_radiation, "radiation.cfg") <= 3.0 * 2**20
+
+
+def test_desk_sweep_memory_is_bounded():
+    # the desk sweep peaks in the doubled box's shell-space bracket at 4.76
+    # MiB traced (4.74 on a later call), against 6.39 when the resolvent
+    # kernel and the separated pairs' closure stayed alive through the
+    # diagonal pairs' Lanczos run
+    assert _traced_peak(run_lap_sweep, "standard1d.cfg") <= 5.5 * 2**20
 
 
 def test_sweep_csv_schema(tmp_path):

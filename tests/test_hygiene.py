@@ -1,7 +1,8 @@
-"""Package-wide checks: every module-level import is used or
-re-exported, no handler swallows every error, settable values, config
-keys and source lines do not grow, only ``reports`` defines a ``passed``
-verdict, no module imports scipy and no command loads it or numpy.ma,
+"""Package-wide checks: every module-level import of the package and
+of its tests is used or re-exported, no handler swallows every error,
+settable values, config keys and source lines do not grow, only
+``reports`` defines a ``passed`` verdict, no module imports scipy and
+no command loads it or numpy.ma,
 no module starts threads or processes of its own, no module draws from
 numpy.random, random or secrets and no command loads numpy.random,
 secrets or hashlib, OpenBLAS starts with one thread unless the caller
@@ -32,6 +33,7 @@ from lapkit.reports import _float
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lapkit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -52,7 +54,9 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             if name not in used and name not in exported]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+# the package's modules by file name, the test modules as tests/<name>
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: str(
+    p.relative_to(PACKAGE) if p.parent == PACKAGE else p.relative_to(ROOT)))
 def test_no_unused_module_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 

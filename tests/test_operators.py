@@ -10,8 +10,8 @@ from lapkit.errors import DimensionError
 from lapkit.operators import (ABSORBER_STRENGTH, BandMatrix, Grid1D, RadialGrid,
                               build_dilation, build_hamiltonian,
                               commutator_residual, dilation_eigenbasis,
-                              export_triplets, gaussian_probe,
-                              hermiticity_residual, matched_absorber,
+                              export_triplets, hermiticity_residual,
+                              matched_absorber,
                               refinement_orders)
 from lapkit.potential import coulomb_model, standard_model
 

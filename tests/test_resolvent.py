@@ -1,5 +1,6 @@
 import cmath
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,8 +21,9 @@ from lapkit.potential import (WeightParams, bracket, coulomb_model,
                               standard_model, virial_w, weight_f)
 from lapkit.resolvent import (LADDER_STEPS, LADDER_TOL, LANCZOS_STEPS, RAY,
                               SOLVE_RTOL, ShiftedSolver, TridiagonalResolvent,
-                              _block_norm, _block_sup, _diagonal_shell_pairs,
-                              _frobenius_norms, _separated_pairs,
+                              _band_lu, _block_norm, _block_sup,
+                              _diagonal_shell_pairs, _frobenius_norms,
+                              _schur_bands, _separated_pairs,
                               _shell_inverse, besov_bstar_estimate,
                               boundary_value, hoelder_estimate, mourre_resolvent,
                               operator_norm_lower, quadratic_check,
@@ -800,9 +802,9 @@ def test_diagonal_shell_pairs_match_dense_svd():
     shell_of, radii = ShellScheme(2.0).shell_indices(np.abs(grid.nodes))
     for z in (m * RAY for m in (1e-1, 1e-2, 1e-3, 1e-4)):
         fh, dense = _dense_weighted_resolvent(h_op, grid, z)
-        kernel = TridiagonalResolvent(h_op, z)
+        k_inv = _band_lu(_schur_bands(TridiagonalResolvent(h_op, z), shell_of))
         norm, shell, steps, converged = _diagonal_shell_pairs(
-            kernel, ShiftedSolver(h_op, z), fh, shell_of, radii)
+            k_inv, ShiftedSolver(h_op, z), fh, shell_of, radii)
         assert converged and 1 <= steps <= LANCZOS_STEPS
         refs = []
         for j, radius in enumerate(radii):
@@ -833,7 +835,8 @@ def test_diagonal_shell_pairs_factor_once(monkeypatch):
     band_lu = resolvent._band_lu
     monkeypatch.setattr(resolvent, "_band_lu", counted)
     shell_of, radii = ShellScheme(2.0).shell_indices(np.abs(grid.nodes))
-    _, _, steps, _ = _diagonal_shell_pairs(kernel, solver, fh, shell_of, radii)
+    k_inv = resolvent._band_lu(_schur_bands(kernel, shell_of))
+    _, _, steps, _ = _diagonal_shell_pairs(k_inv, solver, fh, shell_of, radii)
     gaps = sum(np.count_nonzero(np.diff(np.flatnonzero(shell_of == j)) != 1)
                for j in range(len(radii)))
     assert steps > 2
@@ -855,7 +858,8 @@ def test_diagonal_shell_pairs_with_tied_shells():
             for idx in (np.flatnonzero(halves == 0), np.flatnonzero(halves == 1))]
     assert refs[0] == pytest.approx(refs[1], rel=1e-12)
     norm, shell, _, converged = _diagonal_shell_pairs(
-        TridiagonalResolvent(h_op, Z0), ShiftedSolver(h_op, Z0), fh, halves, radii)
+        _band_lu(_schur_bands(TridiagonalResolvent(h_op, Z0), halves)),
+        ShiftedSolver(h_op, Z0), fh, halves, radii)
     assert converged
     assert norm == pytest.approx(refs[0] / 4.0, rel=1e-10)
     assert shell in (0, 1)
@@ -879,6 +883,34 @@ def test_besov_estimate_runs_one_lanczos(monkeypatch):
     est = besov_bstar_estimate(ShiftedSolver(h_op, z), sweep_weight(z, grid), grid)
     assert len(calls) == 1
     assert est.lanczos_steps > 2
+
+
+def test_kernel_is_freed_before_the_diagonal_pairs_run(monkeypatch):
+    # the diagonal shell pairs' Lanczos run sees only K's factors and the
+    # solver: when it starts, every kernel the estimate built is freed, and
+    # so are its prefix sums, which the separated pairs' closure views
+    import lapkit.resolvent as resolvent
+
+    built, alive = [], []
+
+    class Traced(TridiagonalResolvent):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.extend(map(weakref.ref, (self, self.log_up[0], self.log_dn[0])))
+
+    def entered(*args):
+        alive.extend(ref() is not None for ref in built)
+        return lanczos(*args)
+
+    lanczos = resolvent._lanczos
+    monkeypatch.setattr(resolvent, "TridiagonalResolvent", Traced)
+    monkeypatch.setattr(resolvent, "_lanczos", entered)
+    grid = Grid1D(100.0, 1024)
+    z = 1e-3 * RAY
+    besov_bstar_estimate(ShiftedSolver(build_hamiltonian(MODEL, grid), z),
+                         sweep_weight(z, grid), grid)
+    assert len(built) == 3
+    assert alive == [False] * 3
 
 
 def test_besov_lower_is_the_shell_dual_norm():
