@@ -19,7 +19,7 @@ from lapkit.potential import coulomb_model, standard_model
 
 def ground_state(h):
     """Lowest eigenvalue of a real symmetric tridiagonal Hamiltonian."""
-    return eigh_tridiagonal(h.diagonal().real, h.diagonal(1).real,
+    return eigh_tridiagonal(h.main.real, h.upper.real,
                             eigvals_only=True, select="i",
                             select_range=(0, 0))[0]
 

@@ -56,7 +56,7 @@ for mode, story in (("outgoing", "remove direction +1 (must vanish)"),
 print()
 print("=== uniqueness: the null difference is not outgoing ===")
 w = u_plus - u_minus
-interior = np.abs(cap.diagonal()) == 0.0
+interior = cap == 0.0
 interior[1:] &= interior[:-1].copy()
 resid = np.linalg.norm((h_plain @ w)[interior]) / np.linalg.norm(w)
 print(f"  H w interior residual: {resid:.1e} (solves the homogeneous equation)")

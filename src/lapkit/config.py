@@ -46,7 +46,7 @@ SCHEMA = {
     },
     "experiment": {
         "id": (str, "lap-sweep", "one of: " + ", ".join(EXPERIMENT_IDS)),
-        "seed": (int, 0, "seed of lap-sweep's weighted-norm Lanczos starts and selftest banks"),
+        "seed": (int, 0, "seed of the self-test's sample banks"),
     },
     "output": {
         "directory": (str, "out", "where reports, CSV, vectors land"),

@@ -258,13 +258,14 @@ def run_check_potential(cfg: ExperimentConfig) -> Report:
 # lap-sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_quantities(solver, grid, mu, rng):
+def _sweep_quantities(solver, grid, mu):
     """The sweep quantities at z, from one factorization of H - z (``solver``).
 
     The plain norm is exact, 1 / dist(z, spectrum), and the distance is
     returned with it; the weighted norm, with weight <x>^-s f^{1/2} for
-    s = weight_exponent(mu) and f = f_{|z|} at K = 1, is one Lanczos run,
-    and the shell-space bracket reuses f.  Besides the (lower, upper)
+    s = weight_exponent(mu) and f = f_{|z|} at K = 1, is one Lanczos run
+    from Stream(0), as the diagonal shell pairs' is, so no quantity reads
+    the seed; the shell-space bracket reuses f.  Besides the (lower, upper)
     pairs it returns the quantities whose Lanczos run did not converge
     (the weighted norm's, or the diagonal shell pairs') and the Lanczos
     counts.
@@ -273,7 +274,7 @@ def _sweep_quantities(solver, grid, mu, rng):
     f = weight_f(WeightParams(lam=abs(z), kappa=1.0, mu=mu), x)
     distance = spectral_distance(solver.matrix, z)
     wgt = bracket(x) ** (-weight_exponent(mu)) * np.sqrt(f)
-    wei = weighted_opnorm(solver, z, wgt, wgt, rng)
+    wei = weighted_opnorm(solver, z, wgt, wgt, besov.Stream(0))
     est = besov_bstar_estimate(solver, f, grid)
     health = {"weighted_runs": 1,
               "unconverged_weighted_runs": int(not wei.converged),
@@ -309,7 +310,6 @@ def run_lap_sweep(cfg: ExperimentConfig) -> Report:
     grid = build_grid(cfg)
     if not isinstance(grid, Grid1D):
         raise ConfigError("sweeps run on the 1-d line grid")
-    rng = besov.Stream(cfg.seed)
     report = _report(cfg)
     # a free run's f and s0 both read the configured mu
     mu = cfg.model["mu"] if model is None else model.mu
@@ -332,11 +332,11 @@ def run_lap_sweep(cfg: ExperimentConfig) -> Report:
     probe = gaussian_probe(grid, width=SOURCE_WIDTH)
     for z in (m * RAY for m in moduli):
         solver = ShiftedSolver(h_op, z)
-        base = _sweep_quantities(solver, grid, mu, rng)
+        base = _sweep_quantities(solver, grid, mu)
         residual = solver.residual(solver.solve(probe), probe)
         del solver          # its factors are not held through the doubled box
         distances[repr(z)] = base["_distance"]
-        wide = _sweep_quantities(ShiftedSolver(h_wide, z), wide_grid, mu, rng)
+        wide = _sweep_quantities(ShiftedSolver(h_wide, z), wide_grid, mu)
         for part in (base, wide):
             for key, value in part["_health"].items():
                 health[key] += value
@@ -506,7 +506,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> Report:
     report = _report(cfg)
     w = (u_plus - np.conj(u_plus))[None]    # the null difference, a one-row bank
 
-    untouched = np.abs(cap.diagonal()) == 0.0
+    untouched = cap == 0.0
     # one stencil row of separation from the layer
     interior = untouched.copy()
     interior[1:] &= untouched[:-1]

@@ -3,10 +3,10 @@
 Hamiltonians on the grids of ``lapkit.grids`` use the second-order
 central stencil with Dirichlet walls.  The one complex absorbing layer,
 ``matched_absorber``, is impedance-matched to zero-energy waves and
-kept as a separate diagonal term so the Hermitian part stays intact;
-its amplitude and width are module constants.  Every operator is
-a tridiagonal (or diagonal) ``BandMatrix``: its diagonals as numpy
-arrays, with a sum and a product with a vector.
+kept as a separate diagonal array so the Hermitian part stays intact;
+its amplitude and width are module constants.  Every operator comes
+from the three-point stencil and is a ``BandMatrix``: its three
+diagonals, a sum with a diagonal array and a product with a vector.
 """
 
 from __future__ import annotations
@@ -46,38 +46,32 @@ ABSORBER_WIDTH = 0.375
 # ---------------------------------------------------------------------------
 
 class BandMatrix:
-    """Square band matrix held as its diagonals -k, ..., k (diagonal j has
-    n - |j| entries).  A product with a vector sums each row from zero in
-    ascending column order, as a sorted CSR row does."""
+    """Square tridiagonal matrix held as its diagonals ``lower``, ``main`` and
+    ``upper``.  A product with a vector sums each row from zero in ascending
+    column order, as a sorted CSR row does."""
 
     def __init__(self, diags):
-        self.diags = [np.asarray(d) for d in diags]
-        self.k = len(self.diags) // 2
-        self.shape = (self.diags[self.k].size,) * 2
+        self.lower, self.main, self.upper = (np.asarray(d) for d in diags)
+        self.shape = (self.main.size,) * 2
 
-    def diagonal(self, j: int = 0) -> np.ndarray:
-        if abs(j) > self.k:
-            return np.zeros(self.shape[0] - abs(j))
-        return self.diags[j + self.k].copy()
-
-    def __add__(self, other: BandMatrix) -> BandMatrix:
-        k = max(self.k, other.k)
-        return BandMatrix([self.diagonal(j) + other.diagonal(j) for j in range(-k, k + 1)])
+    def __add__(self, diagonal: np.ndarray) -> BandMatrix:
+        return BandMatrix([self.lower, self.main + diagonal, self.upper])
 
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        n = self.shape[0]
-        out = np.zeros(n, dtype=np.result_type(*self.diags, other))
-        for j, d in enumerate(self.diags, -self.k):
-            out[max(-j, 0):n - max(j, 0)] += _product(d, other[max(j, 0):n - max(-j, 0)])
+        out = np.zeros(self.shape[0],
+                       dtype=np.result_type(self.lower, self.main, self.upper, other))
+        out[1:] += _product(self.lower, other[:-1])
+        out += _product(self.main, other)
+        out[:-1] += _product(self.upper, other[1:])
         return out
 
     def toarray(self) -> np.ndarray:
-        return sum(np.diag(d, j) for j, d in enumerate(self.diags, -self.k))
+        return np.diag(self.lower, -1) + np.diag(self.main) + np.diag(self.upper, 1)
 
 
 def _product(a, b) -> np.ndarray:
-    """a * b, a complex product formed from four real ones as a compiled
-    sparse kernel forms it; numpy's vector loop may fuse them (FMA)."""
+    """a * b, a complex product formed from four real ones as a compiled sparse
+    kernel forms it; numpy's loop may fuse them (FMA), depending on its SIMD level."""
     if not (np.iscomplexobj(a) and np.iscomplexobj(b)):
         return a * b
     out = np.empty(np.broadcast(a, b).shape, dtype=complex)
@@ -119,7 +113,7 @@ def build_hamiltonian(model: PotentialModel | None, grid) -> BandMatrix:
     return BandMatrix([off, main + pot, off])
 
 
-def matched_absorber(grid, mu: float, kappa: float) -> BandMatrix:
+def matched_absorber(grid, mu: float, kappa: float) -> np.ndarray:
     """Complex absorbing potential impedance-matched to zero-energy waves.
 
     Slow waves with local momentum f_0 = (K <x>^-mu)^{1/2} reflect off
@@ -128,8 +122,8 @@ def matched_absorber(grid, mu: float, kappa: float) -> BandMatrix:
     eta = ABSORBER_STRENGTH, tracks the local kinetic scale f_0^2 under
     a quadratic ramp in the depth t, which rises from 0 at the inner
     edge of the layer to 1 at the wall; measured round-trip reflection
-    stays near the percent level at desk-scale boxes.  Returned as a
-    separate diagonal term.
+    stays near the percent level at desk-scale boxes.  Returned as the
+    diagonal array that ``BandMatrix.__add__`` adds to H.
     """
     x = grid.nodes
     scale = kappa * bracket(x) ** (-mu)
@@ -137,7 +131,7 @@ def matched_absorber(grid, mu: float, kappa: float) -> BandMatrix:
     width = ABSORBER_WIDTH * outer
     t = np.clip((np.abs(x) - (outer - width)) / width, 0.0, 1.0)
     ramp = t**2 * scale
-    return BandMatrix([-1j * ABSORBER_STRENGTH * ramp])
+    return -1j * ABSORBER_STRENGTH * ramp
 
 
 def build_dilation(grid) -> BandMatrix:
@@ -207,13 +201,13 @@ def dilation_eigenbasis(m: BandMatrix):
     (eigenvalues, eigenvectors) in the original basis.  Shell and
     block machinery can then treat A as a multiplication operator.
     """
-    upper = m.diagonal(1)
+    upper = m.upper
     mags = np.abs(upper)
     # diagonal phase similarity turns the imaginary off-diagonal real
     turn = np.divide(mags, upper, out=np.ones(len(upper), dtype=complex),
                      where=mags != 0)
     phases = np.concatenate(([1.0 + 0j], np.cumprod(turn)))
-    vals, vecs = dstevd(m.diagonal().real, mags)
+    vals, vecs = dstevd(m.main.real, mags)
     return vals, phases[:, None] * vecs
 
 
@@ -225,7 +219,7 @@ def export_triplets(h: BandMatrix, path) -> None:
     """Write the Hamiltonian's nonzero entries, row by row, as text lines
     'row col re im' under a shape header."""
     n = h.shape[0]
-    entries = sorted((r, r + j, v) for j, d in enumerate(h.diags, -h.k)
+    entries = sorted((r, r + j, v) for j, d in ((-1, h.lower), (0, h.main), (1, h.upper))
                      for r, v in zip(range(max(-j, 0), n), d) if v != 0)
     with open(path, "w") as fh:
         fh.write(f"# H shape {n} {n}\n")

@@ -2,9 +2,9 @@
 
 Sweep energies are z = m RAY for moduli m in (0, LAMBDA0], on the
 bisector of the sector arg z in (0, 3 pi / 4), |z| <= LAMBDA0.  Every
-factorized operator is a complex-symmetric tridiagonal ``BandMatrix``
-(H, H + cap and the commutator-regularized operator), ``_tridiagonal``
-alone decides that, and one LU with partial pivoting (``_band_lu``)
+factorized operator is a tridiagonal ``BandMatrix`` (H, H + cap and the
+commutator-regularized operator), ``_tridiagonal`` checks that it is
+complex symmetric, and one LU with partial pivoting (``_band_lu``)
 serves every solve.  The plain resolvent norm of a self-adjoint H is
 exact (``spectral_distance``); every other operator norm is a certified
 lower bound from one Lanczos run (``_lanczos``).
@@ -68,14 +68,11 @@ RAY = cmath.exp(1j * (0.75 * math.pi / 2.0))
 # ---------------------------------------------------------------------------
 
 def _tridiagonal(operator: BandMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(main, off): the diagonal and the off-diagonal of a complex-symmetric
-    tridiagonal operator.  ValueError unless it is tridiagonal and its
-    diagonal -1 is its diagonal +1."""
-    if operator.k > 1:
-        raise ValueError("operator is not tridiagonal")
-    main, off = operator.diagonal(0), operator.diagonal(1)
+    """(main, off): the diagonal and the off-diagonal of a tridiagonal operator;
+    ValueError unless it is complex symmetric, its lower diagonal its upper."""
+    main, off = operator.main, operator.upper
     scale = max(np.max(np.abs(np.concatenate((main, off)))), 1e-300)
-    if np.max(np.abs(operator.diagonal(-1) - off), initial=0.0) > 1e-12 * scale:
+    if np.max(np.abs(operator.lower - off), initial=0.0) > 1e-12 * scale:
         raise ValueError("operator is not complex symmetric")
     return main, off
 
@@ -163,7 +160,7 @@ def spectral_distance(operator, z: complex) -> float:
     widened fourfold until it is not empty, so the nearest is bisected
     nearly alone.  The error is at most eps ||H||_1 / Im z, relative:
     below 1e-9 at desk scale for |z| >= 1e-4.  ValueError unless H is
-    real, symmetric and tridiagonal.
+    real and symmetric.
     """
     main, off = _tridiagonal(operator)
     if np.any(np.imag(main)) or np.any(np.imag(off)):
@@ -347,6 +344,7 @@ def _lanczos(gram, start, norm_of) -> tuple[float, int, bool]:
         beta.append(size)
         basis.append(v / size)
     ritz = sum(c * q for c, q in zip(top, basis))
+    del basis, v        # the evaluation below makes solves of its own
     value = float(norm_of(ritz / np.linalg.norm(ritz)))
     # an evaluation of A off from the Gram product shows as a disagreement
     sigma = math.sqrt(max(theta[-1], 0.0))

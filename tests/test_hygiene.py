@@ -86,7 +86,7 @@ def test_no_broad_exception_handlers(path):
 # Ceiling on settable values: defaulted function parameters (keyword-only
 # included, nested functions too) plus defaulted dataclass fields.  Each
 # default is a knob a caller may turn; the ceiling may only fall.
-SETTABLE_CEILING = 10
+SETTABLE_CEILING = 9
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -117,7 +117,7 @@ def test_settable_values_do_not_grow():
 
 # Ceiling on the package's source lines (all of src/lapkit, blank lines
 # and comments included); like SETTABLE_CEILING it may only fall.
-LINE_CEILING = 3446
+LINE_CEILING = 3438
 
 
 def test_source_lines_do_not_grow():
