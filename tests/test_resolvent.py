@@ -31,6 +31,10 @@ from lapkit.resolvent import (LADDER_STEPS, LADDER_TOL, LANCZOS_STEPS, RAY,
 
 MODEL = standard_model(1.0, 1.0, 1)
 Z0 = 0.5 + 0.5j
+# the diagonals of a complex-symmetric band of width 2, outermost first:
+# a BandMatrix refuses them, so no solver or kernel is handed one
+PENTADIAGONAL = [np.full(6, 0.5), np.full(7, 1.0), np.full(8, 4.0 + 1j),
+                 np.full(7, 1.0), np.full(6, 0.5)]
 # the boundary-value ladder's weight exponent, s0 + 0.05
 WEIGHT_S = MODEL.s0 + 0.05
 
@@ -178,6 +182,13 @@ def test_shifted_solver_rejects_non_symmetric_operator():
     op = BandMatrix([[1.0, 1.0], [2.0, 3.0, 4.0], [1.0, 5.0]])
     with pytest.raises(ValueError, match="complex symmetric"):
         ShiftedSolver(op, Z0)
+
+
+def test_shifted_solver_rejects_pentadiagonal_operator(rng):
+    with pytest.raises(ValueError, match="values to unpack"):
+        ShiftedSolver(BandMatrix(PENTADIAGONAL), Z0)
+    # its inner three diagonals are a tridiagonal the solver factors
+    _check_against_dense(ShiftedSolver(BandMatrix(PENTADIAGONAL[1:4]), Z0), rng)
 
 
 @pytest.mark.parametrize("idx", [[5], [3, 4, 6, 7], [0, 2], [13, 15]])
@@ -595,6 +606,23 @@ def test_block_norms_and_frobenius_bounds_at_desk_scale():
             assert abs(_block_norm(kernel, fh, block) / exact - 1) <= 1e-14, block
             assert abs(bound / np.linalg.norm(sub) - 1) <= 1e-12, block
             assert bound >= np.linalg.norm(sub, 2)
+
+
+def test_kernel_rejects_pentadiagonal_operator():
+    # the shell-space bracket reads its kernel off the solver's matrix,
+    # so neither is ever handed a band of width 2
+    grid = Grid1D(20.0, 8)
+    with pytest.raises(ValueError, match="values to unpack"):
+        TridiagonalResolvent(BandMatrix(PENTADIAGONAL), Z0)
+    with pytest.raises(ValueError, match="values to unpack"):
+        besov_bstar_estimate(ShiftedSolver(BandMatrix(PENTADIAGONAL), Z0),
+                             sweep_weight(Z0, grid), grid)
+    # its inner three diagonals give the kernel the dense inverse
+    inner = BandMatrix(PENTADIAGONAL[1:4])
+    every = np.arange(8)
+    dense = sla.inv(inner.toarray() - Z0 * np.eye(8))
+    kernel = TridiagonalResolvent(inner, Z0).entries(every[:, None], every)
+    assert np.max(np.abs(kernel - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_kernel_residual_failure_raises(monkeypatch):
