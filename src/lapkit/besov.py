@@ -77,14 +77,11 @@ class ShellScheme:
         return self.base ** np.arange(count, dtype=float)
 
     def shell_count(self, max_abs: float) -> int:
-        """Smallest J with R_J > max_abs, so shells 1..J cover [0, max_abs]."""
-        if max_abs < 1.0:
-            return 1
-        # R_J = base**(J-1) must exceed max_abs strictly
-        j = int(math.floor(math.log(max_abs) / math.log(self.base))) + 2
-        while self.base ** (j - 2) > max_abs:
-            j -= 1
-        while self.base ** (j - 1) <= max_abs:
+        """Smallest J with R_J = base**(J-1) > max_abs, so shells 1..J cover
+        [0, max_abs]; counted up exactly from J = 1."""
+        j = 1
+        # a float power and "not >": inf and nan overflow instead of counting on
+        while not self.base ** (j - 1.0) > max_abs:
             j += 1
         return j
 

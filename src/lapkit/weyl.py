@@ -26,8 +26,8 @@ leaves c - constant on a few midpoint rows per frequency.  The cutoffs
 are real and point-symmetric and the grid reversal P negates nodes,
 midpoints and frequencies exactly, so Op(c) = constant I + A + P A P,
 A over the band's xi >= 0 half.  One thread and one accumulator sum the
-frequency batches, symbols are evaluated in chunks of rows, each cutoff
-rise only below its plateau and the polynomial only on its ramps.
+frequency batches; symbols are evaluated in chunks of rows, and the
+cutoff polynomial only on its ramps.
 """
 
 from __future__ import annotations
@@ -76,19 +76,6 @@ def smoothstep7(t):
     return t[()]                       # a scalar for a scalar argument
 
 
-def _profile(t, rise, start, width):
-    """smoothstep7(t + rise) times a fall from 1 at start to 0 at start + width.
-
-    For rise 1.0 or 5.0, fl(t + rise) >= 1 and the clipped rise is exactly
-    1 from t = 1 - rise on, so it is evaluated and applied only below.
-    """
-    t = np.asarray(t, dtype=float)
-    out = np.asarray(1.0 - smoothstep7((t - start) / width))
-    below = t < 1.0 - rise
-    out[below] *= smoothstep7(t[below] + rise)
-    return out[()]                     # a scalar for a scalar argument
-
-
 # ---------------------------------------------------------------------------
 # Symbols
 # ---------------------------------------------------------------------------
@@ -121,12 +108,10 @@ ANNULUS_EPS = 0.5
 class FilterSpec:
     """Smooth cutoffs selecting the low-frequency outgoing region.
 
-    chi_minus equals 1 on [0, plateau_end], falls to 0 over FALL_WIDTH,
-    and rises from -1, so its support is [-1, plateau_end + FALL_WIDTH]
-    and it is nonincreasing for t > 0.  chi_tilde falls over TILDE_WIDTH
-    and is supported in (-inf, SIGMA_CUT), realized with a compact
-    plateau wide enough to cover every direction value the kinetic
-    cutoff lets through.
+    chi_minus equals 1 up to plateau_end and falls to 0 over FALL_WIDTH,
+    so it is nonincreasing with support (-inf, kinetic_reach]; chi_tilde
+    equals 1 up to SIGMA_CUT - TILDE_WIDTH and falls to 0 over
+    TILDE_WIDTH, so its support is (-inf, SIGMA_CUT).
     """
 
     plateau_end: float
@@ -152,14 +137,13 @@ class FilterSpec:
         return self.plateau_end + FALL_WIDTH
 
     def chi_minus(self, t):
-        return _profile(t, 1.0, self.plateau_end, FALL_WIDTH)
+        return 1.0 - smoothstep7((t - self.plateau_end) / FALL_WIDTH)
 
     def chi_plus(self, t):
         return 1.0 - self.chi_minus(t)
 
     def chi_tilde_minus(self, t):
-        # 0 below t = -5, 1 from t = -4 up to the fall
-        return _profile(t, 5.0, SIGMA_CUT - TILDE_WIDTH, TILDE_WIDTH)
+        return 1.0 - smoothstep7((t - (SIGMA_CUT - TILDE_WIDTH)) / TILDE_WIDTH)
 
     def chi_tilde_mirror(self, t):
         """Reflection keeping the opposite direction region."""

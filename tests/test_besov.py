@@ -47,7 +47,7 @@ def defined_shell_count(base, max_abs):
 
 
 def first_guess(base, max_abs):
-    """shell_count's estimate before its two float-log corrections."""
+    """The shell count estimated by a float log, which can be off by one."""
     return int(math.floor(math.log(max_abs) / math.log(base))) + 2
 
 
@@ -55,11 +55,14 @@ def first_guess(base, max_abs):
 # shell counts
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("base", [1.5, 2.0, 3.0, 10.0])
+@pytest.mark.parametrize("base", [1.5, 2.0, 3.0, 10.0, 2])
 def test_shell_count_matches_its_definition(base):
     scheme = ShellScheme(base)
     for below_one in (0.0, 0.5, math.nextafter(1.0, 0.0)):
         assert scheme.shell_count(below_one) == 1
+    for no_count in (math.inf, math.nan):
+        with pytest.raises(OverflowError):
+            scheme.shell_count(no_count)
     for k in range(12):
         power = base ** k
         for m in (math.nextafter(power, 0.0), power, math.nextafter(power, math.inf)):
@@ -67,8 +70,9 @@ def test_shell_count_matches_its_definition(base):
 
 
 def test_shell_count_corrects_its_float_log_both_ways():
-    # log(1000) / log(10) rounds below 3, so the first guess is one shell
-    # short; just below 8 the base-2 ratio rounds up to 3, one too many
+    # log(1000) / log(10) rounds below 3, so a float-log guess is one shell
+    # short; just below 8 the base-2 ratio rounds up to 3, one too many;
+    # the counted shells are exact at both
     up, down = (10.0, 1000.0), (2.0, math.nextafter(8.0, 0.0))
     assert first_guess(*up) == defined_shell_count(*up) - 1
     assert first_guess(*down) == defined_shell_count(*down) + 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -454,15 +455,14 @@ def test_smoothstep_is_the_full_polynomial_byte_for_byte(rng):
 
 def test_cutoff_supports():
     spec = FilterSpec(plateau_end=2.0)
-    t = np.linspace(-3, 5, 400)
+    t = np.linspace(-8, 5, 650)
     chi = spec.chi_minus(t)
-    assert np.all(chi[(t >= 0) & (t <= 2.0)] == 1.0)
+    assert np.all(chi[t <= 2.0] == 1.0)
     assert np.all(chi[t > 3.0] == 0.0)
-    assert np.all(chi[t < -1.0] == 0.0)
-    falling = (t > 0.0) & (t < 4.9)
-    assert np.all(np.diff(chi[falling]) <= 1e-12)
+    assert np.all(np.diff(chi) <= 1e-12)
     assert np.allclose(spec.chi_minus(t) + spec.chi_plus(t), 1.0)
     tilde = spec.chi_tilde_minus(t)
+    assert np.all(tilde[t <= SIGMA_CUT - TILDE_WIDTH] == 1.0)
     assert np.all(tilde[t >= 0.5] == 0.0)
     assert np.all((tilde >= 0) & (tilde <= 1))
     mirror = spec.chi_tilde_mirror(t)
@@ -494,10 +494,20 @@ CUTOFF_SPECS = [FilterSpec(plateau_end=2.0),
 
 
 @pytest.mark.parametrize("spec", CUTOFF_SPECS)
-def test_cutoffs_are_rise_times_fall_bit_for_bit(spec, rng):
-    # each rise is skipped where it is exactly 1 (t >= 0 and t >= -4); on
-    # both ramps, both plateaus and at the skip points the values keep
+def test_cutoffs_are_single_falls_bit_for_bit(spec, rng):
+    # each cutoff is one fall of the full polynomial, 1 below it and 0
+    # above: on the ramps, both sides and their edges the values keep
     # every bit, for arrays and for scalars
+    def fall(t, start, width):
+        return 1.0 - _full_smoothstep7((np.asarray(t, dtype=float) - start) / width)
+
+    def tilde(t):
+        return fall(t, SIGMA_CUT - TILDE_WIDTH, TILDE_WIDTH)
+
+    references = {"chi_minus": lambda t: fall(t, spec.plateau_end, FALL_WIDTH),
+                  "chi_plus": lambda t: 1.0 - fall(t, spec.plateau_end, FALL_WIDTH),
+                  "chi_tilde_minus": tilde,
+                  "chi_tilde_mirror": lambda t: tilde(-np.asarray(t, dtype=float))}
     marks = np.array([-5.0, -4.0, -1.0, 0.0, 4.0, 5.0, spec.plateau_end,
                       spec.kinetic_reach, SIGMA_CUT, SIGMA_CUT - TILDE_WIDTH])
     near = np.concatenate([marks, -marks, np.nextafter(marks, -np.inf),
@@ -506,7 +516,7 @@ def test_cutoffs_are_rise_times_fall_bit_for_bit(spec, rng):
                            [-0.0, 5e-324, -5e-324, -np.inf, np.inf]])
     spread = rng.uniform(-7.0, 7.0, (29, 31))
     ramps = np.linspace(-5.5, spec.kinetic_reach + 0.5, 4001)
-    for name, reference in _rise_times_fall(spec).items():
+    for name, reference in references.items():
         cutoff = getattr(spec, name)
         for t in (near, spread, ramps):
             assert cutoff(t).tobytes() == reference(t).tobytes(), name
@@ -535,6 +545,27 @@ def test_filter_symbols_are_products_of_the_profiles(mode):
                 "high": cut["chi_plus"](symbol_a0(params)(x, xi))}[mode]
     assert np.count_nonzero(expected - band.outside) > 0
     assert symbol(x, xi).tobytes() == expected.tobytes()
+
+
+def test_direction_cutoffs_keep_the_kinetic_cutoff_at_a_large_plateau():
+    # at C_0' = 20 the kinetic cutoff reaches a0 = 23, so b0^2 <= a0 lets
+    # direction values below -4 through; each direction cutoff is 1 on its
+    # whole plateau, and the product is the kinetic cutoff there
+    m = dataclasses.replace(standard_model(1.0, 1.0, 1), symbol_constants=(20.0, 1.0, 3.0))
+    spec = FilterSpec.for_model(m)
+    assert spec.kinetic_reach == 23.0
+    params = WeightParams(0.0, m.kappa_low_energy, m.mu)
+    x = (-DESK_GRID.length + (np.arange(2 * DESK_GRID.size - 1) + 1.0)
+         * DESK_GRID.spacing / 2.0)[None, :]
+    xi = DESK_GRID.frequencies[:, None]
+    f = weight_f(params, x)
+    a0, b0 = xi**2 / f**2, (xi / f) * (x / bracket(x))
+    kinetic = spec.chi_minus(a0)
+    assert np.count_nonzero((b0 < -4.0) & (kinetic > 0.0)) > 0
+    for mode, plateau in (("outgoing", b0 <= SIGMA_CUT - TILDE_WIDTH),
+                          ("mirrored", b0 >= TILDE_WIDTH - SIGMA_CUT)):
+        symbol, _ = filter_symbol(spec, params, mode)
+        assert np.array_equal(symbol(x, xi)[plateau], kinetic[plateau]), mode
 
 
 def test_filter_spec_validation():
