@@ -62,11 +62,9 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         report = run_experiment(cfg)
         runtime = time.perf_counter() - start
-    except (ConfigError, DimensionError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
+    except (ConfigError, DimensionError, SolverError) as exc:
+        kind = "solver" if isinstance(exc, SolverError) else "config"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return 2
 
     outdir.mkdir(parents=True, exist_ok=True)

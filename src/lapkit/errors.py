@@ -14,4 +14,4 @@ class ConfigError(Exception):
 
 
 class SolverError(RuntimeError):
-    """A linear solve failed or did not reach the requested residual."""
+    """A factorization failed, or a solve or resolvent kernel missed its certificate."""

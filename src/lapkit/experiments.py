@@ -328,7 +328,7 @@ def run_lap_sweep(cfg: ExperimentConfig) -> Report:
     h_wide = build_hamiltonian(model, wide_grid)
     distances = report.extras.setdefault("distance_to_spectrum", {})
     per_quantity = {q: [] for q in ("unweighted", "weighted", "shell_dual")}
-    # the residual of a probe solve on the base grid, in each row
+    # the backward error of a probe solve on the base grid, in each row
     probe = gaussian_probe(grid, width=SOURCE_WIDTH)
     for z in (m * RAY for m in moduli):
         solver = ShiftedSolver(h_op, z)

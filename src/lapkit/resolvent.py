@@ -49,8 +49,14 @@ __all__ = [
 ]
 
 
-# relative residual every shifted solve and resolvent column is certified to
-SOLVE_RTOL = 1e-10
+# normwise backward error a shifted solve is accepted to.  zgttrf and zgttrs on A = M - z give
+# (A + dA) u = v, |dA| <= 7u |L||U|, u = 2^-53 (no inner product has over 3 terms).  Pivoting
+# keeps |L| <= 1 and, a tridiagonal's growth factor being at most 2, |U| <= 2 max |a_ij|, with
+# <= 3 entries a row or column in each: ||dA||_2 <= 126u ||A||_inf.  Forming r adds 5u; complex
+# arithmetic at most triples each rounding: eta <= 393u (Higham, 2002, ch. 3 and 9; README).
+BACKWARD_TOL = 400 * 2.0**-53
+# residual every column of a TridiagonalResolvent is certified to, ||e_c|| being 1
+KERNEL_RTOL = 1e-10
 # every operator-norm Lanczos run stops once its top Ritz residual is at
 # most LANCZOS_RTOL times the Ritz value, or after LANCZOS_STEPS steps
 LANCZOS_RTOL = 1e-10
@@ -103,47 +109,42 @@ def _band_lu(bands):
 
 
 class ShiftedSolver:
-    """LU factorization of (M - z) with iterative refinement on solves.
+    """LU factorization of (M - z); each solve is accepted by its backward error.
 
-    M must be a complex-symmetric tridiagonal ``BandMatrix`` (``matrix``),
-    and ``_band_lu`` factors M - z once.  Being symmetric, it gives
-    adjoint solves from the same factors by conjugation.  A solve takes
-    up to four refinement steps to reach a relative residual of
-    SOLVE_RTOL, the residual being M u - z u.
+    M must be a complex-symmetric tridiagonal ``BandMatrix`` (``matrix``), and ``_band_lu``
+    factors M - z once; being symmetric, it gives adjoint solves by conjugation.  A solve u
+    of (M - z) u = v raises SolverError unless its normwise backward error (Rigal & Gaches,
+    J. ACM 14 (1967) 543) eta = ||v + z u - M u|| / (||M - z||_inf ||u|| + ||v||), from
+    ``residual``, is at most BACKWARD_TOL; the forward error is then about 2 kappa(M - z) eta.
     """
 
     def __init__(self, operator: BandMatrix, z: complex):
         self.matrix, self.shape, self.z = operator, operator.shape, complex(z)
         main, off = _tridiagonal(self.matrix)
         self._lu = _band_lu([main - self.z, off])
+        self._norm = float(np.max(abs(main - self.z) + abs(np.r_[0, off]) + abs(np.r_[off, 0])))
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.shape[0],):
             raise DimensionError("right-hand side length mismatch")
         u = self._lu(v)
-        vnorm = np.linalg.norm(v)
-        for _ in range(5):
-            r = self.z * u      # v + z u - M u in one buffer, same rounding
-            r += v
-            r -= self.matrix @ u
-            if np.linalg.norm(r) <= SOLVE_RTOL * vnorm:
-                return u
-            u = u + self._lu(r)
-        raise SolverError(
-            f"solve at z = {self.z} reached residual "
-            f"{np.linalg.norm(r) / vnorm:.3e} (requested {SOLVE_RTOL:.1e})")
+        if not (eta := self.residual(u, v)) <= BACKWARD_TOL:
+            raise SolverError(f"solve at z = {self.z} has backward error "
+                              f"{eta:.3e} (tolerance {BACKWARD_TOL:.1e})")
+        return u
 
     def solve_adjoint(self, w: np.ndarray) -> np.ndarray:
         """(M - z)^{-*} w via conjugation, valid for symmetric M - z."""
         return np.conj(self.solve(np.conj(np.asarray(w, dtype=complex))))
 
     def residual(self, u, v) -> float:
-        v = np.asarray(v, dtype=complex)
-        r = self.z * u
+        """The normwise backward error eta of u as a solution of (M - z) u = v."""
+        r = self.z * u      # v + z u - M u in one buffer, same rounding
         r += v
         r -= self.matrix @ u
-        return float(np.linalg.norm(r) / max(np.linalg.norm(v), 1e-300))
+        scale = self._norm * np.linalg.norm(u) + np.linalg.norm(v)
+        return float(np.linalg.norm(r) / max(scale, 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +208,7 @@ class TridiagonalResolvent:
     the residual norms of all columns are two accumulated log-sums.
     Each |q_i| carries a rounding allowance of 4u times the sum of its
     terms' moduli.  SolverError unless every column's residual is at
-    most SOLVE_RTOL.
+    most KERNEL_RTOL; column c's error is then at most ||R|| KERNEL_RTOL.
     """
 
     def __init__(self, operator, z: complex):
@@ -236,7 +237,7 @@ class TridiagonalResolvent:
         return np.exp(log) * self.g[cols]
 
     def _certify(self) -> None:
-        """Raise SolverError unless ||(M - z) R[:, c] - e_c|| <= SOLVE_RTOL for every c."""
+        """Raise SolverError unless ||(M - z) R[:, c] - e_c|| <= KERNEL_RTOL for every c."""
         a, b, up, dn, g = self.a, self.b, self.up, self.dn, self.g
         n, u = self.n, np.finfo(float).eps / 2
         zero = np.zeros(1, dtype=complex)
@@ -258,10 +259,10 @@ class TridiagonalResolvent:
             g * a, g * np.concatenate((zero, b * up)),
             g * np.concatenate((b * dn, zero)), -np.ones(n)) ** 2
         worst = math.sqrt(float(np.max(res_sq)))
-        if not worst <= SOLVE_RTOL:
+        if not worst <= KERNEL_RTOL:
             raise SolverError(
                 f"resolvent columns at z = {self.z} reached residual "
-                f"{worst:.3e} (requested {SOLVE_RTOL:.1e})")
+                f"{worst:.3e} (requested {KERNEL_RTOL:.1e})")
 
 
 def _span(sums, j, k):

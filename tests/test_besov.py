@@ -17,6 +17,7 @@ from lapkit.besov import (ShellScheme, accretive_bound, as_spectrum_values,
                           unit_blocks, verify_base_equivalence, verify_power_map,
                           verify_scaling)
 from lapkit.errors import DataError, DimensionError
+from lapkit.grids import Grid1D
 from lapkit.resolvent import operator_norm_lower
 
 SPECTRUM = np.linspace(0.0, 20.0, 64)
@@ -494,6 +495,25 @@ def test_unit_blocks_and_shells_on_signed_values():
     # |a| in [0,1), [1,2), [2,4), [4,8), [8,16); the 2nd and 4th are empty
     assert radii.tolist() == [1.0, 2.0, 4.0, 8.0, 16.0]
     assert [s.tolist() for s in shells] == [[1, 2, 3], [], [0, 4], [], [5, 6]]
+
+
+@pytest.mark.parametrize("length, covered", [(400.0, 0.9765625), (409.6, 1.0)],
+                         ids=["desk-box", "aligned-box"])
+def test_innermost_shell_coverage_is_kept_by_h_halving(length, covered):
+    # the shell [0, 1) is fixed in x while the nodes sit at cell centres:
+    # its nodes' cells reach |x| = (their count) h, 5 h at N = 4096 and 10 h
+    # at N = 8192.  On the desk box 1/h = 5.12 and then 10.24, so the cells
+    # cover [0, 0.9766) at both sizes and halving h cannot show the missing
+    # 2.3%; on L = 409.6 every integer is a cell face and they cover [0, 1)
+    # (node positions carry a rounding of about 2e-14 there)
+    for size, count in ((4096, 10), (8192, 20)):
+        grid = Grid1D(length, size)
+        absx = np.abs(grid.nodes)
+        inner = absx[ShellScheme(2.0).shell_indices(absx)[0] == 0]
+        h = grid.spacing
+        assert inner.size == count
+        assert inner.min() - h / 2 == pytest.approx(0.0, abs=1e-13)
+        assert inner.max() + h / 2 == pytest.approx(covered, abs=1e-13)
 
 
 def test_block_bound_identity():

@@ -845,7 +845,7 @@ def test_zero_energy_runners_share_one_boundary_value(tmp_path):
 
 def test_zero_energy_runners_solve_once_at_zero(monkeypatch):
     # the incoming value is conj(u_plus) by construction, so at z = 0 each
-    # runner makes one refined solve and no adjoint solve (which would
+    # runner makes one solve and no adjoint solve (which would
     # make a second solve there); the ray ladder's rungs never reach 0
     shifts = []
     real = ShiftedSolver.solve
@@ -1188,6 +1188,42 @@ def test_cli_solver_error_exits_two(tmp_path, capsys, monkeypatch):
     assert cli_main(["lap-sweep", "--config", str(path)]) == 2
     assert "solver error: dstebz failed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_refused_solve_exits_two(tmp_path, capsys, monkeypatch):
+    # every LU solve off by 1e-6: the sweep's first solve is refused by its
+    # backward error, the run exits 2 naming z, and no report is written
+    factor = ShiftedSolver.__init__
+
+    def perturbed(self, operator, z):
+        factor(self, operator, z)
+        lu = self._lu
+        self._lu = lambda rhs: lu(rhs) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(ShiftedSolver, "__init__", perturbed)
+    path = tmp_path / "sweep.cfg"
+    path.write_text(SMALL_SWEEP + f"[output]\ndirectory = {tmp_path}/out\n")
+    assert cli_main(["lap-sweep", "--config", str(path)]) == 2
+    first = max(parse_config_text(SMALL_SWEEP).sector["moduli"]) * resolvent.RAY
+    assert capsys.readouterr().err.startswith(
+        f"solver error: solve at z = {first} has backward error ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_on_the_aligned_box_at_twice_the_size(tmp_path):
+    # L = 409.6, N = 8192 (h = 1/10): a relative residual of 1.3e-10 at
+    # |z| = 1e-4 is a backward error near 7e-17, so every solve is accepted
+    desk = Path(__file__).resolve().parent.parent / "demos/configs/standard1d.cfg"
+    text = desk.read_text()
+    assert "length = 400.0" in text and "size = 4096" in text
+    path = tmp_path / "aligned.cfg"
+    path.write_text(text.replace("length = 400.0", "length = 409.6")
+                    .replace("size = 4096", "size = 8192"))
+    assert cli_main(["lap-sweep", "--config", str(path),
+                     "--output", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "lap-sweep_report.json").read_text())
+    assert report["checks"] and all(c["passed"] for c in report["checks"])
+    assert report["passed"]
 
 
 def test_cli_inverted_shell_space_bracket_exits_two(tmp_path, capsys, monkeypatch):

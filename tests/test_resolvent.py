@@ -18,8 +18,8 @@ from lapkit.operators import (BandMatrix, Grid1D, RadialGrid, build_dilation,
                               gaussian_probe, matched_absorber)
 from lapkit.potential import (WeightParams, bracket, coulomb_model,
                               standard_model, virial_w, weight_f)
-from lapkit.resolvent import (LADDER_STEPS, LADDER_TOL, LANCZOS_STEPS, RAY,
-                              SOLVE_RTOL, ShiftedSolver, TridiagonalResolvent,
+from lapkit.resolvent import (BACKWARD_TOL, LADDER_STEPS, LADDER_TOL, LANCZOS_STEPS,
+                              RAY, ShiftedSolver, TridiagonalResolvent,
                               _band_lu, _block_norm, _block_sup,
                               _diagonal_shell_pairs, _frobenius_norms,
                               _schur_bands, _separated_pairs,
@@ -86,7 +86,7 @@ def test_solve_residual_contract(rng):
     v = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     solver = ShiftedSolver(h_op, Z0)
     u = solver.solve(v)
-    assert solver.residual(u, v) <= 1e-10
+    assert solver.residual(u, v) <= BACKWARD_TOL
 
 
 def test_solve_conjugation_symmetry(rng):
@@ -114,34 +114,32 @@ def test_first_resolvent_identity(rng):
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(lhs)
 
 
-def test_solve_refines_a_perturbed_first_solve(rng):
-    # one refinement step recovers from a first solve that is off by 1e-6
+def test_solve_raises_on_a_perturbed_first_solve(rng):
+    # a first solve that is off by 1e-6 is refused at once, with no second solve
     h_op = build_hamiltonian(MODEL, Grid1D(50.0, 512))
     v = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     solver = ShiftedSolver(h_op, Z0)
-    exact = solver.solve(v)
     lu, calls = solver._lu, []
 
-    def first_off(rhs):
+    def off(rhs):
         calls.append(rhs)
-        return lu(rhs) * (1.0 + 1e-6) if len(calls) == 1 else lu(rhs)
+        return lu(rhs) * (1.0 + 1e-6)
 
-    solver._lu = first_off
-    u = solver.solve(v)
-    assert len(calls) >= 2
-    assert solver.residual(u, v) <= SOLVE_RTOL
-    assert np.linalg.norm(u - exact) <= 1e-9 * np.linalg.norm(exact)
+    solver._lu = off
+    with pytest.raises(SolverError) as raised:
+        solver.solve(v)
+    assert str(raised.value).startswith(f"solve at z = {Z0} has backward error ")
+    assert len(calls) == 1
 
 
-def test_solve_raises_when_refinement_cannot_converge(rng):
-    # every solve doubled: the refinement iterates oscillate and never
-    # reach the residual target
+def test_solve_raises_when_every_solve_is_doubled(rng):
+    # every solve doubled: r = -v, a backward error far above BACKWARD_TOL
     h_op = build_hamiltonian(MODEL, Grid1D(50.0, 512))
     v = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     solver = ShiftedSolver(h_op, Z0)
     lu = solver._lu
     solver._lu = lambda rhs: 2.0 * lu(rhs)
-    with pytest.raises(SolverError, match="reached residual"):
+    with pytest.raises(SolverError, match="backward error"):
         solver.solve(v)
 
 
@@ -151,13 +149,13 @@ def test_singular_shift_reported():
 
 
 def _check_against_dense(solver, rng):
-    """solve and solve_adjoint against inv(M - z), residuals within SOLVE_RTOL."""
+    """solve and solve_adjoint against inv(M - z), backward errors within BACKWARD_TOL."""
     n = solver.shape[0]
     dense = sla.inv(solver.matrix.toarray() - solver.z * np.eye(n))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     u = solver.solve(v)
     assert np.linalg.norm(u - dense @ v) <= 1e-12 * np.linalg.norm(dense @ v)
-    assert solver.residual(u, v) <= SOLVE_RTOL
+    assert solver.residual(u, v) <= BACKWARD_TOL
     w = solver.solve_adjoint(v)
     ref = dense.conj().T @ v
     assert np.linalg.norm(w - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -631,7 +629,7 @@ def test_kernel_residual_failure_raises(monkeypatch):
     import lapkit.resolvent as resolvent
 
     h_op = build_hamiltonian(MODEL, Grid1D(20.0, 128))
-    monkeypatch.setattr(resolvent, "SOLVE_RTOL", 1e-30)
+    monkeypatch.setattr(resolvent, "KERNEL_RTOL", 1e-30)
     with pytest.raises(SolverError, match="residual"):
         TridiagonalResolvent(h_op, Z0)
     with pytest.raises(SolverError, match="pivot"):
